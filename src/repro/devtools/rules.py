@@ -305,6 +305,10 @@ _NUMPY_RANDOM_ALLOWED = {
     # flow batch backend uses it to replay random.Random's exact
     # double stream across a whole cell batch.
     "RandomState",
+    # The same stream as a bare bit generator, constructed with an
+    # explicit seed and then assigned random.Random's state: replays
+    # its raw 32-bit words (randrange, getrandbits) in bulk.
+    "MT19937",
 }
 
 

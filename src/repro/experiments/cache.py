@@ -24,7 +24,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.cells import CODE_VERSION, canonical_json
 
@@ -126,24 +126,36 @@ class ResultCache:
         wall_seconds: float,
     ) -> Path:
         """Store ``summary`` under ``key`` atomically; returns the path."""
+        # The summary is most of an entry: encode it once, checksum
+        # those bytes, and splice them between the keys that sort
+        # around "summary" — the text equals canonical_json of the
+        # whole entry (tests/test_runner.py pins that).
+        body = canonical_json(summary)
+        head = canonical_json(
+            {
+                "cell": cell,
+                "checksum": hashlib.sha256(body.encode()).hexdigest(),
+                "code_version": CODE_VERSION,
+                # Cache metadata wants real wall-clock age, not sim time.
+                "created": time.time(),  # lint: ok(R001)
+                "key": key,
+            }
+        )
+        tail = canonical_json({"wall_seconds": wall_seconds})
+        return self._write_atomic(
+            key, f'{head[:-1]},"summary":{body},{tail[1:]}'
+        )
+
+    def _write_atomic(self, key: str, text: str) -> Path:
+        """Write one entry's text via temp file + rename."""
         target = self.path_for(key)
         target.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "key": key,
-            "cell": cell,
-            "summary": summary,
-            "checksum": summary_checksum(summary),
-            "code_version": CODE_VERSION,
-            # Cache metadata wants real wall-clock age, not sim time.
-            "created": time.time(),  # lint: ok(R001)
-            "wall_seconds": wall_seconds,
-        }
         handle, temp_name = tempfile.mkstemp(
             dir=str(target.parent), suffix=".tmp"
         )
         try:
             with os.fdopen(handle, "w") as temp:
-                temp.write(canonical_json(payload))
+                temp.write(text)
             os.replace(temp_name, target)
         except BaseException:
             try:
@@ -152,6 +164,23 @@ class ResultCache:
                 pass
             raise
         return target
+
+    def _valid_texts(self) -> Iterator[Tuple[str, str]]:
+        """``(key, stored text)`` of every valid entry, sorted by key.
+
+        Read-only, unlike :meth:`get`: shard and merge walk caches that
+        may be someone else's, so a corrupt file there is skipped and
+        left where it is.
+        """
+        if not self.root.is_dir():
+            return
+        for path in sorted(self.root.glob("*/*.json")):
+            try:
+                raw = path.read_text()
+            except OSError:
+                continue
+            if self._validated(path.stem, raw) is not None:
+                yield path.stem, raw
 
     # -- sharding -----------------------------------------------------------
 
@@ -170,14 +199,14 @@ class ResultCache:
         """Partition this cache's entries across ``out_dirs``.
 
         Every valid entry is copied (not moved) into the shard cache
-        that :meth:`shard_of` assigns it, preserving its stored bytes
-        and provenance metadata.  Returns the per-shard entry counts.
+        that :meth:`shard_of` assigns it, stored bytes and provenance
+        metadata verbatim.  Returns the per-shard entry counts.
         """
         targets = [ResultCache(d) for d in out_dirs]
         counts = [0] * len(targets)
-        for entry in self.entries():
-            index = self.shard_of(entry.key, len(targets))
-            targets[index]._put_entry(entry)
+        for key, raw in self._valid_texts():
+            index = self.shard_of(key, len(targets))
+            targets[index]._write_atomic(key, raw)
             counts[index] += 1
         return counts
 
@@ -190,7 +219,8 @@ class ResultCache:
         present here wins (first writer wins — both sides stored the
         same content-addressed summary, so the race is benign, and a
         divergent duplicate would indicate a corrupt source anyway).
-        Corrupt source entries are skipped, not imported.  Returns
+        Corrupt source entries are skipped — not imported, and not
+        deleted: a source is only ever read.  Returns
         ``{"merged": n, "skipped": n}``.
         """
         merged = 0
@@ -203,41 +233,13 @@ class ResultCache:
             )
             if cache.root.resolve() == self.root.resolve():
                 continue
-            for entry in cache.entries():
-                if self.path_for(entry.key).is_file():
+            for key, raw in cache._valid_texts():
+                if self.path_for(key).is_file():
                     skipped += 1
                     continue
-                self._put_entry(entry)
+                self._write_atomic(key, raw)
                 merged += 1
         return {"merged": merged, "skipped": skipped}
-
-    def _put_entry(self, entry: CacheEntry) -> Path:
-        """Store a foreign entry verbatim (provenance preserved)."""
-        target = self.path_for(entry.key)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "key": entry.key,
-            "cell": entry.cell,
-            "summary": entry.summary,
-            "checksum": summary_checksum(entry.summary),
-            "code_version": entry.code_version,
-            "created": entry.created,
-            "wall_seconds": entry.wall_seconds,
-        }
-        handle, temp_name = tempfile.mkstemp(
-            dir=str(target.parent), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w") as temp:
-                temp.write(canonical_json(payload))
-            os.replace(temp_name, target)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        return target
 
     # -- management ---------------------------------------------------------
 
@@ -280,6 +282,10 @@ class ResultCache:
                 removed += 1
             except OSError:
                 pass
+        # A crashed writer's temp file is never an entry, but it would
+        # keep its prefix directory alive.
+        for path in self.root.glob("*/*.tmp"):
+            self._discard(path)
         for shard in self.root.glob("*"):
             if shard.is_dir():
                 try:

@@ -57,6 +57,11 @@ if TYPE_CHECKING:
 # the pickled backlog on huge sweeps without ever starving the pool.
 _MAX_PENDING_PER_WORKER = 4
 
+# Cell execution time one pool task should carry: two orders over what
+# a task costs to pickle, dispatch and collect (~0.5 ms), and short
+# enough that progress lines keep coming.
+_TASK_SECONDS = 0.05
+
 # Largest single array-batch handed to the flow batch engine: bounds
 # the (T, B) state arrays of one group (a 60 s call at 1024 cells is a
 # few hundred MB of live state) without limiting sweep size.
@@ -704,6 +709,30 @@ def _outcome_from_verdict(
     )
 
 
+def _run_chunk(
+    chunk: Sequence[Tuple[str, Cell]],
+    timeout: Optional[float],
+    store: Optional[ResultCache],
+) -> List[Dict[str, Any]]:
+    """Pool task: run ``chunk`` cell by cell, one verdict per cell.
+
+    Every cell keeps its own :func:`_execute_isolated` guard (timeout,
+    structured error), and a good result is stored by this worker —
+    ``ResultCache.put`` is atomic and safe for concurrent writers — so
+    the parent is left with verdicts to collect, not files to write.
+    """
+    verdicts = []
+    for key, cell in chunk:
+        verdict = _execute_isolated(cell, timeout)
+        if verdict["ok"] and store is not None:
+            store.put(
+                key, cell.resolved(), verdict["summary"],
+                verdict["wall_seconds"],
+            )
+        verdicts.append(verdict)
+    return verdicts
+
+
 def _run_pool(
     items: Sequence[Tuple[str, Cell]],
     jobs: int,
@@ -713,24 +742,36 @@ def _run_pool(
     retries: int = 0,
     stats: Optional[RunStats] = None,
 ) -> None:
-    """Fan pending cells out over a process pool.
+    """Fan pending cells out over a process pool, a chunk per task.
 
-    Submission is throttled (a bounded window per worker) so a
-    many-thousand-cell sweep does not pickle its entire job list up
-    front, and results are consumed as they complete so cache writes
-    and progress lines happen promptly.  A worker that dies outright
-    (e.g. OOM-killed) poisons only the cells in flight: they are
-    retried (up to ``retries``) or reported as structured errors, and
-    the sweep continues in a fresh pool.  Failed and timed-out cells
-    are re-queued up to ``retries`` times before they are finished as
-    quarantined errors.
+    A task carries as many cells as fill ``_TASK_SECONDS`` at the mean
+    cell time measured so far, capped so that the queue still splits
+    into a full submission window: long cells and short queues go one
+    per task, cheap cells by the dozen, and chunks shrink as the queue
+    drains so the workers finish together.  Submission is throttled (a
+    bounded window per worker) so a many-thousand-cell sweep does not
+    pickle its entire job list up front, and verdicts are consumed as
+    tasks complete so progress lines happen promptly.  Failed and
+    timed-out cells are re-queued up to ``retries`` times before they
+    are finished as quarantined errors.
+
+    A worker that dies outright (e.g. OOM-killed) takes every task in
+    flight with it, and nothing says which cell did it.  Those cells
+    are then re-run in a fresh pool one task at a time, where a second
+    death names its cell: only that one is retried (up to ``retries``)
+    and quarantined, every other cell is delivered, and chunked
+    dispatch resumes for the rest of the queue.
     """
     queue = list(items)
+    suspects: List[Tuple[str, Cell]] = []
     jobs = min(jobs, len(queue))
+    window = jobs * _MAX_PENDING_PER_WORKER
     attempts: Dict[str, int] = {}
+    timed_cells = 0
+    timed_seconds = 0.0
 
     def retry_or_none(key: str, verdict: Dict[str, Any]) -> bool:
-        """True if the cell was re-queued for another attempt."""
+        """True if the cell may have another attempt."""
         if attempts.get(key, 0) >= retries:
             return False
         attempts[key] = attempts.get(key, 0) + 1
@@ -738,53 +779,82 @@ def _run_pool(
             _note_retry(stats, verdict, key)
         return True
 
-    while queue:
-        crashed = False
+    def next_chunk() -> List[Tuple[str, Cell]]:
+        size = 1
+        if timed_seconds > 0.0:
+            size = min(
+                int(_TASK_SECONDS * timed_cells / timed_seconds),
+                len(queue) // window,
+            )
+        chunk = queue[:max(size, 1)]
+        del queue[:len(chunk)]
+        return chunk
+
+    while queue or suspects:
+        lost: List[Tuple[str, Cell]] = []
+        failure: Optional[BaseException] = None
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            window = max(jobs * _MAX_PENDING_PER_WORKER, jobs)
-            futures = {}
-            while queue or futures:
-                while queue and len(futures) < window and not crashed:
-                    key, cell = queue.pop(0)
-                    futures[pool.submit(_execute_isolated, cell, timeout)] = (
-                        key,
-                        cell,
-                    )
-                if not futures:
-                    break
+            futures: Dict[Any, List[Tuple[str, Cell]]] = {}
+            while futures or (failure is None and (queue or suspects)):
+                if failure is None:
+                    if suspects:
+                        # Alone in flight (suspects only appear between
+                        # pools, and the wait below outlasts a lone
+                        # task): a death now is this cell's own.
+                        chunks = [[suspects.pop(0)]]
+                    else:
+                        chunks = []
+                        while queue and len(futures) + len(chunks) < window:
+                            chunks.append(next_chunk())
+                    for chunk in chunks:
+                        futures[
+                            pool.submit(_run_chunk, chunk, timeout, store)
+                        ] = chunk
                 finished, _ = wait(futures, return_when=FIRST_COMPLETED)
                 for future in finished:
-                    key, cell = futures.pop(future)
+                    chunk = futures.pop(future)
                     try:
-                        verdict = future.result()
+                        verdicts = future.result()
                     except Exception as exc:  # BrokenProcessPool et al.
-                        crashed = True
-                        if retry_or_none(key, {"wall_seconds": 0.0}):
+                        failure = exc
+                        lost.extend(chunk)
+                        continue
+                    for (key, cell), verdict in zip(chunk, verdicts):
+                        timed_cells += 1
+                        timed_seconds += verdict["wall_seconds"]
+                        if not verdict["ok"] and retry_or_none(key, verdict):
                             queue.append((key, cell))
                             continue
+                        # The worker already stored it: no store here.
                         finish(
-                            key,
-                            CellOutcome(
-                                cell=cell,
-                                key=key,
-                                error={
-                                    "type": type(exc).__name__,
-                                    "message": str(exc),
-                                    "traceback": traceback.format_exc(),
-                                },
-                            ),
+                            key, _outcome_from_verdict(cell, key, verdict, None)
                         )
-                        continue
-                    if not verdict["ok"] and retry_or_none(key, verdict):
-                        queue.append((key, cell))
-                        continue
-                    finish(key, _outcome_from_verdict(cell, key, verdict, store))
-                if crashed:
-                    # Drain in-flight work, then restart with a new pool
-                    # for whatever is left in the queue.
-                    break
-        if not crashed:
-            break
+        if failure is None:
+            continue
+        if len(lost) > 1:
+            suspects.extend(lost)
+            continue
+        # One cell in flight when the pool broke: that is the cell.
+        key, cell = lost[0]
+        if retry_or_none(key, {"wall_seconds": 0.0}):
+            suspects.append((key, cell))
+            continue
+        finish(
+            key,
+            CellOutcome(
+                cell=cell,
+                key=key,
+                error={
+                    "type": type(failure).__name__,
+                    "message": str(failure),
+                    "traceback": "".join(
+                        traceback.format_exception(
+                            type(failure), failure, failure.__traceback__
+                        )
+                    ),
+                },
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------

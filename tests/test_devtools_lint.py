@@ -158,6 +158,29 @@ class TestGlobalRandom:
             """
         ) == []
 
+    def test_numpy_mt19937_replay_is_clean_bare_draw_still_fires(self):
+        # A seeded, state-assigned bit generator replaying
+        # random.Random's words is explicit state, not a global draw.
+        replay = """
+            import random
+            import numpy as np
+            def words(seed: int, count: int):
+                state = random.Random(seed).getstate()[1]
+                bits = np.random.MT19937(0)
+                bits.state = {
+                    "bit_generator": "MT19937",
+                    "state": {
+                        "key": np.array(state[:-1], dtype=np.uint32),
+                        "pos": state[-1],
+                    },
+                }
+                return bits.random_raw(count)
+            """
+        assert rules_fired(replay) == []
+        assert rules_fired(
+            replay + "\n            x = np.random.random()\n"
+        ) == ["R002"]
+
     def test_annotation_only_use_is_clean(self):
         # net/loss.py-style: `random` imported purely for type hints.
         assert rules_fired(

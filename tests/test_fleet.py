@@ -1,10 +1,17 @@
 """Tests for the fleet engine, bootstrap CIs and cache shard/merge."""
 
+import hashlib
 import json
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.analysis.stats import bootstrap_ci
+from repro.analysis.stats import bootstrap_ci, percentile
 from repro.cli import main
 from repro.core.config import SystemKind
 from repro.experiments.cache import ResultCache
@@ -81,7 +88,98 @@ class TestFleetSpec:
         assert [(c.system, c.seed) for c in cells[4:]] == observed
 
 
+def scalar_bootstrap_ci(values, confidence, resamples, seed_label):
+    """The oracle: ``bootstrap_ci`` as it was before it became an array
+    program, one ``randrange`` and one addition at a time."""
+    n = len(values)
+    digest = hashlib.sha256(seed_label.encode("utf-8")).digest()
+    rng = random.Random(int.from_bytes(digest[:8], "big"))
+    means = []
+    for _ in range(resamples):
+        total = 0.0
+        for _ in range(n):
+            total += values[rng.randrange(n)]
+        means.append(total / n)
+    alpha = 1.0 - confidence
+    return (
+        percentile(means, 100.0 * (alpha / 2.0)),
+        percentile(means, 100.0 * (1.0 - alpha / 2.0)),
+    )
+
+
+# randrange(n) keeps a word with probability n / 2**n.bit_length(): just
+# over one half at a power of two, almost one right below it.
+_EDGE_SIZES = sorted(
+    n
+    for k in range(1, 11)
+    for n in (2**k - 1, 2**k, 2**k + 1)
+    if 2 <= n <= 1100
+)
+_MAGNITUDES = (1e-300, 1.0, 1e3, 1e300)
+
+
+@st.composite
+def _samples(draw):
+    n = draw(st.one_of(st.sampled_from(_EDGE_SIZES), st.integers(2, 1100)))
+    if draw(st.booleans()):
+        return [draw(st.sampled_from((-0.0, 0.0, 2.5, -1e300)))] * n
+    scale = draw(st.sampled_from(_MAGNITUDES))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    values = [rng.uniform(-1.0, 1.0) * scale for _ in range(n)]
+    values[rng.randrange(n)] = -0.0
+    return values
+
+
 class TestBootstrapCi:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=_samples(),
+        resamples=st.sampled_from((1, 2, 50, 1000)),
+        confidence=st.sampled_from((0.5, 0.9, 0.95, 0.99)),
+        label=st.sampled_from(("bootstrap", "driving/converge/e2e_p95")),
+    )
+    @example(values=[-0.0] * 3, resamples=2, confidence=0.5, label="x")
+    @example(
+        values=[1e300, -1e300, 1e-300, 1.0] * 128, resamples=50,
+        confidence=0.99, label="x",
+    )
+    def test_equals_the_scalar_loop_bit_for_bit(
+        self, values, resamples, confidence, label
+    ):
+        # repr, not ==: the sign of a zero is part of a report's bytes.
+        assert repr(
+            bootstrap_ci(values, confidence, resamples, label)
+        ) == repr(scalar_bootstrap_ci(values, confidence, resamples, label))
+
+    def test_blocks_smaller_than_a_resample(self, monkeypatch):
+        # A sample wider than the block is gathered one row at a time.
+        monkeypatch.setattr("repro.analysis.stats._BOOTSTRAP_BLOCK", 8)
+        values = [float(v) for v in range(13)]
+        assert bootstrap_ci(values, 0.9, 25, "x") == scalar_bootstrap_ci(
+            values, 0.9, 25, "x"
+        )
+
+    def test_stream_is_pinned_by_a_literal(self):
+        # Oracle and code could be edited together; this cannot drift.
+        assert bootstrap_ci(
+            [0.5, -1.25, 3.0, 7.75, 2.0, -0.0, 11.5],
+            confidence=0.9,
+            resamples=200,
+            seed_label="driving/converge/e2e_p95",
+        ) == (0.9642857142857143, 6.289285714285713)
+
+    def test_importing_stats_does_not_import_numpy(self):
+        # Packet-fidelity users of repro.analysis stay numpy-free; the
+        # bootstrap imports it on first use.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "import repro.analysis.stats; "
+            "sys.exit(1 if 'numpy' in sys.modules else 0)"
+        )
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             bootstrap_ci([])
@@ -206,6 +304,30 @@ class TestCacheSharding:
         assert other.merge([store.root]) == {"merged": 0, "skipped": 4}
         # Merging a cache into itself is a no-op.
         assert store.merge([store.root]) == {"merged": 0, "skipped": 0}
+
+    def test_sources_are_only_read(self, tmp_path):
+        # A corrupt entry in somebody else's cache is skipped — neither
+        # imported nor deleted; get() on one's own cache does delete.
+        store, keys = self._filled(tmp_path / "src", n=4)
+        bad = store.path_for(keys[0])
+        bad.write_text(bad.read_text().replace("1.0", "9.0"))
+        before = {
+            path: path.read_bytes() for path in store.root.glob("*/*.json")
+        }
+        bad.parent.chmod(0o555)
+        store.root.chmod(0o555)
+        try:
+            merged = ResultCache(tmp_path / "merged")
+            assert merged.merge([store.root]) == {"merged": 3, "skipped": 0}
+            assert sum(store.shard([tmp_path / "a", tmp_path / "b"])) == 3
+        finally:
+            store.root.chmod(0o755)
+            bad.parent.chmod(0o755)
+        assert merged.get(keys[0]) is None
+        assert {
+            path: path.read_bytes() for path in store.root.glob("*/*.json")
+        } == before
+        assert store.get(keys[0]) is None and not bad.exists()
 
     def test_merged_entries_are_runner_visible(self, tmp_path):
         # A summary computed elsewhere and merged in must satisfy the

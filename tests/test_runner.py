@@ -45,6 +45,11 @@ def broken_paths(duration):
     raise RuntimeError("no such network")
 
 
+def exit_paths(duration):
+    # What an OOM kill looks like from the pool: the worker is gone.
+    os._exit(17)
+
+
 class TestCellKey:
     def test_key_is_stable_across_processes(self):
         # The key must not depend on dict ordering, object identity or
@@ -229,6 +234,35 @@ class TestResultCache:
         assert store.ls() == []
         assert store.clear() == 0
 
+    def test_clear_removes_stale_temp_files(self, tmp_path):
+        # A writer that crashed between mkstemp and rename leaves a
+        # *.tmp behind; it is not an entry, and clear() must not let it
+        # keep the prefix directory (and the cache root) alive.
+        store = ResultCache(tmp_path / "cache")
+        key = "aa" + "0" * 62
+        target = store.put(key, {"system": "srtt"}, {}, 0.1)
+        (target.parent / "tmp-crashed.tmp").write_text('{"key": "aa')
+        orphan = store.root / "bb"
+        orphan.mkdir()
+        (orphan / "tmp-orphan.tmp").write_text("")
+        assert store.clear() == 1
+        assert list(store.root.iterdir()) == []
+
+    def test_stored_text_is_the_canonical_entry(self, tmp_path):
+        # put() splices the once-encoded summary into the entry; the
+        # result must be exactly canonical_json of the whole entry.
+        store = ResultCache(tmp_path)
+        key = "ab" + "4" * 62
+        summary = {"z": [1.5, -0.0, 1e-300], "a": {"k": None}, "s": "\u00e9"}
+        text = store.put(key, {"system": "converge"}, summary, 0.25).read_text()
+        data = json.loads(text)
+        assert canonical_json(data) == text
+        assert sorted(data) == [
+            "cell", "checksum", "code_version", "created", "key", "summary",
+            "wall_seconds",
+        ]
+        assert data["summary"] == summary and data["wall_seconds"] == 0.25
+
     def test_default_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "alt"))
         assert default_cache_dir() == tmp_path / "alt"
@@ -313,19 +347,55 @@ class TestRunCells:
             canonical_json(s.data) for s in results_of(pooled)
         ]
 
-    def test_worker_submission_is_picklable(self):
-        # The pool pickles (function, cell) pairs; a lambda or nested
-        # function here would die at submit time but only on parallel
-        # runs, which is exactly what lint rule R006 guards against.
+    def test_worker_submission_is_picklable(self, tmp_path):
+        # The pool pickles (function, chunk, timeout, store); a lambda
+        # or nested function here would die at submit time but only on
+        # parallel runs, which is exactly what lint rule R006 guards
+        # against.
         import pickle
 
-        from repro.experiments.runner import _execute_isolated
+        from repro.experiments.runner import _run_chunk
 
-        function, cell = pickle.loads(
-            pickle.dumps((_execute_isolated, _cell()))
+        cell = _cell()
+        function, chunk, timeout, store = pickle.loads(
+            pickle.dumps(
+                (_run_chunk, [(cell_key(cell), cell)], None,
+                 ResultCache(tmp_path))
+            )
         )
-        verdict = function(cell)
+        (verdict,) = function(chunk, timeout, store)
         assert verdict["ok"] is True
+        # The worker, not the parent, stores what it computed.
+        assert store.get(cell_key(cell)).summary == verdict["summary"]
+
+    def test_chunked_pool_writes_the_entries_serial_writes(
+        self, tmp_path, monkeypatch
+    ):
+        # More workers than this box has cores, all writing one cache.
+        cells = [_quick_cell(seed) for seed in range(1, 97)]
+        chunks = _spy_on_submits(monkeypatch)
+        pooled = run_cells(cells, jobs=4, cache=tmp_path / "pool")
+        assert max(len(chunk) for chunk in chunks) > 1
+        assert sorted(k for chunk in chunks for k in chunk) == sorted(
+            o.key for o in pooled.outcomes
+        )
+        serial = run_cells(cells, jobs=1, cache=tmp_path / "serial")
+        assert pooled.stats.executed == serial.stats.executed == len(cells)
+        assert [canonical_json(s.data) for s in results_of(pooled)] == [
+            canonical_json(s.data) for s in results_of(serial)
+        ]
+
+        def stored(root):
+            entries = {}
+            for path in sorted(root.glob("*/*.json")):
+                data = json.loads(path.read_text())
+                # Wall-clock bookkeeping is the only thing that may differ.
+                del data["created"], data["wall_seconds"]
+                entries[path.name] = data
+            return entries
+
+        assert stored(tmp_path / "pool") == stored(tmp_path / "serial")
+        assert len(stored(tmp_path / "pool")) == len(cells)
 
     def test_cache_reuse_rate(self, tmp_path):
         cells = [_cell(seed=seed) for seed in (1, 2, 3)]
@@ -411,6 +481,35 @@ class TestRunCells:
         assert direct == via_runner
 
 
+def _quick_cell(seed, paths=None):
+    # Flow fidelity, 2 simulated seconds: about a millisecond of host
+    # time, so the pool packs many of these into one task.
+    return make_cell(
+        paths or ConstantPaths((8e6, 8e6), (0.02, 0.03), (0.01, 0.0)),
+        SystemKind.CONVERGE,
+        seed=seed,
+        duration=2.0,
+        fidelity="flow",
+    )
+
+
+def _spy_on_submits(monkeypatch):
+    """Record the cell keys of every task the runner hands its pool."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.experiments import runner
+
+    chunks = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def submit(self, fn, chunk, *args):
+            chunks.append([key for key, _cell in chunk])
+            return super().submit(fn, chunk, *args)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", SpyPool)
+    return chunks
+
+
 def _slow_cell(seed=1):
     # 120 simulated seconds: reliably slower than a 50 ms wall budget.
     return make_cell(
@@ -461,6 +560,39 @@ class TestTimeoutAndQuarantine:
         assert sorted(report.stats.quarantined) == [
             "converge seed=1", "converge seed=2",
         ]
+
+    @pytest.mark.parametrize(
+        "kind, error_type, timeouts",
+        [
+            ("raises", "RuntimeError", 0),
+            ("times-out", "CellTimeout", 1),
+            ("kills-worker", "BrokenProcessPool", 0),
+        ],
+    )
+    def test_poison_cell_in_a_chunk_is_the_only_casualty(
+        self, kind, error_type, timeouts, monkeypatch
+    ):
+        poison = {
+            "raises": _quick_cell(99, BuilderPaths("tests.test_runner:broken_paths")),
+            "times-out": _slow_cell(seed=99),
+            "kills-worker": _quick_cell(99, BuilderPaths("tests.test_runner:exit_paths")),
+        }[kind]
+        cells = [_quick_cell(seed) for seed in range(1, 65)]
+        cells.insert(20, poison)
+        chunks = _spy_on_submits(monkeypatch)
+        report = run_cells(cells, jobs=2, cell_timeout=0.3)
+        # It went out in company (the first task that carried it)...
+        first = next(c for c in chunks if cell_key(poison) in c)
+        assert len(first) > 1
+        # ...and is the only cell that did not come back.
+        bad = [o for o in report.outcomes if not o.ok]
+        assert [o.key for o in bad] == [cell_key(poison)]
+        assert bad[0].error["type"] == error_type
+        assert len(report.outcomes) == len(cells)
+        assert report.stats.executed == len(cells) - 1
+        assert report.stats.retried == 1
+        assert report.stats.timeouts == timeouts
+        assert report.stats.quarantined == ["converge seed=99"]
 
     def test_timeouts_count_cells_not_attempts(self):
         # Regression: RunStats used to bump ``timeouts`` on every

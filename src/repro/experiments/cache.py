@@ -1,18 +1,23 @@
 """Content-addressed on-disk cache of cell results.
 
 Layout: ``<root>/<key[:2]>/<key>.json``, one file per cell, holding
-the resolved cell, the summary payload and bookkeeping metadata.  The
-summary section is stored as canonical JSON, so a cache hit returns
-bytes identical to what a fresh run would produce (JSON round-trips
-Python floats exactly).
+the resolved cell, the summary payload and bookkeeping metadata.  An
+entry is the canonical JSON text :meth:`ResultCache.put` writes, so a
+cache hit returns bytes identical to what a fresh run would produce
+(JSON round-trips Python floats exactly).
+
+The summary is encoded once (``put``) and decoded once (a hit): an
+entry carries a SHA-256 checksum of its summary bytes, and validation
+hashes those stored bytes where they lie in the file — it never
+re-encodes a decoded summary.  A file that is not in ``put``'s layout,
+or whose stored summary does not hash to its checksum (disk faults,
+partial copies, editor accidents — re-indenting counts), is corrupt:
+deleted and read as a plain miss in one's own cache, skipped in a
+shard/merge source, never served as data and never crashing a sweep.
 
 Writes are atomic (temp file + rename) so a crashed or parallel
 writer can never leave a torn entry; concurrent writers of the same
-key both write the same content, so the race is benign.  Every entry
-carries a SHA-256 checksum of its canonical summary bytes, validated
-on load: a corrupt, truncated or tampered file (disk faults, partial
-copies, editor accidents) is deleted and read as a plain miss, never
-served as data and never crashing a sweep.
+key both write the same content, so the race is benign.
 """
 
 from __future__ import annotations
@@ -27,11 +32,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.cells import CODE_VERSION, canonical_json
-
-
-def summary_checksum(summary: Dict[str, Any]) -> str:
-    """SHA-256 over the canonical JSON encoding of a summary payload."""
-    return hashlib.sha256(canonical_json(summary).encode()).hexdigest()
 
 
 def default_cache_dir() -> Path:
@@ -73,13 +73,14 @@ class ResultCache:
         """Return the entry for ``key`` or ``None``.
 
         A file that fails integrity validation — torn JSON, a foreign
-        key, a missing or mismatching summary checksum — is deleted on
-        the spot and reported as a miss, so one corrupt entry costs a
-        re-simulation instead of poisoning every later sweep.
+        key, a layout other than :meth:`put`'s, a missing or
+        mismatching summary checksum — is deleted on the spot and
+        reported as a miss, so one corrupt entry costs a re-simulation
+        instead of poisoning every later sweep.
         """
         target = self.path_for(key)
         try:
-            raw = target.read_text()
+            raw = target.read_bytes()
         except OSError:
             return None
         data = self._validated(key, raw)
@@ -96,20 +97,33 @@ class ResultCache:
         )
 
     @staticmethod
-    def _validated(key: str, raw: str) -> Optional[Dict[str, Any]]:
-        """Parse and integrity-check one entry; None means corrupt."""
+    def _validated(key: str, raw: bytes) -> Optional[Dict[str, Any]]:
+        """Check one entry against :meth:`put`'s layout; None is corrupt.
+
+        The summary is the slice between ``"key":"<key>","summary":``
+        and the last ``,"wall_seconds":``.  Quotes inside JSON strings
+        are escaped, so both can only match as members: the first
+        before any summary text (no cell holds its own hash), the last
+        after all of it.  The stored bytes are hashed as they are and
+        decoded once; only the small remainder is parsed separately.
+        """
+        member = b'"key":"%s"' % key.encode()
+        start = raw.find(member + b',"summary":')
+        end = raw.rfind(b',"wall_seconds":')
+        if start < 0 or end < start:
+            return None
+        cut = start + len(member)
+        body = raw[cut + len(b',"summary":'):end]
         try:
-            data = json.loads(raw)
-        except ValueError:
+            data: Dict[str, Any] = json.loads(raw[:cut] + raw[end:])
+            intact = (
+                data["key"] == key
+                and data["checksum"] == hashlib.sha256(body).hexdigest()
+            )
+            data["summary"] = json.loads(body) if intact else None
+        except (ValueError, KeyError, TypeError):
             return None
-        if not isinstance(data, dict) or data.get("key") != key:
-            return None
-        summary = data.get("summary")
-        if not isinstance(summary, dict):
-            return None
-        if data.get("checksum") != summary_checksum(summary):
-            return None
-        return data
+        return data if isinstance(data["summary"], dict) else None
 
     @staticmethod
     def _discard(target: Path) -> None:
@@ -130,32 +144,32 @@ class ResultCache:
         # those bytes, and splice them between the keys that sort
         # around "summary" — the text equals canonical_json of the
         # whole entry (tests/test_runner.py pins that).
-        body = canonical_json(summary)
+        body = canonical_json(summary).encode()
         head = canonical_json(
             {
                 "cell": cell,
-                "checksum": hashlib.sha256(body.encode()).hexdigest(),
+                "checksum": hashlib.sha256(body).hexdigest(),
                 "code_version": CODE_VERSION,
                 # Cache metadata wants real wall-clock age, not sim time.
                 "created": time.time(),  # lint: ok(R001)
                 "key": key,
             }
-        )
-        tail = canonical_json({"wall_seconds": wall_seconds})
+        ).encode()
+        tail = canonical_json({"wall_seconds": wall_seconds}).encode()
         return self._write_atomic(
-            key, f'{head[:-1]},"summary":{body},{tail[1:]}'
+            key, b'%s,"summary":%s,%s' % (head[:-1], body, tail[1:])
         )
 
-    def _write_atomic(self, key: str, text: str) -> Path:
-        """Write one entry's text via temp file + rename."""
+    def _write_atomic(self, key: str, raw: bytes) -> Path:
+        """Write one entry's stored bytes via temp file + rename."""
         target = self.path_for(key)
         target.parent.mkdir(parents=True, exist_ok=True)
         handle, temp_name = tempfile.mkstemp(
             dir=str(target.parent), suffix=".tmp"
         )
         try:
-            with os.fdopen(handle, "w") as temp:
-                temp.write(text)
+            with os.fdopen(handle, "wb") as temp:
+                temp.write(raw)
             os.replace(temp_name, target)
         except BaseException:
             try:
@@ -165,8 +179,8 @@ class ResultCache:
             raise
         return target
 
-    def _valid_texts(self) -> Iterator[Tuple[str, str]]:
-        """``(key, stored text)`` of every valid entry, sorted by key.
+    def _valid_texts(self) -> Iterator[Tuple[str, bytes]]:
+        """``(key, stored bytes)`` of every valid entry, sorted by key.
 
         Read-only, unlike :meth:`get`: shard and merge walk caches that
         may be someone else's, so a corrupt file there is skipped and
@@ -176,7 +190,7 @@ class ResultCache:
             return
         for path in sorted(self.root.glob("*/*.json")):
             try:
-                raw = path.read_text()
+                raw = path.read_bytes()
             except OSError:
                 continue
             if self._validated(path.stem, raw) is not None:

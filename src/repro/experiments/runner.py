@@ -26,7 +26,6 @@ about redundancy.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import sys
@@ -48,7 +47,7 @@ from typing import (
 )
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.cells import Cell, canonical_json, cell_key
+from repro.experiments.cells import Cell, cell_key
 
 if TYPE_CHECKING:
     from repro.simulation.profiling import SimProfiler
@@ -444,15 +443,13 @@ def _timeout_verdict(message: str, start: float) -> Dict[str, Any]:
 
 def _run_guarded(cell: Cell, start: float) -> Dict[str, Any]:
     try:
-        payload = execute_cell(cell)
-        # Normalize through canonical JSON so a fresh result is the
-        # same object shape (lists, plain dicts) a cache hit yields —
-        # equality between serial, parallel and cached runs is then
-        # plain ``==`` on the payloads, not just on their encodings.
-        payload = json.loads(canonical_json(payload))
+        # ``execute_cell`` returns the payload in normal form (the
+        # contract of ``analysis.export.result_to_dict``): the object
+        # shape a cache hit decodes to, so serial, pooled and cached
+        # runs compare with plain ``==`` and nothing re-encodes here.
         return {
             "ok": True,
-            "summary": payload,
+            "summary": execute_cell(cell),
             "wall_seconds": time.perf_counter() - start,  # lint: ok(R001)
         }
     except _CellTimeoutError as exc:
@@ -622,12 +619,11 @@ def _run_batched(
     Compatible flow cells are grouped by structural identity and
     stepped together in :func:`repro.flow.batch.execute_batch` (large
     groups are chunked so one group's ``(T, B)`` state stays bounded).
-    Results are byte-identical to the scalar path:
-    :func:`~repro.flow.batch.execute_batch` returns payloads already
-    in canonical-JSON normal form (its contract, pinned by
-    tests/test_flow_batch.py), so no re-normalization pass is needed
-    here and cache entries and outcomes are indistinguishable from
-    per-process execution.  Cells the planner rejects, plus any group
+    Results are byte-identical to the scalar path: both backends
+    build payloads in the normal form ``analysis.export`` defines
+    (pinned by tests/test_flow_batch.py), so cache entries and
+    outcomes are indistinguishable from per-process execution without
+    any normalization pass.  Cells the planner rejects, plus any group
     that fails outright, are returned as keys for the scalar path to
     pick up.
     """

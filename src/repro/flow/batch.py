@@ -12,8 +12,8 @@ all stochastic frame fates as batched inverse-transform draws.
 
 **Equivalence contract (DESIGN.md §11).**  Batched execution is not an
 approximation: for every cell it accepts, the produced result payload
-is byte-identical to ``canonical_json``-normalized scalar runner
-output for the same cell.  Three mechanisms make that possible:
+equals the scalar runner's (``==``, same types, same canonical
+JSON bytes) for the same cell.  Three mechanisms make that possible:
 
 - *Shared RNG streams.*  ``random.Random(seed)`` and
   ``numpy.random.RandomState(np.array([lo, hi], np.uint32))`` produce
@@ -44,7 +44,6 @@ mismatches inside a group — fall back to the scalar backend, so
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -366,10 +365,11 @@ def plan_batches(
 
 
 def _scalar_payload(cell: Cell) -> Dict[str, Any]:
-    """Scalar-backend execution normalized exactly like the runner."""
+    """Scalar-backend execution; ``execute_cell`` already returns the
+    normal form the array program emits, so nothing is re-encoded."""
     from repro.experiments.runner import execute_cell
 
-    return json.loads(canonical_json(execute_cell(cell)))  # type: ignore[no-any-return]
+    return execute_cell(cell)
 
 
 def execute_cells(cells: Sequence[Cell]) -> List[Dict[str, Any]]:
@@ -1858,18 +1858,26 @@ class _BatchFlowRun:
         media_packets_sent = 0
         fec_packets_sent = 0
         paths_block: Dict[str, Dict[str, int]] = {}
-        for p, lane in enumerate(self.lanes):
+        path_rates: Dict[str, Dict[str, List[float]]] = {}
+        path_keys = [str(consts.path_id) for consts in self.consts]
+        # Lanes in the order their keys sort: normal form (see below).
+        for p in sorted(range(len(path_keys)), key=path_keys.__getitem__):
+            lane = self.lanes[p]
             mp = int(lane.rec_media_packets[i])
             fp = int(lane.rec_fec_packets[i])
             media_packets_sent += mp
             fec_packets_sent += fp
-            paths_block[str(self.consts[p].path_id)] = {
-                "media_packets": mp,
-                "media_bytes": int(lane.rec_media_bytes[i]),
-                "fec_packets": fp,
+            path_rates[path_keys[p]] = {
+                "times": list(sample_nows),
+                "values": tgt_t[p][i].tolist(),
+            }
+            paths_block[path_keys[p]] = {
                 "fec_bytes": int(lane.rec_fec_bytes[i]),
-                "rtx_packets": int(lane.rec_rtx_packets[i]),
+                "fec_packets": fp,
+                "media_bytes": int(lane.rec_media_bytes[i]),
+                "media_packets": mp,
                 "rtx_bytes": int(lane.rec_rtx_bytes[i]),
+                "rtx_packets": int(lane.rec_rtx_packets[i]),
             }
         fec_overhead = (
             fec_packets_sent / media_packets_sent if media_packets_sent else 0.0
@@ -1889,47 +1897,31 @@ class _BatchFlowRun:
         fps_values = (fps_counts / 1.0).tolist()
         capture_list = capture.tolist()
         label = cell.label or config.system.value
+        # Normal form, as ``analysis.export.result_to_dict`` defines
+        # it: sorted str keys, fresh lists, native leaves.
         return {
-            "label": label,
             "config": {
-                "system": config.system.value,
-                "fec_mode": config.fec_mode.value,
                 "duration": duration,
+                "fec_mode": config.fec_mode.value,
                 "num_streams": config.num_streams,
-                "seed": cell.seed,
                 "qoe_feedback_enabled": config.qoe_feedback_enabled,
+                "seed": cell.seed,
+                "system": config.system.value,
             },
-            "summary": {
-                "frames_rendered": rendered_count,
-                "average_fps": rendered_count / duration / 1,
-                "throughput_bps": int(self.received_total[i]) * 8 / duration,
-                "e2e_mean": e2e_mean,
-                "e2e_std": e2e_std,
-                "e2e_p95": e2e_p95,
-                "freeze_count": freeze_count,
-                "freeze_total": freeze_total,
-                "freeze_mean": freeze_mean,
-                "average_qp": average_qp,
-                "average_psnr": average_psnr,
-                "psnr_samples": psnr_samples.tolist(),
-                "fec_overhead": fec_overhead,
-                "fec_utilization": fec_utilization,
-                "frame_drops": int(self.drops[i]),
-                "keyframe_requests": len(self.kf_requests[i]),
+            "events": {
+                "feedback": [],
+                "keyframe_requests": [
+                    list(req) for req in self.kf_requests[i]
+                ],
+                "path_events": [
+                    {"event": event, "path_id": path_id, "time": time}
+                    for time, path_id, event in self.path_events[i]
+                ],
             },
+            "faults": {"injected": [], "recovery": []},
+            "label": label,
+            "paths": paths_block,
             "series": {
-                "receive_rate": {
-                    "times": list(sample_nows),
-                    "values": rr_col.tolist(),
-                },
-                "target_rate": {
-                    "times": list(sample_nows),
-                    "values": tr_col.tolist(),
-                },
-                "ifd": {
-                    "times": capture_list[1:],
-                    "values": (render_times[1:] - render_times[:-1]).tolist(),
-                },
                 "fcd": {
                     "times": capture_list,
                     "values": comp.tolist(),
@@ -1938,26 +1930,38 @@ class _BatchFlowRun:
                     "times": list(bucket_ends),
                     "values": fps_values,
                 },
-                "path_rates": {
-                    str(self.consts[p].path_id): {
-                        "times": list(sample_nows),
-                        "values": tgt_t[p][i].tolist(),
-                    }
-                    for p in range(len(self.lanes))
+                "ifd": {
+                    "times": capture_list[1:],
+                    "values": (render_times[1:] - render_times[:-1]).tolist(),
+                },
+                "path_rates": path_rates,
+                "receive_rate": {
+                    "times": list(sample_nows),
+                    "values": rr_col.tolist(),
+                },
+                "target_rate": {
+                    "times": list(sample_nows),
+                    "values": tr_col.tolist(),
                 },
             },
-            "paths": paths_block,
-            "events": {
-                "keyframe_requests": [
-                    list(req) for req in self.kf_requests[i]
-                ],
-                "feedback": [],
-                "path_events": [
-                    {"time": time, "path_id": path_id, "event": event}
-                    for time, path_id, event in self.path_events[i]
-                ],
+            "summary": {
+                "average_fps": rendered_count / duration / 1,
+                "average_psnr": average_psnr,
+                "average_qp": average_qp,
+                "e2e_mean": e2e_mean,
+                "e2e_p95": e2e_p95,
+                "e2e_std": e2e_std,
+                "fec_overhead": fec_overhead,
+                "fec_utilization": fec_utilization,
+                "frame_drops": int(self.drops[i]),
+                "frames_rendered": rendered_count,
+                "freeze_count": freeze_count,
+                "freeze_mean": freeze_mean,
+                "freeze_total": freeze_total,
+                "keyframe_requests": len(self.kf_requests[i]),
+                "psnr_samples": psnr_samples.tolist(),
+                "throughput_bps": int(self.received_total[i]) * 8 / duration,
             },
-            "faults": {"injected": [], "recovery": []},
         }
 
 
@@ -1971,7 +1975,7 @@ def execute_batch(cells: Sequence[Cell]) -> List[Dict[str, Any]]:
     All cells must share :func:`group_key`; cells that fail the dynamic
     path checks (scheduled loss models, per-path parameter drift) fall
     back to the scalar backend individually.  Results come back in
-    input order, byte-identical to normalized scalar runner payloads.
+    input order, equal to the scalar runner's payloads.
     """
     if not cells:
         return []

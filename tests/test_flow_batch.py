@@ -2,13 +2,12 @@
 
 The batch engine's contract is *byte-exactness*: for every cell it
 accepts, the payload it produces must equal the scalar runner's
-normalized payload byte for byte (compared through canonical_json).
+payload — same canonical_json bytes, plain ``==``, same type tree and
+key order, with no normalization pass on either side.
 These tests pin that contract on real scenario paths, exercise the
 planner's grouping semantics, and check the runner's ``mode="batch"``
 integration including the cache and the scalar fallback.
 """
-
-import json
 
 import pytest
 
@@ -31,16 +30,9 @@ from repro.flow.batch import (
     plan_batches,
 )
 
+from tests.normal_form import assert_normal_form, assert_same_payload
+
 DURATION = 3.0
-
-
-def _types_of(value):
-    """Structural type fingerprint: catches np scalars and tuples."""
-    if isinstance(value, dict):
-        return {k: _types_of(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [type(value).__name__] + [_types_of(v) for v in value]
-    return type(value).__name__
 
 
 def _flow_cell(system=SystemKind.CONVERGE, seed=1, scenario="driving", **kw):
@@ -125,8 +117,7 @@ class TestExecuteBatchByteExact:
         batched = execute_batch(cells)
         assert len(batched) == len(cells)
         for cell, payload in zip(cells, batched):
-            scalar = _scalar_payload(cell)
-            assert canonical_json(payload) == canonical_json(scalar)
+            assert_same_payload(payload, _scalar_payload(cell))
 
     def test_constant_paths_match_scalar(self):
         cells = [
@@ -141,9 +132,7 @@ class TestExecuteBatchByteExact:
         ]
         batched = execute_batch(cells)
         for cell, payload in zip(cells, batched):
-            assert canonical_json(payload) == canonical_json(
-                _scalar_payload(cell)
-            )
+            assert_same_payload(payload, _scalar_payload(cell))
 
     def test_results_in_input_order(self):
         # Labels survive the round trip in the order the cells went in.
@@ -164,9 +153,7 @@ class TestExecuteCells:
         payloads = execute_cells(cells)
         assert len(payloads) == len(cells)
         for cell, payload in zip(cells, payloads):
-            assert canonical_json(payload) == canonical_json(
-                _scalar_payload(cell)
-            )
+            assert_same_payload(payload, _scalar_payload(cell))
 
 
 class TestRunnerBatchMode:
@@ -184,9 +171,11 @@ class TestRunnerBatchMode:
         batch = run_cells(cells, cache=tmp_path / "batch", mode="batch")
         scalar_payloads = [s.data for s in results_of(scalar)]
         batch_payloads = [s.data for s in results_of(batch)]
-        assert [canonical_json(p) for p in batch_payloads] == [
-            canonical_json(p) for p in scalar_payloads
-        ]
+        assert len(batch_payloads) == len(scalar_payloads)
+        for batch_payload, scalar_payload in zip(
+            batch_payloads, scalar_payloads
+        ):
+            assert_same_payload(batch_payload, scalar_payload)
 
     def test_batch_entries_hit_cache_in_scalar_mode(self, tmp_path):
         cells = [_flow_cell(seed=seed) for seed in (1, 2, 3)]
@@ -213,11 +202,8 @@ class TestRunnerBatchMode:
 
     @pytest.mark.parametrize("system", list(SystemKind))
     def test_batch_payload_is_json_normalized(self, system):
-        # The contract the batch-mode runner relies on (it skips the
-        # re-normalization pass): payloads come back already in
-        # canonical-JSON normal form — native lists/floats only, no
+        # The contract the runner relies on (nothing re-normalizes):
+        # payloads come back in the normal form analysis/export.py
+        # defines — sorted str keys, native lists/floats only, no
         # change under a canonical_json round trip.
-        payload = execute_batch([_flow_cell(system, seed=7)])[0]
-        normalized = json.loads(canonical_json(payload))
-        assert normalized == payload
-        assert _types_of(payload) == _types_of(normalized)
+        assert_normal_form(execute_batch([_flow_cell(system, seed=7)])[0])

@@ -28,6 +28,8 @@ from repro.experiments.runner import (
     run_cells,
 )
 
+from tests.normal_form import assert_same_payload
+
 DURATION = 3.0
 
 
@@ -326,10 +328,12 @@ class TestRunCells:
         cached_data = [s.data for s in results_of(cached)]
         assert serial_data == parallel_data
         assert serial_data == cached_data
-        # And byte-for-byte through the canonical encoding.
-        assert [canonical_json(d) for d in serial_data] == [
-            canonical_json(d) for d in cached_data
-        ]
+        # And byte-for-byte through the canonical encoding, with the
+        # same types and key order: fresh, pooled and decoded-from-
+        # cache payloads are one shape with no normalization pass.
+        for fresh, pooled, hit in zip(serial_data, parallel_data, cached_data):
+            assert_same_payload(fresh, pooled)
+            assert_same_payload(fresh, hit)
 
     def test_grid_pool_and_serial_stay_byte_identical(self):
         # Regression for the R006 audit: everything run_cells submits
@@ -476,9 +480,8 @@ class TestRunCells:
 
     def test_execute_cell_matches_runner(self):
         cell = _cell(seed=7)
-        direct = json.loads(canonical_json(execute_cell(cell)))
         via_runner = results_of(run_cells([cell], jobs=1))[0].data
-        assert direct == via_runner
+        assert_same_payload(execute_cell(cell), via_runner)
 
 
 def _quick_cell(seed, paths=None):

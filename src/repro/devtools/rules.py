@@ -301,14 +301,6 @@ _NUMPY_RANDOM_ALLOWED = {
     "Generator",
     "SeedSequence",
     "PCG64",
-    # Legacy MT19937 stream, constructed with an explicit key: the
-    # flow batch backend uses it to replay random.Random's exact
-    # double stream across a whole cell batch.
-    "RandomState",
-    # The same stream as a bare bit generator, constructed with an
-    # explicit seed and then assigned random.Random's state: replays
-    # its raw 32-bit words (randrange, getrandbits) in bulk.
-    "MT19937",
 }
 
 

@@ -167,6 +167,7 @@ class FleetReport:
                 "executed": self.stats.executed,
                 "cache_hits": self.stats.cache_hits,
                 "errors": self.stats.errors,
+                "batch_fallbacks": self.stats.batch_fallbacks,
                 "wall_seconds": self.stats.wall_seconds,
             },
         }

@@ -264,6 +264,9 @@ class RunStats:
     timeouts: int = 0
     retried: int = 0
     quarantined: List[str] = field(default_factory=list)
+    # Cells whose array batch raised and that the scalar path re-ran:
+    # right answers, several times slower, otherwise invisible.
+    batch_fallbacks: int = 0
     _timeout_keys: Set[str] = field(default_factory=set, repr=False)
 
     def note_timeout(self, key: str) -> None:
@@ -580,7 +583,7 @@ def run_cells(
 
     if mode == "batch" and pending:
         pending = _run_batched(
-            [(key, unique[key]) for key in pending], store, finish
+            [(key, unique[key]) for key in pending], store, finish, stats
         )
 
     if jobs <= 1 or len(pending) <= 1:
@@ -613,6 +616,7 @@ def _run_batched(
     items: Sequence[Tuple[str, Cell]],
     store: Optional[ResultCache],
     finish: Callable[[str, "CellOutcome"], None],
+    stats: RunStats,
 ) -> List[str]:
     """Execute what the array backend can take; return the leftovers.
 
@@ -624,8 +628,8 @@ def _run_batched(
     (pinned by tests/test_flow_batch.py), so cache entries and
     outcomes are indistinguishable from per-process execution without
     any normalization pass.  Cells the planner rejects, plus any group
-    that fails outright, are returned as keys for the scalar path to
-    pick up.
+    that fails outright (counted in ``stats.batch_fallbacks``), are
+    returned as keys for the scalar path to pick up.
     """
     from repro.flow.batch import execute_batch, plan_batches
 
@@ -639,6 +643,7 @@ def _run_batched(
             try:
                 payloads = execute_batch([cells[i] for i in chunk])
             except Exception:  # noqa: BLE001 — scalar path retries
+                stats.batch_fallbacks += len(chunk)
                 leftover.extend(items[i][0] for i in chunk)
                 continue
             wall = (
@@ -894,6 +899,8 @@ def _stats_line(stats: RunStats) -> None:
     extra = ""
     if stats.retried or stats.timeouts:
         extra = f", {stats.retried} retried, {stats.timeouts} timeouts"
+    if stats.batch_fallbacks:
+        extra += f", {stats.batch_fallbacks} fell back from a failed batch"
     rate = ""
     if stats.wall_seconds > 0.0:
         rate = f" ({stats.cells_unique / stats.wall_seconds:.1f} cells/s)"

@@ -13,22 +13,27 @@ all stochastic frame fates as batched inverse-transform draws.
 **Equivalence contract (DESIGN.md §11).**  Batched execution is not an
 approximation: for every cell it accepts, the produced result payload
 equals the scalar runner's (``==``, same types, same canonical
-JSON bytes) for the same cell.  Three mechanisms make that possible:
+JSON bytes) for the same cell.  Four mechanisms make that possible,
+the first three by one rule — decide the common case for every lane
+with a cheap exact array test and hand only the lanes it cannot decide
+to the scalar reference code:
 
-- *Shared RNG streams.*  ``random.Random(seed)`` and
-  ``numpy.random.RandomState(np.array([lo, hi], np.uint32))`` produce
-  bit-identical ``random()`` sequences (both wrap the same MT19937
-  ``genrand_res53``), so each cell's lane consumes the exact draw
-  sequence of its scalar ``flow-session`` stream.  Cells whose derived
-  seed has a zero high word (probability ``2**-32``) are rejected —
-  the legacy seeder folds those differently.
+- *Shared RNG streams.*  Each lane owns the very ``random.Random``
+  its scalar ``flow-session`` stream would be and reads it in bulk:
+  ``randbytes`` is the generator's successive 32-bit outputs, and
+  ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` over
+  consecutive outputs — exact in float64 (:class:`_DrawPool`).
 - *Scalar transcendentals.*  numpy's ``log``/``exp``/``power`` kernels
   are not bit-identical to CPython's ``math`` on this floor, so every
-  transcendental goes through a unique-value gather that calls the
-  Python function per distinct input (:func:`_unique_apply`,
-  :func:`_binomial_thresholds`).  Plain ``+ - * /``, comparisons,
-  min/max and
-  ``sqrt`` are IEEE-754-exact in both and stay vectorized.
+  transcendental is a Python call — once for the value the lanes
+  share, once more per lane that differs (:func:`_scalar_map`).
+  Plain ``+ - * /``, comparisons, min/max and ``sqrt`` are
+  IEEE-754-exact in both and stay vectorized.
+- *Screened draws.*  A binomial draw is 0 whenever its quantile is at
+  most ``1 - n*p`` (Bernoulli's inequality), which three ufuncs decide
+  for every lane; the rest replay
+  :func:`repro.flow.frames.binomial_from_uniform`, the scalar walk
+  itself (:func:`_binomial_walk`).
 - *Replayed operation order.*  Expression shapes (association,
   division order, strict-``<`` tie behaviour, EWMA forms) replicate
   the inlined single-stream loop of :class:`repro.flow.session
@@ -45,6 +50,7 @@ mismatches inside a group — fall back to the scalar backend, so
 from __future__ import annotations
 
 import math
+import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +66,7 @@ from repro.flow.frames import (
     _MAX_PROTECTION,
     _MIN_LOSS_FOR_FEC,
     _ROUND_UP_THRESHOLD,
+    binomial_from_uniform,
 )
 from repro.flow.link import FlowLink
 from repro.flow.rate_control import (
@@ -107,98 +114,52 @@ F8 = NDArray[np.float64]
 I8 = NDArray[np.int64]
 B1 = NDArray[np.bool_]
 
-# Prefilled uniform draws per cell between RandomState refills.
+# Prefilled uniform draws per cell between stream refills.
 _POOL_CHUNK = 4096
+
+# Slack of the Bernoulli screen in :func:`_binomial_walk`.
+_SCREEN_GUARD = 1e-9
 
 
 # ---------------------------------------------------------------------------
 # Exact scalar-math helpers
 
 
-def _unique_apply(
-    fn: Callable[[float], float], values: F8
-) -> F8:
+def _scalar_map(fn: Callable[[float], float], values: F8) -> F8:
     """Apply a CPython scalar function element-wise, bit-exactly.
 
     numpy's transcendental kernels (SIMD polynomial paths) are not
-    bit-identical to libm-backed ``math.*`` on this floor, so the
-    function is evaluated once per *distinct* input via Python and
-    scattered back.  Loss EWMAs, FEC decay gaps and QP logs repeat
-    heavily across lanes, which keeps the Python call count low.
+    bit-identical to libm-backed ``math.*`` on this floor, so ``fn``
+    runs in Python.  Lanes move in lockstep (FEC decay gaps are one
+    step-grid difference for every cell that sent last step), so the
+    first lane's result is broadcast and only the lanes whose *bits*
+    differ from it are visited — ``-0.0`` and NaN payloads included.
+    ``values`` is not empty.
     """
-    uniq, inverse = np.unique(values, return_inverse=True)
-    out = np.empty(uniq.shape[0], dtype=np.float64)
-    for j, v in enumerate(uniq.tolist()):
-        out[j] = fn(v)
-    return out[inverse]
-
-
-def _unique_apply_memo(
-    fn: Callable[[float], float], values: F8, memo: Dict[float, float]
-) -> F8:
-    """:func:`_unique_apply` with a cross-call result cache.
-
-    Worth it when the same distinct inputs recur across steps (FEC
-    decay gaps land on a handful of step-grid differences), keeping
-    the Python-level ``fn`` calls to a few per run.  The common
-    all-equal case (every active cell updated last step) skips the
-    ``np.unique`` sort entirely.
-    """
-    lo = float(values.min())
-    if lo == float(values.max()):
-        r = memo.get(lo)
-        if r is None:
-            r = fn(lo)
-            memo[lo] = r
-        return np.full(values.shape[0], r)
-    uniq, inverse = np.unique(values, return_inverse=True)
-    out = np.empty(uniq.shape[0], dtype=np.float64)
-    for j, v in enumerate(uniq.tolist()):
-        r = memo.get(v)
-        if r is None:
-            r = fn(v)
-            memo[v] = r
-        out[j] = r
-    return out[inverse]
-
-
-def _binomial_thresholds(p: float, n: int) -> F8:
-    """Cumulative stop thresholds of the scalar binomial PMF walk.
-
-    Entry ``k`` is the running ``cumulative`` of
-    :func:`repro.flow.frames.binomial_draw` after the ``k``-th update,
-    built with the identical Python-float recurrence (``q ** n``
-    differs from ``np.power`` in the last bit often enough to break
-    byte-equality, so no numpy arithmetic here).
-    """
-    q = 1.0 - p
-    ratio = p / q
-    prob = q**n
-    cums = np.empty(n + 1, dtype=np.float64)
-    cumulative = prob
-    cums[0] = cumulative
-    for k in range(1, n + 1):
-        prob *= ratio * (n - k + 1) / k
-        cumulative += prob
-        cums[k] = cumulative
-    return cums
+    bits = values.view(np.int64)
+    out = np.full(values.shape[0], fn(float(values[0])))
+    odd = np.flatnonzero(bits != bits[0])
+    if odd.shape[0]:
+        out[odd] = [fn(v) for v in values[odd].tolist()]
+    return out
 
 
 class _DrawPool:
-    """Per-cell MT19937 uniform streams, consumed in lockstep lanes.
+    """Per-cell ``random.Random`` uniform streams, consumed in lockstep.
 
-    Row *i* replays cell *i*'s scalar ``flow-session`` stream: the
-    pool prefills :data:`_POOL_CHUNK` doubles per cell and every
-    :meth:`draw` hands each selected lane its next value, so draw
-    *sites* can be processed in any batched grouping as long as each
-    cell's local draw order is preserved.
+    Row *i* is cell *i*'s scalar ``flow-session`` stream — the same
+    ``random.Random(seed)``, read in bulk: the pool prefills
+    :data:`_POOL_CHUNK` doubles per cell and every :meth:`draw` hands
+    each selected lane its next value, so draw *sites* can be
+    processed in any batched grouping as long as each cell's local
+    draw order is preserved.
     """
 
-    __slots__ = ("_states", "_pool", "_cursor", "_all", "_peak")
+    __slots__ = ("_streams", "_pool", "_cursor", "_all", "_peak")
 
     def __init__(self, seeds: Sequence[int]) -> None:
         count = len(seeds)
-        self._states: List[np.random.RandomState] = []
+        self._streams = [random.Random(seed) for seed in seeds]
         self._pool = np.empty((count, _POOL_CHUNK), dtype=np.float64)
         self._cursor = np.zeros(count, dtype=np.int64)
         self._all = np.arange(count, dtype=np.int64)
@@ -206,23 +167,32 @@ class _DrawPool:
         # draw, so the exhaustion scan runs once per chunk, not per
         # call.
         self._peak = 0
-        for i, seed in enumerate(seeds):
-            key = np.array(
-                [seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF],
-                dtype=np.uint32,
-            )
-            state = np.random.RandomState(key)
-            self._states.append(state)
-            self._pool[i] = state.random_sample(_POOL_CHUNK)
+        for i in range(count):
+            self._refill(i)
+
+    def _refill(self, i: int) -> None:
+        """Row *i* becomes its stream's next :data:`_POOL_CHUNK` doubles.
+
+        ``randbytes`` is successive generator outputs laid out
+        little-endian, and ``random()`` is ``((a >> 5) * 2**26 +
+        (b >> 6)) / 2**53`` over consecutive 32-bit outputs ``a, b`` —
+        every step exact in float64 (the sum is below ``2**53``).
+        """
+        words = np.frombuffer(
+            self._streams[i].randbytes(8 * _POOL_CHUNK), dtype="<u4"
+        )
+        row = self._pool[i]
+        np.multiply(words[0::2] >> 5, 2.0**26, out=row)
+        row += words[1::2] >> 6
+        row *= 2.0**-53
+        self._cursor[i] = 0
 
     def draw(self, cell_indices: I8) -> F8:
         """Next uniform double for each listed cell (indices unique)."""
         cursor = self._cursor
         if self._peak >= _POOL_CHUNK:
-            exhausted = np.flatnonzero(cursor >= _POOL_CHUNK)
-            for i in exhausted.tolist():
-                self._pool[i] = self._states[i].random_sample(_POOL_CHUNK)
-                cursor[i] = 0
+            for i in np.flatnonzero(cursor >= _POOL_CHUNK).tolist():
+                self._refill(i)
             self._peak = int(cursor.max())
         values = self._pool[cell_indices, cursor[cell_indices]]
         cursor[cell_indices] += 1
@@ -234,56 +204,28 @@ class _DrawPool:
         return self.draw(self._all)
 
 
-def _binomial_walk(n: I8, p: F8, u: F8, memo: Dict[Any, Any]) -> I8:
-    """Batched inverse-transform Binomial(n, p) with ``0 < p < 1``.
+def _binomial_walk(n: I8, p: F8, u: F8) -> I8:
+    """Batched inverse-transform Binomial(n, p), ``n >= 1``, ``0 < p < 1``.
 
-    The scalar walk stops at the first cumulative PMF value at or
-    above the lane's quantile, so with the thresholds tabulated the
-    draw collapses to ``searchsorted`` (``side='left'`` is exactly
-    the walk's ``cumulative < u`` test; the cap at ``n`` is the
-    walk's ``k < n`` bound).  The ``(p, n)`` pairs are packed into
-    complex128 so one ``np.unique`` groups both coordinates at once.
-    Mixed groups are resolved by a *single* merged ``searchsorted``:
-    group ``j``'s thresholds (all in ``[0, 1]``) are biased by
-    ``2 j`` and concatenated, and each quantile is biased by its own
-    group, so every query lands inside its group's segment.  Both the
-    per-pair tables (complex keys) and the merged segment arrays
-    (bytes keys, per distinct group set) are memoized across steps
-    and batches.
+    The scalar walk (:func:`repro.flow.frames.binomial_from_uniform`)
+    returns 0 iff ``q**n >= u``, and Bernoulli's inequality gives
+    ``q**n >= 1 - n*p``: so ``u <= 1 - n*p - 1e-9`` proves ``k = 0``
+    with three ufuncs and no ``pow``.  The guard is the float error
+    budget of both sides (DESIGN.md §11): under ``(n + 4) * 2**-53``,
+    so good for ``n`` up to ``9e6`` packets in one frame.  Only the
+    undecided lanes, about ``n*p`` of them, replay the walk itself.
     """
-    size = n.shape[0]
-    packed = np.empty(size, dtype=np.complex128)
-    packed.real = p
-    packed.imag = n
-    uniq, inverse = np.unique(packed, return_inverse=True)
-    if uniq.shape[0] == 1:
-        pair = complex(uniq[0])
-        cums = memo.get(pair)
-        if cums is None:
-            cums = _binomial_thresholds(pair.real, int(pair.imag))
-            memo[pair] = cums
-        k: I8 = np.empty(size, dtype=np.int64)
-        np.minimum(
-            np.searchsorted(cums, u, side="left"), cums.shape[0] - 1, out=k
+    k = np.zeros(n.shape[0], dtype=np.int64)
+    open_lanes = np.flatnonzero(u > (1.0 - _SCREEN_GUARD) - n * p)
+    if open_lanes.shape[0]:
+        k[open_lanes] = list(
+            map(
+                binomial_from_uniform,
+                u[open_lanes].tolist(),
+                n[open_lanes].tolist(),
+                p[open_lanes].tolist(),
+            )
         )
-        return k
-    tables = []
-    count = uniq.shape[0]
-    lens = np.empty(count, dtype=np.int64)
-    for j, pair in enumerate(uniq.tolist()):
-        cums = memo.get(pair)
-        if cums is None:
-            cums = _binomial_thresholds(pair.real, int(pair.imag))
-            memo[pair] = cums
-        tables.append(cums)
-        lens[j] = cums.shape[0]
-    starts = np.zeros(count, dtype=np.int64)
-    np.cumsum(lens[:-1], out=starts[1:])
-    combined = np.concatenate(tables)
-    combined += np.repeat(np.arange(count, dtype=np.float64) * 2.0, lens)
-    pos = np.searchsorted(combined, u + 2.0 * inverse, side="left")
-    k = pos - starts[inverse]
-    np.minimum(k, (lens - 1)[inverse], out=k)
     return k
 
 
@@ -316,17 +258,13 @@ def batchable(cell: Cell) -> bool:
 
     Static screen only — path-level checks (scheduled loss, per-path
     parameter drift inside a group) happen after the paths are built
-    and fall back per cell.  The zero-high-word seed check guards the
-    one case where ``RandomState``'s legacy key folding diverges from
-    ``random.Random``.
+    and fall back per cell.
     """
-    if cell.fidelity is not Fidelity.FLOW:
-        return False
-    if cell.chaos is not None:
-        return False
-    if cell.num_streams != 1:
-        return False
-    return (derive_seed(cell.seed, "flow-session") >> 32) != 0
+    return (
+        cell.fidelity is Fidelity.FLOW
+        and cell.chaos is None
+        and cell.num_streams == 1
+    )
 
 
 def group_key(cell: Cell) -> str:
@@ -403,6 +341,7 @@ class _PathConsts:
         "queue_cap",
         "srtt0",
         "pburst_table",
+        "loss_cap",
     )
 
     def __init__(self, link: FlowLink) -> None:
@@ -417,6 +356,12 @@ class _PathConsts:
         self.srtt0 = max(2.0 * link.propagation_delay, 1e-3)
         # P(burst entry | n packets), filled lazily per distinct n.
         self.pburst_table = np.empty(0, dtype=np.float64)
+        # No frame_loss exceeds this outside an outage: the burst blend
+        # is monotone in its fraction (rounding is), so it peaks at 1.
+        self.loss_cap = max(
+            self.base_loss,
+            self.base_loss + (self.burst_loss - self.base_loss),
+        )
 
     def signature(self) -> Tuple[Any, ...]:
         return (
@@ -542,8 +487,6 @@ class _BatchFlowRun:
         "consts",
         "lanes",
         "pool",
-        "walk_memo",
-        "exp_memo",
         "nows",
         "sample_steps",
         "sample_every",
@@ -611,8 +554,6 @@ class _BatchFlowRun:
         self.pool = _DrawPool(
             [derive_seed(cell.seed, "flow-session") for cell in cells]
         )
-        self.walk_memo: Dict[Any, Any] = {}
-        self.exp_memo: Dict[float, float] = {}
         shape = (batch,)
         self.enc_count = np.zeros(shape, dtype=np.int64)
         self.frames_since_key = np.zeros(shape, dtype=np.int64)
@@ -661,8 +602,6 @@ class _BatchFlowRun:
         lanes = self.lanes
         consts = self.consts
         pool = self.pool
-        walk_memo = self.walk_memo
-        exp_memo = self.exp_memo
         num_paths = len(lanes)
         dt = self.dt
         mtu = DEFAULT_MTU_PAYLOAD
@@ -950,7 +889,8 @@ class _BatchFlowRun:
                     frame_loss = np.full(m, pc.base_loss)
                     inst_peak = frame_loss
                 outage = capv <= 0.0
-                if outage.any():
+                any_outage = bool(outage.any())
+                if any_outage:
                     frame_loss = np.where(outage, _loss_unit_cut, frame_loss)
                     inst_peak = np.where(outage, _loss_unit_cut, inst_peak)
                 le = lane.loss_ewma[idx]
@@ -1006,10 +946,8 @@ class _BatchFlowRun:
                         elapsed = now - lane.last_update[idx]
                         decay_m = act & (elapsed > 0.0)
                         if decay_m.any():
-                            factor = _unique_apply_memo(
-                                math.exp,
-                                -_BETA_DECAY * elapsed[decay_m],
-                                exp_memo,
+                            factor = _scalar_map(
+                                math.exp, -_BETA_DECAY * elapsed[decay_m]
                             )
                             nb = beta[decay_m]
                             beta[decay_m] = 1.0 + (nb - 1.0) * factor
@@ -1062,28 +1000,28 @@ class _BatchFlowRun:
                 overflow_packets = (overflow // mtu).astype(np.int64)
 
                 # path_frame_outcome, batched.
+                lossy = (frame_loss > 0.0) & (frame_loss < 1.0)
                 lost = np.zeros(m, dtype=np.int64)
-                drawable = mpos & (frame_loss > 0.0) & (frame_loss < 1.0)
+                drawable = mpos & lossy
                 if drawable.any():
                     sub = np.flatnonzero(drawable)
                     u = pool.draw(sub if full else idx[sub])
-                    lost[sub] = _binomial_walk(
-                        mp[sub], frame_loss[sub], u, walk_memo
-                    )
-                lost = np.where(mpos & (frame_loss >= 1.0), mp, lost)
-                lost = lost + overflow_packets
-                lost = np.where(lost > mp, mp, lost)
+                    lost[sub] = _binomial_walk(mp[sub], frame_loss[sub], u)
                 fec_received = fec_pk.copy()
-                fdraw = (fec_pk > 0) & (frame_loss > 0.0) & (frame_loss < 1.0)
+                fdraw = (fec_pk > 0) & lossy
                 if fdraw.any():
                     sub = np.flatnonzero(fdraw)
                     u = pool.draw(sub if full else idx[sub])
                     fec_received[sub] = fec_pk[sub] - _binomial_walk(
-                        fec_pk[sub], frame_loss[sub], u, walk_memo
+                        fec_pk[sub], frame_loss[sub], u
                     )
-                fec_received = np.where(
-                    (fec_pk > 0) & (frame_loss >= 1.0), 0, fec_received
-                )
+                if any_outage or pc.loss_cap >= 1.0:
+                    # Certain loss takes every packet, no draw.
+                    total = frame_loss >= 1.0
+                    lost = np.where(total, mp, lost)
+                    fec_received = np.where(total, 0, fec_received)
+                lost = lost + overflow_packets
+                lost = np.where(lost > mp, mp, lost)
                 no_loss = lost == 0
                 fec_recovered = np.where(
                     no_loss,
@@ -1097,14 +1035,14 @@ class _BatchFlowRun:
                     if not act.any():
                         break
                     rtx_rounds = np.where(act, rtx_rounds + 1, rtx_rounds)
-                    rdraw = act & (frame_loss > 0.0) & (frame_loss < 1.0)
+                    rdraw = act & lossy
                     walked = remaining
                     if rdraw.any():
                         sub = np.flatnonzero(rdraw)
                         u = pool.draw(sub if full else idx[sub])
                         walked = remaining.copy()
                         walked[sub] = _binomial_walk(
-                            remaining[sub], frame_loss[sub], u, walk_memo
+                            remaining[sub], frame_loss[sub], u
                         )
                     remaining = np.where(
                         act & (frame_loss <= 0.0),
@@ -1796,7 +1734,7 @@ class _BatchFlowRun:
         if rendered_count:
             e2e_mean = float(np.cumsum(e2e)[-1]) / rendered_count
             deviations = e2e - e2e_mean
-            squares = _unique_apply(lambda v: v**2.0, deviations)
+            squares = _scalar_map(lambda v: v**2.0, deviations)
             e2e_std = math.sqrt(
                 float(np.cumsum(squares)[-1]) / rendered_count
             )

@@ -47,20 +47,14 @@ _BETA_MAX = 4.0
 _BETA_BUMP = 0.5
 
 
-def binomial_draw(rng: random.Random, n: int, p: float) -> int:
-    """Inverse-transform Binomial(n, p) draw.
+def binomial_from_uniform(u: float, n: int, p: float) -> int:
+    """Binomial(n, p) quantile of ``u`` for ``n >= 1`` and ``0 < p < 1``.
 
-    ``random.Random`` has no binomial sampler on the floor Python this
-    repo supports; the multiplicative PMF walk below costs O(expected
-    successes) per call, which for per-frame loss rates (p << 1) is a
-    couple of iterations — cheaper than n Bernoulli draws and exactly
-    reproducible from the stream.
+    The multiplicative PMF walk costs O(expected successes) per call,
+    which for per-frame loss rates (p << 1) is a couple of iterations.
+    Split from :func:`binomial_draw` so that the batch backend, which
+    draws its uniforms in bulk, replays this very recurrence.
     """
-    if n <= 0 or p <= 0.0:
-        return 0
-    if p >= 1.0:
-        return n
-    u = rng.random()
     q = 1.0 - p
     ratio = p / q
     prob = q**n
@@ -71,6 +65,20 @@ def binomial_draw(rng: random.Random, n: int, p: float) -> int:
         prob *= ratio * (n - k + 1) / k
         cumulative += prob
     return k
+
+
+def binomial_draw(rng: random.Random, n: int, p: float) -> int:
+    """Inverse-transform Binomial(n, p) draw.
+
+    ``random.Random`` has no binomial sampler on the floor Python this
+    repo supports; :func:`binomial_from_uniform` is cheaper than n
+    Bernoulli draws and exactly reproducible from the stream.
+    """
+    if n <= 0 or p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    return binomial_from_uniform(rng.random(), n, p)
 
 
 class PathFec:

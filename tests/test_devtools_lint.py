@@ -158,28 +158,21 @@ class TestGlobalRandom:
             """
         ) == []
 
-    def test_numpy_mt19937_replay_is_clean_bare_draw_still_fires(self):
-        # A seeded, state-assigned bit generator replaying
-        # random.Random's words is explicit state, not a global draw.
-        replay = """
-            import random
-            import numpy as np
-            def words(seed: int, count: int):
-                state = random.Random(seed).getstate()[1]
-                bits = np.random.MT19937(0)
-                bits.state = {
-                    "bit_generator": "MT19937",
-                    "state": {
-                        "key": np.array(state[:-1], dtype=np.uint32),
-                        "pos": state[-1],
-                    },
-                }
-                return bits.random_raw(count)
-            """
-        assert rules_fired(replay) == []
-        assert rules_fired(
-            replay + "\n            x = np.random.random()\n"
-        ) == ["R002"]
+    def test_numpy_legacy_generators_and_bare_draw_fire(self):
+        # Nothing in src/ replays random.Random through numpy's legacy
+        # MT19937 classes any more (bulk reads go through randbytes),
+        # so they are no longer exempt.
+        for call in (
+            "np.random.RandomState(np.array([1, 2], dtype=np.uint32))",
+            "np.random.MT19937(0)",
+            "np.random.random()",
+        ):
+            assert rules_fired(
+                f"""
+                import numpy as np
+                x = {call}
+                """
+            ) == ["R002"], call
 
     def test_annotation_only_use_is_clean(self):
         # net/loss.py-style: `random` imported purely for type hints.

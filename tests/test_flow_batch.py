@@ -9,7 +9,17 @@ planner's grouping semantics, and check the runner's ``mode="batch"``
 integration including the cache and the scalar fallback.
 """
 
+import math
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SystemKind
 from repro.experiments import runner as runner_mod
@@ -21,7 +31,11 @@ from repro.experiments.cells import (
     make_cell,
 )
 from repro.experiments.runner import results_of, run_cells
+from repro.flow import batch as batch_mod
 from repro.flow.batch import (
+    _binomial_walk,
+    _DrawPool,
+    _scalar_map,
     _scalar_payload,
     batchable,
     execute_batch,
@@ -29,6 +43,7 @@ from repro.flow.batch import (
     group_key,
     plan_batches,
 )
+from repro.flow.frames import binomial_draw, binomial_from_uniform
 
 from tests.normal_form import assert_normal_form, assert_same_payload
 
@@ -207,3 +222,243 @@ class TestRunnerBatchMode:
         # defines — sorted str keys, native lists/floats only, no
         # change under a canonical_json round trip.
         assert_normal_form(execute_batch([_flow_cell(system, seed=7)])[0])
+
+    def test_failed_batch_is_counted_and_rerun_scalar(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cells = [_flow_cell(seed=seed) for seed in (1, 2, 3)]
+        clean = run_cells(cells, cache=tmp_path / "clean", mode="batch")
+        assert clean.stats.batch_fallbacks == 0
+
+        def broken(_cells):
+            raise RuntimeError("array program crashed")
+
+        monkeypatch.setattr(batch_mod, "execute_batch", broken)
+        report = run_cells(
+            cells, cache=tmp_path / "broken", mode="batch", progress=True
+        )
+        assert report.stats.batch_fallbacks == 3
+        assert report.stats.executed == 3 and report.stats.errors == 0
+        assert "3 fell back from a failed batch" in capsys.readouterr().err
+        assert [canonical_json(s.data) for s in results_of(report)] == [
+            canonical_json(s.data) for s in results_of(clean)
+        ]
+
+
+class TestDenseLossGroups:
+    """Stationary cells draw losses in every lane every frame, so the
+    binomial screen runs at full width and decides ~97 % of the lanes;
+    walking (like driving) only draws in the lanes a burst hit, most
+    of which stay open."""
+
+    @pytest.mark.parametrize(
+        "scenario, system",
+        [("stationary", SystemKind.WEBRTC), ("walking", SystemKind.MTPUT)],
+    )
+    def test_matches_scalar_at_every_width(self, scenario, system):
+        cells = [
+            _flow_cell(system, seed=seed, scenario=scenario)
+            for seed in range(1, 65)
+        ]
+        scalar = [_scalar_payload(cell) for cell in cells]
+        for width in (1, 7, 64):
+            batched = execute_batch(cells[:width])
+            assert len(batched) == width
+            for payload, expected in zip(batched, scalar):
+                assert_same_payload(payload, expected)
+
+    @pytest.mark.parametrize("rates", [(1.0, 0.02), (0.02, 1.0)])
+    @pytest.mark.parametrize("system", [SystemKind.CONVERGE, SystemKind.MTPUT])
+    def test_certain_loss_without_an_outage(self, rates, system):
+        # A loss rate of exactly 1 takes every packet with no draw,
+        # and no lane is ever in outage on a constant path.
+        cells = [
+            make_cell(
+                ConstantPaths((6e6, 4e6), (0.02, 0.04), rates),
+                system,
+                seed=seed,
+                duration=DURATION,
+                fidelity=Fidelity.FLOW,
+            )
+            for seed in range(1, 5)
+        ]
+        for payload, cell in zip(execute_batch(cells), cells):
+            assert_same_payload(payload, _scalar_payload(cell))
+
+
+# ---------------------------------------------------------------------------
+# The exact helpers under the array program
+
+
+def _walk(lanes):
+    """``_binomial_walk`` over ``(n, p, u)`` lanes, as a list."""
+    n, p, u = zip(*lanes)
+    return _binomial_walk(
+        np.array(n, dtype=np.int64), np.array(p), np.array(u)
+    ).tolist()
+
+
+_EDGE_P = [1e-9, 1e-6, 1e-3, 0.02, 0.3, 0.5, 0.9, 1 - 1e-6, 1 - 1e-9]
+
+
+@st.composite
+def _lanes(draw):
+    """``(n, p, u)`` with ``u`` on and around every decision boundary."""
+    n = draw(st.integers(1, 2000))
+    p = draw(
+        st.sampled_from(_EDGE_P)
+        | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    )
+    stop = (1.0 - p) ** n  # the walk returns 0 iff stop >= u
+    screen = 1.0 - n * p  # Bernoulli: stop >= screen
+    u = draw(
+        st.floats(0.0, 1.0, exclude_max=True)
+        | st.sampled_from(
+            [
+                stop,
+                math.nextafter(stop, 0.0),
+                math.nextafter(stop, 1.0),
+                screen,
+                screen - 1e-9,
+                screen + 1e-9,
+                math.nextafter(screen - 1e-9, 0.0),
+                math.nextafter(screen - 1e-9, 1.0),
+            ]
+        )
+    )
+    return n, p, min(max(u, 0.0), math.nextafter(1.0, 0.0))
+
+
+class TestBinomialWalk:
+    def test_quantile_one_ulp_above_a_threshold(self):
+        # Regression: the tabulated walk biased thresholds and
+        # quantiles by 2*group to share one searchsorted, which rounds
+        # both to the float spacing near 2*group — a quantile one ulp
+        # above its lane's q**n then compared equal and gave k = 0.
+        pairs = [(5 + i, 0.01 + 0.003 * i) for i in range(24)]
+        lanes = [
+            (n, p, math.nextafter((1.0 - p) ** n, 1.0)) for n, p in pairs
+        ]
+        expected = [binomial_from_uniform(u, n, p) for n, p, u in lanes]
+        assert expected == [1] * 24
+        assert _walk(lanes) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_lanes(), min_size=1, max_size=40))
+    def test_equals_scalar_walk_lane_by_lane(self, lanes):
+        assert _walk(lanes) == [
+            binomial_from_uniform(u, n, p) for n, p, u in lanes
+        ]
+
+    def test_binomial_draw_is_the_walk_behind_its_guards(self):
+        rng = random.Random(3)
+        for n, p in [(0, 0.5), (-1, 0.5), (4, 0.0), (4, -0.1)]:
+            assert binomial_draw(rng, n, p) == 0
+        assert binomial_draw(rng, 4, 1.0) == 4
+        assert rng.random() == random.Random(3).random()  # nothing drawn
+        a, b = random.Random(9), random.Random(9)
+        assert [binomial_draw(a, 30, 0.1) for _ in range(50)] == [
+            binomial_from_uniform(b.random(), 30, 0.1) for _ in range(50)
+        ]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestScalarMap:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3.0, 1.0, 1.0, 1.0, 1.0],  # the first lane is the odd one
+            [0.1, 0.2, 0.3, 0.4],  # all lanes differ
+            [0.7],  # one lane
+            [1.5, 1.5, 1.5],  # lockstep
+            [0.0, -0.0, 0.0, -0.0],  # equal under ==, not in bits
+            [-0.0, 0.0],
+            [math.nan, 1.0, math.nan, -math.nan],
+        ],
+    )
+    def test_equals_the_per_element_map(self, values):
+        def fn(v):
+            return math.copysign(1.0, v) * (abs(v) ** 0.5 + 1.0)
+
+        got = _scalar_map(fn, np.array(values))
+        assert _bits(got) == _bits([fn(v) for v in values])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([-0.35 / 30, -0.7 / 30, -0.0, 0.0, -1.25])
+            | st.floats(-5.0, 0.0),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_exp_lanes(self, values):
+        got = _scalar_map(math.exp, np.array(values))
+        assert _bits(got) == _bits([math.exp(v) for v in values])
+
+
+class TestDrawPool:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+    def test_rows_are_random_random_streams(self):
+        # Over three refills of every row, with partial draws in
+        # between so the rows run out at different calls.
+        pool = _DrawPool(self.SEEDS)
+        streams = [random.Random(seed) for seed in self.SEEDS]
+        subsets = [
+            np.array(rows, dtype=np.int64)
+            for rows in ([0, 2, 4], [1], [3, 4], [0, 1, 2, 3])
+        ]
+        drawn = 0
+        turn = 0
+        while drawn < 3 * batch_mod._POOL_CHUNK + 10:
+            if turn % 3 == 2:
+                rows = subsets[(turn // 3) % len(subsets)]
+                values = pool.draw(rows)
+            else:
+                rows = np.arange(len(self.SEEDS))
+                values = pool.draw_all()
+                drawn += 1
+            assert values.tolist() == [
+                streams[i].random() for i in rows.tolist()
+            ]
+            turn += 1
+
+    def test_batch_does_not_import_numpy_random(self):
+        # The lane streams are random.Random's own; numpy.random
+        # (+7 MiB) must stay out of a process that only batches.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = textwrap.dedent(
+            f"""
+            import sys, numpy
+            eager = "numpy.random" in sys.modules
+            sys.path.insert(0, {str(src)!r})
+            from repro.core.config import SystemKind
+            from repro.experiments.cells import (
+                Fidelity, ScenarioPaths, make_cell,
+            )
+            from repro.flow.batch import execute_batch
+            cells = [
+                make_cell(
+                    ScenarioPaths("driving"), SystemKind.CONVERGE,
+                    seed=seed, duration=2.0, fidelity=Fidelity.FLOW,
+                )
+                for seed in range(4)
+            ]
+            assert len(execute_batch(cells)) == 4
+            print(eager, "numpy.random" in sys.modules)
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        eager, loaded = done.stdout.split()
+        if eager == "True":
+            pytest.skip("this numpy imports numpy.random eagerly")
+        assert loaded == "False"

@@ -1,16 +1,16 @@
 """R103 — dual-implementation drift detection.
 
-The repo keeps deliberately duplicated logic: ``FlowCall.run`` inlines
-its reference methods for speed, and ``repro.flow.batch`` re-derives
-the same math vectorized.  Runtime suites (``tests/test_flow_drift.py``,
-``tests/test_flow_batch.py``) prove the sides agree *today*; this pass
-makes an edit that touches one side and not the other fail statically,
-before anyone waits on a test matrix.
+The repo keeps deliberately duplicated logic: ``FlowCall.run`` states
+the flow model as a scalar loop, and ``repro.flow.batch`` re-derives
+the same math vectorized.  Runtime suites (``tests/test_flow_batch.py``,
+``tests/test_fleet_properties.py``) prove the sides agree *today*; this
+pass makes an edit that touches one side and not the other fail
+statically, before anyone waits on a test matrix.
 
 Pairs are declared in-source with marker comments::
 
-    # drift: pair(flow-single-stream) ref
-    def _encode_frame(self) -> EncodedFrame:
+    # drift: pair(flow-batch) ref
+    def run(self) -> CallResult:
         ...
 
 A marker above a ``def`` (stackable, several pairs per function)
@@ -134,7 +134,7 @@ def run_drift(
                     message=(
                         f"pair '{name}' is not acknowledged in the "
                         "baseline; verify both sides agree at runtime "
-                        "(tests/test_flow_drift.py and friends), then "
+                        "(tests/test_flow_batch.py and friends), then "
                         "run `repro analyze --update-pairs`"
                     ),
                     severity=Severity.ERROR,

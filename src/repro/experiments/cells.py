@@ -38,7 +38,7 @@ from repro.net.path import PathConfig
 # previously cached summaries.  Combined with the optional
 # ``REPRO_CACHE_SALT`` environment override (useful for forcing a cold
 # cache without deleting anything).
-CODE_VERSION = "2026.08-2"
+CODE_VERSION = "2026.10-1"
 
 
 class Fidelity(enum.Enum):

@@ -7,7 +7,7 @@ model's assumptions and known divergences, and EXPERIMENTS.md for
 when to trust it.
 """
 
-from repro.flow.frames import PathFec, binomial_draw, path_frame_outcome
+from repro.flow.frames import PathFec, binomial_draw
 from repro.flow.link import FlowLink
 from repro.flow.rate_control import SteadyStateGcc
 from repro.flow.session import FlowCall, run_flow_call
@@ -18,6 +18,5 @@ __all__ = [
     "PathFec",
     "SteadyStateGcc",
     "binomial_draw",
-    "path_frame_outcome",
     "run_flow_call",
 ]

@@ -36,8 +36,8 @@ to the scalar reference code:
   itself (:func:`_binomial_walk`).
 - *Replayed operation order.*  Expression shapes (association,
   division order, strict-``<`` tie behaviour, EWMA forms) replicate
-  the inlined single-stream loop of :class:`repro.flow.session
-  .FlowCall` term for term; the cross-validation suite
+  the scalar loop :meth:`repro.flow.session.FlowCall.run` term for
+  term; the cross-validation suite
   (``tests/test_flow_batch.py``) pins the two backends together on
   every golden scenario.
 
@@ -408,7 +408,6 @@ class _PathLanes:
         "out_delivered",
         "out_completion",
         "out_killed",
-        "out_failed",
         "rate",
         "loss_rate",
         "srtt",
@@ -453,7 +452,6 @@ class _PathLanes:
         self.out_delivered = np.zeros(shape, dtype=np.bool_)
         self.out_completion = np.zeros(shape, dtype=np.float64)
         self.out_killed = np.zeros(shape, dtype=np.bool_)
-        self.out_failed = np.zeros(shape, dtype=np.bool_)
         self.rate = np.full(shape, initial_rate, dtype=np.float64)
         self.loss_rate = np.full(shape, initial_rate, dtype=np.float64)
         self.srtt = np.full(shape, consts.srtt0, dtype=np.float64)
@@ -672,7 +670,7 @@ class _BatchFlowRun:
                         now, p, lane, cap, attention, degrade_timeout,
                         silence_timeout, decay_scaled, gcc_min,
                     )
-                # SteadyStateGcc.target: min(rate, loss_rate), floored.
+                # The per-path sending rate: min(rate, loss_rate), floored.
                 tgt = np.minimum(lane.rate, lane.loss_rate)
                 lane.tgt = np.maximum(tgt, gcc_min)
                 if lane.disabled.any():
@@ -761,11 +759,9 @@ class _BatchFlowRun:
             for lane in lanes:
                 lane.rank = send_n.copy()
                 send_n += lane.member
-                m = lane.member
                 lane.step_bytes.fill(0)
                 lane.step_packets.fill(0)
                 lane.step_key.fill(False)
-                lane.out_failed[m] = False
 
             # -- sampling --------------------------------------------------
             if sample_tick == 0:
@@ -900,7 +896,7 @@ class _BatchFlowRun:
                 peak_hold = np.where(decayed > frame_loss, decayed, frame_loss)
                 lane.loss_peak[idx] = peak_hold
 
-                # PathFec.packets_for, batched.
+                # FEC packets to send alongside the media, batched.
                 mpos = mp > 0
                 fec_pk = np.zeros(m, dtype=np.int64)
                 if fec_none:
@@ -999,7 +995,8 @@ class _BatchFlowRun:
                 )
                 overflow_packets = (overflow // mtu).astype(np.int64)
 
-                # path_frame_outcome, batched.
+                # The frame's fate on this path (steps 1-3 of
+                # repro.flow.frames), batched.
                 lossy = (frame_loss > 0.0) & (frame_loss < 1.0)
                 lost = np.zeros(m, dtype=np.int64)
                 drawable = mpos & lossy
@@ -1126,7 +1123,8 @@ class _BatchFlowRun:
                         frame_probe, (mp + fec_pk - 1) * mtu * 8.0, 0.0
                     )
 
-                # SteadyStateGcc.advance + update, batched.
+                # Controller step (regimes: repro.flow.rate_control),
+                # batched.
                 srtt = lane.srtt[idx]
                 srtt = srtt + RTT_SMOOTHING * (srtt_sample - srtt)
                 lane.srtt[idx] = srtt
@@ -1553,10 +1551,7 @@ class _BatchFlowRun:
                     dropped[gone] = True
                     dropped_any = True
                     self._hard_drop(now, gone)
-                survived = sub[~kdrop]
-                if survived.size:
-                    lane.out_failed[survived] = True
-                    any_failed[survived] = True
+                any_failed[sub[~kdrop]] = True
             fold = act & ~lane.out_killed
             if fold.any():
                 completion = np.where(
@@ -1564,9 +1559,7 @@ class _BatchFlowRun:
                     lane.out_completion,
                     completion,
                 )
-                miss = fold & ~lane.out_delivered
-                lane.out_failed |= miss
-                any_failed |= miss
+                any_failed |= fold & ~lane.out_delivered
         if any_failed.any():
             need_best = enc_mask & any_failed
             if dropped_any:
@@ -1579,11 +1572,8 @@ class _BatchFlowRun:
                 best_srtt = np.zeros(nb.size, dtype=np.float64)
                 found = np.zeros(nb.size, dtype=np.bool_)
                 for lane in lanes:
-                    cand = (
-                        lane.member[nb]
-                        & ~lane.out_failed[nb]
-                        & lane.out_delivered[nb]
-                    )
+                    # A failed path never reads as delivered.
+                    cand = lane.member[nb] & lane.out_delivered[nb]
                     if not cand.any():
                         continue
                     comp_nb = lane.out_completion[nb]

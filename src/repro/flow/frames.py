@@ -19,16 +19,19 @@ the WebRTC loss-rate table (:func:`repro.fec.tables
 controller's loss-proportional rule with its QoE-feedback beta
 (approximated here by its decay plus an uncovered-loss bump — the
 NACK-driven signal collapsed to the frame outcome we just computed).
+
+The decision itself is written out per path in the two implementations
+of the flow model, the scalar loop (:meth:`repro.flow.session.FlowCall
+.run`) and the array program (:mod:`repro.flow.batch`); this module
+holds what they share: the constants, the binomial sampler both replay
+and the per-path protection state.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Tuple
 
 from repro.core.config import FecMode
-from repro.fec.tables import webrtc_protection_factor
 
 # Retransmission rounds before a frame is abandoned on a path (matches
 # the packet core's NACK retry budget).
@@ -92,36 +95,6 @@ class PathFec:
         self._carry = 0.0
         self._last_update = 0.0
 
-    def packets_for(
-        self, now: float, media_packets: int, loss_rate: float, is_keyframe: bool
-    ) -> int:
-        """FEC packets to send alongside ``media_packets``."""
-        if self.mode is FecMode.NONE or media_packets <= 0:
-            return 0
-        if self.mode is FecMode.WEBRTC_TABLE:
-            protection = webrtc_protection_factor(loss_rate, is_keyframe)
-            exact = protection * media_packets + self._carry
-            fec = int(exact)
-            self._carry = min(max(exact - fec, 0.0), 1.0)
-            return min(fec, media_packets)
-        # FecMode.CONVERGE: loss-proportional with the QoE beta.
-        if loss_rate < _MIN_LOSS_FOR_FEC:
-            self._carry = 0.0
-            return 0
-        elapsed = now - self._last_update
-        if elapsed > 0.0:
-            self.beta = 1.0 + (self.beta - 1.0) * math.exp(-_BETA_DECAY * elapsed)
-            self._last_update = now
-        protection = min(
-            min(loss_rate, _MAX_PROTECTED_LOSS) * self.beta, _MAX_PROTECTION
-        )
-        exact = protection * media_packets + self._carry
-        fec = int(exact)
-        if fec == 0 and exact >= _ROUND_UP_THRESHOLD:
-            fec = 1
-        self._carry = min(max(exact - fec, 0.0), 1.0)
-        return min(fec, media_packets)
-
     def on_uncovered_loss(self, now: float, uncovered: int, media_packets: int) -> None:
         """A frame needed RTX: raise beta like the NACK window would."""
         if self.mode is not FecMode.CONVERGE or media_packets <= 0:
@@ -130,33 +103,3 @@ class PathFec:
         if proposed > self.beta:
             self.beta = min(proposed, _BETA_MAX)
         self._last_update = now
-
-
-def path_frame_outcome(
-    rng: random.Random,
-    media_packets: int,
-    fec_packets: int,
-    loss_rate: float,
-    overflow_packets: int,
-) -> Tuple[bool, int, int, int, int]:
-    """Decide one frame's fate on one path.
-
-    Returns ``(delivered, rtx_rounds, lost_media, fec_received,
-    fec_recovered)``.  ``delivered`` is False only when the loss could
-    not be repaired within :data:`MAX_RTX_ROUNDS` retransmit rounds.
-    """
-    lost = binomial_draw(rng, media_packets, loss_rate) + overflow_packets
-    if lost > media_packets:
-        lost = media_packets
-    fec_received = fec_packets - binomial_draw(rng, fec_packets, loss_rate)
-    if lost == 0:
-        return True, 0, 0, fec_received, 0
-    recovered = min(lost, fec_received)
-    remaining = lost - recovered
-    if remaining == 0:
-        return True, 0, lost, fec_received, recovered
-    rounds = 0
-    while remaining > 0 and rounds < MAX_RTX_ROUNDS:
-        rounds += 1
-        remaining = binomial_draw(rng, remaining, loss_rate)
-    return remaining == 0, rounds, lost, fec_received, recovered

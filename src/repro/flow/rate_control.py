@@ -33,7 +33,25 @@ queue-delay signal from :class:`repro.flow.link.FlowLink`:
   10 %; burst losses are *diluted* by the report's packet count, so a
   fast path shrugs off a burst that pins a slow one,
 - **watchdog decay** — multiplicative decay while feedback is dark or
-  the path is in outage (driven by the session, :meth:`decay`).
+  the path is in outage (driven by the session,
+  :meth:`SteadyStateGcc.decay`).
+
+The regimes read two windowed signals, both 1 s EWMAs whose first
+sample seeds the window directly.  *Delivered*: the packet core's
+incoming-rate estimator reports the actual arrival rate from its first
+window, never a zero-biased warm-up, and a cold EWMA here would let
+the ``1.5 x delivered`` saturation cap choke the ramp at the first
+frame.  *Offered*: the packet core's ``path_saturated`` check compares
+the target against a trailing window of *acked sends*, which lags a
+probe jump by up to a second — during that transient the path reads as
+unsaturated, so neither the cap nor the multiplicative ramp applies and
+the jumped rate simply holds; the instantaneous offered rate would
+re-engage the cap one frame after every jump and strangle it.
+
+:class:`SteadyStateGcc` holds the per-path state; the step itself is
+written out in the two implementations of the flow model, the scalar
+loop (:meth:`repro.flow.session.FlowCall.run`) and the array program
+(:mod:`repro.flow.batch`).
 
 Every constant lives at module scope so the cross-validation
 tolerance methodology (EXPERIMENTS.md) can point at one place.
@@ -41,8 +59,6 @@ tolerance methodology (EXPERIMENTS.md) can point at one place.
 
 from __future__ import annotations
 
-import math
-import random
 from typing import Optional
 
 from repro.cc.gcc import GccConfig
@@ -102,7 +118,6 @@ class SteadyStateGcc:
         "delivered",
         "offered_avg",
         "_min_rate",
-        "_max_rate",
         "_hold_until",
         "_capacity_estimate",
         "_loss_report_accum",
@@ -118,195 +133,12 @@ class SteadyStateGcc:
         self.delivered = 0.0
         self.offered_avg = 0.0
         self._min_rate = float(config.min_rate)
-        self._max_rate = float(config.max_rate)
         self._hold_until = 0.0
         self._capacity_estimate: Optional[float] = None
         self._loss_report_accum = 0.0
-
-    # drift: pair(flow-controller) ref
-    def target(self) -> float:
-        """The per-path sending rate ``S_i`` (bps)."""
-        rate = self.rate
-        if self.loss_rate < rate:
-            rate = self.loss_rate
-        if rate < self._min_rate:
-            return self._min_rate
-        return rate
-
-    def observe_rtt(self, rtt_sample: float) -> None:
-        self.srtt += RTT_SMOOTHING * (rtt_sample - self.srtt)
-
-    def observe_delivered(self, rate_bps: float, dt: float) -> None:
-        """Fold one step's delivered rate into the 1 s window estimate.
-
-        The first sample seeds the window directly: the packet core's
-        incoming-rate estimator reports the actual arrival rate from
-        its first window, never a zero-biased warm-up, and a cold EWMA
-        here would let the ``1.5 x delivered`` saturation cap choke
-        the ramp at the first frame.
-        """
-        if self.delivered <= 0.0:
-            self.delivered = rate_bps
-            return
-        alpha = 1.0 - math.exp(-dt / DELIVERED_WINDOW)
-        self.delivered += alpha * (rate_bps - self.delivered)
-
-    def observe_offered(self, rate_bps: float, dt: float) -> None:
-        """Fold one step's offered (sent) rate into its 1 s window.
-
-        The packet core's ``path_saturated`` check compares the target
-        against a trailing window of *acked sends*, which lags a probe
-        jump by up to a second — during that transient the path reads
-        as unsaturated, so neither the 1.5x-delivered cap nor the
-        multiplicative ramp applies and the jumped rate simply holds.
-        Using the instantaneous offered rate here would re-engage the
-        cap one frame after every jump and strangle it.
-        """
-        if self.offered_avg <= 0.0:
-            self.offered_avg = rate_bps
-            return
-        alpha = 1.0 - math.exp(-dt / DELIVERED_WINDOW)
-        self.offered_avg += alpha * (rate_bps - self.offered_avg)
-
-    # drift: pair(flow-controller) ref
-    def advance(
-        self,
-        now: float,
-        dt: float,
-        capacity: float,
-        queue_delay: float,
-        probe_run_bits: float,
-        peak_loss: float,
-        base_loss: float,
-        offered_bps: float,
-        delivered_bps: float,
-        rtt_sample: float,
-        win_alpha: float,
-        rng: random.Random,
-    ) -> None:
-        """One-call step: fold the frame's samples, then update.
-
-        Fuses :meth:`observe_rtt`, :meth:`observe_offered`,
-        :meth:`observe_delivered` and :meth:`update` so the session's
-        hot loop pays one method call per path per frame instead of
-        four.  ``win_alpha`` is the precomputed 1 s-window EWMA gain
-        ``1 - exp(-dt / DELIVERED_WINDOW)`` (``dt`` is constant over a
-        call, so the caller computes it once).  In outage
-        (``capacity <= 0``) the samples are folded but the rate logic
-        does not run — the watchdog owns the rate then.
-        """
-        self.srtt += RTT_SMOOTHING * (rtt_sample - self.srtt)
-        if self.offered_avg <= 0.0:
-            self.offered_avg = offered_bps
-        else:
-            self.offered_avg += win_alpha * (offered_bps - self.offered_avg)
-        if self.delivered <= 0.0:
-            self.delivered = delivered_bps
-        else:
-            self.delivered += win_alpha * (delivered_bps - self.delivered)
-        if capacity > 0.0:
-            self.update(
-                now,
-                dt,
-                capacity,
-                queue_delay,
-                probe_run_bits,
-                peak_loss,
-                base_loss,
-                offered_bps,
-                rng,
-            )
 
     def decay(self, dt: float, factor: float, interval: float) -> None:
         """Watchdog decay while the path is silent or in outage."""
         scaled = factor ** (dt / interval)
         self.rate = max(self.rate * scaled, self._min_rate)
         self.loss_rate = max(self.loss_rate * scaled, self._min_rate)
-
-    # drift: pair(flow-controller) ref
-    def update(
-        self,
-        now: float,
-        dt: float,
-        capacity: float,
-        queue_delay: float,
-        probe_run_bits: float,
-        peak_loss: float,
-        base_loss: float,
-        offered: float,
-        rng: random.Random,
-    ) -> float:
-        """Advance one frame interval; returns the new target rate."""
-        if self.frozen:
-            return self.target()
-        rate = self.rate
-        delivered = self.delivered
-        burst = peak_loss >= BURST_LOSS_FLOOR
-
-        overuse = queue_delay > OVERUSE_QUEUE_DELAY or (
-            burst and rng.random() < BURST_OVERUSE_PROBABILITY
-        )
-        if overuse:
-            base = delivered if delivered > 0.0 else rate
-            cut = BACKOFF_FACTOR * base
-            if cut < rate:
-                rate = cut
-            self._capacity_estimate = delivered if delivered > 0.0 else rate
-            self._hold_until = now + HOLD_SECONDS
-        elif now >= self._hold_until:
-            saturated = self.offered_avg >= 0.7 * rate
-            estimate = self._capacity_estimate
-            near = (
-                estimate is not None
-                and (1.0 - NEAR_CONVERGENCE_WINDOW) * estimate
-                <= delivered
-                <= (1.0 + NEAR_CONVERGENCE_WINDOW) * estimate
-            )
-            if near:
-                # Additive: about one MTU per response time.
-                rate += 0.5 * _MTU_BITS / max(self.srtt + 0.1, 1e-3) * dt
-            elif saturated:
-                rate *= GROWTH_PER_SECOND**dt
-            if saturated and delivered > 0.0:
-                cap_rate = 1.5 * delivered + 10_000.0
-                if rate > cap_rate:
-                    rate = cap_rate
-            if probe_run_bits > 0.0 and capacity > 0.0:
-                # PROBE_BWE: the burst's arrival rate, smeared by
-                # per-packet jitter on top of serialization time.
-                estimate_bps = probe_run_bits / (
-                    PROBE_JITTER_SPAN + probe_run_bits / capacity
-                )
-                if estimate_bps > 1.5 * rate:
-                    rate = min(0.85 * estimate_bps, 4.0 * rate)
-                    if self.loss_rate < rate:
-                        self.loss_rate = rate
-
-        # Loss-based branch, at RTCP report cadence.
-        self._loss_report_accum += dt
-        while self._loss_report_accum >= LOSS_REPORT_INTERVAL:
-            self._loss_report_accum -= LOSS_REPORT_INTERVAL
-            fraction = base_loss
-            if burst and base_loss <= LOSS_CUT_THRESHOLD:
-                report_packets = max(
-                    offered * LOSS_REPORT_INTERVAL / _MTU_BITS, 1.0
-                )
-                fraction = min(
-                    peak_loss, BURST_EXPECTED_LOSSES / report_packets
-                )
-            if fraction > LOSS_CUT_THRESHOLD:
-                self.loss_rate *= 1.0 - 0.5 * fraction
-            elif fraction < LOSS_PROBE_THRESHOLD:
-                self.loss_rate *= 1.05
-        cap_loss = 2.0 * rate
-        if self.loss_rate > cap_loss:
-            self.loss_rate = cap_loss
-        elif self.loss_rate < self._min_rate:
-            self.loss_rate = self._min_rate
-
-        if rate < self._min_rate:
-            rate = self._min_rate
-        elif rate > self._max_rate:
-            rate = self._max_rate
-        self.rate = rate
-        return self.target()

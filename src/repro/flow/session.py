@@ -24,7 +24,6 @@ packet-level GCC.
 from __future__ import annotations
 
 import math
-import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import CallConfig, FecMode, SystemKind
@@ -149,7 +148,7 @@ class _PathState:
         # effective capacity and target rate, the media this frame
         # placed on the path, whether the path sent this step, the
         # scheduler weight, and the send outcome the finish stage
-        # consumes (delivered / completion / burst-killed / failed).
+        # consumes (delivered / completion / burst-killed).
         "cap",
         "tgt",
         "step_bytes",
@@ -160,7 +159,6 @@ class _PathState:
         "out_delivered",
         "out_completion",
         "out_killed",
-        "out_failed",
     )
 
     def __init__(self, link: FlowLink, ctrl: SteadyStateGcc, fec: PathFec) -> None:
@@ -187,7 +185,6 @@ class _PathState:
         self.out_delivered = False
         self.out_completion = 0.0
         self.out_killed = False
-        self.out_failed = False
 
 
 class _StreamState:
@@ -202,6 +199,11 @@ class _StreamState:
         "request_at",
         "last_request",
         "last_render",
+        # Per-step scratch: the frame this step encoded and the
+        # (path state, bytes) slices it was split into.
+        "size",
+        "is_key",
+        "alloc",
     )
 
     def __init__(self) -> None:
@@ -216,6 +218,9 @@ class _StreamState:
         self.request_at = math.inf
         self.last_request = -math.inf
         self.last_render = -math.inf
+        self.size = 0
+        self.is_key = False
+        self.alloc: Sequence[Tuple[_PathState, int]] = ()
 
 
 class FlowCall:
@@ -242,10 +247,8 @@ class FlowCall:
         "_window_bytes",
         "_fec_received",
         "_fec_recovered",
-        "_frame_drops",
         "_step_dt",
         "_total_steps",
-        "_force_reference",
     )
 
     def __init__(
@@ -254,7 +257,6 @@ class FlowCall:
         path_configs: Sequence[PathConfig],
         fault_plan: Optional[FaultPlan] = None,
         churn_scenario: Optional[str] = None,
-        force_reference: bool = False,
     ) -> None:
         if not path_configs:
             raise ValueError("a call needs at least one path")
@@ -284,14 +286,6 @@ class FlowCall:
         self._window_bytes = 0
         self._fec_received = 0
         self._fec_recovered = 0
-        self._frame_drops = 0
-        # Drift seam: route the dominant single-stream case through the
-        # factored reference methods (_encode_frame / _allocate /
-        # _finish_frame / _drop_frame) instead of their inlined copies.
-        # The hot loop's RNG draw order is identical either way, so the
-        # two modes must stay byte-identical — tests/test_flow_drift.py
-        # pins that.
-        self._force_reference = force_reference
 
     # -- path lifecycle ----------------------------------------------------
 
@@ -513,30 +507,36 @@ class FlowCall:
 
     # -- main loop ---------------------------------------------------------
 
-    # drift: pair(flow-single-stream) impl
     # drift: pair(flow-batch) ref
     def run(self) -> CallResult:
         """Advance the call one frame interval at a time.
 
-        This is the flow backend's hot loop: everything the packet core
-        amortizes over thousands of events happens here ~30 times per
-        simulated second, so the whole per-step pipeline is inlined —
-        the scheduler split writes per-state weight slots instead of
-        building dicts, the link's loss draw and fluid queue
-        (:meth:`FlowLink.step_loss` / :meth:`FlowLink.push`), the
-        controller step (:meth:`SteadyStateGcc.advance` +
-        :meth:`~SteadyStateGcc.update`) and, for the dominant
-        single-stream case, the encoder and the frame-finish stage are
-        all textually expanded in the loop body.  The factored methods
-        remain the reference implementations (multi-stream calls still
-        use them) and every inline copy is marked "keep in sync".
-        Per-step capacity comes from the links' precomputed tables
-        (:meth:`FlowLink.precompute`) and churn / fault / watchdog
-        handling is gated behind cheap fast-path checks.  The semantics
-        — including the RNG draw order, which the cross-validation
-        calibration depends on — are exactly the pre-optimization
-        per-step pipeline: churn, faults, watchdog, split, encode,
-        per-path queue/loss/control, render/drop.
+        This loop is the scalar statement of the flow model; the array
+        program in :mod:`repro.flow.batch` is the other one, and the
+        two are held together by byte-equality at runtime
+        (``tests/test_flow_batch.py``, ``tests/test_fleet_properties.py``)
+        and by the digest fixture of ``tests/test_golden_determinism.py``.
+        Everything the packet core amortizes over thousands of events
+        happens here ~30 times per simulated second, so the whole
+        per-step pipeline is written out in the loop body: the
+        scheduler split writes per-state weight slots instead of
+        building dicts, and the link's loss draw and fluid queue (the
+        math of :meth:`FlowLink.step_loss` / :meth:`FlowLink.push`),
+        FEC sizing, the frame outcome and the controller step (regimes
+        and constants: :mod:`repro.flow.frames`,
+        :mod:`repro.flow.rate_control`) run without a call per path.
+        The encode, split and finish stages iterate the streams, so
+        one loop serves any stream count.  Per-step capacity comes from
+        the links' precomputed tables (:meth:`FlowLink.precompute`) and
+        churn / fault / watchdog handling is gated behind cheap
+        fast-path checks.
+
+        The RNG draw order is part of the model (the cross-validation
+        calibration and the array program replay it): per step, the
+        size jitter of each stream in stream order; then per sending
+        path the burst, media-loss, FEC-loss, retransmission, kill and
+        overuse draws; then one kill-share draw per stream for each
+        burst-killed path that carried its bytes, in send order.
         """
         config = self.config
         metrics = self.metrics
@@ -544,6 +544,7 @@ class FlowCall:
         rng_random = rng.random
         paths = self._paths
         stream_states = self._stream_states
+        stream_rows = list(enumerate(stream_states))
         system = config.system
         dt = self._step_dt
         steps = self._total_steps
@@ -568,8 +569,6 @@ class FlowCall:
         frame_rate = config.frame_rate
         encoder_utilization = config.encoder_utilization
         num_streams = config.num_streams
-        single_stream = num_streams == 1 and not self._force_reference
-        stream0 = stream_states[0]
         max_latency = config.receiver.max_playout_latency
         watchdog = config.watchdog
         decay_factor = watchdog.rate_decay_factor
@@ -591,25 +590,22 @@ class FlowCall:
         expm1 = math.expm1
         inf = math.inf
         neg_inf = -math.inf
-        # Controller constants, precomputed for the inlined update body
-        # (reference implementation: SteadyStateGcc.update).
+        # Controller constants, precomputed for the controller step.
         growth_dt = GROWTH_PER_SECOND**dt
         near_lo = 1.0 - NEAR_CONVERGENCE_WINDOW
         near_hi = 1.0 + NEAR_CONVERGENCE_WINDOW
         half_mtu_bits = 0.5 * _MTU_BITS
         gcc_min = float(config.gcc.min_rate)
         gcc_max = float(config.gcc.max_rate)
-        record_encoded = metrics.record_encoded_frame
-        # Direct series appends for the single-stream fast path: `now`
-        # is monotone by construction, so TimeSeries.append's ordering
-        # check is skipped (reference: MetricsCollector.record_ifd /
-        # record_fcd / record_frame_drop; keep in sync).
+        # Direct series appends: `now` is monotone by construction, so
+        # TimeSeries.append's ordering check is skipped.
         ifd_times = metrics.ifd_series.times
         ifd_values = metrics.ifd_series.values
         fcd_times = metrics.fcd_series.times
         fcd_values = metrics.fcd_series.values
-        drops_append = metrics.frame_drops.append
         rendered_append = metrics.rendered.append
+        drop_frame = self._drop_frame
+        record_drop = metrics.record_frame_drop
         have_faults = (
             self._fault_plan is not None and bool(self._fault_plan.events)
         )
@@ -635,8 +631,6 @@ class FlowCall:
         srtt_items: List[Tuple[int, _PathState]] = (
             [path_items[0]] if is_srtt else []
         )
-        frames: List[Tuple[int, int, int, bool, Dict[int, int]]] = []
-        outcomes: Dict[int, Tuple[bool, float, int, float, bool]] = {}
         qp = 0.0
         sample_tick = 0
         fec_received_total = self._fec_received
@@ -666,8 +660,8 @@ class FlowCall:
                 state.cap = cap
                 if state.silence != 0.0 or cap <= 0.0 or state.feedback_dark:
                     self._update_watchdog(now, dt, state, cap)
-                # SteadyStateGcc.target, inlined (keep in sync).
-                # drift: pair(flow-controller) impl
+                # The per-path sending rate S_i: the lower of the
+                # delay-based and loss-based rates, floored.
                 ctrl = state.ctrl
                 tgt = ctrl.rate
                 lr = ctrl.loss_rate
@@ -676,7 +670,6 @@ class FlowCall:
                 if tgt < gcc_min:
                     tgt = gcc_min
                 state.tgt = tgt
-                # drift: end
                 if state.draining or state.disabled:
                     flagged = True
 
@@ -709,7 +702,6 @@ class FlowCall:
                 pstate.step_packets = 0
                 pstate.step_key = False
                 pstate.stepped = True
-                pstate.out_failed = False
             elif is_srtt:
                 best_item = usable_items[0]
                 for item in usable_items:
@@ -725,7 +717,6 @@ class FlowCall:
                 bstate.step_packets = 0
                 bstate.step_key = False
                 bstate.stepped = True
-                bstate.out_failed = False
             elif is_cm:
                 cm_weights = self._cm_weights(
                     now, [pid for pid, _ in usable_items]
@@ -745,7 +736,6 @@ class FlowCall:
                         state.step_packets = 0
                         state.step_key = False
                         state.stepped = True
-                        state.out_failed = False
             elif is_mrtp:
                 # MPRTP: loss-discounted even split over *all* paths —
                 # it never disables a path however badly it performs.
@@ -767,13 +757,13 @@ class FlowCall:
                     state.step_packets = 0
                     state.step_key = False
                     state.stepped = True
-                    state.out_failed = False
                 send_items = every
             else:
                 # CONVERGE / MTPUT: Eq. 1 — split by per-path rates.
-                # target() floors at min_rate, so weights are positive
-                # whenever the configured floor is; the rare filter
-                # below keeps a zero-floor config byte-compatible.
+                # The target is floored at min_rate, so weights are
+                # positive whenever the configured floor is; the rare
+                # filter below keeps a zero-floor config
+                # byte-compatible.
                 total_weight = 0.0
                 target_rate = 0.0
                 zero_weight = False
@@ -788,7 +778,6 @@ class FlowCall:
                     state.step_packets = 0
                     state.step_key = False
                     state.stepped = True
-                    state.out_failed = False
                 send_items = usable_items
                 if zero_weight:
                     send_items = []
@@ -812,19 +801,17 @@ class FlowCall:
             if sample_tick == sample_every:
                 sample_tick = 0
 
-            if single_stream:
-                if stream0.blocked and now >= stream0.request_at:
+            for stream in stream_states:
+                if stream.blocked and now >= stream.request_at:
                     self._issue_keyframe_requests(now)
-            else:
-                for stream in stream_states:
-                    if stream.blocked and now >= stream.request_at:
-                        self._issue_keyframe_requests(now)
-                        break
+                    break
 
-            fid0 = -1
-            size0 = 0
-            key0 = False
+            # Encode one frame per stream and split it over the send
+            # set.  A step that sends nothing (WebRTC-CM's reconnect
+            # window) encodes nothing: no frame id is consumed.
+            encoded = False
             if send_n and total_weight > 0.0:
+                encoded = True
                 budget = (
                     target_rate
                     * encoder_utilization
@@ -843,59 +830,61 @@ class FlowCall:
                     qp = rd_qp_min
                 elif qp > rd_qp_max:
                     qp = rd_qp_max
-                if single_stream:
-                    # _encode_frame, inlined (keep in sync).
+                base = per_stream / 8.0 / frame_rate
+                for stream in stream_states:
+                    # A keyframe costs key_mult base frames; the excess
+                    # is a debt the following delta frames repay.
                     is_key = (
-                        stream0.frame_id == 0
-                        or stream0.frames_since_key >= gop_length
-                        or stream0.pending_keyframe
+                        stream.frame_id == 0
+                        or stream.frames_since_key >= gop_length
+                        or stream.pending_keyframe
                     )
-                    base = per_stream / 8.0 / frame_rate
                     if is_key:
                         size_f = base * key_mult
-                        stream0.debt += size_f - base
-                        stream0.frames_since_key = 0
-                        stream0.pending_keyframe = False
+                        stream.debt += size_f - base
+                        stream.frames_since_key = 0
+                        stream.pending_keyframe = False
                     else:
                         repay = _KEYFRAME_DEBT_REPAY * base
-                        debt = stream0.debt
+                        debt = stream.debt
                         if debt < repay:
                             repay = debt
                         size_f = base - repay
-                        stream0.debt = debt - repay
-                        stream0.frames_since_key += 1
+                        stream.debt = debt - repay
+                        stream.frames_since_key += 1
                     size_f *= 1.0 + (jit_lo + jit_span * rng_random())
                     size = int(size_f)
                     if size < _MIN_FRAME_BYTES:
                         size = _MIN_FRAME_BYTES
-                    fid0 = stream0.frame_id
                     # The per-frame encoder ledger (metrics.encoded) is
-                    # skipped on this path: nothing downstream of the
-                    # flow backend reads it, and the rendered record
-                    # below carries size/qp/keyframe directly (see
-                    # DESIGN.md, flow-fidelity divergences).
-                    size0 = size
-                    key0 = is_key
+                    # not filled at flow fidelity: nothing downstream
+                    # reads it, and the rendered record carries
+                    # size/qp/keyframe directly (see DESIGN.md,
+                    # flow-fidelity divergences).
+                    stream.size = size
+                    stream.is_key = is_key
                     if send_n == 1:
                         state = send_items[0][1]
-                        state.step_bytes = size
-                        state.step_packets = -(-size // mtu)
+                        stream.alloc = ((state, size),)
+                        state.step_bytes += size
+                        state.step_packets += -(-size // mtu)
                         if is_key:
                             state.step_key = True
                     elif send_n == 2 and not (is_key and is_converge):
-                        # Two-path proportional split, inlined.
+                        # Two-path proportional split.
                         s0 = send_items[0][1]
                         s1 = send_items[1][1]
                         share = int(size * s0.weight / total_weight)
+                        rest = size - share
+                        stream.alloc = ((s0, share), (s1, rest))
                         if share > 0:
-                            s0.step_bytes = share
-                            s0.step_packets = -(-share // mtu)
+                            s0.step_bytes += share
+                            s0.step_packets += -(-share // mtu)
                             if is_key:
                                 s0.step_key = True
-                        rest = size - share
                         if rest > 0:
-                            s1.step_bytes = rest
-                            s1.step_packets = -(-rest // mtu)
+                            s1.step_bytes += rest
+                            s1.step_packets += -(-rest // mtu)
                             if is_key:
                                 s1.step_key = True
                     else:
@@ -906,50 +895,16 @@ class FlowCall:
                             total_weight,
                             [p for p, _ in send_items],
                         )
-                        for pid, path_bytes in allocation.items():
+                        stream.alloc = [
+                            (s, allocation.get(p, 0)) for p, s in send_items
+                        ]
+                        for state, path_bytes in stream.alloc:
                             if path_bytes <= 0:
                                 continue
-                            state = paths[pid]
                             state.step_bytes += path_bytes
                             state.step_packets += -(-path_bytes // mtu)
                             if is_key:
                                 state.step_key = True
-                else:
-                    frames = []
-                    for ssrc, stream in enumerate(stream_states):
-                        size, is_key = self._encode_frame(
-                            stream, per_stream, rng
-                        )
-                        record_encoded(
-                            ssrc, stream.frame_id, now, size, qp, is_key
-                        )
-                        if send_n == 1:
-                            allocation = {send_items[0][0]: size}
-                        elif send_n == 2 and not (is_key and is_converge):
-                            # Two-path proportional split, inlined.
-                            pid0, s0 = send_items[0]
-                            pid1 = send_items[1][0]
-                            share = int(size * s0.weight / total_weight)
-                            allocation = {pid0: share, pid1: size - share}
-                        else:
-                            allocation = self._allocate(
-                                size,
-                                is_key,
-                                {p: s.weight for p, s in send_items},
-                                total_weight,
-                                [p for p, _ in send_items],
-                            )
-                        for pid, path_bytes in allocation.items():
-                            if path_bytes <= 0:
-                                continue
-                            state = paths[pid]
-                            state.step_bytes += path_bytes
-                            state.step_packets += -(-path_bytes // mtu)
-                            if is_key:
-                                state.step_key = True
-                        frames.append(
-                            (ssrc, stream.frame_id, size, is_key, allocation)
-                        )
 
             probe_due = now >= next_probe
             if probe_due:
@@ -961,25 +916,18 @@ class FlowCall:
                 self._reroute_probe = False
 
             # Push each sending path's aggregate bytes through queue +
-            # loss and advance its controller — the former _path_step
-            # with FlowLink.step_loss / FlowLink.push and
-            # SteadyStateGcc.advance + update textually inlined (those
-            # methods stay the reference implementations; keep in
-            # sync).  Results land in per-state out_* slots; the
-            # multi-stream fallback also mirrors them into the
-            # outcomes dict _finish_frame consumes.
-            if not single_stream:
-                outcomes = {}
+            # loss and advance its controller.  Results land in the
+            # per-state out_* slots the finish stage consumes.
             step_media = 0
             step_fec = 0
-            for pid, state in send_items:
+            for _pid, state in send_items:
                 link = state.link
                 ctrl = state.ctrl
                 cap = state.cap
                 media_bytes = state.step_bytes
                 media_packets = state.step_packets
 
-                # -- FlowLink.step_loss, inlined --
+                # -- loss draw (FlowLink.step_loss, inlined) --
                 n_pkts = media_packets if media_packets > 0 else 1
                 scheduled = link._scheduled
                 burst_loss = link._burst_loss
@@ -1021,13 +969,14 @@ class FlowCall:
                 loss_peak = decayed if decayed > frame_loss else frame_loss
                 state.loss_peak = loss_peak
 
-                # -- PathFec.packets_for, inlined (keep in sync) --
+                # -- FEC packets to send alongside the media --
                 if media_packets <= 0 or fec_none:
                     fec_packets = 0
                 elif fec_webrtc:
-                    # webrtc_protection_factor: threshold walk over
-                    # repro.fec.tables._PROTECTION_TABLE (keep in
-                    # sync), keyframes at twice the factor capped at 1.
+                    # The WebRTC loss-rate table (the thresholds of
+                    # repro.fec.tables._PROTECTION_TABLE) with
+                    # fractional carry, keyframes at twice the factor
+                    # capped at 1.
                     lr = loss_ewma
                     if lr <= 0.002:
                         pf = 0.0
@@ -1097,7 +1046,7 @@ class FlowCall:
                             fec_packets = media_packets
                 fec_bytes = fec_packets * mtu
 
-                # -- FlowLink.push, inlined --
+                # -- fluid queue (FlowLink.push, inlined) --
                 backlog = link.backlog_bytes - cap * dt / 8.0
                 if backlog < 0.0:
                     backlog = 0.0
@@ -1118,9 +1067,10 @@ class FlowCall:
                     queue_delay = backlog * 8.0 / cap
                 overflow_packets = int(overflow // mtu)
 
-                # -- path_frame_outcome + binomial_draw, inlined (keep
-                # in sync; the draw order and skip conditions are the
-                # calibration contract) --
+                # -- the frame's fate on this path (steps 1-3 of
+                # repro.flow.frames, binomial_draw inlined; the draw
+                # order and skip conditions are the calibration
+                # contract) --
                 p = frame_loss
                 if media_packets <= 0 or p <= 0.0:
                     lost_media = 0
@@ -1172,7 +1122,7 @@ class FlowCall:
                         delivered = True
                         rtx_rounds = 0
                     else:
-                        # RTX rounds are rare: the reference sampler is
+                        # RTX rounds are rare: the factored sampler is
                         # cheap enough off the common path.
                         rtx_rounds = 0
                         while remaining > 0 and rtx_rounds < MAX_RTX_ROUNDS:
@@ -1253,8 +1203,11 @@ class FlowCall:
                             (media_packets + fec_packets - 1) * mtu * 8.0
                         )
 
-                # -- SteadyStateGcc.advance + update, inlined --
-                # drift: pair(flow-controller) impl
+                # -- controller step: fold the frame's samples, then
+                # the regimes of repro.flow.rate_control.  In outage
+                # the samples are folded but the rate logic does not
+                # run (the watchdog owns the rate then); a frozen
+                # controller neither grows nor cuts --
                 srtt = ctrl.srtt
                 srtt += RTT_SMOOTHING * (srtt_sample - srtt)
                 ctrl.srtt = srtt
@@ -1357,7 +1310,6 @@ class FlowCall:
                     elif rate > gcc_max:
                         rate = gcc_max
                     ctrl.rate = rate
-                # drift: end
 
                 completion = (
                     (queue_delay if queue_delay < 4.0 else 4.0)
@@ -1368,10 +1320,6 @@ class FlowCall:
                 state.out_delivered = delivered
                 state.out_completion = completion
                 state.out_killed = killed
-                if not single_stream:
-                    outcomes[pid] = (
-                        delivered, completion, delivered_bytes, srtt, killed
-                    )
                 step_media += media_bytes
                 step_fec += fec_bytes
 
@@ -1396,73 +1344,56 @@ class FlowCall:
                     instant - protection
                 )
 
-            if single_stream:
-                if fid0 < 0:
-                    continue
-                # _finish_frame, inlined for the one-stream case (keep
-                # in sync): outcomes come from the out_* slots, the
-                # killed-share draws preserve the allocation-order RNG
-                # sequence, and the rendered record is built directly
-                # (same qp record_render would copy from the encoded
-                # entry written above).
-                stream0.frame_id = fid0 + 1
-                size = size0
+            if not encoded:
+                continue
+            # Decide render or drop for each stream's frame from the
+            # out_* slots of the paths that carried its bytes.
+            for ssrc, stream in stream_rows:
+                frame_id = stream.frame_id
+                stream.frame_id = frame_id + 1
+                size = stream.size
                 completion = 0.0
                 any_failed = False
                 dropped = False
-                for pid, state in send_items:
-                    sent_bytes = state.step_bytes
+                for state, sent_bytes in stream.alloc:
                     if sent_bytes <= 0:
                         continue
                     if state.out_killed:
-                        kill_share = (
-                            sent_bytes / size if size > 0 else 1.0
-                        )
-                        if rng_random() < kill_share:
-                            # _drop_frame, inlined (keep in sync).
-                            self._frame_drops += 1
-                            drops_append((now, 0, fid0, "lost"))
-                            metrics.frame_drop_count += 1
-                            if (
-                                not stream0.blocked
-                                or stream0.request_at == inf
-                            ):
-                                stream0.request_at = (
-                                    now + _KEYFRAME_RECOVERY_DELAY
-                                )
-                            stream0.blocked = True
+                        # A burst-killed slice defeats recovery for the
+                        # packets it covered.  Whether that takes the
+                        # whole frame down scales with how much of the
+                        # frame rode this path — the packet goldens
+                        # lose roughly one frame per call to a burst,
+                        # single-path and multipath alike, because a
+                        # smaller slice gives the burst fewer packets
+                        # to hit.
+                        if rng_random() < sent_bytes / size:
+                            drop_frame(now, ssrc, frame_id, "lost")
                             dropped = True
                             break
-                        state.out_failed = True
                         any_failed = True
                         continue
                     path_completion = state.out_completion
                     if path_completion > completion:
                         completion = path_completion
                     if not state.out_delivered:
-                        state.out_failed = True
                         any_failed = True
                 if dropped:
                     continue
                 if any_failed:
+                    # Survivors: every sending path that delivered
+                    # (a failed path never reads as delivered).
                     best_state: Optional[_PathState] = None
                     best_completion = inf
-                    for pid, state in send_items:
-                        if state.out_failed or not state.out_delivered:
-                            continue
-                        if state.out_completion < best_completion:
+                    for _pid, state in send_items:
+                        if (
+                            state.out_delivered
+                            and state.out_completion < best_completion
+                        ):
                             best_state = state
                             best_completion = state.out_completion
                     if best_state is None:
-                        # _drop_frame, inlined (keep in sync).
-                        self._frame_drops += 1
-                        drops_append((now, 0, fid0, "lost"))
-                        metrics.frame_drop_count += 1
-                        if not stream0.blocked or stream0.request_at == inf:
-                            stream0.request_at = (
-                                now + _KEYFRAME_RECOVERY_DELAY
-                            )
-                        stream0.blocked = True
+                        drop_frame(now, ssrc, frame_id, "lost")
                         continue
                     # Salvage: the failed share rides the best survivor
                     # as priority retransmissions, one extra RTT there.
@@ -1470,35 +1401,27 @@ class FlowCall:
                     if salvage > completion:
                         completion = salvage
                 if completion > max_latency:
-                    # _drop_frame, inlined (keep in sync).
-                    self._frame_drops += 1
-                    drops_append((now, 0, fid0, "late"))
-                    metrics.frame_drop_count += 1
-                    if not stream0.blocked or stream0.request_at == inf:
-                        stream0.request_at = now + _KEYFRAME_RECOVERY_DELAY
-                    stream0.blocked = True
+                    drop_frame(now, ssrc, frame_id, "late")
                     continue
-                if stream0.blocked and not key0:
-                    # _drop_frame, inlined: a decode-gap drop is soft —
-                    # it never (re-)arms the keyframe-recovery clock.
-                    self._frame_drops += 1
-                    drops_append((now, 0, fid0, "decode-gap"))
-                    metrics.frame_drop_count += 1
+                is_key = stream.is_key
+                if stream.blocked and not is_key:
+                    # Soft drop: a casualty of the outage already on
+                    # the recovery clock (tens of frames per outage).
+                    record_drop(now, ssrc, frame_id, "decode-gap")
                     continue
                 render_time = now + completion
                 self._received_total += size
                 self._window_bytes += size
                 self._received_window.append((now, size))
-                if stream0.blocked:
-                    stream0.blocked = False
+                stream.blocked = False
                 rendered_append(
                     RenderedFrame(
-                        ssrc=0,
-                        frame_id=fid0,
+                        ssrc=ssrc,
+                        frame_id=frame_id,
                         capture_time=now,
                         render_time=render_time,
                         size_bytes=size,
-                        is_keyframe=key0,
+                        is_keyframe=is_key,
                         # Per-frame recovery attribution is a
                         # packet-level notion; aggregate FEC stats are
                         # reported via record_fec_stats.
@@ -1506,19 +1429,13 @@ class FlowCall:
                         qp=qp,
                     )
                 )
-                last_render = stream0.last_render
+                last_render = stream.last_render
                 if last_render > neg_inf:
                     ifd_times.append(now)
                     ifd_values.append(render_time - last_render)
-                stream0.last_render = render_time
+                stream.last_render = render_time
                 fcd_times.append(now)
                 fcd_values.append(completion)
-            else:
-                for ssrc, frame_id, size, is_key, allocation in frames:
-                    self._finish_frame(
-                        now, ssrc, frame_id, size, is_key, allocation,
-                        outcomes,
-                    )
 
         self._fec_received = fec_received_total
         self._fec_recovered = fec_recovered_total
@@ -1528,32 +1445,6 @@ class FlowCall:
 
     # -- per-step helpers --------------------------------------------------
 
-    # drift: pair(flow-single-stream) ref
-    def _encode_frame(
-        self, stream: _StreamState, rate: float, rng: random.Random
-    ) -> Tuple[int, bool]:
-        config = self.config.encoder_template
-        is_key = (
-            stream.frame_id == 0
-            or stream.frames_since_key >= config.gop_length
-            or stream.pending_keyframe
-        )
-        base = rate / 8.0 / self.config.frame_rate
-        if is_key:
-            size = base * config.keyframe_size_multiplier
-            stream.debt += size - base
-            stream.frames_since_key = 0
-            stream.pending_keyframe = False
-        else:
-            repay = min(stream.debt, _KEYFRAME_DEBT_REPAY * base)
-            size = base - repay
-            stream.debt -= repay
-            stream.frames_since_key += 1
-        jitter = config.size_jitter
-        size *= 1.0 + rng.uniform(-jitter, jitter)
-        return max(int(size), _MIN_FRAME_BYTES), is_key
-
-    # drift: pair(flow-single-stream) ref
     def _allocate(
         self,
         size: int,
@@ -1563,8 +1454,6 @@ class FlowCall:
         send_paths: List[int],
     ) -> Dict[int, int]:
         """Split one frame's bytes across paths, conserving every byte."""
-        if len(send_paths) == 1:
-            return {send_paths[0]: size}
         if is_key and self.config.system is SystemKind.CONVERGE:
             # Frame-level control (Algorithm 1): keyframes ride the
             # path with the shortest completion time, not the split.
@@ -1572,7 +1461,7 @@ class FlowCall:
                 send_paths,
                 key=lambda pid: self._paths[pid].ctrl.srtt
                 + self._paths[pid].link.queue_delay(
-                    max(self._paths[pid].ctrl.target(), 1.0)
+                    max(self._paths[pid].tgt, 1.0)
                 ),
             )
             return {best: size}
@@ -1585,111 +1474,20 @@ class FlowCall:
         allocation[send_paths[-1]] = size - assigned
         return allocation
 
-    # drift: pair(flow-single-stream) ref
-    def _finish_frame(
-        self,
-        now: float,
-        ssrc: int,
-        frame_id: int,
-        size: int,
-        is_key: bool,
-        allocation: Dict[int, int],
-        outcomes: Dict[int, Tuple[bool, float, int, float, bool]],
-    ) -> None:
-        metrics = self.metrics
-        stream = self._stream_states[ssrc]
-        stream.frame_id += 1
-
-        used = [pid for pid, b in allocation.items() if b > 0]
-        if not used:
-            # Nothing flowed (CM reconnect window): the frame vanishes.
-            self._drop_frame(now, ssrc, frame_id, "not-sent")
-            return
-
-        completion = 0.0
-        failed: List[int] = []
-        for pid in used:
-            outcome = outcomes.get(pid)
-            if outcome is None:
-                failed.append(pid)
-                continue
-            if outcome[4]:
-                # A burst-killed slice defeats recovery for the packets
-                # it covered.  Whether that takes the whole frame down
-                # scales with how much of the frame rode this path —
-                # the packet goldens lose roughly one frame per call to
-                # a burst, single-path and multipath alike, because a
-                # smaller slice gives the burst fewer packets to hit.
-                share = allocation[pid] / size if size > 0 else 1.0
-                if self._rng.random() < share:
-                    self._drop_frame(now, ssrc, frame_id, "lost")
-                    return
-                failed.append(pid)
-                continue
-            delivered, path_completion, _, _, _ = outcome
-            if path_completion > completion:
-                completion = path_completion
-            if not delivered:
-                failed.append(pid)
-
-        if failed:
-            survivors = [
-                pid
-                for pid in outcomes
-                if pid not in failed and outcomes[pid][0]
-            ]
-            if not survivors:
-                self._drop_frame(now, ssrc, frame_id, "lost")
-                return
-            # Salvage: the failed share rides the best survivor as
-            # priority retransmissions, costing one extra RTT there.
-            best = min(survivors, key=lambda pid: outcomes[pid][1])
-            salvage = outcomes[best][1] + outcomes[best][3]
-            if salvage > completion:
-                completion = salvage
-
-        if completion > self.config.receiver.max_playout_latency:
-            self._drop_frame(now, ssrc, frame_id, "late")
-            return
-
-        if stream.blocked and not is_key:
-            self._drop_frame(now, ssrc, frame_id, "decode-gap")
-            return
-
-        render_time = now + completion
-        self._record_receive(now, size)
-        if stream.blocked and is_key:
-            stream.blocked = False
-        frame = RenderedFrame(
-            ssrc=ssrc,
-            frame_id=frame_id,
-            capture_time=now,
-            render_time=render_time,
-            size_bytes=size,
-            is_keyframe=is_key,
-            # Per-frame recovery attribution is a packet-level notion;
-            # aggregate FEC stats are reported via record_fec_stats.
-            fec_recovered=False,
-        )
-        metrics.record_render(frame)
-        if stream.last_render > -math.inf:
-            metrics.record_ifd(now, render_time - stream.last_render)
-        stream.last_render = render_time
-        metrics.record_fcd(now, completion)
-
-    # drift: pair(flow-single-stream) ref
     def _drop_frame(
         self, now: float, ssrc: int, frame_id: int, reason: str
     ) -> None:
+        """A hard drop: the frame is lost or late, the decode chain breaks.
+
+        It (re-)arms the recovery clock: the receiver burns through
+        NACK retries and the abandon deadline before asking for a
+        keyframe.  The decode-gap drops that follow are downstream
+        casualties of an outage already on the clock; the loop records
+        them without coming here.
+        """
         stream = self._stream_states[ssrc]
-        hard = reason != "decode-gap"
-        self._frame_drops += 1
         self.metrics.record_frame_drop(now, ssrc, frame_id, reason)
-        # A hard drop (re-)arms the recovery clock: the receiver burns
-        # through NACK retries and the abandon deadline before asking
-        # for a keyframe.  Decode-gap drops are downstream casualties
-        # of an outage already on the clock.
-        if hard and (not stream.blocked or stream.request_at == math.inf):
+        if not stream.blocked or stream.request_at == math.inf:
             stream.request_at = now + _KEYFRAME_RECOVERY_DELAY
         stream.blocked = True
 
@@ -1704,11 +1502,6 @@ class FlowCall:
             stream.request_at = math.inf
             stream.pending_keyframe = True
             self.metrics.record_keyframe_request(now, ssrc)
-
-    def _record_receive(self, now: float, size: int) -> None:
-        self._received_total += size
-        self._window_bytes += size
-        self._received_window.append((now, size))
 
     def _sample_receive_rate(self, now: float) -> None:
         window = self._received_window
@@ -1752,7 +1545,6 @@ def run_flow_call(
     path_configs: Sequence[PathConfig],
     fault_plan: Optional[FaultPlan] = None,
     churn_scenario: Optional[str] = None,
-    force_reference: bool = False,
 ) -> CallResult:
     """Run one flow-fidelity call; drop-in twin of ``run_call``."""
     call = FlowCall(
@@ -1760,6 +1552,5 @@ def run_flow_call(
         path_configs,
         fault_plan=fault_plan,
         churn_scenario=churn_scenario,
-        force_reference=force_reference,
     )
     return call.run()

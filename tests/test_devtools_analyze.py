@@ -949,9 +949,9 @@ class TestRealTree:
         assert all(len(f.chain) >= 2 for f in taint)
 
     def test_mutating_reference_method_fails_r103(self, tmp_path):
-        # The acceptance demo: copy the real tree, edit a FlowCall
-        # reference method without touching the inlined loop, and the
-        # drift rule must fail.
+        # The acceptance demo: copy the real tree, edit the scalar
+        # flow loop without touching the array program, and the drift
+        # rule must fail.
         shutil.copytree(
             REPO_ROOT / "src" / "repro", tmp_path / "src" / "repro"
         )
@@ -959,12 +959,10 @@ class TestRealTree:
             shutil.copy(REPO_ROOT / name, tmp_path / name)
         session = tmp_path / "src/repro/flow/session.py"
         text = session.read_text()
-        needle = "return max(int(size), _MIN_FRAME_BYTES), is_key"
-        assert needle in text
+        needle = "size = _MIN_FRAME_BYTES\n"
+        assert text.count(needle) == 1
         session.write_text(
-            text.replace(
-                needle, "return max(int(size) + 1, _MIN_FRAME_BYTES), is_key"
-            )
+            text.replace(needle, "size = _MIN_FRAME_BYTES + 1\n")
         )
         config = AnalyzeConfig()
         result = analyze_tree(
@@ -976,7 +974,7 @@ class TestRealTree:
         drifted = [
             f
             for f in result.findings
-            if f.rule == "R103" and "flow-single-stream" in f.message
+            if f.rule == "R103" and "flow-batch" in f.message
         ]
         [finding] = drifted
         assert "'ref' side changed" in finding.message
@@ -992,9 +990,7 @@ class TestRealTree:
         baseline = load_baseline(
             REPO_ROOT / ".repro-analyze-baseline.json"
         )
-        assert set(result.current_pairs) == {
-            "flow-batch", "flow-controller", "flow-single-stream"
-        }
+        assert set(result.current_pairs) == {"flow-batch"}
         assert result.current_pairs == baseline.pairs
 
 

@@ -1,6 +1,6 @@
 """Property-based tests for the flow backend (hypothesis).
 
-Three invariant families, fuzzed rather than hand-picked:
+Four invariant families, the first three fuzzed rather than hand-picked:
 
 - *Byte conservation*: however a frame is split across paths, the
   per-path allocations sum to exactly the frame's bytes — no byte is
@@ -12,18 +12,23 @@ Three invariant families, fuzzed rather than hand-picked:
 - *Determinism*: a flow cell computes a byte-identical payload
   serially, across worker processes, and from a different process
   ordering — the same contract the packet core's golden suite pins.
+- *Frame ledger*: for any stream count, under faults and churn, every
+  encoded frame is rendered or dropped exactly once and frame ids run
+  consecutively from 0 — a step that sends nothing encodes nothing.
 """
 
 from typing import Dict, List
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import build_call_config
 from repro.core.config import SystemKind
 from repro.experiments.cells import ScenarioPaths, canonical_json, make_cell
-from repro.experiments.common import constant_paths
+from repro.experiments.common import constant_paths, scenario_paths
 from repro.experiments.runner import results_of, run_cells
+from repro.faults.scenarios import build_chaos_plan
 from repro.flow.session import FlowCall
 
 # -- byte conservation ------------------------------------------------------
@@ -152,3 +157,64 @@ def test_flow_pool_and_serial_are_byte_identical(system, seed):
     serial: List[dict] = [s.data for s in results_of(run_cells(cells, jobs=1))]
     pooled: List[dict] = [s.data for s in results_of(run_cells(cells, jobs=2))]
     assert canonical_json(serial) == canonical_json(pooled)
+
+
+# -- frame ledger -----------------------------------------------------------
+
+
+def _flow_chaos_call(
+    system: SystemKind,
+    scenario: str,
+    chaos: str,
+    num_streams: int,
+    duration: float,
+    seed: int = 1,
+) -> FlowCall:
+    paths = scenario_paths(scenario, duration, seed)
+    plan = build_chaos_plan(chaos, duration, seed=seed, num_paths=len(paths))
+    config = build_call_config(
+        system, duration=duration, num_streams=num_streams, seed=seed
+    )
+    call = FlowCall(config, paths, fault_plan=plan, churn_scenario=scenario)
+    call.run()
+    return call
+
+
+@pytest.mark.parametrize("num_streams", [1, 2, 3])
+@pytest.mark.parametrize(
+    "system,scenario,chaos",
+    [
+        # WebRTC-CM's reconnect window: whole steps that send nothing.
+        (SystemKind.WEBRTC_CM, "driving", "uplink-death"),
+        (SystemKind.CONVERGE, "migration", "path-churn"),
+        (SystemKind.MRTP, "driving", "loss-storm"),
+    ],
+    ids=["webrtc-cm+uplink-death", "converge+path-churn", "m-rtp+loss-storm"],
+)
+def test_every_frame_has_exactly_one_fate(
+    system: SystemKind, scenario: str, chaos: str, num_streams: int
+) -> None:
+    call = _flow_chaos_call(system, scenario, chaos, num_streams, 12.0)
+    metrics = call.metrics
+    fates = [(ssrc, fid) for _t, ssrc, fid, _r in metrics.frame_drops] + [
+        (frame.ssrc, frame.frame_id) for frame in metrics.rendered
+    ]
+    assert len(fates) == len(set(fates))
+    encoded = [stream.frame_id for stream in call._stream_states]
+    assert len(fates) == sum(encoded)
+    for ssrc, count in enumerate(encoded):
+        ids = sorted(fid for stream, fid in fates if stream == ssrc)
+        assert ids == list(range(count))
+
+
+def test_reconnect_window_does_not_replay_the_last_frame() -> None:
+    """Two-stream WebRTC-CM through an uplink death (20 s, seed 1):
+    the multi-stream finish stage used to re-finish the previous
+    step's frames on every step of the reconnect window, recording
+    frame 223 of each stream lost 46 times (664 drops)."""
+    call = _flow_chaos_call(
+        SystemKind.WEBRTC_CM, "driving", "uplink-death", 2, 20.0
+    )
+    dropped = [(ssrc, fid) for _t, ssrc, fid, _r in call.metrics.frame_drops]
+    assert len(dropped) == len(set(dropped))
+    assert call.metrics.frame_drop_count == len(dropped) == 574

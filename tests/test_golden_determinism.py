@@ -14,6 +14,14 @@ Regenerate after an intended behaviour change with::
 
 and commit the updated fixtures (and bump
 ``repro.experiments.cells.CODE_VERSION`` so stale caches die).
+
+The flow backend is pinned the same way by *reference data*: one
+sha256 per short flow cell in ``tests/goldens/flow/digests.json``
+(a subdirectory, because every ``tests/goldens/*.json`` stem is read
+as a packet golden elsewhere).  The scalar ``FlowCall.run`` loop has
+no second copy to be compared against; these digests, generated before
+a refactor and required to hold after it, are what says the loop still
+computes what it did.
 """
 
 import hashlib
@@ -25,9 +33,11 @@ import pytest
 
 from repro.core.config import SystemKind
 from repro.experiments.cells import ScenarioPaths, canonical_json, make_cell
-from repro.experiments.runner import results_of, run_cells
+from repro.experiments.fig14_15_comparison import RUNS
+from repro.experiments.runner import execute_cell, results_of, run_cells
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+FLOW_DIGESTS = GOLDEN_DIR / "flow" / "digests.json"
 UPDATE = os.environ.get("REPRO_UPDATE_GOLDENS") == "1"
 
 # One cell per scheduler; short enough to run in CI, long enough to
@@ -69,6 +79,10 @@ def golden_path(system: SystemKind) -> Path:
     return GOLDEN_DIR / f"{system.value.replace('/', '_')}.json"
 
 
+def payload_sha256(payload: dict) -> str:
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
 def golden_record(payload: dict) -> dict:
     """What the fixture stores: the scalar summary, the shape of the
     series, and a hash over the entire canonical payload.
@@ -83,9 +97,7 @@ def golden_record(payload: dict) -> dict:
             else len(series)
             for name, series in payload["series"].items()
         },
-        "payload_sha256": hashlib.sha256(
-            canonical_json(payload).encode("utf-8")
-        ).hexdigest(),
+        "payload_sha256": payload_sha256(payload),
     }
 
 
@@ -191,3 +203,88 @@ class TestChurnGolden:
             GOLDEN_DIR / "converge_path-churn.json",
             "converge+path-churn",
         )
+
+
+# ---------------------------------------------------------------------------
+# Flow digests
+
+
+# Long enough for a GOP boundary (grid) and for the fault windows to
+# outlast WebRTC-CM's 2 s failure timeout (chaos: the uplink-death
+# window is a fifth of the call).
+FLOW_GRID_DURATION = 4.0
+FLOW_CHAOS_DURATION = 12.0
+FLOW_CHAOS = (
+    ("rtcp-blackout", "driving"),
+    ("loss-storm", "driving"),
+    ("uplink-death", "driving"),
+    ("path-churn", "migration"),
+    ("wifi-lte-migration", "migration"),
+)
+FLOW_CHAOS_SYSTEMS = (
+    SystemKind.CONVERGE,
+    SystemKind.WEBRTC_CM,
+    SystemKind.MRTP,
+)
+
+
+def flow_digest_cells() -> dict:
+    """The seven Fig. 14 rows x scenario x 1-3 streams, and five chaos
+    plans x three systems x 1-2 streams, by name."""
+    cells = {}
+    for scenario in ("stationary", "walking", "driving"):
+        for system, path_id, label in RUNS:
+            for streams in (1, 2, 3):
+                name = f"{label or system.value}/{scenario}/x{streams}"
+                cells[name] = make_cell(
+                    ScenarioPaths(scenario),
+                    system,
+                    seed=SEED,
+                    duration=FLOW_GRID_DURATION,
+                    num_streams=streams,
+                    single_path_id=path_id,
+                    label=label,
+                    fidelity="flow",
+                )
+    for chaos, scenario in FLOW_CHAOS:
+        for system in FLOW_CHAOS_SYSTEMS:
+            for streams in (1, 2):
+                name = f"{system.value}+{chaos}/{scenario}/x{streams}"
+                cells[name] = make_cell(
+                    ScenarioPaths(scenario),
+                    system,
+                    seed=SEED,
+                    duration=FLOW_CHAOS_DURATION,
+                    num_streams=streams,
+                    chaos=chaos,
+                    fidelity="flow",
+                )
+    return cells
+
+
+@pytest.fixture(scope="module")
+def flow_digests():
+    """Every digest cell run once through the scalar flow session."""
+    digests = {
+        name: payload_sha256(execute_cell(cell))
+        for name, cell in flow_digest_cells().items()
+    }
+    if UPDATE:
+        FLOW_DIGESTS.parent.mkdir(parents=True, exist_ok=True)
+        FLOW_DIGESTS.write_text(
+            json.dumps(digests, indent=2, sort_keys=True) + "\n"
+        )
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(flow_digest_cells()))
+def test_flow_digest(flow_digests, name):
+    if UPDATE:
+        pytest.skip(f"regenerated {FLOW_DIGESTS.name}")
+    pinned = json.loads(FLOW_DIGESTS.read_text())
+    assert flow_digests[name] == pinned[name], (
+        f"{name}: flow payload drifted from tests/goldens/flow/"
+        "digests.json — if intended, regenerate with "
+        "REPRO_UPDATE_GOLDENS=1, bump CODE_VERSION and name the cells "
+        "that moved in CHANGES.md"
+    )

@@ -1,16 +1,15 @@
-"""Benchmark: `repro analyze` cold vs warm on the real tree.
+"""Benchmark: one cold `repro analyze` pass on the real tree.
 
-The whole-program analyzer is meant to run on every commit, so its
-warm path (per-module summaries served from the sha256-keyed cache,
-only the interprocedural passes re-run) must stay interactive.  This
-bench runs the full analysis over ``src/repro`` twice against a
-private cache file — once cold, once warm — prints both timings plus
-the module/edge counts, and asserts the warm run beats the acceptance
-budget.
+The analyzer is meant to run on every commit and has no cache, so the
+one pass there is — every file parsed once, local rules and symbol
+extraction on the same tree, then the whole-program rules — must stay
+interactive.  This bench runs the full analysis over ``src/repro``
+under the committed configuration, prints the timing plus the
+module/function/edge counts, and asserts the acceptance budget.
 
-Knobs (environment): ``REPRO_ANALYZE_WARM_BUDGET`` (seconds, default
-2.0 — the DEVTOOLS.md acceptance bar), ``REPRO_BENCH_OUT`` (output
-directory for ``BENCH_analyze.json``).
+The budget is the DEVTOOLS.md acceptance bar, 2.0 s.  Knob
+(environment): ``REPRO_BENCH_OUT`` (output directory for
+``BENCH_analyze.json``).
 """
 
 import json
@@ -22,41 +21,30 @@ from repro.devtools.analyze import analyze_tree
 from repro.devtools.config import load_analyze_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-WARM_BUDGET_S = float(os.environ.get("REPRO_ANALYZE_WARM_BUDGET", "2.0"))
+BUDGET_S = 2.0
 
 
-def test_bench_analyze_warm_under_budget(tmp_path):
+def test_bench_analyze_under_budget():
     config = load_analyze_config(REPO_ROOT / "pyproject.toml")
-    config.cache = str(tmp_path / "analyze-cache.json")
     paths = [str(REPO_ROOT / p) for p in config.paths]
 
     start = perf_counter()
-    cold = analyze_tree(paths, config, base=REPO_ROOT, use_cache=True)
-    cold_s = perf_counter() - start
-
-    start = perf_counter()
-    warm = analyze_tree(paths, config, base=REPO_ROOT, use_cache=True)
-    warm_s = perf_counter() - start
-
-    assert cold.parsed == cold.modules, "cold run must parse everything"
-    assert warm.cached == warm.modules, "warm run must be fully cached"
-    assert [f.message for f in warm.findings] == [
-        f.message for f in cold.findings
-    ], "cache round-trip changed the analysis verdict"
+    result = analyze_tree(paths, config, base=REPO_ROOT)
+    seconds = perf_counter() - start
 
     report = {
-        "modules": cold.modules,
-        "functions": len(warm.index.functions),
-        "edges": sum(len(v) for v in warm.index.edges.values()),
-        "cold_seconds": round(cold_s, 3),
-        "warm_seconds": round(warm_s, 3),
-        "speedup": round(cold_s / warm_s, 1) if warm_s > 0 else None,
-        "warm_budget_seconds": WARM_BUDGET_S,
+        "modules": result.modules,
+        "functions": len(result.index.functions),
+        "edges": sum(len(v) for v in result.index.edges.values()),
+        "findings": len(result.findings),
+        "seconds": round(seconds, 3),
+        "budget_seconds": BUDGET_S,
     }
     print(
-        "\nBENCH analyze: {modules} modules, {edges} edges | "
-        "cold {cold_seconds}s, warm {warm_seconds}s "
-        "(budget {warm_budget_seconds}s)".format(**report)
+        "\nBENCH analyze: {modules} modules, {functions} functions, "
+        "{edges} edges | {seconds}s (budget {budget_seconds}s)".format(
+            **report
+        )
     )
     out_dir = os.environ.get("REPRO_BENCH_OUT")
     if out_dir:
@@ -66,6 +54,6 @@ def test_bench_analyze_warm_under_budget(tmp_path):
             json.dumps(report, indent=2) + "\n"
         )
 
-    assert warm_s < WARM_BUDGET_S, (
-        f"warm analyze took {warm_s:.2f}s, budget {WARM_BUDGET_S}s"
+    assert seconds < BUDGET_S, (
+        f"analyze took {seconds:.2f}s, budget {BUDGET_S}s"
     )

@@ -14,7 +14,6 @@ Usage::
     python -m repro cache shard --shards 4 --out shards/
     python -m repro cache merge shards/shard-0 shards/shard-1
     python -m repro cache clear
-    python -m repro lint --format json
     python -m repro analyze --format sarif
     python -m repro list
 
@@ -34,7 +33,6 @@ from repro.analysis.export import save_run_report_json
 from repro.analysis.plots import render_series, sparkline
 from repro.core.config import FecMode, SystemKind
 from repro.devtools.analyze import add_analyze_arguments, run_analyze
-from repro.devtools.lint import add_lint_arguments, run_lint
 from repro.experiments import (
     fig01_motivation,
     fig03_multipath_not_enough,
@@ -340,15 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"source cache directory (default: {default_cache_dir()})",
     )
 
-    lint_parser = sub.add_parser(
-        "lint",
-        help="run the simulation-safety static analysis (rules R001-R007)",
-    )
-    add_lint_arguments(lint_parser)
-
     analyze_parser = sub.add_parser(
         "analyze",
-        help="run the whole-program determinism analysis (rules R100-R103)",
+        help="run the determinism/unit static analysis "
+        "(rules R003-R007, R100-R103)",
     )
     add_analyze_arguments(analyze_parser)
 
@@ -726,12 +719,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     sim_profiler = SimProfiler()
     c_profiler = cProfile.Profile()
     # Profiling measures real elapsed wall time by design.
-    start = perf_counter()  # lint: ok(R001)
+    start = perf_counter()
     c_profiler.enable()
     for cell in cells:
         execute_cell(cell, profiler=sim_profiler)
     c_profiler.disable()
-    wall = perf_counter() - start  # lint: ok(R001)
+    wall = perf_counter() - start
 
     sim_seconds = sum(cell.duration for cell in cells)
     print(
@@ -885,7 +878,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "experiment": _cmd_experiment,
         "profile": _cmd_profile,
         "cache": _cmd_cache,
-        "lint": run_lint,
         "analyze": run_analyze,
         "list": _cmd_list,
     }

@@ -1,27 +1,11 @@
 """Static-analysis tooling for the simulator's own invariants.
 
 The correctness of this reproduction rests on properties no generic
-linter checks: byte-identical determinism of the event loop, seeded-RNG
-discipline in the process-pool runner, and consistent time/size units
-across the GCC and scheduler math.  :mod:`repro.devtools.lint` enforces
-them as AST-level rules (R001-R007) runnable as ``repro lint`` or
-``python -m repro.devtools.lint``; see DEVTOOLS.md for the rule
-catalogue and waiver syntax.
+linter checks: byte-identical determinism of everything that runs
+inside a cell, seeded-RNG discipline in the process-pool runner, and
+consistent time/size units across the GCC and scheduler math.
+:mod:`repro.devtools.analyze` enforces them in one pass — local AST
+rules (R003-R007) and whole-program rules (R101-R103) — runnable as
+``repro analyze`` or ``python -m repro.devtools.analyze``; see
+DEVTOOLS.md for the rule catalogue, scope table and waiver syntax.
 """
-
-from typing import Any
-
-from repro.devtools.diagnostics import Diagnostic, Severity
-
-__all__ = ["Diagnostic", "Severity", "lint_paths", "lint_source"]
-
-
-def __getattr__(name: str) -> Any:
-    # Lazy re-export: importing the package must not pre-import the
-    # lint module, or `python -m repro.devtools.lint` trips runpy's
-    # found-in-sys.modules warning.
-    if name in ("lint_paths", "lint_source"):
-        from repro.devtools import lint
-
-        return getattr(lint, name)
-    raise AttributeError(name)

@@ -1,11 +1,11 @@
-"""Whole-program determinism analyzer (``repro analyze``).
+"""The static analyzer (``repro analyze``).
 
-Interprocedural companion to the per-function linter
-(:mod:`repro.devtools.lint`): builds a package-wide symbol table and
-call graph, then checks the global invariants the linter cannot see —
-transitive nondeterminism taint (R101), unit flow across function
-boundaries (R102) and dual-implementation drift (R103).  See the
-"Interprocedural analysis" chapter of DEVTOOLS.md.
+One pass parses every file once, runs the local rules (R003-R007) on
+the tree, builds a package-wide symbol table and call graph from the
+same tree, then checks the invariants no single file shows —
+nondeterminism sources in or reachable from simulated code (R101),
+unit flow across function boundaries (R102) and dual-implementation
+drift (R103).  See DEVTOOLS.md.
 """
 
 from repro.devtools.analyze.baseline import (
@@ -26,6 +26,7 @@ from repro.devtools.analyze.model import (
     RULE_SUMMARIES,
     Finding,
     Location,
+    Severity,
     sort_findings,
 )
 from repro.devtools.analyze.output import render_sarif, sarif_document
@@ -45,6 +46,7 @@ __all__ = [
     "ModuleSummary",
     "ProgramIndex",
     "RULE_SUMMARIES",
+    "Severity",
     "UnitTables",
     "add_analyze_arguments",
     "analyze_tree",

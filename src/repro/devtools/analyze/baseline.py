@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-from repro.devtools.analyze.model import Finding
-from repro.devtools.diagnostics import Severity
+from repro.devtools.analyze.model import Finding, Severity
 
 FORMAT_VERSION = 1
 

@@ -309,10 +309,12 @@ class ProgramIndex:
     def resolve_roots(
         self, specs: Sequence[str]
     ) -> Tuple[List[str], List[str]]:
-        """Resolve root specs (functions or classes) to function keys.
+        """Resolve root specs to function keys.
 
-        A class spec roots every method the class itself defines.
-        Returns (resolved, unmatched-specs).
+        A spec names a function, a class (every method the class itself
+        defines is a root) or a module/package prefix (every function
+        and ``<module>`` body under it is a root).  Returns (resolved,
+        unmatched-specs).
         """
         resolved: List[str] = []
         missing: List[str] = []
@@ -328,6 +330,15 @@ class ProgramIndex:
                     key = f"{spec}.{method}"
                     if key in self.functions:
                         resolved.append(key)
+                continue
+            under = [
+                full
+                for full, (summary, _info) in self.functions.items()
+                if summary.module == spec
+                or summary.module.startswith(spec + ".")
+            ]
+            if under:
+                resolved.extend(under)
                 continue
             missing.append(spec)
         # Deterministic, deduplicated order.

@@ -30,7 +30,6 @@ from typing import Dict, List, Tuple
 
 from repro.devtools.analyze.model import Finding
 from repro.devtools.analyze.symbols import DriftRegion, ModuleSummary
-from repro.devtools.diagnostics import Severity
 
 SIDES = ("impl", "ref")
 
@@ -95,7 +94,6 @@ def run_drift(
                     line=line,
                     rule="R100",
                     message=f"drift marker error: {message}",
-                    severity=Severity.ERROR,
                 )
             )
 
@@ -118,7 +116,6 @@ def run_drift(
                         f"'{present[0]}' side; add the matching "
                         f"'{missing[0]}' marker(s)"
                     ),
-                    severity=Severity.ERROR,
                 )
             )
             continue
@@ -137,7 +134,6 @@ def run_drift(
                         "(tests/test_flow_batch.py and friends), then "
                         "run `repro analyze --update-pairs`"
                     ),
-                    severity=Severity.ERROR,
                 )
             )
             continue
@@ -164,7 +160,6 @@ def run_drift(
                         "byte-identical), then run "
                         "`repro analyze --update-pairs`"
                     ),
-                    severity=Severity.ERROR,
                 )
             )
         elif len(changed) == 2:
@@ -180,7 +175,6 @@ def run_drift(
                         "equivalence suite, then `repro analyze "
                         "--update-pairs` to re-acknowledge"
                     ),
-                    severity=Severity.ERROR,
                 )
             )
 
@@ -196,7 +190,6 @@ def run_drift(
                         "such markers exist in the tree; remove the "
                         "entry with `repro analyze --update-pairs`"
                     ),
-                    severity=Severity.ERROR,
                 )
             )
 

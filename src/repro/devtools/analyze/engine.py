@@ -5,30 +5,33 @@ Usage::
     repro analyze [paths ...] [--format text|json|sarif]
     python -m repro.devtools.analyze
 
-Builds the whole-package symbol table + call graph (:mod:`.symbols`,
-:mod:`.callgraph`) and runs the interprocedural rules on top:
+One pass over every ``.py`` file under the given paths (default: the
+``paths`` key of ``[tool.repro-analyze]`` in the nearest
+``pyproject.toml``): each file is parsed once, and the same tree feeds
+the local rules (:mod:`.rules`, R003-R007) and the symbol extraction
+(:mod:`.symbols`) the whole-program rules run on:
 
-* R101 — transitive nondeterminism taint from the simulation roots;
+* R101 — nondeterminism sources in or reachable from simulated code;
 * R102 — unit-flow inference (``units.toml`` overlay + suffixes);
 * R103 — dual-implementation drift over ``# drift: pair(...)`` regions.
 
-Findings already recorded in the committed baseline
-(`.repro-analyze-baseline.json`) pass; new ones fail with exit code 1.
-Per-module summaries are cached keyed by file sha256, which is what
-keeps warm runs under the 2-second budget on the full tree.  Exit
-codes match ``repro lint``: 0 clean, 1 findings, 2 invocation error.
+A finding on a line carrying ``# lint: ok(Rxxx)`` is waived, one in a
+file matching the rule's ``exclude`` patterns is dropped, and one
+already recorded in the committed baseline
+(`.repro-analyze-baseline.json`) passes.  Exit code 0 means no
+error-severity findings; 1 means at least one; 2 means the invocation
+itself failed (unreadable path, no TOML parser).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
+import ast
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.devtools.analyze.baseline import (
     Baseline,
@@ -38,13 +41,12 @@ from repro.devtools.analyze.baseline import (
     load_baseline,
     save_baseline,
 )
-from repro.devtools.analyze.cache import SummaryCache
 from repro.devtools.analyze.callgraph import ProgramIndex
 from repro.devtools.analyze.drift import run_drift
 from repro.devtools.analyze.model import (
     RULE_SUMMARIES,
-    WAIVER_ALIASES,
     Finding,
+    Severity,
     sort_findings,
 )
 from repro.devtools.analyze.output import (
@@ -52,24 +54,17 @@ from repro.devtools.analyze.output import (
     render_sarif,
     render_text,
 )
+from repro.devtools.analyze.rules import run_rules
 from repro.devtools.analyze.symbols import ModuleSummary, extract_module
 from repro.devtools.analyze.taint import run_taint
 from repro.devtools.analyze.units import UnitsError, UnitTables, run_units
 from repro.devtools.config import (
     AnalyzeConfig,
+    ConfigError,
     find_pyproject,
     load_analyze_config,
+    load_toml,
 )
-from repro.devtools.diagnostics import Severity
-from repro.devtools.lint import _display_path, _iter_python_files
-
-try:  # Python 3.11+
-    import tomllib as _toml
-except ImportError:  # pragma: no cover - 3.9/3.10 fallback
-    try:
-        import tomli as _toml  # type: ignore[import-not-found,no-redef]
-    except ImportError:
-        _toml = None  # type: ignore[assignment]
 
 
 @dataclass
@@ -80,8 +75,6 @@ class AnalysisResult:
     raw_findings: List[Finding] = field(default_factory=list)
     baselined: int = 0
     modules: int = 0
-    parsed: int = 0
-    cached: int = 0
     elapsed_seconds: float = 0.0
     summaries: List[ModuleSummary] = field(default_factory=list)
     index: Optional[ProgramIndex] = None
@@ -92,36 +85,56 @@ class AnalysisResult:
     def summary_line(self) -> str:
         return (
             f"repro analyze: {self.modules} module(s) "
-            f"({self.parsed} parsed, {self.cached} cached) "
             f"in {self.elapsed_seconds:.2f}s"
         )
 
     def stats(self) -> Dict[str, object]:
         return {
             "modules": self.modules,
-            "parsed": self.parsed,
-            "cached": self.cached,
             "elapsed_seconds": round(self.elapsed_seconds, 4),
             "baselined": self.baselined,
         }
 
 
-def _load_units(base: Path, config: AnalyzeConfig) -> "tuple[UnitTables, List[Finding]]":
+def _iter_python_files(root: Path) -> List[Path]:
+    if root.is_file():
+        return [root]
+    return sorted(
+        path
+        for path in root.rglob("*.py")
+        if "__pycache__" not in path.parts
+        and not any(part.startswith(".") for part in path.parts)
+    )
+
+
+def _display_path(path: Path, base: Path) -> str:
+    try:
+        return path.resolve().relative_to(base.resolve()).as_posix()
+    except ValueError:
+        return path.as_posix()
+
+
+def _config_finding(
+    file: str, message: str, severity: Severity = Severity.ERROR
+) -> Finding:
+    """R100: the analysis inputs, not the analyzed code, are off."""
+    return Finding(
+        file=file, line=1, rule="R100", message=message, severity=severity
+    )
+
+
+def _load_units(
+    base: Path, config: AnalyzeConfig
+) -> Tuple[UnitTables, List[Finding]]:
     path = base / config.units
-    if not path.is_file() or _toml is None:
+    if not path.is_file():
         return UnitTables(), []
     try:
-        with open(path, "rb") as handle:
-            data = _toml.load(handle)
-        return UnitTables(data), []
+        return UnitTables(load_toml(path)), []
     except (UnitsError, ValueError, OSError) as exc:
         return UnitTables(), [
-            Finding(
-                file=config.units,
-                line=1,
-                rule="R100",
-                message=f"cannot load units overlay: {exc}",
-                severity=Severity.ERROR,
+            _config_finding(
+                config.units, f"cannot load units overlay: {exc}"
             )
         ]
 
@@ -130,15 +143,13 @@ def analyze_tree(
     paths: Sequence[str],
     config: Optional[AnalyzeConfig] = None,
     base: Optional[Path] = None,
-    use_cache: bool = True,
 ) -> AnalysisResult:
     """Run the full analysis over every ``.py`` file under ``paths``."""
     config = config if config is not None else AnalyzeConfig()
     base = base if base is not None else Path.cwd()
     result = AnalysisResult()
-    started = time.perf_counter()  # lint: ok(R001)
+    started = time.perf_counter()
 
-    cache = SummaryCache(base / config.cache if use_cache else None)
     findings: List[Finding] = []
     summaries: List[ModuleSummary] = []
     for raw in paths:
@@ -147,122 +158,77 @@ def analyze_tree(
             raise FileNotFoundError(f"no such path: {raw}")
         for file_path in _iter_python_files(root):
             rel = _display_path(file_path, base)
-            blob = file_path.read_bytes()
-            sha256 = hashlib.sha256(blob).hexdigest()
-            summary = cache.get(rel, sha256)
-            if summary is not None:
-                result.cached += 1
-            else:
-                result.parsed += 1
-                try:
-                    summary = extract_module(
-                        blob.decode("utf-8"), rel, sha256
+            source = file_path.read_text(encoding="utf-8")
+            try:
+                tree = ast.parse(source, filename=rel)
+            except SyntaxError as exc:
+                findings.append(
+                    Finding(
+                        file=rel,
+                        line=exc.lineno or 1,
+                        rule="R100",
+                        message=f"syntax error: {exc.msg}",
                     )
-                except SyntaxError as exc:
-                    findings.append(
-                        Finding(
-                            file=rel,
-                            line=exc.lineno or 1,
-                            rule="R100",
-                            message=f"syntax error: {exc.msg}",
-                            severity=Severity.ERROR,
-                        )
-                    )
-                    continue
-                cache.put(summary)
-            summaries.append(summary)
-    cache.prune({s.rel_path for s in summaries})
-    cache.save()
+                )
+                continue
+            summaries.append(extract_module(source, rel, tree))
+            findings.extend(
+                run_rules(tree, rel, config.is_slots_module(rel))
+            )
     result.modules = len(summaries)
     result.summaries = summaries
 
     index = ProgramIndex(summaries)
     result.index = index
-    by_module = {s.module: s for s in summaries}
 
-    def is_waived(rule: str, module: str, line: int) -> bool:
-        summary = by_module.get(module)
-        if summary is None:
-            return False
-        waived = set(summary.waivers.get(line, []))
-        aliases = WAIVER_ALIASES.get(rule, (rule,))
-        return bool(waived.intersection(aliases))
-
-    def is_excluded(rule: str, rel_path: str) -> bool:
-        return config.rule_excluded(rule, rel_path)
-
-    if config.rule_enabled("R101"):
-        roots, missing = index.resolve_roots(config.roots)
-        for spec in missing:
-            findings.append(
-                Finding(
-                    file="pyproject.toml",
-                    line=1,
-                    rule="R100",
-                    message=(
-                        f"analysis root '{spec}' does not resolve to a "
-                        "function or class in the analyzed tree"
-                    ),
-                    severity=Severity.WARNING,
-                )
-            )
-        findings.extend(run_taint(index, roots, is_waived, is_excluded))
+    roots, missing = index.resolve_roots(config.roots)
+    findings.extend(
+        _config_finding(
+            "pyproject.toml",
+            f"analysis root '{spec}' does not resolve to a function, "
+            "class, module or package in the analyzed tree",
+            Severity.WARNING,
+        )
+        for spec in missing
+    )
+    findings.extend(run_taint(index, roots))
 
     units_tables, units_findings = _load_units(base, config)
     findings.extend(units_findings)
-    if config.rule_enabled("R102"):
-        findings.extend(
-            run_units(index, units_tables, is_waived, is_excluded)
-        )
+    findings.extend(
+        _config_finding(config.units, problem, Severity.WARNING)
+        for problem in units_tables.unresolved(index)
+    )
+    findings.extend(run_units(index, units_tables))
 
     try:
         baseline = load_baseline(base / config.baseline)
     except BaselineError as exc:
         baseline = Baseline()
-        findings.append(
-            Finding(
-                file=config.baseline,
-                line=1,
-                rule="R100",
-                message=str(exc),
-                severity=Severity.ERROR,
-            )
-        )
+        findings.append(_config_finding(config.baseline, str(exc)))
     result.baseline = baseline
 
-    if config.rule_enabled("R103"):
-        drift_findings, current_pairs = run_drift(
-            summaries, baseline.pairs
-        )
-        result.current_pairs = current_pairs
-        drift_findings = [
-            f
-            for f in drift_findings
-            if not is_excluded(f.rule, f.file)
-            and not any(
-                is_waived(f.rule, s.module, f.line)
-                for s in summaries
-                if s.rel_path == f.file
-            )
-        ]
-        findings.extend(drift_findings)
-    else:
-        # R103 off: keep the acknowledged hashes so --update-pairs
-        # does not silently wipe them.
-        result.current_pairs = dict(baseline.pairs)
+    drift_findings, result.current_pairs = run_drift(
+        summaries, baseline.pairs
+    )
+    findings.extend(drift_findings)
 
-    demoted = [
-        dataclasses.replace(f, severity=Severity.WARNING)
-        if f.rule in config.warn
-        else f
-        for f in findings
-    ]
-    result.raw_findings = sort_findings(demoted)
+    # One suppression step for every rule: per-path excludes from the
+    # config, then `# lint: ok(Rxxx)` waivers on the finding's line.
+    waivers = {s.rel_path: s.waivers for s in summaries}
+    result.raw_findings = sort_findings(
+        [
+            f
+            for f in findings
+            if not config.rule_excluded(f.rule, f.file)
+            and f.rule not in waivers.get(f.file, {}).get(f.line, ())
+        ]
+    )
 
     fresh, matched, stale = apply_baseline(result.raw_findings, baseline)
     result.baselined = matched
     result.findings = sort_findings([*fresh, *stale])
-    result.elapsed_seconds = time.perf_counter() - started  # lint: ok(R001)
+    result.elapsed_seconds = time.perf_counter() - started
     return result
 
 
@@ -312,11 +278,7 @@ def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-config", action="store_true",
-        help="ignore pyproject.toml; run built-in defaults",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the per-module summary cache (always re-parse)",
+        help="ignore pyproject.toml: no roots, excludes or slots modules",
     )
     parser.add_argument(
         "--update-baseline", action="store_true",
@@ -339,52 +301,41 @@ def run_analyze(args: argparse.Namespace) -> int:
         for rule_id, summary in sorted(RULE_SUMMARIES.items()):
             print(f"{rule_id}  {summary}")
         return 0
-    if args.no_config:
-        config = AnalyzeConfig()
-        base = Path.cwd()
-    else:
-        pyproject = (
-            Path(args.config) if args.config else find_pyproject(Path.cwd())
-        )
-        config = load_analyze_config(pyproject)
-        base = pyproject.parent if pyproject is not None else Path.cwd()
-    unknown = [
-        r
-        for r in [*config.disable, *config.warn]
-        if r not in RULE_SUMMARIES
-    ]
-    if unknown:
-        print(
-            "repro analyze: unknown rule id(s) in config: "
-            f"{', '.join(unknown)}",
-            file=sys.stderr,
-        )
-        return 2
-    paths = list(args.paths) or [
-        str(base / p) if not Path(p).is_absolute() else p
-        for p in config.paths
-    ]
     try:
-        result = analyze_tree(
-            paths, config, base=base, use_cache=not args.no_cache
-        )
-    except (FileNotFoundError, OSError) as exc:
+        if args.no_config:
+            config = AnalyzeConfig()
+            base = Path.cwd()
+        else:
+            pyproject = (
+                Path(args.config)
+                if args.config
+                else find_pyproject(Path.cwd())
+            )
+            config = load_analyze_config(pyproject)
+            base = pyproject.parent if pyproject is not None else Path.cwd()
+        paths = list(args.paths) or [
+            str(base / p) if not Path(p).is_absolute() else p
+            for p in config.paths
+        ]
+        if not paths:
+            raise ConfigError(
+                "nothing to analyze: pass PATHs or set "
+                "[tool.repro-analyze] paths in pyproject.toml"
+            )
+        result = analyze_tree(paths, config, base=base)
+        if args.update_baseline or args.update_pairs:
+            update_baseline_file(
+                result, base, config,
+                update_findings=args.update_baseline,
+                update_pairs=args.update_pairs,
+            )
+            # Re-run against the freshly written baseline so the report
+            # reflects it; drift verdicts depend on the acknowledged
+            # pair hashes, not just on finding fingerprints.
+            result = analyze_tree(paths, config, base=base)
+    except (ConfigError, OSError) as exc:
         print(f"repro analyze: {exc}", file=sys.stderr)
         return 2
-
-    if args.update_baseline or args.update_pairs:
-        update_baseline_file(
-            result, base, config,
-            update_findings=args.update_baseline,
-            update_pairs=args.update_pairs,
-        )
-        # Re-run against the freshly written baseline so the report
-        # reflects it; drift verdicts depend on the acknowledged pair
-        # hashes, not just on finding fingerprints, and the second
-        # pass is nearly free with a warm cache.
-        result = analyze_tree(
-            paths, config, base=base, use_cache=not args.no_cache
-        )
 
     if args.format == "json":
         print(render_json(result.findings, result.stats()))
@@ -402,7 +353,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro analyze",
         description=(
-            "whole-program determinism analysis (rules R100-R103)"
+            "determinism and unit static analysis "
+            "(rules R003-R007, R100-R103)"
         ),
     )
     add_analyze_arguments(parser)

@@ -1,36 +1,47 @@
-"""Finding model for the whole-program analyzer.
+"""The finding model every rule of ``repro analyze`` emits.
 
-The interprocedural rules (R101-R103, see DEVTOOLS.md) need more than
-the linter's file/line/message triple: a taint finding carries the full
-source-to-sink call chain, and every finding carries a *stable
-fingerprint* so the committed baseline file keeps matching it across
-unrelated edits (fingerprints deliberately exclude line numbers).
+Local rules (R003-R007) and interprocedural rules (R101-R103, see
+DEVTOOLS.md) report the same :class:`Finding`: a taint finding carries
+the full source-to-sink call chain, and every finding carries a
+*stable fingerprint* so the committed baseline file keeps matching it
+across unrelated edits (fingerprints deliberately exclude line
+numbers).
 """
 
 from __future__ import annotations
 
+import enum
 import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
-from repro.devtools.diagnostics import Severity
+
+class Severity(enum.Enum):
+    """How a finding affects the exit code.
+
+    ``ERROR`` findings fail the run (exit code 1); ``WARNING``
+    findings are printed but do not gate.  Every rule reports errors —
+    the point of a determinism analyzer is that violations block
+    merges — and warnings are kept for configuration that names
+    nothing (an unresolved root or overlay entry, a stale baseline
+    entry).
+    """
+
+    WARNING = "warning"
+    ERROR = "error"
+
 
 #: Rule identifiers, kept stable for SARIF consumers and baselines.
 RULE_SUMMARIES: Dict[str, str] = {
+    "R003": "arithmetic mixes unit-suffixed identifiers",
+    "R004": "float ==/!= on a time or rate value",
+    "R005": "hot-path class lacks __slots__",
+    "R006": "lambda/nested function into pool submit or event queue",
+    "R007": "mutable default argument",
     "R100": "analysis configuration or marker error",
-    "R101": "nondeterminism source reachable from a simulation core",
+    "R101": "nondeterminism source in or reachable from simulated code",
     "R102": "unit mismatch across a function boundary",
     "R103": "dual-implementation pair drifted",
-}
-
-#: Legacy per-line waiver ids honoured by each interprocedural rule: a
-#: deliberate wall-clock read waived for the local linter (R001) must
-#: not re-fire through the whole-program view of the same invariant.
-WAIVER_ALIASES: Dict[str, Tuple[str, ...]] = {
-    "R100": ("R100",),
-    "R101": ("R101", "R001", "R002"),
-    "R102": ("R102", "R003"),
-    "R103": ("R103",),
 }
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Sequence
 
-from repro.devtools.analyze.model import RULE_SUMMARIES, Finding
-from repro.devtools.diagnostics import Severity
+from repro.devtools.analyze.model import RULE_SUMMARIES, Finding, Severity
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"

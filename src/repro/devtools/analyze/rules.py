@@ -1,18 +1,14 @@
-"""The simulation-safety lint rules (R001-R007).
+"""The local rules of ``repro analyze`` (R003-R007).
 
 Each rule is an :class:`ast.NodeVisitor` subclass with a class-level
-``rule_id`` and ``summary``; :func:`run_rules` instantiates the enabled
-rules for one parsed module and collects their
-:class:`~repro.devtools.diagnostics.Diagnostic` findings.
+``rule_id``; :func:`run_rules` runs them over one parsed module — the
+same tree :mod:`.symbols` extracts the whole-program summary from —
+and collects what they report as
+:class:`~repro.devtools.analyze.model.Finding` objects.
 
 The rules encode invariants this repository's correctness rests on and
 that no off-the-shelf tool checks:
 
-- R001  simulated code must read :attr:`Simulator.now`, never the wall
-        clock — one stray ``time.time()`` breaks byte-identical goldens;
-- R002  all randomness flows through per-cell seeded streams
-        (:class:`repro.simulation.random.RandomStreams`), never the
-        module-global ``random`` or unseeded ``numpy.random``;
 - R003  arithmetic must not silently mix unit-suffixed identifiers
         (``*_ms`` vs ``*_s``, ``*_bytes`` vs ``*_bits``, ...) — Eq. 1-3
         of the paper mix ``rtt_i/2``, FCD and pacing intervals where a
@@ -23,58 +19,46 @@ that no off-the-shelf tool checks:
         (picklability) or the event queue (per-packet closure
         allocation — PR 3's closure elimination stays enforced);
 - R007  no mutable default arguments.
+
+Wall-clock reads and global-RNG draws are not local rules: whether one
+matters depends on who can reach it, so :mod:`.symbols` records them
+per function and R101 (:mod:`.taint`) reports the reachable ones.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, List, Optional, Set, Tuple, Type
 
-from repro.devtools.diagnostics import Diagnostic, Severity
+from repro.devtools.analyze.model import Finding
 
 
 class Rule(ast.NodeVisitor):
-    """Base class: a visitor that appends diagnostics for one file."""
+    """Base class: a visitor that appends findings for one file."""
 
-    rule_id = "R000"
-    summary = ""
+    rule_id = ""
 
-    def __init__(self, rel_path: str, severity: Severity) -> None:
+    def __init__(self, rel_path: str) -> None:
         self.rel_path = rel_path
-        self.severity = severity
-        self.diagnostics: List[Diagnostic] = []
+        self.findings: List[Finding] = []
 
-    def check(self, tree: ast.Module) -> List[Diagnostic]:
+    def check(self, tree: ast.Module) -> List[Finding]:
         self.visit(tree)
-        return self.diagnostics
+        return self.findings
 
     def report(self, node: ast.AST, message: str) -> None:
-        self.diagnostics.append(
-            Diagnostic(
+        self.findings.append(
+            Finding(
                 file=self.rel_path,
                 line=getattr(node, "lineno", 1),
                 rule=self.rule_id,
                 message=message,
-                severity=self.severity,
             )
         )
 
 
 # ---------------------------------------------------------------------------
 # Shared identifier helpers
-
-
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """Flatten ``a.b.c`` attribute chains to a dotted string."""
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 # Unit vocabulary for R003/R004.  Each suffix maps to a (dimension,
@@ -177,200 +161,6 @@ def _is_temporal(node: ast.expr) -> bool:
     return any(token in _TEMPORAL_TOKENS for token in tokens)
 
 
-class _ImportTracker(ast.NodeVisitor):
-    """Resolves module and symbol aliases for import-sensitive rules."""
-
-    def __init__(self, modules: Sequence[str]) -> None:
-        # module dotted-name -> set of local aliases
-        self.module_aliases: Dict[str, Set[str]] = {m: set() for m in modules}
-        # local name -> "module.symbol" it was imported from
-        self.symbol_aliases: Dict[str, str] = {}
-        self._tracked = set(modules)
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name in self._tracked and (
-                alias.asname is not None or "." not in alias.name
-            ):
-                self.module_aliases[alias.name].add(
-                    alias.asname or alias.name
-                )
-            # ``import numpy.random`` (no alias) binds ``numpy``.
-            root = alias.name.split(".")[0]
-            if root in self._tracked and alias.asname is None:
-                self.module_aliases[root].add(root)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module is None:
-            return
-        for alias in node.names:
-            local = alias.asname or alias.name
-            full = f"{node.module}.{alias.name}"
-            self.symbol_aliases[local] = full
-            if full in self._tracked:
-                self.module_aliases[full].add(local)
-
-
-# ---------------------------------------------------------------------------
-# R001 — wall clock
-
-
-_WALL_CLOCK_CALLS = {
-    "time.time",
-    "time.time_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.process_time",
-    "time.process_time_ns",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-}
-
-
-class WallClockRule(Rule):
-    """R001: no wall-clock reads inside simulated code.
-
-    Simulation time is :attr:`Simulator.now`; a single ``time.time()``
-    in a component makes results depend on host speed and breaks the
-    golden determinism fixtures.  Profiling/benchmark modules are
-    excluded via config.
-    """
-
-    rule_id = "R001"
-    summary = "wall-clock read in simulated code (use Simulator.now)"
-
-    def visit_Module(self, node: ast.Module) -> None:
-        tracker = _ImportTracker(["time", "datetime", "datetime.datetime"])
-        tracker.visit(node)
-        self._time_aliases = tracker.module_aliases.get("time", set())
-        self._flagged_symbols = {
-            local
-            for local, full in tracker.symbol_aliases.items()
-            if full in _WALL_CLOCK_CALLS
-        }
-        self._datetime_class_aliases = {
-            local
-            for local, full in tracker.symbol_aliases.items()
-            if full in ("datetime.datetime", "datetime.date")
-        }
-        self._datetime_module_aliases = tracker.module_aliases.get(
-            "datetime", set()
-        )
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in self._flagged_symbols:
-            self.report(node, f"call to wall clock '{func.id}()'")
-        dotted = _dotted_name(func)
-        if dotted is not None:
-            self._check_dotted(node, dotted)
-        self.generic_visit(node)
-
-    def _check_dotted(self, node: ast.Call, dotted: str) -> None:
-        parts = dotted.split(".")
-        root, rest = parts[0], ".".join(parts[1:])
-        if root in self._time_aliases and f"time.{rest}" in _WALL_CLOCK_CALLS:
-            self.report(node, f"call to wall clock '{dotted}()'")
-        elif (
-            root in self._datetime_class_aliases
-            and rest in ("now", "utcnow", "today")
-        ):
-            self.report(node, f"call to wall clock '{dotted}()'")
-        elif (
-            root in self._datetime_module_aliases
-            and f"datetime.{rest}" in _WALL_CLOCK_CALLS
-        ):
-            self.report(node, f"call to wall clock '{dotted}()'")
-
-
-# ---------------------------------------------------------------------------
-# R002 — module-global randomness
-
-
-# random.Random / SystemRandom construction is fine (that is how the
-# seeded streams are built); drawing from the module-global instance or
-# reseeding it is not.
-_RANDOM_ALLOWED_ATTRS = {"Random", "SystemRandom"}
-_NUMPY_RANDOM_ALLOWED = {
-    "default_rng",
-    "Generator",
-    "SeedSequence",
-    "PCG64",
-}
-
-
-class GlobalRandomRule(Rule):
-    """R002: randomness must flow through per-cell seeded streams.
-
-    A draw from the module-global ``random`` (or a bare
-    ``numpy.random.*`` call) shares hidden state across cells, so a
-    worker that reorders two cells changes both results and parallel
-    sweeps stop being byte-identical to serial ones.
-    """
-
-    rule_id = "R002"
-    summary = "module-global RNG draw (use seeded RandomStreams)"
-
-    def visit_Module(self, node: ast.Module) -> None:
-        tracker = _ImportTracker(["random", "numpy", "numpy.random"])
-        tracker.visit(node)
-        self._random_aliases = tracker.module_aliases.get("random", set())
-        self._numpy_aliases = tracker.module_aliases.get("numpy", set())
-        self._numpy_random_aliases = tracker.module_aliases.get(
-            "numpy.random", set()
-        )
-        # ``from random import randint`` — any drawing symbol.
-        self._drawing_symbols = {
-            local
-            for local, full in tracker.symbol_aliases.items()
-            if full.startswith("random.")
-            and full.split(".")[1] not in _RANDOM_ALLOWED_ATTRS
-        }
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in self._drawing_symbols:
-            self.report(
-                node, f"draw from module-global random ('{func.id}()')"
-            )
-        dotted = _dotted_name(func)
-        if dotted is not None:
-            parts = dotted.split(".")
-            root = parts[0]
-            if (
-                root in self._random_aliases
-                and len(parts) == 2
-                and parts[1] not in _RANDOM_ALLOWED_ATTRS
-            ):
-                self.report(
-                    node, f"draw from module-global random ('{dotted}()')"
-                )
-            elif (
-                root in self._numpy_aliases
-                and len(parts) >= 3
-                and parts[1] == "random"
-                and parts[2] not in _NUMPY_RANDOM_ALLOWED
-            ):
-                self.report(
-                    node, f"unseeded numpy.random draw ('{dotted}()')"
-                )
-            elif (
-                root in self._numpy_random_aliases
-                and len(parts) == 2
-                and parts[1] not in _NUMPY_RANDOM_ALLOWED
-            ):
-                self.report(
-                    node, f"unseeded numpy.random draw ('{dotted}()')"
-                )
-        self.generic_visit(node)
-
-
 # ---------------------------------------------------------------------------
 # R003 — unit-suffix consistency
 
@@ -385,7 +175,6 @@ class UnitMixRule(Rule):
     """
 
     rule_id = "R003"
-    summary = "arithmetic mixes unit-suffixed identifiers"
 
     def visit_BinOp(self, node: ast.BinOp) -> None:
         if isinstance(node.op, (ast.Add, ast.Sub)):
@@ -434,7 +223,6 @@ class FloatEqualityRule(Rule):
     """
 
     rule_id = "R004"
-    summary = "float ==/!= on a time or rate value"
 
     def visit_Compare(self, node: ast.Compare) -> None:
         operands = [node.left, *node.comparators]
@@ -506,10 +294,9 @@ class SlotsRule(Rule):
     """
 
     rule_id = "R005"
-    summary = "hot-path class lacks __slots__"
 
-    # Only instantiated for files matching config.slots_modules; the
-    # engine handles that gating.
+    # Only instantiated for files matching config.slots_modules;
+    # run_rules handles that gating.
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         if not self._needs_slots(node):
@@ -581,7 +368,6 @@ class ClosureCaptureRule(Rule):
     """
 
     rule_id = "R006"
-    summary = "lambda/nested function into pool submit or event queue"
 
     def visit_Module(self, node: ast.Module) -> None:
         self._function_depth = 0
@@ -705,12 +491,11 @@ class MutableDefaultRule(Rule):
     """R007: no mutable default arguments.
 
     A shared default list/dict is cross-call (and in the runner,
-    cross-cell) hidden state — the same class of bug R002 bans for
-    RNGs.
+    cross-cell) hidden state — the same class of bug R101 bans for
+    global RNGs.
     """
 
     rule_id = "R007"
-    summary = "mutable default argument"
 
     def _check_defaults(self, node: ast.AST, args: ast.arguments) -> None:
         for default in [*args.defaults, *args.kw_defaults]:
@@ -745,8 +530,6 @@ class MutableDefaultRule(Rule):
 
 
 ALL_RULES: Tuple[Type[Rule], ...] = (
-    WallClockRule,
-    GlobalRandomRule,
     UnitMixRule,
     FloatEqualityRule,
     SlotsRule,
@@ -754,24 +537,18 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     MutableDefaultRule,
 )
 
-RULES_BY_ID: Dict[str, Type[Rule]] = {rule.rule_id: rule for rule in ALL_RULES}
-
 
 def run_rules(
-    tree: ast.Module,
-    rel_path: str,
-    enabled: Iterable[Type[Rule]],
-    warn_rules: Iterable[str] = (),
-) -> List[Diagnostic]:
-    """Run ``enabled`` rules over one parsed module."""
-    warn_set = set(warn_rules)
-    diagnostics: List[Diagnostic] = []
-    for rule_class in enabled:
-        severity = (
-            Severity.WARNING
-            if rule_class.rule_id in warn_set
-            else Severity.ERROR
-        )
-        diagnostics.extend(rule_class(rel_path, severity).check(tree))
-    diagnostics.sort(key=lambda d: (d.file, d.line, d.rule))
-    return diagnostics
+    tree: ast.Module, rel_path: str, slots_module: bool
+) -> List[Finding]:
+    """Run the local rules over one parsed module.
+
+    R005 only applies when ``slots_module`` says the file is one of the
+    configured hot-path modules.
+    """
+    findings: List[Finding] = []
+    for rule_class in ALL_RULES:
+        if rule_class is SlotsRule and not slots_module:
+            continue
+        findings.extend(rule_class(rel_path).check(tree))
+    return findings

@@ -1,15 +1,12 @@
 """Per-module symbol extraction for the whole-program analyzer.
 
-One call to :func:`extract_module` turns one source file into a
-:class:`ModuleSummary`: every function/method with its calls, taint
-source hits, unit-relevant facts and declared drift regions, plus the
-module's import tables and class layout.  Summaries are plain-data and
-JSON-serializable — the sha256-keyed cache (:mod:`.cache`) stores them
-verbatim, which is what makes warm ``repro analyze`` runs skip parsing
-entirely.  Everything that depends on *other* modules (call
-resolution, unit tables, pair matching) happens later, on top of the
-summaries, so a cached summary never goes stale because a different
-file changed.
+One call to :func:`extract_module` turns one parsed source file into a
+:class:`ModuleSummary`: every function/method with its calls,
+nondeterminism source hits, unit-relevant facts and declared drift
+regions, plus the module's import tables, class layout and per-line
+waivers.  Summaries are plain data about *one* file; everything that
+depends on other modules (call resolution, unit tables, pair matching)
+happens later, on top of the summaries.
 """
 
 from __future__ import annotations
@@ -21,31 +18,68 @@ import re
 import textwrap
 import tokenize
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.devtools.lint import parse_waivers
-from repro.devtools.rules import (
-    _NUMPY_RANDOM_ALLOWED,
-    _RANDOM_ALLOWED_ATTRS,
-    _WALL_CLOCK_CALLS,
-)
-
-#: Bump to invalidate cached summaries when extraction semantics change.
-SCHEMA_VERSION = 1
-
-#: Taint source categories (R101).
+#: Nondeterminism source categories (R101).
 WALL_CLOCK = "wall-clock"
 GLOBAL_RNG = "global-rng"
 ENV_READ = "env-read"
 OS_ENTROPY = "os-entropy"
 
+_WALL_CLOCK_CALLS = {
+    "time.time",
+    "time.time_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.process_time",
+    "time.process_time_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "datetime.date.today",
+}
+# Constructing random.Random(seed) is fine (that is how the seeded
+# streams are built); drawing from the module-global instance or
+# reseeding it is not.
+_RANDOM_ALLOWED_ATTRS = {"Random"}
+_NUMPY_RANDOM_ALLOWED = {
+    "default_rng",
+    "Generator",
+    "SeedSequence",
+    "PCG64",
+}
 _ENV_CALLS = {"os.getenv", "os.environ.get", "os.environb.get"}
 _ENTROPY_CALLS = {
     "os.urandom",
     "os.getrandom",
     "uuid.uuid1",
     "uuid.uuid4",
+    # Seeds itself from the OS: no seed makes it reproducible.
+    "random.SystemRandom",
 }
+
+# ``# lint: ok(R003)`` or ``# lint: ok(R003, R006)`` waives those rules
+# on the line the comment sits on.
+_WAIVER_PATTERN = re.compile(r"#\s*lint:\s*ok\(([^)]*)\)")
+
+
+def parse_waivers(source: str) -> Dict[int, Set[str]]:
+    """Map 1-based line numbers to the rule IDs waived on that line."""
+    waivers: Dict[int, Set[str]] = {}
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        match = _WAIVER_PATTERN.search(line)
+        if match:
+            rules = {
+                part.strip().upper()
+                for part in match.group(1).split(",")
+                if part.strip()
+            }
+            if rules:
+                waivers[lineno] = rules
+    return waivers
+
 
 #: Generic container/stdlib method names the conservative
 #: dynamic-dispatch fallback must not resolve by name: linking every
@@ -75,27 +109,6 @@ class CallSite:
     args: List[Optional[str]] = field(default_factory=list)
     kwargs: Dict[str, Optional[str]] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "line": self.line,
-            "raw": self.raw,
-            "recv_kind": self.recv_kind,
-            "recv_info": self.recv_info,
-            "args": list(self.args),
-            "kwargs": dict(self.kwargs),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CallSite":
-        return cls(
-            line=data["line"],
-            raw=data["raw"],
-            recv_kind=data["recv_kind"],
-            recv_info=data["recv_info"],
-            args=list(data["args"]),
-            kwargs=dict(data["kwargs"]),
-        )
-
 
 @dataclass
 class SourceHit:
@@ -104,15 +117,6 @@ class SourceHit:
     line: int
     category: str
     call: str  # canonical dotted name, e.g. "time.time"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"line": self.line, "category": self.category, "call": self.call}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SourceHit":
-        return cls(
-            line=data["line"], category=data["category"], call=data["call"]
-        )
 
 
 @dataclass
@@ -123,23 +127,6 @@ class UnitArith:
     call: CallSite  # the call operand (args unused, callee matters)
     other: str  # identifier display of the non-call operand
     op: str  # "+", "-", "cmp"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "line": self.line,
-            "call": self.call.to_dict(),
-            "other": self.other,
-            "op": self.op,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "UnitArith":
-        return cls(
-            line=data["line"],
-            call=CallSite.from_dict(data["call"]),
-            other=data["other"],
-            op=data["op"],
-        )
 
 
 @dataclass
@@ -158,37 +145,6 @@ class FunctionInfo:
     returns: List[Tuple[int, Optional[str]]] = field(default_factory=list)
     arith: List[UnitArith] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "qualname": self.qualname,
-            "line": self.line,
-            "end_line": self.end_line,
-            "class_name": self.class_name,
-            "params": list(self.params),
-            "param_annotations": dict(self.param_annotations),
-            "calls": [c.to_dict() for c in self.calls],
-            "source_hits": [h.to_dict() for h in self.source_hits],
-            "returns": [[line, disp] for line, disp in self.returns],
-            "arith": [a.to_dict() for a in self.arith],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionInfo":
-        return cls(
-            name=data["name"],
-            qualname=data["qualname"],
-            line=data["line"],
-            end_line=data["end_line"],
-            class_name=data["class_name"],
-            params=list(data["params"]),
-            param_annotations=dict(data["param_annotations"]),
-            calls=[CallSite.from_dict(c) for c in data["calls"]],
-            source_hits=[SourceHit.from_dict(h) for h in data["source_hits"]],
-            returns=[(line, disp) for line, disp in data["returns"]],
-            arith=[UnitArith.from_dict(a) for a in data["arith"]],
-        )
-
 
 @dataclass
 class ClassInfo:
@@ -199,25 +155,6 @@ class ClassInfo:
     bases: List[str] = field(default_factory=list)
     methods: List[str] = field(default_factory=list)
     attr_types: Dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": list(self.bases),
-            "methods": list(self.methods),
-            "attr_types": dict(self.attr_types),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassInfo":
-        return cls(
-            name=data["name"],
-            line=data["line"],
-            bases=list(data["bases"]),
-            methods=list(data["methods"]),
-            attr_types=dict(data["attr_types"]),
-        )
 
 
 @dataclass
@@ -231,87 +168,20 @@ class DriftRegion:
     hash: str
     label: str = ""  # attached function qualname, if def-attached
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "pair": self.pair,
-            "side": self.side,
-            "line": self.line,
-            "end_line": self.end_line,
-            "hash": self.hash,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "DriftRegion":
-        return cls(
-            pair=data["pair"],
-            side=data["side"],
-            line=data["line"],
-            end_line=data["end_line"],
-            hash=data["hash"],
-            label=data["label"],
-        )
-
 
 @dataclass
 class ModuleSummary:
-    """The cached per-module analysis unit."""
+    """The per-module analysis unit."""
 
     rel_path: str
     module: str  # dotted name, e.g. "repro.flow.session"
-    sha256: str
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     module_aliases: Dict[str, str] = field(default_factory=dict)
     symbol_aliases: Dict[str, str] = field(default_factory=dict)
     regions: List[DriftRegion] = field(default_factory=list)
-    waivers: Dict[int, List[str]] = field(default_factory=dict)
+    waivers: Dict[int, Set[str]] = field(default_factory=dict)
     marker_errors: List[Tuple[int, str]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rel_path": self.rel_path,
-            "module": self.module,
-            "sha256": self.sha256,
-            "functions": {
-                k: v.to_dict() for k, v in sorted(self.functions.items())
-            },
-            "classes": {
-                k: v.to_dict() for k, v in sorted(self.classes.items())
-            },
-            "module_aliases": dict(self.module_aliases),
-            "symbol_aliases": dict(self.symbol_aliases),
-            "regions": [r.to_dict() for r in self.regions],
-            "waivers": {
-                str(line): rules for line, rules in sorted(self.waivers.items())
-            },
-            "marker_errors": [[line, msg] for line, msg in self.marker_errors],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            rel_path=data["rel_path"],
-            module=data["module"],
-            sha256=data["sha256"],
-            functions={
-                k: FunctionInfo.from_dict(v)
-                for k, v in data["functions"].items()
-            },
-            classes={
-                k: ClassInfo.from_dict(v) for k, v in data["classes"].items()
-            },
-            module_aliases=dict(data["module_aliases"]),
-            symbol_aliases=dict(data["symbol_aliases"]),
-            regions=[DriftRegion.from_dict(r) for r in data["regions"]],
-            waivers={
-                int(line): list(rules)
-                for line, rules in data["waivers"].items()
-            },
-            marker_errors=[
-                (line, msg) for line, msg in data["marker_errors"]
-            ],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +308,11 @@ def _extract_regions(
     a block region closed by ``# drift: end``.  Multiple markers may
     stack on one function.
     """
-    lines = source.splitlines()
     errors: List[Tuple[int, str]] = []
     regions: List[DriftRegion] = []
+    if "drift:" not in source:
+        return regions, errors  # no marker: skip the tokenizer pass
+    lines = source.splitlines()
 
     # Map def start lines (first decorator or the def itself) to
     # (qualname, def_line, end_line).
@@ -659,6 +531,8 @@ class _FunctionScanner(ast.NodeVisitor):
         if canonical in _WALL_CLOCK_CALLS:
             return WALL_CLOCK, canonical
         parts = canonical.split(".")
+        if canonical in _ENTROPY_CALLS or parts[0] == "secrets":
+            return OS_ENTROPY, canonical
         if (
             parts[0] == "random"
             and len(parts) == 2
@@ -674,8 +548,6 @@ class _FunctionScanner(ast.NodeVisitor):
             return GLOBAL_RNG, canonical
         if canonical in _ENV_CALLS:
             return ENV_READ, canonical
-        if canonical in _ENTROPY_CALLS or parts[0] == "secrets":
-            return OS_ENTROPY, canonical
         return None
 
     # -- type bookkeeping --------------------------------------------------
@@ -876,15 +748,18 @@ def _function_info(
 
 
 def extract_module(
-    source: str, rel_path: str, sha256: str = ""
+    source: str, rel_path: str, tree: Optional[ast.Module] = None
 ) -> ModuleSummary:
-    """Parse one file into its :class:`ModuleSummary`.
+    """Turn one file into its :class:`ModuleSummary`.
 
-    Raises ``SyntaxError`` if the file does not parse — callers turn
-    that into an R100 finding.
+    ``tree`` is the file's parsed AST when the caller already has it
+    (the engine parses once and shares the tree with the local rules);
+    otherwise the source is parsed here, raising ``SyntaxError`` if it
+    does not parse.
     """
     module = module_name_of(rel_path)
-    tree = ast.parse(source, filename=rel_path)
+    if tree is None:
+        tree = ast.parse(source, filename=rel_path)
     is_package = rel_path.replace("\\", "/").endswith("__init__.py")
 
     imports = _Imports(module, is_package)
@@ -893,13 +768,9 @@ def extract_module(
     summary = ModuleSummary(
         rel_path=rel_path,
         module=module,
-        sha256=sha256,
         module_aliases=dict(imports.module_aliases),
         symbol_aliases=dict(imports.symbol_aliases),
-        waivers={
-            line: sorted(rules)
-            for line, rules in parse_waivers(source).items()
-        },
+        waivers=parse_waivers(source),
     )
     regions, marker_errors = _extract_regions(source, tree)
     summary.regions = regions

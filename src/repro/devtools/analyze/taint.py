@@ -2,33 +2,27 @@
 
 Seeds: wall-clock reads, global-RNG draws, environment reads and OS
 entropy (collected per function by :mod:`.symbols`).  The analysis
-walks the call graph breadth-first from the configured simulation
-roots (``Simulator.run``, ``FlowCall``, ``_BatchFlowRun``,
-``run_call`` by default); every reachable function containing a source
-hit yields one finding per distinct source call, carrying the full
-root→sink call chain.
+walks the call graph breadth-first from the configured roots — the
+packages that run inside a cell, plus ``execute_cell`` — and every
+reachable function containing a source hit yields one finding per
+distinct source call, carrying the root→sink call chain.
 
-This replaces the local-only view of lint rules R001/R002: a
-``time.time()`` two calls below the event loop is invisible to a
-single-function linter but still breaks golden determinism.  Existing
-``# lint: ok(R001)`` / ``ok(R002)`` waivers on the source line are
-honoured (see ``WAIVER_ALIASES``), as are per-rule path excludes from
-``[tool.repro-analyze]``.
+Scope is the whole point: a ``time.time()`` in the runner's wall-time
+accounting is fine, the same call two frames below the event loop
+breaks golden determinism.  Rooting whole packages makes every
+function of simulated code a root (stored callbacks included, which no
+call graph sees), and reachability adds whatever they call outside.
+A deliberate source is waived on its line with ``# lint: ok(R101)``
+or excluded per path under ``[tool.repro-analyze.exclude]``; the
+engine applies both.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.devtools.analyze.callgraph import ProgramIndex
 from repro.devtools.analyze.model import Finding, Location
-from repro.devtools.diagnostics import Severity
-
-#: ``(rule, module, line) -> waived?`` — supplied by the engine, which
-#: owns the waiver tables and the rule-alias mapping.
-WaiverCheck = Callable[[str, str, int], bool]
-#: ``(rule, rel_path) -> excluded?`` from ``[tool.repro-analyze]``.
-ExcludeCheck = Callable[[str, str], bool]
 
 #: Human wording per source category.
 _CATEGORY_TEXT = {
@@ -92,13 +86,8 @@ def _chain_to(
     return tuple(chain)
 
 
-def run_taint(
-    index: ProgramIndex,
-    roots: Sequence[str],
-    is_waived: WaiverCheck,
-    is_excluded: ExcludeCheck,
-) -> List[Finding]:
-    """Produce R101 findings for every reachable, unwaived source."""
+def run_taint(index: ProgramIndex, roots: Sequence[str]) -> List[Finding]:
+    """Produce R101 findings for every reachable source."""
     parents = reachable_from(index, roots)
     findings: List[Finding] = []
     seen: Set[Tuple[str, int, str]] = set()
@@ -106,31 +95,30 @@ def run_taint(
         summary, info = index.functions[fn]
         if not info.source_hits:
             continue
-        if is_excluded("R101", summary.rel_path):
-            continue
         chain = _chain_to(index, parents, fn)
+        where = f"`{summary.module}.{info.qualname}`"
+        if len(chain) > 1:
+            where += (
+                f", reachable from root `{chain[0].label}` "
+                f"({len(chain) - 1} call(s) deep)"
+            )
+        else:
+            where += ", a root"
         for hit in info.source_hits:
             key = (summary.rel_path, hit.line, hit.call)
             if key in seen:
                 continue
             seen.add(key)
-            if is_waived("R101", summary.module, hit.line):
-                continue
             category = _CATEGORY_TEXT.get(hit.category, hit.category)
-            root_label = chain[0].label if chain else "?"
             findings.append(
                 Finding(
                     file=summary.rel_path,
                     line=hit.line,
                     rule="R101",
                     message=(
-                        f"{category} `{hit.call}` in "
-                        f"`{summary.module}.{info.qualname}` is reachable "
-                        f"from simulation root `{root_label}` "
-                        f"({len(chain) - 1} call(s) deep); simulated code "
-                        "must be deterministic"
+                        f"{category} `{hit.call}` in {where}; "
+                        "simulated code must be deterministic"
                     ),
-                    severity=Severity.ERROR,
                     chain=chain,
                 )
             )

@@ -1,8 +1,8 @@
 """R102 — unit-flow inference across function boundaries.
 
-The linter's R003 sees unit-suffix mixing inside one expression; this
-pass follows values *between* functions.  Units come from three layers
-(most specific wins):
+The local rule R003 sees unit-suffix mixing inside one expression;
+this pass follows values *between* functions.  Units come from three
+layers (most specific wins):
 
 1. the ``units.toml`` overlay — per-function parameter/return units
    and a global variable table for names with no suffix (``now``,
@@ -26,10 +26,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.devtools.analyze.callgraph import ProgramIndex
 from repro.devtools.analyze.model import Finding
+from repro.devtools.analyze.rules import _UNIT_SUFFIXES
 from repro.devtools.analyze.symbols import CallSite, FunctionInfo, ModuleSummary
-from repro.devtools.analyze.taint import ExcludeCheck, WaiverCheck
-from repro.devtools.diagnostics import Severity
-from repro.devtools.rules import _UNIT_SUFFIXES
 
 Unit = Tuple[str, str]  # (dimension, unit), e.g. ("time", "ms")
 
@@ -94,6 +92,30 @@ class UnitTables:
                     f"{', '.join(sorted(unknown))}"
                 )
 
+    def unresolved(self, index: ProgramIndex) -> List[str]:
+        """Describe every overlay entry that names nothing in ``index``.
+
+        An entry for a function that was renamed or deleted (or a
+        parameter that left its signature) types nothing, silently;
+        the engine reports each one as an R100 finding.
+        """
+        problems: List[str] = []
+        for qualname in sorted({*self.params, *self.returns}):
+            entry = index.functions.get(qualname)
+            if entry is None:
+                problems.append(
+                    f"units overlay function '{qualname}' does not "
+                    "resolve to a function in the analyzed tree"
+                )
+                continue
+            for name in self.params.get(qualname, {}):
+                if name not in entry[1].params:
+                    problems.append(
+                        f"units overlay parameter '{name}' is not in "
+                        f"the signature of '{qualname}'"
+                    )
+        return problems
+
 
 def suffix_unit(name: str) -> Optional[Unit]:
     """Unit implied by the naming convention, on the last dotted leaf."""
@@ -107,17 +129,9 @@ def suffix_unit(name: str) -> Optional[Unit]:
 class UnitChecker:
     """Runs the three R102 checks over a program index."""
 
-    def __init__(
-        self,
-        index: ProgramIndex,
-        tables: UnitTables,
-        is_waived: WaiverCheck,
-        is_excluded: ExcludeCheck,
-    ) -> None:
+    def __init__(self, index: ProgramIndex, tables: UnitTables) -> None:
         self.index = index
         self.tables = tables
-        self.is_waived = is_waived
-        self.is_excluded = is_excluded
         self.findings: List[Finding] = []
 
     # -- unit lookup layers ------------------------------------------------
@@ -168,17 +182,9 @@ class UnitChecker:
     def _report(
         self, summary: ModuleSummary, line: int, message: str
     ) -> None:
-        if self.is_excluded("R102", summary.rel_path):
-            return
-        if self.is_waived("R102", summary.module, line):
-            return
         self.findings.append(
             Finding(
-                file=summary.rel_path,
-                line=line,
-                rule="R102",
-                message=message,
-                severity=Severity.ERROR,
+                file=summary.rel_path, line=line, rule="R102", message=message
             )
         )
 
@@ -276,10 +282,5 @@ class UnitChecker:
         return self.findings
 
 
-def run_units(
-    index: ProgramIndex,
-    tables: UnitTables,
-    is_waived: WaiverCheck,
-    is_excluded: ExcludeCheck,
-) -> List[Finding]:
-    return UnitChecker(index, tables, is_waived, is_excluded).run()
+def run_units(index: ProgramIndex, tables: UnitTables) -> List[Finding]:
+    return UnitChecker(index, tables).run()

@@ -1,25 +1,26 @@
-"""Configuration for ``repro lint``, read from ``pyproject.toml``.
+"""Configuration for ``repro analyze``, read from ``pyproject.toml``.
 
-The ``[tool.repro-lint]`` block controls which rules run where::
+One table says what the analyzer looks at and what counts as
+simulated code::
 
-    [tool.repro-lint]
-    paths = ["src/repro"]          # default lint targets
-    disable = []                   # rule IDs switched off entirely
-    warn = []                      # rule IDs demoted to warnings
+    [tool.repro-analyze]
+    paths = ["src/repro"]            # files analyzed when no paths given
+    roots = ["repro.core", ...]      # R101 scope: packages, modules,
+                                     # classes or functions
+    slots-modules = ["src/repro/simulation/events.py"]   # R005 scope
+    units = "units.toml"             # R102 overlay
+    baseline = ".repro-analyze-baseline.json"
 
-    [tool.repro-lint.exclude]
+    [tool.repro-analyze.exclude]
     # Per-rule glob patterns (matched against /-separated paths).
-    R001 = ["src/repro/simulation/profiling.py", "benchmarks/*"]
+    R101 = ["src/repro/simulation/profiling.py"]
 
-    [tool.repro-lint.slots-modules]
-    # R005 only applies inside these modules.
-    patterns = ["src/repro/simulation/events.py"]
-
-TOML parsing uses :mod:`tomllib` (Python 3.11+) and degrades
-gracefully: on older interpreters without ``tomli`` the built-in
-defaults below — which mirror the repository's pyproject block — are
-used instead, so the linter's verdict on this tree is identical either
-way.
+``pyproject.toml`` is the only statement of a repository's settings:
+nothing here mirrors it, so without a pyproject (or with
+``--no-config``) the analyzer runs with no roots, no excludes and no
+slots modules.  TOML parsing needs :mod:`tomllib` (Python 3.11+) or
+``tomli``; an interpreter with neither raises :class:`ConfigError`
+rather than analyzing under a silently different configuration.
 """
 
 from __future__ import annotations
@@ -37,45 +38,33 @@ except ImportError:  # pragma: no cover - 3.9/3.10 fallback
     except ImportError:
         _toml = None  # type: ignore[assignment]
 
-# Built-in defaults, kept in sync with [tool.repro-lint] in
-# pyproject.toml so a missing TOML parser does not change the verdict.
-DEFAULT_PATHS = ["src/repro"]
-DEFAULT_EXCLUDE: Dict[str, List[str]] = {
-    # Wall-clock reads are the *job* of the profiling module, the
-    # runner's wall/cache statistics, and the result cache's age
-    # accounting; everything else must use Simulator.now.
-    "R001": [
-        "src/repro/simulation/profiling.py",
-        "benchmarks/*",
-    ],
-    # The seeded-stream factory is the one place the stdlib RNG is
-    # constructed.
-    "R002": ["src/repro/simulation/random.py"],
-}
-DEFAULT_SLOTS_MODULES = [
-    "src/repro/simulation/events.py",
-    "src/repro/rtp/packets.py",
-    "src/repro/net/path.py",
-    "src/repro/receiver/packet_buffer.py",
-]
+
+class ConfigError(Exception):
+    """The configuration cannot be read (exit code 2)."""
+
+
+def load_toml(path: Path) -> Dict[str, Any]:
+    """Parse one TOML file; :class:`ConfigError` without a parser."""
+    if _toml is None:
+        raise ConfigError(
+            f"cannot read {path}: this interpreter has no TOML parser "
+            "(Python < 3.11 needs `pip install tomli`)"
+        )
+    with open(path, "rb") as handle:
+        data: Dict[str, Any] = _toml.load(handle)
+    return data
 
 
 @dataclass
-class LintConfig:
-    """Resolved configuration the rule engine consumes."""
+class AnalyzeConfig:
+    """Resolved ``[tool.repro-analyze]`` configuration."""
 
-    paths: List[str] = field(default_factory=lambda: list(DEFAULT_PATHS))
-    disable: List[str] = field(default_factory=list)
-    warn: List[str] = field(default_factory=list)
-    exclude: Dict[str, List[str]] = field(
-        default_factory=lambda: {k: list(v) for k, v in DEFAULT_EXCLUDE.items()}
-    )
-    slots_modules: List[str] = field(
-        default_factory=lambda: list(DEFAULT_SLOTS_MODULES)
-    )
-
-    def rule_enabled(self, rule_id: str) -> bool:
-        return rule_id not in self.disable
+    paths: List[str] = field(default_factory=list)
+    roots: List[str] = field(default_factory=list)
+    exclude: Dict[str, List[str]] = field(default_factory=dict)
+    slots_modules: List[str] = field(default_factory=list)
+    units: str = "units.toml"
+    baseline: str = ".repro-analyze-baseline.json"
 
     def rule_excluded(self, rule_id: str, rel_path: str) -> bool:
         """True when ``rel_path`` matches an exclude pattern for the rule."""
@@ -94,13 +83,11 @@ def _path_match(rel_path: str, pattern: str) -> bool:
     """Glob-match on /-separated paths; also accept suffix matches.
 
     ``src/repro/net/path.py`` matches both the full pattern and the
-    bare ``net/path.py`` form, so configs stay readable and lint runs
-    from any working directory agree.
+    bare ``net/path.py`` form, so configs stay readable and runs from
+    any working directory agree.
     """
     path = rel_path.replace("\\", "/")
-    if fnmatch(path, pattern) or fnmatch(path, f"*/{pattern}"):
-        return True
-    return False
+    return fnmatch(path, pattern) or fnmatch(path, f"*/{pattern}")
 
 
 def _as_str_list(value: Any) -> List[str]:
@@ -111,25 +98,22 @@ def _as_str_list(value: Any) -> List[str]:
     return []
 
 
-def config_from_dict(data: Dict[str, Any]) -> LintConfig:
-    """Build a :class:`LintConfig` from a parsed ``[tool.repro-lint]``."""
-    config = LintConfig()
-    if "paths" in data:
-        config.paths = _as_str_list(data["paths"])
-    if "disable" in data:
-        config.disable = _as_str_list(data["disable"])
-    if "warn" in data:
-        config.warn = _as_str_list(data["warn"])
-    if "exclude" in data and isinstance(data["exclude"], dict):
+def analyze_config_from_dict(data: Dict[str, Any]) -> AnalyzeConfig:
+    """Build an :class:`AnalyzeConfig` from ``[tool.repro-analyze]``."""
+    config = AnalyzeConfig()
+    for key in ("paths", "roots"):
+        if key in data:
+            setattr(config, key, _as_str_list(data[key]))
+    if "slots-modules" in data:
+        config.slots_modules = _as_str_list(data["slots-modules"])
+    if isinstance(data.get("exclude"), dict):
         config.exclude = {
             str(rule): _as_str_list(patterns)
             for rule, patterns in data["exclude"].items()
         }
-    slots = data.get("slots-modules")
-    if isinstance(slots, dict):
-        config.slots_modules = _as_str_list(slots.get("patterns", []))
-    elif slots is not None:
-        config.slots_modules = _as_str_list(slots)
+    for key in ("units", "baseline"):
+        if key in data:
+            setattr(config, key, str(data[key]))
     return config
 
 
@@ -145,97 +129,11 @@ def find_pyproject(start: Path) -> Optional[Path]:
     return None
 
 
-def load_config(pyproject: Optional[Path]) -> LintConfig:
-    """Load ``[tool.repro-lint]`` from ``pyproject``, else defaults."""
-    if pyproject is None or _toml is None or not pyproject.is_file():
-        return LintConfig()
-    with open(pyproject, "rb") as handle:
-        data = _toml.load(handle)
-    section = data.get("tool", {}).get("repro-lint")
-    if not isinstance(section, dict):
-        return LintConfig()
-    return config_from_dict(section)
-
-
-# ---------------------------------------------------------------------------
-# [tool.repro-analyze] — whole-program analyzer (repro analyze)
-
-
-#: Simulation cores the taint pass (R101) walks from.  A class spec
-#: roots every method it defines.
-DEFAULT_ANALYZE_ROOTS = [
-    "repro.simulation.simulator.Simulator.run",
-    "repro.flow.session.FlowCall",
-    "repro.flow.batch._BatchFlowRun",
-    "repro.core.api.run_call",
-]
-DEFAULT_ANALYZE_EXCLUDE: Dict[str, List[str]] = {
-    # Same deliberate wall-clock surfaces the linter excludes.
-    "R101": [
-        "src/repro/simulation/profiling.py",
-        "benchmarks/*",
-    ],
-}
-
-
-@dataclass
-class AnalyzeConfig:
-    """Resolved ``[tool.repro-analyze]`` configuration."""
-
-    paths: List[str] = field(default_factory=lambda: list(DEFAULT_PATHS))
-    roots: List[str] = field(
-        default_factory=lambda: list(DEFAULT_ANALYZE_ROOTS)
-    )
-    disable: List[str] = field(default_factory=list)
-    warn: List[str] = field(default_factory=list)
-    exclude: Dict[str, List[str]] = field(
-        default_factory=lambda: {
-            k: list(v) for k, v in DEFAULT_ANALYZE_EXCLUDE.items()
-        }
-    )
-    units: str = "units.toml"
-    baseline: str = ".repro-analyze-baseline.json"
-    cache: str = ".repro-analyze-cache.json"
-
-    def rule_enabled(self, rule_id: str) -> bool:
-        return rule_id not in self.disable
-
-    def rule_excluded(self, rule_id: str, rel_path: str) -> bool:
-        return any(
-            _path_match(rel_path, pattern)
-            for pattern in self.exclude.get(rule_id, [])
-        )
-
-
-def analyze_config_from_dict(data: Dict[str, Any]) -> AnalyzeConfig:
-    """Build an :class:`AnalyzeConfig` from ``[tool.repro-analyze]``."""
-    config = AnalyzeConfig()
-    if "paths" in data:
-        config.paths = _as_str_list(data["paths"])
-    if "roots" in data:
-        config.roots = _as_str_list(data["roots"])
-    if "disable" in data:
-        config.disable = _as_str_list(data["disable"])
-    if "warn" in data:
-        config.warn = _as_str_list(data["warn"])
-    if "exclude" in data and isinstance(data["exclude"], dict):
-        config.exclude = {
-            str(rule): _as_str_list(patterns)
-            for rule, patterns in data["exclude"].items()
-        }
-    for key in ("units", "baseline", "cache"):
-        if key in data:
-            setattr(config, key, str(data[key]))
-    return config
-
-
 def load_analyze_config(pyproject: Optional[Path]) -> AnalyzeConfig:
-    """Load ``[tool.repro-analyze]`` from ``pyproject``, else defaults."""
-    if pyproject is None or _toml is None or not pyproject.is_file():
+    """Load ``[tool.repro-analyze]``; empty config without a pyproject."""
+    if pyproject is None or not pyproject.is_file():
         return AnalyzeConfig()
-    with open(pyproject, "rb") as handle:
-        data = _toml.load(handle)
-    section = data.get("tool", {}).get("repro-analyze")
+    section = load_toml(pyproject).get("tool", {}).get("repro-analyze")
     if not isinstance(section, dict):
         return AnalyzeConfig()
     return analyze_config_from_dict(section)

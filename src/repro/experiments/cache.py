@@ -151,7 +151,7 @@ class ResultCache:
                 "checksum": hashlib.sha256(body).hexdigest(),
                 "code_version": CODE_VERSION,
                 # Cache metadata wants real wall-clock age, not sim time.
-                "created": time.time(),  # lint: ok(R001)
+                "created": time.time(),
                 "key": key,
             }
         ).encode()
@@ -278,7 +278,7 @@ class ResultCache:
                     "system": cell.get("system", "?"),
                     "seed": cell.get("seed", "?"),
                     "duration": cell.get("duration", "?"),
-                    "age_seconds": max(time.time() - entry.created, 0.0),  # lint: ok(R001)
+                    "age_seconds": max(time.time() - entry.created, 0.0),
                     "wall_seconds": entry.wall_seconds,
                     "stale": entry.code_version != CODE_VERSION,
                 }

@@ -293,7 +293,9 @@ def cell_key(cell: Cell) -> str:
     the key is computed once per cell per run.  The memo returns the
     *same* string object on a hit — tests pin that identity.
     """
-    salt = os.environ.get("REPRO_CACHE_SALT", "")
+    # The key names the cache entry, never the payload: the one
+    # deliberate environment read inside the analyzed scope.
+    salt = os.environ.get("REPRO_CACHE_SALT", "")  # lint: ok(R101)
     cached = cell.__dict__.get("_key_memo")
     if cached is not None and cached[0] == salt:
         return cached[1]  # type: ignore[no-any-return]

@@ -393,7 +393,7 @@ def _execute_isolated(
     wall-clock time via SIGALRM where the platform has it (POSIX main
     thread); elsewhere the cell runs unguarded rather than failing.
     """
-    start = time.perf_counter()  # lint: ok(R001) real wall time
+    start = time.perf_counter()
     armed = False
     previous: Any = None
     fired = {"flag": False}
@@ -440,7 +440,7 @@ def _timeout_verdict(message: str, start: float) -> Dict[str, Any]:
             "message": message,
             "traceback": message,
         },
-        "wall_seconds": time.perf_counter() - start,  # lint: ok(R001)
+        "wall_seconds": time.perf_counter() - start,
     }
 
 
@@ -453,7 +453,7 @@ def _run_guarded(cell: Cell, start: float) -> Dict[str, Any]:
         return {
             "ok": True,
             "summary": execute_cell(cell),
-            "wall_seconds": time.perf_counter() - start,  # lint: ok(R001)
+            "wall_seconds": time.perf_counter() - start,
         }
     except _CellTimeoutError as exc:
         return {
@@ -464,7 +464,7 @@ def _run_guarded(cell: Cell, start: float) -> Dict[str, Any]:
                 "message": str(exc),
                 "traceback": traceback.format_exc(),
             },
-            "wall_seconds": time.perf_counter() - start,  # lint: ok(R001)
+            "wall_seconds": time.perf_counter() - start,
         }
     except Exception as exc:  # noqa: BLE001 — isolation is the point
         return {
@@ -474,7 +474,7 @@ def _run_guarded(cell: Cell, start: float) -> Dict[str, Any]:
                 "message": str(exc),
                 "traceback": traceback.format_exc(),
             },
-            "wall_seconds": time.perf_counter() - start,  # lint: ok(R001)
+            "wall_seconds": time.perf_counter() - start,
         }
 
 
@@ -519,7 +519,7 @@ def run_cells(
     """
     if mode not in ("scalar", "batch"):
         raise ValueError(f"unknown run_cells mode: {mode!r}")
-    start = time.perf_counter()  # lint: ok(R001) real wall time
+    start = time.perf_counter()
     jobs = default_jobs() if jobs is None else max(int(jobs), 1)
     store: Optional[ResultCache] = None
     if cache is not None:
@@ -560,7 +560,7 @@ def run_cells(
         for index in positions[key]:
             outcomes[index] = outcome
         if progress:
-            elapsed = time.perf_counter() - start  # lint: ok(R001)
+            elapsed = time.perf_counter() - start
             _progress_line(done, len(unique), outcome, elapsed)
 
     # Cache pass: satisfy what we can without touching a worker.
@@ -605,7 +605,7 @@ def run_cells(
             stats,
         )
 
-    stats.wall_seconds = time.perf_counter() - start  # lint: ok(R001)
+    stats.wall_seconds = time.perf_counter() - start
     report = RunReport(outcomes=[o for o in outcomes if o is not None], stats=stats)
     if progress:
         _stats_line(stats)
@@ -639,7 +639,7 @@ def _run_batched(
     for group in groups:
         for lo in range(0, len(group), _MAX_BATCH_CELLS):
             chunk = group[lo:lo + _MAX_BATCH_CELLS]
-            chunk_start = time.perf_counter()  # lint: ok(R001)
+            chunk_start = time.perf_counter()
             try:
                 payloads = execute_batch([cells[i] for i in chunk])
             except Exception:  # noqa: BLE001 — scalar path retries
@@ -647,7 +647,7 @@ def _run_batched(
                 leftover.extend(items[i][0] for i in chunk)
                 continue
             wall = (
-                time.perf_counter() - chunk_start  # lint: ok(R001)
+                time.perf_counter() - chunk_start
             ) / len(chunk)
             for i, payload in zip(chunk, payloads):
                 key, cell = items[i]

@@ -30,7 +30,6 @@ from repro.rtp.rtcp import (
     TransportFeedback,
 )
 from repro.rtp.sequence import SequenceUnwrapper, seq_diff, seq_less_than
-from repro.rtp.srtp import SrtpError, SrtpSession
 
 __all__ = [
     "FRAME_TYPE_DELTA",
@@ -44,8 +43,6 @@ __all__ = [
     "RtpPacket",
     "SdesFrameRate",
     "SequenceUnwrapper",
-    "SrtpError",
-    "SrtpSession",
     "TransportFeedback",
     "priority_of",
     "seq_diff",

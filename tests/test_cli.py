@@ -95,31 +95,34 @@ class TestCommands:
             build_parser().parse_args(["profile", "sweeps"])
 
     def test_lint_clean_tree_exits_zero(self, capsys):
-        # The repository gates CI on its own linter: the shipped tree
-        # (with the pyproject config resolved from the repo root) must
-        # be clean.
-        assert main(["lint"]) == 0
+        # The repository gates CI on its own linter, `repro analyze`:
+        # the shipped tree (with the pyproject config resolved from
+        # the repo root) must be clean.
+        assert main(["analyze"]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_lint_violation_exits_nonzero_with_rule_id(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, monkeypatch
     ):
-        bad = tmp_path / "bad.py"
-        bad.write_text(
+        (tmp_path / "bad.py").write_text(
             "import time\n"
             "def stamp(events_ms, window_s):\n"
             "    return time.time() + events_ms - window_s\n"
         )
-        code = main(["lint", str(bad), "--no-config"])
-        assert code == 1
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.repro-analyze]\npaths = ["."]\nroots = ["bad"]\n'
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze"]) == 1
         out = capsys.readouterr().out
-        assert "R001" in out
+        assert "R101" in out
         assert "R003" in out
 
-    def test_lint_json_output(self, capsys, tmp_path):
+    def test_lint_json_output(self, capsys, tmp_path, monkeypatch):
         bad = tmp_path / "bad.py"
         bad.write_text("def add(x, acc=[]):\n    acc.append(x)\n")
-        assert main(["lint", str(bad), "--no-config", "--format",
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", str(bad), "--no-config", "--format",
                      "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["diagnostics"][0]["rule"] == "R007"
+        assert payload["findings"][0]["rule"] == "R007"

@@ -1,4 +1,7 @@
-"""Tests for repro.devtools.analyze (repro analyze, rules R100-R103)."""
+"""Tests for repro.devtools.analyze: the whole-program side of
+``repro analyze`` (symbols, call graph, R100-R103, baseline, SARIF,
+CLI, the real tree).  Local-rule and source-detector fixtures live in
+``tests/test_devtools_lint.py``."""
 
 import json
 import shutil
@@ -15,7 +18,7 @@ from repro.devtools.analyze.baseline import (
 )
 from repro.devtools.analyze.callgraph import ProgramIndex
 from repro.devtools.analyze.engine import analyze_tree, main
-from repro.devtools.analyze.model import Finding, Location
+from repro.devtools.analyze.model import Finding, Location, Severity
 from repro.devtools.analyze.output import sarif_document
 from repro.devtools.analyze.symbols import (
     extract_module,
@@ -23,8 +26,7 @@ from repro.devtools.analyze.symbols import (
     strip_type_text,
 )
 from repro.devtools.analyze.taint import reachable_from
-from repro.devtools.config import AnalyzeConfig
-from repro.devtools.diagnostics import Severity
+from repro.devtools.config import AnalyzeConfig, load_analyze_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,17 +49,20 @@ def write_project(tmp_path, files):
         path.write_text(textwrap.dedent(source))
 
 
-def analyze_project(tmp_path, files=None, roots=(), use_cache=False, **cfg):
+def analyze_project(tmp_path, files=None, roots=(), **cfg):
     if files:
         write_project(tmp_path, files)
-    config = AnalyzeConfig()
-    config.paths = ["pkg"]
-    config.roots = list(roots)
-    config.exclude = {}
-    for key, value in cfg.items():
+    config = AnalyzeConfig(paths=["pkg"], roots=list(roots), **cfg)
+    return analyze_tree([str(tmp_path / "pkg")], config, base=tmp_path)
+
+
+def analyze_repo(root=REPO_ROOT, **overrides):
+    """The real tree (or a copy of it) under the committed config."""
+    config = load_analyze_config(REPO_ROOT / "pyproject.toml")
+    for key, value in overrides.items():
         setattr(config, key, value)
-    return analyze_tree(
-        [str(tmp_path / "pkg")], config, base=tmp_path, use_cache=use_cache
+    return config, analyze_tree(
+        [str(root / "src" / "repro")], config, base=root
     )
 
 
@@ -149,10 +154,10 @@ class TestExtraction:
             import time
 
             def f():
-                return time.time()  # lint: ok(R001)
+                return time.time()  # lint: ok(R101)
             """
         )
-        assert summary.waivers == {5: ["R001"]}
+        assert summary.waivers == {5: {"R101"}}
 
     def test_class_attr_types_from_init(self):
         summary = extract(
@@ -438,6 +443,19 @@ class TestCallGraph:
         assert roots == ["pkg.base.Base.step", "pkg.base.Base.helper"]
         assert missing == []
 
+    def test_module_and_package_roots_cover_everything_under_them(self):
+        index = build_index(GRAPH_FILES)
+        roots, missing = index.resolve_roots(["pkg.other"])
+        assert missing == []
+        assert sorted(roots) == [
+            "pkg.other.<module>", "pkg.other.clock", "pkg.other.entry",
+            "pkg.other.registrar",
+        ]
+        roots, missing = index.resolve_roots(["pkg"])
+        assert missing == [] and set(roots) == set(index.functions)
+        # A prefix is matched on dotted components, not on characters.
+        assert index.resolve_roots(["pkg.oth"]) == ([], ["pkg.oth"])
+
     def test_unknown_root_reported(self):
         index = build_index(GRAPH_FILES)
         roots, missing = index.resolve_roots(["pkg.nothing.Here"])
@@ -454,7 +472,7 @@ TAINT_FILES = {
         import time
 
         def stamp():
-            return time.time()  # lint: ok(R001)
+            return time.time()  # lint: ok(R101)
     """,
     "pkg/core.py": """
         from pkg.clocky import stamp
@@ -479,7 +497,7 @@ class TestTaint:
     def test_deleting_waiver_reports_full_chain(self, tmp_path):
         files = dict(TAINT_FILES)
         files["pkg/clocky.py"] = files["pkg/clocky.py"].replace(
-            "  # lint: ok(R001)", ""
+            "  # lint: ok(R101)", ""
         )
         result = analyze_project(
             tmp_path, files, roots=["pkg.core.Sim.run"]
@@ -497,7 +515,7 @@ class TestTaint:
     def test_path_exclusion_suppresses(self, tmp_path):
         files = dict(TAINT_FILES)
         files["pkg/clocky.py"] = files["pkg/clocky.py"].replace(
-            "  # lint: ok(R001)", ""
+            "  # lint: ok(R101)", ""
         )
         result = analyze_project(
             tmp_path,
@@ -510,7 +528,7 @@ class TestTaint:
     def test_unreachable_source_is_silent(self, tmp_path):
         files = dict(TAINT_FILES)
         files["pkg/clocky.py"] = files["pkg/clocky.py"].replace(
-            "  # lint: ok(R001)", ""
+            "  # lint: ok(R101)", ""
         )
         result = analyze_project(
             tmp_path, files, roots=["pkg.core.Sim.tick"]
@@ -677,6 +695,33 @@ class TestUnits:
         assert "parsecs" in finding.message
 
 
+    def test_overlay_entry_naming_nothing_is_r100(self, tmp_path):
+        # A renamed/deleted function, or a parameter that left the
+        # signature, must not pass silently: the entry types nothing.
+        (tmp_path / "units.toml").write_text(
+            '[functions."pkg.mod.gone"]\nreturns = "s"\n'
+            '[functions."pkg.mod.wait"]\n'
+            'params = { delay = "s", budget = "s" }\n'
+        )
+        result = analyze_project(
+            tmp_path,
+            {
+                "pkg/__init__.py": "",
+                "pkg/mod.py": """
+                    def wait(delay):
+                        return delay
+                """,
+            },
+        )
+        assert [(f.rule, f.file, f.severity) for f in result.findings] == [
+            ("R100", "units.toml", Severity.WARNING)
+        ] * 2
+        gone, budget = sorted(f.message for f in result.findings)
+        assert "function 'pkg.mod.gone' does not resolve" in gone
+        assert "parameter 'budget' is not in the signature" in budget
+        assert "'pkg.mod.wait'" in budget
+
+
 # ---------------------------------------------------------------------------
 # R103 drift + baseline pairs
 
@@ -825,7 +870,7 @@ class TestSarif:
     def _document(self, tmp_path):
         files = dict(TAINT_FILES)
         files["pkg/clocky.py"] = files["pkg/clocky.py"].replace(
-            "  # lint: ok(R001)", ""
+            "  # lint: ok(R101)", ""
         )
         result = analyze_project(
             tmp_path, files, roots=["pkg.core.Sim.run"]
@@ -843,7 +888,10 @@ class TestSarif:
         doc, _findings = self._document(tmp_path)
         [run] = doc["runs"]
         ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-        assert ids == ["R100", "R101", "R102", "R103"]
+        assert ids == [
+            "R003", "R004", "R005", "R006", "R007",
+            "R100", "R101", "R102", "R103",
+        ]
         for result in run["results"]:
             assert result["ruleId"] in ids
             assert ids[result["ruleIndex"]] == result["ruleId"]
@@ -879,98 +927,171 @@ class TestSarif:
 
 
 # ---------------------------------------------------------------------------
-# Cache
-
-
-class TestCache:
-    def test_warm_run_skips_parsing(self, tmp_path):
-        write_project(tmp_path, DRIFT_FILES)
-        cold = analyze_project(tmp_path, use_cache=True)
-        warm = analyze_project(tmp_path, use_cache=True)
-        assert cold.parsed == cold.modules
-        assert warm.cached == warm.modules and warm.parsed == 0
-        assert [f.message for f in warm.findings] == [
-            f.message for f in cold.findings
-        ]
-
-    def test_edit_invalidates_only_that_module(self, tmp_path):
-        write_project(tmp_path, DRIFT_FILES)
-        analyze_project(tmp_path, use_cache=True)
-        (tmp_path / "pkg/fast.py").write_text(
-            "# drift: pair(speed) impl\ndef fast(x):\n    return x * 9\n"
-        )
-        warm = analyze_project(tmp_path, use_cache=True)
-        assert warm.parsed == 1
-        assert warm.cached == warm.modules - 1
-
-    def test_corrupt_cache_degrades_to_cold(self, tmp_path):
-        write_project(tmp_path, DRIFT_FILES)
-        (tmp_path / ".repro-analyze-cache.json").write_text("{nope")
-        result = analyze_project(tmp_path, use_cache=True)
-        assert result.parsed == result.modules
-
-
-# ---------------------------------------------------------------------------
 # The real tree
+
+
+#: Modules outside the R101 scope: the harness around the cells.  A
+#: new module lands either under a rooted prefix in pyproject.toml or
+#: in this list — by hand, so "is it simulated code?" gets asked.
+#: (``repro.devtools`` stands for its whole subtree.)
+OUT_OF_SCOPE_MODULES = [
+    "repro",
+    "repro.__main__",
+    "repro.cli",
+    "repro.devtools",
+    "repro.experiments",
+    "repro.experiments.cache",
+    "repro.experiments.fig01_motivation",
+    "repro.experiments.fig03_multipath_not_enough",
+    "repro.experiments.fig09_10_wild",
+    "repro.experiments.fig11_feedback",
+    "repro.experiments.fig12_13_fec",
+    "repro.experiments.fig14_15_comparison",
+    "repro.experiments.fig16_17_stationary",
+    "repro.experiments.fleet",
+    "repro.experiments.runner",
+    "repro.experiments.sweeps",
+    "repro.experiments.traces_appendix",
+]
+
+
+def copy_repo_tree(tmp_path):
+    shutil.copytree(REPO_ROOT / "src" / "repro", tmp_path / "src" / "repro")
+    for name in ("units.toml", ".repro-analyze-baseline.json"):
+        shutil.copy(REPO_ROOT / name, tmp_path / name)
+
+
+def mutate(path, needle, replacement):
+    text = path.read_text()
+    assert text.count(needle) == 1, needle
+    path.write_text(text.replace(needle, replacement))
 
 
 class TestRealTree:
     def test_repo_tree_is_clean(self):
-        from repro.devtools.config import load_analyze_config
-
-        config = load_analyze_config(REPO_ROOT / "pyproject.toml")
-        result = analyze_tree(
-            [str(REPO_ROOT / "src" / "repro")],
-            config,
-            base=REPO_ROOT,
-            use_cache=False,
-        )
+        _config, result = analyze_repo()
         errors = [
             f for f in result.findings if f.severity is Severity.ERROR
         ]
         assert errors == [], "\n".join(f.format() for f in errors)
 
-    def test_removing_profiling_exclusion_surfaces_chain(self):
-        from repro.devtools.config import load_analyze_config
+    def test_rooted_prefixes_are_fully_reachable(self):
+        # Sound before small: every function of simulated code is in
+        # the R101 reachable set (stored callbacks included), and what
+        # is *not* simulated code is a literal list.
+        config, result = analyze_repo()
+        index = result.index
+        prefixes = [
+            spec for spec in config.roots
+            if any(
+                module == spec or module.startswith(spec + ".")
+                for module in index.modules
+            )
+        ]
+        assert len(prefixes) == len(config.roots) - 1  # execute_cell
 
-        config = load_analyze_config(REPO_ROOT / "pyproject.toml")
-        config.exclude = {}
-        result = analyze_tree(
-            [str(REPO_ROOT / "src" / "repro")],
-            config,
-            base=REPO_ROOT,
-            use_cache=False,
+        def in_scope(module):
+            return any(
+                module == p or module.startswith(p + ".") for p in prefixes
+            )
+
+        roots, missing = index.resolve_roots(config.roots)
+        assert missing == []
+        reachable = reachable_from(index, roots)
+        scoped = [
+            full
+            for full, (summary, _info) in index.functions.items()
+            if in_scope(summary.module)
+        ]
+        assert len(scoped) > 600
+        assert [full for full in scoped if full not in reachable] == []
+        assert "repro.experiments.runner.execute_cell" in reachable
+
+        outside = sorted(
+            {
+                "repro.devtools"
+                if module.startswith("repro.devtools")
+                else module
+                for module in index.modules
+                if not in_scope(module)
+            }
         )
+        assert outside == OUT_OF_SCOPE_MODULES
+
+    @pytest.mark.parametrize(
+        "rel_path, needle, module, call",
+        [
+            (
+                "src/repro/receiver/session.py",  # ReceiverSession.on_packet
+                '"""Entry point for every packet delivered by any path."""\n',
+                "time",
+                "time.time",
+            ),
+            (
+                "src/repro/cc/gcc.py",  # ...Control.on_transport_feedback
+                "        usage = BandwidthUsage.NORMAL\n",
+                "random",
+                "random.random",
+            ),
+        ],
+        ids=["receiver-on_packet", "gcc-on_transport_feedback"],
+    )
+    def test_source_in_a_stored_callback_fails_r101(
+        self, tmp_path, rel_path, needle, module, call
+    ):
+        # Both methods run through stored callbacks, which no call
+        # graph follows; rooting their packages is what reports them.
+        copy_repo_tree(tmp_path)
+        mutate(
+            tmp_path / rel_path,
+            needle,
+            f"{needle}        import {module}\n        {call}()\n",
+        )
+        _config, result = analyze_repo(tmp_path)
+        [finding] = [f for f in result.findings if f.rule == "R101"]
+        assert finding.file == rel_path
+        assert f"`{call}`" in finding.message
+        assert finding.chain
+
+    def test_only_cells_py_carries_an_r101_waiver(self):
+        # The harness is out of scope by construction, so it needs no
+        # waivers; the one deliberate source in scope is cell_key's
+        # REPRO_CACHE_SALT read.
+        waived = sorted(
+            path.relative_to(REPO_ROOT).as_posix()
+            for path in (REPO_ROOT / "src").rglob("*.py")
+            if "devtools" not in path.parts
+            and "lint: ok(" in path.read_text()
+        )
+        assert waived == ["src/repro/experiments/cells.py"]
+        cells = (REPO_ROOT / waived[0]).read_text()
+        assert cells.count("lint: ok(") == 1
+        assert cells.count('"REPRO_CACHE_SALT", "")  # lint: ok(R101)') == 1
+
+    def test_committed_units_overlay_resolves_completely(self):
+        _config, result = analyze_repo()
+        assert [f for f in result.findings if f.file == "units.toml"] == []
+
+    def test_removing_profiling_exclusion_surfaces_chain(self):
+        _config, result = analyze_repo(exclude={})
         taint = [f for f in result.findings if f.rule == "R101"]
         assert taint, "expected profiling wall-clock reads to surface"
         assert all(
             f.file == "src/repro/simulation/profiling.py" for f in taint
         )
-        assert all(len(f.chain) >= 2 for f in taint)
+        assert all(f.chain for f in taint)
 
     def test_mutating_reference_method_fails_r103(self, tmp_path):
         # The acceptance demo: copy the real tree, edit the scalar
         # flow loop without touching the array program, and the drift
         # rule must fail.
-        shutil.copytree(
-            REPO_ROOT / "src" / "repro", tmp_path / "src" / "repro"
+        copy_repo_tree(tmp_path)
+        mutate(
+            tmp_path / "src/repro/flow/session.py",
+            "size = _MIN_FRAME_BYTES\n",
+            "size = _MIN_FRAME_BYTES + 1\n",
         )
-        for name in ("units.toml", ".repro-analyze-baseline.json"):
-            shutil.copy(REPO_ROOT / name, tmp_path / name)
-        session = tmp_path / "src/repro/flow/session.py"
-        text = session.read_text()
-        needle = "size = _MIN_FRAME_BYTES\n"
-        assert text.count(needle) == 1
-        session.write_text(
-            text.replace(needle, "size = _MIN_FRAME_BYTES + 1\n")
-        )
-        config = AnalyzeConfig()
-        result = analyze_tree(
-            [str(tmp_path / "src" / "repro")],
-            config,
-            base=tmp_path,
-            use_cache=False,
-        )
+        _config, result = analyze_repo(tmp_path)
         drifted = [
             f
             for f in result.findings
@@ -980,13 +1101,7 @@ class TestRealTree:
         assert "'ref' side changed" in finding.message
 
     def test_declared_pairs_match_acknowledged_hashes(self):
-        config = AnalyzeConfig()
-        result = analyze_tree(
-            [str(REPO_ROOT / "src" / "repro")],
-            config,
-            base=REPO_ROOT,
-            use_cache=False,
-        )
+        _config, result = analyze_repo()
         baseline = load_baseline(
             REPO_ROOT / ".repro-analyze-baseline.json"
         )
@@ -1024,7 +1139,7 @@ class TestCli:
     def test_findings_exit_one(self, tmp_path, capsys):
         files = dict(TAINT_FILES)
         files["pkg/clocky.py"] = files["pkg/clocky.py"].replace(
-            "  # lint: ok(R001)", ""
+            "  # lint: ok(R101)", ""
         )
         write_cli_project(tmp_path, files, roots=["pkg.core.Sim.run"])
         code = main(["--config", str(tmp_path / "pyproject.toml")])
@@ -1058,7 +1173,7 @@ class TestCli:
     def test_sarif_format(self, tmp_path, capsys):
         files = dict(TAINT_FILES)
         files["pkg/clocky.py"] = files["pkg/clocky.py"].replace(
-            "  # lint: ok(R001)", ""
+            "  # lint: ok(R101)", ""
         )
         write_cli_project(tmp_path, files, roots=["pkg.core.Sim.run"])
         code = main(
@@ -1075,7 +1190,7 @@ class TestCli:
     def test_update_baseline_then_clean(self, tmp_path, capsys):
         files = dict(TAINT_FILES)
         files["pkg/clocky.py"] = files["pkg/clocky.py"].replace(
-            "  # lint: ok(R001)", ""
+            "  # lint: ok(R101)", ""
         )
         write_cli_project(tmp_path, files, roots=["pkg.core.Sim.run"])
         config = ["--config", str(tmp_path / "pyproject.toml")]
@@ -1097,7 +1212,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R100", "R101", "R102", "R103"):
+        for rule_id in ("R003", "R007", "R100", "R101", "R102", "R103"):
             assert rule_id in out
 
     def test_module_entry_point(self, tmp_path):

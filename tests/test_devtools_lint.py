@@ -1,26 +1,43 @@
-"""Tests for the simulation-safety linter (repro.devtools).
+"""Tests for the local rules and source detector of ``repro analyze``.
 
-Every rule gets at least one positive fixture (a crafted snippet it
-must fire on) and one negative fixture (the corrected snippet it must
-stay silent on), plus waiver and pyproject-config behaviour.
+Every local rule (R003-R007) gets at least one positive fixture (a
+crafted snippet it must fire on) and one negative fixture (the
+corrected snippet it must stay silent on); the wall-clock and
+global-RNG snippets are the inputs of the source detector, reported
+as R101 because the snippet's package is rooted.
+Waiver, pyproject-config and CLI behaviour close the file; the
+whole-program side lives in ``tests/test_devtools_analyze.py``.
 """
 
 import json
+import tempfile
 import textwrap
+from pathlib import Path
 
 import pytest
 
+from repro.devtools import config as config_module
+from repro.devtools.analyze.engine import analyze_tree, main
+from repro.devtools.analyze.model import Finding, Severity
+from repro.devtools.analyze.symbols import parse_waivers
 from repro.devtools.config import (
-    LintConfig,
-    config_from_dict,
-    load_config,
+    AnalyzeConfig,
+    analyze_config_from_dict,
+    load_analyze_config,
 )
-from repro.devtools.diagnostics import Diagnostic, Severity
-from repro.devtools.lint import lint_paths, lint_source, main, parse_waivers
+
+# Snippets live at src/repro/example.py, i.e. in module
+# ``repro.example``: rooting the package puts them in R101 scope.
+SNIPPET_CONFIG = analyze_config_from_dict({"roots": ["repro"]})
 
 
 def lint(source, rel_path="src/repro/example.py", config=None):
-    return lint_source(textwrap.dedent(source), rel_path, config)
+    config = config if config is not None else SNIPPET_CONFIG
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / rel_path
+        path.parent.mkdir(parents=True)
+        path.write_text(textwrap.dedent(source))
+        return analyze_tree([str(path)], config, base=Path(tmp)).findings
 
 
 def rules_fired(source, **kwargs):
@@ -28,7 +45,7 @@ def rules_fired(source, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# R001 — wall clock
+# Source detector — wall clock (reported as R101)
 
 
 class TestWallClock:
@@ -39,7 +56,7 @@ class TestWallClock:
             def stamp():
                 return time.time()
             """
-        ) == ["R001"]
+        ) == ["R101"]
 
     def test_perf_counter_from_import_fires(self):
         assert rules_fired(
@@ -48,7 +65,7 @@ class TestWallClock:
             def stamp():
                 return perf_counter()
             """
-        ) == ["R001"]
+        ) == ["R101"]
 
     def test_aliased_module_fires(self):
         assert rules_fired(
@@ -56,7 +73,7 @@ class TestWallClock:
             import time as clock
             x = clock.monotonic()
             """
-        ) == ["R001"]
+        ) == ["R101"]
 
     def test_datetime_now_fires(self):
         assert rules_fired(
@@ -64,7 +81,7 @@ class TestWallClock:
             from datetime import datetime
             stamp = datetime.now()
             """
-        ) == ["R001"]
+        ) == ["R101"]
 
     def test_simulator_now_is_clean(self):
         assert rules_fired(
@@ -84,8 +101,11 @@ class TestWallClock:
         ) == []
 
     def test_excluded_module_is_clean(self):
-        config = config_from_dict(
-            {"exclude": {"R001": ["src/repro/simulation/profiling.py"]}}
+        config = analyze_config_from_dict(
+            {
+                "roots": ["repro"],
+                "exclude": {"R101": ["src/repro/simulation/profiling.py"]},
+            }
         )
         source = """
         import time
@@ -99,11 +119,11 @@ class TestWallClock:
             )
             == []
         )
-        assert rules_fired(source, config=config) == ["R001"]
+        assert rules_fired(source, config=config) == ["R101"]
 
 
 # ---------------------------------------------------------------------------
-# R002 — module-global randomness
+# Source detector — module-global randomness (reported as R101)
 
 
 class TestGlobalRandom:
@@ -113,7 +133,7 @@ class TestGlobalRandom:
             import random
             x = random.random()
             """
-        ) == ["R002"]
+        ) == ["R101"]
 
     def test_from_import_draw_fires(self):
         assert rules_fired(
@@ -121,7 +141,7 @@ class TestGlobalRandom:
             from random import randint
             x = randint(0, 10)
             """
-        ) == ["R002"]
+        ) == ["R101"]
 
     def test_seeding_global_fires(self):
         assert rules_fired(
@@ -129,7 +149,7 @@ class TestGlobalRandom:
             import random
             random.seed(42)
             """
-        ) == ["R002"]
+        ) == ["R101"]
 
     def test_numpy_global_draw_fires(self):
         assert rules_fired(
@@ -137,7 +157,7 @@ class TestGlobalRandom:
             import numpy as np
             x = np.random.rand(3)
             """
-        ) == ["R002"]
+        ) == ["R101"]
 
     def test_seeded_instance_is_clean(self):
         assert rules_fired(
@@ -148,6 +168,24 @@ class TestGlobalRandom:
                 return rng.random()
             """
         ) == []
+
+    def test_system_random_is_os_entropy(self):
+        # random.SystemRandom seeds itself from the OS: constructing
+        # it is the source, whichever way it was imported.
+        for snippet in (
+            """
+            import random
+            r = random.SystemRandom()
+            x = r.random()
+            """,
+            """
+            from random import SystemRandom
+            x = SystemRandom().random()
+            """,
+        ):
+            [finding] = lint(snippet)
+            assert finding.rule == "R101"
+            assert "OS entropy read `random.SystemRandom`" in finding.message
 
     def test_numpy_default_rng_is_clean(self):
         assert rules_fired(
@@ -172,7 +210,7 @@ class TestGlobalRandom:
                 import numpy as np
                 x = {call}
                 """
-            ) == ["R002"], call
+            ) == ["R101"], call
 
     def test_annotation_only_use_is_clean(self):
         # net/loss.py-style: `random` imported purely for type hints.
@@ -283,8 +321,8 @@ class TestFloatEquality:
 # R005 — __slots__ in hot-path modules
 
 
-HOT_CONFIG = config_from_dict(
-    {"slots-modules": {"patterns": ["src/repro/hot.py"]}}
+HOT_CONFIG = analyze_config_from_dict(
+    {"slots-modules": ["src/repro/hot.py"]}
 )
 
 
@@ -504,7 +542,7 @@ class TestWaivers:
     def test_waiver_suppresses_on_its_line(self):
         source = """
         import time
-        t = time.time()  # lint: ok(R001) wall-clock stat by design
+        t = time.time()  # lint: ok(R101) wall-clock stat by design
         """
         assert lint(source) == []
 
@@ -513,60 +551,65 @@ class TestWaivers:
         import time
         t = time.time()  # lint: ok(R003)
         """
-        assert rules_fired(source) == ["R001"]
+        assert rules_fired(source) == ["R101"]
 
     def test_waiver_with_multiple_rules(self):
-        waivers = parse_waivers("x = 1  # lint: ok(R001, R003)\n")
-        assert waivers == {1: {"R001", "R003"}}
+        waivers = parse_waivers("x = 1  # lint: ok(R101, R003)\n")
+        assert waivers == {1: {"R101", "R003"}}
 
     def test_waiver_only_covers_its_line(self):
         source = """
         import time
-        a = time.time()  # lint: ok(R001)
+        a = time.time()  # lint: ok(R101)
         b = time.time()
         """
         diagnostics = lint(source)
-        assert [d.rule for d in diagnostics] == ["R001"]
+        assert [d.rule for d in diagnostics] == ["R101"]
         assert diagnostics[0].line == 4
 
 
 class TestConfig:
-    def test_disable_turns_rule_off(self):
-        config = config_from_dict({"disable": ["R001"]})
-        assert rules_fired(
-            "import time\nt = time.time()\n", config=config
-        ) == []
-
-    def test_warn_demotes_severity(self):
-        config = config_from_dict({"warn": ["R001"]})
-        diagnostics = lint("import time\nt = time.time()\n", config=config)
-        assert [d.severity for d in diagnostics] == [Severity.WARNING]
-
     def test_repo_pyproject_parses(self):
-        # The real pyproject block must load and carry the R001/R002
-        # excludes and the four hot-path modules.
-        from pathlib import Path
-
-        config = load_config(Path(__file__).parent.parent / "pyproject.toml")
+        # The real pyproject table must load and carry the R101 scope,
+        # the profiling exclude and the hot-path modules.
+        config = load_analyze_config(
+            Path(__file__).parent.parent / "pyproject.toml"
+        )
         assert config.paths == ["src/repro"]
-        assert any("profiling" in p for p in config.exclude["R001"])
+        assert "repro.receiver" in config.roots
+        assert any("profiling" in p for p in config.exclude["R101"])
         assert any("events" in p for p in config.slots_modules)
 
     def test_default_config_used_without_pyproject(self):
-        config = load_config(None)
-        assert isinstance(config, LintConfig)
-        assert config.paths == ["src/repro"]
+        # ...and the default is empty: nothing in the tool mirrors
+        # this repository's settings.
+        assert load_analyze_config(None) == AnalyzeConfig()
+        assert AnalyzeConfig().roots == []
+        assert AnalyzeConfig().exclude == {}
+        assert AnalyzeConfig().slots_modules == []
+
+    def test_missing_toml_parser_is_exit_two(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # An interpreter with neither tomllib nor tomli must say so,
+        # not analyze under a silently different configuration.
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.repro-analyze]\npaths = ["."]\n'
+        )
+        monkeypatch.setattr(config_module, "_toml", None)
+        assert main(["--config", str(tmp_path / "pyproject.toml")]) == 2
+        assert "no TOML parser" in capsys.readouterr().err
 
 
 class TestEngine:
-    def test_syntax_error_becomes_r000(self):
-        diagnostics = lint("def broken(:\n")
-        assert [d.rule for d in diagnostics] == ["R000"]
+    def test_syntax_error_becomes_r100(self):
+        diagnostics = lint("def broken(:\n", config=AnalyzeConfig())
+        assert [d.rule for d in diagnostics] == ["R100"]
         assert diagnostics[0].severity is Severity.ERROR
 
     def test_diagnostic_format_and_dict(self):
-        diagnostic = Diagnostic("a.py", 3, "R001", "boom")
-        assert diagnostic.format() == "a.py:3: R001 [error] boom"
+        diagnostic = Finding("a.py", 3, "R101", "boom")
+        assert diagnostic.format() == "a.py:3: R101 [error] boom"
         assert diagnostic.to_dict()["severity"] == "error"
 
     def test_lint_paths_walks_directories(self, tmp_path):
@@ -574,60 +617,74 @@ class TestEngine:
         package.mkdir()
         (package / "bad.py").write_text("import time\nt = time.time()\n")
         (package / "good.py").write_text("x = 1\n")
-        diagnostics = lint_paths([str(package)], base=tmp_path)
+        config = analyze_config_from_dict({"roots": ["pkg"]})
+        diagnostics = analyze_tree(
+            [str(package)], config, base=tmp_path
+        ).findings
         assert [(d.file, d.rule) for d in diagnostics] == [
-            ("pkg/bad.py", "R001")
+            ("pkg/bad.py", "R101")
         ]
 
     def test_missing_path_raises(self):
         with pytest.raises(FileNotFoundError):
-            lint_paths(["no/such/dir"])
+            analyze_tree(["no/such/dir"])
 
 
 class TestMain:
-    def test_clean_tree_exits_zero(self, tmp_path, capsys):
+    def test_clean_tree_exits_zero(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # --no-config: cwd holds the baseline
         (tmp_path / "ok.py").write_text("x = 1\n")
         assert main([str(tmp_path), "--no-config"]) == 0
         assert "clean" in capsys.readouterr().out
 
-    def test_violation_exits_nonzero_with_rule_id(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("import time\nt = time.time()\n")
+    def test_violation_exits_nonzero_with_rule_id(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.py").write_text("def add(item, acc=[]):\n    pass\n")
         assert main([str(tmp_path), "--no-config"]) == 1
-        assert "R001" in capsys.readouterr().out
+        assert "R007" in capsys.readouterr().out
 
-    def test_json_format(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("import time\nt = time.time()\n")
+    def test_json_format(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.py").write_text("def add(item, acc=[]):\n    pass\n")
         assert main([str(tmp_path), "--no-config", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["errors"] == 1
-        assert payload["diagnostics"][0]["rule"] == "R001"
+        assert payload["findings"][0]["rule"] == "R007"
+
+    def test_nothing_to_analyze_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--no-config"]) == 2
+        assert "nothing to analyze" in capsys.readouterr().err
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R001", "R002", "R003", "R004", "R005", "R006",
-                        "R007"):
+        for rule_id in ("R003", "R004", "R005", "R006", "R007", "R100",
+                        "R101", "R102", "R103"):
             assert rule_id in out
 
     def test_warn_only_findings_exit_zero(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("import time\nt = time.time()\n")
+        # Warnings (here: a root that names nothing) print but do not
+        # gate the exit code.
+        (tmp_path / "ok.py").write_text("x = 1\n")
         pyproject = tmp_path / "pyproject.toml"
         pyproject.write_text(
-            "[tool.repro-lint]\n"
+            "[tool.repro-analyze]\n"
             f'paths = ["{tmp_path.as_posix()}"]\n'
-            'warn = ["R001"]\n'
+            'roots = ["nowhere.at.all"]\n'
         )
         assert main(["--config", str(pyproject), str(tmp_path)]) == 0
         assert "warning" in capsys.readouterr().out
 
     def test_repo_tree_is_clean(self):
-        # The linter gates CI on its own repository: src/repro (which
-        # includes repro.devtools itself) must lint clean.
-        from pathlib import Path
-
+        # The analyzer gates CI on its own repository: src/repro (which
+        # includes repro.devtools itself) must come out clean, local
+        # rules included.
         repo = Path(__file__).parent.parent
-        config = load_config(repo / "pyproject.toml")
-        diagnostics = lint_paths(
+        config = load_analyze_config(repo / "pyproject.toml")
+        result = analyze_tree(
             [str(repo / "src" / "repro")], config, base=repo
         )
-        assert diagnostics == []
+        assert result.findings == []

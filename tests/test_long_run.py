@@ -2,8 +2,8 @@
 
 At 10 Mbps a call sends ~1000 packets/s, so the 65536-value RTP
 sequence space wraps after about a minute — every receiver structure
-keyed by sequence number (NACK tracking, FEC groups, packet buffer,
-SRTP index estimation) must survive the wrap.  These tests run calls
+keyed by sequence number (NACK tracking, FEC groups, packet buffer)
+must survive the wrap.  These tests run calls
 long and fast enough to cross the boundary, which is where modular
 arithmetic bugs live.
 """

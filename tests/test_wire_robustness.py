@@ -3,7 +3,7 @@
 A parser that throws ``struct.error`` / ``IndexError`` on hostile
 input is a denial-of-service bug in a network-facing system; every
 unpack function must either return a valid message or raise
-``ValueError`` (wire) / ``SrtpError`` (crypto).
+``ValueError``.
 """
 
 import pytest
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.rtp import rtcp_wire
 from repro.rtp.serialization import unpack_rtcp_report, unpack_rtp_header
-from repro.rtp.srtp import SrtpError, SrtpSession
 
 
 @st.composite
@@ -76,13 +75,4 @@ class TestParserRobustness:
         try:
             rtcp_wire.unpack_message(data)
         except ValueError:
-            pass
-
-    @given(st.binary(max_size=100), st.integers(0, 65535))
-    @settings(max_examples=100)
-    def test_srtp_unprotect_never_crashes(self, data, seq):
-        session = SrtpSession(b"0123456789abcdef", ssrc=1)
-        try:
-            session.unprotect(data, seq=seq, path_id=0)
-        except SrtpError:
             pass

@@ -52,7 +52,12 @@ from repro.experiments.cells import (
     expand_grid,
     make_cell,
 )
-from repro.experiments.runner import CellSummary, results_of, run_cells
+from repro.experiments.runner import (
+    CellSummary,
+    report_quarantined,
+    results_of,
+    run_cells,
+)
 from repro.faults.scenarios import chaos_scenario_names
 from repro.metrics.report import format_table
 from repro.traces.scenarios import scenario_networks
@@ -614,11 +619,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"({100 * stats.cache_hit_rate:.0f}%), {stats.errors} errors{extra}, "
         f"{stats.wall_seconds:.1f}s wall on {stats.jobs} jobs"
     )
-    if stats.quarantined:
-        print(
-            f"quarantined {len(stats.quarantined)} poison cell(s): "
-            + ", ".join(stats.quarantined)
-        )
+    report_quarantined(stats, sys.stdout)
     if args.json:
         target = save_run_report_json(report, args.json)
         print(f"wrote {target}")
@@ -693,6 +694,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         f"({100 * stats.cache_hit_rate:.0f}%), {stats.errors} errors, "
         f"{stats.wall_seconds:.1f}s wall{rate}"
     )
+    report_quarantined(stats, sys.stdout)
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(report.payload(), handle, indent=2, sort_keys=True)

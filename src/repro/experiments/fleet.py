@@ -28,7 +28,12 @@ from repro.analysis.stats import bootstrap_ci, describe
 from repro.core.config import SystemKind
 from repro.experiments.cache import ResultCache
 from repro.experiments.cells import Cell, Fidelity, ScenarioPaths, make_cell
-from repro.experiments.runner import CellSummary, RunStats, run_cells
+from repro.experiments.runner import (
+    CellOutcome,
+    CellSummary,
+    RunStats,
+    stream_cells,
+)
 
 # The QoE metrics a fleet reduces; each is a scalar in every cell
 # summary.  ``freeze_total`` is reported per call (seconds frozen) —
@@ -173,6 +178,17 @@ class FleetReport:
         }
 
 
+# One cell as the statistics see it: its ``FLEET_METRICS`` values in
+# that order, or ``None`` for a failed cell.
+MetricRow = Optional[Tuple[float, ...]]
+
+
+def _metric_row(summary: Optional[CellSummary]) -> MetricRow:
+    if summary is None:
+        return None
+    return tuple(float(summary.summary[metric]) for metric in FLEET_METRICS)
+
+
 def fleet_statistics(
     spec: FleetSpec,
     summaries: Sequence[Optional[CellSummary]],
@@ -187,39 +203,51 @@ def fleet_statistics(
     label, so the result is independent of how (or where) the
     summaries were computed.
     """
-    if len(summaries) != spec.cell_count:
+    return _reduce_rows(
+        spec, [_metric_row(s) for s in summaries], confidence, resamples
+    )
+
+
+def _reduce_rows(
+    spec: FleetSpec,
+    rows: Sequence[MetricRow],
+    confidence: float,
+    resamples: int,
+) -> List[FleetGroup]:
+    """The statistics themselves, over one metric row per cell."""
+    if len(rows) != spec.cell_count:
         raise ValueError(
             f"expected {spec.cell_count} summaries for the spec, "
-            f"got {len(summaries)}"
+            f"got {len(rows)}"
         )
     groups: List[FleetGroup] = []
     per_point = len(spec.seeds)
     index = 0
     for scenario in spec.scenarios:
         for system in spec.systems:
-            chunk = summaries[index:index + per_point]
+            chunk = rows[index:index + per_point]
             index += per_point
-            good = [s for s in chunk if s is not None]
+            good = [row for row in chunk if row is not None]
             group = FleetGroup(
                 scenario=scenario,
                 system=system.value,
                 n=len(good),
                 failed=per_point - len(good),
             )
-            for metric in FLEET_METRICS:
-                values = [float(s.summary[metric]) for s in good]
+            for column, metric in enumerate(FLEET_METRICS):
+                values = [row[column] for row in good]
                 if not values:
                     continue
-                row = describe(values)
+                described = describe(values)
                 lo, hi = bootstrap_ci(
                     values,
                     confidence=confidence,
                     resamples=resamples,
                     seed_label=f"{scenario}/{system.value}/{metric}",
                 )
-                row["ci_lo"] = lo
-                row["ci_hi"] = hi
-                group.metrics[metric] = row
+                described["ci_lo"] = lo
+                described["ci_hi"] = hi
+                group.metrics[metric] = described
             groups.append(group)
     return groups
 
@@ -236,30 +264,34 @@ def run_fleet(
 ) -> FleetReport:
     """Expand, execute and reduce one fleet spec.
 
-    Execution goes through :func:`repro.experiments.runner.run_cells`
+    Execution goes through :func:`repro.experiments.runner.stream_cells`
     — content-addressed caching, per-cell quarantine and the array
     batch mode all apply — so a fleet can be split across machines by
     sharding the seed range and recombined with ``repro cache merge``.
+    Of each cell only its metric row outlives its delivery, so the
+    fleet's footprint is one array batch however many seeds it has.
     """
     cells = expand_fleet(spec)
-    report = run_cells(
+    rows: List[MetricRow] = [None] * len(cells)
+
+    def reduce(outcome: CellOutcome, positions: Sequence[int]) -> None:
+        row = _metric_row(outcome.summary)
+        for index in positions:
+            rows[index] = row
+
+    stats = stream_cells(
         cells,
+        reduce,
         jobs=jobs,
         cache=cache,
         progress=progress,
         cell_timeout=cell_timeout,
         mode=mode,
     )
-    groups = fleet_statistics(
-        spec,
-        report.summaries(),
-        confidence=confidence,
-        resamples=resamples,
-    )
     return FleetReport(
         spec=spec,
-        groups=groups,
-        stats=report.stats,
+        groups=_reduce_rows(spec, rows, confidence, resamples),
+        stats=stats,
         confidence=confidence,
         resamples=resamples,
     )

@@ -22,6 +22,12 @@ jobs.  This module executes such a list:
 Duplicate cells in the input are executed once and fanned back out, so
 experiment modules can express their natural grids without worrying
 about redundancy.
+
+One driver, :func:`stream_cells`, does all of the above and hands each
+finished cell to its caller's sink exactly once.  :func:`run_cells` is
+the caller that files every outcome into a :class:`RunReport`;
+:func:`repro.experiments.fleet.run_fleet` is the one that takes six
+floats from each and lets the payload go (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -38,10 +44,12 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
     Set,
+    TextIO,
     Tuple,
     Union,
 )
@@ -62,8 +70,10 @@ _MAX_PENDING_PER_WORKER = 4
 _TASK_SECONDS = 0.05
 
 # Largest single array-batch handed to the flow batch engine: bounds
-# the (T, B) state arrays of one group (a 60 s call at 1024 cells is a
-# few hundred MB of live state) without limiting sweep size.
+# the (T, B) state arrays of one group (a 60 s call at 1024 cells is
+# about 130 MiB of live state: 170 MiB peak RSS, 40 of them the bare
+# interpreter with numpy and repro imported) without limiting sweep
+# size.
 _MAX_BATCH_CELLS = 1024
 
 
@@ -489,33 +499,32 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def run_cells(
+# What a consumer of :func:`stream_cells` is handed, once per unique
+# cell: the outcome and every input position it answers.
+CellSink = Callable[[CellOutcome, Sequence[int]], None]
+
+
+def stream_cells(
     cells: Sequence[Cell],
+    sink: CellSink,
     jobs: Optional[int] = None,
-    cache: Union[ResultCache, str, os.PathLike, None] = None,
+    cache: Union[ResultCache, str, "os.PathLike[str]", None] = None,
     progress: bool = False,
     cell_timeout: Optional[float] = None,
     retries: int = 1,
     mode: str = "scalar",
-) -> RunReport:
-    """Execute ``cells``, fanning out across processes and the cache.
+) -> RunStats:
+    """Execute ``cells``, handing each result to ``sink`` as it lands.
 
-    ``jobs`` — worker processes; ``None`` means ``os.cpu_count()``
-    (override with ``REPRO_JOBS``); ``1`` runs serially in-process
-    (identical results, no pool overhead).  ``cache`` — a
-    :class:`ResultCache`, a directory path, or ``None`` to disable
-    caching.  ``progress`` — emit one line per finished cell to stderr.
-    ``cell_timeout`` — per-cell wall-clock budget in seconds (SIGALRM
-    on POSIX; no-op where unavailable).  ``retries`` — extra attempts
-    for a failed or timed-out cell before it is quarantined: reported
-    as a structured error in the run summary, never raised mid-sweep.
-    ``mode`` — ``"scalar"`` runs every cell through the per-process
-    path above; ``"batch"`` first groups compatible flow-fidelity
-    cells (same resolved cell up to seed/label) into array batches for
-    :func:`repro.flow.batch.execute_batch`, byte-identical to scalar
-    execution, and falls back per cell for whatever cannot batch.
-
-    Returns a :class:`RunReport` with outcomes in input order.
+    The one driver behind :func:`run_cells` (which documents the other
+    arguments) and :func:`repro.experiments.fleet.run_fleet`: dedup,
+    cache pass, array batches, then the serial loop or the pool.
+    ``sink(outcome, positions)`` is called exactly once per unique
+    cell, in completion order (cache hits first, then batched cells
+    lane by lane, then the rest as they finish), with the indices in
+    ``cells`` that the outcome answers.  The driver holds no outcome
+    once ``sink`` returns, so what a sweep keeps in memory is its
+    consumer's choice.
     """
     if mode not in ("scalar", "batch"):
         raise ValueError(f"unknown run_cells mode: {mode!r}")
@@ -526,7 +535,6 @@ def run_cells(
         store = cache if isinstance(cache, ResultCache) else ResultCache(cache)
 
     stats = RunStats(cells_total=len(cells), jobs=jobs)
-    outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
 
     # Deduplicate: identical cells (by content key) run once.
     positions: Dict[str, List[int]] = {}
@@ -557,8 +565,7 @@ def run_cells(
                 f"{outcome.cell.effective_label} seed={outcome.cell.seed}"
             )
         stats.executed_wall_seconds += outcome.wall_seconds
-        for index in positions[key]:
-            outcomes[index] = outcome
+        sink(outcome, positions[key])
         if progress:
             elapsed = time.perf_counter() - start
             _progress_line(done, len(unique), outcome, elapsed)
@@ -606,10 +613,59 @@ def run_cells(
         )
 
     stats.wall_seconds = time.perf_counter() - start
-    report = RunReport(outcomes=[o for o in outcomes if o is not None], stats=stats)
     if progress:
         _stats_line(stats)
-    return report
+    return stats
+
+
+def run_cells(
+    cells: Sequence[Cell],
+    jobs: Optional[int] = None,
+    cache: Union[ResultCache, str, "os.PathLike[str]", None] = None,
+    progress: bool = False,
+    cell_timeout: Optional[float] = None,
+    retries: int = 1,
+    mode: str = "scalar",
+) -> RunReport:
+    """Execute ``cells``, fanning out across processes and the cache.
+
+    ``jobs`` — worker processes; ``None`` means ``os.cpu_count()``
+    (override with ``REPRO_JOBS``); ``1`` runs serially in-process
+    (identical results, no pool overhead).  ``cache`` — a
+    :class:`ResultCache`, a directory path, or ``None`` to disable
+    caching.  ``progress`` — emit one line per finished cell to stderr.
+    ``cell_timeout`` — per-cell wall-clock budget in seconds (SIGALRM
+    on POSIX; no-op where unavailable).  ``retries`` — extra attempts
+    for a failed or timed-out cell before it is quarantined: reported
+    as a structured error in the run summary, never raised mid-sweep.
+    ``mode`` — ``"scalar"`` runs every cell through the per-process
+    path above; ``"batch"`` first groups compatible flow-fidelity
+    cells (same resolved cell up to seed/label) into array batches for
+    :func:`repro.flow.batch.iter_batch`, byte-identical to scalar
+    execution, and falls back per cell for whatever cannot batch.
+
+    Returns a :class:`RunReport` with outcomes in input order: the
+    :func:`stream_cells` consumer that keeps every outcome.
+    """
+    outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
+
+    def file(outcome: CellOutcome, positions: Sequence[int]) -> None:
+        for index in positions:
+            outcomes[index] = outcome
+
+    stats = stream_cells(
+        cells,
+        file,
+        jobs=jobs,
+        cache=cache,
+        progress=progress,
+        cell_timeout=cell_timeout,
+        retries=retries,
+        mode=mode,
+    )
+    return RunReport(
+        outcomes=[o for o in outcomes if o is not None], stats=stats
+    )
 
 
 def _run_batched(
@@ -621,17 +677,19 @@ def _run_batched(
     """Execute what the array backend can take; return the leftovers.
 
     Compatible flow cells are grouped by structural identity and
-    stepped together in :func:`repro.flow.batch.execute_batch` (large
-    groups are chunked so one group's ``(T, B)`` state stays bounded).
-    Results are byte-identical to the scalar path: both backends
-    build payloads in the normal form ``analysis.export`` defines
-    (pinned by tests/test_flow_batch.py), so cache entries and
-    outcomes are indistinguishable from per-process execution without
-    any normalization pass.  Cells the planner rejects, plus any group
-    that fails outright (counted in ``stats.batch_fallbacks``), are
-    returned as keys for the scalar path to pick up.
+    stepped together in :func:`repro.flow.batch.iter_batch` (large
+    groups are chunked so one group's ``(T, B)`` state stays bounded),
+    and each payload is finished — stored, handed on, dropped — before
+    the next one is built.  Results are byte-identical to the scalar
+    path: both backends build payloads in the normal form
+    ``analysis.export`` defines (pinned by tests/test_flow_batch.py),
+    so cache entries and outcomes are indistinguishable from
+    per-process execution without any normalization pass.  Cells the
+    planner rejects, plus the cells a failing chunk had not delivered
+    yet (counted in ``stats.batch_fallbacks``), are returned as keys
+    for the scalar path to pick up.
     """
-    from repro.flow.batch import execute_batch, plan_batches
+    from repro.flow.batch import plan_batches
 
     cells = [cell for _key, cell in items]
     groups, rest = plan_batches(cells)
@@ -639,17 +697,11 @@ def _run_batched(
     for group in groups:
         for lo in range(0, len(group), _MAX_BATCH_CELLS):
             chunk = group[lo:lo + _MAX_BATCH_CELLS]
-            chunk_start = time.perf_counter()
-            try:
-                payloads = execute_batch([cells[i] for i in chunk])
-            except Exception:  # noqa: BLE001 — scalar path retries
-                stats.batch_fallbacks += len(chunk)
-                leftover.extend(items[i][0] for i in chunk)
-                continue
-            wall = (
-                time.perf_counter() - chunk_start
-            ) / len(chunk)
-            for i, payload in zip(chunk, payloads):
+            delivered = 0
+            for i, (payload, wall) in zip(
+                chunk, _timed_payloads([cells[i] for i in chunk])
+            ):
+                delivered += 1
                 key, cell = items[i]
                 verdict = {
                     "ok": True,
@@ -657,7 +709,32 @@ def _run_batched(
                     "wall_seconds": wall,
                 }
                 finish(key, _outcome_from_verdict(cell, key, verdict, store))
+            stats.batch_fallbacks += len(chunk) - delivered
+            leftover.extend(items[i][0] for i in chunk[delivered:])
     return leftover
+
+
+def _timed_payloads(
+    cells: Sequence[Cell],
+) -> Iterator[Tuple[Dict[str, Any], float]]:
+    """One array batch's payloads, each with its ``wall_seconds``: an
+    equal share of the time to the first payload (the array program
+    runs on the way to it) plus the payload's own build time.  A batch
+    that raises ends here, early: what it had not delivered is the
+    caller's to re-run."""
+    from repro.flow.batch import iter_batch
+
+    share: Optional[float] = None
+    mark = time.perf_counter()
+    try:
+        for payload in iter_batch(cells):
+            built = time.perf_counter() - mark
+            if share is None:
+                share, built = built / len(cells), 0.0
+            yield payload, share + built
+            mark = time.perf_counter()
+    except Exception:  # noqa: BLE001 — scalar path retries
+        return
 
 
 def _run_one(
@@ -913,11 +990,15 @@ def _stats_line(stats: RunStats) -> None:
         file=sys.stderr,
         flush=True,
     )
+    report_quarantined(stats, sys.stderr)
+
+
+def report_quarantined(stats: RunStats, stream: TextIO) -> None:
+    """Name the cells that failed every attempt, if any did."""
     if stats.quarantined:
-        names = ", ".join(stats.quarantined)
         print(
-            f"quarantined {len(stats.quarantined)} poison "
-            f"cell(s): {names}",
-            file=sys.stderr,
+            f"quarantined {len(stats.quarantined)} poison cell(s): "
+            + ", ".join(stats.quarantined),
+            file=stream,
             flush=True,
         )

@@ -51,7 +51,16 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 from numpy.typing import NDArray
@@ -247,6 +256,15 @@ def _vector_step_caps(link: FlowLink, query: F8) -> F8:
     index[index < 0] = 0
     caps: F8 = values[index]
     return np.where(caps < link._outage_bps, 0.0, caps)
+
+
+def _take_lane_rows(holder: Any, name: str) -> NDArray[Any]:
+    """The ``(T, B)`` record ``holder.name`` as ``(B, T)``, one
+    contiguous row per lane for cheap extraction; the original is
+    released, so the run never holds a record in both layouts."""
+    rows: NDArray[Any] = np.ascontiguousarray(getattr(holder, name).T)
+    delattr(holder, name)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +613,7 @@ class _BatchFlowRun:
     # -- the hot loop ------------------------------------------------------
 
     # drift: pair(flow-batch) impl
-    def run(self) -> List[Dict[str, Any]]:
+    def run(self) -> Iterator[Dict[str, Any]]:
         config = self.config
         lanes = self.lanes
         consts = self.consts
@@ -1632,7 +1650,20 @@ class _BatchFlowRun:
 
     # -- payload construction ----------------------------------------------
 
-    def _finalize(self) -> List[Dict[str, Any]]:
+    def _finalize(self) -> Iterator[Dict[str, Any]]:
+        """The payloads, lanes in order, each built when it is taken.
+
+        Nothing below runs until the first payload is asked for, and
+        none is held here once handed over: unless the caller collects
+        them, the run's footprint is its own arrays, not B result
+        dicts.  What only the loop needed is released first — the draw
+        pool (:data:`_POOL_CHUNK` doubles a lane) and the capacity
+        tables are its largest arrays — and every ``(T, B)`` record
+        gives way to its per-lane copy.
+        """
+        del self.pool
+        for lane in self.lanes:
+            del lane.caps, lane.cap  # ``cap`` is a row view of ``caps``
         config = self.config
         duration = config.duration
         frame_rate = config.frame_rate
@@ -1650,48 +1681,39 @@ class _BatchFlowRun:
             (self.steps + 1, self.batch_size), dtype=np.int64
         )
         np.cumsum(self.rendered_size, axis=0, out=render_cum[1:])
-        rr_values = (
-            (render_cum[sample_index] - render_cum[cut_index]) * 8 / 1.0
+        rr_t = np.ascontiguousarray(
+            ((render_cum[sample_index] - render_cum[cut_index]) * 8 / 1.0).T
         )
-        # Per-cell transposes: contiguous columns for cheap extraction.
-        rendered_size_t = np.ascontiguousarray(self.rendered_size.T)
-        rendered_key_t = np.ascontiguousarray(self.rendered_key.T)
-        rendered_qp_t = np.ascontiguousarray(self.rendered_qp.T)
-        rendered_completion_t = np.ascontiguousarray(
-            self.rendered_completion.T
-        )
-        tr_t = np.ascontiguousarray(self.tr_samples.T)
-        rr_t = np.ascontiguousarray(rr_values.T)
-        tgt_t = [
-            np.ascontiguousarray(lane.tgt_samples.T) for lane in self.lanes
-        ]
+        del render_cum
+        rendered_size_t = _take_lane_rows(self, "rendered_size")
+        rendered_key_t = _take_lane_rows(self, "rendered_key")
+        rendered_qp_t = _take_lane_rows(self, "rendered_qp")
+        rendered_completion_t = _take_lane_rows(self, "rendered_completion")
+        tr_t = _take_lane_rows(self, "tr_samples")
+        tgt_t = [_take_lane_rows(lane, "tgt_samples") for lane in self.lanes]
         # fps buckets, replayed with the collector's float accumulator.
         bucket_ends: List[float] = []
         t = 0.0
         while t < duration:
             bucket_ends.append(t + 1.0)
             t += 1.0
-        payloads = []
         for i, cell in enumerate(self.cells):
-            payloads.append(
-                self._cell_payload(
-                    i,
-                    cell,
-                    nows,
-                    sample_nows,
-                    rendered_size_t[i],
-                    rendered_key_t[i],
-                    rendered_qp_t[i],
-                    rendered_completion_t[i],
-                    tr_t[i],
-                    rr_t[i],
-                    tgt_t,
-                    bucket_ends,
-                    rd_model,
-                    nominal_interval,
-                )
+            yield self._cell_payload(
+                i,
+                cell,
+                nows,
+                sample_nows,
+                rendered_size_t[i],
+                rendered_key_t[i],
+                rendered_qp_t[i],
+                rendered_completion_t[i],
+                tr_t[i],
+                rr_t[i],
+                tgt_t,
+                bucket_ends,
+                rd_model,
+                nominal_interval,
             )
-        return payloads
 
     def _cell_payload(
         self,
@@ -1739,8 +1761,8 @@ class _BatchFlowRun:
             e2e_std = 0.0
             e2e_p95 = 0.0
         # Freeze stats over sorted render times with boundary gaps.
+        ordered = np.sort(render_times)
         if rendered_count:
-            ordered = np.sort(render_times)
             bounds = np.empty(rendered_count + 2, dtype=np.float64)
             bounds[0] = 0.0
             bounds[1:-1] = ordered
@@ -1817,8 +1839,7 @@ class _BatchFlowRun:
             else 0.0
         )
         # fps series: bucketed render counts (collector.fps_series).
-        sorted_rt = np.sort(render_times)
-        edges = np.searchsorted(sorted_rt, np.array(bucket_ends), side="left")
+        edges = np.searchsorted(ordered, np.array(bucket_ends), side="left")
         fps_counts = np.empty(len(bucket_ends), dtype=np.int64)
         fps_counts[0] = edges[0]
         fps_counts[1:] = edges[1:] - edges[:-1]
@@ -1897,17 +1918,17 @@ class _BatchFlowRun:
 # Group execution
 
 
-def execute_batch(cells: Sequence[Cell]) -> List[Dict[str, Any]]:
+def iter_batch(cells: Sequence[Cell]) -> Iterator[Dict[str, Any]]:
     """Execute one structural group of cells as an array program.
 
     All cells must share :func:`group_key`; cells that fail the dynamic
     path checks (scheduled loss models, per-path parameter drift) fall
-    back to the scalar backend individually.  Results come back in
-    input order, equal to the scalar runner's payloads.
+    back to the scalar backend individually.  Payloads come in input
+    order, equal to the scalar runner's, and one at a time: the array
+    program has run to its last step by the first, each payload is
+    built (or its scalar fall-back run) when it is taken, and what is
+    kept of it is the consumer's business.
     """
-    if not cells:
-        return []
-    payloads: List[Optional[Dict[str, Any]]] = [None] * len(cells)
     accepted: List[int] = []
     links_per_cell: List[List[FlowLink]] = []
     template_sig: Optional[List[Tuple[Any, ...]]] = None
@@ -1931,23 +1952,28 @@ def execute_batch(cells: Sequence[Cell]) -> List[Dict[str, Any]]:
             continue
         accepted.append(index)
         links_per_cell.append(links)
-    if accepted and template_config is not None:
+    batched: Iterator[Dict[str, Any]] = iter(())
+    if template_config is not None:
         run = _BatchFlowRun(
             template_config,
             [cells[i] for i in accepted],
             links_per_cell,
         )
+        # The traces are tabulated into the run's capacity arrays.
+        del links_per_cell
         # One suppressed-warning window for the whole array program:
         # guarded divisions (outage capacities, zero weights) are
         # selected away by ``np.where`` right after they happen.
         with np.errstate(divide="ignore", invalid="ignore"):
-            batch_payloads = run.run()
-        for i, payload in zip(accepted, batch_payloads):
-            payloads[i] = payload
-    for index, payload in enumerate(payloads):
-        if payload is None:
-            payloads[index] = _scalar_payload(cells[index])
-    return [payload for payload in payloads if payload is not None]
+            batched = run.run()
+    on_array = set(accepted)
+    for index, cell in enumerate(cells):
+        yield next(batched) if index in on_array else _scalar_payload(cell)
+
+
+def execute_batch(cells: Sequence[Cell]) -> List[Dict[str, Any]]:
+    """:func:`iter_batch`, collected: every payload, in input order."""
+    return list(iter_batch(cells))
 
 
 def build_template_config(cell: Cell) -> CallConfig:

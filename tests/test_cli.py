@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from tests.batch_spy import poison_seed
+
 
 class TestParser:
     def test_requires_command(self):
@@ -89,6 +91,19 @@ class TestCommands:
         assert data["accounting"]["events_total"] > 0
         assert data["events_per_second"] > 0
         assert data["hotspots"], "expected at least one repro hotspot"
+
+    @pytest.mark.parametrize("command", ["fleet", "sweep"])
+    def test_failed_cells_are_named(self, command, capsys, monkeypatch):
+        poison_seed(monkeypatch, 2)
+        code = main([
+            command, "--scenarios", "driving", "--systems", "converge",
+            "--seeds", "3", "--duration", "2", "--fidelity", "flow",
+            "--mode", "scalar", "--jobs", "1",
+        ])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "1 errors" in out
+        assert "quarantined 1 poison cell(s): converge seed=2" in out
 
     def test_profile_rejects_experiment_without_cells(self):
         with pytest.raises(SystemExit):

@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from repro.analysis.stats import bootstrap_ci, percentile
 from repro.cli import main
 from repro.core.config import SystemKind
 from repro.experiments.cache import ResultCache
-from repro.experiments.cells import Fidelity, cell_key
+from repro.experiments.cells import Fidelity, canonical_json, cell_key
 from repro.experiments.fleet import (
     FLEET_METRICS,
     FleetSpec,
@@ -23,7 +24,11 @@ from repro.experiments.fleet import (
     fleet_statistics,
     run_fleet,
 )
-from repro.experiments.runner import run_cells
+from repro.experiments import runner as runner_mod
+from repro.experiments.runner import execute_cell, run_cells
+from repro.flow.batch import _BatchFlowRun, execute_batch
+
+from tests.batch_spy import poison_seed
 
 DURATION = 2.0
 
@@ -253,6 +258,139 @@ class TestRunFleet:
         assert payload["spec"]["seeds"] == [1, 2]
         assert payload["stats"]["errors"] == 0
         assert len(payload["groups"]) == 1
+
+
+def _group_payloads(groups):
+    return [group.payload() for group in groups]
+
+
+class TestRunFleetStreams:
+    """``run_fleet`` reduces cells as they land; its statistics are those
+    of the collected summaries, whichever way a cell was produced."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("mode", ["batch", "scalar"])
+    def test_equals_the_statistics_of_collected_summaries(
+        self, mode, jobs, tmp_path
+    ):
+        spec = _spec(systems=(SystemKind.CONVERGE, SystemKind.WEBRTC))
+        cells = expand_fleet(spec)
+        for hits, fleet_cache, cells_cache in (
+            (0, None, None),
+            (0, tmp_path / "fleet", tmp_path / "cells"),  # cold
+            (len(cells), tmp_path / "fleet", tmp_path / "cells"),  # warm
+        ):
+            fleet = run_fleet(
+                spec, jobs=jobs, cache=fleet_cache, mode=mode, resamples=100
+            )
+            report = run_cells(cells, jobs=jobs, cache=cells_cache, mode=mode)
+            assert _group_payloads(fleet.groups) == _group_payloads(
+                fleet_statistics(spec, report.summaries(), resamples=100)
+            )
+            for stats in (fleet.stats, report.stats):
+                assert stats.cache_hits == hits
+                assert stats.executed == len(cells) - hits
+                assert stats.errors == 0 and stats.batch_fallbacks == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("mode", ["batch", "scalar"])
+    def test_a_failed_cell_is_a_hole_in_its_group(
+        self, mode, jobs, monkeypatch
+    ):
+        spec = _spec(seeds=(1, 2, 3, 4))
+        poison_seed(monkeypatch, 2)
+        fleet = run_fleet(spec, jobs=jobs, mode=mode, resamples=100)
+        report = run_cells(expand_fleet(spec), jobs=jobs, mode=mode)
+        assert [o.ok for o in report.outcomes] == [True, False, True, True]
+        assert _group_payloads(fleet.groups) == _group_payloads(
+            fleet_statistics(spec, report.summaries(), resamples=100)
+        )
+        group = fleet.groups[0]
+        assert (group.n, group.failed) == (3, 1)
+        assert set(group.metrics) == set(FLEET_METRICS)
+        assert fleet.stats.errors == 1
+        assert fleet.stats.quarantined == ["converge seed=2"]
+
+
+def _traced_peak(run):
+    """Peak traced bytes while ``run()`` executes (it may itself be what
+    starts the tracing)."""
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _traced_size(build):
+    """Traced bytes of what ``build()`` returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = build()
+        return tracemalloc.get_traced_memory()[0] - before, built
+    finally:
+        tracemalloc.stop()
+
+
+class TestFleetMemory:
+    """A fleet keeps six floats of a cell, not its payload.
+
+    Tracing the simulators themselves is not affordable here (their
+    step loops are single functions of ~1000 lines, and tracemalloc
+    resolves a line number per allocation: a 128-lane x 10 s batch
+    takes 13 s traced against 0.3 s), so each test traces exactly the
+    stage where payloads exist.
+    """
+
+    def test_batch_fleet_holds_no_payloads(self, monkeypatch):
+        spec = _spec(seeds=tuple(range(1, 129)), duration=10.0)
+        cells = expand_fleet(spec)
+        text = canonical_json(execute_batch(cells[:1])[0])
+        payload_bytes, _ = _traced_size(lambda: json.loads(text))
+        # Tracing starts where the array program's step loop ends: what
+        # is measured is the payload stage of each consumer.
+        real_finalize = _BatchFlowRun._finalize
+
+        def traced_finalize(run):
+            tracemalloc.start()
+            yield from real_finalize(run)
+
+        monkeypatch.setattr(_BatchFlowRun, "_finalize", traced_finalize)
+        fleet_peak = _traced_peak(
+            lambda: run_fleet(spec, jobs=1, mode="batch", resamples=100)
+        )
+        cells_peak = _traced_peak(
+            lambda: fleet_statistics(
+                spec,
+                run_cells(cells, jobs=1, mode="batch").summaries(),
+                resamples=100,
+            )
+        )
+        assert cells_peak - fleet_peak >= 0.5 * len(cells) * payload_bytes
+
+    def test_scalar_fleet_peak_does_not_grow_by_payloads(self, monkeypatch):
+        # Every cell "executes" to a fresh decode of one real 30 s
+        # payload, so the trace sees what the harness holds and nothing
+        # else.
+        text = canonical_json(
+            execute_cell(expand_fleet(_spec(duration=30.0))[0])
+        )
+        monkeypatch.setattr(
+            runner_mod, "execute_cell", lambda cell: json.loads(text)
+        )
+        payload_bytes, _ = _traced_size(lambda: json.loads(text))
+
+        def peak(seeds):
+            spec = _spec(seeds=tuple(range(1, seeds + 1)), duration=30.0)
+            tracemalloc.start()
+            return _traced_peak(
+                lambda: run_fleet(spec, jobs=1, mode="scalar", resamples=100)
+            )
+
+        # A further seed costs its Cell, key, positions and metric row
+        # (4-5 KiB), where it used to cost a whole payload as well.
+        assert (peak(256) - peak(32)) / 224 < payload_bytes / 8
 
 
 class TestCacheSharding:

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import SystemKind
 from repro.experiments import runner as runner_mod
+from repro.experiments.cache import ResultCache
 from repro.experiments.cells import (
     ConstantPaths,
     Fidelity,
@@ -45,6 +46,7 @@ from repro.flow.batch import (
 )
 from repro.flow.frames import binomial_draw, binomial_from_uniform
 
+from tests.batch_spy import watch_payload_builds
 from tests.normal_form import assert_normal_form, assert_same_payload
 
 DURATION = 3.0
@@ -158,6 +160,69 @@ class TestExecuteBatchByteExact:
         assert [p["label"] for p in batched] == ["cell-3", "cell-1", "cell-2"]
 
 
+class TestIterBatch:
+    def test_each_payload_is_built_when_it_is_taken(self, monkeypatch):
+        built = []
+        watch_payload_builds(monkeypatch, lambda lane, cell: built.append(lane))
+        cells = [_flow_cell(seed=seed) for seed in (1, 2, 3, 4)]
+        payloads = batch_mod.iter_batch(cells)
+        assert built == []
+        first = next(payloads)
+        assert built == [0]
+        second = next(payloads)
+        assert built == [0, 1]
+        rest = list(payloads)
+        assert built == [0, 1, 2, 3]
+        assert [first, second] + rest == execute_batch(cells)
+
+    def test_scalar_fallbacks_keep_their_place(self, monkeypatch):
+        # A cell the array program cannot take runs on the scalar
+        # backend when its turn comes, between its neighbours' lanes.
+        order = []
+        watch_payload_builds(
+            monkeypatch, lambda lane, cell: order.append(cell.seed)
+        )
+        real_scalar = batch_mod._scalar_payload
+
+        def scalar(cell):
+            order.append(cell.seed)
+            return real_scalar(cell)
+
+        monkeypatch.setattr(batch_mod, "_scalar_payload", scalar)
+        cells = [
+            _flow_cell(seed=1),
+            _flow_cell(seed=2, chaos="uplink-death"),
+            _flow_cell(seed=3),
+        ]
+        payloads = list(batch_mod.iter_batch(cells))
+        assert order == [1, 2, 3]
+        for cell, payload in zip(cells, payloads):
+            assert_same_payload(payload, real_scalar(cell))
+
+    def test_loop_state_is_released_before_the_first_payload(
+        self, monkeypatch
+    ):
+        # The draw pool and the capacity tables are the run's largest
+        # arrays and only the step loop reads them.
+        held = []
+        real = batch_mod._BatchFlowRun._cell_payload
+
+        def watched(run, *args):
+            held.append(
+                hasattr(run, "pool")
+                or hasattr(run, "rendered_size")
+                or any(hasattr(lanes, "caps") for lanes in run.lanes)
+            )
+            return real(run, *args)
+
+        monkeypatch.setattr(batch_mod._BatchFlowRun, "_cell_payload", watched)
+        payloads = batch_mod.iter_batch(
+            [_flow_cell(seed=seed) for seed in (1, 2)]
+        )
+        assert len(list(payloads)) == 2
+        assert held == [False, False]
+
+
 class TestExecuteCells:
     def test_mixed_population_matches_scalar(self):
         cells = [
@@ -233,7 +298,7 @@ class TestRunnerBatchMode:
         def broken(_cells):
             raise RuntimeError("array program crashed")
 
-        monkeypatch.setattr(batch_mod, "execute_batch", broken)
+        monkeypatch.setattr(batch_mod, "iter_batch", broken)
         report = run_cells(
             cells, cache=tmp_path / "broken", mode="batch", progress=True
         )
@@ -243,6 +308,57 @@ class TestRunnerBatchMode:
         assert [canonical_json(s.data) for s in results_of(report)] == [
             canonical_json(s.data) for s in results_of(clean)
         ]
+
+    def test_batch_failing_mid_chunk_reruns_only_the_undelivered(
+        self, tmp_path, monkeypatch
+    ):
+        cells = [_flow_cell(seed=seed) for seed in range(1, 9)]
+        scalar = run_cells(cells, jobs=1)
+
+        def fail_on_lane_3(lane, cell):
+            if lane == 3:
+                raise RuntimeError("lane 3 cannot be built")
+
+        watch_payload_builds(monkeypatch, fail_on_lane_3)
+        via_scalar = []
+        real_execute = runner_mod.execute_cell
+
+        def execute(cell):
+            via_scalar.append(cell.seed)
+            return real_execute(cell)
+
+        monkeypatch.setattr(runner_mod, "execute_cell", execute)
+        delivered = []
+        outcomes = {}
+
+        def sink(outcome, positions):
+            delivered.extend(positions)
+            outcomes[positions[0]] = outcome
+
+        stats = runner_mod.stream_cells(
+            cells, sink, jobs=1, cache=tmp_path, mode="batch"
+        )
+        # Three lanes came out of the batch before it raised; the other
+        # five, and only they, were re-run scalar.  No cell twice, none
+        # lost, each stored once.
+        assert via_scalar == [4, 5, 6, 7, 8]
+        assert stats.batch_fallbacks == 5
+        assert stats.executed == 8 and stats.errors == 0
+        assert sorted(delivered) == list(range(8))
+        assert len(ResultCache(tmp_path)) == 8
+        for index, summary in enumerate(results_of(scalar)):
+            assert_same_payload(outcomes[index].summary.data, summary.data)
+
+    def test_batched_wall_seconds_add_up_to_the_batch(self):
+        cells = [_flow_cell(seed=seed) for seed in (1, 2, 3, 4)]
+        report = run_cells(cells, mode="batch")
+        walls = [outcome.wall_seconds for outcome in report.outcomes]
+        # An equal share of the array program, plus the lane's own
+        # payload build: never zero, and together no more than the run.
+        assert min(walls) > 0.0
+        assert min(walls[1:]) > walls[0]
+        assert sum(walls) <= report.stats.wall_seconds
+        assert report.stats.executed_wall_seconds == pytest.approx(sum(walls))
 
 
 class TestDenseLossGroups:

@@ -26,8 +26,10 @@ from repro.experiments.runner import (
     execute_cell,
     results_of,
     run_cells,
+    stream_cells,
 )
 
+from tests.batch_spy import watch_payload_builds
 from tests.normal_form import assert_same_payload
 
 DURATION = 3.0
@@ -494,6 +496,66 @@ def _quick_cell(seed, paths=None):
         duration=2.0,
         fidelity="flow",
     )
+
+
+class TestStreamCells:
+    """The one driver: every unique cell reaches the sink exactly once,
+    with its input positions, and is the sink's to keep or drop."""
+
+    def test_batched_payloads_are_built_as_the_sink_takes_them(
+        self, tmp_path, monkeypatch
+    ):
+        events = []
+        watch_payload_builds(
+            monkeypatch, lambda lane, cell: events.append(("built", lane))
+        )
+        store = ResultCache(tmp_path)
+
+        def sink(outcome, positions):
+            # Already stored: ``put`` happens per cell, at delivery.
+            assert store.get(outcome.key) is not None
+            events.append(("sunk", positions[0]))
+
+        cells = [_quick_cell(seed) for seed in (1, 2, 3, 4)]
+        stats = stream_cells(cells, sink, jobs=1, cache=store, mode="batch")
+        assert stats.executed == 4
+        assert events == [
+            (what, lane) for lane in range(4) for what in ("built", "sunk")
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_duplicates_reach_the_sink_once_with_every_position(self, jobs):
+        a, b, c = (_quick_cell(seed) for seed in (1, 2, 3))
+        cells = [a, b, a, c, b]
+        seen = {}
+
+        def sink(outcome, positions):
+            assert outcome.cell.seed not in seen
+            seen[outcome.cell.seed] = list(positions)
+
+        stats = stream_cells(cells, sink, jobs=jobs)
+        assert seen == {1: [0, 2], 2: [1, 4], 3: [3]}
+        assert stats.cells_total == 5 and stats.cells_unique == 3
+        # run_cells is the sink that files them back in input order.
+        report = run_cells(cells, jobs=jobs)
+        assert [o.cell.seed for o in report.outcomes] == [1, 2, 1, 3, 2]
+        assert report.outcomes[0] is report.outcomes[2]
+        assert report.outcomes[1] is report.outcomes[4]
+
+    def test_cache_hits_are_delivered_first(self, tmp_path):
+        cells = [_quick_cell(seed) for seed in (1, 2, 3)]
+        run_cells([cells[2]], jobs=1, cache=tmp_path)
+        order = []
+        stats = stream_cells(
+            cells,
+            lambda outcome, positions: order.append(
+                (positions[0], outcome.cached)
+            ),
+            jobs=1,
+            cache=tmp_path,
+        )
+        assert order == [(2, True), (0, False), (1, False)]
+        assert stats.cache_hits == 1 and stats.executed == 2
 
 
 def _spy_on_submits(monkeypatch):

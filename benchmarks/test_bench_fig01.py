@@ -1,29 +1,22 @@
 """Benchmark: regenerate Figure 1 (WebRTC degradation motivation)."""
 
 from repro.experiments import fig01_motivation
-from repro.metrics.report import format_table
+from repro.experiments.figures import run_experiment
 
 
 def test_bench_fig01(benchmark, bench_duration, bench_seed):
-    result = benchmark.pedantic(
-        lambda: fig01_motivation.run(duration=bench_duration, seed=bench_seed),
+    rows = benchmark.pedantic(
+        lambda: run_experiment(fig01_motivation, bench_duration, bench_seed),
         rounds=1,
         iterations=1,
     )
     print()
-    print(
-        format_table(
-            ["network", "mean FPS", "frac<24fps", "E2E mean", "E2E p95", "freeze s"],
-            [
-                [r.network, r.mean_fps, r.fraction_below_target, r.e2e_mean, r.e2e_p95, r.freeze_seconds]
-                for r in result.rows
-            ],
-        )
-    )
+    print(fig01_motivation.render(rows))
     # Shape assertions: cellular-only WebRTC misses the 24 FPS target
     # part of the time and shows E2E spikes (Fig. 1's point).
-    assert len(result.rows) == 2
-    for row in result.rows:
-        assert row.e2e_p95 >= row.e2e_mean
-        assert 0.0 <= row.fraction_below_target <= 1.0
-    assert any(r.freeze_seconds > 0 for r in result.rows)
+    assert len(rows) == 2
+    for _, summary in rows:
+        assert summary.e2e_p95 >= summary.e2e_mean
+        below = fig01_motivation.fraction_below_target(summary)
+        assert 0.0 <= below <= 1.0
+    assert any(summary.freeze_total > 0 for _, summary in rows)

@@ -1,43 +1,33 @@
 """Benchmark: regenerate Figure 3 + Table 1 (multipath is not enough)."""
 
-from repro.core.config import SystemKind
 from repro.experiments import fig03_multipath_not_enough as fig03
-from repro.metrics.report import format_table
+from repro.experiments.figures import run_experiment
 
 
 def test_bench_fig03_table1(benchmark, bench_duration, bench_seed):
-    result = benchmark.pedantic(
-        lambda: fig03.run(
-            duration=bench_duration,
-            seed=bench_seed,
-            stream_counts=(1, 2),
+    rows = benchmark.pedantic(
+        lambda: run_experiment(
+            fig03, bench_duration, bench_seed, stream_counts=(1, 2)
         ),
         rounds=1,
         iterations=1,
     )
     print()
-    print(
-        format_table(
-            ["#", "system", "norm FPS", "mean freeze", "FEC oh", "drops", "kfr"],
-            [
-                [c.num_streams, c.system, c.normalized_fps, c.mean_freeze_duration,
-                 c.fec_overhead, c.frame_drops, c.keyframe_requests]
-                for c in result.cells
-            ],
-        )
-    )
+    print(fig03.render(rows))
     by_system = {}
-    for cell in result.cells:
-        by_system.setdefault(cell.system, []).append(cell)
+    for _, summary in rows:
+        by_system.setdefault(summary.label, []).append(summary)
 
     # Shape: the no-feedback multipath variants request at least as
     # many keyframes / drop at least as many frames as Converge, and
     # Converge's FEC overhead is the smallest (Fig. 3c).
     converge = by_system["converge"]
     mrtp = by_system["m-rtp"]
-    total = lambda cells, attr: sum(getattr(c, attr) for c in cells)
+    total = lambda summaries, attr: sum(getattr(s, attr) for s in summaries)
     assert total(mrtp, "frame_drops") > total(converge, "frame_drops")
-    for system, cells in by_system.items():
+    for system, summaries in by_system.items():
         if system == "converge":
             continue
-        assert total(cells, "fec_overhead") > total(converge, "fec_overhead")
+        assert total(summaries, "fec_overhead") > total(
+            converge, "fec_overhead"
+        )

@@ -1,64 +1,45 @@
 """Benchmark: regenerate Figures 9-10 + Table 3 (in the wild)."""
 
 from repro.experiments import fig09_10_wild as wild
-from repro.metrics.report import format_table
+from repro.experiments.figures import run_experiment
 
 
-def _print(rows):
-    print()
-    print(
-        format_table(
-            ["#", "system", "tput Mbps", "FPS", "E2E s", "stall s", "FEC oh %", "FEC util %"],
-            [
-                [r.num_streams, r.system, r.throughput_bps / 1e6, r.mean_fps,
-                 r.e2e_mean, r.stall_seconds, 100 * r.fec_overhead,
-                 100 * r.fec_utilization]
-                for r in rows
-            ],
-        )
+def _run(benchmark, scenario, duration, seed):
+    rows = benchmark.pedantic(
+        lambda: run_experiment(
+            wild, duration, seed, scenarios=(scenario,),
+            stream_counts=(1, 2),
+        ),
+        rounds=1,
+        iterations=1,
     )
+    print()
+    print(wild.render(rows))
+    converge = [(c, s) for c, s in rows if s.label == "converge"]
+    singles = [(c, s) for c, s in rows if s.label != "converge"]
+    return converge, singles
+
+
+def _assert_bonding_wins(converge, singles):
+    # Fig. 9/10 shape: bonding both networks beats each single network
+    # on delivered throughput at every stream count.
+    for cell, summary in converge:
+        peers = [s for c, s in singles if c.num_streams == cell.num_streams]
+        assert summary.throughput_bps > 0.9 * max(
+            p.throughput_bps for p in peers
+        )
 
 
 def test_bench_fig09_walking(benchmark, bench_duration, bench_seed):
-    result = benchmark.pedantic(
-        lambda: wild.run(
-            scenario="walking",
-            duration=bench_duration,
-            seed=bench_seed,
-            stream_counts=(1, 2),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    _print(result.rows)
-    converge = [r for r in result.rows if r.system == "converge"]
-    singles = [r for r in result.rows if r.system != "converge"]
-    # Fig. 9/10 shape: bonding both networks beats each single network
-    # on delivered throughput at every stream count.
-    for c in converge:
-        peers = [r for r in singles if r.num_streams == c.num_streams]
-        assert c.throughput_bps > 0.9 * max(p.throughput_bps for p in peers)
+    converge, singles = _run(benchmark, "walking", bench_duration, bench_seed)
+    _assert_bonding_wins(converge, singles)
 
 
 def test_bench_fig10_table3_driving(benchmark, bench_duration, bench_seed):
-    result = benchmark.pedantic(
-        lambda: wild.run(
-            scenario="driving",
-            duration=bench_duration,
-            seed=bench_seed,
-            stream_counts=(1, 2),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    _print(result.rows)
-    converge = [r for r in result.rows if r.system == "converge"]
-    singles = [r for r in result.rows if r.system != "converge"]
+    converge, singles = _run(benchmark, "driving", bench_duration, bench_seed)
     # Table 3 shape: Converge's FEC overhead is below the single-path
     # WebRTC table overhead, with better utilization.
-    assert max(c.fec_overhead for c in converge) < max(
-        s.fec_overhead for s in singles
+    assert max(s.fec_overhead for _, s in converge) < max(
+        s.fec_overhead for _, s in singles
     )
-    for c in converge:
-        peers = [r for r in singles if r.num_streams == c.num_streams]
-        assert c.throughput_bps > 0.9 * max(p.throughput_bps for p in peers)
+    _assert_bonding_wins(converge, singles)

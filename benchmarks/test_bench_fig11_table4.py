@@ -1,33 +1,23 @@
 """Benchmark: regenerate Figure 11 + Table 4 (benefit of QoE feedback)."""
 
 from repro.experiments import fig11_feedback
-from repro.metrics.report import format_table
+from repro.experiments.figures import run_experiment
 
 
 def test_bench_fig11_table4(benchmark, bench_duration, bench_seed):
     # The experiment needs the fade interval inside the call; scale it
     # into the bench window.
     duration = max(bench_duration, 100.0)
-    result = benchmark.pedantic(
-        lambda: fig11_feedback.run(duration=duration, seed=bench_seed),
+    rows = benchmark.pedantic(
+        lambda: run_experiment(fig11_feedback, duration, bench_seed),
         rounds=1,
         iterations=1,
     )
-    arms = [result.with_feedback, result.without_feedback]
     print()
-    print(
-        format_table(
-            ["metric"] + [a.label for a in arms],
-            [
-                ["frame drops"] + [a.frame_drops for a in arms],
-                ["freeze (s)"] + [a.freeze_total for a in arms],
-                ["keyframe requests"] + [a.keyframe_requests for a in arms],
-                ["mean IFD (ms)"] + [1000 * a.mean_ifd for a in arms],
-                ["mean FCD (ms)"] + [1000 * a.mean_fcd for a in arms],
-            ],
-        )
-    )
-    with_fb, without_fb = result.with_feedback, result.without_feedback
+    print(fig11_feedback.render(rows))
+    arms = fig11_feedback.arms(rows)
+    with_fb = fig11_feedback.seed_means(arms["with-feedback"])
+    without_fb = fig11_feedback.seed_means(arms["without-feedback"])
     # Table 4 shape, with a caveat documented in EXPERIMENTS.md: our
     # per-path GCC (transport-wide feedback + capacity probing) adapts
     # to the fade within ~1 RTT, so there is far less damage left for
@@ -37,8 +27,10 @@ def test_bench_fig11_table4(benchmark, bench_duration, bench_seed):
     # fade materially worse, and (b) the pipeline holds the 33 ms IFD
     # target.  The feedback's positive effect is asserted at scale in
     # the driving-scenario ablation bench instead.
-    assert with_fb.frame_drops <= without_fb.frame_drops + 60
-    assert with_fb.freeze_total <= without_fb.freeze_total + 2.0
-    assert with_fb.keyframe_requests <= without_fb.keyframe_requests + 3
-    assert with_fb.mean_ifd < 0.05
-    assert without_fb.mean_ifd < 0.05
+    assert with_fb["frame_drops"] <= without_fb["frame_drops"] + 60
+    assert with_fb["freeze_total"] <= without_fb["freeze_total"] + 2.0
+    assert (
+        with_fb["keyframe_requests"] <= without_fb["keyframe_requests"] + 3
+    )
+    assert with_fb["mean_ifd"] < 0.05
+    assert without_fb["mean_ifd"] < 0.05

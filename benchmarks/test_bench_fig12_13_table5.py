@@ -1,33 +1,22 @@
 """Benchmark: regenerate Figures 12-13 + Table 5 (FEC trade-off)."""
 
 from repro.experiments import fig12_13_fec as fec_exp
-from repro.metrics.report import format_table
+from repro.experiments.figures import run_experiment
 
 
 def test_bench_fig12_13_table5(benchmark, bench_duration, bench_seed):
-    result = benchmark.pedantic(
-        lambda: fec_exp.run(
-            duration=bench_duration,
-            seed=bench_seed,
+    rows = benchmark.pedantic(
+        lambda: run_experiment(
+            fec_exp, bench_duration, bench_seed,
             loss_percents=(1, 3, 5, 10),
         ),
         rounds=1,
         iterations=1,
     )
     print()
-    print(
-        format_table(
-            ["loss %", "FEC mode", "oh %", "util %", "tput Mbps", "E2E s", "drops"],
-            [
-                [p.loss_percent, p.fec_mode, 100 * p.fec_overhead,
-                 100 * p.fec_utilization, p.throughput_bps / 1e6,
-                 p.e2e_mean, p.frame_drops]
-                for p in result.points
-            ],
-        )
-    )
-    converge = result.arm("converge")
-    table = result.arm("webrtc-table")
+    print(fec_exp.render(rows))
+    converge = [s for _, s in fec_exp.arm(rows, "converge")]
+    table = [s for _, s in fec_exp.arm(rows, "webrtc-table")]
     # Fig. 12 shape: the table is aggressive at low loss (~40% at 1%)
     # while path-specific FEC sends a small fraction; utilization of
     # the path-specific FEC is higher at every loss point.

@@ -1,31 +1,20 @@
 """Benchmark: regenerate Figures 16-17 + Table 6 (stationary scenario)."""
 
 from repro.experiments import fig16_17_stationary as stationary
-from repro.metrics.report import format_table
+from repro.experiments.figures import run_experiment
 
 
 def test_bench_fig16_17_table6(benchmark, bench_duration, bench_seed):
-    result = benchmark.pedantic(
-        lambda: stationary.run(
-            duration=bench_duration,
-            seed=bench_seed,
-            stream_counts=(1, 2),
+    rows = benchmark.pedantic(
+        lambda: run_experiment(
+            stationary, bench_duration, bench_seed, stream_counts=(1, 2)
         ),
         rounds=1,
         iterations=1,
     )
     print()
-    print(
-        format_table(
-            ["#", "system", "tput Mbps", "FPS", "E2E ms", "stall s", "FEC oh %"],
-            [
-                [r.num_streams, r.system, r.throughput_bps / 1e6, r.mean_fps,
-                 1000 * r.e2e_mean, r.stall_seconds, 100 * r.fec_overhead]
-                for r in result.rows
-            ],
-        )
-    )
-    by_key = {(r.system, r.num_streams): r for r in result.rows}
+    print(stationary.render(rows))
+    by_key = {(s.label, c.num_streams): s for c, s in rows}
     for n in (1, 2):
         converge = by_key[("converge", n)]
         webrtc_w = by_key[("webrtc-w", n)]
@@ -34,6 +23,6 @@ def test_bench_fig16_17_table6(benchmark, bench_duration, bench_seed):
         # throughput; FPS is close to WebRTC-W on a stable network.
         assert converge.throughput_bps > webrtc_t.throughput_bps
         assert converge.throughput_bps > 0.9 * webrtc_w.throughput_bps
-        assert converge.mean_fps > 0.8 * webrtc_w.mean_fps
+        assert converge.average_fps > 0.8 * webrtc_w.average_fps
         # Stationary FEC overhead is minimal for Converge (Table 6).
         assert converge.fec_overhead < 0.1

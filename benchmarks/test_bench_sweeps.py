@@ -1,35 +1,21 @@
 """Benchmark: design-parameter sweeps (DESIGN.md §7)."""
 
 from repro.experiments import sweeps
-from repro.metrics.report import format_table
+from repro.experiments.figures import run_experiment
 
 
 def test_bench_design_sweeps(benchmark, bench_seed):
-    duration = 40.0
-
-    def run_all():
-        return {
-            "packet_buffer": sweeps.sweep_packet_buffer(duration, bench_seed),
-            "playout_deadline": sweeps.sweep_playout_deadline(
-                duration, bench_seed
-            ),
-            "loss_model": sweeps.sweep_loss_model(duration, bench_seed),
-        }
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: run_experiment(sweeps, 40.0, bench_seed),
+        rounds=1,
+        iterations=1,
+    )
     print()
-    for name, points in results.items():
-        print(
-            format_table(
-                [name, "FPS", "E2E ms", "drops", "freeze s"],
-                [
-                    [p.value, p.fps, 1000 * p.e2e_mean, p.frame_drops,
-                     p.freeze_total]
-                    for p in points
-                ],
-            )
-        )
-        print()
+    print(sweeps.render(rows))
+    results = {}
+    for parameter, _value, summary in sweeps.points(rows):
+        results.setdefault(parameter, []).append(summary)
+    assert list(results) == ["packet_buffer", "playout_deadline", "loss_model"]
 
     buffers = results["packet_buffer"]
     # A starved packet buffer must hurt: the smallest capacity drops

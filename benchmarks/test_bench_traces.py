@@ -1,27 +1,17 @@
 """Benchmark: regenerate the Appendix D trace statistics (Figs. 20-22)."""
 
 from repro.experiments import traces_appendix
-from repro.metrics.report import format_table
 
 
 def test_bench_traces(benchmark, bench_seed):
-    result = benchmark.pedantic(
-        lambda: traces_appendix.run(duration=180.0, seed=bench_seed),
+    rows = benchmark.pedantic(
+        lambda: traces_appendix.rows(duration=180.0, seed=bench_seed),
         rounds=1,
         iterations=1,
     )
     print()
-    print(
-        format_table(
-            ["scenario", "network", "mean Mbps", "p10 Mbps", "outage frac", "frac<10M"],
-            [
-                [s.scenario, s.network, s.mean_mbps, s.p10_mbps,
-                 s.outage_fraction, s.below_required_fraction]
-                for s in result.stats
-            ],
-        )
-    )
-    stats = {(s.scenario, s.network): s for s in result.stats}
+    print(traces_appendix.render(rows))
+    stats = {(s.scenario, s.network): s for s in rows}
     # Fig. 20: stationary WiFi is stable and ample.
     wifi = stats[("stationary", "wifi")]
     assert wifi.mean_mbps > 20

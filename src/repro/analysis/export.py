@@ -173,21 +173,7 @@ def run_report_to_dict(report: "RunReport") -> Dict[str, Any]:
     perf trajectory (``BENCH_*.json``) tracks — plus every cell summary.
     """
     return {
-        "stats": {
-            "cells_total": report.stats.cells_total,
-            "cells_unique": report.stats.cells_unique,
-            "executed": report.stats.executed,
-            "cache_hits": report.stats.cache_hits,
-            "cache_hit_rate": report.stats.cache_hit_rate,
-            "errors": report.stats.errors,
-            "jobs": report.stats.jobs,
-            "wall_seconds": report.stats.wall_seconds,
-            "simulated_seconds": report.stats.simulated_seconds,
-            "executed_wall_seconds": report.stats.executed_wall_seconds,
-            "timeouts": report.stats.timeouts,
-            "retried": report.stats.retried,
-            "quarantined": list(report.stats.quarantined),
-        },
+        "stats": report.stats.payload(),
         "cells": [
             {
                 "key": outcome.key,

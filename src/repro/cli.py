@@ -19,7 +19,16 @@ Usage::
 
 Every command is deterministic given ``--seed``: the same invocation
 produces byte-identical results whether it runs serially, across
-``--jobs`` worker processes, or out of the ``--cache`` directory.
+``--jobs`` worker processes, or out of the ``--cache`` directory
+(caching is off unless ``--cache DIR`` is given).
+
+The commands that simulate share their plumbing: one declaration of
+the call flags (:func:`_add_call_args`) and of the runner flags
+(:func:`_add_runner_args`, handed on by :func:`_runner_kwargs`), one
+experiment driver (:func:`repro.experiments.figures.run_experiment`
+over the :data:`EXPERIMENTS` table), one statistics sentence
+(:func:`repro.experiments.runner.stats_line`), and one place a failed
+cell ends a command (:func:`main`: an ``error:`` line, exit 1).
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.export import save_run_report_json
 from repro.analysis.plots import render_series, sparkline
@@ -52,11 +61,15 @@ from repro.experiments.cells import (
     expand_grid,
     make_cell,
 )
+from repro.experiments.figures import run_experiment
 from repro.experiments.runner import (
+    CellFailure,
     CellSummary,
+    RunStats,
     report_quarantined,
     results_of,
     run_cells,
+    stats_line,
 )
 from repro.faults.scenarios import chaos_scenario_names
 from repro.metrics.report import format_table
@@ -77,18 +90,56 @@ EXPERIMENTS = {
 SCENARIOS = ("stationary", "walking", "driving", "migration")
 
 
-def _add_fidelity_arg(parser: argparse.ArgumentParser) -> None:
+def _add_call_args(
+    parser: argparse.ArgumentParser,
+    system: bool = False,
+    scenario: bool = False,
+) -> None:
+    """The flags that say which call(s) to simulate."""
+    if system:
+        parser.add_argument(
+            "--system",
+            choices=[s.value for s in SystemKind],
+            default=SystemKind.CONVERGE.value,
+        )
+    if scenario:
+        parser.add_argument("--scenario", choices=SCENARIOS, default="driving")
+    parser.add_argument("--duration", type=float, default=30.0)
+    parser.add_argument("--streams", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=1)
+
+
+def _add_matrix_args(
+    parser: argparse.ArgumentParser, scenarios: List[str], seeds: int
+) -> None:
+    """The scenarios x systems x seeds grid of ``sweep`` and ``fleet``."""
+    parser.add_argument(
+        "--scenarios", nargs="+", choices=SCENARIOS, default=scenarios
+    )
+    parser.add_argument(
+        "--systems", nargs="+",
+        choices=[s.value for s in SystemKind],
+        default=[s.value for s in SystemKind],
+    )
+    parser.add_argument(
+        "--seeds", type=int, default=seeds, metavar="N",
+        help="seeds per matrix point (seed, seed+1, ...)",
+    )
+    _add_call_args(parser)
+
+
+def _add_runner_args(
+    parser: argparse.ArgumentParser, fidelity: Fidelity = Fidelity.PACKET
+) -> None:
+    """The flags every runner-backed command shares; ``fidelity`` is
+    the command's default backend."""
     parser.add_argument(
         "--fidelity",
         choices=[f.value for f in Fidelity],
-        default=Fidelity.PACKET.value,
+        default=fidelity.value,
         help="simulation backend: the packet-level core (exact) or the "
         "flow-level fast path (cross-validated approximation)",
     )
-
-
-def _add_runner_args(parser: argparse.ArgumentParser) -> None:
-    """The flags every runner-backed command shares."""
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes (default: all cores; 1 = serial)",
@@ -108,6 +159,16 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _runner_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
+    """What :func:`_add_runner_args` parsed, as runner keywords."""
+    return {
+        "jobs": args.jobs,
+        "cache": args.cache,
+        "progress": args.progress,
+        "cell_timeout": args.cell_timeout,
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -119,15 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="run one simulated call")
-    run_parser.add_argument(
-        "--system",
-        choices=[s.value for s in SystemKind],
-        default=SystemKind.CONVERGE.value,
-    )
-    run_parser.add_argument("--scenario", choices=SCENARIOS, default="driving")
-    run_parser.add_argument("--duration", type=float, default=30.0)
-    run_parser.add_argument("--streams", type=int, default=1)
-    run_parser.add_argument("--seed", type=int, default=1)
+    _add_call_args(run_parser, system=True, scenario=True)
     run_parser.add_argument(
         "--fec", choices=[m.value for m in FecMode], default=None,
         help="override the system's default FEC mode",
@@ -143,39 +196,18 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--plot", action="store_true", help="render terminal charts"
     )
-    _add_fidelity_arg(run_parser)
     _add_runner_args(run_parser)
 
     compare_parser = sub.add_parser(
         "compare", help="run every system on one scenario"
     )
-    compare_parser.add_argument(
-        "--scenario", choices=SCENARIOS, default="driving"
-    )
-    compare_parser.add_argument("--duration", type=float, default=30.0)
-    compare_parser.add_argument("--streams", type=int, default=1)
-    compare_parser.add_argument("--seed", type=int, default=1)
-    _add_fidelity_arg(compare_parser)
+    _add_call_args(compare_parser, scenario=True)
     _add_runner_args(compare_parser)
 
     sweep_parser = sub.add_parser(
         "sweep", help="run a scenarios x systems x seeds grid"
     )
-    sweep_parser.add_argument(
-        "--scenarios", nargs="+", choices=SCENARIOS, default=list(SCENARIOS)
-    )
-    sweep_parser.add_argument(
-        "--systems", nargs="+",
-        choices=[s.value for s in SystemKind],
-        default=[s.value for s in SystemKind],
-    )
-    sweep_parser.add_argument(
-        "--seeds", type=int, default=3, metavar="N",
-        help="number of seeds per point (seed, seed+1, ...)",
-    )
-    sweep_parser.add_argument("--seed", type=int, default=1)
-    sweep_parser.add_argument("--duration", type=float, default=30.0)
-    sweep_parser.add_argument("--streams", type=int, default=1)
+    _add_matrix_args(sweep_parser, scenarios=list(SCENARIOS), seeds=3)
     sweep_parser.add_argument(
         "--json", metavar="PATH", default=None,
         help="write the full run report (stats + every cell) as JSON",
@@ -185,28 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch: group compatible flow cells into array batches "
         "(byte-identical to scalar execution)",
     )
-    _add_fidelity_arg(sweep_parser)
     _add_runner_args(sweep_parser)
 
     fleet_parser = sub.add_parser(
         "fleet",
         help="run a seeded scenario matrix and report QoE distributions",
     )
-    fleet_parser.add_argument(
-        "--scenarios", nargs="+", choices=SCENARIOS, default=["driving"]
-    )
-    fleet_parser.add_argument(
-        "--systems", nargs="+",
-        choices=[s.value for s in SystemKind],
-        default=[s.value for s in SystemKind],
-    )
-    fleet_parser.add_argument(
-        "--seeds", type=int, default=32, metavar="N",
-        help="seeds per matrix point (seed, seed+1, ...)",
-    )
-    fleet_parser.add_argument("--seed", type=int, default=1)
-    fleet_parser.add_argument("--duration", type=float, default=30.0)
-    fleet_parser.add_argument("--streams", type=int, default=1)
+    _add_matrix_args(fleet_parser, scenarios=["driving"], seeds=32)
     fleet_parser.add_argument(
         "--mode", choices=["batch", "scalar"], default="batch",
         help="batch: group compatible flow cells into array batches "
@@ -224,34 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="PATH", default=None,
         help="write the full fleet report (per-group distributions) as JSON",
     )
-    fleet_parser.add_argument(
-        "--fidelity",
-        choices=[f.value for f in Fidelity],
-        default=Fidelity.FLOW.value,
-        help="simulation backend (fleet default: the flow fast path)",
-    )
-    _add_runner_args(fleet_parser)
+    _add_runner_args(fleet_parser, fidelity=Fidelity.FLOW)
 
     chaos_parser = sub.add_parser(
         "chaos", help="run one call under an injected fault plan"
     )
-    chaos_parser.add_argument(
-        "--system",
-        choices=[s.value for s in SystemKind],
-        default=SystemKind.CONVERGE.value,
-    )
-    chaos_parser.add_argument(
-        "--scenario", choices=SCENARIOS, default="driving"
-    )
+    _add_call_args(chaos_parser, system=True, scenario=True)
     chaos_parser.add_argument(
         "--chaos",
         choices=chaos_scenario_names(),
         default="rtcp-blackout",
         help="which canned fault plan to inject",
     )
-    chaos_parser.add_argument("--duration", type=float, default=30.0)
-    chaos_parser.add_argument("--streams", type=int, default=1)
-    chaos_parser.add_argument("--seed", type=int, default=1)
     chaos_parser.add_argument(
         "--json", metavar="PATH", default=None,
         help="write the full result (summary + series + faults) as JSON",
@@ -259,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument(
         "--plot", action="store_true", help="render terminal charts"
     )
-    _add_fidelity_arg(chaos_parser)
     _add_runner_args(chaos_parser)
 
     experiment_parser = sub.add_parser(
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument("name", choices=sorted(EXPERIMENTS))
     experiment_parser.add_argument("--duration", type=float, default=60.0)
     experiment_parser.add_argument("--seed", type=int, default=1)
-    _add_fidelity_arg(experiment_parser)
     _add_runner_args(experiment_parser)
 
     profile_parser = sub.add_parser(
@@ -302,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     cache_parser = sub.add_parser(
-        "cache", help="inspect or clear the result cache"
+        "cache", help="list, shard, merge or clear the result cache"
     )
     cache_sub = cache_parser.add_subparsers(dest="cache_command", required=True)
     for name, help_text in (
@@ -354,37 +353,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_single_cell(cell: Cell, args: argparse.Namespace) -> CellSummary:
-    """Run one cell through the runner; returns its CellSummary."""
-    report = run_cells(
-        [cell],
-        jobs=args.jobs,
-        cache=args.cache,
-        progress=args.progress,
-        cell_timeout=args.cell_timeout,
+def _call_cell(
+    args: argparse.Namespace, system: SystemKind, **extra: Any
+) -> Cell:
+    """The cell :func:`_add_call_args`'s flags describe, for ``system``."""
+    return make_cell(
+        ScenarioPaths(args.scenario),
+        system,
+        seed=args.seed,
+        duration=args.duration,
+        num_streams=args.streams,
+        fidelity=args.fidelity,
+        **extra,
     )
-    return results_of(report)[0]
 
 
-def _print_charts(summary: CellSummary, duration: float) -> None:
-    rate = summary.series_pairs("receive_rate")
-    if rate:
-        print()
-        print(
-            render_series(
-                [(t, v / 1e6) for t, v in rate],
-                title="received rate (Mbps)",
+def _run_call(args: argparse.Namespace, **extra: Any) -> CellSummary:
+    """Run the one call ``run`` and ``chaos`` flags describe."""
+    cell = _call_cell(args, SystemKind(args.system), **extra)
+    return results_of(run_cells([cell], **_runner_kwargs(args)))[0]
+
+
+def _finish_call(summary: CellSummary, args: argparse.Namespace) -> int:
+    """How ``run`` and ``chaos`` end: ``--plot`` charts, ``--json`` file."""
+    if args.plot:
+        rate = summary.series_pairs("receive_rate")
+        if rate:
+            print()
+            print(
+                render_series(
+                    [(t, v / 1e6) for t, v in rate],
+                    title="received rate (Mbps)",
+                )
             )
-        )
-    fps = summary.series_values("fps")
-    print()
-    print(f"FPS      {sparkline(fps, width=72)}")
-
-
-def _write_payload(summary: CellSummary, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(summary.data, handle, indent=2)
-    print(f"\nwrote {path}")
+        fps = summary.series_values("fps")
+        print()
+        print(f"FPS      {sparkline(fps, width=72)}")
+    if args.json:
+        with open(args.json, "w") as handle:
+            json.dump(summary.data, handle, indent=2)
+        print(f"\nwrote {args.json}")
+    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -393,16 +402,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["fec_mode"] = FecMode(args.fec)
     if args.no_feedback:
         overrides["qoe_feedback_enabled"] = False
-    cell = make_cell(
-        ScenarioPaths(args.scenario),
-        SystemKind(args.system),
-        seed=args.seed,
-        duration=args.duration,
-        num_streams=args.streams,
-        fidelity=args.fidelity,
-        **overrides,
-    )
-    summary = _run_single_cell(cell, args)
+    summary = _run_call(args, **overrides)
     print(
         format_table(
             ["metric", "value"],
@@ -424,24 +424,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             ],
         )
     )
-    if args.plot:
-        _print_charts(summary, args.duration)
-    if args.json:
-        _write_payload(summary, args.json)
-    return 0
+    return _finish_call(summary, args)
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    cell = make_cell(
-        ScenarioPaths(args.scenario),
-        SystemKind(args.system),
-        seed=args.seed,
-        duration=args.duration,
-        num_streams=args.streams,
-        chaos=args.chaos,
-        fidelity=args.fidelity,
-    )
-    summary = _run_single_cell(cell, args)
+    summary = _run_call(args, chaos=args.chaos)
     faults = summary.faults
     churn = summary.data.get("churn")
     print(
@@ -509,33 +496,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             f"\nsession survived churn: {survived} "
             f"(max render gap {churn['max_render_gap']:.2f}s)"
         )
-    if args.plot:
-        _print_charts(summary, args.duration)
-    if args.json:
-        _write_payload(summary, args.json)
-    return 0
+    return _finish_call(summary, args)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    spec = ScenarioPaths(args.scenario)
-    job_list = [
-        make_cell(
-            spec,
-            system,
-            seed=args.seed,
-            duration=args.duration,
-            num_streams=args.streams,
-            fidelity=args.fidelity,
-        )
-        for system in SystemKind
-    ]
-    report = run_cells(
-        job_list,
-        jobs=args.jobs,
-        cache=args.cache,
-        progress=args.progress,
-        cell_timeout=args.cell_timeout,
-    )
+    job_list = [_call_cell(args, system) for system in SystemKind]
+    report = run_cells(job_list, **_runner_kwargs(args))
     rows = []
     for summary in results_of(report):
         rows.append(
@@ -560,6 +526,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_stats(stats: RunStats) -> None:
+    """How ``sweep`` and ``fleet`` end: the statistics sentence, then
+    the cells that failed every attempt, by name."""
+    print(f"\n{stats_line(stats)}")
+    report_quarantined(stats, sys.stdout)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = [args.seed + i for i in range(max(args.seeds, 1))]
     job_list = expand_grid(
@@ -570,14 +543,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         num_streams=args.streams,
         fidelity=args.fidelity,
     )
-    report = run_cells(
-        job_list,
-        jobs=args.jobs,
-        cache=args.cache,
-        progress=args.progress,
-        cell_timeout=args.cell_timeout,
-        mode=args.mode,
-    )
+    report = run_cells(job_list, mode=args.mode, **_runner_kwargs(args))
     # Per (scenario, system) seed-averaged rows; failures counted, not fatal.
     rows = []
     index = 0
@@ -609,17 +575,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             rows,
         )
     )
-    stats = report.stats
-    extra = ""
-    if stats.retried or stats.timeouts:
-        extra = f", {stats.retried} retried, {stats.timeouts} timeouts"
-    print(
-        f"\n{stats.cells_total} cells ({stats.cells_unique} unique), "
-        f"{stats.executed} executed, {stats.cache_hits} cached "
-        f"({100 * stats.cache_hit_rate:.0f}%), {stats.errors} errors{extra}, "
-        f"{stats.wall_seconds:.1f}s wall on {stats.jobs} jobs"
-    )
-    report_quarantined(stats, sys.stdout)
+    _print_stats(report.stats)
     if args.json:
         target = save_run_report_json(report, args.json)
         print(f"wrote {target}")
@@ -640,13 +596,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
     report = run_fleet(
         spec,
-        jobs=args.jobs,
-        cache=args.cache,
-        progress=args.progress,
-        cell_timeout=args.cell_timeout,
         mode=args.mode,
         confidence=args.confidence,
         resamples=args.resamples,
+        **_runner_kwargs(args),
     )
 
     def ci(group_metrics, metric: str, scale: float = 1.0) -> str:
@@ -682,24 +635,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             rows,
         )
     )
-    stats = report.stats
-    rate = (
-        f" ({stats.cells_unique / stats.wall_seconds:.1f} cells/s)"
-        if stats.wall_seconds > 0
-        else ""
-    )
-    print(
-        f"\n{stats.cells_total} cells ({stats.cells_unique} unique), "
-        f"{stats.executed} executed, {stats.cache_hits} cached "
-        f"({100 * stats.cache_hit_rate:.0f}%), {stats.errors} errors, "
-        f"{stats.wall_seconds:.1f}s wall{rate}"
-    )
-    report_quarantined(stats, sys.stdout)
+    _print_stats(report.stats)
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(report.payload(), handle, indent=2, sort_keys=True)
         print(f"wrote {args.json}")
-    return 0 if stats.errors == 0 else 1
+    return 0 if report.stats.errors == 0 else 1
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -780,26 +721,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    import inspect
-
     module = EXPERIMENTS[args.name]
-    kwargs = {}
-    if args.fidelity != Fidelity.PACKET.value:
-        if "fidelity" not in inspect.signature(module.main).parameters:
-            print(
-                f"experiment {args.name!r} only supports packet fidelity",
-                file=sys.stderr,
-            )
-            return 2
-        kwargs["fidelity"] = args.fidelity
-    module.main(
-        duration=args.duration,
-        seed=args.seed,
-        jobs=args.jobs,
-        cache=args.cache,
-        progress=args.progress,
-        **kwargs,
-    )
+    if hasattr(module, "cells"):
+        rows = run_experiment(
+            module,
+            args.duration,
+            args.seed,
+            args.fidelity,
+            **_runner_kwargs(args),
+        )
+    else:
+        # No calls to simulate (the trace statistics): the module makes
+        # its rows itself and the runner has nothing to do.
+        rows = module.rows(args.duration, args.seed)
+    print(module.render(rows))
     return 0
 
 
@@ -883,7 +818,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "analyze": run_analyze,
         "list": _cmd_list,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except CellFailure as failure:
+        # ``run``, ``chaos``, ``compare`` and ``experiment`` have no
+        # result without every cell; ``sweep`` and ``fleet`` count
+        # failed cells instead and never raise.
+        print(f"error: {failure}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,16 +9,16 @@ Two layers live here:
   the declarative cell specs of :mod:`repro.experiments.cells` resolve
   inside worker processes.
 
-The figure modules themselves no longer call :func:`run_system`
-directly: they expand into :class:`~repro.experiments.cells.Cell`
-lists and execute through :func:`repro.experiments.runner.run_cells`,
-which fans independent cells across processes and memoizes each one in
-the on-disk result cache.
+The figure modules do not call :func:`run_system`: each states its
+grid as a :class:`~repro.experiments.cells.Cell` list and
+:func:`repro.experiments.figures.run_experiment` executes it through
+the runner, which fans independent cells across processes and
+memoizes each one in the on-disk result cache.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.core.api import build_call_config, run_call
 from repro.core.config import SystemKind
@@ -150,20 +150,3 @@ def run_chaos(
         churn_scenario=scenario,
         **config_kwargs,
     )
-
-
-def run_all_systems(
-    systems: Sequence[SystemKind],
-    path_configs: Sequence[PathConfig],
-    duration: float,
-    num_streams: int = 1,
-    seed: int = 1,
-) -> Dict[str, CallResult]:
-    """Run several systems on identical paths; keyed by system label."""
-    results: Dict[str, CallResult] = {}
-    for system in systems:
-        result = run_system(
-            system, path_configs, duration, num_streams, seed
-        )
-        results[result.label] = result
-    return results

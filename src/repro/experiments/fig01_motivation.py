@@ -10,35 +10,23 @@ summary statistics that make the motivation concrete (time below the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Sequence, Union
 
+from repro.analysis.plots import sparkline
 from repro.core.config import SystemKind
-from repro.experiments.cells import ScenarioPaths, make_cell
-from repro.experiments.runner import results_of, run_cells
-from repro.metrics.report import format_table
+from repro.experiments.cells import Cell, Fidelity, ScenarioPaths, make_cell
+from repro.experiments.figures import Row, Table
+from repro.experiments.runner import CellSummary
 
 NETWORKS = ("tmobile", "verizon")
+TARGET_FPS = 24.0
 
 
-@dataclass
-class Fig01Row:
-    network: str
-    mean_fps: float
-    fraction_below_target: float
-    e2e_mean: float
-    e2e_p95: float
-    freeze_seconds: float
-    fps_series: List[float]
-    e2e_series_mean: float
-
-
-@dataclass
-class Fig01Result:
-    rows: List[Fig01Row]
-
-
-def cells(duration: float = 60.0, seed: int = 1) -> list:
+def cells(
+    duration: float = 60.0,
+    seed: int = 1,
+    fidelity: Union[Fidelity, str] = Fidelity.PACKET,
+) -> List[Cell]:
     """One single-path WebRTC cell per driving network."""
     return [
         make_cell(
@@ -47,76 +35,40 @@ def cells(duration: float = 60.0, seed: int = 1) -> list:
             seed=seed,
             duration=duration,
             label=f"webrtc-{network}",
+            fidelity=fidelity,
         )
         for network in NETWORKS
     ]
 
 
-def run(
-    duration: float = 60.0,
-    seed: int = 1,
-    target_fps: float = 24.0,
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-) -> Fig01Result:
-    """Run the Figure 1 motivation experiment."""
-    report = run_cells(
-        cells(duration, seed), jobs=jobs, cache=cache, progress=progress
-    )
-    rows: List[Fig01Row] = []
-    for network, summary in zip(NETWORKS, results_of(report)):
-        fps_series = summary.series_values("fps")
-        below = sum(1 for v in fps_series if v < target_fps) / max(
-            len(fps_series), 1
-        )
-        rows.append(
-            Fig01Row(
-                network=network,
-                mean_fps=summary.average_fps,
-                fraction_below_target=below,
-                e2e_mean=summary.e2e_mean,
-                e2e_p95=summary.e2e_p95,
-                freeze_seconds=summary.freeze_total,
-                fps_series=fps_series,
-                e2e_series_mean=summary.e2e_mean,
-            )
-        )
-    return Fig01Result(rows=rows)
+def network_of(summary: CellSummary) -> str:
+    return summary.label.removeprefix("webrtc-")
 
 
-def main(
-    duration: float = 60.0,
-    seed: int = 1,
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-) -> str:
-    from repro.analysis.plots import sparkline
+def fraction_below_target(summary: CellSummary) -> float:
+    """Share of the call's one-second FPS samples under the target."""
+    fps_series = summary.series_values("fps")
+    below = sum(1 for v in fps_series if v < TARGET_FPS)
+    return below / max(len(fps_series), 1)
 
-    result = run(
-        duration=duration, seed=seed, jobs=jobs, cache=cache, progress=progress
-    )
-    table = format_table(
-        ["network", "mean FPS", "frac<24fps", "E2E mean (s)", "E2E p95 (s)", "freeze (s)"],
-        [
-            [r.network, r.mean_fps, r.fraction_below_target, r.e2e_mean, r.e2e_p95, r.freeze_seconds]
-            for r in result.rows
-        ],
-    )
+
+FIG1 = Table(
+    "Figure 1 — WebRTC over a single cellular network (driving)",
+    (
+        ("network", lambda _, s: network_of(s)),
+        ("mean FPS", lambda _, s: s.average_fps),
+        ("frac<24fps", lambda _, s: fraction_below_target(s)),
+        ("E2E mean (s)", lambda _, s: s.e2e_mean),
+        ("E2E p95 (s)", lambda _, s: s.e2e_p95),
+        ("freeze (s)", lambda _, s: s.freeze_total),
+    ),
+)
+
+
+def render(rows: Sequence[Row]) -> str:
     charts = "\n".join(
-        f"FPS {r.network:8s} {sparkline(r.fps_series, width=64)}"
-        for r in result.rows
+        f"FPS {network_of(summary):8s} "
+        f"{sparkline(summary.series_values('fps'), width=64)}"
+        for _, summary in rows
     )
-    output = (
-        "Figure 1 — WebRTC over a single cellular network (driving)\n"
-        + table
-        + "\n\n"
-        + charts
-    )
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()
+    return FIG1.render(rows) + "\n\n" + charts

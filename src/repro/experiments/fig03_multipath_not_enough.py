@@ -15,13 +15,11 @@ while Converge matches or beats WebRTC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence, Union
 
 from repro.core.config import SystemKind
-from repro.experiments.cells import ScenarioPaths, make_cell
-from repro.experiments.runner import results_of, run_cells
-from repro.metrics.report import format_table
+from repro.experiments.cells import Cell, Fidelity, ScenarioPaths, make_cell
+from repro.experiments.figures import SYSTEM, Column, Table, tables
 
 SYSTEMS = (
     SystemKind.WEBRTC,
@@ -32,31 +30,13 @@ SYSTEMS = (
 )
 
 
-@dataclass
-class Fig03Cell:
-    system: str
-    num_streams: int
-    normalized_fps: float
-    mean_freeze_duration: float
-    fec_overhead: float
-    frame_drops: int
-    keyframe_requests: int
-
-
-@dataclass
-class Fig03Result:
-    cells: List[Fig03Cell]
-
-    def for_system(self, system: str) -> List[Fig03Cell]:
-        return [c for c in self.cells if c.system == system]
-
-
 def cells(
     duration: float = 60.0,
     seed: int = 1,
+    fidelity: Union[Fidelity, str] = Fidelity.PACKET,
     stream_counts: Sequence[int] = (1, 2, 3),
     systems: Sequence[SystemKind] = SYSTEMS,
-) -> list:
+) -> List[Cell]:
     return [
         make_cell(
             ScenarioPaths("driving"),
@@ -64,72 +44,33 @@ def cells(
             seed=seed,
             duration=duration,
             num_streams=num_streams,
+            fidelity=fidelity,
         )
         for num_streams in stream_counts
         for system in systems
     ]
 
 
-def run(
-    duration: float = 60.0,
-    seed: int = 1,
-    stream_counts: Sequence[int] = (1, 2, 3),
-    systems: Sequence[SystemKind] = SYSTEMS,
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-) -> Fig03Result:
-    job_list = cells(duration, seed, stream_counts, systems)
-    report = run_cells(job_list, jobs=jobs, cache=cache, progress=progress)
-    rows: List[Fig03Cell] = []
-    for cell, summary in zip(job_list, results_of(report)):
-        rows.append(
-            Fig03Cell(
-                system=summary.label,
-                num_streams=cell.num_streams,
-                normalized_fps=summary.normalized()["fps"],
-                mean_freeze_duration=summary.freeze_mean,
-                fec_overhead=summary.fec_overhead,
-                frame_drops=summary.frame_drops,
-                keyframe_requests=summary.keyframe_requests,
-            )
-        )
-    return Fig03Result(cells=rows)
-
-
-def main(
-    duration: float = 60.0,
-    seed: int = 1,
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-) -> str:
-    result = run(
-        duration=duration, seed=seed, jobs=jobs, cache=cache, progress=progress
-    )
-    fig = format_table(
-        ["# streams", "system", "norm. FPS", "mean freeze (s)", "FEC overhead"],
-        [
-            [c.num_streams, c.system, c.normalized_fps, c.mean_freeze_duration, c.fec_overhead]
-            for c in result.cells
-        ],
-    )
-    table1 = format_table(
-        ["# streams", "system", "frame drops", "keyframe requests"],
-        [
-            [c.num_streams, c.system, c.frame_drops, c.keyframe_requests]
-            for c in result.cells
-        ],
-    )
-    output = (
-        "Figure 3 — WebRTC and multipath variants vs Converge (driving)\n"
-        + fig
-        + "\n\nTable 1 — frame drops and keyframe requests\n"
-        + table1
-    )
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()
+_POINT: Sequence[Column] = (
+    ("# streams", lambda cell, _: cell.num_streams),
+    SYSTEM,
+)
+render = tables(
+    Table(
+        "Figure 3 — WebRTC and multipath variants vs Converge (driving)",
+        (
+            *_POINT,
+            ("norm. FPS", lambda _, s: s.normalized()["fps"]),
+            ("mean freeze (s)", lambda _, s: s.freeze_mean),
+            ("FEC overhead", lambda _, s: s.fec_overhead),
+        ),
+    ),
+    Table(
+        "Table 1 — frame drops and keyframe requests",
+        (
+            *_POINT,
+            ("frame drops", lambda _, s: s.frame_drops),
+            ("keyframe requests", lambda _, s: s.keyframe_requests),
+        ),
+    ),
+)

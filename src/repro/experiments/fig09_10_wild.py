@@ -12,165 +12,92 @@ system and per number of camera streams:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from itertools import groupby
+from typing import List, Sequence, Union, cast
 
 from repro.core.config import SystemKind
-from repro.experiments.cells import ScenarioPaths, make_cell
-from repro.experiments.runner import results_of, run_cells
-from repro.metrics.report import format_table
+from repro.experiments.cells import Cell, Fidelity, ScenarioPaths, make_cell
+from repro.experiments.figures import (
+    FEC_PERCENT,
+    NORMALIZED,
+    STREAMS,
+    SYSTEM,
+    Column,
+    Row,
+    Table,
+    tables,
+)
 
+# Path 0 and path 1 per scenario.  Figs. 9-10 are the two mobile ones;
+# the stationary grid is Appendix A's (fig16_17_stationary).
 SCENARIO_NETWORKS = {
     "walking": ("wifi", "tmobile"),
     "driving": ("verizon", "tmobile"),
+    "stationary": ("wifi", "tmobile"),
 }
 
 
-@dataclass
-class WildRow:
-    scenario: str
-    system: str
-    num_streams: int
-    throughput_bps: float
-    mean_fps: float
-    e2e_mean: float
-    e2e_std: float
-    stall_seconds: float
-    fec_overhead: float
-    fec_utilization: float
-    qp: float
-    normalized: Dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
-class WildResult:
-    rows: List[WildRow]
-
-    def table3(self) -> List[WildRow]:
-        return self.rows
-
-
-def _single_path_label(network: str) -> str:
-    return {
-        "wifi": "webrtc-w",
-        "tmobile": "webrtc-t",
-        "verizon": "webrtc-v",
-    }[network]
-
-
 def cells(
-    scenario: str = "driving",
     duration: float = 60.0,
     seed: int = 1,
+    fidelity: Union[Fidelity, str] = Fidelity.PACKET,
+    scenarios: Sequence[str] = ("walking", "driving"),
     stream_counts: Sequence[int] = (1, 2, 3),
-) -> list:
-    if scenario not in SCENARIO_NETWORKS:
-        raise ValueError(f"scenario must be one of {sorted(SCENARIO_NETWORKS)}")
-    networks = SCENARIO_NETWORKS[scenario]
-    spec = ScenarioPaths(scenario, networks=tuple(networks))
+) -> List[Cell]:
+    """Per scenario and stream count: WebRTC on each network alone
+    (WebRTC-W, -T, -V by the network's initial), then Converge on both."""
     job_list = []
-    for num_streams in stream_counts:
-        runs = [
-            (SystemKind.WEBRTC, 0, _single_path_label(networks[0])),
-            (SystemKind.WEBRTC, 1, _single_path_label(networks[1])),
-            (SystemKind.CONVERGE, 0, "converge"),
-        ]
-        for system, single_path_id, label in runs:
-            job_list.append(
-                make_cell(
-                    spec,
-                    system,
-                    seed=seed,
-                    duration=duration,
-                    num_streams=num_streams,
-                    single_path_id=single_path_id,
-                    label=label,
-                )
+    for scenario in scenarios:
+        if scenario not in SCENARIO_NETWORKS:
+            raise ValueError(
+                f"scenario must be one of {sorted(SCENARIO_NETWORKS)}"
             )
+        networks = SCENARIO_NETWORKS[scenario]
+        spec = ScenarioPaths(scenario, networks=networks)
+        for num_streams in stream_counts:
+            runs = [
+                *(
+                    (SystemKind.WEBRTC, path_id, f"webrtc-{network[0]}")
+                    for path_id, network in enumerate(networks)
+                ),
+                (SystemKind.CONVERGE, 0, "converge"),
+            ]
+            for system, single_path_id, label in runs:
+                job_list.append(
+                    make_cell(
+                        spec,
+                        system,
+                        seed=seed,
+                        duration=duration,
+                        num_streams=num_streams,
+                        single_path_id=single_path_id,
+                        label=label,
+                        fidelity=fidelity,
+                    )
+                )
     return job_list
 
 
-def run(
-    scenario: str = "driving",
-    duration: float = 60.0,
-    seed: int = 1,
-    stream_counts: Sequence[int] = (1, 2, 3),
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-) -> WildResult:
-    job_list = cells(scenario, duration, seed, stream_counts)
-    report = run_cells(job_list, jobs=jobs, cache=cache, progress=progress)
-    rows: List[WildRow] = []
-    for cell, summary in zip(job_list, results_of(report)):
-        rows.append(
-            WildRow(
-                scenario=scenario,
-                system=summary.label,
-                num_streams=cell.num_streams,
-                throughput_bps=summary.throughput_bps,
-                mean_fps=summary.average_fps,
-                e2e_mean=summary.e2e_mean,
-                e2e_std=summary.e2e_std,
-                stall_seconds=summary.freeze_total,
-                fec_overhead=summary.fec_overhead,
-                fec_utilization=summary.fec_utilization,
-                qp=summary.average_qp,
-                normalized=summary.normalized(),
-            )
-        )
-    return WildResult(rows=rows)
+def scenario_of(cell: Cell) -> str:
+    return cast(ScenarioPaths, cell.paths).scenario
 
 
-def main(
-    duration: float = 60.0,
-    seed: int = 1,
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-) -> str:
-    outputs = []
-    for scenario in ("walking", "driving"):
-        result = run(
-            scenario=scenario, duration=duration, seed=seed,
-            jobs=jobs, cache=cache, progress=progress,
-        )
-        fig10 = format_table(
-            ["#", "system", "norm tput", "norm FPS", "stall frac", "norm QP"],
-            [
-                [
-                    r.num_streams,
-                    r.system,
-                    r.normalized["throughput"],
-                    r.normalized["fps"],
-                    r.normalized["stall"],
-                    r.normalized["qp"],
-                ]
-                for r in result.rows
-            ],
-        )
-        table3 = format_table(
-            ["#", "system", "E2E (s)", "E2E std", "FEC overhead %", "FEC util %"],
-            [
-                [
-                    r.num_streams,
-                    r.system,
-                    r.e2e_mean,
-                    r.e2e_std,
-                    100 * r.fec_overhead,
-                    100 * r.fec_utilization,
-                ]
-                for r in result.rows
-            ],
-        )
-        outputs.append(
-            f"Figure 10 — normalized QoE ({scenario})\n{fig10}\n\n"
-            f"Table 3 — E2E / FEC ({scenario})\n{table3}"
-        )
-    output = "\n\n".join(outputs)
-    print(output)
-    return output
+FIG10: Sequence[Column] = (STREAMS, SYSTEM, *NORMALIZED)
+TABLE3: Sequence[Column] = (
+    STREAMS,
+    SYSTEM,
+    ("E2E (s)", lambda _, s: s.e2e_mean),
+    ("E2E std", lambda _, s: s.e2e_std),
+    *FEC_PERCENT,
+)
 
 
-if __name__ == "__main__":
-    main()
+def render(rows: Sequence[Row]) -> str:
+    """Figure 10 and Table 3, once per scenario in grid order."""
+    return "\n\n".join(
+        tables(
+            Table(f"Figure 10 — normalized QoE ({scenario})", FIG10),
+            Table(f"Table 3 — E2E / FEC ({scenario})", TABLE3),
+        )(list(group))
+        for scenario, group in groupby(rows, lambda row: scenario_of(row[0]))
+    )

@@ -15,37 +15,20 @@ lost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Union
 
+from repro.analysis.plots import render_series
 from repro.core.config import SystemKind
-from repro.experiments.cells import BuilderPaths, make_cell
-from repro.experiments.runner import CellSummary, results_of, run_cells
+from repro.experiments.cells import BuilderPaths, Cell, Fidelity, make_cell
+from repro.experiments.figures import Row
+from repro.experiments.runner import CellSummary
 from repro.metrics.report import format_table
 from repro.net.loss import BernoulliLoss, ScheduledLoss
 from repro.net.path import PathConfig
 from repro.net.trace import BandwidthTrace
 
-
-@dataclass
-class FeedbackArmResult:
-    label: str
-    frame_drops: int
-    freeze_total: float
-    mean_freeze: float
-    keyframe_requests: int
-    mean_ifd: float
-    mean_fcd: float
-    ifd_series: List[Tuple[float, float]]
-    fcd_series: List[Tuple[float, float]]
-    rate_series: List[Tuple[float, float]]
-    throughput_bps: float
-
-
-@dataclass
-class Fig11Result:
-    with_feedback: FeedbackArmResult
-    without_feedback: FeedbackArmResult
+# The two arms: cell label -> qoe_feedback_enabled.
+ARMS = {"with-feedback": True, "without-feedback": False}
 
 
 def fig11_paths(
@@ -96,118 +79,87 @@ def fig11_paths(
     return [path1, path2]
 
 
-def _arm_label(feedback_enabled: bool) -> str:
-    return "with-feedback" if feedback_enabled else "without-feedback"
-
-
 def cells(
-    duration: float = 120.0, seed: int = 1, num_seeds: int = 3
-) -> list:
+    duration: float = 120.0,
+    seed: int = 1,
+    fidelity: Union[Fidelity, str] = Fidelity.PACKET,
+    num_seeds: int = 3,
+) -> List[Cell]:
     """Both arms crossed with the seed set, as one flat cell list."""
-    seeds = [seed + i for i in range(num_seeds)]
     return [
         make_cell(
             BuilderPaths("repro.experiments.fig11_feedback:fig11_paths"),
             SystemKind.CONVERGE,
             seed=cell_seed,
             duration=duration,
-            label=_arm_label(feedback_enabled),
+            label=label,
+            fidelity=fidelity,
             qoe_feedback_enabled=feedback_enabled,
         )
-        for feedback_enabled in (True, False)
-        for cell_seed in seeds
+        for label, feedback_enabled in ARMS.items()
+        for cell_seed in range(seed, seed + num_seeds)
     ]
 
 
-def _aggregate_arm(
-    feedback_enabled: bool, summaries: Sequence[CellSummary]
-) -> FeedbackArmResult:
-    """Average one arm over its seeds; series come from the first.
+def arms(rows: Sequence[Row]) -> Dict[str, List[CellSummary]]:
+    """Each arm's summaries, one per seed in seed order."""
+    return {
+        label: [summary for _, summary in rows if summary.label == label]
+        for label in ARMS
+    }
+
+
+def seed_means(summaries: Sequence[CellSummary]) -> Dict[str, float]:
+    """Table 4 for one arm: each QoE parameter averaged over its seeds.
 
     The fade-onset damage (frames already in flight when capacity
     collapses) is luck-of-the-draw per seed, so the Table 4 numbers
     average a few runs.
     """
-    n = len(summaries)
-    first = summaries[0]
-    return FeedbackArmResult(
-        label=_arm_label(feedback_enabled),
-        frame_drops=int(sum(s.frame_drops for s in summaries) / n),
-        freeze_total=sum(s.freeze_total for s in summaries) / n,
-        mean_freeze=sum(s.freeze_mean for s in summaries) / n,
-        keyframe_requests=int(
-            sum(s.keyframe_requests for s in summaries) / n
-        ),
-        mean_ifd=sum(s.series_mean("ifd") for s in summaries) / n,
-        mean_fcd=sum(s.series_mean("fcd") for s in summaries) / n,
-        ifd_series=first.series_pairs("ifd"),
-        fcd_series=first.series_pairs("fcd"),
-        rate_series=first.series_pairs("receive_rate"),
-        throughput_bps=sum(s.throughput_bps for s in summaries) / n,
-    )
+
+    def mean(read: Callable[[CellSummary], float]) -> float:
+        return sum(read(s) for s in summaries) / len(summaries)
+
+    return {
+        "frame_drops": int(mean(lambda s: s.frame_drops)),
+        "freeze_total": mean(lambda s: s.freeze_total),
+        "keyframe_requests": int(mean(lambda s: s.keyframe_requests)),
+        "mean_ifd": mean(lambda s: s.series_mean("ifd")),
+        "mean_fcd": mean(lambda s: s.series_mean("fcd")),
+        "throughput_bps": mean(lambda s: s.throughput_bps),
+    }
 
 
-def run(
-    duration: float = 120.0,
-    seed: int = 1,
-    num_seeds: int = 3,
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-) -> Fig11Result:
-    report = run_cells(
-        cells(duration, seed, num_seeds),
-        jobs=jobs, cache=cache, progress=progress,
-    )
-    summaries = results_of(report)
-    return Fig11Result(
-        with_feedback=_aggregate_arm(True, summaries[:num_seeds]),
-        without_feedback=_aggregate_arm(False, summaries[num_seeds:]),
-    )
-
-
-def main(
-    duration: float = 120.0,
-    seed: int = 1,
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-) -> str:
-    from repro.analysis.plots import render_series
-
-    result = run(
-        duration=duration, seed=seed, jobs=jobs, cache=cache, progress=progress
-    )
-    arms = [result.with_feedback, result.without_feedback]
-    charts = "\n\n".join(
-        render_series(
-            [(t, v / 1e6) for t, v in arm.rate_series],
-            height=5,
-            title=f"received rate Mbps ({arm.label})",
-        )
-        for arm in arms
-        if arm.rate_series
-    )
+def render(rows: Sequence[Row]) -> str:
+    """Table 4 over the seed means; the Fig. 11(b) received-rate chart
+    of each arm's first seed."""
+    by_arm = arms(rows)
+    means = [seed_means(by_arm[label]) for label in ARMS]
     table4 = format_table(
-        ["QoE parameter"] + [a.label for a in arms],
+        ["QoE parameter", *ARMS],
         [
-            ["frame drops"] + [a.frame_drops for a in arms],
-            ["freeze duration (s)"] + [a.freeze_total for a in arms],
-            ["keyframe requests"] + [a.keyframe_requests for a in arms],
-            ["mean IFD (ms)"] + [1000 * a.mean_ifd for a in arms],
-            ["mean FCD (ms)"] + [1000 * a.mean_fcd for a in arms],
-            ["throughput (Mbps)"] + [a.throughput_bps / 1e6 for a in arms],
+            ["frame drops"] + [m["frame_drops"] for m in means],
+            ["freeze duration (s)"] + [m["freeze_total"] for m in means],
+            ["keyframe requests"] + [m["keyframe_requests"] for m in means],
+            ["mean IFD (ms)"] + [1000 * m["mean_ifd"] for m in means],
+            ["mean FCD (ms)"] + [1000 * m["mean_fcd"] for m in means],
+            ["throughput (Mbps)"] + [m["throughput_bps"] / 1e6 for m in means],
         ],
     )
-    output = (
+    charts = "\n\n".join(
+        render_series(
+            [
+                (t, v / 1e6)
+                for t, v in by_arm[label][0].series_pairs("receive_rate")
+            ],
+            height=5,
+            title=f"received rate Mbps ({label})",
+        )
+        for label in ARMS
+    )
+    return (
         "Figure 11 / Table 4 — the benefit of QoE feedback\n"
         + table4
         + "\n\n"
         + charts
     )
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

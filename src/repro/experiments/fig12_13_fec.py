@@ -14,162 +14,111 @@ as §6.2's component analysis does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Union, cast
 
 from repro.core.config import FecMode, SystemKind
-from repro.experiments.cells import ConstantPaths, make_cell
-from repro.experiments.runner import results_of, run_cells
+from repro.experiments.cells import Cell, ConstantPaths, Fidelity, make_cell
+from repro.experiments.figures import Column, Row, Table, tables
 from repro.metrics.report import format_table
-
-
-@dataclass
-class FecSweepPoint:
-    loss_percent: float
-    fec_mode: str
-    fec_overhead: float
-    fec_utilization: float
-    throughput_bps: float
-    e2e_mean: float
-    frame_drops: int
-    freeze_total: float
-    keyframe_requests: int
-
-
-@dataclass
-class Fec1213Result:
-    points: List[FecSweepPoint]
-
-    def arm(self, fec_mode: str) -> List[FecSweepPoint]:
-        return sorted(
-            (p for p in self.points if p.fec_mode == fec_mode),
-            key=lambda p: p.loss_percent,
-        )
-
-    def table5(self) -> List[Dict[str, float]]:
-        """% improvement of path-specific FEC over the table (per loss)."""
-        improvements = []
-        table_arm = {p.loss_percent: p for p in self.arm("webrtc-table")}
-        for point in self.arm("converge"):
-            baseline = table_arm[point.loss_percent]
-
-            def improvement(ours: float, theirs: float) -> float:
-                if theirs <= 0:
-                    return 0.0
-                return 100.0 * (theirs - ours) / theirs
-
-            improvements.append(
-                {
-                    "loss_percent": point.loss_percent,
-                    "frame_drops": improvement(
-                        point.frame_drops, baseline.frame_drops
-                    ),
-                    "freeze": improvement(point.freeze_total, baseline.freeze_total),
-                    "keyframe_requests": improvement(
-                        point.keyframe_requests, baseline.keyframe_requests
-                    ),
-                }
-            )
-        return improvements
 
 
 def cells(
     duration: float = 60.0,
     seed: int = 1,
+    fidelity: Union[Fidelity, str] = Fidelity.PACKET,
     loss_percents: Sequence[float] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
-) -> list:
-    job_list = []
-    for loss_percent in loss_percents:
-        loss = loss_percent / 100.0
-        for fec_mode in (FecMode.CONVERGE, FecMode.WEBRTC_TABLE):
-            job_list.append(
-                make_cell(
-                    ConstantPaths(
-                        (15e6, 15e6), (0.05, 0.05), (loss, loss)
-                    ),
-                    SystemKind.CONVERGE,
-                    seed=seed,
-                    duration=duration,
-                    label=fec_mode.value,
-                    fec_mode=fec_mode,
-                )
-            )
-    return job_list
-
-
-def run(
-    duration: float = 60.0,
-    seed: int = 1,
-    loss_percents: Sequence[float] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-) -> Fec1213Result:
-    job_list = cells(duration, seed, loss_percents)
-    report = run_cells(job_list, jobs=jobs, cache=cache, progress=progress)
-    points: List[FecSweepPoint] = []
-    loss_per_cell = [
-        loss_percent
-        for loss_percent in loss_percents
-        for _ in (FecMode.CONVERGE, FecMode.WEBRTC_TABLE)
-    ]
-    for loss_percent, summary in zip(loss_per_cell, results_of(report)):
-        points.append(
-            FecSweepPoint(
-                loss_percent=loss_percent,
-                fec_mode=summary.label,
-                fec_overhead=summary.fec_overhead,
-                fec_utilization=summary.fec_utilization,
-                throughput_bps=summary.throughput_bps,
-                e2e_mean=summary.e2e_mean,
-                frame_drops=summary.frame_drops,
-                freeze_total=summary.freeze_total,
-                keyframe_requests=summary.keyframe_requests,
-            )
+) -> List[Cell]:
+    """Per loss rate: path-specific FEC, then the WebRTC table."""
+    return [
+        make_cell(
+            ConstantPaths(
+                (15e6, 15e6), (0.05, 0.05), (percent / 100.0,) * 2
+            ),
+            SystemKind.CONVERGE,
+            seed=seed,
+            duration=duration,
+            label=fec_mode.value,
+            fidelity=fidelity,
+            fec_mode=fec_mode,
         )
-    return Fec1213Result(points=points)
+        for percent in loss_percents
+        for fec_mode in (FecMode.CONVERGE, FecMode.WEBRTC_TABLE)
+    ]
 
 
-def main(
-    duration: float = 60.0,
-    seed: int = 1,
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-) -> str:
-    result = run(
-        duration=duration, seed=seed, jobs=jobs, cache=cache, progress=progress
+def loss_percent(cell: Cell) -> float:
+    """The cell's swept loss rate, in percent (whole numbers as ints,
+    the way the grid states them and the figures print them)."""
+    percent = round(100 * cast(ConstantPaths, cell.paths).loss_rates[0], 9)
+    return int(percent) if percent.is_integer() else percent
+
+
+def arm(rows: Sequence[Row], fec_mode: str) -> List[Row]:
+    """One FEC controller's rows, by rising loss rate."""
+    return sorted(
+        (row for row in rows if row[1].label == fec_mode),
+        key=lambda row: loss_percent(row[0]),
     )
-    fig12 = format_table(
-        ["loss %", "FEC mode", "overhead %", "utilization %"],
-        [
-            [p.loss_percent, p.fec_mode, 100 * p.fec_overhead, 100 * p.fec_utilization]
-            for p in result.points
-        ],
-    )
-    fig13 = format_table(
-        ["loss %", "FEC mode", "tput (Mbps)", "E2E (s)"],
-        [
-            [p.loss_percent, p.fec_mode, p.throughput_bps / 1e6, p.e2e_mean]
-            for p in result.points
-        ],
-    )
-    table5 = format_table(
+
+
+def table5(rows: Sequence[Row]) -> List[Dict[str, float]]:
+    """% improvement of path-specific FEC over the table (per loss)."""
+
+    def improvement(ours: float, theirs: float) -> float:
+        if theirs <= 0:
+            return 0.0
+        return 100.0 * (theirs - ours) / theirs
+
+    return [
+        {
+            "loss_percent": loss_percent(cell),
+            "frame_drops": improvement(ours.frame_drops, theirs.frame_drops),
+            "freeze": improvement(ours.freeze_total, theirs.freeze_total),
+            "keyframe_requests": improvement(
+                ours.keyframe_requests, theirs.keyframe_requests
+            ),
+        }
+        for (cell, ours), (_, theirs) in zip(
+            arm(rows, "converge"), arm(rows, "webrtc-table")
+        )
+    ]
+
+
+_POINT: Sequence[Column] = (
+    ("loss %", lambda cell, _: loss_percent(cell)),
+    ("FEC mode", lambda _, s: s.label),
+)
+_FIG12_13 = tables(
+    Table(
+        "Figure 12 — FEC overhead/utilization vs loss",
+        (
+            *_POINT,
+            ("overhead %", lambda _, s: 100 * s.fec_overhead),
+            ("utilization %", lambda _, s: 100 * s.fec_utilization),
+        ),
+    ),
+    Table(
+        "Figure 13 — throughput vs E2E trade-off",
+        (
+            *_POINT,
+            ("tput (Mbps)", lambda _, s: s.throughput_bps / 1e6),
+            ("E2E (s)", lambda _, s: s.e2e_mean),
+        ),
+    ),
+)
+
+
+def render(rows: Sequence[Row]) -> str:
+    pairwise = format_table(
         ["loss %", "drops improv %", "freeze improv %", "kfr improv %"],
         [
-            [row["loss_percent"], row["frame_drops"], row["freeze"], row["keyframe_requests"]]
-            for row in result.table5()
+            [r["loss_percent"], r["frame_drops"], r["freeze"],
+             r["keyframe_requests"]]
+            for r in table5(rows)
         ],
     )
-    output = (
-        "Figure 12 — FEC overhead/utilization vs loss\n" + fig12
-        + "\n\nFigure 13 — throughput vs E2E trade-off\n" + fig13
-        + "\n\nTable 5 — %% QoE improvement, path-specific FEC vs table FEC\n"
-        + table5
+    return (
+        _FIG12_13(rows)
+        + "\n\nTable 5 — % QoE improvement, path-specific FEC vs table FEC\n"
+        + pairwise
     )
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

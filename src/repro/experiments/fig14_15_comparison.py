@@ -17,13 +17,17 @@ variants are qualitatively worse on E2E).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import List, Union
 
 from repro.core.config import SystemKind
-from repro.experiments.cells import Fidelity, ScenarioPaths, make_cell
-from repro.experiments.runner import results_of, run_cells
-from repro.metrics.report import format_table
+from repro.experiments.cells import Cell, Fidelity, ScenarioPaths, make_cell
+from repro.experiments.figures import (
+    FEC_PERCENT,
+    NORMALIZED,
+    SYSTEM,
+    Table,
+    tables,
+)
 
 # The seven systems of §6, as (system, single_path_id, label).
 RUNS = (
@@ -37,36 +41,12 @@ RUNS = (
 )
 
 
-@dataclass
-class ComparisonRow:
-    system: str
-    throughput_bps: float
-    mean_fps: float
-    stall_seconds: float
-    qp: float
-    fec_overhead: float
-    fec_utilization: float
-    e2e_mean: float
-    e2e_p95: float
-    psnr_mean: float
-    psnr_p10: float
-    normalized: Dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
-class ComparisonResult:
-    rows: List[ComparisonRow]
-
-    def by_system(self) -> Dict[str, ComparisonRow]:
-        return {row.system: row for row in self.rows}
-
-
 def cells(
     duration: float = 60.0,
     seed: int = 1,
-    num_streams: int = 1,
     fidelity: Union[Fidelity, str] = Fidelity.PACKET,
-) -> list:
+    num_streams: int = 1,
+) -> List[Cell]:
     spec = ScenarioPaths("driving")  # tmobile, verizon
     return [
         make_cell(
@@ -83,94 +63,23 @@ def cells(
     ]
 
 
-def run(
-    duration: float = 60.0,
-    seed: int = 1,
-    num_streams: int = 1,
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-    fidelity: Union[Fidelity, str] = Fidelity.PACKET,
-) -> ComparisonResult:
-    report = run_cells(
-        cells(duration, seed, num_streams, fidelity=fidelity),
-        jobs=jobs, cache=cache, progress=progress,
-    )
-    rows: List[ComparisonRow] = []
-    for summary in results_of(report):
-        rows.append(
-            ComparisonRow(
-                system=summary.label,
-                throughput_bps=summary.throughput_bps,
-                mean_fps=summary.average_fps,
-                stall_seconds=summary.freeze_total,
-                qp=summary.average_qp,
-                fec_overhead=summary.fec_overhead,
-                fec_utilization=summary.fec_utilization,
-                e2e_mean=summary.e2e_mean,
-                e2e_p95=summary.e2e_p95,
-                psnr_mean=summary.average_psnr,
-                psnr_p10=summary.psnr_p10,
-                normalized=summary.normalized(),
-            )
-        )
-    return ComparisonResult(rows=rows)
-
-
-def main(
-    duration: float = 60.0,
-    seed: int = 1,
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-    fidelity: Union[Fidelity, str] = Fidelity.PACKET,
-) -> str:
-    result = run(
-        duration=duration,
-        seed=seed,
-        jobs=jobs,
-        cache=cache,
-        progress=progress,
-        fidelity=fidelity,
-    )
-    fig14a = format_table(
-        ["system", "norm tput", "norm FPS", "stall frac", "norm QP"],
-        [
-            [
-                r.system,
-                r.normalized["throughput"],
-                r.normalized["fps"],
-                r.normalized["stall"],
-                r.normalized["qp"],
-            ]
-            for r in result.rows
-        ],
-    )
-    fig14bc = format_table(
-        ["system", "FEC overhead %", "FEC util %", "E2E mean (s)", "E2E p95 (s)"],
-        [
-            [
-                r.system,
-                100 * r.fec_overhead,
-                100 * r.fec_utilization,
-                r.e2e_mean,
-                r.e2e_p95,
-            ]
-            for r in result.rows
-        ],
-    )
-    fig15 = format_table(
-        ["system", "PSNR mean (dB)", "PSNR p10 (dB)"],
-        [[r.system, r.psnr_mean, r.psnr_p10] for r in result.rows],
-    )
-    output = (
-        "Figure 14(a) — normalized QoE (driving)\n" + fig14a
-        + "\n\nFigure 14(b,c) — FEC and E2E\n" + fig14bc
-        + "\n\nFigure 15 — PSNR\n" + fig15
-    )
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()
+render = tables(
+    Table("Figure 14(a) — normalized QoE (driving)", (SYSTEM, *NORMALIZED)),
+    Table(
+        "Figure 14(b,c) — FEC and E2E",
+        (
+            SYSTEM,
+            *FEC_PERCENT,
+            ("E2E mean (s)", lambda _, s: s.e2e_mean),
+            ("E2E p95 (s)", lambda _, s: s.e2e_p95),
+        ),
+    ),
+    Table(
+        "Figure 15 — PSNR",
+        (
+            SYSTEM,
+            ("PSNR mean (dB)", lambda _, s: s.average_psnr),
+            ("PSNR p10 (dB)", lambda _, s: s.psnr_p10),
+        ),
+    ),
+)

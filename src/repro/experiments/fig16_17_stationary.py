@@ -9,133 +9,42 @@ and slightly higher E2E at high stream counts (it moves more bytes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence, Union
 
-from repro.core.config import SystemKind
-from repro.experiments.cells import ScenarioPaths, make_cell
-from repro.experiments.runner import results_of, run_cells
-from repro.metrics.report import format_table
-
-
-@dataclass
-class StationaryRow:
-    system: str
-    num_streams: int
-    throughput_bps: float
-    mean_fps: float
-    e2e_mean: float
-    stall_seconds: float
-    fec_overhead: float
-    fec_utilization: float
-    qp: float
-    normalized: Dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
-class StationaryResult:
-    rows: List[StationaryRow]
+from repro.experiments import fig09_10_wild
+from repro.experiments.cells import Cell, Fidelity
+from repro.experiments.figures import (
+    FEC_PERCENT,
+    STREAMS,
+    SYSTEM,
+    Table,
+    tables,
+)
 
 
 def cells(
     duration: float = 60.0,
     seed: int = 1,
+    fidelity: Union[Fidelity, str] = Fidelity.PACKET,
     stream_counts: Sequence[int] = (1, 2, 3),
-) -> list:
-    spec = ScenarioPaths("stationary", networks=("wifi", "tmobile"))
-    runs = [
-        (SystemKind.WEBRTC, 0, "webrtc-w"),
-        (SystemKind.WEBRTC, 1, "webrtc-t"),
-        (SystemKind.CONVERGE, 0, "converge"),
-    ]
-    return [
-        make_cell(
-            spec,
-            system,
-            seed=seed,
-            duration=duration,
-            num_streams=num_streams,
-            single_path_id=single_path_id,
-            label=label,
-        )
-        for num_streams in stream_counts
-        for system, single_path_id, label in runs
-    ]
-
-
-def run(
-    duration: float = 60.0,
-    seed: int = 1,
-    stream_counts: Sequence[int] = (1, 2, 3),
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-) -> StationaryResult:
-    job_list = cells(duration, seed, stream_counts)
-    report = run_cells(job_list, jobs=jobs, cache=cache, progress=progress)
-    rows: List[StationaryRow] = []
-    for cell, summary in zip(job_list, results_of(report)):
-        rows.append(
-            StationaryRow(
-                system=summary.label,
-                num_streams=cell.num_streams,
-                throughput_bps=summary.throughput_bps,
-                mean_fps=summary.average_fps,
-                e2e_mean=summary.e2e_mean,
-                stall_seconds=summary.freeze_total,
-                fec_overhead=summary.fec_overhead,
-                fec_utilization=summary.fec_utilization,
-                qp=summary.average_qp,
-                normalized=summary.normalized(),
-            )
-        )
-    return StationaryResult(rows=rows)
-
-
-def main(
-    duration: float = 60.0,
-    seed: int = 1,
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-) -> str:
-    result = run(
-        duration=duration, seed=seed, jobs=jobs, cache=cache, progress=progress
+) -> List[Cell]:
+    """The in-the-wild grid (WebRTC-W, WebRTC-T, Converge per stream
+    count) on the stationary traces."""
+    return fig09_10_wild.cells(
+        duration, seed, fidelity, scenarios=("stationary",),
+        stream_counts=stream_counts,
     )
-    fig17 = format_table(
-        ["#", "system", "norm tput", "norm FPS", "stall frac", "norm QP"],
-        [
-            [
-                r.num_streams,
-                r.system,
-                r.normalized["throughput"],
-                r.normalized["fps"],
-                r.normalized["stall"],
-                r.normalized["qp"],
-            ]
-            for r in result.rows
-        ],
-    )
-    table6 = format_table(
-        ["#", "system", "E2E (ms)", "FEC overhead %", "FEC util %"],
-        [
-            [
-                r.num_streams,
-                r.system,
-                1000 * r.e2e_mean,
-                100 * r.fec_overhead,
-                100 * r.fec_utilization,
-            ]
-            for r in result.rows
-        ],
-    )
-    output = (
-        "Figure 17 — normalized QoE (stationary)\n" + fig17
-        + "\n\nTable 6 — E2E / FEC (stationary)\n" + table6
-    )
-    print(output)
-    return output
 
 
-if __name__ == "__main__":
-    main()
+render = tables(
+    Table("Figure 17 — normalized QoE (stationary)", fig09_10_wild.FIG10),
+    Table(
+        "Table 6 — E2E / FEC (stationary)",
+        (
+            STREAMS,
+            SYSTEM,
+            ("E2E (ms)", lambda _, s: 1000 * s.e2e_mean),
+            *FEC_PERCENT,
+        ),
+    ),
+)

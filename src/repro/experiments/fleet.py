@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.analysis.stats import bootstrap_ci, describe
 from repro.core.config import SystemKind
 from repro.experiments.cache import ResultCache
-from repro.experiments.cells import Cell, Fidelity, ScenarioPaths, make_cell
+from repro.experiments.cells import Cell, Fidelity, ScenarioPaths, expand_grid
 from repro.experiments.runner import (
     CellOutcome,
     CellSummary,
@@ -105,21 +105,14 @@ def expand_fleet(spec: FleetSpec) -> List[Cell]:
     outcomes in contiguous ``len(spec.seeds)`` runs per
     ``(scenario, system)`` point.
     """
-    cells: List[Cell] = []
-    for scenario in spec.scenarios:
-        for system in spec.systems:
-            for seed in spec.seeds:
-                cells.append(
-                    make_cell(
-                        ScenarioPaths(scenario),
-                        system,
-                        seed=seed,
-                        duration=spec.duration,
-                        num_streams=spec.num_streams,
-                        fidelity=spec.fidelity,
-                    )
-                )
-    return cells
+    return expand_grid(
+        [ScenarioPaths(scenario) for scenario in spec.scenarios],
+        spec.systems,
+        spec.seeds,
+        duration=spec.duration,
+        num_streams=spec.num_streams,
+        fidelity=spec.fidelity,
+    )
 
 
 @dataclass
@@ -166,15 +159,7 @@ class FleetReport:
             "confidence": self.confidence,
             "resamples": self.resamples,
             "groups": [group.payload() for group in self.groups],
-            "stats": {
-                "cells_total": self.stats.cells_total,
-                "cells_unique": self.stats.cells_unique,
-                "executed": self.stats.executed,
-                "cache_hits": self.stats.cache_hits,
-                "errors": self.stats.errors,
-                "batch_fallbacks": self.stats.batch_fallbacks,
-                "wall_seconds": self.stats.wall_seconds,
-            },
+            "stats": self.stats.payload(),
         }
 
 

@@ -291,6 +291,25 @@ class RunStats:
             return 0.0
         return self.cache_hits / self.cells_unique
 
+    def payload(self) -> Dict[str, Any]:
+        """The statistics as JSON-able data (run and fleet reports)."""
+        return {
+            "cells_total": self.cells_total,
+            "cells_unique": self.cells_unique,
+            "executed": self.executed,
+            "cache_hits": self.cache_hits,
+            "cache_hit_rate": self.cache_hit_rate,
+            "errors": self.errors,
+            "jobs": self.jobs,
+            "wall_seconds": self.wall_seconds,
+            "simulated_seconds": self.simulated_seconds,
+            "executed_wall_seconds": self.executed_wall_seconds,
+            "timeouts": self.timeouts,
+            "retried": self.retried,
+            "quarantined": list(self.quarantined),
+            "batch_fallbacks": self.batch_fallbacks,
+        }
+
 
 @dataclass
 class RunReport:
@@ -972,7 +991,8 @@ def _progress_line(
     )
 
 
-def _stats_line(stats: RunStats) -> None:
+def stats_line(stats: RunStats) -> str:
+    """The run statistics as the one sentence every command prints."""
     extra = ""
     if stats.retried or stats.timeouts:
         extra = f", {stats.retried} retried, {stats.timeouts} timeouts"
@@ -981,15 +1001,17 @@ def _stats_line(stats: RunStats) -> None:
     rate = ""
     if stats.wall_seconds > 0.0:
         rate = f" ({stats.cells_unique / stats.wall_seconds:.1f} cells/s)"
-    print(
-        f"sweep: {stats.cells_total} cells ({stats.cells_unique} unique), "
+    return (
+        f"{stats.cells_total} cells ({stats.cells_unique} unique), "
         f"{stats.executed} executed, {stats.cache_hits} cached "
         f"({100 * stats.cache_hit_rate:.0f}%), {stats.errors} errors{extra}, "
         f"{stats.wall_seconds:.1f}s wall on {stats.jobs} jobs{rate} "
-        f"({stats.executed_wall_seconds:.1f}s serial-equivalent)",
-        file=sys.stderr,
-        flush=True,
+        f"({stats.executed_wall_seconds:.1f}s serial-equivalent)"
     )
+
+
+def _stats_line(stats: RunStats) -> None:
+    print(f"sweep: {stats_line(stats)}", file=sys.stderr, flush=True)
     report_quarantined(stats, sys.stderr)
 
 

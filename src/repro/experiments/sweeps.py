@@ -3,50 +3,44 @@
 Beyond the paper's own figures, these sweeps quantify the design
 choices the reproduction documents as load-bearing:
 
-- packet-buffer capacity vs frame drops (the §3.2 eviction mechanism),
-- the playout deadline vs drops and latency (real-time budget),
-- the loss-aversion weight in the Eq. 1 media split,
+- packet-buffer capacity vs frame drops (the §3.2 eviction mechanism:
+  smaller buffers evict more under multipath skew),
+- the playout deadline vs drops and latency (real-time budget: tighter
+  deadlines trade drops for interactivity),
 - Gilbert-Elliott vs Bernoulli loss at equal average rate (burstiness
   is what separates the FEC controllers).
 
-Each sweep expands into runner cells, so the points execute in
-parallel and hit the result cache on re-runs.
+The three sweeps are one grid, so their points execute in one pool,
+hit the result cache on re-runs, and the point they share (the
+receiver defaults) runs once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from functools import partial
+from typing import List, Sequence, Tuple, Union
 
 from repro.core.config import SystemKind
 from repro.experiments.cells import (
     BuilderPaths,
+    Cell,
     Fidelity,
     ScenarioPaths,
     make_cell,
 )
 from repro.experiments.common import constant_paths
-from repro.experiments.runner import CellSummary, results_of, run_cells
+from repro.experiments.figures import Row
+from repro.experiments.runner import CellSummary
 from repro.metrics.report import format_table
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
+from repro.net.path import PathConfig
 from repro.receiver.packet_buffer import PacketBufferConfig
 from repro.receiver.session import ReceiverConfig
 
 
-@dataclass
-class SweepPoint:
-    parameter: str
-    value: float
-    fps: float
-    e2e_mean: float
-    frame_drops: int
-    freeze_total: float
-    throughput_bps: float
-
-
 def loss_model_paths(
     duration: float, kind: str = "bernoulli", rate: float = 0.02
-) -> list:
+) -> List[PathConfig]:
     """Two constant 12 Mbps paths under the named loss process.
 
     Referenced declaratively by :class:`BuilderPaths`, so the sweep's
@@ -67,142 +61,79 @@ def loss_model_paths(
     return paths
 
 
-def sweep_packet_buffer(
+def cells(
     duration: float = 45.0,
     seed: int = 1,
+    fidelity: Union[Fidelity, str] = Fidelity.PACKET,
     capacities: Sequence[int] = (64, 256, 1024, 2048),
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-    fidelity: Union[Fidelity, str] = Fidelity.PACKET,
-) -> List[SweepPoint]:
-    """Smaller packet buffers evict more under multipath skew (§3.2)."""
-    job_list = [
-        make_cell(
-            ScenarioPaths("driving"),
-            SystemKind.CONVERGE,
-            seed=seed,
-            duration=duration,
-            fidelity=fidelity,
-            receiver=ReceiverConfig(
-                packet_buffer=PacketBufferConfig(capacity_packets=capacity)
-            ),
-        )
-        for capacity in capacities
-    ]
-    report = run_cells(job_list, jobs=jobs, cache=cache, progress=progress)
-    return [
-        _point("packet_buffer", capacity, summary)
-        for capacity, summary in zip(capacities, results_of(report))
-    ]
-
-
-def sweep_playout_deadline(
-    duration: float = 45.0,
-    seed: int = 1,
     deadlines: Sequence[float] = (0.2, 0.4, 0.8, 1.6),
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-    fidelity: Union[Fidelity, str] = Fidelity.PACKET,
-) -> List[SweepPoint]:
-    """Tighter deadlines trade drops for interactivity."""
-    job_list = [
-        make_cell(
-            ScenarioPaths("driving"),
-            SystemKind.CONVERGE,
-            seed=seed,
-            duration=duration,
-            fidelity=fidelity,
-            receiver=ReceiverConfig(max_playout_latency=deadline),
-        )
-        for deadline in deadlines
-    ]
-    report = run_cells(job_list, jobs=jobs, cache=cache, progress=progress)
-    return [
-        _point("playout_deadline", deadline, summary)
-        for deadline, summary in zip(deadlines, results_of(report))
-    ]
-
-
-def sweep_loss_model(
-    duration: float = 45.0,
-    seed: int = 1,
-    rate: float = 0.02,
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-    fidelity: Union[Fidelity, str] = Fidelity.PACKET,
-) -> List[SweepPoint]:
-    """Bernoulli vs Gilbert-Elliott at the same long-run loss rate."""
-    kinds = ("bernoulli", "gilbert-elliott")
-    job_list = [
-        make_cell(
-            BuilderPaths(
-                "repro.experiments.sweeps:loss_model_paths",
-                (("kind", kind), ("rate", rate)),
-            ),
-            SystemKind.CONVERGE,
-            seed=seed,
-            duration=duration,
-            label=kind,
-            fidelity=fidelity,
-        )
-        for kind in kinds
-    ]
-    report = run_cells(job_list, jobs=jobs, cache=cache, progress=progress)
-    return [
-        _point("loss_model", float(index), summary)
-        for index, summary in enumerate(results_of(report))
-    ]
-
-
-def _point(parameter: str, value: float, summary: CellSummary) -> SweepPoint:
-    return SweepPoint(
-        parameter=parameter,
-        value=value,
-        fps=summary.average_fps,
-        e2e_mean=summary.e2e_mean,
-        frame_drops=summary.frame_drops,
-        freeze_total=summary.freeze_total,
-        throughput_bps=summary.throughput_bps,
+    loss_rate: float = 0.02,
+) -> List[Cell]:
+    """Packet-buffer, playout-deadline and loss-model points, in that
+    order; the loss models share one long-run ``loss_rate``."""
+    converge = partial(
+        make_cell, seed=seed, duration=duration, fidelity=fidelity
     )
-
-
-def main(
-    duration: float = 45.0,
-    seed: int = 1,
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-    fidelity: Union[Fidelity, str] = Fidelity.PACKET,
-) -> str:
-    rows = []
-    for points in (
-        sweep_packet_buffer(
-            duration, seed, jobs=jobs, cache=cache, progress=progress,
-            fidelity=fidelity,
+    driving = ScenarioPaths("driving")
+    receivers = [
+        *(
+            ReceiverConfig(packet_buffer=PacketBufferConfig(capacity_packets=c))
+            for c in capacities
         ),
-        sweep_playout_deadline(
-            duration, seed, jobs=jobs, cache=cache, progress=progress,
-            fidelity=fidelity,
+        *(ReceiverConfig(max_playout_latency=d) for d in deadlines),
+    ]
+    return [
+        *(
+            converge(driving, SystemKind.CONVERGE, receiver=receiver)
+            for receiver in receivers
         ),
-        sweep_loss_model(
-            duration, seed, jobs=jobs, cache=cache, progress=progress,
-            fidelity=fidelity,
-        ),
-    ):
-        for p in points:
-            rows.append(
-                [p.parameter, p.value, p.fps, 1000 * p.e2e_mean,
-                 p.frame_drops, p.freeze_total]
+        *(
+            converge(
+                BuilderPaths(
+                    "repro.experiments.sweeps:loss_model_paths",
+                    (("kind", kind), ("rate", loss_rate)),
+                ),
+                SystemKind.CONVERGE,
+                label=kind,
             )
-    output = "Design-parameter sweeps (Converge, driving)\n" + format_table(
-        ["parameter", "value", "FPS", "E2E ms", "drops", "freeze s"], rows
+            for kind in ("bernoulli", "gilbert-elliott")
+        ),
+    ]
+
+
+def points(rows: Sequence[Row]) -> List[Tuple[str, object, CellSummary]]:
+    """``(parameter, value, summary)`` per row.
+
+    The receiver defaults (2048 packets, 0.8 s) are a point of both
+    receiver sweeps — one call, so one cell — and a sweep's points are
+    contiguous in the grid: that cell goes with the row before it.
+    """
+    default = ReceiverConfig()
+    parameter = "packet_buffer"
+    out: List[Tuple[str, object, CellSummary]] = []
+    for cell, summary in rows:
+        receiver = cell.override_kwargs().get("receiver")
+        value: object = cell.label
+        if receiver is None:
+            parameter = "loss_model"
+        elif receiver.packet_buffer != default.packet_buffer:
+            parameter = "packet_buffer"
+        elif receiver.max_playout_latency != default.max_playout_latency:
+            parameter = "playout_deadline"
+        if parameter == "packet_buffer":
+            value = receiver.packet_buffer.capacity_packets
+        elif parameter == "playout_deadline":
+            value = receiver.max_playout_latency
+        out.append((parameter, value, summary))
+    return out
+
+
+def render(rows: Sequence[Row]) -> str:
+    return "Design-parameter sweeps (Converge, driving)\n" + format_table(
+        ["parameter", "value", "FPS", "E2E ms", "drops", "freeze s"],
+        [
+            [parameter, value, s.average_fps, 1000 * s.e2e_mean,
+             s.frame_drops, s.freeze_total]
+            for parameter, value, s in points(rows)
+        ],
     )
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

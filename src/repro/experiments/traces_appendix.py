@@ -11,7 +11,7 @@ traces can be validated against the published shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Sequence
 
 from repro.metrics.report import format_table
 from repro.simulation.random import RandomStreams
@@ -33,12 +33,9 @@ class TraceStats:
     below_required_fraction: float
 
 
-@dataclass
-class TraceResult:
-    stats: List[TraceStats]
-
-
-def run(duration: float = 180.0, seed: int = 1) -> TraceResult:
+def rows(duration: float = 180.0, seed: int = 1) -> List[TraceStats]:
+    """One row per scenario network.  Pure trace generation: no calls
+    are simulated, so this experiment has no ``cells`` for the runner."""
     streams = RandomStreams(seed)
     stats: List[TraceStats] = []
     for scenario in SCENARIOS:
@@ -60,38 +57,16 @@ def run(duration: float = 180.0, seed: int = 1) -> TraceResult:
                     / n,
                 )
             )
-    return TraceResult(stats=stats)
+    return stats
 
 
-def main(
-    duration: float = 180.0,
-    seed: int = 1,
-    jobs: Optional[int] = None,
-    cache: Optional[str] = None,
-    progress: bool = False,
-) -> str:
-    # Trace statistics are pure generation (no simulated calls), so the
-    # runner knobs are accepted for CLI uniformity and ignored.
-    result = run(duration=duration, seed=seed)
-    table = format_table(
-        ["scenario", "network", "mean Mbps", "p10 Mbps", "min Mbps", "outage frac", "frac<10Mbps"],
+def render(rows: Sequence[TraceStats]) -> str:
+    return "Figures 20-22 — scenario trace statistics\n" + format_table(
+        ["scenario", "network", "mean Mbps", "p10 Mbps", "min Mbps",
+         "outage frac", "frac<10Mbps"],
         [
-            [
-                s.scenario,
-                s.network,
-                s.mean_mbps,
-                s.p10_mbps,
-                s.min_mbps,
-                s.outage_fraction,
-                s.below_required_fraction,
-            ]
-            for s in result.stats
+            [s.scenario, s.network, s.mean_mbps, s.p10_mbps, s.min_mbps,
+             s.outage_fraction, s.below_required_fraction]
+            for s in rows
         ],
     )
-    output = "Figures 20-22 — scenario trace statistics\n" + table
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.flow.batch as batch_mod
 from repro.cli import build_parser, main
 
 from tests.batch_spy import poison_seed
@@ -106,8 +107,54 @@ class TestCommands:
         assert "quarantined 1 poison cell(s): converge seed=2" in out
 
     def test_profile_rejects_experiment_without_cells(self):
+        # The trace statistics simulate no calls: nothing to profile.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["profile", "sweeps"])
+            build_parser().parse_args(["profile", "traces"])
+
+    @pytest.mark.parametrize(
+        "command, cell",
+        [
+            (["experiment", "fig01"], "cell 'webrtc-tmobile' (seed 1)"),
+            (["run"], "cell 'converge' (seed 1)"),
+        ],
+    )
+    def test_cell_timeout_ends_the_command_with_one_line(
+        self, command, cell, capsys
+    ):
+        # --cell-timeout reaches the runner from every command, and a
+        # figure with a failed cell is an error, not a traceback.
+        code = main([
+            *command, "--duration", "4", "--jobs", "1",
+            "--cell-timeout", "0.001",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"error: {cell} failed: CellTimeout" in captured.err
+        assert "Traceback" not in captured.err
+        assert "Figure 1" not in captured.out
+
+    def test_every_experiment_takes_flow_fidelity(self, capsys):
+        code = main([
+            "experiment", "fig03", "--fidelity", "flow", "--duration", "4",
+        ])
+        assert code == 0
+        assert "Table 1" in capsys.readouterr().out
+
+    def test_fleet_names_batch_fallbacks_without_progress(
+        self, capsys, monkeypatch
+    ):
+        def broken(_cells):
+            raise RuntimeError("array program crashed")
+
+        monkeypatch.setattr(batch_mod, "iter_batch", broken)
+        code = main([
+            "fleet", "--scenarios", "driving", "--systems", "converge",
+            "--seeds", "3", "--duration", "2", "--jobs", "1",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "3 fell back from a failed batch" in out
+        assert "3 executed" in out
 
     def test_lint_clean_tree_exits_zero(self, capsys):
         # The repository gates CI on its own linter, `repro analyze`:

@@ -4,6 +4,7 @@ CLI, the real tree).  Local-rule and source-detector fixtures live in
 ``tests/test_devtools_lint.py``."""
 
 import json
+import re
 import shutil
 import textwrap
 from pathlib import Path
@@ -948,6 +949,7 @@ OUT_OF_SCOPE_MODULES = [
     "repro.experiments.fig12_13_fec",
     "repro.experiments.fig14_15_comparison",
     "repro.experiments.fig16_17_stationary",
+    "repro.experiments.figures",
     "repro.experiments.fleet",
     "repro.experiments.runner",
     "repro.experiments.sweeps",
@@ -988,7 +990,9 @@ class TestRealTree:
                 for module in index.modules
             )
         ]
-        assert len(prefixes) == len(config.roots) - 1  # execute_cell
+        # All but the function roots: execute_cell and the two
+        # BuilderPaths builders inside out-of-scope harness modules.
+        assert len(prefixes) == len(config.roots) - 3
 
         def in_scope(module):
             return any(
@@ -1033,14 +1037,25 @@ class TestRealTree:
                 "random",
                 "random.random",
             ),
+            (
+                "src/repro/experiments/fig11_feedback.py",  # fig11_paths
+                "        low_phase = not low_phase\n",
+                "time",
+                "time.time",
+            ),
         ],
-        ids=["receiver-on_packet", "gcc-on_transport_feedback"],
+        ids=[
+            "receiver-on_packet",
+            "gcc-on_transport_feedback",
+            "fig11_paths-builder",
+        ],
     )
     def test_source_in_a_stored_callback_fails_r101(
         self, tmp_path, rel_path, needle, module, call
     ):
-        # Both methods run through stored callbacks, which no call
-        # graph follows; rooting their packages is what reports them.
+        # The methods run through stored callbacks and the path builder
+        # through BuilderPaths' importlib lookup, none of which a call
+        # graph follows; rooting them is what reports them.
         copy_repo_tree(tmp_path)
         mutate(
             tmp_path / rel_path,
@@ -1052,6 +1067,26 @@ class TestRealTree:
         assert finding.file == rel_path
         assert f"`{call}`" in finding.message
         assert finding.chain
+
+    def test_every_path_builder_is_in_the_reachable_set(self):
+        # BuilderPaths("module:function") is resolved by import inside
+        # execute_cell, so the function is simulated code whatever
+        # module it lives in: each literal under src/repro must name a
+        # function R101 reaches (i.e. a root in pyproject.toml).
+        config, result = analyze_repo()
+        roots, _missing = result.index.resolve_roots(config.roots)
+        reachable = reachable_from(result.index, roots)
+        builders = sorted(
+            {
+                match.replace(":", ".")
+                for path in (REPO_ROOT / "src" / "repro").rglob("*.py")
+                for match in re.findall(
+                    r'BuilderPaths\(\s*"([\w.]+:\w+)"', path.read_text()
+                )
+            }
+        )
+        assert "repro.experiments.fig11_feedback.fig11_paths" in builders
+        assert [name for name in builders if name not in reachable] == []
 
     def test_only_cells_py_carries_an_r101_waiver(self):
         # The harness is out of scope by construction, so it needs no

@@ -1,13 +1,16 @@
 """Smoke tests for every experiment module at miniature scale.
 
 The benchmarks run these at full scale with shape assertions; here we
-only verify each module's plumbing — structure of results, labels,
-and that ``main`` prints its table — so a refactor cannot silently
-break an experiment between bench runs.
+only verify each module's plumbing — its grid, the structure of its
+rows, its labels, and that the CLI prints its tables — so a refactor
+cannot silently break an experiment between bench runs.
 """
+
+import hashlib
 
 import pytest
 
+from repro.cli import EXPERIMENTS, main
 from repro.core.config import SystemKind
 from repro.experiments import (
     fig01_motivation,
@@ -20,83 +23,176 @@ from repro.experiments import (
     sweeps,
     traces_appendix,
 )
+from repro.experiments.cells import canonical_json
+from repro.experiments.figures import run_experiment
 
 TINY = 8.0
+
+# What `repro experiment <name>` must print, whatever the numbers are.
+TITLES = {
+    "fig01": ["Figure 1 — WebRTC over a single cellular network", "FPS tmobile"],
+    "fig03": ["Figure 3 — WebRTC and multipath variants", "Table 1 — frame drops"],
+    "fig09": [
+        "Figure 10 — normalized QoE (walking)",
+        "Table 3 — E2E / FEC (walking)",
+        "Figure 10 — normalized QoE (driving)",
+        "Table 3 — E2E / FEC (driving)",
+    ],
+    "fig11": [
+        "Figure 11 / Table 4 — the benefit of QoE feedback",
+        "received rate Mbps (with-feedback)",
+        "received rate Mbps (without-feedback)",
+    ],
+    "fig12": [
+        "Figure 12 — FEC overhead/utilization vs loss",
+        "Figure 13 — throughput vs E2E trade-off",
+        "Table 5 — % QoE improvement, path-specific FEC vs table FEC",
+    ],
+    "fig14": [
+        "Figure 14(a) — normalized QoE (driving)",
+        "Figure 14(b,c) — FEC and E2E",
+        "Figure 15 — PSNR",
+    ],
+    "fig16": [
+        "Figure 17 — normalized QoE (stationary)",
+        "Table 6 — E2E / FEC (stationary)",
+    ],
+    "sweeps": [
+        "Design-parameter sweeps (Converge, driving)",
+        "packet_buffer",
+        # The receiver defaults are one cell in both receiver sweeps;
+        # in the deadline sweep it prints as a deadline.
+        "playout_deadline  0.800",
+        "bernoulli",
+        "gilbert-elliott",
+    ],
+    "traces": ["Figures 20-22 — scenario trace statistics"],
+}
+
+# sha256 of canonical_json([c.resolved() for c in cells()]) per default
+# grid, computed at the commit before the modules were rewritten onto
+# the driver (fig09: walking then driving; sweeps: buffer, deadline,
+# loss-model).  The cache key of every figure cell hangs off these
+# bytes, so a re-ordered or re-labelled grid — and the cold cache it
+# causes — fails here.  Independent of CODE_VERSION.
+GRID_DIGESTS = {
+    "fig01": "73358926a1cffc1103c0c38ce44be2b24e045d713cbbfea28b0df55f43731fb2",
+    "fig03": "956ac554e4b15fb44026f0bb531ab81297672f77b28b933a99f27078a8efb646",
+    "fig09": "5d06308ab0d7c8c2cf0e6495ecc459d0087fcf53cf1576cbe59382055af0aef4",
+    "fig11": "92da815637963fa48d27c2883e846ed8c13a6f59b83d58cef775af1165997530",
+    "fig12": "9fd96760f04483fa39d691eadce4a9c86bfcd461dbc4f9ac382837238fae90a7",
+    "fig14": "54665a16713997bd710a9e5e1abed609d5d245b8067ee6ce595fe0a0eeb03785",
+    "fig16": "10dd3fda847701f6203bd7493e2d527db65cc72ce8ba6c65783c8b05ac4a2cf2",
+    "sweeps": "d399e690341eafc6adefb3bc996a5cedb0ac5da6cc8fa87b1bed77751b6de048",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_every_experiment_renders(name, capsys):
+    code = main([
+        "experiment", name, "--fidelity", "flow", "--duration", "4",
+        "--seed", "2", "--jobs", "1",
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    for title in TITLES[name]:
+        assert title in out
+    assert "%%" not in out
+
+
+def test_every_grid_is_pinned():
+    # traces simulates no calls: no grid, nothing cached.
+    with_cells = {n for n, m in EXPERIMENTS.items() if hasattr(m, "cells")}
+    assert with_cells == set(GRID_DIGESTS) == set(EXPERIMENTS) - {"traces"}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_DIGESTS))
+def test_default_grid_is_the_parents(name):
+    resolved = [cell.resolved() for cell in EXPERIMENTS[name].cells()]
+    digest = hashlib.sha256(canonical_json(resolved).encode()).hexdigest()
+    assert digest == GRID_DIGESTS[name]
 
 
 @pytest.mark.slow
 class TestExperimentPlumbing:
     def test_fig01(self):
-        result = fig01_motivation.run(duration=TINY, seed=2)
-        assert [r.network for r in result.rows] == ["tmobile", "verizon"]
-        for row in result.rows:
-            assert row.mean_fps >= 0
-            assert len(row.fps_series) == int(TINY)
+        rows = run_experiment(fig01_motivation, TINY, 2)
+        networks = [fig01_motivation.network_of(s) for _, s in rows]
+        assert networks == ["tmobile", "verizon"]
+        for _, summary in rows:
+            assert summary.average_fps >= 0
+            assert len(summary.series_values("fps")) == int(TINY)
 
     def test_fig03(self):
-        result = fig03_multipath_not_enough.run(
-            duration=TINY, seed=2, stream_counts=(1,),
+        rows = run_experiment(
+            fig03_multipath_not_enough, TINY, 2, stream_counts=(1,),
             systems=(SystemKind.WEBRTC, SystemKind.CONVERGE),
         )
-        assert {c.system for c in result.cells} == {"webrtc", "converge"}
-        assert result.for_system("converge")[0].num_streams == 1
+        assert {s.label for _, s in rows} == {"webrtc", "converge"}
+        converge = [c for c, s in rows if s.label == "converge"]
+        assert converge[0].num_streams == 1
 
     def test_fig09(self):
-        result = fig09_10_wild.run(
-            scenario="walking", duration=TINY, seed=2, stream_counts=(1,)
+        rows = run_experiment(
+            fig09_10_wild, TINY, 2, scenarios=("walking",),
+            stream_counts=(1,),
         )
-        systems = {r.system for r in result.rows}
+        systems = {s.label for _, s in rows}
         assert systems == {"webrtc-w", "webrtc-t", "converge"}
-        for row in result.rows:
-            assert set(row.normalized) == {"throughput", "fps", "stall", "qp"}
+        for _, summary in rows:
+            assert set(summary.normalized()) == {
+                "throughput", "fps", "stall", "qp",
+            }
 
     def test_fig09_rejects_unknown_scenario(self):
         with pytest.raises(ValueError):
-            fig09_10_wild.run(scenario="flying")
+            fig09_10_wild.cells(scenarios=("flying",))
 
     def test_fig11(self):
-        result = fig11_feedback.run(duration=40.0, seed=2, num_seeds=1)
-        assert result.with_feedback.label == "with-feedback"
-        assert result.without_feedback.ifd_series
-        assert result.with_feedback.rate_series
+        rows = run_experiment(fig11_feedback, 40.0, 2, num_seeds=1)
+        arms = fig11_feedback.arms(rows)
+        assert list(arms) == ["with-feedback", "without-feedback"]
+        assert arms["without-feedback"][0].series_pairs("ifd")
+        assert arms["with-feedback"][0].series_pairs("receive_rate")
 
     def test_fig12(self):
-        result = fig12_13_fec.run(duration=TINY, seed=2, loss_percents=(2,))
-        assert len(result.points) == 2
-        assert {p.fec_mode for p in result.points} == {"converge", "webrtc-table"}
-        table5 = result.table5()
+        rows = run_experiment(fig12_13_fec, TINY, 2, loss_percents=(2,))
+        assert len(rows) == 2
+        assert {s.label for _, s in rows} == {"converge", "webrtc-table"}
+        table5 = fig12_13_fec.table5(rows)
         assert table5[0]["loss_percent"] == 2
 
     def test_fig14(self):
-        result = fig14_15_comparison.run(duration=TINY, seed=2)
-        rows = result.by_system()
-        assert set(rows) == {
+        rows = run_experiment(fig14_15_comparison, TINY, 2)
+        assert {s.label for _, s in rows} == {
             "webrtc-t", "webrtc-v", "webrtc-cm", "srtt", "m-tput",
             "m-rtp", "converge",
         }
 
     def test_fig16(self):
-        result = fig16_17_stationary.run(
-            duration=TINY, seed=2, stream_counts=(1,)
+        rows = run_experiment(
+            fig16_17_stationary, TINY, 2, stream_counts=(1,)
         )
-        assert len(result.rows) == 3
+        assert len(rows) == 3
 
     def test_traces(self):
-        result = traces_appendix.run(duration=60.0, seed=2)
-        assert len(result.stats) == 6
-        for stats in result.stats:
+        rows = traces_appendix.rows(duration=60.0, seed=2)
+        assert len(rows) == 6
+        for stats in rows:
             assert stats.mean_mbps > 0
             assert 0 <= stats.outage_fraction <= 1
 
     def test_sweep_structures(self):
-        points = sweeps.sweep_playout_deadline(
-            duration=TINY, seed=2, deadlines=(0.4, 0.8)
+        rows = run_experiment(
+            sweeps, TINY, 2, capacities=(), deadlines=(0.4, 0.8)
         )
-        assert [p.value for p in points] == [0.4, 0.8]
-        loss_points = sweeps.sweep_loss_model(duration=TINY, seed=2)
-        assert len(loss_points) == 2
+        points = sweeps.points(rows)
+        deadlines = [v for p, v, _ in points if p == "playout_deadline"]
+        assert deadlines == [0.4, 0.8]
+        assert [p for p, _, _ in points].count("loss_model") == 2
 
     def test_mains_print(self, capsys):
-        traces_appendix.main(duration=30.0, seed=2)
+        rows = traces_appendix.rows(duration=30.0, seed=2)
+        print(traces_appendix.render(rows))
         out = capsys.readouterr().out
         assert "stationary" in out and "driving" in out

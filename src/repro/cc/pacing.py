@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List
 
-from repro.simulation.events import Event
 from repro.simulation.simulator import Simulator
 
 # Real WebRTC paces at 2.5x target, but its trendline copes with the
@@ -22,6 +21,19 @@ from repro.simulation.simulator import Simulator
 # within a frame interval.
 _DEFAULT_PACING_FACTOR = 1.5
 _MIN_PACING_RATE = 300_000.0
+
+
+class _Lane:
+    """One path's pacing state: its queue, rate and release chain."""
+
+    __slots__ = ("path_id", "queue", "rate", "releasing")
+
+    def __init__(self, path_id: int) -> None:
+        self.path_id = path_id
+        self.queue: Deque[object] = deque()
+        self.rate = 0.0
+        # True while a release is posted: at most one is ever pending.
+        self.releasing = False
 
 
 class Pacer:
@@ -36,60 +48,54 @@ class Pacer:
         self.sim = sim
         self._send_fn = send_fn
         self.pacing_factor = pacing_factor
-        self._queues: Dict[int, Deque[object]] = {}
-        self._rates: Dict[int, float] = {}
-        self._draining: Dict[int, bool] = {}
-        # One reusable drain event per path: re-armed on every release
-        # instead of allocating a closure + event per packet.
-        self._drain_events: Dict[int, Event] = {}
+        self._lanes: Dict[int, _Lane] = {}
+
+    def _lane(self, path_id: int) -> _Lane:
+        lane = self._lanes.get(path_id)
+        if lane is None:
+            lane = self._lanes[path_id] = _Lane(path_id)
+        return lane
 
     def set_path_rate(self, path_id: int, rate_bps: float) -> None:
         """Update the target rate the pacer multiplies for ``path_id``."""
-        self._rates[path_id] = max(rate_bps, 0.0)
+        self._lane(path_id).rate = max(rate_bps, 0.0)
 
     def enqueue(self, packet: object, path_id: int) -> None:
         """Queue ``packet`` for paced transmission on ``path_id``."""
-        queue = self._queues.get(path_id)
-        if queue is None:
-            queue = self._queues[path_id] = deque()
-        queue.append(packet)
-        if not self._draining.get(path_id, False):
-            self._draining[path_id] = True
-            event = self._drain_events.get(path_id)
-            if event is None:
-                self._drain_events[path_id] = self.sim.schedule(
-                    0.0, self._drain, path_id
-                )
-            else:
-                self.sim.reschedule(event, 0.0)
+        lane = self._lane(path_id)
+        lane.queue.append(packet)
+        if not lane.releasing:
+            lane.releasing = True
+            self.sim.post(0.0, self._release, lane)
 
-    def _drain(self, path_id: int) -> None:
-        queue = self._queues.get(path_id)
+    def _release(self, lane: _Lane) -> None:
+        queue = lane.queue
         if not queue:
-            self._draining[path_id] = False
+            lane.releasing = False
             return
         packet = queue.popleft()
-        self._send_fn(packet, path_id)
-        pacing_rate = self._rates.get(path_id, 0.0) * self.pacing_factor
+        self._send_fn(packet, lane.path_id)
+        pacing_rate = lane.rate * self.pacing_factor
         if pacing_rate < _MIN_PACING_RATE:
             pacing_rate = _MIN_PACING_RATE
-        gap = packet.size_bytes * 8 / pacing_rate
-        self.sim.reschedule(self._drain_events[path_id], gap)
+        self.sim.post(packet.size_bytes * 8 / pacing_rate, self._release, lane)
 
     def queued_packets(self, path_id: int) -> int:
-        return len(self._queues.get(path_id, ()))
+        lane = self._lanes.get(path_id)
+        return len(lane.queue) if lane is not None else 0
 
     def drain_path(self, path_id: int) -> List[object]:
         """Pull everything queued for ``path_id`` and forget the path.
 
         Used when a path dies mid-call: the still-queued packets are
         returned to the caller (which reroutes the ones worth saving)
-        instead of being paced into a link that no longer exists.
+        instead of being paced into a link that no longer exists.  The
+        lane is retired with its queue emptied, so a release already
+        posted for it still dispatches and finds nothing to do.
         """
-        queue = self._queues.pop(path_id, None)
-        self._rates.pop(path_id, None)
-        self._draining.pop(path_id, None)
-        event = self._drain_events.pop(path_id, None)
-        if event is not None:
-            event.cancel()
-        return list(queue) if queue else []
+        lane = self._lanes.pop(path_id, None)
+        if lane is None:
+            return []
+        queued = list(lane.queue)
+        lane.queue.clear()
+        return queued

@@ -209,7 +209,7 @@ class Path:
         self._queued_bytes += size
         if not self._serving:
             self._serving = True
-            self.sim.schedule(0.0, self._serve_next)
+            self._serve_next()
         return True
 
     def _serve_next(self) -> None:
@@ -227,7 +227,7 @@ class Path:
         packet = self._queue.popleft()
         size = packet.size_bytes
         self._queued_bytes -= size
-        sim.schedule(size * 8 / capacity, self._transmitted, packet)
+        sim.post(size * 8 / capacity, self._transmitted, packet)
 
     def _transmitted(self, packet: SizedPacket) -> None:
         # Schedule the next packet's service as soon as this one leaves
@@ -241,7 +241,7 @@ class Path:
             return
         jitter = self._jitter_rng.uniform(0.0, config.jitter_max)
         delay = config.propagation_delay + self._extra_delay + jitter
-        sim.schedule(delay, self._deliver, packet)
+        sim.post(delay, self._deliver, packet)
 
     def _deliver(self, packet: SizedPacket) -> None:
         stats = self.stats

@@ -13,6 +13,7 @@ the per-stream unwrapper), so groups survive 16-bit wraps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set
 
 from repro.fec.xor import XorFecGroup
@@ -37,6 +38,9 @@ class FecTracker:
         self.stats = FecTrackerStats()
         self.max_groups = max_groups
         self._groups: Dict[int, XorFecGroup] = {}  # fec unwrapped seq -> group
+        # Min-heap of the keys of _groups, one entry per registration:
+        # the oldest group is found without scanning the dict.
+        self._expiry: List[int] = []
         self._seq_to_groups: Dict[int, List[int]] = {}
         # Media packets can arrive before the FEC packet describing
         # their group; remember recent arrivals to back-fill.
@@ -88,13 +92,14 @@ class FecTracker:
 
     def _register(self, group: XorFecGroup) -> None:
         self._groups[group.fec_seq] = group
+        heappush(self._expiry, group.fec_seq)
         for seq in group.protected_seqs:
             self._seq_to_groups.setdefault(seq, []).append(group.fec_seq)
         if len(self._groups) > self.max_groups:
             self._expire_oldest()
 
     def _expire_oldest(self) -> None:
-        oldest = min(self._groups)
+        oldest = heappop(self._expiry)
         group = self._groups.pop(oldest)
         for seq in group.protected_seqs:
             fecs = self._seq_to_groups.get(seq)

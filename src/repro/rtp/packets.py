@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional
+from typing import Optional, Sequence
 
 FRAME_TYPE_KEY = "key"
 FRAME_TYPE_DELTA = "delta"
@@ -79,12 +79,13 @@ class RtpPacket:
     path_id: int = -1
     mp_seq: int = -1
     mp_transport_seq: int = -1
-    # FEC packets record which media sequence numbers they protect.
-    protected_seqs: List[int] = field(default_factory=list)
+    # FEC packets record which media sequence numbers they protect;
+    # every other packet shares the one empty tuple.
+    protected_seqs: Sequence[int] = ()
     # Simulation-side stand-in for the XOR payload: references to the
     # protected packets so a recovery can reconstruct the original
     # packet exactly, as the byte-level codec would.
-    protected_packets: List["RtpPacket"] = field(default_factory=list)
+    protected_packets: Sequence["RtpPacket"] = ()
     # For retransmissions: the seq of the original packet.
     original_seq: Optional[int] = None
     send_time: float = -1.0

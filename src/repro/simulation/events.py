@@ -5,17 +5,21 @@ pacing gap, RTCP delivery and periodic tick flows through one
 :class:`EventQueue`.  Three design points keep it fast without changing
 behaviour:
 
-1. The heap stores plain ``(time, seq, event)`` tuples, so ordering is
-   decided by native C tuple comparison (``seq`` is unique, so the
-   :class:`Event` object itself is never compared).  Ties at equal
-   ``time`` break by the monotonically increasing sequence number —
-   events scheduled earlier run earlier — which keeps simulations
-   deterministic, exactly as the previous ``@dataclass(order=True)``
-   implementation did.
-2. :class:`Event` is a ``__slots__`` class (no per-event ``__dict__``)
-   and can be *re-armed* via :meth:`EventQueue.reschedule`, so periodic
-   processes reuse one event object instead of allocating a new one per
-   tick.
+1. The heap stores plain ``(time, seq, callback, arg)`` tuples, so
+   ordering is decided by native C tuple comparison (``seq`` is unique,
+   so nothing after it is ever compared).  Ties at equal ``time`` break
+   by the monotonically increasing sequence number — entries pushed
+   earlier run earlier — which keeps simulations deterministic.  Every
+   entry draws ``seq`` from the one counter at the moment it is pushed,
+   whichever method pushes it.
+2. Most entries are fire-and-forget (:meth:`EventQueue.post`): nobody
+   will cancel or re-arm a packet's transmit, deliver or pacer-release
+   hop, so the tuple is all there is.  An entry somebody may cancel or
+   re-arm (:meth:`EventQueue.push`) carries ``callback=None`` and an
+   :class:`Event` handle as ``arg``.  :class:`Event` is a ``__slots__``
+   class and can be *re-armed* via :meth:`EventQueue.reschedule`, so
+   periodic processes reuse one handle instead of allocating a new one
+   per tick.
 3. Cancellation stays lazy (a flag checked at dispatch), but the queue
    now counts cancelled-but-still-queued entries and compacts the heap
    in place when more than half of it is dead weight, bounding both
@@ -26,11 +30,15 @@ from __future__ import annotations
 
 import itertools
 from heapq import heapify, heappop, heappush
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 # Sentinel: "this event's callback takes no argument".  Using a
 # dedicated object (not None) lets callbacks legitimately receive None.
 _NO_ARG = object()
+
+# ``(time, seq, callback, arg)``; ``callback is None`` marks an entry
+# whose ``arg`` is its :class:`Event` handle.
+HeapEntry = Tuple[float, int, Optional[Callable[..., None]], Any]
 
 # Compaction policy: rebuild the heap when at least this many entries
 # are queued and more than half of them are cancelled.
@@ -86,17 +94,16 @@ class Event:
 
 
 class EventQueue:
-    """A min-heap of scheduled events with lazy cancellation.
+    """A min-heap of scheduled callbacks with lazy cancellation.
 
-    Heap entries are ``(time, seq, event)`` tuples; ``__len__`` reports
-    raw entries (including cancelled ones) while :attr:`live` reports
-    only events that will actually dispatch.
+    ``__len__`` reports raw entries (including cancelled ones) while
+    :attr:`live` reports only entries that will actually dispatch.
     """
 
     __slots__ = ("_heap", "_counter", "_cancelled")
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[HeapEntry] = []
         self._counter = itertools.count()
         # Number of cancelled events still sitting in the heap.
         self._cancelled = 0
@@ -115,8 +122,14 @@ class EventQueue:
         """Schedule ``callback`` at absolute ``time`` and return the event."""
         event = Event(time, callback, arg, self)
         event._queued = True
-        heappush(self._heap, (time, next(self._counter), event))
+        heappush(self._heap, (time, next(self._counter), None, event))
         return event
+
+    def post(
+        self, time: float, callback: Callable[..., None], arg: object = _NO_ARG
+    ) -> None:
+        """Schedule ``callback`` at ``time`` with no handle to cancel it."""
+        heappush(self._heap, (time, next(self._counter), callback, arg))
 
     def reschedule(self, event: Event, time: float) -> Event:
         """Re-arm a previously dispatched (or compacted-away) event.
@@ -132,14 +145,20 @@ class EventQueue:
         event.cancelled = False
         event._queue = self
         event._queued = True
-        heappush(self._heap, (time, next(self._counter), event))
+        heappush(self._heap, (time, next(self._counter), None, event))
         return event
 
     def pop(self) -> Optional[Event]:
-        """Remove and return the earliest non-cancelled event, or ``None``."""
+        """Remove and return the earliest non-cancelled event, or ``None``.
+
+        A posted entry comes back wrapped in a fresh :class:`Event`.
+        """
         heap = self._heap
         while heap:
-            event = heappop(heap)[2]
+            time, _, callback, arg = heappop(heap)
+            if callback is not None:
+                return Event(time, callback, arg)
+            event: Event = arg
             event._queued = False
             if event.cancelled:
                 self._cancelled -= 1
@@ -152,9 +171,9 @@ class EventQueue:
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry[2].cancelled:
+            if entry[2] is None and entry[3].cancelled:
                 heappop(heap)
-                entry[2]._queued = False
+                entry[3]._queued = False
                 self._cancelled -= 1
                 continue
             return entry[0]
@@ -173,9 +192,8 @@ class EventQueue:
             return
         survivors = []
         for entry in heap:
-            event = entry[2]
-            if event.cancelled:
-                event._queued = False
+            if entry[2] is None and entry[3].cancelled:
+                entry[3]._queued = False
             else:
                 survivors.append(entry)
         heap[:] = survivors

@@ -27,8 +27,8 @@ time, not additive with it.
 
 The hook costs two ``perf_counter()`` calls per event, so a profiled
 run is slower than a plain one — use it to find where time goes, and
-the ``benchmarks/test_bench_simcore.py`` microbenchmark (which runs
-unhooked) to measure absolute throughput.
+the perf ledger's ``packet-figs`` workload (``benchmarks/ledger``,
+which times unhooked runs) to measure absolute throughput.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
-from repro.simulation.events import _NO_ARG, Event
+from repro.simulation.events import _NO_ARG
 from repro.simulation.process import PeriodicProcess
 from repro.simulation.simulator import Simulator
 
@@ -132,8 +132,7 @@ class SimProfiler:
 
     # -- the hook ----------------------------------------------------------
 
-    def _on_event(self, event: Event) -> None:
-        callback = event.callback
+    def _on_event(self, callback: Callable[..., None], arg: object) -> None:
         owner = getattr(callback, "__self__", None)
         if isinstance(owner, PeriodicProcess):
             # Periodic ticks belong to the subsystem whose callback the
@@ -148,10 +147,10 @@ class SimProfiler:
             bucket = _bucket_of(module)
             self._class_buckets[key] = bucket
         start = perf_counter()
-        if event.arg is _NO_ARG:
+        if arg is _NO_ARG:
             callback()
         else:
-            callback(event.arg)
+            callback(arg)
         elapsed = perf_counter() - start
         self._event_seconds[bucket] = (
             self._event_seconds.get(bucket, 0.0) + elapsed

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import inf
 from typing import Callable, Optional
 
 from repro.simulation.events import _NO_ARG, Event, EventQueue
@@ -13,16 +14,24 @@ class Simulator:
     """Dispatches scheduled callbacks in timestamp order.
 
     Components hold a reference to the simulator, read the clock via
-    :attr:`now`, and schedule work with :meth:`schedule` (relative delay)
-    or :meth:`schedule_at` (absolute time).
+    :attr:`now`, and schedule work with :meth:`post` (fire-and-forget),
+    :meth:`schedule` (relative delay, returns a cancellable handle) or
+    :meth:`schedule_at` (absolute time).  All of them, and
+    :meth:`reschedule`, draw the tie-break sequence number from one
+    counter at the moment they are called, so entries due at the same
+    instant run in the order they were pushed whichever method pushed
+    them.
 
-    :attr:`events_dispatched` counts callbacks actually executed (skipped
-    cancelled events excluded); the simcore benchmark divides it by wall
-    time to report events/sec.  ``profile_hook``, when set, is called as
-    ``hook(event)`` in place of the plain dispatch so a profiler can time
-    and classify each callback — the hook is responsible for invoking the
-    event.  It defaults to ``None``, which keeps the run loop on the
-    branch-free fast path.
+    :attr:`events_dispatched` counts callbacks actually executed:
+    cancelled events are skipped and not counted; a posted entry cannot
+    be cancelled, so one whose callback finds nothing left to do (the
+    pending release of a pacer lane retired by ``Pacer.drain_path``) is
+    dispatched and counted.  ``profile_hook``, when set, is called as
+    ``hook(callback, arg)`` in place of the plain dispatch, for posted
+    entries and events alike, so a profiler can time and classify each
+    callback — the hook is responsible for invoking it (without ``arg``
+    when ``arg`` is the no-argument sentinel).  It defaults to ``None``,
+    which keeps the run loop on the fast path.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -31,21 +40,40 @@ class Simulator:
         self._queue = EventQueue()
         self._running = False
         self.events_dispatched: int = 0
-        self.profile_hook: Optional[Callable[[Event], None]] = None
+        self.profile_hook: Optional[
+            Callable[[Callable[..., None], object], None]
+        ] = None
+
+    def post(
+        self, delay: float, callback: Callable[..., None], arg: object = _NO_ARG
+    ) -> None:
+        """Run ``callback`` ``delay`` seconds from now, fire-and-forget.
+
+        No :class:`Event` is built and nothing is returned: the per-packet
+        hops (link transmit, delivery, pacer release) are never cancelled
+        or re-armed, so a bare heap tuple is all they need.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        # Inline of EventQueue.post: one frame less per packet hop.
+        queue = self._queue
+        heappush(
+            queue._heap, (self.now + delay, next(queue._counter), callback, arg)
+        )
 
     def schedule(
         self, delay: float, callback: Callable[..., None], arg: object = _NO_ARG
     ) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
-        ``arg``, when given, is passed to the callback at dispatch time;
-        hot paths use it instead of building a closure per packet.
+        ``arg``, when given, is passed to the callback at dispatch time.
+        Returns the handle to cancel or re-arm; callers that need
+        neither use :meth:`post`.
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         # Inline of EventQueue.push, with the Event built by direct
-        # slot stores: this is the most frequent scheduling entry point,
-        # and skipping the __init__ frame saves a call per event.
+        # slot stores: skipping the __init__ frame saves a call per event.
         queue = self._queue
         time = self.now + delay
         event = Event.__new__(Event)
@@ -55,7 +83,7 @@ class Simulator:
         event.cancelled = False
         event._queue = queue
         event._queued = True
-        heappush(queue._heap, (time, next(queue._counter), event))
+        heappush(queue._heap, (time, next(queue._counter), None, event))
         return event
 
     def schedule_at(
@@ -64,11 +92,7 @@ class Simulator:
         """Schedule ``callback`` at absolute ``time`` (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        queue = self._queue
-        event = Event(time, callback, arg, queue)
-        event._queued = True
-        heappush(queue._heap, (time, next(queue._counter), event))
-        return event
+        return self._queue.push(time, callback, arg)
 
     def reschedule(self, event: Event, delay: float) -> Event:
         """Re-arm a dispatched event ``delay`` seconds from now.
@@ -79,67 +103,60 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        if event._queued:
-            raise RuntimeError("cannot reschedule an event still in the queue")
-        # Inline of EventQueue.reschedule (hot: every periodic tick and
-        # pacer release re-arms its event through here).
-        queue = self._queue
-        time = self.now + delay
-        event.time = time
-        event.cancelled = False
-        event._queue = queue
-        event._queued = True
-        heappush(queue._heap, (time, next(queue._counter), event))
-        return event
+        return self._queue.reschedule(event, self.now + delay)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run events until the queue drains or the clock passes ``until``.
 
-        Returns the simulation time at which the run stopped.  Events
-        scheduled exactly at ``until`` are executed.
+        Returns the clock when the run ended: ``until`` if given (events
+        scheduled exactly at ``until`` are executed), else the time of
+        the last event.  A run ended by :meth:`stop` leaves the clock at
+        the stopping callback's time whatever ``until`` says, with
+        everything later still queued for the next ``run``.
         """
         # The body below is the hottest loop in the repository, so the
-        # queue internals are inlined: heap entries are (time, seq, event)
-        # tuples and cancelled events are skipped lazily, exactly as
-        # EventQueue.pop() would.  `queue._heap` is aliased, never
-        # rebound — compaction mutates the list in place.
+        # queue internals are inlined: heap entries are
+        # (time, seq, callback, arg) tuples, callback None marks an
+        # Event handle in arg, and cancelled events are skipped lazily,
+        # exactly as EventQueue.pop() would.  `queue._heap` is aliased,
+        # never rebound — compaction mutates the list in place.
         queue = self._queue
         heap = queue._heap
         no_arg = _NO_ARG
+        limit = inf if until is None else until
+        hook = self.profile_hook
         dispatched = 0
         self._running = True
         try:
-            while self._running:
-                while heap:
-                    entry = heap[0]
-                    event = entry[2]
-                    if event.cancelled:
-                        heappop(heap)
-                        event._queued = False
-                        queue._cancelled -= 1
-                        continue
-                    break
-                else:
-                    break
+            while self._running and heap:
+                entry = heap[0]
                 next_time = entry[0]
-                if until is not None and next_time > until:
-                    self.now = until
+                if next_time > limit:
                     break
                 heappop(heap)
-                event._queued = False
+                callback = entry[2]
+                arg = entry[3]
+                if callback is None:
+                    event: Event = arg
+                    event._queued = False
+                    if event.cancelled:
+                        queue._cancelled -= 1
+                        continue
+                    callback = event.callback
+                    arg = event.arg
                 self.now = next_time
                 dispatched += 1
-                hook = self.profile_hook
                 if hook is not None:
-                    hook(event)
-                elif event.arg is no_arg:
-                    event.callback()
+                    hook(callback, arg)
+                elif arg is no_arg:
+                    callback()
                 else:
-                    event.callback(event.arg)
+                    callback(arg)
         finally:
+            stopped = not self._running
             self._running = False
             self.events_dispatched += dispatched
-        if until is not None:
+        if until is not None and not stopped:
             self.now = max(self.now, until)
         return self.now
 

@@ -1,5 +1,7 @@
 """Tests for the core: config, API factory, path manager, signaling."""
 
+import gc
+
 import pytest
 
 from repro.core import (
@@ -12,8 +14,10 @@ from repro.core import (
     build_call_config,
     negotiate_multipath,
 )
-from repro.core.api import build_scheduler
+from repro.core.api import build_scheduler, run_call
 from repro.core.path_manager import PathManager
+from repro.core.session import ConferenceCall
+from repro.experiments.common import scenario_paths
 from repro.net.multipath import PathSet
 from repro.net.path import PathConfig
 from repro.net.trace import BandwidthTrace
@@ -256,3 +260,57 @@ class TestSignaling:
         assert "a=ssrc:1" in attrs
         assert any("multipath" in a for a in attrs)
         assert self._answer(multipath=False).attributes() == []
+
+
+class TestRunCallCollector:
+    """``run_call`` pauses the cyclic collector for the length of a call
+    and must leave it, and memory, as it found them."""
+
+    @staticmethod
+    def call(duration=2.0):
+        return run_call(
+            build_call_config(SystemKind.CONVERGE, duration=duration, seed=1),
+            scenario_paths("driving", duration, 1),
+        )
+
+    def test_collector_state_restored_on_return(self):
+        assert gc.isenabled()
+        self.call()
+        assert gc.isenabled()
+
+    def test_collector_state_restored_when_a_callback_raises(
+        self, monkeypatch
+    ):
+        def boom(self):
+            assert not gc.isenabled()  # the call runs with it paused
+            raise RuntimeError("callback failed")
+
+        monkeypatch.setattr(ConferenceCall, "_sample", boom)
+        with pytest.raises(RuntimeError, match="callback failed"):
+            self.call()
+        assert gc.isenabled()
+
+    def test_collector_left_off_when_entered_off(self, monkeypatch):
+        collections = []
+        monkeypatch.setattr(gc, "collect", collections.append)
+        gc.disable()
+        try:
+            self.call()
+            assert not gc.isenabled()
+            assert collections == []
+        finally:
+            gc.enable()
+
+    def test_finished_calls_do_not_accumulate(self):
+        # A call graph is cyclic, so only the collector frees it, and a
+        # call is tens of thousands of objects.  Against a fully
+        # collected baseline, no finished call may still be in memory
+        # when run_call returns: pausing the collector only around
+        # sim.run leaves each one waiting for an older generation's
+        # pass, as running with the collector on does.
+        self.call()
+        gc.collect()
+        baseline = len(gc.get_objects())
+        for _ in range(9):
+            self.call()
+        assert abs(len(gc.get_objects()) - baseline) < 100

@@ -22,6 +22,14 @@ as a packet golden elsewhere).  The scalar ``FlowCall.run`` loop has
 no second copy to be compared against; these digests, generated before
 a refactor and required to hold after it, are what says the loop still
 computes what it did.
+
+The packet core is pinned wider than the six full fixtures the same
+way, in ``tests/goldens/packet/digests.json``: event-order changes in
+the simulator are tie-sensitive exactly where six driving cells do not
+look (a shrunken queue, same-instant sends, a path dying with a pacer
+release pending), so every figure cell shape, every chaos plan on two
+scenarios and a two-stream call are each held to one sha256, on two
+seeds.
 """
 
 import hashlib
@@ -35,9 +43,11 @@ from repro.core.config import SystemKind
 from repro.experiments.cells import ScenarioPaths, canonical_json, make_cell
 from repro.experiments.fig14_15_comparison import RUNS
 from repro.experiments.runner import execute_cell, results_of, run_cells
+from repro.faults.scenarios import chaos_scenario_names
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 FLOW_DIGESTS = GOLDEN_DIR / "flow" / "digests.json"
+PACKET_DIGESTS = GOLDEN_DIR / "packet" / "digests.json"
 UPDATE = os.environ.get("REPRO_UPDATE_GOLDENS") == "1"
 
 # One cell per scheduler; short enough to run in CI, long enough to
@@ -262,29 +272,93 @@ def flow_digest_cells() -> dict:
     return cells
 
 
-@pytest.fixture(scope="module")
-def flow_digests():
-    """Every digest cell run once through the scalar flow session."""
+def _digests_of(cells: dict, pinned_at: Path) -> dict:
+    """One sha256 per named cell, each run once through ``execute_cell``;
+    under ``REPRO_UPDATE_GOLDENS=1`` also rewrites ``pinned_at``."""
     digests = {
         name: payload_sha256(execute_cell(cell))
-        for name, cell in flow_digest_cells().items()
+        for name, cell in cells.items()
     }
     if UPDATE:
-        FLOW_DIGESTS.parent.mkdir(parents=True, exist_ok=True)
-        FLOW_DIGESTS.write_text(
+        pinned_at.parent.mkdir(parents=True, exist_ok=True)
+        pinned_at.write_text(
             json.dumps(digests, indent=2, sort_keys=True) + "\n"
         )
     return digests
 
 
-@pytest.mark.parametrize("name", sorted(flow_digest_cells()))
-def test_flow_digest(flow_digests, name):
+def _assert_pinned(digests: dict, name: str, pinned_at: Path) -> None:
     if UPDATE:
-        pytest.skip(f"regenerated {FLOW_DIGESTS.name}")
-    pinned = json.loads(FLOW_DIGESTS.read_text())
-    assert flow_digests[name] == pinned[name], (
-        f"{name}: flow payload drifted from tests/goldens/flow/"
+        pytest.skip(f"regenerated {pinned_at.name}")
+    pinned = json.loads(pinned_at.read_text())
+    kind = pinned_at.parent.name
+    assert digests[name] == pinned[name], (
+        f"{name}: {kind} payload drifted from tests/goldens/{kind}/"
         "digests.json — if intended, regenerate with "
         "REPRO_UPDATE_GOLDENS=1, bump CODE_VERSION and name the cells "
         "that moved in CHANGES.md"
     )
+
+
+@pytest.fixture(scope="module")
+def flow_digests():
+    """Every digest cell run once through the scalar flow session."""
+    return _digests_of(flow_digest_cells(), FLOW_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(flow_digest_cells()))
+def test_flow_digest(flow_digests, name):
+    _assert_pinned(flow_digests, name, FLOW_DIGESTS)
+
+
+# ---------------------------------------------------------------------------
+# Packet digests
+
+
+PACKET_DIGEST_DURATION = 4.0
+PACKET_DIGEST_SEEDS = (1, 2)
+
+
+def packet_digest_cells() -> dict:
+    """The ten ``packet-figs`` cell shapes of the perf ledger (the seven
+    Fig. 14 rows on driving, Converge on stationary and walking,
+    Converge on migration under path churn), Converge under every
+    chaos plan on driving and on migration, and one two-stream
+    Converge call — each on two seeds, by name."""
+    converge = SystemKind.CONVERGE
+    shapes = [
+        (f"{label or system.value}/driving/x1", "driving", system,
+         dict(single_path_id=path_id, label=label))
+        for system, path_id, label in RUNS
+    ]
+    shapes += [
+        (f"converge/{scenario}/x1", scenario, converge, {})
+        for scenario in ("stationary", "walking")
+    ]
+    shapes += [
+        (f"converge+{chaos}/{scenario}/x1", scenario, converge,
+         dict(chaos=chaos))
+        for chaos in chaos_scenario_names()
+        for scenario in ("driving", "migration")
+    ]
+    shapes.append(
+        ("converge/driving/x2", "driving", converge, dict(num_streams=2))
+    )
+    return {
+        f"{name}/s{seed}": make_cell(
+            ScenarioPaths(scenario), system, seed=seed,
+            duration=PACKET_DIGEST_DURATION, **kwargs,
+        )
+        for name, scenario, system, kwargs in shapes
+        for seed in PACKET_DIGEST_SEEDS
+    }
+
+
+@pytest.fixture(scope="module")
+def packet_digests():
+    return _digests_of(packet_digest_cells(), PACKET_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(packet_digest_cells()))
+def test_packet_digest(packet_digests, name):
+    _assert_pinned(packet_digests, name, PACKET_DIGESTS)

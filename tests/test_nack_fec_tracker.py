@@ -1,5 +1,7 @@
 """Tests for NACK generation and receiver-side FEC tracking."""
 
+import random
+
 import pytest
 
 from repro.receiver.fec_tracker import FecTracker
@@ -130,6 +132,31 @@ class TestFecTracker:
         for i in range(10):
             tracker.on_fec_packet(1000 + i, [10 * i, 10 * i + 1])
         assert tracker.active_groups <= 4
+
+    def test_groups_expire_oldest_first_whatever_the_arrival_order(self):
+        tracker = FecTracker()  # 256 groups
+        seqs = list(range(1000, 1300))
+        random.Random(7).shuffle(seqs)
+        expired = []
+        for fec_seq in seqs:
+            before = set(tracker._groups)
+            tracker.on_fec_packet(fec_seq, [10 * fec_seq, 10 * fec_seq + 1])
+            gone = (before | {fec_seq}) - set(tracker._groups)
+            assert gone <= {min(before | {fec_seq})}
+            expired.extend(gone)
+        assert len(expired) == 300 - 256
+        assert tracker.active_groups == 256
+        # An expired seq that turns up again registers afresh; older
+        # than everything tracked, it is what its own registration
+        # expires, and heap and dict still name the same groups.
+        again = expired[0]
+        assert again < min(tracker._groups)
+        tracker.on_fec_packet(again, [10 * again, 10 * again + 1])
+        assert again not in tracker._groups
+        assert sorted(tracker._expiry) == sorted(tracker._groups)
+        assert not any(
+            again in fecs for fecs in tracker._seq_to_groups.values()
+        )
 
     def test_duplicate_media_harmless(self):
         tracker = FecTracker()

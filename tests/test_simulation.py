@@ -8,7 +8,7 @@ from repro.simulation import (
     SimProfiler,
     Simulator,
 )
-from repro.simulation.events import _COMPACT_MIN_ENTRIES, EventQueue
+from repro.simulation.events import _COMPACT_MIN_ENTRIES, Event, EventQueue
 from repro.simulation.random import derive_seed
 
 
@@ -34,6 +34,20 @@ class TestEventQueue:
         queue.pop().callback()
         queue.pop().callback()
         assert order == ["first", "second"]
+
+    def test_posted_entry_pops_as_an_event(self):
+        queue = EventQueue()
+        seen = []
+        queue.push(2.0, lambda: seen.append("pushed"))
+        queue.post(1.0, seen.append, "posted")
+        assert queue.peek_time() == 1.0
+        assert queue.live == 2
+        first = queue.pop()
+        assert first.time == 1.0
+        first.dispatch()
+        queue.pop().dispatch()
+        assert seen == ["posted", "pushed"]
+        assert queue.pop() is None
 
     def test_cancelled_events_are_skipped(self):
         queue = EventQueue()
@@ -210,21 +224,26 @@ class TestSimulator:
         assert fired == []
 
     def test_stop_mid_event_keeps_queue_resumable(self):
-        sim = Simulator()
-        fired = []
+        for until in (None, 10.0):
+            sim = Simulator()
+            fired = []
 
-        def stop_and_record():
-            fired.append(sim.now)
-            sim.stop()
+            def stop_and_record():
+                fired.append(sim.now)
+                sim.stop()
 
-        sim.schedule(1.0, stop_and_record)
-        sim.schedule(2.0, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [1.0]
-        assert sim.pending_events() == 1
-        # A second run picks up exactly where the stop left off.
-        sim.run()
-        assert fired == [1.0, 2.0]
+            sim.schedule(1.0, stop_and_record)
+            sim.schedule(2.0, lambda: fired.append(sim.now))
+            # A stopped run ends where it stopped, not at `until`: the
+            # clock never passes an event that is still queued.
+            assert sim.run(until=until) == 1.0
+            assert sim.now == 1.0
+            assert fired == [1.0]
+            assert sim.pending_events() == 1
+            sim.schedule_at(1.5, lambda: fired.append(sim.now))
+            # A second run picks up exactly where the stop left off.
+            assert sim.run(until=until) == (2.0 if until is None else until)
+            assert fired == [1.0, 1.5, 2.0]
 
     def test_schedule_at_exactly_until_fires(self):
         sim = Simulator()
@@ -280,16 +299,51 @@ class TestSimulator:
         seen = []
         fired = []
 
-        def hook(event):
-            seen.append(event.time)
-            event.dispatch()
+        def hook(callback, arg):
+            seen.append(sim.now)
+            Event(sim.now, callback, arg).dispatch()
 
         sim.profile_hook = hook
         sim.schedule(1.0, lambda: fired.append("a"))
         sim.schedule(2.0, fired.append, "b")
+        sim.post(3.0, fired.append, "c")
+        sim.post(4.0, lambda: fired.append("d"))
+        sim.schedule(5.0, fired.append, "never").cancel()
         sim.run()
-        assert seen == [1.0, 2.0]
-        assert fired == ["a", "b"]
+        assert seen == [1.0, 2.0, 3.0, 4.0]
+        assert fired == ["a", "b", "c", "d"]
+        assert sim.events_dispatched == 4
+
+    def test_post_and_schedule_share_one_tie_break_counter(self):
+        sim = Simulator()
+        order = []
+        sim.post(1.0, order.append, "posted-first")
+        sim.schedule(1.0, order.append, "scheduled")
+        sim.post(1.0, order.append, "posted-last")
+        sim.schedule_at(1.0, order.append, "at")
+        sim.run()
+        assert order == ["posted-first", "scheduled", "posted-last", "at"]
+
+    def test_post_rejects_negative_delay(self):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.post(-0.1, lambda: None)
+
+    def test_posted_entries_survive_compaction_in_order(self):
+        sim = Simulator()
+        order = []
+        doomed = [
+            sim.schedule(1.0, order.append, "cancelled")
+            for _ in range(2 * _COMPACT_MIN_ENTRIES)
+        ]
+        for index in range(4):
+            sim.post(1.0, order.append, index)
+        for event in doomed:
+            event.cancel()
+        assert sim.pending_events() == 4
+        assert len(sim._queue) < len(doomed)  # compacted, posts kept
+        sim.run()
+        assert order == [0, 1, 2, 3]
 
 
 class TestPeriodicProcess:

@@ -154,8 +154,10 @@ def _add_runner_args(
     )
     parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget per cell; a cell that exceeds it is "
-        "retried once, then quarantined as a structured error",
+        help="wall-clock budget per cell (its worker process is killed); a "
+        "cell that overruns or kills its worker is re-run once, then "
+        "quarantined; a cell that raises is quarantined at once; array "
+        "batches (--mode batch) run in the parent with no deadline",
     )
 
 

@@ -344,21 +344,22 @@ class SlotsRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# R006 — closures into pools and the event queue
+# R006 — closures into worker processes and the event queue
 
 
 _POOL_METHODS = {"submit", "map", "apply_async"}
-_SCHEDULE_METHODS = {"schedule", "schedule_at", "push"}
+_SCHEDULE_METHODS = {"schedule", "schedule_at", "post", "push"}
 
 
 class ClosureCaptureRule(Rule):
-    """R006: no lambdas/nested functions into pools or the event queue.
+    """R006: no lambdas/nested functions into workers or the event queue.
 
-    A lambda submitted to a :class:`ProcessPoolExecutor` dies at pickle
-    time — but only when a sweep actually goes parallel, which is how
-    it slips through serial tests.  Lambdas scheduled on the event
-    queue allocate one closure per packet; PR 3 removed exactly those,
-    and ``Event.arg`` exists so they stay gone.
+    A lambda as a ``Process(target=...)`` forks fine on Linux and dies
+    at pickle time under the ``spawn`` start method; one submitted to a
+    pool dies the same way — but only when a sweep actually goes
+    parallel, which is how both slip through serial tests.  Lambdas
+    scheduled on the event queue allocate one closure per packet; PR 3
+    removed exactly those, and ``Event.arg`` exists so they stay gone.
 
     Wrapping the closure in :func:`functools.partial` does not launder
     it: the partial object pickles only if everything it captures
@@ -425,33 +426,37 @@ class ClosureCaptureRule(Rule):
         elif isinstance(node.func, ast.Name):
             method = node.func.id
         arguments = list(node.args) + [kw.value for kw in node.keywords]
+        pickled: List[ast.expr] = []
         if method in _POOL_METHODS and isinstance(node.func, ast.Attribute):
-            for argument in arguments:
-                if isinstance(argument, ast.Lambda):
+            pickled = arguments
+        elif method == "Process":
+            pickled = [kw.value for kw in node.keywords if kw.arg == "target"]
+        for argument in pickled:
+            if isinstance(argument, ast.Lambda):
+                self.report(
+                    node,
+                    f"lambda passed to '{method}()' cannot be pickled "
+                    "into a worker process",
+                )
+            elif isinstance(argument, ast.Name) and self._is_nested_function(
+                argument.id
+            ):
+                self.report(
+                    node,
+                    f"nested function '{argument.id}' passed to "
+                    f"'{method}()' cannot be pickled into a worker "
+                    "process",
+                )
+            else:
+                wrapped = self._partial_closure(argument)
+                if wrapped is not None:
                     self.report(
                         node,
-                        f"lambda passed to '{method}()' cannot be pickled "
-                        "into a worker process",
+                        f"partial() wrapping {wrapped} passed to "
+                        f"'{method}()' cannot be pickled into a "
+                        "worker process",
                     )
-                elif isinstance(
-                    argument, ast.Name
-                ) and self._is_nested_function(argument.id):
-                    self.report(
-                        node,
-                        f"nested function '{argument.id}' passed to "
-                        f"'{method}()' cannot be pickled into a worker "
-                        "process",
-                    )
-                else:
-                    wrapped = self._partial_closure(argument)
-                    if wrapped is not None:
-                        self.report(
-                            node,
-                            f"partial() wrapping {wrapped} passed to "
-                            f"'{method}()' cannot be pickled into a "
-                            "worker process",
-                        )
-        elif method in _SCHEDULE_METHODS or method == "Event":
+        if method in _SCHEDULE_METHODS or method == "Event":
             for argument in arguments:
                 if isinstance(argument, ast.Lambda):
                     self.report(

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.experiments.cells import CODE_VERSION, canonical_json
+from repro.experiments.cells import canonical_json, code_version
 
 
 def default_cache_dir() -> Path:
@@ -149,7 +149,7 @@ class ResultCache:
             {
                 "cell": cell,
                 "checksum": hashlib.sha256(body).hexdigest(),
-                "code_version": CODE_VERSION,
+                "code_version": code_version(),
                 # Cache metadata wants real wall-clock age, not sim time.
                 "created": time.time(),
                 "key": key,
@@ -280,7 +280,7 @@ class ResultCache:
                     "duration": cell.get("duration", "?"),
                     "age_seconds": max(time.time() - entry.created, 0.0),
                     "wall_seconds": entry.wall_seconds,
-                    "stale": entry.code_version != CODE_VERSION,
+                    "stale": entry.code_version != code_version(),
                 }
             )
         return rows

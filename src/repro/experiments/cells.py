@@ -14,31 +14,91 @@ shape this module:
    ``PathConfig`` objects across calls would leak loss-model state
    between cells.)
 2. *Stable identity*: the cache key is a SHA-256 over the canonical
-   JSON encoding of the resolved cell plus a code-version salt, so a
-   cell's key survives process restarts and dict-ordering accidents,
-   and bumping :data:`CODE_VERSION` invalidates every cached result at
-   once when simulation behaviour changes.
+   JSON encoding of the resolved cell plus :func:`code_version`, a
+   digest of the simulated source, so a cell's key survives process
+   restarts and dict-ordering accidents, and any edit to code a
+   payload can depend on invalidates every cached result at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import importlib
+import importlib.resources
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.config import SystemKind
 from repro.net.path import PathConfig
 
-# Bump when simulation behaviour changes in a way that invalidates
-# previously cached summaries.  Combined with the optional
-# ``REPRO_CACHE_SALT`` environment override (useful for forcing a cold
-# cache without deleting anything).
-CODE_VERSION = "2026.10-1"
+if TYPE_CHECKING:
+    from importlib.abc import Traversable
+
+# Simulated code, named once for the cache: every module a payload can
+# depend on.  The same set as ``[tool.repro-analyze] roots`` in
+# pyproject.toml, which names functions where this names the files
+# that hold them (tests/test_devtools_analyze.py keeps the two equal).
+SIMULATED_MODULES = (
+    "repro.simulation",
+    "repro.net",
+    "repro.rtp",
+    "repro.video",
+    "repro.cc",
+    "repro.fec",
+    "repro.scheduling",
+    "repro.core",
+    "repro.receiver",
+    "repro.metrics",
+    "repro.faults",
+    "repro.traces",
+    "repro.flow",
+    "repro.analysis",
+    "repro.experiments.common",
+    "repro.experiments.cells",
+    "repro.experiments.runner",
+    "repro.experiments.fig11_feedback",
+    "repro.experiments.sweeps",
+)
+
+
+def _sources(node: Traversable, path: str) -> Iterator[Tuple[str, bytes]]:
+    """``(relative path, text)`` of every ``.py`` file at or under ``node``,
+    sorted, line ends normalised so a checkout style moves no key."""
+    if node.is_dir():
+        for child in sorted(node.iterdir(), key=lambda entry: entry.name):
+            if child.is_dir() or child.name.endswith(".py"):
+                yield from _sources(child, f"{path}/{child.name}")
+    else:
+        yield path, node.read_bytes().replace(b"\r\n", b"\n")
+
+
+@functools.cache
+def code_version() -> str:
+    """SHA-256 over the source of :data:`SIMULATED_MODULES`, the salt
+    of every cache key: an edit to simulated code moves every key, an
+    edit to the harness around it (CLI, figures, fleet, cache, devtools)
+    moves none.  Read on first use, then memoised; a source that cannot
+    be read is an error — no fallback could be told from a stale hit.
+    """
+    root = importlib.resources.files("repro")
+    digest = hashlib.sha256()
+    for module in SIMULATED_MODULES:
+        path = module.partition(".")[2].replace(".", "/")
+        if not root.joinpath(path).is_dir():
+            path += ".py"
+        files = list(_sources(root.joinpath(path), path))
+        if not files:
+            raise FileNotFoundError(f"no source files for {module}")
+        for name, text in files:
+            digest.update(f"{name}\0{len(text)}\0".encode() + text)
+    return digest.hexdigest()
 
 
 class Fidelity(enum.Enum):
@@ -285,7 +345,7 @@ def canonical_json(value: Any) -> str:
 
 
 def cell_key(cell: Cell) -> str:
-    """SHA-256 of the resolved cell plus the code-version salt.
+    """SHA-256 of the resolved cell plus :func:`code_version`.
 
     Memoized per Cell instance (keyed by the salt, which can change
     between sweeps via ``REPRO_CACHE_SALT``): the runner probes the
@@ -302,7 +362,7 @@ def cell_key(cell: Cell) -> str:
     payload = canonical_json(
         {
             "cell": canonicalize(cell.resolved()),
-            "code_version": CODE_VERSION,
+            "code_version": code_version(),
             "salt": salt,
         }
     )

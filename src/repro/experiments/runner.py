@@ -1,4 +1,4 @@
-"""Process-pool experiment runner with result caching.
+"""Supervised multi-process experiment runner with result caching.
 
 Every paper figure reduces to a list of independent
 ``(scenario × system × seed)`` :class:`~repro.experiments.cells.Cell`
@@ -13,9 +13,11 @@ jobs.  This module executes such a list:
 - with failure isolation: a crashing cell yields a structured
   :class:`CellOutcome` error instead of killing the sweep;
 - with poison-cell containment: an optional per-cell wall-clock
-  timeout (SIGALRM, POSIX only), one retry for failed or timed-out
-  cells, and quarantine — a cell that fails every attempt is reported
-  in the run summary, never raised mid-sweep;
+  deadline that the parent enforces by killing the worker, one re-run
+  for a cell that overran or took its worker down, and quarantine — a
+  cell that raises (it would raise again: a simulation is a pure
+  function of its cell) or is lost on every attempt is reported in
+  the run summary, never raised mid-sweep;
 - with per-cell progress lines and wall-clock/cache-hit statistics
   (:class:`RunStats`) that the benchmarks export.
 
@@ -32,13 +34,13 @@ floats from each and lets the payload go (DESIGN.md §11).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import signal
 import sys
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -60,13 +62,9 @@ from repro.experiments.cells import Cell, cell_key
 if TYPE_CHECKING:
     from repro.simulation.profiling import SimProfiler
 
-# How many submitted-but-unfinished futures to keep per worker; bounds
-# the pickled backlog on huge sweeps without ever starving the pool.
-_MAX_PENDING_PER_WORKER = 4
-
-# Cell execution time one pool task should carry: two orders over what
-# a task costs to pickle, dispatch and collect (~0.5 ms), and short
-# enough that progress lines keep coming.
+# Cell execution time one chunk should carry: two orders over what a
+# chunk costs to pickle, send and hand back (~0.5 ms), and short enough
+# that the workers finish together.
 _TASK_SECONDS = 0.05
 
 # Largest single array-batch handed to the flow batch engine: bounds
@@ -407,73 +405,14 @@ def execute_cell(
     return result_to_dict(result)
 
 
-class _CellTimeoutError(Exception):
-    """A cell blew through its wall-clock budget (SIGALRM fired)."""
-
-
-def _execute_isolated(
-    cell: Cell, timeout: Optional[float] = None
-) -> Dict[str, Any]:
-    """Worker wrapper: convert any exception to a structured error.
+def _run_guarded(cell: Cell) -> Dict[str, Any]:
+    """Run one cell; any exception becomes a structured error.
 
     Exceptions are flattened to plain data so the parent never has to
-    unpickle arbitrary exception types from a worker, and a poisoned
-    cell cannot break the pool.  ``timeout`` bounds the cell's real
-    wall-clock time via SIGALRM where the platform has it (POSIX main
-    thread); elsewhere the cell runs unguarded rather than failing.
+    unpickle arbitrary exception types from a worker, and a cell that
+    raises cannot end the sweep.
     """
     start = time.perf_counter()
-    armed = False
-    previous: Any = None
-    fired = {"flag": False}
-    message = f"cell exceeded {timeout}s wall-clock budget"
-    if timeout is not None and timeout > 0 and hasattr(signal, "SIGALRM"):
-
-        def _on_alarm(signum: int, frame: Any) -> None:
-            fired["flag"] = True
-            raise _CellTimeoutError(message)
-
-        try:
-            previous = signal.signal(signal.SIGALRM, _on_alarm)
-        except ValueError:
-            pass  # not the main thread: no alarm available here
-        else:
-            signal.setitimer(signal.ITIMER_REAL, timeout)
-            armed = True
-    try:
-        verdict = _run_guarded(cell, start)
-    except _CellTimeoutError as exc:
-        # The alarm can fire in the sliver between _run_guarded's
-        # handlers and the disarm below; keep it from escaping.
-        verdict = _timeout_verdict(str(exc), start)
-    finally:
-        if armed:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-    if fired["flag"] and verdict.get("ok"):
-        # The interpreter discards a signal-raised exception when it
-        # lands in a frame that cannot propagate it (e.g. a GC
-        # callback), letting the cell run to completion anyway.  The
-        # budget still governs the verdict: the alarm fired, so the
-        # cell is over budget regardless of how it ended.
-        verdict = _timeout_verdict(message, start)
-    return verdict
-
-
-def _timeout_verdict(message: str, start: float) -> Dict[str, Any]:
-    return {
-        "ok": False,
-        "timed_out": True,
-        "error": {
-            "type": "CellTimeout",
-            "message": message,
-            "traceback": message,
-        },
-        "wall_seconds": time.perf_counter() - start,
-    }
-
-
-def _run_guarded(cell: Cell, start: float) -> Dict[str, Any]:
     try:
         # ``execute_cell`` returns the payload in normal form (the
         # contract of ``analysis.export.result_to_dict``): the object
@@ -482,17 +421,6 @@ def _run_guarded(cell: Cell, start: float) -> Dict[str, Any]:
         return {
             "ok": True,
             "summary": execute_cell(cell),
-            "wall_seconds": time.perf_counter() - start,
-        }
-    except _CellTimeoutError as exc:
-        return {
-            "ok": False,
-            "timed_out": True,
-            "error": {
-                "type": "CellTimeout",
-                "message": str(exc),
-                "traceback": traceback.format_exc(),
-            },
             "wall_seconds": time.perf_counter() - start,
         }
     except Exception as exc:  # noqa: BLE001 — isolation is the point
@@ -537,7 +465,8 @@ def stream_cells(
 
     The one driver behind :func:`run_cells` (which documents the other
     arguments) and :func:`repro.experiments.fleet.run_fleet`: dedup,
-    cache pass, array batches, then the serial loop or the pool.
+    cache pass, array batches, then the in-process loop or the
+    supervised workers.
     ``sink(outcome, positions)`` is called exactly once per unique
     cell, in completion order (cache hits first, then batched cells
     lane by lane, then the rest as they finish), with the indices in
@@ -577,9 +506,6 @@ def stream_cells(
                 stats.executed += 1
         else:
             stats.errors += 1
-            error = outcome.error or {}
-            if error.get("type") == "CellTimeout":
-                stats.note_timeout(key)
             stats.quarantined.append(
                 f"{outcome.cell.effective_label} seed={outcome.cell.seed}"
             )
@@ -612,24 +538,18 @@ def stream_cells(
             [(key, unique[key]) for key in pending], store, finish, stats
         )
 
-    if jobs <= 1 or len(pending) <= 1:
+    if cell_timeout is not None and cell_timeout <= 0:
+        cell_timeout = None
+    if cell_timeout is None and (jobs <= 1 or len(pending) <= 1):
         for key in pending:
-            finish(
-                key,
-                _run_one(
-                    unique[key], key, store, cell_timeout, retries, stats
-                ),
-            )
-    else:
-        _run_pool(
-            [(key, unique[key]) for key in pending],
-            jobs,
-            store,
-            finish,
-            cell_timeout,
-            retries,
-            stats,
-        )
+            cell = unique[key]
+            verdict = _run_guarded(cell)
+            finish(key, _outcome_from_verdict(cell, key, verdict, store))
+    elif pending:
+        # A deadline needs someone outside the cell to enforce it, so
+        # with one even a single cell or ``jobs=1`` gets a worker.
+        items = [(key, unique[key]) for key in pending]
+        _run_workers(items, jobs, store, finish, cell_timeout, retries, stats)
 
     stats.wall_seconds = time.perf_counter() - start
     if progress:
@@ -650,13 +570,19 @@ def run_cells(
 
     ``jobs`` — worker processes; ``None`` means ``os.cpu_count()``
     (override with ``REPRO_JOBS``); ``1`` runs serially in-process
-    (identical results, no pool overhead).  ``cache`` — a
-    :class:`ResultCache`, a directory path, or ``None`` to disable
-    caching.  ``progress`` — emit one line per finished cell to stderr.
-    ``cell_timeout`` — per-cell wall-clock budget in seconds (SIGALRM
-    on POSIX; no-op where unavailable).  ``retries`` — extra attempts
-    for a failed or timed-out cell before it is quarantined: reported
-    as a structured error in the run summary, never raised mid-sweep.
+    (identical results, nothing pickled) unless ``cell_timeout`` is
+    set.  ``cache`` — a :class:`ResultCache`, a directory path, or
+    ``None`` to disable caching.  ``progress`` — emit one line per
+    finished cell to stderr.  ``cell_timeout`` — per-cell wall-clock
+    budget in seconds: a cell still running that long after it began
+    has its worker process killed, whatever it is doing (so with a
+    budget every cell runs in a worker, even under ``jobs=1``).  It
+    does not cover ``mode="batch"`` groups, which are stepped in this
+    process with no deadline.  ``retries`` — re-runs of a cell that
+    overran its budget or whose worker died, before it is quarantined:
+    reported as a structured error in the run summary, never raised
+    mid-sweep.  A cell that raises is quarantined at once: a
+    simulation is a pure function of its cell, so it would raise again.
     ``mode`` — ``"scalar"`` runs every cell through the per-process
     path above; ``"batch"`` first groups compatible flow-fidelity
     cells (same resolved cell up to seed/label) into array batches for
@@ -756,33 +682,6 @@ def _timed_payloads(
         return
 
 
-def _run_one(
-    cell: Cell,
-    key: str,
-    store: Optional[ResultCache],
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    stats: Optional[RunStats] = None,
-) -> CellOutcome:
-    """Execute one cell in-process (the serial path), with retries."""
-    verdict = _execute_isolated(cell, timeout)
-    attempt = 0
-    while not verdict["ok"] and attempt < retries:
-        attempt += 1
-        if stats is not None:
-            _note_retry(stats, verdict, key)
-        verdict = _execute_isolated(cell, timeout)
-    return _outcome_from_verdict(cell, key, verdict, store)
-
-
-def _note_retry(stats: RunStats, verdict: Dict[str, Any], key: str) -> None:
-    """Account for one discarded (retried) attempt."""
-    stats.retried += 1
-    stats.executed_wall_seconds += verdict.get("wall_seconds", 0.0)
-    if verdict.get("timed_out"):
-        stats.note_timeout(key)
-
-
 def _outcome_from_verdict(
     cell: Cell,
     key: str,
@@ -806,152 +705,185 @@ def _outcome_from_verdict(
     )
 
 
-def _run_chunk(
-    chunk: Sequence[Tuple[str, Cell]],
-    timeout: Optional[float],
-    store: Optional[ResultCache],
-) -> List[Dict[str, Any]]:
-    """Pool task: run ``chunk`` cell by cell, one verdict per cell.
+def _worker_main(conn: Connection, store: Optional[ResultCache]) -> None:
+    """Worker process: chunks in, one verdict out the moment a cell ends.
 
-    Every cell keeps its own :func:`_execute_isolated` guard (timeout,
-    structured error), and a good result is stored by this worker —
-    ``ResultCache.put`` is atomic and safe for concurrent writers — so
-    the parent is left with verdicts to collect, not files to write.
+    A good result is stored by this worker before its verdict is sent
+    (``ResultCache.put`` is atomic and safe for concurrent writers), so
+    the parent has verdicts to collect, not files to write.  ``None``
+    ends the loop, as does a parent that is gone.
     """
-    verdicts = []
-    for key, cell in chunk:
-        verdict = _execute_isolated(cell, timeout)
-        if verdict["ok"] and store is not None:
-            store.put(
-                key, cell.resolved(), verdict["summary"],
-                verdict["wall_seconds"],
-            )
-        verdicts.append(verdict)
-    return verdicts
+    try:
+        while (chunk := conn.recv()) is not None:
+            conn.send(None)  # up and holding it: the first cell begins
+            for key, cell in chunk:
+                verdict = _run_guarded(cell)
+                if verdict["ok"] and store is not None:
+                    store.put(
+                        key, cell.resolved(), verdict["summary"],
+                        verdict["wall_seconds"],
+                    )
+                conn.send(verdict)
+    except (EOFError, KeyboardInterrupt):
+        pass  # the parent went away or was interrupted: so are we
+    finally:
+        conn.close()
 
 
-def _run_pool(
+class _Worker:
+    """A worker process as its supervisor sees it: the pipe to it, the
+    chunk it holds (``chunk[0]`` is the cell it is on) and since when."""
+
+    def __init__(self, store: Optional[ResultCache]) -> None:
+        # The platform's default start method, as ``concurrent.futures``
+        # uses: ``spawn`` would cost every worker 0.2 s of imports here.
+        context = multiprocessing.get_context()
+        self.conn, child = context.Pipe()
+        self.process = context.Process(
+            target=_worker_main, args=(child, store), daemon=True
+        )
+        self.process.start()
+        # Closed here, and before the next fork so that no sibling
+        # inherits it: a dead worker then reads as end-of-file.
+        child.close()
+        self.chunk: List[Tuple[str, Cell]] = []
+        self.since = 0.0
+
+    def give(self, chunk: List[Tuple[str, Cell]]) -> None:
+        """Send an idle worker (blocked in ``recv``) its next chunk."""
+        self.chunk = chunk
+        self.since = time.perf_counter()
+        self.conn.send(chunk)
+
+    def stop(self) -> Optional[int]:
+        """End the process — told to if idle, killed if it is on a cell
+        — and return its exit code."""
+        try:
+            if self.chunk:
+                self.process.kill()
+            else:
+                self.conn.send(None)
+        except OSError:
+            pass  # it is gone already
+        self.conn.close()
+        self.process.join(5.0)  # either way it exits at once
+        return self.process.exitcode
+
+
+def _run_workers(
     items: Sequence[Tuple[str, Cell]],
     jobs: int,
     store: Optional[ResultCache],
     finish: Callable[[str, "CellOutcome"], None],
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    stats: Optional[RunStats] = None,
+    timeout: Optional[float],
+    retries: int,
+    stats: RunStats,
 ) -> None:
-    """Fan pending cells out over a process pool, a chunk per task.
+    """Run pending cells on ``jobs`` supervised worker processes.
 
-    A task carries as many cells as fill ``_TASK_SECONDS`` at the mean
-    cell time measured so far, capped so that the queue still splits
-    into a full submission window: long cells and short queues go one
-    per task, cheap cells by the dozen, and chunks shrink as the queue
-    drains so the workers finish together.  Submission is throttled (a
-    bounded window per worker) so a many-thousand-cell sweep does not
-    pickle its entire job list up front, and verdicts are consumed as
-    tasks complete so progress lines happen promptly.  Failed and
-    timed-out cells are re-queued up to ``retries`` times before they
-    are finished as quarantined errors.
+    Each worker sits on its own duplex pipe, holds one chunk at a time
+    and answers with one verdict per cell, so the parent — blocked in
+    ``wait`` until the next verdict or the nearest deadline — always
+    knows which cell every worker is on and since when.  A chunk carries
+    as many cells as fill ``_TASK_SECONDS`` at the mean cell time so
+    far, never more than an even share of the queue: long cells and
+    short queues go one at a time, cheap cells by the dozen, and chunks
+    shrink as the queue drains.  The parent only sends to a worker
+    blocked in ``recv``, so the two directions of a pipe cannot wait on
+    each other however large a payload is.
 
-    A worker that dies outright (e.g. OOM-killed) takes every task in
-    flight with it, and nothing says which cell did it.  Those cells
-    are then re-run in a fresh pool one task at a time, where a second
-    death names its cell: only that one is retried (up to ``retries``)
-    and quarantined, every other cell is delivered, and chunked
-    dispatch resumes for the rest of the queue.
+    A cell is lost in one of two ways, and either names it exactly.
+    Still running ``timeout`` seconds after the parent heard that the
+    one before it ended, or that the worker is up and has the chunk (at
+    least its budget, never less), its worker is killed, whatever the
+    cell is doing: ``CellTimeout``.  A worker that dies by itself took
+    the cell it was on: ``WorkerDied``.  The rest of that chunk goes
+    back to the front of the queue, a fresh worker takes the place, no
+    other cell is repeated, and the lost cell is re-run up to
+    ``retries`` times before it is finished as a quarantined error.  A
+    cell that raises comes back as a verdict like any other.
     """
     queue = list(items)
-    suspects: List[Tuple[str, Cell]] = []
     jobs = min(jobs, len(queue))
-    window = jobs * _MAX_PENDING_PER_WORKER
+    workers: List[_Worker] = []
     attempts: Dict[str, int] = {}
     timed_cells = 0
     timed_seconds = 0.0
-
-    def retry_or_none(key: str, verdict: Dict[str, Any]) -> bool:
-        """True if the cell may have another attempt."""
-        if attempts.get(key, 0) >= retries:
-            return False
-        attempts[key] = attempts.get(key, 0) + 1
-        if stats is not None:
-            _note_retry(stats, verdict, key)
-        return True
 
     def next_chunk() -> List[Tuple[str, Cell]]:
         size = 1
         if timed_seconds > 0.0:
             size = min(
                 int(_TASK_SECONDS * timed_cells / timed_seconds),
-                len(queue) // window,
+                len(queue) // jobs,
             )
         chunk = queue[:max(size, 1)]
         del queue[:len(chunk)]
         return chunk
 
-    while queue or suspects:
-        lost: List[Tuple[str, Cell]] = []
-        failure: Optional[BaseException] = None
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures: Dict[Any, List[Tuple[str, Cell]]] = {}
-            while futures or (failure is None and (queue or suspects)):
-                if failure is None:
-                    if suspects:
-                        # Alone in flight (suspects only appear between
-                        # pools, and the wait below outlasts a lone
-                        # task): a death now is this cell's own.
-                        chunks = [[suspects.pop(0)]]
+    def lose(worker: _Worker, kind: str) -> None:
+        """``worker`` is gone, or has to go, and takes its cell along."""
+        wall = time.perf_counter() - worker.since
+        workers.remove(worker)
+        code = worker.stop()
+        (key, cell), rest = worker.chunk[0], worker.chunk[1:]
+        queue[:0] = rest
+        if kind == "CellTimeout":
+            stats.note_timeout(key)
+        if attempts.get(key, 0) < retries:
+            attempts[key] = attempts.get(key, 0) + 1
+            stats.retried += 1
+            stats.executed_wall_seconds += wall
+            queue.append((key, cell))
+            return
+        message = f"cell exceeded {timeout}s wall-clock budget"
+        if kind == "WorkerDied":
+            message = f"worker died on this cell (exit code {code})"
+        error = {"type": kind, "message": message, "traceback": message}
+        finish(key, CellOutcome(cell, key, error=error, wall_seconds=wall))
+
+    try:
+        while queue or workers:
+            while queue and len(workers) < jobs:
+                workers.append(_Worker(store))
+                workers[-1].give(next_chunk())
+            patience = None
+            if timeout is not None:
+                nearest = min(worker.since for worker in workers) + timeout
+                patience = max(nearest - time.perf_counter(), 0.0)
+            ready = wait([worker.conn for worker in workers], patience)
+            now = time.perf_counter()
+            for worker in list(workers):
+                if worker.conn not in ready:
+                    # Judged by the clock as ``wait`` returned: time
+                    # spent below on other workers' results is not its.
+                    if timeout is not None and now - worker.since >= timeout:
+                        lose(worker, "CellTimeout")
+                    continue
+                try:
+                    verdict = worker.conn.recv()
+                except (EOFError, OSError):
+                    lose(worker, "WorkerDied")
+                    continue
+                # Its next cell began no later than we learn of it.
+                worker.since = time.perf_counter()
+                if verdict is None:
+                    continue  # start-up is not the first cell's time
+                key, cell = worker.chunk.pop(0)
+                timed_cells += 1
+                timed_seconds += verdict["wall_seconds"]
+                if not worker.chunk:
+                    # Its next chunk first, so it works while we file.
+                    if queue:
+                        worker.give(next_chunk())
                     else:
-                        chunks = []
-                        while queue and len(futures) + len(chunks) < window:
-                            chunks.append(next_chunk())
-                    for chunk in chunks:
-                        futures[
-                            pool.submit(_run_chunk, chunk, timeout, store)
-                        ] = chunk
-                finished, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    chunk = futures.pop(future)
-                    try:
-                        verdicts = future.result()
-                    except Exception as exc:  # BrokenProcessPool et al.
-                        failure = exc
-                        lost.extend(chunk)
-                        continue
-                    for (key, cell), verdict in zip(chunk, verdicts):
-                        timed_cells += 1
-                        timed_seconds += verdict["wall_seconds"]
-                        if not verdict["ok"] and retry_or_none(key, verdict):
-                            queue.append((key, cell))
-                            continue
-                        # The worker already stored it: no store here.
-                        finish(
-                            key, _outcome_from_verdict(cell, key, verdict, None)
-                        )
-        if failure is None:
-            continue
-        if len(lost) > 1:
-            suspects.extend(lost)
-            continue
-        # One cell in flight when the pool broke: that is the cell.
-        key, cell = lost[0]
-        if retry_or_none(key, {"wall_seconds": 0.0}):
-            suspects.append((key, cell))
-            continue
-        finish(
-            key,
-            CellOutcome(
-                cell=cell,
-                key=key,
-                error={
-                    "type": type(failure).__name__,
-                    "message": str(failure),
-                    "traceback": "".join(
-                        traceback.format_exception(
-                            type(failure), failure, failure.__traceback__
-                        )
-                    ),
-                },
-            ),
-        )
+                        workers.remove(worker)
+                        worker.stop()
+                # The worker already stored it: no store here.
+                finish(key, _outcome_from_verdict(cell, key, verdict, None))
+    finally:
+        for worker in workers:
+            worker.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -1068,6 +1068,56 @@ class TestRealTree:
         assert f"`{call}`" in finding.message
         assert finding.chain
 
+    @pytest.mark.parametrize(
+        "rel_path, needle, replacement",
+        [
+            (
+                "src/repro/net/path.py",
+                "sim.post(delay, self._deliver, packet)",
+                "sim.post(delay, lambda: self._deliver(packet))",
+            ),
+            (
+                "src/repro/experiments/runner.py",
+                "target=_worker_main, args=(child, store), daemon=True",
+                "target=lambda: _worker_main(child, store), daemon=True",
+            ),
+        ],
+        ids=["path-post", "runner-process-target"],
+    )
+    def test_a_closure_where_it_costs_fails_r006(
+        self, tmp_path, rel_path, needle, replacement
+    ):
+        # Nothing else notices either: the goldens hold with a closure
+        # per packet, and the tests fork, where a lambda target works.
+        copy_repo_tree(tmp_path)
+        mutate(tmp_path / rel_path, needle, replacement)
+        _config, result = analyze_repo(tmp_path)
+        [finding] = [
+            f for f in result.findings if f.severity is Severity.ERROR
+        ]
+        assert (finding.rule, finding.file) == ("R006", rel_path)
+
+    def test_roots_and_the_cache_salt_name_the_same_modules(self):
+        # One list, two uses: what R101 keeps deterministic is what
+        # cells.code_version() hashes into every cache key.
+        from repro.experiments.cells import SIMULATED_MODULES
+
+        def module_of(spec):
+            parts = spec.split(".")
+            while not (
+                (REPO_ROOT / "src").joinpath(*parts).is_dir()
+                or (REPO_ROOT / "src").joinpath(*parts)
+                .with_suffix(".py").is_file()
+            ):
+                parts.pop()
+            return ".".join(parts)
+
+        config, _result = analyze_repo()
+        assert len(set(SIMULATED_MODULES)) == len(SIMULATED_MODULES)
+        assert {module_of(spec) for spec in config.roots} == set(
+            SIMULATED_MODULES
+        )
+
     def test_every_path_builder_is_in_the_reachable_set(self):
         # BuilderPaths("module:function") is resolved by import inside
         # execute_cell, so the function is simulated code whatever

@@ -439,11 +439,51 @@ class TestClosureCapture:
             """
         ) == ["R006"]
 
+    def test_lambda_into_post_fires(self):
+        # The fire-and-forget hop the per-packet paths use.
+        assert rules_fired(
+            """
+            def deliver(self, sim, delay, packet):
+                sim.post(delay, lambda: self._deliver(packet))
+            """
+        ) == ["R006"]
+
     def test_event_arg_form_is_clean(self):
         assert rules_fired(
             """
             def arm(sim, event):
                 sim.schedule_at(event.start, apply, event)
+                sim.post(0.0, apply, event)
+            """
+        ) == []
+
+    # Forks fine on Linux, dies at pickle time under `spawn`.
+
+    def test_lambda_as_process_target_fires(self):
+        assert rules_fired(
+            """
+            def start(context, conn):
+                context.Process(target=lambda: loop(conn)).start()
+            """
+        ) == ["R006"]
+
+    def test_nested_function_as_process_target_fires(self):
+        assert rules_fired(
+            """
+            def start(conn):
+                def serve():
+                    loop(conn)
+                Process(target=serve, daemon=True).start()
+            """
+        ) == ["R006"]
+
+    def test_module_level_process_target_is_clean(self):
+        assert rules_fired(
+            """
+            def loop(conn):
+                pass
+            def start(context, conn):
+                context.Process(target=loop, args=(conn,)).start()
             """
         ) == []
 

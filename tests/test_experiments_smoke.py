@@ -74,7 +74,7 @@ TITLES = {
 # the driver (fig09: walking then driving; sweeps: buffer, deadline,
 # loss-model).  The cache key of every figure cell hangs off these
 # bytes, so a re-ordered or re-labelled grid — and the cold cache it
-# causes — fails here.  Independent of CODE_VERSION.
+# causes — fails here.  Independent of cells.code_version().
 GRID_DIGESTS = {
     "fig01": "73358926a1cffc1103c0c38ce44be2b24e045d713cbbfea28b0df55f43731fb2",
     "fig03": "956ac554e4b15fb44026f0bb531ab81297672f77b28b933a99f27078a8efb646",

@@ -12,8 +12,9 @@ Regenerate after an intended behaviour change with::
     REPRO_UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest \
         tests/test_golden_determinism.py
 
-and commit the updated fixtures (and bump
-``repro.experiments.cells.CODE_VERSION`` so stale caches die).
+and commit the updated fixtures (stale caches die by themselves: the
+edit that moved the payload moved ``cells.code_version()``, the digest
+of the simulated source in every cache key).
 
 The flow backend is pinned the same way by *reference data*: one
 sha256 per short flow cell in ``tests/goldens/flow/digests.json``
@@ -165,14 +166,13 @@ def _assert_matches_golden(record: dict, path: Path, name: str) -> None:
         assert actual == expected, (
             f"{name}: summary field {field_name!r} drifted: "
             f"golden={expected!r} actual={actual!r} — if intended, "
-            "regenerate with REPRO_UPDATE_GOLDENS=1 and bump "
-            "CODE_VERSION"
+            "regenerate with REPRO_UPDATE_GOLDENS=1"
         )
     assert record["series_lengths"] == golden["series_lengths"]
     assert record["payload_sha256"] == golden["payload_sha256"], (
         f"{name}: summary matches but the full payload hash "
         "drifted (series or path accounting changed) — if intended, "
-        "regenerate with REPRO_UPDATE_GOLDENS=1 and bump CODE_VERSION"
+        "regenerate with REPRO_UPDATE_GOLDENS=1"
     )
 
 
@@ -295,8 +295,8 @@ def _assert_pinned(digests: dict, name: str, pinned_at: Path) -> None:
     assert digests[name] == pinned[name], (
         f"{name}: {kind} payload drifted from tests/goldens/{kind}/"
         "digests.json — if intended, regenerate with "
-        "REPRO_UPDATE_GOLDENS=1, bump CODE_VERSION and name the cells "
-        "that moved in CHANGES.md"
+        "REPRO_UPDATE_GOLDENS=1 and name the cells that moved in "
+        "CHANGES.md"
     )
 
 

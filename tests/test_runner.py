@@ -1,15 +1,23 @@
 """Tests for the parallel experiment runner and its result cache."""
 
+import collections
 import copy
+import gc
 import json
+import multiprocessing
 import os
+import shutil
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import FecMode, SystemKind
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.cells import (
-    CODE_VERSION,
     BuilderPaths,
     Cell,
     ConstantPaths,
@@ -17,12 +25,15 @@ from repro.experiments.cells import (
     canonical_json,
     canonicalize,
     cell_key,
+    code_version,
     expand_grid,
     make_cell,
 )
 from repro.experiments.runner import (
     CellFailure,
     CellSummary,
+    _Worker,
+    _worker_main,
     execute_cell,
     results_of,
     run_cells,
@@ -50,8 +61,46 @@ def broken_paths(duration):
 
 
 def exit_paths(duration):
-    # What an OOM kill looks like from the pool: the worker is gone.
+    # What an OOM kill looks like from outside: the worker is gone.
     os._exit(17)
+
+
+def slow_exit_paths(duration):
+    time.sleep(0.1)
+    os._exit(17)
+
+
+def napping_paths(duration):
+    time.sleep(0.25)
+    return ConstantPaths((8e6, 8e6), (0.02, 0.03), (0.01, 0.0)).build(
+        duration, 1
+    )
+
+
+def slow_worker_main(conn, store):
+    # What the `spawn` start method costs every worker before it runs.
+    time.sleep(0.25)
+    _worker_main(conn, store)
+
+
+def stubborn_paths(duration):
+    # Swallows whatever is raised into it, as a retry loop around a
+    # flaky call would: only a kill ends this cell early.
+    end = time.monotonic() + 3.0
+    while time.monotonic() < end:
+        try:
+            time.sleep(0.01)
+        except Exception:
+            pass
+    raise RuntimeError("nobody stopped me")
+
+
+def c_call_paths(duration):
+    # One C call of ~2.7 s: a signal handler only runs between
+    # bytecodes, so nothing raised into this frame lands before it
+    # returns (time.sleep would not do: an alarm interrupts it).
+    sum(range(2 * 10**8))
+    raise RuntimeError("nobody stopped me")
 
 
 class TestCellKey:
@@ -173,6 +222,108 @@ class TestCellKey:
         assert len(per_cell) <= len(cells)
 
 
+# An entry exactly as commit 650ef1b (the last with a hand-bumped
+# ``CODE_VERSION``) wrote it for the cell below.
+OLD_KEY = "789c6003c6ee8f28c5c5fe023c31b0fa712838daf1ce036e01b7131398860c3a"
+OLD_ENTRY = (
+    '{"cell":{"chaos":null,"duration":4.0,"fidelity":"flow","label":null,'
+    '"num_streams":1,"overrides":{},"paths":{"__dataclass__":'
+    '"repro.experiments.cells.ScenarioPaths","fields":{"networks":null,'
+    '"scenario":"driving"}},"seed":7,"single_path_id":0,"system":"converge"},'
+    '"checksum":"be3a43f1fe056f48032183b0d139c039c63bf69ad2912f681167d3e2'
+    '07944911","code_version":"2026.10-1","created":1790980269.4993322,'
+    '"key":"' + OLD_KEY + '","summary":{"label":"converge","summary":'
+    '{"frames_rendered":96}},"wall_seconds":0.0125}'
+)
+
+PROBE = """
+from repro.core.config import SystemKind
+from repro.experiments.cells import (
+    ScenarioPaths, cell_key, code_version, make_cell,
+)
+print(code_version())
+for seed in (1, 7):
+    print(cell_key(make_cell(ScenarioPaths("driving"), SystemKind.CONVERGE,
+                             seed=seed, duration=4.0, fidelity="flow")))
+"""
+
+
+class TestCodeVersion:
+    """Cache keys follow the simulated source, and nothing else."""
+
+    @staticmethod
+    def run_probe(src):
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_CACHE_SALT"}
+        return subprocess.run(
+            [sys.executable, "-c", PROBE],
+            env={**env, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+
+    def probe(self, src):
+        """``[code_version, key, key]`` as a fresh interpreter on the
+        tree at ``src`` computes them."""
+        done = self.run_probe(src)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    def test_keys_move_with_simulated_source_only(self, tmp_path):
+        src = tmp_path / "src"
+        shutil.copytree(
+            Path(__file__).resolve().parent.parent / "src" / "repro",
+            src / "repro",
+        )
+        pristine = self.probe(src)
+        # Where the tree lives is not part of it.
+        assert pristine[0] == code_version()
+        assert pristine[2] == cell_key(
+            make_cell(ScenarioPaths("driving"), SystemKind.CONVERGE,
+                      seed=7, duration=4.0, fidelity="flow")
+        )
+        # The harness around the simulation: no key moves.
+        for name in ("cli.py", "experiments/fleet.py", "experiments/cache.py"):
+            with open(src / "repro" / name, "a") as source:
+                source.write("# an edit\n")
+        assert self.probe(src) == pristine
+        # Line ends are the checkout's business.
+        gcc = src / "repro" / "cc" / "gcc.py"
+        gcc.write_bytes(gcc.read_bytes().replace(b"\n", b"\r\n"))
+        assert self.probe(src) == pristine
+        # Simulated code: the digest and every key move.
+        with open(gcc, "a") as source:
+            source.write("# an edit\n")
+        edited = self.probe(src)
+        assert all(new != old for new, old in zip(edited, pristine))
+        # A source that cannot be read is an error, never a fallback.
+        (src / "repro" / "experiments" / "sweeps.py").unlink()
+        done = self.run_probe(src)
+        assert done.returncode != 0 and "FileNotFoundError" in done.stderr
+
+    def test_digest_is_computed_once(self):
+        assert len(code_version()) == 64
+        assert code_version() is code_version()
+
+    def test_an_entry_of_the_last_hand_bumped_version_is_cold_not_corrupt(
+        self, tmp_path
+    ):
+        # Every key moved once when the salt became a digest, so old
+        # entries are never asked for; under their own keys they still
+        # validate (validation never read ``code_version``) and ``ls``
+        # marks them stale.
+        cell = make_cell(ScenarioPaths("driving"), SystemKind.CONVERGE,
+                         seed=7, duration=4.0, fidelity="flow")
+        assert cell_key(cell) != OLD_KEY
+        store = ResultCache(tmp_path)
+        target = store.path_for(OLD_KEY)
+        target.parent.mkdir(parents=True)
+        target.write_text(OLD_ENTRY)
+        assert store.get(cell_key(cell)) is None
+        entry = store.get(OLD_KEY)
+        assert entry.cell == cell.resolved()
+        assert entry.code_version == "2026.10-1"
+        assert [row["stale"] for row in store.ls()] == [True]
+
+
 class TestExpandGrid:
     def test_deterministic_order(self):
         grid = expand_grid(
@@ -197,7 +348,7 @@ class TestResultCache:
         entry = store.get(key)
         assert entry is not None
         assert entry.summary == {"x": 1.5}
-        assert entry.code_version == CODE_VERSION
+        assert entry.code_version == code_version()
         assert entry.wall_seconds == 0.25
         assert len(store) == 1
 
@@ -354,22 +505,27 @@ class TestRunCells:
         ]
 
     def test_worker_submission_is_picklable(self, tmp_path):
-        # The pool pickles (function, chunk, timeout, store); a lambda
-        # or nested function here would die at submit time but only on
-        # parallel runs, which is exactly what lint rule R006 guards
-        # against.
+        # A worker is (function, its cache) at start and a chunk down
+        # its pipe; a lambda or nested function here would die with the
+        # `spawn` start method but only on parallel runs, which is
+        # exactly what lint rule R006 guards against.
         import pickle
 
-        from repro.experiments.runner import _run_chunk
-
         cell = _cell()
-        function, chunk, timeout, store = pickle.loads(
+        function, chunk, store = pickle.loads(
             pickle.dumps(
-                (_run_chunk, [(cell_key(cell), cell)], None,
+                (_worker_main, [(cell_key(cell), cell)],
                  ResultCache(tmp_path))
             )
         )
-        (verdict,) = function(chunk, timeout, store)
+        ours, theirs = multiprocessing.Pipe()
+        ours.send(chunk)
+        ours.send(None)
+        function(theirs, store)
+        assert ours.recv() is None  # "up and holding the chunk"
+        verdict = ours.recv()
+        ours.close()
+        assert theirs.closed
         assert verdict["ok"] is True
         # The worker, not the parent, stores what it computed.
         assert store.get(cell_key(cell)).summary == verdict["summary"]
@@ -559,19 +715,15 @@ class TestStreamCells:
 
 
 def _spy_on_submits(monkeypatch):
-    """Record the cell keys of every task the runner hands its pool."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.experiments import runner
-
+    """Record the cell keys of every chunk sent down a worker's pipe."""
     chunks = []
+    give = _Worker.give
 
-    class SpyPool(ProcessPoolExecutor):
-        def submit(self, fn, chunk, *args):
-            chunks.append([key for key, _cell in chunk])
-            return super().submit(fn, chunk, *args)
+    def spy(worker, chunk):
+        chunks.append([key for key, _cell in chunk])
+        give(worker, chunk)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(_Worker, "give", spy)
     return chunks
 
 
@@ -587,21 +739,23 @@ def _slow_cell(seed=1):
 
 class TestTimeoutAndQuarantine:
     def test_timeout_yields_structured_error(self):
-        from repro.experiments.runner import _execute_isolated
-
-        verdict = _execute_isolated(_slow_cell(), timeout=0.05)
-        assert verdict["ok"] is False
-        assert verdict["timed_out"] is True
-        assert verdict["error"]["type"] == "CellTimeout"
+        report = run_cells([_slow_cell()], jobs=1, cell_timeout=0.05,
+                           retries=0)
+        outcome = report.outcomes[0]
+        assert not outcome.ok
+        assert outcome.error["type"] == "CellTimeout"
+        assert "0.05s" in outcome.error["message"]
+        assert 0.05 <= outcome.wall_seconds < 1.0
+        assert report.stats.timeouts == 1 and report.stats.retried == 0
 
     def test_generous_timeout_leaves_result_intact(self):
-        from repro.experiments.runner import _execute_isolated
-
         cell = _cell()
-        unguarded = _execute_isolated(cell)
-        guarded = _execute_isolated(cell, timeout=600.0)
-        assert guarded["ok"] is True
-        assert guarded["summary"] == unguarded["summary"]
+        unguarded = run_cells([cell], jobs=1)
+        guarded = run_cells([cell], jobs=1, cell_timeout=600.0)
+        assert guarded.stats.timeouts == 0
+        assert_same_payload(
+            results_of(guarded)[0].data, results_of(unguarded)[0].data
+        )
 
     def test_serial_retry_then_quarantine(self):
         report = run_cells([_slow_cell()], jobs=1, cell_timeout=0.05)
@@ -627,26 +781,27 @@ class TestTimeoutAndQuarantine:
         ]
 
     @pytest.mark.parametrize(
-        "kind, error_type, timeouts",
+        "kind, error_type, timeouts, retried",
         [
-            ("raises", "RuntimeError", 0),
-            ("times-out", "CellTimeout", 1),
-            ("kills-worker", "BrokenProcessPool", 0),
+            # It would raise again: quarantined at once.
+            ("raises", "RuntimeError", 0, 0),
+            ("times-out", "CellTimeout", 1, 1),
+            ("kills-worker", "WorkerDied", 0, 1),
         ],
     )
     def test_poison_cell_in_a_chunk_is_the_only_casualty(
-        self, kind, error_type, timeouts, monkeypatch
+        self, kind, error_type, timeouts, retried, monkeypatch
     ):
         poison = {
-            "raises": _quick_cell(99, BuilderPaths("tests.test_runner:broken_paths")),
+            "raises": _builder_cell("broken_paths"),
             "times-out": _slow_cell(seed=99),
-            "kills-worker": _quick_cell(99, BuilderPaths("tests.test_runner:exit_paths")),
+            "kills-worker": _builder_cell("exit_paths"),
         }[kind]
         cells = [_quick_cell(seed) for seed in range(1, 65)]
         cells.insert(20, poison)
         chunks = _spy_on_submits(monkeypatch)
         report = run_cells(cells, jobs=2, cell_timeout=0.3)
-        # It went out in company (the first task that carried it)...
+        # It went out in company (the first chunk that carried it)...
         first = next(c for c in chunks if cell_key(poison) in c)
         assert len(first) > 1
         # ...and is the only cell that did not come back.
@@ -655,7 +810,7 @@ class TestTimeoutAndQuarantine:
         assert bad[0].error["type"] == error_type
         assert len(report.outcomes) == len(cells)
         assert report.stats.executed == len(cells) - 1
-        assert report.stats.retried == 1
+        assert report.stats.retried == retried
         assert report.stats.timeouts == timeouts
         assert report.stats.quarantined == ["converge seed=99"]
 
@@ -688,19 +843,219 @@ class TestTimeoutAndQuarantine:
         with pytest.raises(CellFailure):
             results_of(report)
 
-    def test_deterministic_failure_retries_once_then_errors(self):
+    def test_deterministic_failure_is_not_retried(self):
+        # A simulation is a pure function of its cell, so a second
+        # attempt would raise again: in-process and in a worker alike.
         bad = make_cell(
             BuilderPaths("tests.test_runner:broken_paths"),
             SystemKind.CONVERGE,
             seed=1,
             duration=DURATION,
         )
-        report = run_cells([bad], jobs=1)
-        assert report.stats.retried == 1
-        assert report.stats.timeouts == 0
-        assert report.outcomes[0].error["type"] == "RuntimeError"
+        for cell_timeout in (None, 600.0):
+            report = run_cells([bad], jobs=1, cell_timeout=cell_timeout)
+            assert report.stats.retried == 0
+            assert report.stats.timeouts == 0
+            assert report.outcomes[0].error["type"] == "RuntimeError"
 
     def test_timed_out_cells_are_not_cached(self, tmp_path):
         run_cells([_slow_cell()], jobs=1, cache=tmp_path,
                   cell_timeout=0.05)
         assert len(ResultCache(tmp_path)) == 0
+
+
+class PutLog(ResultCache):
+    """A cache that also logs every ``put`` (workers append one short
+    line each: atomic under ``O_APPEND``), so a test can count
+    executions per cell across processes."""
+
+    def put(self, key, cell, summary, wall_seconds):
+        with open(self.root / "puts.log", "a") as log:
+            log.write(key + "\n")
+        return super().put(key, cell, summary, wall_seconds)
+
+
+def _builder_cell(name, seed=99):
+    return _quick_cell(seed, BuilderPaths(f"tests.test_runner:{name}"))
+
+
+def _watch_workers(monkeypatch):
+    """Every ``_Worker`` a run creates, for a look at it afterwards."""
+    seen = []
+    init = _Worker.__init__
+
+    def spy(worker, store):
+        init(worker, store)
+        seen.append(worker)
+
+    monkeypatch.setattr(_Worker, "__init__", spy)
+    return seen
+
+
+class TestSupervisor:
+    """The parent owns the clock and knows each worker's cell: a
+    deadline kills, blame is exact, nothing outlives the call."""
+
+    @pytest.mark.parametrize("builder", ["stubborn_paths", "c_call_paths"])
+    def test_a_deadline_ends_a_cell_whatever_it_is_doing(self, builder):
+        # Neither can be ended from inside its own process: one
+        # swallows the exception, the other is not running bytecode.
+        start = time.perf_counter()
+        report = run_cells(
+            [_builder_cell(builder)], jobs=1, cell_timeout=0.2
+        )
+        assert time.perf_counter() - start < 1.0
+        assert report.outcomes[0].error["type"] == "CellTimeout"
+        assert report.stats.timeouts == 1 and report.stats.retried == 1
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the slow start is patched in, which only a fork inherits",
+    )
+    def test_a_workers_start_up_is_not_its_first_cells_time(
+        self, monkeypatch
+    ):
+        # 0.25 s to come up, 0.25 s of cell, a 0.4 s budget: the clock
+        # starts when the worker says it holds the chunk.
+        from repro.experiments import runner
+
+        monkeypatch.setattr(runner, "_worker_main", slow_worker_main)
+        report = run_cells(
+            [_builder_cell("napping_paths")], jobs=1, cell_timeout=0.4
+        )
+        assert report.ok() and report.stats.timeouts == 0
+
+    def test_a_deadline_holds_off_the_main_thread(self):
+        # Where no signal handler can be installed.
+        reports = []
+        thread = threading.Thread(
+            target=lambda: reports.append(
+                run_cells([_slow_cell()], jobs=1, cell_timeout=0.05,
+                          retries=0)
+            )
+        )
+        thread.start()
+        thread.join(30.0)
+        assert not thread.is_alive()
+        assert reports[0].outcomes[0].error["type"] == "CellTimeout"
+
+    def test_a_deadline_holds_with_a_gc_callback_installed(self):
+        # Hypothesis installs one; an exception raised into it is
+        # discarded by the interpreter and the cell runs on.
+        cell = make_cell(
+            ConstantPaths((8e6, 8e6), (0.02, 0.03), (0.01, 0.0)),
+            SystemKind.CONVERGE,
+            duration=4000.0,
+            fidelity="flow",
+        )
+
+        def on_collect(phase, info):
+            pass
+
+        gc.callbacks.append(on_collect)
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                report = run_cells(
+                    [cell], jobs=1, cell_timeout=0.05, retries=0
+                )
+                assert time.perf_counter() - start < 0.5
+                assert report.outcomes[0].error["type"] == "CellTimeout"
+        finally:
+            gc.callbacks.remove(on_collect)
+
+    def test_blame_is_exact_on_a_sweep_with_five_poison_cells(
+        self, tmp_path
+    ):
+        poison = {
+            _builder_cell("broken_paths", 901): "RuntimeError",
+            _builder_cell("exit_paths", 902): "WorkerDied",
+            _slow_cell(seed=903): "CellTimeout",
+            _slow_cell(seed=904): "CellTimeout",
+            _builder_cell("stubborn_paths", 905): "CellTimeout",
+        }
+        cells = [_quick_cell(seed) for seed in range(1, 401)]
+        for place, cell in zip((40, 120, 200, 280, 360), poison):
+            cells.insert(place, cell)
+        store = PutLog(tmp_path)
+        start = time.perf_counter()
+        # More workers than cores.
+        report = run_cells(cells, jobs=6, cache=store, cell_timeout=0.3)
+        # 7-8 s with the deadline as a signal and suspects re-run one
+        # task at a time; about 1.3 s supervised.
+        assert time.perf_counter() - start < 5.0
+        bad = {o.cell: o.error["type"] for o in report.outcomes if not o.ok}
+        assert bad == poison
+        assert "exit code 17" in report.outcomes[120].error["message"]
+        assert report.stats.executed == 400
+        assert report.stats.errors == 5 and report.stats.timeouts == 3
+        # One re-run for each cell that was lost, none for the one
+        # that raised.
+        assert report.stats.retried == 4
+        # No healthy cell ran twice, whatever died next to it.
+        puts = collections.Counter(
+            (tmp_path / "puts.log").read_text().split()
+        )
+        assert set(puts.values()) == {1}
+        assert set(puts) == {o.key for o in report.outcomes if o.ok}
+        assert multiprocessing.active_children() == []
+
+    def test_two_workers_dying_in_one_wait_round_are_both_named(
+        self, monkeypatch
+    ):
+        from repro.experiments import runner
+
+        rounds = []
+
+        def wait(conns, timeout=None):
+            ready = runner_wait(conns, timeout)
+            rounds.append(len(ready))
+            return ready
+
+        runner_wait = runner.wait
+        monkeypatch.setattr(runner, "wait", wait)
+        outcomes = {}
+
+        def sink(outcome, positions):
+            outcomes[positions[0]] = outcome
+            if outcome.ok:
+                time.sleep(0.4)  # both die while the parent is busy
+
+        cells = [
+            _quick_cell(1),
+            _builder_cell("slow_exit_paths", 2),
+            _builder_cell("slow_exit_paths", 3),
+        ]
+        stats = stream_cells(cells, sink, jobs=3, retries=0)
+        assert max(rounds) == 2
+        assert outcomes[0].ok
+        for index in (1, 2):
+            assert outcomes[index].error["type"] == "WorkerDied"
+            assert "exit code 17" in outcomes[index].error["message"]
+        assert stats.quarantined == ["converge seed=2", "converge seed=3"]
+
+    @pytest.mark.parametrize(
+        "failure", [None, ValueError, KeyboardInterrupt]
+    )
+    def test_no_worker_outlives_the_call(self, failure, monkeypatch):
+        workers = _watch_workers(monkeypatch)
+        delivered = []
+
+        def sink(outcome, positions):
+            delivered.append(outcome)
+            if failure is not None and len(delivered) == 3:
+                raise failure("from the sink")
+
+        cells = [_quick_cell(seed) for seed in range(1, 33)]
+        if failure is None:
+            stream_cells(cells, sink, jobs=4)
+            assert len(delivered) == len(cells)
+        else:
+            # Two workers are still on a cell when the sink raises.
+            cells[:0] = [_slow_cell(seed=1), _slow_cell(seed=2)]
+            with pytest.raises(failure):
+                stream_cells(cells, sink, jobs=4)
+        assert len(workers) >= 4
+        assert not any(worker.process.is_alive() for worker in workers)
+        assert all(worker.conn.closed for worker in workers)
+        assert multiprocessing.active_children() == []

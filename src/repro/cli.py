@@ -6,7 +6,7 @@ Usage::
     python -m repro run --jobs 4 --cache ~/.cache/repro-converge
     python -m repro compare --scenario walking --duration 30
     python -m repro sweep --systems converge srtt --seeds 4 --jobs 4
-    python -m repro fleet --scenarios driving --seeds 200 --mode batch
+    python -m repro fleet --scenarios driving --seeds 200
     python -m repro experiment fig12 --duration 60 --jobs 8
     python -m repro profile fig14 --duration 12 --top 20
     python -m repro chaos --chaos rtcp-blackout --scenario driving
@@ -156,8 +156,7 @@ def _add_runner_args(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget per cell (its worker process is killed); a "
         "cell that overruns or kills its worker is re-run once, then "
-        "quarantined; a cell that raises is quarantined at once; array "
-        "batches (--mode batch) run in the parent with no deadline",
+        "quarantined; a cell that raises is quarantined at once",
     )
 
 
@@ -214,11 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="PATH", default=None,
         help="write the full run report (stats + every cell) as JSON",
     )
-    sweep_parser.add_argument(
-        "--mode", choices=["scalar", "batch"], default="scalar",
-        help="batch: group compatible flow cells into array batches "
-        "(byte-identical to scalar execution)",
-    )
     _add_runner_args(sweep_parser)
 
     fleet_parser = sub.add_parser(
@@ -226,11 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a seeded scenario matrix and report QoE distributions",
     )
     _add_matrix_args(fleet_parser, scenarios=["driving"], seeds=32)
-    fleet_parser.add_argument(
-        "--mode", choices=["batch", "scalar"], default="batch",
-        help="batch: group compatible flow cells into array batches "
-        "(byte-identical to scalar); scalar: per-process execution",
-    )
     fleet_parser.add_argument(
         "--confidence", type=float, default=0.95,
         help="bootstrap confidence level for the per-metric mean CI",
@@ -545,7 +534,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         num_streams=args.streams,
         fidelity=args.fidelity,
     )
-    report = run_cells(job_list, mode=args.mode, **_runner_kwargs(args))
+    report = run_cells(job_list, **_runner_kwargs(args))
     # Per (scenario, system) seed-averaged rows; failures counted, not fatal.
     rows = []
     index = 0
@@ -598,7 +587,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
     report = run_fleet(
         spec,
-        mode=args.mode,
         confidence=args.confidence,
         resamples=args.resamples,
         **_runner_kwargs(args),

@@ -6,8 +6,8 @@ long-tail claims (stall ratio at p95, drop counts under churny
 cellular traces) need thousands of seeds per configuration.  A
 :class:`FleetSpec` declares such a matrix — scenarios × systems × a
 seed range — and :func:`run_fleet` expands it into cells, executes
-them through the cached runner (array-batched flow execution by
-default), and reduces each ``(scenario, system)`` group to
+them through the cached runner (which array-batches a flow group
+where that is faster), and reduces each ``(scenario, system)`` group to
 distribution statistics with bootstrap confidence intervals.
 
 Determinism contract: the report is a pure function of the spec and
@@ -243,15 +243,17 @@ def run_fleet(
     cache: Union[ResultCache, str, "os.PathLike[str]", None] = None,
     progress: bool = False,
     cell_timeout: Optional[float] = None,
-    mode: str = "batch",
+    mode: Optional[str] = None,
     confidence: float = 0.95,
     resamples: int = 1000,
 ) -> FleetReport:
     """Expand, execute and reduce one fleet spec.
 
     Execution goes through :func:`repro.experiments.runner.stream_cells`
-    — content-addressed caching, per-cell quarantine and the array
-    batch mode all apply — so a fleet can be split across machines by
+    — content-addressed caching, per-cell quarantine and deadline, and
+    the runner's choice of engine (``mode`` unset: a seed group is one
+    array batch only where that beats the workers and no deadline is
+    set) all apply — so a fleet can be split across machines by
     sharding the seed range and recombined with ``repro cache merge``.
     Of each cell only its metric row outlives its delivery, so the
     fleet's footprint is one array batch however many seeds it has.

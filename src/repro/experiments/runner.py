@@ -74,6 +74,14 @@ _TASK_SECONDS = 0.05
 # size.
 _MAX_BATCH_CELLS = 1024
 
+# What one array batch costs, in scalar cells: a group, and each of its
+# lanes.  Both are ratios the ledger reports per layer, measured at
+# e2eaaa5 on 2 vCPU with 30 s cells (simulated duration cancels):
+# flow.batch_fixed_ms / flow.call_ms = 570 / 8.0 and
+# flow.batch_lane_ms / flow.call_ms = 2.0 / 8.0.
+_BATCH_FIXED_COST = 70.0
+_BATCH_LANE_COST = 0.25
+
 
 # ---------------------------------------------------------------------------
 # Cell summaries: what the cache stores and experiments consume
@@ -272,9 +280,12 @@ class RunStats:
     timeouts: int = 0
     retried: int = 0
     quarantined: List[str] = field(default_factory=list)
-    # Cells whose array batch raised and that the scalar path re-ran:
-    # right answers, several times slower, otherwise invisible.
+    # Cells the array program delivered; cells whose array batch raised
+    # and that the scalar path re-ran (right answers, several times
+    # slower); the first such failure as ``type: message``.
+    batched: int = 0
     batch_fallbacks: int = 0
+    batch_fallback_error: Optional[str] = None
     _timeout_keys: Set[str] = field(default_factory=set, repr=False)
 
     def note_timeout(self, key: str) -> None:
@@ -305,7 +316,9 @@ class RunStats:
             "timeouts": self.timeouts,
             "retried": self.retried,
             "quarantined": list(self.quarantined),
+            "batched": self.batched,
             "batch_fallbacks": self.batch_fallbacks,
+            "batch_fallback_error": self.batch_fallback_error,
         }
 
 
@@ -446,6 +459,13 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def _batch_pays(lanes: int, workers: int) -> bool:
+    """Whether one array batch of ``lanes`` cells in this process beats
+    the scalar loop over ``workers``: from 94 lanes on one worker, 280
+    on two, ~840 on three, never from four."""
+    return lanes * (1.0 / workers - _BATCH_LANE_COST) >= _BATCH_FIXED_COST
+
+
 # What a consumer of :func:`stream_cells` is handed, once per unique
 # cell: the outcome and every input position it answers.
 CellSink = Callable[[CellOutcome, Sequence[int]], None]
@@ -459,7 +479,7 @@ def stream_cells(
     progress: bool = False,
     cell_timeout: Optional[float] = None,
     retries: int = 1,
-    mode: str = "scalar",
+    mode: Optional[str] = None,
 ) -> RunStats:
     """Execute ``cells``, handing each result to ``sink`` as it lands.
 
@@ -474,7 +494,7 @@ def stream_cells(
     once ``sink`` returns, so what a sweep keeps in memory is its
     consumer's choice.
     """
-    if mode not in ("scalar", "batch"):
+    if mode not in (None, "scalar", "batch"):
         raise ValueError(f"unknown run_cells mode: {mode!r}")
     start = time.perf_counter()
     jobs = default_jobs() if jobs is None else max(int(jobs), 1)
@@ -533,13 +553,23 @@ def stream_cells(
         else:
             pending.append(key)
 
-    if mode == "batch" and pending:
-        pending = _run_batched(
-            [(key, unique[key]) for key in pending], store, finish, stats
-        )
-
     if cell_timeout is not None and cell_timeout <= 0:
         cell_timeout = None
+    workers = min(jobs, os.cpu_count() or 1)
+
+    def pays(lanes: int) -> bool:
+        """Whether a group this wide goes to the array program: pinned,
+        all or none; unset, none under a deadline (a batch is stepped
+        in this process, where nobody can enforce one)."""
+        if mode is None:
+            return cell_timeout is None and _batch_pays(lanes, workers)
+        return mode == "batch"
+
+    # No group is wider than what is pending: most runs plan nothing.
+    if pending and pays(len(pending)):
+        items = [(key, unique[key]) for key in pending]
+        pending = _run_batched(items, store, finish, stats, pays)
+
     if cell_timeout is None and (jobs <= 1 or len(pending) <= 1):
         for key in pending:
             cell = unique[key]
@@ -564,7 +594,7 @@ def run_cells(
     progress: bool = False,
     cell_timeout: Optional[float] = None,
     retries: int = 1,
-    mode: str = "scalar",
+    mode: Optional[str] = None,
 ) -> RunReport:
     """Execute ``cells``, fanning out across processes and the cache.
 
@@ -576,18 +606,20 @@ def run_cells(
     finished cell to stderr.  ``cell_timeout`` — per-cell wall-clock
     budget in seconds: a cell still running that long after it began
     has its worker process killed, whatever it is doing (so with a
-    budget every cell runs in a worker, even under ``jobs=1``).  It
-    does not cover ``mode="batch"`` groups, which are stepped in this
-    process with no deadline.  ``retries`` — re-runs of a cell that
+    budget every cell runs in a worker, even under ``jobs=1``, and
+    none in an array batch).  ``retries`` — re-runs of a cell that
     overran its budget or whose worker died, before it is quarantined:
     reported as a structured error in the run summary, never raised
     mid-sweep.  A cell that raises is quarantined at once: a
     simulation is a pure function of its cell, so it would raise again.
-    ``mode`` — ``"scalar"`` runs every cell through the per-process
-    path above; ``"batch"`` first groups compatible flow-fidelity
-    cells (same resolved cell up to seed/label) into array batches for
-    :func:`repro.flow.batch.iter_batch`, byte-identical to scalar
-    execution, and falls back per cell for whatever cannot batch.
+    ``mode`` — which flow engine serves a cell; the bytes are the same,
+    so leave it unset and the runner decides: compatible flow-fidelity
+    cells (same resolved cell up to seed/label) form a group, which
+    :func:`repro.flow.batch.iter_batch` steps as one array program in
+    this process when no ``cell_timeout`` is set and :func:`_batch_pays`
+    at ``workers = min(jobs, os.cpu_count())``; the rest takes the path
+    above.  The pins are each other's reference in tests and the
+    ledger: ``"scalar"`` batches nothing, ``"batch"`` every group.
 
     Returns a :class:`RunReport` with outcomes in input order: the
     :func:`stream_cells` consumer that keeps every outcome.
@@ -618,33 +650,38 @@ def _run_batched(
     store: Optional[ResultCache],
     finish: Callable[[str, "CellOutcome"], None],
     stats: RunStats,
+    pays: Callable[[int], bool],
 ) -> List[str]:
-    """Execute what the array backend can take; return the leftovers.
+    """Execute what the array backend should take; return the leftovers.
 
-    Compatible flow cells are grouped by structural identity and
-    stepped together in :func:`repro.flow.batch.iter_batch` (large
-    groups are chunked so one group's ``(T, B)`` state stays bounded),
-    and each payload is finished — stored, handed on, dropped — before
-    the next one is built.  Results are byte-identical to the scalar
-    path: both backends build payloads in the normal form
-    ``analysis.export`` defines (pinned by tests/test_flow_batch.py),
-    so cache entries and outcomes are indistinguishable from
-    per-process execution without any normalization pass.  Cells the
-    planner rejects, plus the cells a failing chunk had not delivered
-    yet (counted in ``stats.batch_fallbacks``), are returned as keys
-    for the scalar path to pick up.
+    Compatible flow cells are grouped by structural identity, a group
+    whose width ``pays`` is stepped together in
+    :func:`repro.flow.batch.iter_batch` (in chunks, so that one
+    group's ``(T, B)`` state stays bounded), and each payload is
+    finished — stored, handed on, dropped — before the next is built.
+    Results are byte-identical to the scalar path: both backends build
+    payloads in the normal form ``analysis.export`` defines (pinned by
+    tests/test_flow_batch.py), so cache entries and outcomes are
+    indistinguishable from per-process execution without any
+    normalization pass.  Cells the planner rejects, the narrower
+    groups, and the cells a failing chunk had not delivered yet
+    (counted in ``stats.batch_fallbacks``) are returned as keys, in
+    input order, for the scalar path to pick up.
     """
     from repro.flow.batch import plan_batches
 
     cells = [cell for _key, cell in items]
     groups, rest = plan_batches(cells)
-    leftover = [items[i][0] for i in rest]
+    leftover = list(rest)
     for group in groups:
+        if not pays(len(group)):
+            leftover.extend(group)
+            continue
         for lo in range(0, len(group), _MAX_BATCH_CELLS):
             chunk = group[lo:lo + _MAX_BATCH_CELLS]
             delivered = 0
             for i, (payload, wall) in zip(
-                chunk, _timed_payloads([cells[i] for i in chunk])
+                chunk, _timed_payloads([cells[i] for i in chunk], stats)
             ):
                 delivered += 1
                 key, cell = items[i]
@@ -654,19 +691,21 @@ def _run_batched(
                     "wall_seconds": wall,
                 }
                 finish(key, _outcome_from_verdict(cell, key, verdict, store))
+            stats.batched += delivered
             stats.batch_fallbacks += len(chunk) - delivered
-            leftover.extend(items[i][0] for i in chunk[delivered:])
-    return leftover
+            leftover.extend(chunk[delivered:])
+    return [items[i][0] for i in sorted(leftover)]
 
 
 def _timed_payloads(
-    cells: Sequence[Cell],
+    cells: Sequence[Cell], stats: RunStats
 ) -> Iterator[Tuple[Dict[str, Any], float]]:
     """One array batch's payloads, each with its ``wall_seconds``: an
     equal share of the time to the first payload (the array program
     runs on the way to it) plus the payload's own build time.  A batch
     that raises ends here, early: what it had not delivered is the
-    caller's to re-run."""
+    caller's to re-run, and the first such failure is kept in
+    ``stats.batch_fallback_error``."""
     from repro.flow.batch import iter_batch
 
     share: Optional[float] = None
@@ -678,8 +717,9 @@ def _timed_payloads(
                 share, built = built / len(cells), 0.0
             yield payload, share + built
             mark = time.perf_counter()
-    except Exception:  # noqa: BLE001 — scalar path retries
-        return
+    except Exception as exc:  # noqa: BLE001 — scalar path retries
+        if stats.batch_fallback_error is None:
+            stats.batch_fallback_error = f"{type(exc).__name__}: {exc}"
 
 
 def _outcome_from_verdict(
@@ -928,8 +968,11 @@ def stats_line(stats: RunStats) -> str:
     extra = ""
     if stats.retried or stats.timeouts:
         extra = f", {stats.retried} retried, {stats.timeouts} timeouts"
+    if stats.batched:
+        extra += f", {stats.batched} on the array program"
     if stats.batch_fallbacks:
         extra += f", {stats.batch_fallbacks} fell back from a failed batch"
+        extra += f" ({stats.batch_fallback_error})"
     rate = ""
     if stats.wall_seconds > 0.0:
         rate = f" ({stats.cells_unique / stats.wall_seconds:.1f} cells/s)"

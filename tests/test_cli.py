@@ -99,12 +99,21 @@ class TestCommands:
         code = main([
             command, "--scenarios", "driving", "--systems", "converge",
             "--seeds", "3", "--duration", "2", "--fidelity", "flow",
-            "--mode", "scalar", "--jobs", "1",
+            "--jobs", "1",
         ])
         assert code == 1
         out = capsys.readouterr().out
         assert "1 errors" in out
         assert "quarantined 1 poison cell(s): converge seed=2" in out
+
+    @pytest.mark.parametrize(
+        "argv", [["fleet", "--mode", "batch"], ["sweep", "--mode", "scalar"]]
+    )
+    def test_the_engine_is_not_an_option(self, argv):
+        # The runner picks it, from group width, workers and deadline.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
 
     def test_profile_rejects_experiment_without_cells(self):
         # The trace statistics simulate no calls: nothing to profile.
@@ -147,14 +156,20 @@ class TestCommands:
             raise RuntimeError("array program crashed")
 
         monkeypatch.setattr(batch_mod, "iter_batch", broken)
+        # 96 seeds: on one worker the runner gives a group to the array
+        # program from 94 lanes.
         code = main([
             "fleet", "--scenarios", "driving", "--systems", "converge",
-            "--seeds", "3", "--duration", "2", "--jobs", "1",
+            "--seeds", "96", "--duration", "2", "--jobs", "1",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "3 fell back from a failed batch" in out
-        assert "3 executed" in out
+        assert (
+            "96 fell back from a failed batch "
+            "(RuntimeError: array program crashed)"
+        ) in out
+        assert "96 executed" in out
+        assert "on the array program" not in out
 
     def test_lint_clean_tree_exits_zero(self, capsys):
         # The repository gates CI on its own linter, `repro analyze`:

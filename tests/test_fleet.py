@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from repro.experiments import runner as runner_mod
 from repro.experiments.runner import execute_cell, run_cells
 from repro.flow.batch import _BatchFlowRun, execute_batch
 
-from tests.batch_spy import poison_seed
+from tests.batch_spy import poison_seed, watch_payload_builds
 
 DURATION = 2.0
 
@@ -264,12 +265,24 @@ def _group_payloads(groups):
     return [group.payload() for group in groups]
 
 
+def _stored_summaries(root):
+    """Each entry's summary exactly as stored: the bytes between the
+    key and the wall-clock bookkeeping."""
+    stored = {}
+    for path in Path(root).glob("*/*.json"):
+        raw = path.read_bytes()
+        head = b'"key":"%s","summary":' % path.stem.encode()
+        lo = raw.index(head) + len(head)
+        stored[path.stem] = raw[lo:raw.rindex(b',"wall_seconds":')]
+    return stored
+
+
 class TestRunFleetStreams:
     """``run_fleet`` reduces cells as they land; its statistics are those
     of the collected summaries, whichever way a cell was produced."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("mode", ["batch", "scalar"])
+    @pytest.mark.parametrize("mode", [None, "batch", "scalar"])
     def test_equals_the_statistics_of_collected_summaries(
         self, mode, jobs, tmp_path
     ):
@@ -291,9 +304,17 @@ class TestRunFleetStreams:
                 assert stats.cache_hits == hits
                 assert stats.executed == len(cells) - hits
                 assert stats.errors == 0 and stats.batch_fallbacks == 0
+        # Whichever engine served them, the bytes are the scalar pin's.
+        pinned = run_fleet(
+            spec, jobs=1, cache=tmp_path / "pin", mode="scalar", resamples=100
+        )
+        assert _group_payloads(fleet.groups) == _group_payloads(pinned.groups)
+        stored = _stored_summaries(tmp_path / "fleet")
+        assert len(stored) == len(cells)
+        assert stored == _stored_summaries(tmp_path / "pin")
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("mode", ["batch", "scalar"])
+    @pytest.mark.parametrize("mode", [None, "batch", "scalar"])
     def test_a_failed_cell_is_a_hole_in_its_group(
         self, mode, jobs, monkeypatch
     ):
@@ -310,6 +331,90 @@ class TestRunFleetStreams:
         assert set(group.metrics) == set(FLEET_METRICS)
         assert fleet.stats.errors == 1
         assert fleet.stats.quarantined == ["converge seed=2"]
+
+
+class TestEngineRouting:
+    """With ``mode`` unset the runner picks the engine: a group goes to
+    the array program where ``lanes * (1 / workers - 0.25) >= 70`` and
+    no deadline is set, and to the in-process loop or the supervised
+    workers otherwise."""
+
+    @pytest.mark.parametrize(
+        "lanes, workers, pays",
+        [
+            (93, 1, False), (94, 1, True),
+            (279, 2, False), (280, 2, True),
+            # Not 840: 1/3 - 0.25 is not exact.
+            (800, 3, False), (900, 3, True),
+            (10**6, 4, False), (10**6, 8, False),
+        ],
+    )
+    def test_the_rule(self, lanes, workers, pays):
+        assert runner_mod._batch_pays(lanes, workers) is pays
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The lanes whose payloads the array program builds, on a host
+        that says it has four cores."""
+        monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 4)
+        lanes = []
+        watch_payload_builds(monkeypatch, lambda lane, cell: lanes.append(lane))
+        return lanes
+
+    def test_narrow_groups_stay_off_the_array_program(self, built):
+        spec = _spec(systems=tuple(SystemKind), seeds=tuple(range(1, 9)))
+        fleet = run_fleet(spec, resamples=100)
+        assert fleet.stats.executed == 6 * 8 and fleet.stats.errors == 0
+        assert built == [] and fleet.stats.batched == 0
+
+    @pytest.mark.parametrize(
+        "cpus, kwargs, batched",
+        [
+            (4, dict(jobs=1), 96),
+            (4, dict(jobs=2), 0),
+            (4, dict(jobs=1, cell_timeout=5.0), 0),
+            # Workers are the processes that can run at once.
+            (1, dict(jobs=8), 96),
+        ],
+        ids=["one-worker", "two-workers", "deadline", "jobs-above-cores"],
+    )
+    def test_a_wide_group_goes_where_it_is_faster(
+        self, cpus, kwargs, batched, built, monkeypatch
+    ):
+        monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: cpus)
+        spec = _spec(seeds=tuple(range(1, 97)))
+        fleet = run_fleet(spec, resamples=100, **kwargs)
+        assert fleet.stats.executed == 96 and fleet.stats.errors == 0
+        assert sorted(built) == list(range(batched))
+        assert fleet.stats.batched == batched
+        assert fleet.stats.payload()["batched"] == batched
+        reference = run_fleet(spec, jobs=1, mode="scalar", resamples=100)
+        assert reference.stats.batched == 0
+        assert _group_payloads(fleet.groups) == _group_payloads(
+            reference.groups
+        )
+
+    def test_a_pin_is_a_pin(self, built):
+        fleet = run_fleet(_spec(), jobs=2, mode="batch", resamples=100)
+        assert built == [0, 1, 2] and fleet.stats.batched == 3
+
+    def test_a_deadline_covers_a_routed_fleet(self, built, monkeypatch):
+        real_execute = runner_mod.execute_cell
+
+        def execute(cell):  # inherited by the forked workers
+            if cell.seed == 50:
+                time.sleep(3.0)
+            return real_execute(cell)
+
+        monkeypatch.setattr(runner_mod, "execute_cell", execute)
+        spec = _spec(seeds=tuple(range(1, 97)))
+        start = time.perf_counter()
+        fleet = run_fleet(spec, jobs=1, cell_timeout=0.2, resamples=100)
+        assert time.perf_counter() - start < 5.0
+        assert fleet.stats.timeouts == 1
+        assert fleet.stats.quarantined == ["converge seed=50"]
+        assert (fleet.groups[0].n, fleet.groups[0].failed) == (95, 1)
+        assert built == [] and fleet.stats.batched == 0
 
 
 def _traced_peak(run):

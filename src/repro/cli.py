@@ -14,7 +14,7 @@ Usage::
     python -m repro cache shard --shards 4 --out shards/
     python -m repro cache merge shards/shard-0 shards/shard-1
     python -m repro cache clear
-    python -m repro analyze --format sarif
+    python -m repro analyze --format json
     python -m repro list
 
 Every command is deterministic given ``--seed``: the same invocation
@@ -335,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze_parser = sub.add_parser(
         "analyze",
-        help="run the determinism/unit static analysis "
-        "(rules R003-R007, R100-R103)",
+        help="run the determinism static analysis "
+        "(rules R004-R007, R100, R101, R103)",
     )
     add_analyze_arguments(analyze_parser)
 

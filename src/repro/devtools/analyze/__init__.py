@@ -1,16 +1,14 @@
 """The static analyzer (``repro analyze``).
 
-One pass parses every file once, runs the local rules (R003-R007) on
+One pass parses every file once, runs the local rules (R004-R007) on
 the tree, builds a package-wide symbol table and call graph from the
 same tree, then checks the invariants no single file shows —
-nondeterminism sources in or reachable from simulated code (R101),
-unit flow across function boundaries (R102) and dual-implementation
-drift (R103).  See DEVTOOLS.md.
+nondeterminism sources in or reachable from simulated code (R101) and
+dual-implementation drift (R103).  See DEVTOOLS.md.
 """
 
 from repro.devtools.analyze.baseline import (
     Baseline,
-    apply_baseline,
     load_baseline,
     save_baseline,
 )
@@ -29,13 +27,11 @@ from repro.devtools.analyze.model import (
     Severity,
     sort_findings,
 )
-from repro.devtools.analyze.output import render_sarif, sarif_document
 from repro.devtools.analyze.symbols import (
     ModuleSummary,
     extract_module,
     module_name_of,
 )
-from repro.devtools.analyze.units import UnitTables
 
 __all__ = [
     "AnalysisResult",
@@ -47,17 +43,13 @@ __all__ = [
     "ProgramIndex",
     "RULE_SUMMARIES",
     "Severity",
-    "UnitTables",
     "add_analyze_arguments",
     "analyze_tree",
-    "apply_baseline",
     "extract_module",
     "load_baseline",
     "main",
     "module_name_of",
-    "render_sarif",
     "run_analyze",
-    "sarif_document",
     "save_baseline",
     "sort_findings",
 ]

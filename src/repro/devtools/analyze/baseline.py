@@ -1,14 +1,11 @@
 """Committed analyzer baseline (`.repro-analyze-baseline.json`).
 
-Works like a lockfile for findings: pre-existing findings listed here
-pass CI, anything new fails it, and entries whose finding disappeared
-are reported as *stale* so the file shrinks over time instead of
-rotting.  The same file acknowledges dual-implementation pair hashes
-for R103 (see :mod:`.drift`).
-
-Finding identity is the line-number-free fingerprint from
-:meth:`repro.devtools.analyze.model.Finding.fingerprint`, so moving
-code around does not churn the baseline.
+It holds one thing: the acknowledged hash of each side of every
+dual-implementation pair R103 watches (see :mod:`.drift`), rewritten by
+``repro analyze --update-pairs``.  Findings are never staged here: a
+correct-by-design line carries a ``# lint: ok(Rxxx)`` waiver, a module
+whose purpose is a rule's target is a per-rule exclude, and anything
+else gets fixed.
 """
 
 from __future__ import annotations
@@ -16,11 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict
 
-from repro.devtools.analyze.model import Finding, Severity
-
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class BaselineError(ValueError):
@@ -29,7 +24,6 @@ class BaselineError(ValueError):
 
 @dataclass
 class Baseline:
-    findings: Dict[str, str] = field(default_factory=dict)
     pairs: Dict[str, Dict[str, str]] = field(default_factory=dict)
 
 
@@ -42,14 +36,10 @@ def load_baseline(path: Path) -> Baseline:
         raise BaselineError(f"cannot read baseline {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise BaselineError(f"baseline {path} must hold a JSON object")
-    findings = data.get("findings", {})
     pairs = data.get("pairs", {})
-    if not isinstance(findings, dict) or not isinstance(pairs, dict):
-        raise BaselineError(
-            f"baseline {path}: 'findings' and 'pairs' must be objects"
-        )
+    if not isinstance(pairs, dict):
+        raise BaselineError(f"baseline {path}: 'pairs' must be an object")
     return Baseline(
-        findings={str(k): str(v) for k, v in findings.items()},
         pairs={
             str(name): {str(s): str(h) for s, h in sides.items()}
             for name, sides in pairs.items()
@@ -61,7 +51,6 @@ def load_baseline(path: Path) -> Baseline:
 def save_baseline(path: Path, baseline: Baseline) -> None:
     payload = {
         "version": FORMAT_VERSION,
-        "findings": dict(sorted(baseline.findings.items())),
         "pairs": {
             name: dict(sorted(sides.items()))
             for name, sides in sorted(baseline.pairs.items())
@@ -71,40 +60,3 @@ def save_baseline(path: Path, baseline: Baseline) -> None:
         json.dumps(payload, indent=2, sort_keys=False) + "\n",
         encoding="utf-8",
     )
-
-
-def describe(finding: Finding) -> str:
-    """Human hint stored next to a fingerprint in the baseline."""
-    return f"{finding.rule} {finding.file}: {finding.message}"
-
-
-def apply_baseline(
-    findings: List[Finding], baseline: Baseline
-) -> Tuple[List[Finding], int, List[Finding]]:
-    """Split findings into (new, baselined-count, stale-warnings).
-
-    Stale baseline entries — fingerprints with no matching finding —
-    come back as WARNING findings anchored at the baseline file so the
-    report nudges toward pruning them.
-    """
-    current = {f.fingerprint(): f for f in findings}
-    fresh = [
-        f for f in findings if f.fingerprint() not in baseline.findings
-    ]
-    matched = len(findings) - len(fresh)
-    stale = [
-        Finding(
-            file=".repro-analyze-baseline.json",
-            line=1,
-            rule="R100",
-            message=(
-                f"stale baseline entry {fingerprint} ({hint}); the "
-                "finding no longer occurs — refresh with "
-                "`repro analyze --update-baseline`"
-            ),
-            severity=Severity.WARNING,
-        )
-        for fingerprint, hint in sorted(baseline.findings.items())
-        if fingerprint not in current
-    ]
-    return fresh, matched, stale

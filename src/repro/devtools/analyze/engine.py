@@ -2,25 +2,25 @@
 
 Usage::
 
-    repro analyze [paths ...] [--format text|json|sarif]
+    repro analyze [paths ...] [--format text|json]
     python -m repro.devtools.analyze
 
 One pass over every ``.py`` file under the given paths (default: the
 ``paths`` key of ``[tool.repro-analyze]`` in the nearest
 ``pyproject.toml``): each file is parsed once, and the same tree feeds
-the local rules (:mod:`.rules`, R003-R007) and the symbol extraction
+the local rules (:mod:`.rules`, R004-R007) and the symbol extraction
 (:mod:`.symbols`) the whole-program rules run on:
 
 * R101 — nondeterminism sources in or reachable from simulated code;
-* R102 — unit-flow inference (``units.toml`` overlay + suffixes);
-* R103 — dual-implementation drift over ``# drift: pair(...)`` regions.
+* R103 — dual-implementation drift over ``# drift: pair(...)`` regions,
+  against the pair hashes acknowledged in the committed baseline
+  (`.repro-analyze-baseline.json`).
 
-A finding on a line carrying ``# lint: ok(Rxxx)`` is waived, one in a
-file matching the rule's ``exclude`` patterns is dropped, and one
-already recorded in the committed baseline
-(`.repro-analyze-baseline.json`) passes.  Exit code 0 means no
-error-severity findings; 1 means at least one; 2 means the invocation
-itself failed (unreadable path, no TOML parser).
+A finding on a line carrying ``# lint: ok(Rxxx)`` is waived and one in
+a file matching the rule's ``exclude`` patterns is dropped.  Exit code
+0 means no error-severity findings; 1 means at least one; 2 means the
+invocation itself failed (unreadable path, a path holding no Python
+file, no TOML parser).
 """
 
 from __future__ import annotations
@@ -31,13 +31,11 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.devtools.analyze.baseline import (
     Baseline,
     BaselineError,
-    apply_baseline,
-    describe,
     load_baseline,
     save_baseline,
 )
@@ -49,21 +47,15 @@ from repro.devtools.analyze.model import (
     Severity,
     sort_findings,
 )
-from repro.devtools.analyze.output import (
-    render_json,
-    render_sarif,
-    render_text,
-)
+from repro.devtools.analyze.output import render_json, render_text
 from repro.devtools.analyze.rules import run_rules
 from repro.devtools.analyze.symbols import ModuleSummary, extract_module
 from repro.devtools.analyze.taint import run_taint
-from repro.devtools.analyze.units import UnitsError, UnitTables, run_units
 from repro.devtools.config import (
     AnalyzeConfig,
     ConfigError,
     find_pyproject,
     load_analyze_config,
-    load_toml,
 )
 
 
@@ -71,15 +63,12 @@ from repro.devtools.config import (
 class AnalysisResult:
     """Everything one analyzer run produced."""
 
-    findings: List[Finding] = field(default_factory=list)  # post-baseline
-    raw_findings: List[Finding] = field(default_factory=list)
-    baselined: int = 0
+    findings: List[Finding] = field(default_factory=list)
     modules: int = 0
     elapsed_seconds: float = 0.0
     summaries: List[ModuleSummary] = field(default_factory=list)
     index: Optional[ProgramIndex] = None
     current_pairs: Dict[str, Dict[str, str]] = field(default_factory=dict)
-    baseline: Baseline = field(default_factory=Baseline)
 
     @property
     def summary_line(self) -> str:
@@ -92,18 +81,22 @@ class AnalysisResult:
         return {
             "modules": self.modules,
             "elapsed_seconds": round(self.elapsed_seconds, 4),
-            "baselined": self.baselined,
         }
 
 
 def _iter_python_files(root: Path) -> List[Path]:
+    """``root`` itself, or every ``.py`` file under it outside
+    ``__pycache__`` and hidden directories.  Hidden means hidden below
+    ``root``: the root may sit in a dot-directory or be a ``..`` path."""
     if root.is_file():
         return [root]
     return sorted(
         path
         for path in root.rglob("*.py")
-        if "__pycache__" not in path.parts
-        and not any(part.startswith(".") for part in path.parts)
+        if not any(
+            part.startswith(".") or part == "__pycache__"
+            for part in path.relative_to(root).parts
+        )
     )
 
 
@@ -123,22 +116,6 @@ def _config_finding(
     )
 
 
-def _load_units(
-    base: Path, config: AnalyzeConfig
-) -> Tuple[UnitTables, List[Finding]]:
-    path = base / config.units
-    if not path.is_file():
-        return UnitTables(), []
-    try:
-        return UnitTables(load_toml(path)), []
-    except (UnitsError, ValueError, OSError) as exc:
-        return UnitTables(), [
-            _config_finding(
-                config.units, f"cannot load units overlay: {exc}"
-            )
-        ]
-
-
 def analyze_tree(
     paths: Sequence[str],
     config: Optional[AnalyzeConfig] = None,
@@ -156,7 +133,12 @@ def analyze_tree(
         root = Path(raw)
         if not root.exists():
             raise FileNotFoundError(f"no such path: {raw}")
-        for file_path in _iter_python_files(root):
+        files = _iter_python_files(root)
+        if not files:
+            raise FileNotFoundError(
+                f"nothing to analyze: no .py file under {raw}"
+            )
+        for file_path in files:
             rel = _display_path(file_path, base)
             source = file_path.read_text(encoding="utf-8")
             try:
@@ -193,20 +175,11 @@ def analyze_tree(
     )
     findings.extend(run_taint(index, roots))
 
-    units_tables, units_findings = _load_units(base, config)
-    findings.extend(units_findings)
-    findings.extend(
-        _config_finding(config.units, problem, Severity.WARNING)
-        for problem in units_tables.unresolved(index)
-    )
-    findings.extend(run_units(index, units_tables))
-
     try:
         baseline = load_baseline(base / config.baseline)
     except BaselineError as exc:
         baseline = Baseline()
         findings.append(_config_finding(config.baseline, str(exc)))
-    result.baseline = baseline
 
     drift_findings, result.current_pairs = run_drift(
         summaries, baseline.pairs
@@ -216,7 +189,7 @@ def analyze_tree(
     # One suppression step for every rule: per-path excludes from the
     # config, then `# lint: ok(Rxxx)` waivers on the finding's line.
     waivers = {s.rel_path: s.waivers for s in summaries}
-    result.raw_findings = sort_findings(
+    result.findings = sort_findings(
         [
             f
             for f in findings
@@ -224,37 +197,8 @@ def analyze_tree(
             and f.rule not in waivers.get(f.file, {}).get(f.line, ())
         ]
     )
-
-    fresh, matched, stale = apply_baseline(result.raw_findings, baseline)
-    result.baselined = matched
-    result.findings = sort_findings([*fresh, *stale])
     result.elapsed_seconds = time.perf_counter() - started
     return result
-
-
-def update_baseline_file(
-    result: AnalysisResult,
-    base: Path,
-    config: AnalyzeConfig,
-    update_findings: bool,
-    update_pairs: bool,
-) -> None:
-    """Rewrite the committed baseline from this run's results.
-
-    ``--update-baseline`` records every current finding *except* R103
-    drift: drifted pairs must be fixed (or re-acknowledged via
-    ``--update-pairs``), never silenced.
-    """
-    baseline = result.baseline
-    if update_findings:
-        baseline.findings = {
-            f.fingerprint(): describe(f)
-            for f in result.raw_findings
-            if f.rule != "R103"
-        }
-    if update_pairs:
-        baseline.pairs = dict(result.current_pairs)
-    save_baseline(base / config.baseline, baseline)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +213,7 @@ def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
         "[tool.repro-analyze] paths from pyproject.toml)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="report format",
     )
     parser.add_argument(
@@ -279,11 +223,6 @@ def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-config", action="store_true",
         help="ignore pyproject.toml: no roots, excludes or slots modules",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to accept current findings "
-        "(except R103 drift)",
     )
     parser.add_argument(
         "--update-pairs", action="store_true",
@@ -323,15 +262,11 @@ def run_analyze(args: argparse.Namespace) -> int:
                 "[tool.repro-analyze] paths in pyproject.toml"
             )
         result = analyze_tree(paths, config, base=base)
-        if args.update_baseline or args.update_pairs:
-            update_baseline_file(
-                result, base, config,
-                update_findings=args.update_baseline,
-                update_pairs=args.update_pairs,
+        if args.update_pairs:
+            save_baseline(
+                base / config.baseline, Baseline(result.current_pairs)
             )
-            # Re-run against the freshly written baseline so the report
-            # reflects it; drift verdicts depend on the acknowledged
-            # pair hashes, not just on finding fingerprints.
+            # Re-run so the report reflects the acknowledged hashes.
             result = analyze_tree(paths, config, base=base)
     except (ConfigError, OSError) as exc:
         print(f"repro analyze: {exc}", file=sys.stderr)
@@ -339,8 +274,6 @@ def run_analyze(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         print(render_json(result.findings, result.stats()))
-    elif args.format == "sarif":
-        print(render_sarif(result.findings))
     else:
         print(render_text(result.findings, result.summary_line))
     has_errors = any(
@@ -353,8 +286,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro analyze",
         description=(
-            "determinism and unit static analysis "
-            "(rules R003-R007, R100-R103)"
+            "determinism static analysis "
+            "(rules R004-R007, R100, R101, R103)"
         ),
     )
     add_analyze_arguments(parser)

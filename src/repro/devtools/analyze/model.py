@@ -1,17 +1,13 @@
 """The finding model every rule of ``repro analyze`` emits.
 
-Local rules (R003-R007) and interprocedural rules (R101-R103, see
-DEVTOOLS.md) report the same :class:`Finding`: a taint finding carries
-the full source-to-sink call chain, and every finding carries a
-*stable fingerprint* so the committed baseline file keeps matching it
-across unrelated edits (fingerprints deliberately exclude line
-numbers).
+Local rules (R004-R007) and whole-program rules (R101, R103, see
+DEVTOOLS.md) report the same :class:`Finding`; a taint finding also
+carries the full source-to-sink call chain.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
@@ -23,24 +19,21 @@ class Severity(enum.Enum):
     findings are printed but do not gate.  Every rule reports errors —
     the point of a determinism analyzer is that violations block
     merges — and warnings are kept for configuration that names
-    nothing (an unresolved root or overlay entry, a stale baseline
-    entry).
+    nothing (an unresolved root).
     """
 
     WARNING = "warning"
     ERROR = "error"
 
 
-#: Rule identifiers, kept stable for SARIF consumers and baselines.
+#: Rule identifiers, kept stable for waivers and excludes.
 RULE_SUMMARIES: Dict[str, str] = {
-    "R003": "arithmetic mixes unit-suffixed identifiers",
     "R004": "float ==/!= on a time or rate value",
     "R005": "hot-path class lacks __slots__",
     "R006": "lambda/nested function into pool submit or event queue",
     "R007": "mutable default argument",
     "R100": "analysis configuration or marker error",
     "R101": "nondeterminism source in or reachable from simulated code",
-    "R102": "unit mismatch across a function boundary",
     "R103": "dual-implementation pair drifted",
 }
 
@@ -73,16 +66,6 @@ class Finding:
     severity: Severity = Severity.ERROR
     chain: Tuple[Location, ...] = field(default_factory=tuple)
 
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
-
-        Deliberately excludes line numbers (and the chain, which embeds
-        them): adding an import must not invalidate the baseline.
-        Messages are written line-free for the same reason.
-        """
-        payload = f"{self.rule}|{self.file}|{self.message}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
-
     def format(self) -> str:
         head = (
             f"{self.file}:{self.line}: {self.rule} "
@@ -103,7 +86,6 @@ class Finding:
             "rule": self.rule,
             "message": self.message,
             "severity": self.severity.value,
-            "fingerprint": self.fingerprint(),
         }
         if self.chain:
             payload["chain"] = [loc.to_dict() for loc in self.chain]

@@ -1,4 +1,4 @@
-"""The local rules of ``repro analyze`` (R003-R007).
+"""The local rules of ``repro analyze`` (R004-R007).
 
 Each rule is an :class:`ast.NodeVisitor` subclass with a class-level
 ``rule_id``; :func:`run_rules` runs them over one parsed module — the
@@ -9,10 +9,6 @@ and collects what they report as
 The rules encode invariants this repository's correctness rests on and
 that no off-the-shelf tool checks:
 
-- R003  arithmetic must not silently mix unit-suffixed identifiers
-        (``*_ms`` vs ``*_s``, ``*_bytes`` vs ``*_bits``, ...) — Eq. 1-3
-        of the paper mix ``rtt_i/2``, FCD and pacing intervals where a
-        ms-vs-s slip skews path selection without crashing anything;
 - R004  no float ``==``/``!=`` on times or rates;
 - R005  classes in designated hot-path modules carry ``__slots__``;
 - R006  no lambdas or nested functions into process-pool submissions
@@ -61,8 +57,9 @@ class Rule(ast.NodeVisitor):
 # Shared identifier helpers
 
 
-# Unit vocabulary for R003/R004.  Each suffix maps to a (dimension,
-# canonical unit) pair; suffixes sharing a canonical unit are aliases.
+# Unit vocabulary for R004: a suffixed name is a time, size or rate.
+# Each suffix maps to a (dimension, canonical unit) pair; suffixes
+# sharing a canonical unit are aliases.
 _UNIT_SUFFIXES: Dict[str, Tuple[str, str]] = {
     "_ns": ("time", "ns"),
     "_us": ("time", "us"),
@@ -159,54 +156,6 @@ def _is_temporal(node: ast.expr) -> bool:
         return False
     tokens = name.lower().lstrip("_").split("_")
     return any(token in _TEMPORAL_TOKENS for token in tokens)
-
-
-# ---------------------------------------------------------------------------
-# R003 — unit-suffix consistency
-
-
-class UnitMixRule(Rule):
-    """R003: additive arithmetic must not mix unit suffixes.
-
-    ``delay_ms + rtt_s`` type-checks, runs, and silently skews every
-    scheduler decision downstream.  Only additive operators and
-    comparisons are checked — multiplication and division are how unit
-    conversions are legitimately written (``size_bytes * 8``).
-    """
-
-    rule_id = "R003"
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            self._check_pair(node, node.left, node.right)
-        self.generic_visit(node)
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        operands = [node.left, *node.comparators]
-        for left, right in zip(operands, operands[1:]):
-            self._check_pair(node, left, right)
-        self.generic_visit(node)
-
-    def _check_pair(
-        self, node: ast.AST, left: ast.expr, right: ast.expr
-    ) -> None:
-        left_unit = _unit_of(left)
-        right_unit = _unit_of(right)
-        if left_unit is None or right_unit is None:
-            return
-        if left_unit == right_unit:
-            return
-        left_name = _identifier_of(left) or "<expression>"
-        right_name = _identifier_of(right) or "<expression>"
-        if left_unit[0] == right_unit[0]:
-            detail = f"'{left_unit[1]}' vs '{right_unit[1]}'"
-        else:
-            detail = f"'{left_unit[0]}' vs '{right_unit[0]}' dimensions"
-        self.report(
-            node,
-            f"'{left_name}' and '{right_name}' mix {detail}; "
-            "convert explicitly",
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +484,6 @@ class MutableDefaultRule(Rule):
 
 
 ALL_RULES: Tuple[Type[Rule], ...] = (
-    UnitMixRule,
     FloatEqualityRule,
     SlotsRule,
     ClosureCaptureRule,

@@ -1,12 +1,11 @@
 """Per-module symbol extraction for the whole-program analyzer.
 
 One call to :func:`extract_module` turns one parsed source file into a
-:class:`ModuleSummary`: every function/method with its calls,
-nondeterminism source hits, unit-relevant facts and declared drift
-regions, plus the module's import tables, class layout and per-line
-waivers.  Summaries are plain data about *one* file; everything that
-depends on other modules (call resolution, unit tables, pair matching)
-happens later, on top of the summaries.
+:class:`ModuleSummary`: every function/method with its calls and
+nondeterminism source hits, declared drift regions, plus the module's
+import tables, class layout and per-line waivers.  Summaries are plain
+data about *one* file; everything that depends on other modules (call
+resolution, pair matching) happens later, on top of the summaries.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ _ENTROPY_CALLS = {
     "random.SystemRandom",
 }
 
-# ``# lint: ok(R003)`` or ``# lint: ok(R003, R006)`` waives those rules
+# ``# lint: ok(R004)`` or ``# lint: ok(R004, R006)`` waives those rules
 # on the line the comment sits on.
 _WAIVER_PATTERN = re.compile(r"#\s*lint:\s*ok\(([^)]*)\)")
 
@@ -120,16 +119,6 @@ class SourceHit:
 
 
 @dataclass
-class UnitArith:
-    """Additive arithmetic / comparison mixing a call with a name."""
-
-    line: int
-    call: CallSite  # the call operand (args unused, callee matters)
-    other: str  # identifier display of the non-call operand
-    op: str  # "+", "-", "cmp"
-
-
-@dataclass
 class FunctionInfo:
     """Everything the analyses need to know about one function."""
 
@@ -142,8 +131,6 @@ class FunctionInfo:
     param_annotations: Dict[str, str] = field(default_factory=dict)
     calls: List[CallSite] = field(default_factory=list)
     source_hits: List[SourceHit] = field(default_factory=list)
-    returns: List[Tuple[int, Optional[str]]] = field(default_factory=list)
-    arith: List[UnitArith] = field(default_factory=list)
 
 
 @dataclass
@@ -497,7 +484,7 @@ class _Imports(ast.NodeVisitor):
 
 
 class _FunctionScanner(ast.NodeVisitor):
-    """Collects calls, source hits and unit facts for one function.
+    """Collects calls and source hits for one function.
 
     Nested functions and lambdas are flattened into their enclosing
     function: a wall-clock read inside a local helper is still a read
@@ -595,19 +582,15 @@ class _FunctionScanner(ast.NodeVisitor):
 
     # -- the interesting nodes ---------------------------------------------
 
-    @staticmethod
-    def _arg_display(node: ast.expr) -> Optional[str]:
-        return dotted_display(node)
-
     def visit_Call(self, node: ast.Call) -> None:
         raw = dotted_display(node.func)
         if raw is not None:
             site = CallSite(
                 line=node.lineno,
                 raw=raw,
-                args=[self._arg_display(a) for a in node.args],
+                args=[dotted_display(a) for a in node.args],
                 kwargs={
-                    kw.arg: self._arg_display(kw.value)
+                    kw.arg: dotted_display(kw.value)
                     for kw in node.keywords
                     if kw.arg is not None
                 },
@@ -652,66 +635,6 @@ class _FunctionScanner(ast.NodeVisitor):
                     call=self._canonical(raw),
                 )
             )
-        self.generic_visit(node)
-
-    def visit_Return(self, node: ast.Return) -> None:
-        if node.value is not None:
-            self.info.returns.append(
-                (node.lineno, dotted_display(node.value))
-            )
-        self.generic_visit(node)
-
-    def _record_arith(
-        self, node: ast.AST, left: ast.expr, right: ast.expr, op: str
-    ) -> None:
-        call_node: Optional[ast.Call] = None
-        other: Optional[ast.expr] = None
-        if isinstance(left, ast.Call) and not isinstance(right, ast.Call):
-            call_node, other = left, right
-        elif isinstance(right, ast.Call) and not isinstance(left, ast.Call):
-            call_node, other = right, left
-        if call_node is None or other is None:
-            return
-        raw = dotted_display(call_node.func)
-        display = dotted_display(other)
-        if raw is None or display is None:
-            return
-        site = CallSite(line=call_node.lineno, raw=raw)
-        if isinstance(call_node.func, ast.Attribute):
-            recv = call_node.func.value
-            if isinstance(recv, ast.Name):
-                if recv.id == "self":
-                    site.recv_kind = "self"
-                elif recv.id in self.local_types:
-                    site.recv_kind = "var"
-                    site.recv_info = self.local_types[recv.id]
-            elif (
-                isinstance(recv, ast.Attribute)
-                and isinstance(recv.value, ast.Name)
-                and recv.value.id == "self"
-            ):
-                site.recv_kind = "selfattr"
-                site.recv_info = recv.attr
-        self.info.arith.append(
-            UnitArith(
-                line=getattr(node, "lineno", call_node.lineno),
-                call=site,
-                other=display,
-                op=op,
-            )
-        )
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        if isinstance(node.op, ast.Add):
-            self._record_arith(node, node.left, node.right, "+")
-        elif isinstance(node.op, ast.Sub):
-            self._record_arith(node, node.left, node.right, "-")
-        self.generic_visit(node)
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        operands = [node.left, *node.comparators]
-        for left, right in zip(operands, operands[1:]):
-            self._record_arith(node, left, right, "cmp")
         self.generic_visit(node)
 
     # Nested defs are flattened into this scanner (see class docstring).

@@ -8,8 +8,7 @@ simulated code::
     roots = ["repro.core", ...]      # R101 scope: packages, modules,
                                      # classes or functions
     slots-modules = ["src/repro/simulation/events.py"]   # R005 scope
-    units = "units.toml"             # R102 overlay
-    baseline = ".repro-analyze-baseline.json"
+    baseline = ".repro-analyze-baseline.json"       # R103 pair hashes
 
     [tool.repro-analyze.exclude]
     # Per-rule glob patterns (matched against /-separated paths).
@@ -43,18 +42,6 @@ class ConfigError(Exception):
     """The configuration cannot be read (exit code 2)."""
 
 
-def load_toml(path: Path) -> Dict[str, Any]:
-    """Parse one TOML file; :class:`ConfigError` without a parser."""
-    if _toml is None:
-        raise ConfigError(
-            f"cannot read {path}: this interpreter has no TOML parser "
-            "(Python < 3.11 needs `pip install tomli`)"
-        )
-    with open(path, "rb") as handle:
-        data: Dict[str, Any] = _toml.load(handle)
-    return data
-
-
 @dataclass
 class AnalyzeConfig:
     """Resolved ``[tool.repro-analyze]`` configuration."""
@@ -63,7 +50,6 @@ class AnalyzeConfig:
     roots: List[str] = field(default_factory=list)
     exclude: Dict[str, List[str]] = field(default_factory=dict)
     slots_modules: List[str] = field(default_factory=list)
-    units: str = "units.toml"
     baseline: str = ".repro-analyze-baseline.json"
 
     def rule_excluded(self, rule_id: str, rel_path: str) -> bool:
@@ -111,9 +97,8 @@ def analyze_config_from_dict(data: Dict[str, Any]) -> AnalyzeConfig:
             str(rule): _as_str_list(patterns)
             for rule, patterns in data["exclude"].items()
         }
-    for key in ("units", "baseline"):
-        if key in data:
-            setattr(config, key, str(data[key]))
+    if "baseline" in data:
+        config.baseline = str(data["baseline"])
     return config
 
 
@@ -133,7 +118,13 @@ def load_analyze_config(pyproject: Optional[Path]) -> AnalyzeConfig:
     """Load ``[tool.repro-analyze]``; empty config without a pyproject."""
     if pyproject is None or not pyproject.is_file():
         return AnalyzeConfig()
-    section = load_toml(pyproject).get("tool", {}).get("repro-analyze")
+    if _toml is None:
+        raise ConfigError(
+            f"cannot read {pyproject}: this interpreter has no TOML parser "
+            "(Python < 3.11 needs `pip install tomli`)"
+        )
+    with open(pyproject, "rb") as handle:
+        section = _toml.load(handle).get("tool", {}).get("repro-analyze")
     if not isinstance(section, dict):
         return AnalyzeConfig()
     return analyze_config_from_dict(section)

@@ -183,8 +183,8 @@ class TestCommands:
     ):
         (tmp_path / "bad.py").write_text(
             "import time\n"
-            "def stamp(events_ms, window_s):\n"
-            "    return time.time() + events_ms - window_s\n"
+            "def stamp(events=[]):\n"
+            "    return time.time() + len(events)\n"
         )
         (tmp_path / "pyproject.toml").write_text(
             '[tool.repro-analyze]\npaths = ["."]\nroots = ["bad"]\n'
@@ -193,7 +193,7 @@ class TestCommands:
         assert main(["analyze"]) == 1
         out = capsys.readouterr().out
         assert "R101" in out
-        assert "R003" in out
+        assert "R007" in out
 
     def test_lint_json_output(self, capsys, tmp_path, monkeypatch):
         bad = tmp_path / "bad.py"

@@ -1,7 +1,7 @@
 """Tests for repro.devtools.analyze: the whole-program side of
-``repro analyze`` (symbols, call graph, R100-R103, baseline, SARIF,
-CLI, the real tree).  Local-rule and source-detector fixtures live in
-``tests/test_devtools_lint.py``."""
+``repro analyze`` (symbols, call graph, R100, R101, R103, the pairs
+baseline, CLI, the real tree).  Local-rule and source-detector
+fixtures live in ``tests/test_devtools_lint.py``."""
 
 import json
 import re
@@ -13,14 +13,12 @@ import pytest
 
 from repro.devtools.analyze.baseline import (
     Baseline,
-    apply_baseline,
     load_baseline,
     save_baseline,
 )
 from repro.devtools.analyze.callgraph import ProgramIndex
 from repro.devtools.analyze.engine import analyze_tree, main
-from repro.devtools.analyze.model import Finding, Location, Severity
-from repro.devtools.analyze.output import sarif_document
+from repro.devtools.analyze.model import Severity
 from repro.devtools.analyze.symbols import (
     extract_module,
     module_name_of,
@@ -544,186 +542,6 @@ class TestTaint:
 
 
 # ---------------------------------------------------------------------------
-# R102 units
-
-
-class TestUnits:
-    def test_suffix_mismatch_across_call(self, tmp_path):
-        result = analyze_project(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/mod.py": """
-                    def wait(delay_s):
-                        return delay_s
-
-                    def go(timeout_ms):
-                        return wait(timeout_ms)
-                """,
-            },
-        )
-        [finding] = [f for f in result.findings if f.rule == "R102"]
-        assert "timeout_ms" in finding.message
-        assert "delay_s" in finding.message
-
-    def test_keyword_argument_checked(self, tmp_path):
-        result = analyze_project(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/mod.py": """
-                    def wait(delay_s):
-                        return delay_s
-
-                    def go(timeout_ms):
-                        return wait(delay_s=timeout_ms)
-                """,
-            },
-        )
-        assert [f.rule for f in result.findings] == ["R102"]
-
-    def test_overlay_types_suffixless_parameter(self, tmp_path):
-        (tmp_path / "units.toml").write_text(
-            '[functions."pkg.mod.wait"]\nparams = { delay = "s" }\n'
-        )
-        result = analyze_project(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/mod.py": """
-                    def wait(delay):
-                        return delay
-
-                    def go(timeout_ms):
-                        return wait(timeout_ms)
-                """,
-            },
-        )
-        assert [f.rule for f in result.findings] == ["R102"]
-
-    def test_variables_table_types_bare_names(self, tmp_path):
-        (tmp_path / "units.toml").write_text('[variables]\nnow = "s"\n')
-        result = analyze_project(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/mod.py": """
-                    def record(stamp_ms):
-                        return stamp_ms
-
-                    def go(now):
-                        return record(now)
-                """,
-            },
-        )
-        assert [f.rule for f in result.findings] == ["R102"]
-
-    def test_return_unit_mismatch(self, tmp_path):
-        (tmp_path / "units.toml").write_text(
-            '[functions."pkg.mod.deadline"]\nreturns = "s"\n'
-        )
-        result = analyze_project(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/mod.py": """
-                    def deadline(start_ms):
-                        return start_ms
-                """,
-            },
-        )
-        [finding] = result.findings
-        assert finding.rule == "R102" and "return" in finding.message
-
-    def test_arithmetic_with_call_result(self, tmp_path):
-        result = analyze_project(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/mod.py": """
-                    def interval_ms():
-                        return 20
-
-                    def go(budget_s):
-                        return interval_ms() + budget_s
-                """,
-            },
-        )
-        [finding] = [f for f in result.findings if f.rule == "R102"]
-        assert "interval_ms" in finding.message
-
-    def test_matching_units_are_silent(self, tmp_path):
-        result = analyze_project(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/mod.py": """
-                    def wait(delay_s):
-                        return delay_s
-
-                    def go(timeout_s):
-                        return wait(timeout_s)
-                """,
-            },
-        )
-        assert result.findings == []
-
-    def test_waiver_suppresses_r102(self, tmp_path):
-        result = analyze_project(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/mod.py": """
-                    def wait(delay_s):
-                        return delay_s
-
-                    def go(timeout_ms):
-                        return wait(timeout_ms)  # lint: ok(R102)
-                """,
-            },
-        )
-        assert result.findings == []
-
-    def test_malformed_units_toml_is_r100(self, tmp_path):
-        (tmp_path / "units.toml").write_text(
-            '[variables]\nnow = "parsecs"\n'
-        )
-        result = analyze_project(
-            tmp_path, {"pkg/__init__.py": "", "pkg/mod.py": "x = 1\n"}
-        )
-        [finding] = result.findings
-        assert finding.rule == "R100"
-        assert "parsecs" in finding.message
-
-
-    def test_overlay_entry_naming_nothing_is_r100(self, tmp_path):
-        # A renamed/deleted function, or a parameter that left the
-        # signature, must not pass silently: the entry types nothing.
-        (tmp_path / "units.toml").write_text(
-            '[functions."pkg.mod.gone"]\nreturns = "s"\n'
-            '[functions."pkg.mod.wait"]\n'
-            'params = { delay = "s", budget = "s" }\n'
-        )
-        result = analyze_project(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/mod.py": """
-                    def wait(delay):
-                        return delay
-                """,
-            },
-        )
-        assert [(f.rule, f.file, f.severity) for f in result.findings] == [
-            ("R100", "units.toml", Severity.WARNING)
-        ] * 2
-        gone, budget = sorted(f.message for f in result.findings)
-        assert "function 'pkg.mod.gone' does not resolve" in gone
-        assert "parameter 'budget' is not in the signature" in budget
-        assert "'pkg.mod.wait'" in budget
-
-
-# ---------------------------------------------------------------------------
 # R103 drift + baseline pairs
 
 
@@ -748,6 +566,13 @@ def ack_pairs(tmp_path, files):
     baseline = load_baseline(tmp_path / ".repro-analyze-baseline.json")
     baseline.pairs = dict(result.current_pairs)
     save_baseline(tmp_path / ".repro-analyze-baseline.json", baseline)
+
+
+class TestBaseline:
+    def test_roundtrip_via_file(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        save_baseline(path, Baseline(pairs={"p": {"impl": "1", "ref": "2"}}))
+        assert load_baseline(path).pairs == {"p": {"impl": "1", "ref": "2"}}
 
 
 class TestDrift:
@@ -813,121 +638,6 @@ class TestDrift:
 
 
 # ---------------------------------------------------------------------------
-# Baseline semantics (satellite: new fails / baselined passes / stale)
-
-
-class TestBaseline:
-    def _finding(self, message="boom"):
-        return Finding(
-            file="pkg/mod.py", line=3, rule="R101", message=message,
-            severity=Severity.ERROR,
-            chain=(Location("pkg/mod.py", 1, "root"),),
-        )
-
-    def test_new_finding_is_fresh(self):
-        fresh, matched, stale = apply_baseline(
-            [self._finding()], Baseline()
-        )
-        assert len(fresh) == 1 and matched == 0 and stale == []
-
-    def test_baselined_finding_passes(self):
-        finding = self._finding()
-        baseline = Baseline(findings={finding.fingerprint(): "known"})
-        fresh, matched, stale = apply_baseline([finding], baseline)
-        assert fresh == [] and matched == 1 and stale == []
-
-    def test_fingerprint_survives_line_moves(self):
-        import dataclasses
-
-        moved = dataclasses.replace(self._finding(), line=99, chain=())
-        assert moved.fingerprint() == self._finding().fingerprint()
-
-    def test_stale_entry_reported_as_warning(self):
-        baseline = Baseline(findings={"deadbeefdeadbeefdeadbeef": "gone"})
-        fresh, matched, stale = apply_baseline([], baseline)
-        [warning] = stale
-        assert warning.severity is Severity.WARNING
-        assert "stale baseline entry" in warning.message
-
-    def test_roundtrip_via_file(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(
-            path,
-            Baseline(
-                findings={"abc": "hint"},
-                pairs={"p": {"impl": "1", "ref": "2"}},
-            ),
-        )
-        loaded = load_baseline(path)
-        assert loaded.findings == {"abc": "hint"}
-        assert loaded.pairs == {"p": {"impl": "1", "ref": "2"}}
-
-
-# ---------------------------------------------------------------------------
-# SARIF output (satellite)
-
-
-class TestSarif:
-    def _document(self, tmp_path):
-        files = dict(TAINT_FILES)
-        files["pkg/clocky.py"] = files["pkg/clocky.py"].replace(
-            "  # lint: ok(R101)", ""
-        )
-        result = analyze_project(
-            tmp_path, files, roots=["pkg.core.Sim.run"]
-        )
-        return sarif_document(result.findings), result.findings
-
-    def test_document_shape(self, tmp_path):
-        doc, _findings = self._document(tmp_path)
-        assert doc["version"] == "2.1.0"
-        assert doc["$schema"].endswith("sarif-2.1.0.json")
-        [run] = doc["runs"]
-        assert run["tool"]["driver"]["name"] == "repro-analyze"
-
-    def test_rule_ids_are_stable(self, tmp_path):
-        doc, _findings = self._document(tmp_path)
-        [run] = doc["runs"]
-        ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-        assert ids == [
-            "R003", "R004", "R005", "R006", "R007",
-            "R100", "R101", "R102", "R103",
-        ]
-        for result in run["results"]:
-            assert result["ruleId"] in ids
-            assert ids[result["ruleIndex"]] == result["ruleId"]
-
-    def test_chain_rendered_as_related_locations(self, tmp_path):
-        doc, findings = self._document(tmp_path)
-        [run] = doc["runs"]
-        [result] = [
-            r for r in run["results"] if r["ruleId"] == "R101"
-        ]
-        related = result["relatedLocations"]
-        labels = [loc["message"]["text"] for loc in related]
-        assert labels == [
-            "pkg.core.Sim.run", "pkg.core.Sim.tick", "pkg.clocky.stamp"
-        ]
-        for loc in related:
-            physical = loc["physicalLocation"]
-            assert physical["artifactLocation"]["uri"]
-            assert physical["region"]["startLine"] >= 1
-
-    def test_fingerprints_match_baseline_identity(self, tmp_path):
-        doc, findings = self._document(tmp_path)
-        [run] = doc["runs"]
-        fingerprints = {
-            r["fingerprints"]["reproAnalyze/v1"] for r in run["results"]
-        }
-        assert fingerprints == {f.fingerprint() for f in findings}
-
-    def test_document_is_json_serializable(self, tmp_path):
-        doc, _findings = self._document(tmp_path)
-        parsed = json.loads(json.dumps(doc))
-        assert parsed["runs"][0]["results"]
-
-
-# ---------------------------------------------------------------------------
 # The real tree
 
 
@@ -959,8 +669,10 @@ OUT_OF_SCOPE_MODULES = [
 
 def copy_repo_tree(tmp_path):
     shutil.copytree(REPO_ROOT / "src" / "repro", tmp_path / "src" / "repro")
-    for name in ("units.toml", ".repro-analyze-baseline.json"):
-        shutil.copy(REPO_ROOT / name, tmp_path / name)
+    shutil.copy(
+        REPO_ROOT / ".repro-analyze-baseline.json",
+        tmp_path / ".repro-analyze-baseline.json",
+    )
 
 
 def mutate(path, needle, replacement):
@@ -1097,6 +809,48 @@ class TestRealTree:
         ]
         assert (finding.rule, finding.file) == ("R006", rel_path)
 
+    @pytest.mark.parametrize(
+        "rule, rel_path, needle, replacement",
+        [
+            (
+                "R004",
+                "src/repro/core/path_manager.py",
+                "not math.isinf(gcc.min_rtt)",
+                "gcc.min_rtt != math.inf",
+            ),
+            (
+                "R005",
+                "src/repro/simulation/events.py",
+                '    __slots__ = ("time", "callback", "arg", "cancelled", '
+                '"_queue", "_queued")\n',
+                "",
+            ),
+            (
+                "R007",
+                "src/repro/cc/delay_based.py",
+                "now: float, num_samples: int) -> BandwidthUsage:",
+                "now: float, num_samples: int, history=deque()) "
+                "-> BandwidthUsage:",
+            ),
+        ],
+        ids=["r004-min_rtt-inf", "r005-event-slots", "r007-detect-deque"],
+    )
+    def test_a_local_rule_catches_what_nothing_else_does(
+        self, tmp_path, rule, rel_path, needle, replacement
+    ):
+        # None of these changes behaviour today, so the goldens, the
+        # digests and every other test pass with it: `!= math.inf`
+        # agrees with `isinf` until a value turns -inf, an unslotted
+        # Event costs a __dict__ per event, and the shared deque would
+        # leak state across calls only once something appends to it.
+        copy_repo_tree(tmp_path)
+        mutate(tmp_path / rel_path, needle, replacement)
+        _config, result = analyze_repo(tmp_path)
+        [finding] = [
+            f for f in result.findings if f.severity is Severity.ERROR
+        ]
+        assert (finding.rule, finding.file) == (rule, rel_path)
+
     def test_roots_and_the_cache_salt_name_the_same_modules(self):
         # One list, two uses: what R101 keeps deterministic is what
         # cells.code_version() hashes into every cache key.
@@ -1152,10 +906,6 @@ class TestRealTree:
         cells = (REPO_ROOT / waived[0]).read_text()
         assert cells.count("lint: ok(") == 1
         assert cells.count('"REPRO_CACHE_SALT", "")  # lint: ok(R101)') == 1
-
-    def test_committed_units_overlay_resolves_completely(self):
-        _config, result = analyze_repo()
-        assert [f for f in result.findings if f.file == "units.toml"] == []
 
     def test_removing_profiling_exclusion_surfaces_chain(self):
         _config, result = analyze_repo(exclude={})
@@ -1255,36 +1005,6 @@ class TestCli:
         assert payload["errors"] == 0
         assert payload["stats"]["modules"] == 2
 
-    def test_sarif_format(self, tmp_path, capsys):
-        files = dict(TAINT_FILES)
-        files["pkg/clocky.py"] = files["pkg/clocky.py"].replace(
-            "  # lint: ok(R101)", ""
-        )
-        write_cli_project(tmp_path, files, roots=["pkg.core.Sim.run"])
-        code = main(
-            [
-                "--config", str(tmp_path / "pyproject.toml"),
-                "--format", "sarif",
-            ]
-        )
-        doc = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert doc["version"] == "2.1.0"
-        assert doc["runs"][0]["results"]
-
-    def test_update_baseline_then_clean(self, tmp_path, capsys):
-        files = dict(TAINT_FILES)
-        files["pkg/clocky.py"] = files["pkg/clocky.py"].replace(
-            "  # lint: ok(R101)", ""
-        )
-        write_cli_project(tmp_path, files, roots=["pkg.core.Sim.run"])
-        config = ["--config", str(tmp_path / "pyproject.toml")]
-        assert main(config) == 1
-        capsys.readouterr()
-        assert main([*config, "--update-baseline"]) == 0
-        capsys.readouterr()
-        assert main(config) == 0
-
     def test_update_pairs_acknowledges(self, tmp_path, capsys):
         write_cli_project(tmp_path, DRIFT_FILES, roots=[])
         config = ["--config", str(tmp_path / "pyproject.toml")]
@@ -1297,8 +1017,10 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R003", "R007", "R100", "R101", "R102", "R103"):
-            assert rule_id in out
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == [
+            "R004", "R005", "R006", "R007", "R100", "R101", "R103"
+        ]
 
     def test_module_entry_point(self, tmp_path):
         import subprocess

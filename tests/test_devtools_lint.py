@@ -1,6 +1,6 @@
 """Tests for the local rules and source detector of ``repro analyze``.
 
-Every local rule (R003-R007) gets at least one positive fixture (a
+Every local rule (R004-R007) gets at least one positive fixture (a
 crafted snippet it must fire on) and one negative fixture (the
 corrected snippet it must stay silent on); the wall-clock and
 global-RNG snippets are the inputs of the source detector, reported
@@ -221,46 +221,6 @@ class TestGlobalRandom:
                 return rng.random()
             """
         ) == []
-
-
-# ---------------------------------------------------------------------------
-# R003 — unit-suffix consistency
-
-
-class TestUnitMix:
-    def test_ms_plus_s_fires(self):
-        assert rules_fired("total = delay_ms + rtt_s\n") == ["R003"]
-
-    def test_bytes_vs_bits_comparison_fires(self):
-        assert rules_fired(
-            """
-            if queued_bytes > budget_bits:
-                pass
-            """
-        ) == ["R003"]
-
-    def test_scaled_operand_fires(self):
-        # The unit survives scaling by a unitless factor.
-        assert rules_fired("x = delay_ms + 2 * rtt_s\n") == ["R003"]
-
-    def test_cross_dimension_fires(self):
-        assert rules_fired("x = delay_ms - size_bytes\n") == ["R003"]
-
-    def test_matching_units_are_clean(self):
-        assert rules_fired("total_ms = delay_ms + jitter_ms\n") == []
-
-    def test_alias_suffixes_are_clean(self):
-        # _s, _sec and _seconds are the same unit.
-        assert rules_fired("t = wall_seconds + pause_s\n") == []
-
-    def test_multiplicative_conversion_is_clean(self):
-        # Multiplication/division is how conversions are written.
-        assert rules_fired("rate = size_bytes * 8 / window_s\n") == []
-
-    def test_attribute_operands_fire(self):
-        assert rules_fired(
-            "gap = self.deadline_ms - self.elapsed_s\n"
-        ) == ["R003"]
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +549,13 @@ class TestWaivers:
     def test_waiver_is_rule_specific(self):
         source = """
         import time
-        t = time.time()  # lint: ok(R003)
+        t = time.time()  # lint: ok(R007)
         """
         assert rules_fired(source) == ["R101"]
 
     def test_waiver_with_multiple_rules(self):
-        waivers = parse_waivers("x = 1  # lint: ok(R101, R003)\n")
-        assert waivers == {1: {"R101", "R003"}}
+        waivers = parse_waivers("x = 1  # lint: ok(R101, R004)\n")
+        assert waivers == {1: {"R101", "R004"}}
 
     def test_waiver_only_covers_its_line(self):
         source = """
@@ -698,12 +658,47 @@ class TestMain:
         assert main(["--no-config"]) == 2
         assert "nothing to analyze" in capsys.readouterr().err
 
+    def test_a_path_without_python_files_exits_two(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty").mkdir()
+        assert main(["empty", "--no-config"]) == 2
+        assert "nothing to analyze" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["absolute", "dotdot", "config"])
+    def test_a_root_under_a_dot_directory_is_analyzed(
+        self, tmp_path, monkeypatch, capsys, how
+    ):
+        # Hidden means hidden below the analyzed root: a checkout under
+        # a dot-directory, or a `..` path, is analyzed like any other.
+        checkout = tmp_path / ".ci"
+        package = checkout / "pkg"
+        (package / ".hidden").mkdir(parents=True)
+        (package / "bad.py").write_text("def add(item, acc=[]):\n    pass\n")
+        (package / ".hidden" / "skipped.py").write_text("x = 1\n")
+        (checkout / "work").mkdir()
+        monkeypatch.chdir(checkout / "work")
+        (checkout / "pyproject.toml").write_text(
+            '[tool.repro-analyze]\npaths = ["pkg"]\n'
+        )
+        argv = {
+            "absolute": [str(package), "--no-config"],
+            "dotdot": ["../pkg", "--no-config"],
+            "config": ["--config", str(checkout / "pyproject.toml")],
+        }[how]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "R007" in out
+        assert "repro analyze: 1 module(s)" in out
+
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R003", "R004", "R005", "R006", "R007", "R100",
-                        "R101", "R102", "R103"):
-            assert rule_id in out
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == [
+            "R004", "R005", "R006", "R007", "R100", "R101", "R103"
+        ]
 
     def test_warn_only_findings_exit_zero(self, tmp_path, capsys):
         # Warnings (here: a root that names nothing) print but do not

@@ -169,8 +169,8 @@ def save_result_json(result: CallResult, path: Union[str, Path]) -> Path:
 def run_report_to_dict(report: "RunReport") -> Dict[str, Any]:
     """Flatten a :class:`repro.experiments.runner.RunReport` to JSON data.
 
-    Includes the runner's wall-clock/cache statistics — the numbers the
-    perf trajectory (``BENCH_*.json``) tracks — plus every cell summary.
+    Includes the runner's wall-clock/cache statistics plus every cell
+    summary.
     """
     return {
         "stats": report.stats.payload(),

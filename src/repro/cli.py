@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_parser = sub.add_parser(
         "analyze",
         help="run the determinism static analysis "
-        "(rules R004-R007, R100, R101, R103)",
+        "(rules R004-R007, R100, R101)",
     )
     add_analyze_arguments(analyze_parser)
 

@@ -7,11 +7,6 @@ from typing import List, Optional
 
 from repro.core.config import CallConfig
 from repro.core.sender import SenderSession
-from repro.core.signaling import (
-    PathAnnouncement,
-    PathSignalingLog,
-    PathTeardown,
-)
 from repro.faults.churn import ChurnDriver
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -72,7 +67,6 @@ class ConferenceCall:
         # Trace scenario used to synthesize capacity/loss for paths
         # born mid-call (churn BIRTH events); None disables births.
         self._churn_scenario = churn_scenario
-        self.signaling = PathSignalingLog()
         self.fault_injector: Optional[FaultInjector] = None
         if fault_plan is not None and len(fault_plan):
             self.fault_injector = FaultInjector(
@@ -122,10 +116,10 @@ class ConferenceCall:
     def add_path(self, path_id: int, network: str) -> None:
         """Bring a new path up mid-call (WiFi association, LTE attach).
 
-        The path is announced over signaling, wired into both
-        endpoints, and starts with a bootstrap GCC estimate; schedulers
-        see it in the next round's snapshots and Eq. 1 re-normalizes
-        the split as its estimate earns share.
+        The path is wired into both endpoints and starts with a
+        bootstrap GCC estimate; schedulers see it in the next round's
+        snapshots and Eq. 1 re-normalizes the split as its estimate
+        earns share.
         """
         if self._churn_scenario is None:
             raise ValueError(
@@ -161,7 +155,6 @@ class ConferenceCall:
         self._rtcp_delay = min(
             p.config.propagation_delay for p in self.paths
         )
-        self.signaling.announce(PathAnnouncement(path_id, network, now))
         self.metrics.record_churn_event(now, path_id, "birth")
 
     def remove_path(self, path_id: int, graceful: bool = False) -> None:
@@ -185,7 +178,6 @@ class ConferenceCall:
         if not live:
             raise ValueError("cannot remove the last live path of a call")
         now = self.sim.now
-        self.signaling.tear_down(PathTeardown(path_id, graceful, now))
         if graceful:
             self.sender.begin_path_drain(path_id)
             self.metrics.record_churn_event(now, path_id, "drain")

@@ -118,73 +118,3 @@ def _best_path(candidates: Sequence[IceCandidate], allowed: Sequence[int]) -> in
     usable = [c for c in candidates if c.path_id in allowed]
     return max(usable, key=lambda c: c.priority).path_id
 
-
-# -- mid-call path lifecycle signaling ----------------------------------------
-#
-# Converge renegotiates the path set without a full offer/answer cycle:
-# a new interface coming up (WiFi association, LTE attach) is announced
-# as an incremental candidate, and a vanished interface is torn down
-# explicitly so the remote side can drop state instead of waiting out a
-# timeout.  These messages model that trickle-ICE-style exchange.
-
-
-@dataclass(frozen=True)
-class PathAnnouncement:
-    """A new transport candidate advertised mid-call."""
-
-    path_id: int
-    network_name: str
-    announced_at: float
-
-    def attribute(self) -> str:
-        return f"a=x-converge-path-add:{self.path_id} {self.network_name}"
-
-
-@dataclass(frozen=True)
-class PathTeardown:
-    """An existing path withdrawn mid-call.
-
-    ``graceful`` distinguishes a planned teardown (the sender drains
-    in-flight packets first) from an abrupt death noticed after the
-    fact (interface gone; in-flight packets are rerouted as priority
-    retransmissions).
-    """
-
-    path_id: int
-    graceful: bool
-    torn_down_at: float
-
-    def attribute(self) -> str:
-        mode = "drain" if self.graceful else "abrupt"
-        return f"a=x-converge-path-del:{self.path_id} {mode}"
-
-
-@dataclass
-class PathSignalingLog:
-    """Ordered record of the lifecycle messages exchanged in one call."""
-
-    announcements: List[PathAnnouncement]
-    teardowns: List[PathTeardown]
-
-    def __init__(self) -> None:
-        self.announcements = []
-        self.teardowns = []
-
-    def announce(self, message: PathAnnouncement) -> None:
-        self.announcements.append(message)
-
-    def tear_down(self, message: PathTeardown) -> None:
-        self.teardowns.append(message)
-
-    def live_path_ids(self, initial: Sequence[int]) -> List[int]:
-        """Replay the log over ``initial`` to get the current path set."""
-        live = set(initial)
-        events: List[tuple[float, int, bool]] = [
-            (a.announced_at, a.path_id, True) for a in self.announcements
-        ] + [(t.torn_down_at, t.path_id, False) for t in self.teardowns]
-        for _, path_id, added in sorted(events, key=lambda e: e[0]):
-            if added:
-                live.add(path_id)
-            else:
-                live.discard(path_id)
-        return sorted(live)

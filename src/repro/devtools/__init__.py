@@ -2,10 +2,9 @@
 
 The correctness of this reproduction rests on properties no generic
 linter checks: byte-identical determinism of everything that runs
-inside a cell, seeded-RNG discipline in the process-pool runner, and
-the two statements of the flow model staying in step.
+inside a cell and seeded-RNG discipline in the process-pool runner.
 :mod:`repro.devtools.analyze` enforces them in one pass — local AST
-rules (R004-R007) and whole-program rules (R101, R103) — runnable as
+rules (R004-R007) and the whole-program rule R101 — runnable as
 ``repro analyze`` or ``python -m repro.devtools.analyze``; see
 DEVTOOLS.md for the rule catalogue, scope table and waiver syntax.
 """

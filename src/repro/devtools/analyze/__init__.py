@@ -2,16 +2,11 @@
 
 One pass parses every file once, runs the local rules (R004-R007) on
 the tree, builds a package-wide symbol table and call graph from the
-same tree, then checks the invariants no single file shows —
-nondeterminism sources in or reachable from simulated code (R101) and
-dual-implementation drift (R103).  See DEVTOOLS.md.
+same tree, then checks the invariant no single file shows:
+nondeterminism sources in or reachable from simulated code (R101).
+See DEVTOOLS.md.
 """
 
-from repro.devtools.analyze.baseline import (
-    Baseline,
-    load_baseline,
-    save_baseline,
-)
 from repro.devtools.analyze.callgraph import Edge, ProgramIndex
 from repro.devtools.analyze.engine import (
     AnalysisResult,
@@ -35,7 +30,6 @@ from repro.devtools.analyze.symbols import (
 
 __all__ = [
     "AnalysisResult",
-    "Baseline",
     "Edge",
     "Finding",
     "Location",
@@ -46,10 +40,8 @@ __all__ = [
     "add_analyze_arguments",
     "analyze_tree",
     "extract_module",
-    "load_baseline",
     "main",
     "module_name_of",
     "run_analyze",
-    "save_baseline",
     "sort_findings",
 ]

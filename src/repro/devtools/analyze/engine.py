@@ -9,12 +9,8 @@ One pass over every ``.py`` file under the given paths (default: the
 ``paths`` key of ``[tool.repro-analyze]`` in the nearest
 ``pyproject.toml``): each file is parsed once, and the same tree feeds
 the local rules (:mod:`.rules`, R004-R007) and the symbol extraction
-(:mod:`.symbols`) the whole-program rules run on:
-
-* R101 — nondeterminism sources in or reachable from simulated code;
-* R103 — dual-implementation drift over ``# drift: pair(...)`` regions,
-  against the pair hashes acknowledged in the committed baseline
-  (`.repro-analyze-baseline.json`).
+(:mod:`.symbols`) the whole-program rule R101 runs on: nondeterminism
+sources in or reachable from simulated code.
 
 A finding on a line carrying ``# lint: ok(Rxxx)`` is waived and one in
 a file matching the rule's ``exclude`` patterns is dropped.  Exit code
@@ -33,14 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.devtools.analyze.baseline import (
-    Baseline,
-    BaselineError,
-    load_baseline,
-    save_baseline,
-)
 from repro.devtools.analyze.callgraph import ProgramIndex
-from repro.devtools.analyze.drift import run_drift
 from repro.devtools.analyze.model import (
     RULE_SUMMARIES,
     Finding,
@@ -68,7 +57,6 @@ class AnalysisResult:
     elapsed_seconds: float = 0.0
     summaries: List[ModuleSummary] = field(default_factory=list)
     index: Optional[ProgramIndex] = None
-    current_pairs: Dict[str, Dict[str, str]] = field(default_factory=dict)
 
     @property
     def summary_line(self) -> str:
@@ -105,15 +93,6 @@ def _display_path(path: Path, base: Path) -> str:
         return path.resolve().relative_to(base.resolve()).as_posix()
     except ValueError:
         return path.as_posix()
-
-
-def _config_finding(
-    file: str, message: str, severity: Severity = Severity.ERROR
-) -> Finding:
-    """R100: the analysis inputs, not the analyzed code, are off."""
-    return Finding(
-        file=file, line=1, rule="R100", message=message, severity=severity
-    )
 
 
 def analyze_tree(
@@ -163,28 +142,20 @@ def analyze_tree(
     index = ProgramIndex(summaries)
     result.index = index
 
+    # R100: the analysis inputs, not the analyzed code, are off.
     roots, missing = index.resolve_roots(config.roots)
     findings.extend(
-        _config_finding(
-            "pyproject.toml",
-            f"analysis root '{spec}' does not resolve to a function, "
-            "class, module or package in the analyzed tree",
-            Severity.WARNING,
+        Finding(
+            file="pyproject.toml",
+            line=1,
+            rule="R100",
+            message=f"analysis root '{spec}' does not resolve to a "
+            "function, class, module or package in the analyzed tree",
+            severity=Severity.WARNING,
         )
         for spec in missing
     )
     findings.extend(run_taint(index, roots))
-
-    try:
-        baseline = load_baseline(base / config.baseline)
-    except BaselineError as exc:
-        baseline = Baseline()
-        findings.append(_config_finding(config.baseline, str(exc)))
-
-    drift_findings, result.current_pairs = run_drift(
-        summaries, baseline.pairs
-    )
-    findings.extend(drift_findings)
 
     # One suppression step for every rule: per-path excludes from the
     # config, then `# lint: ok(Rxxx)` waivers on the finding's line.
@@ -225,10 +196,6 @@ def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
         help="ignore pyproject.toml: no roots, excludes or slots modules",
     )
     parser.add_argument(
-        "--update-pairs", action="store_true",
-        help="re-acknowledge current dual-implementation pair hashes",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
     )
@@ -262,12 +229,6 @@ def run_analyze(args: argparse.Namespace) -> int:
                 "[tool.repro-analyze] paths in pyproject.toml"
             )
         result = analyze_tree(paths, config, base=base)
-        if args.update_pairs:
-            save_baseline(
-                base / config.baseline, Baseline(result.current_pairs)
-            )
-            # Re-run so the report reflects the acknowledged hashes.
-            result = analyze_tree(paths, config, base=base)
     except (ConfigError, OSError) as exc:
         print(f"repro analyze: {exc}", file=sys.stderr)
         return 2
@@ -287,7 +248,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro analyze",
         description=(
             "determinism static analysis "
-            "(rules R004-R007, R100, R101, R103)"
+            "(rules R004-R007, R100, R101)"
         ),
     )
     add_analyze_arguments(parser)

@@ -1,6 +1,6 @@
 """The finding model every rule of ``repro analyze`` emits.
 
-Local rules (R004-R007) and whole-program rules (R101, R103, see
+Local rules (R004-R007) and the whole-program rule (R101, see
 DEVTOOLS.md) report the same :class:`Finding`; a taint finding also
 carries the full source-to-sink call chain.
 """
@@ -32,9 +32,8 @@ RULE_SUMMARIES: Dict[str, str] = {
     "R005": "hot-path class lacks __slots__",
     "R006": "lambda/nested function into pool submit or event queue",
     "R007": "mutable default argument",
-    "R100": "analysis configuration or marker error",
+    "R100": "analysis configuration or syntax error",
     "R101": "nondeterminism source in or reachable from simulated code",
-    "R103": "dual-implementation pair drifted",
 }
 
 

@@ -2,20 +2,16 @@
 
 One call to :func:`extract_module` turns one parsed source file into a
 :class:`ModuleSummary`: every function/method with its calls and
-nondeterminism source hits, declared drift regions, plus the module's
-import tables, class layout and per-line waivers.  Summaries are plain
-data about *one* file; everything that depends on other modules (call
-resolution, pair matching) happens later, on top of the summaries.
+nondeterminism source hits, plus the module's import tables, class
+layout and per-line waivers.  Summaries are plain data about *one*
+file; everything that depends on other modules (call resolution)
+happens later, on top of the summaries.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import io
 import re
-import textwrap
-import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -145,18 +141,6 @@ class ClassInfo:
 
 
 @dataclass
-class DriftRegion:
-    """One side-region of a declared dual-implementation pair."""
-
-    pair: str
-    side: str  # "impl" | "ref"
-    line: int
-    end_line: int
-    hash: str
-    label: str = ""  # attached function qualname, if def-attached
-
-
-@dataclass
 class ModuleSummary:
     """The per-module analysis unit."""
 
@@ -166,9 +150,7 @@ class ModuleSummary:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     module_aliases: Dict[str, str] = field(default_factory=dict)
     symbol_aliases: Dict[str, str] = field(default_factory=dict)
-    regions: List[DriftRegion] = field(default_factory=list)
     waivers: Dict[int, Set[str]] = field(default_factory=dict)
-    marker_errors: List[Tuple[int, str]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -237,206 +219,6 @@ def strip_type_text(text: Optional[str]) -> Optional[str]:
     if text.startswith(_CONTAINER_PREFIXES) and "." not in text:
         return None
     return text
-
-
-def _region_hash(lines: List[str]) -> Optional[str]:
-    """Normalized-AST hash of a source region.
-
-    The region is dedented and wrapped in a synthetic function + loop
-    (so fragments containing ``return``/``break``/``continue`` parse),
-    docstrings are dropped, and the AST is dumped without location
-    attributes — comments, blank lines and pure re-formatting therefore
-    do not change the hash, while any semantic edit does.
-    """
-    body = textwrap.dedent("\n".join(lines))
-    wrapped = "def _region():\n    while True:\n" + textwrap.indent(
-        body, " " * 8
-    )
-    try:
-        tree = ast.parse(wrapped)
-    except SyntaxError:
-        return None
-    _strip_docstrings(tree)
-    dump = ast.dump(tree, include_attributes=False)
-    return hashlib.sha256(dump.encode("utf-8")).hexdigest()[:24]
-
-
-def _strip_docstrings(tree: ast.AST) -> None:
-    for node in ast.walk(tree):
-        body = getattr(node, "body", None)
-        if not isinstance(body, list) or not body:
-            continue
-        first = body[0]
-        if (
-            isinstance(first, ast.Expr)
-            and isinstance(first.value, ast.Constant)
-            and isinstance(first.value.value, str)
-        ):
-            del body[0]
-
-
-# ---------------------------------------------------------------------------
-# Drift-marker parsing
-
-_PAIR_PATTERN = re.compile(
-    r"#\s*drift:\s*pair\(([A-Za-z0-9_.-]+)\)\s*(impl|ref)\s*$"
-)
-_END_PATTERN = re.compile(r"#\s*drift:\s*end\s*$")
-_ANY_DRIFT = re.compile(r"#\s*drift:")
-
-
-def _extract_regions(
-    source: str, tree: ast.Module
-) -> Tuple[List[DriftRegion], List[Tuple[int, str]]]:
-    """Parse ``# drift: pair(name) side`` markers into regions.
-
-    A marker on the comment line(s) immediately above a ``def`` (or its
-    decorators) covers the whole function; a marker anywhere else opens
-    a block region closed by ``# drift: end``.  Multiple markers may
-    stack on one function.
-    """
-    errors: List[Tuple[int, str]] = []
-    regions: List[DriftRegion] = []
-    if "drift:" not in source:
-        return regions, errors  # no marker: skip the tokenizer pass
-    lines = source.splitlines()
-
-    # Map def start lines (first decorator or the def itself) to
-    # (qualname, def_line, end_line).
-    def_spans: Dict[int, Tuple[str, int, int]] = {}
-
-    def visit(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{prefix}{child.name}"
-                start = child.lineno
-                if child.decorator_list:
-                    start = min(d.lineno for d in child.decorator_list)
-                def_spans[start] = (
-                    qual, child.lineno, child.end_lineno or child.lineno
-                )
-                visit(child, qual + ".")
-            elif isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.")
-
-    visit(tree, "")
-
-    # Markers only count inside real comment tokens: marker-looking
-    # text in a docstring or a string literal is documentation, not a
-    # declaration.
-    comments: Dict[int, str] = {}
-    try:
-        for token in tokenize.generate_tokens(io.StringIO(source).readline):
-            if token.type == tokenize.COMMENT:
-                comments[token.start[0]] = token.string.strip()
-    except tokenize.TokenError:  # pragma: no cover - file already parsed
-        pass
-
-    pending: List[Tuple[int, str, str]] = []  # (line, pair, side)
-    open_block: Optional[Tuple[int, str, str]] = None
-    for lineno, text in enumerate(lines, start=1):
-        stripped = text.strip()
-        comment = comments.get(lineno, "")
-        if not _ANY_DRIFT.search(comment):
-            if open_block is not None:
-                continue
-            if not pending:
-                continue
-            if not stripped or stripped.startswith("#"):
-                continue
-            span = def_spans.get(lineno)
-            if span is not None:
-                qual, def_line, end_line = span
-                for marker_line, pair, side in pending:
-                    fragment = lines[def_line - 1:end_line]
-                    digest = _region_hash(fragment)
-                    if digest is None:
-                        errors.append(
-                            (marker_line, f"unparseable region for pair "
-                             f"'{pair}'")
-                        )
-                        continue
-                    regions.append(
-                        DriftRegion(
-                            pair=pair,
-                            side=side,
-                            line=def_line,
-                            end_line=end_line,
-                            hash=digest,
-                            label=qual,
-                        )
-                    )
-                pending = []
-            else:
-                # Markers not attached to a def open a block region;
-                # only a single marker may open one.
-                if len(pending) > 1:
-                    for marker_line, pair, _side in pending[1:]:
-                        errors.append(
-                            (marker_line,
-                             f"stacked block markers for pair '{pair}'; "
-                             "only one block region may open at a time")
-                        )
-                open_block = pending[0]
-                pending = []
-            continue
-
-        if stripped != comment:
-            errors.append(
-                (lineno, "drift markers must be standalone comment lines")
-            )
-            continue
-        match = _PAIR_PATTERN.search(comment)
-        if match:
-            if open_block is not None:
-                errors.append(
-                    (lineno, "drift marker inside an open block region "
-                     f"(opened at line {open_block[0]})")
-                )
-                continue
-            pending.append((lineno, match.group(1), match.group(2)))
-            continue
-        if _END_PATTERN.search(comment):
-            if open_block is None:
-                errors.append((lineno, "'# drift: end' without an open "
-                               "block region"))
-                continue
-            start_line, pair, side = open_block
-            fragment = lines[start_line:lineno - 1]
-            digest = _region_hash(fragment)
-            if digest is None:
-                errors.append(
-                    (start_line, f"unparseable region for pair '{pair}'")
-                )
-            else:
-                regions.append(
-                    DriftRegion(
-                        pair=pair,
-                        side=side,
-                        line=start_line,
-                        end_line=lineno,
-                        hash=digest,
-                    )
-                )
-            open_block = None
-            continue
-        errors.append((lineno, "unrecognised drift marker (expected "
-                       "'# drift: pair(<name>) impl|ref' or "
-                       "'# drift: end')"))
-
-    if open_block is not None:
-        errors.append(
-            (open_block[0],
-             f"block region for pair '{open_block[1]}' never closed "
-             "(missing '# drift: end')")
-        )
-    for marker_line, pair, _side in pending:
-        errors.append(
-            (marker_line,
-             f"dangling drift marker for pair '{pair}' (no def or block "
-             "follows)")
-        )
-    return regions, errors
 
 
 # ---------------------------------------------------------------------------
@@ -695,9 +477,6 @@ def extract_module(
         symbol_aliases=dict(imports.symbol_aliases),
         waivers=parse_waivers(source),
     )
-    regions, marker_errors = _extract_regions(source, tree)
-    summary.regions = regions
-    summary.marker_errors = marker_errors
 
     module_info = FunctionInfo(
         name="<module>",

@@ -8,7 +8,6 @@ simulated code::
     roots = ["repro.core", ...]      # R101 scope: packages, modules,
                                      # classes or functions
     slots-modules = ["src/repro/simulation/events.py"]   # R005 scope
-    baseline = ".repro-analyze-baseline.json"       # R103 pair hashes
 
     [tool.repro-analyze.exclude]
     # Per-rule glob patterns (matched against /-separated paths).
@@ -50,7 +49,6 @@ class AnalyzeConfig:
     roots: List[str] = field(default_factory=list)
     exclude: Dict[str, List[str]] = field(default_factory=dict)
     slots_modules: List[str] = field(default_factory=list)
-    baseline: str = ".repro-analyze-baseline.json"
 
     def rule_excluded(self, rule_id: str, rel_path: str) -> bool:
         """True when ``rel_path`` matches an exclude pattern for the rule."""
@@ -97,8 +95,6 @@ def analyze_config_from_dict(data: Dict[str, Any]) -> AnalyzeConfig:
             str(rule): _as_str_list(patterns)
             for rule, patterns in data["exclude"].items()
         }
-    if "baseline" in data:
-        config.baseline = str(data["baseline"])
     return config
 
 

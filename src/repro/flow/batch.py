@@ -65,12 +65,17 @@ from typing import (
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.cc.gcc import _LOSS_PEAK_TAU, _LOSS_SMOOTHING
 from repro.core.config import CallConfig, FecMode, SystemKind
+from repro.core.sender import _CAPACITY_PROBE_INTERVAL as _PROBE_INTERVAL
 from repro.experiments.cells import Cell, Fidelity, canonical_json
+from repro.fec.converge_controller import (
+    _BETA_DECAY_PER_SECOND as _BETA_DECAY,
+    _BETA_MAX,
+)
 from repro.flow.frames import (
     MAX_RTX_ROUNDS,
     _BETA_BUMP,
-    _BETA_MAX,
     _MAX_PROTECTED_LOSS,
     _MAX_PROTECTION,
     _MIN_LOSS_FOR_FEC,
@@ -97,7 +102,6 @@ from repro.flow.rate_control import (
     _MTU_BITS,
 )
 from repro.flow.session import (
-    _BETA_DECAY,
     _BURST_KILL_FACTOR,
     _BURST_KILL_MAX,
     _CM_FAILURE_TIMEOUT,
@@ -107,16 +111,13 @@ from repro.flow.session import (
     _KEYFRAME_DEBT_REPAY,
     _KEYFRAME_RECOVERY_DELAY,
     _KEYFRAME_REQUEST_INTERVAL,
-    _LOSS_PEAK_TAU,
-    _LOSS_SMOOTHING,
     _MIN_FRAME_BYTES,
-    _PROBE_INTERVAL,
     _PROBE_MAX_LOSS,
     _PROBE_MAX_QUEUE_DELAY,
     _PROTECTION_SMOOTHING,
-    DEFAULT_MTU_PAYLOAD,
 )
 from repro.metrics.qoe import FREEZE_THRESHOLD, REPEATED_FRAME_PSNR
+from repro.rtp.packets import DEFAULT_MTU_PAYLOAD
 from repro.simulation.random import derive_seed
 
 F8 = NDArray[np.float64]
@@ -612,7 +613,6 @@ class _BatchFlowRun:
 
     # -- the hot loop ------------------------------------------------------
 
-    # drift: pair(flow-batch) impl
     def run(self) -> Iterator[Dict[str, Any]]:
         config = self.config
         lanes = self.lanes
@@ -1342,7 +1342,6 @@ class _BatchFlowRun:
 
     # -- step helpers ------------------------------------------------------
 
-    # drift: pair(flow-batch) impl
     def _watchdog(
         self,
         now: float,
@@ -1395,7 +1394,6 @@ class _BatchFlowRun:
                     if i in es:
                         self.path_events[i].append((now, pid, "enabled"))
 
-    # drift: pair(flow-batch) impl
     def _cm_schedule(
         self, now: float, usable: List[B1], pids: List[int]
     ) -> None:
@@ -1442,7 +1440,6 @@ class _BatchFlowRun:
         for p, pid in enumerate(pids):
             lanes[p].member = sending & (self.pinned == pid)
 
-    # drift: pair(flow-batch) impl
     def _allocate(
         self,
         enc_mask: B1,
@@ -1524,7 +1521,6 @@ class _BatchFlowRun:
             lane.step_packets = np.where(positive, -((-sb) // mtu), 0)
             lane.step_key = key & positive
 
-    # drift: pair(flow-batch) impl
     def _hard_drop(self, now: float, idx: I8) -> None:
         """Drop the in-flight frame for the listed cells."""
         blocked = self.blocked
@@ -1534,7 +1530,6 @@ class _BatchFlowRun:
         blocked[idx] = True
         self.drops[idx] += 1
 
-    # drift: pair(flow-batch) impl
     def _finish(
         self,
         step: int,

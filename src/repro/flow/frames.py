@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 
 from repro.core.config import FecMode
+from repro.fec.converge_controller import _BETA_MAX
 
 # Retransmission rounds before a frame is abandoned on a path (matches
 # the packet core's NACK retry budget).
@@ -43,8 +44,6 @@ _MIN_LOSS_FOR_FEC = 0.002
 _MAX_PROTECTED_LOSS = 0.2
 _MAX_PROTECTION = 0.25
 _ROUND_UP_THRESHOLD = 0.15
-_BETA_DECAY = 0.35
-_BETA_MAX = 4.0
 # Uncovered-loss bump: how strongly a frame that FEC failed to cover
 # raises beta, standing in for the controller's NACK-window rule.
 _BETA_BUMP = 0.5

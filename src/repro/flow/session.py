@@ -26,11 +26,24 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.cc.gcc import _LOSS_PEAK_TAU, _LOSS_SMOOTHING, _PROBE_SEND_GAP
+from repro.cc.pacing import _DEFAULT_PACING_FACTOR
 from repro.core.config import CallConfig, FecMode, SystemKind
-from repro.core.session import CallResult
+# Padding probe-burst cadence.  The t=0 tick never measures anything
+# (no media in flight yet), so the first effective probe lands at
+# t=2 s, as in the packet traces, where every system's first rate
+# jump is at ~2.1 s.
+from repro.core.sender import _CAPACITY_PROBE_INTERVAL as _PROBE_INTERVAL
+from repro.core.session import (
+    _DRAIN_GRACE_MAX,
+    _DRAIN_GRACE_MIN,
+    CallResult,
+)
 from repro.faults.plan import ChurnAction, FaultKind, FaultPlan
+from repro.fec.converge_controller import (
+    _BETA_DECAY_PER_SECOND as _BETA_DECAY,
+)
 from repro.flow.frames import (
-    _BETA_DECAY,
     _MAX_PROTECTED_LOSS,
     _MAX_PROTECTION,
     _MIN_LOSS_FOR_FEC,
@@ -75,9 +88,6 @@ from repro.traces.scenarios import (
     scenario_networks,
 )
 
-# Drain grace bounds, mirrored from the packet session.
-_DRAIN_GRACE_MIN = 0.2
-_DRAIN_GRACE_MAX = 1.0
 # Minimum spacing between keyframe requests per stream (receiver PLI
 # throttling in the packet core).
 _KEYFRAME_REQUEST_INTERVAL = 1.0
@@ -85,29 +95,21 @@ _KEYFRAME_REQUEST_INTERVAL = 1.0
 _KEYFRAME_DEBT_REPAY = 0.2
 # Smallest encoded frame the encoder will emit.
 _MIN_FRAME_BYTES = 200
-# Loss-estimate smoothing (matches the GCC facade's RTCP smoothing).
-_LOSS_SMOOTHING = 0.3
-# Peak-hold loss decay constant (repro.cc.gcc._LOSS_PEAK_TAU).
-_LOSS_PEAK_TAU = 3.0
 # WebRTC-CM migration behaviour (scheduling/singlepath.py).
 _CM_FAILURE_TIMEOUT = 2.0
 _CM_RECONNECT_DELAY = 1.5
 # Smoothing for the FEC-overhead share the encoder budget discounts.
 _PROTECTION_SMOOTHING = 0.2
-# Padding probe-burst cadence (core.sender._CAPACITY_PROBE_INTERVAL).
-# The t=0 tick never measures anything (no media in flight yet), so
-# the first effective probe lands at t=2 s — matching the packet
-# traces, where every system's first rate jump is at ~2.1 s.
-_PROBE_INTERVAL = 2.0
 # Probe suppression gates, mirrored from core.sender: a path with
 # more than 8% smoothed loss or a standing queue is never probed.
 _PROBE_MAX_LOSS = 0.08
 _PROBE_MAX_QUEUE_DELAY = 0.08
 # Media frames double as probe bursts once the pacer releases packets
 # closer together than the probe send-gap threshold: gap = MTU_bits /
-# (pacing_factor * rate) <= _PROBE_SEND_GAP, i.e. rate >= ~4.27 Mbps
-# (cc.pacing pacing_factor 1.5, cc.gcc._PROBE_SEND_GAP 1.5 ms).
-_FRAME_PROBE_MIN_RATE = DEFAULT_MTU_PAYLOAD * 8 / (1.5 * 0.0015)
+# (pacing_factor * rate) <= _PROBE_SEND_GAP, i.e. rate >= ~4.27 Mbps.
+_FRAME_PROBE_MIN_RATE = DEFAULT_MTU_PAYLOAD * 8 / (
+    _DEFAULT_PACING_FACTOR * _PROBE_SEND_GAP
+)
 _FRAME_PROBE_MIN_PACKETS = 5
 # A Gilbert-Elliott burst kills packets *consecutively*, which defeats
 # both FEC (parity cannot cover a run) and NACK recovery (the
@@ -507,7 +509,6 @@ class FlowCall:
 
     # -- main loop ---------------------------------------------------------
 
-    # drift: pair(flow-batch) ref
     def run(self) -> CallResult:
         """Advance the call one frame interval at a time.
 

@@ -115,6 +115,13 @@ class TestCommands:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
 
+    def test_pair_acknowledgement_is_not_an_option(self):
+        # The flow pair is pinned by byte-equality tests, not by
+        # hashes someone re-acknowledges.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["analyze", "--update-pairs"])
+        assert exit_info.value.code == 2
+
     def test_profile_rejects_experiment_without_cells(self):
         # The trace statistics simulate no calls: nothing to profile.
         with pytest.raises(SystemExit):

@@ -1,6 +1,6 @@
 """Tests for repro.devtools.analyze: the whole-program side of
-``repro analyze`` (symbols, call graph, R100, R101, R103, the pairs
-baseline, CLI, the real tree).  Local-rule and source-detector
+``repro analyze`` (symbols, call graph, R100, R101, CLI, the real
+tree).  Local-rule and source-detector
 fixtures live in ``tests/test_devtools_lint.py``."""
 
 import json
@@ -11,11 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.analyze.baseline import (
-    Baseline,
-    load_baseline,
-    save_baseline,
-)
 from repro.devtools.analyze.callgraph import ProgramIndex
 from repro.devtools.analyze.engine import analyze_tree, main
 from repro.devtools.analyze.model import Severity
@@ -191,137 +186,22 @@ class TestExtraction:
         with pytest.raises(SyntaxError):
             extract("def broken(:\n")
 
-
-# ---------------------------------------------------------------------------
-# Drift markers + region hashing
-
-
-class TestDriftMarkers:
-    def test_def_attached_marker_covers_function(self):
-        summary = extract(
-            """
-            # drift: pair(demo) impl
-            def f(x):
-                return x + 1
-            """
+    def test_a_leftover_drift_marker_is_a_plain_comment(self, tmp_path):
+        # The pair markers are retired: byte-equality tests hold the
+        # two flow statements together, so a marker is not an R100.
+        result = analyze_project(
+            tmp_path,
+            {
+                "pkg/__init__.py": "",
+                "pkg/mod.py": """
+                    # drift: pair(demo) impl
+                    def f(x):
+                        # drift: end
+                        return x  # drift: pair(demo) both
+                """,
+            },
         )
-        [region] = summary.regions
-        assert (region.pair, region.side, region.label) == (
-            "demo", "impl", "f"
-        )
-
-    def test_stacked_markers_declare_multiple_pairs(self):
-        summary = extract(
-            """
-            # drift: pair(one) impl
-            # drift: pair(two) ref
-            def f(x):
-                return x
-            """
-        )
-        assert sorted((r.pair, r.side) for r in summary.regions) == [
-            ("one", "impl"), ("two", "ref")
-        ]
-
-    def test_block_region(self):
-        summary = extract(
-            """
-            def f(x):
-                # drift: pair(demo) impl
-                y = x * 2
-                z = y + 1
-                # drift: end
-                return z
-            """
-        )
-        [region] = summary.regions
-        assert region.pair == "demo"
-        assert region.label == ""
-
-    def test_hash_ignores_comments_and_formatting(self):
-        a = extract(
-            """
-            # drift: pair(demo) impl
-            def f(x):
-                return x + 1
-            """
-        )
-        b = extract(
-            """
-            # drift: pair(demo) impl
-            def f(x):
-                # a comment, plus a reformat below
-                return (
-                    x + 1
-                )
-            """
-        )
-        assert a.regions[0].hash == b.regions[0].hash
-
-    def test_hash_changes_on_semantic_edit(self):
-        a = extract(
-            "# drift: pair(demo) impl\ndef f(x):\n    return x + 1\n"
-        )
-        b = extract(
-            "# drift: pair(demo) impl\ndef f(x):\n    return x + 2\n"
-        )
-        assert a.regions[0].hash != b.regions[0].hash
-
-    def test_marker_in_docstring_is_ignored(self):
-        summary = extract(
-            '''
-            def f():
-                """Docs mention # drift: pair(x) impl markers."""
-                return 1
-            '''
-        )
-        assert summary.regions == []
-        assert summary.marker_errors == []
-
-    def test_dangling_marker_is_an_error(self):
-        summary = extract("# drift: pair(demo) impl\nVALUE = 3\n")
-        assert summary.regions == []
-        assert any(
-            "block" in msg or "dangling" in msg
-            for _line, msg in summary.marker_errors
-        ) or summary.marker_errors
-
-    def test_unclosed_block_is_an_error(self):
-        summary = extract(
-            """
-            def f(x):
-                # drift: pair(demo) impl
-                y = x
-                return y
-            """
-        )
-        assert any(
-            "never closed" in msg for _l, msg in summary.marker_errors
-        )
-
-    def test_end_without_open_is_an_error(self):
-        summary = extract(
-            """
-            def f(x):
-                # drift: end
-                return x
-            """
-        )
-        assert any(
-            "without an open" in msg for _l, msg in summary.marker_errors
-        )
-
-    def test_trailing_marker_on_code_line_is_an_error(self):
-        summary = extract("x = 1  # drift: pair(demo) impl\n")
-        assert any(
-            "standalone" in msg for _l, msg in summary.marker_errors
-        )
-
-    def test_bad_side_keyword_is_an_error(self):
-        summary = extract("# drift: pair(demo) both\ndef f():\n    pass\n")
-        assert any(
-            "unrecognised" in msg for _l, msg in summary.marker_errors
-        )
+        assert result.findings == []
 
 
 # ---------------------------------------------------------------------------
@@ -542,102 +422,6 @@ class TestTaint:
 
 
 # ---------------------------------------------------------------------------
-# R103 drift + baseline pairs
-
-
-DRIFT_FILES = {
-    "pkg/__init__.py": "",
-    "pkg/fast.py": """
-        # drift: pair(speed) impl
-        def fast(x):
-            return x * 2
-    """,
-    "pkg/slow.py": """
-        # drift: pair(speed) ref
-        def slow(x):
-            return x + x
-    """,
-}
-
-
-def ack_pairs(tmp_path, files):
-    """Analyze once and acknowledge the current pair hashes."""
-    result = analyze_project(tmp_path, files)
-    baseline = load_baseline(tmp_path / ".repro-analyze-baseline.json")
-    baseline.pairs = dict(result.current_pairs)
-    save_baseline(tmp_path / ".repro-analyze-baseline.json", baseline)
-
-
-class TestBaseline:
-    def test_roundtrip_via_file(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(path, Baseline(pairs={"p": {"impl": "1", "ref": "2"}}))
-        assert load_baseline(path).pairs == {"p": {"impl": "1", "ref": "2"}}
-
-
-class TestDrift:
-    def test_unacknowledged_pair_fails(self, tmp_path):
-        result = analyze_project(tmp_path, DRIFT_FILES)
-        [finding] = result.findings
-        assert finding.rule == "R103"
-        assert "not acknowledged" in finding.message
-
-    def test_acknowledged_pair_is_clean(self, tmp_path):
-        ack_pairs(tmp_path, DRIFT_FILES)
-        result = analyze_project(tmp_path)
-        assert result.findings == []
-
-    def test_one_side_change_reports_drift(self, tmp_path):
-        ack_pairs(tmp_path, DRIFT_FILES)
-        (tmp_path / "pkg/slow.py").write_text(
-            "# drift: pair(speed) ref\ndef slow(x):\n    return 2 * x\n"
-        )
-        result = analyze_project(tmp_path)
-        [finding] = result.findings
-        assert finding.rule == "R103"
-        assert "'ref' side changed" in finding.message
-        assert "'impl' side did not" in finding.message
-        assert finding.file == "pkg/slow.py"
-
-    def test_both_sides_changed_needs_reack(self, tmp_path):
-        ack_pairs(tmp_path, DRIFT_FILES)
-        (tmp_path / "pkg/fast.py").write_text(
-            "# drift: pair(speed) impl\ndef fast(x):\n    return x * 3\n"
-        )
-        (tmp_path / "pkg/slow.py").write_text(
-            "# drift: pair(speed) ref\ndef slow(x):\n    return x + x + x\n"
-        )
-        result = analyze_project(tmp_path)
-        [finding] = result.findings
-        assert "both sides changed" in finding.message
-
-    def test_single_sided_pair_fails(self, tmp_path):
-        files = {k: v for k, v in DRIFT_FILES.items() if "slow" not in k}
-        result = analyze_project(tmp_path, files)
-        [finding] = result.findings
-        assert "only its 'impl' side" in finding.message
-
-    def test_stale_baseline_pair_fails(self, tmp_path):
-        ack_pairs(tmp_path, DRIFT_FILES)
-        (tmp_path / "pkg/fast.py").write_text("def fast(x):\n    return x\n")
-        (tmp_path / "pkg/slow.py").write_text("def slow(x):\n    return x\n")
-        result = analyze_project(tmp_path)
-        [finding] = result.findings
-        assert "no such markers exist" in finding.message
-
-    def test_comment_only_edit_does_not_drift(self, tmp_path):
-        ack_pairs(tmp_path, DRIFT_FILES)
-        (tmp_path / "pkg/slow.py").write_text(
-            "# drift: pair(speed) ref\n"
-            "def slow(x):\n"
-            "    # a brand new comment\n"
-            "    return x + x\n"
-        )
-        result = analyze_project(tmp_path)
-        assert result.findings == []
-
-
-# ---------------------------------------------------------------------------
 # The real tree
 
 
@@ -669,10 +453,6 @@ OUT_OF_SCOPE_MODULES = [
 
 def copy_repo_tree(tmp_path):
     shutil.copytree(REPO_ROOT / "src" / "repro", tmp_path / "src" / "repro")
-    shutil.copy(
-        REPO_ROOT / ".repro-analyze-baseline.json",
-        tmp_path / ".repro-analyze-baseline.json",
-    )
 
 
 def mutate(path, needle, replacement):
@@ -916,33 +696,6 @@ class TestRealTree:
         )
         assert all(f.chain for f in taint)
 
-    def test_mutating_reference_method_fails_r103(self, tmp_path):
-        # The acceptance demo: copy the real tree, edit the scalar
-        # flow loop without touching the array program, and the drift
-        # rule must fail.
-        copy_repo_tree(tmp_path)
-        mutate(
-            tmp_path / "src/repro/flow/session.py",
-            "size = _MIN_FRAME_BYTES\n",
-            "size = _MIN_FRAME_BYTES + 1\n",
-        )
-        _config, result = analyze_repo(tmp_path)
-        drifted = [
-            f
-            for f in result.findings
-            if f.rule == "R103" and "flow-batch" in f.message
-        ]
-        [finding] = drifted
-        assert "'ref' side changed" in finding.message
-
-    def test_declared_pairs_match_acknowledged_hashes(self):
-        _config, result = analyze_repo()
-        baseline = load_baseline(
-            REPO_ROOT / ".repro-analyze-baseline.json"
-        )
-        assert set(result.current_pairs) == {"flow-batch"}
-        assert result.current_pairs == baseline.pairs
-
 
 # ---------------------------------------------------------------------------
 # CLI
@@ -1005,21 +758,12 @@ class TestCli:
         assert payload["errors"] == 0
         assert payload["stats"]["modules"] == 2
 
-    def test_update_pairs_acknowledges(self, tmp_path, capsys):
-        write_cli_project(tmp_path, DRIFT_FILES, roots=[])
-        config = ["--config", str(tmp_path / "pyproject.toml")]
-        assert main(config) == 1
-        capsys.readouterr()
-        assert main([*config, "--update-pairs"]) == 0
-        capsys.readouterr()
-        assert main(config) == 0
-
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         listed = [line.split()[0] for line in out.splitlines()]
         assert listed == [
-            "R004", "R005", "R006", "R007", "R100", "R101", "R103"
+            "R004", "R005", "R006", "R007", "R100", "R101"
         ]
 
     def test_module_entry_point(self, tmp_path):

@@ -453,7 +453,7 @@ class TestClosureCapture:
         ) == []
 
     # functools.partial must not launder a closure past the rule
-    # (regression: found while building the R103 drift pass).
+    # (regression).
 
     def test_partial_wrapping_lambda_to_submit_fires(self):
         assert rules_fired(
@@ -697,7 +697,7 @@ class TestMain:
         out = capsys.readouterr().out
         listed = [line.split()[0] for line in out.splitlines()]
         assert listed == [
-            "R004", "R005", "R006", "R007", "R100", "R101", "R103"
+            "R004", "R005", "R006", "R007", "R100", "R101"
         ]
 
     def test_warn_only_findings_exit_zero(self, tmp_path, capsys):

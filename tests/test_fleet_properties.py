@@ -114,9 +114,9 @@ def teardown_module(module):
         unique=True,
     ),
     systems=st.lists(
-        st.sampled_from([SystemKind.CONVERGE, SystemKind.SRTT]),
+        st.sampled_from(list(SystemKind)),
         min_size=1,
-        max_size=2,
+        max_size=3,
         unique=True,
     ),
 )

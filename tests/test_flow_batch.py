@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cc.gcc import GccConfig
 from repro.core.config import SystemKind
 from repro.experiments import runner as runner_mod
 from repro.experiments.cache import ResultCache
@@ -45,6 +46,7 @@ from repro.flow.batch import (
     plan_batches,
 )
 from repro.flow.frames import binomial_draw, binomial_from_uniform
+from repro.video.encoder import EncoderConfig
 
 from tests.batch_spy import watch_payload_builds
 from tests.normal_form import assert_normal_form, assert_same_payload
@@ -124,32 +126,96 @@ class TestPlanBatches:
         assert rest == [1, 2]
 
 
+def _assert_batch_is_scalar(cells):
+    batched = execute_batch(cells)
+    assert len(batched) == len(cells)
+    for cell, payload in zip(cells, batched):
+        assert_same_payload(payload, _scalar_payload(cell))
+
+
+# Path 0 is dark for the whole call and path 1 is lossy: every system
+# meets outage loss, the watchdog's degrade and disable, the idle-path
+# rate decay and (WebRTC-CM) a failover with its reconnect window.
+_OUTAGE_PATHS = ConstantPaths((0.0, 6e6), (0.02, 0.03), (0.0, 0.01))
+
+
 class TestExecuteBatchByteExact:
-    @pytest.mark.parametrize(
-        "system",
-        [SystemKind.CONVERGE, SystemKind.SRTT, SystemKind.WEBRTC],
-    )
+    """The array program is pinned to the scalar loop by behaviour:
+    every system, on fading traces, through an outage and at config
+    corners.  These batches are the only guard of the pair."""
+
+    @pytest.mark.parametrize("system", list(SystemKind))
     def test_matches_scalar_payloads(self, system):
-        cells = [_flow_cell(system, seed=seed) for seed in (1, 2, 3)]
-        batched = execute_batch(cells)
-        assert len(batched) == len(cells)
-        for cell, payload in zip(cells, batched):
-            assert_same_payload(payload, _scalar_payload(cell))
+        for scenario in ("driving", "walking"):
+            _assert_batch_is_scalar(
+                [
+                    _flow_cell(system, seed=seed, scenario=scenario)
+                    for seed in (1, 2, 3)
+                ]
+            )
+
+    @pytest.mark.parametrize("system", list(SystemKind))
+    def test_outage_matches_scalar(self, system):
+        _assert_batch_is_scalar(
+            [
+                make_cell(
+                    _OUTAGE_PATHS,
+                    system,
+                    seed=seed,
+                    duration=2 * DURATION,
+                    fidelity=Fidelity.FLOW,
+                )
+                for seed in (1, 2)
+            ]
+        )
+
+    @pytest.mark.parametrize("system", list(SystemKind))
+    def test_config_corners_match_scalar(self, system):
+        # Clamps the default config never reaches: a GCC ceiling below
+        # capacity with an encoder floor low enough for frames under
+        # the 200-byte minimum, and a path slower than the GCC floor,
+        # started at the floor, whose overuse cuts go below it.
+        corners = [
+            (
+                _OUTAGE_PATHS,
+                dict(
+                    gcc=GccConfig(min_rate=20_000.0, max_rate=2_000_000.0),
+                    encoder_template=EncoderConfig(min_bitrate=30_000.0),
+                ),
+            ),
+            (
+                ConstantPaths((50e3, 6e6), (0.02, 0.03), (0.0, 0.01)),
+                dict(gcc=GccConfig(initial_rate=100_000.0)),
+            ),
+        ]
+        for paths, overrides in corners:
+            _assert_batch_is_scalar(
+                [
+                    make_cell(
+                        paths,
+                        system,
+                        seed=seed,
+                        duration=DURATION,
+                        fidelity=Fidelity.FLOW,
+                        **overrides,
+                    )
+                    for seed in (1, 2)
+                ]
+            )
 
     def test_constant_paths_match_scalar(self):
-        cells = [
-            make_cell(
-                ConstantPaths((8e6, 8e6), (0.02, 0.03), (0.01, 0.0)),
-                SystemKind.CONVERGE,
-                seed=seed,
-                duration=DURATION,
-                fidelity=Fidelity.FLOW,
-            )
-            for seed in (5, 6)
-        ]
-        batched = execute_batch(cells)
-        for cell, payload in zip(cells, batched):
-            assert_same_payload(payload, _scalar_payload(cell))
+        _assert_batch_is_scalar(
+            [
+                make_cell(
+                    ConstantPaths((8e6, 8e6), (0.02, 0.03), (0.01, 0.0)),
+                    SystemKind.CONVERGE,
+                    seed=seed,
+                    duration=DURATION,
+                    fidelity=Fidelity.FLOW,
+                )
+                for seed in (5, 6)
+            ]
+        )
 
     def test_results_in_input_order(self):
         # Labels survive the round trip in the order the cells went in.
@@ -388,18 +454,18 @@ class TestDenseLossGroups:
     def test_certain_loss_without_an_outage(self, rates, system):
         # A loss rate of exactly 1 takes every packet with no draw,
         # and no lane is ever in outage on a constant path.
-        cells = [
-            make_cell(
-                ConstantPaths((6e6, 4e6), (0.02, 0.04), rates),
-                system,
-                seed=seed,
-                duration=DURATION,
-                fidelity=Fidelity.FLOW,
-            )
-            for seed in range(1, 5)
-        ]
-        for payload, cell in zip(execute_batch(cells), cells):
-            assert_same_payload(payload, _scalar_payload(cell))
+        _assert_batch_is_scalar(
+            [
+                make_cell(
+                    ConstantPaths((6e6, 4e6), (0.02, 0.04), rates),
+                    system,
+                    seed=seed,
+                    duration=DURATION,
+                    fidelity=Fidelity.FLOW,
+                )
+                for seed in range(1, 5)
+            ]
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -30,93 +30,59 @@ class FecMode(Enum):
     NONE = "none"
 
 
-@dataclass
-class WatchdogConfig:
-    """Feedback-silence watchdog: sender-side lossy-feedback hardening.
-
-    The control loop rides on RTCP; when a path's feedback goes silent
-    the sender must degrade gracefully instead of trusting (or
-    wedging on) stale state.  Stages: after ``degrade_timeout`` of
-    silence the path's rate is frozen at its last-known-good value and
-    decayed multiplicatively, and the path loses priority-packet
-    eligibility; after ``silence_timeout`` it is disabled outright and
-    re-probed with exponential backoff (cap + jitter).
-    """
-
-    # Silence before the path is degraded (rate frozen + decaying,
-    # priority packets diverted).  Transport feedback normally arrives
-    # every 50 ms, so this tolerates several lost reports.
-    degrade_timeout: float = 0.4
-    # Silence before the path is disabled entirely.
-    silence_timeout: float = 1.5
-    # Multiplicative decay of the frozen last-known-good rate while
-    # silence persists: rate *= decay_factor per decay_interval.
-    rate_decay_factor: float = 0.6
-    rate_decay_interval: float = 0.5
-    # Probe cadence for disabled paths: exponential backoff with cap
-    # and jitter, replacing the old fixed 200 ms cadence so a dead
-    # path is not hammered forever at full rate.
-    probe_interval_initial: float = 0.2
-    probe_interval_max: float = 1.0
-    probe_backoff_factor: float = 1.5
-    probe_jitter_fraction: float = 0.25
-    # Last-resort blind re-enable backoff (was hardcoded in the path
-    # manager): consecutive blind re-enables back off exponentially.
-    reenable_backoff_initial: float = 10.0
-    reenable_backoff_max: float = 60.0
-
-    def __post_init__(self) -> None:
-        if self.degrade_timeout <= 0:
-            raise ValueError("degrade timeout must be positive")
-        if self.silence_timeout <= self.degrade_timeout:
-            raise ValueError("silence timeout must exceed degrade timeout")
-        if not 0.0 < self.rate_decay_factor <= 1.0:
-            raise ValueError("rate decay factor must be in (0, 1]")
-        if self.rate_decay_interval <= 0:
-            raise ValueError("rate decay interval must be positive")
-        if self.probe_interval_initial <= 0:
-            raise ValueError("initial probe interval must be positive")
-        if self.probe_interval_max < self.probe_interval_initial:
-            raise ValueError("probe interval cap must be >= initial")
-        if self.probe_backoff_factor < 1.0:
-            raise ValueError("probe backoff factor must be >= 1")
-        if not 0.0 <= self.probe_jitter_fraction < 1.0:
-            raise ValueError("probe jitter fraction must be in [0, 1)")
-        if self.reenable_backoff_initial <= 0:
-            raise ValueError("re-enable backoff must be positive")
-        if self.reenable_backoff_max < self.reenable_backoff_initial:
-            raise ValueError("re-enable backoff cap must be >= initial")
+# Feedback-silence watchdog: sender-side lossy-feedback hardening, read
+# by the packet core's path manager and by both flow loops.  The control
+# loop rides on RTCP; when a path's feedback goes silent the sender must
+# degrade gracefully instead of trusting (or wedging on) stale state.
+#
+# Silence before the path is degraded (rate frozen at its last-known-good
+# value and decaying, priority packets diverted).  Transport feedback
+# normally arrives every 50 ms, so this tolerates several lost reports.
+WATCHDOG_DEGRADE_TIMEOUT = 0.4
+# Silence before the path is disabled entirely.
+WATCHDOG_SILENCE_TIMEOUT = 1.5
+# Multiplicative decay of the frozen rate while silence persists:
+# rate *= factor per interval.
+WATCHDOG_RATE_DECAY_FACTOR = 0.6
+WATCHDOG_RATE_DECAY_INTERVAL = 0.5
+# Probe cadence for disabled paths: exponential backoff with cap and
+# jitter, so a dead path is not hammered forever at full rate.
+WATCHDOG_PROBE_INTERVAL_INITIAL = 0.2
+WATCHDOG_PROBE_INTERVAL_MAX = 1.0
+WATCHDOG_PROBE_BACKOFF_FACTOR = 1.5
+WATCHDOG_PROBE_JITTER_FRACTION = 0.25
+# Last-resort blind re-enable: consecutive blind re-enables back off
+# exponentially.
+WATCHDOG_REENABLE_BACKOFF_INITIAL = 10.0
+WATCHDOG_REENABLE_BACKOFF_MAX = 60.0
 
 
 @dataclass
 class CallConfig:
-    """Everything needed to run one simulated conference call."""
+    """Everything needed to run one simulated conference call.
+
+    A stream's bitrate cap is ``encoder_template.max_bitrate``.
+    """
 
     system: SystemKind = SystemKind.CONVERGE
     fec_mode: FecMode = FecMode.CONVERGE
     duration: float = 60.0
     num_streams: int = 1
     frame_rate: float = 30.0
-    max_rate_per_stream: float = 10_000_000.0
     seed: int = 1
     # Which path single-path systems pin to.
     single_path_id: int = 0
     # Ablation switches (Fig. 11 / Table 4 run Converge without the
-    # QoE feedback loop).
+    # QoE feedback loop).  The receiver session takes both from here.
     qoe_feedback_enabled: bool = True
     nack_enabled: bool = True
     receiver: ReceiverConfig = field(default_factory=ReceiverConfig)
     encoder_template: EncoderConfig = field(default_factory=EncoderConfig)
     gcc: GccConfig = field(default_factory=GccConfig)
-    watchdog: WatchdogConfig = field(default_factory=WatchdogConfig)
-    # FEC grouping: at most this many media packets per XOR group.
-    fec_group_size: int = 10
     # Fraction of the (FEC-discounted) transport budget the encoder
     # may use.  Converge runs with headroom: QoE-driven means trading
     # a little raw rate for far fewer late frames under fades.
     encoder_utilization: float = 0.97
-    # Interval for time-series sampling in the metrics collector.
-    sample_interval: float = 0.5
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -124,10 +90,6 @@ class CallConfig:
             raise ValueError("duration must be positive")
         if self.num_streams < 1:
             raise ValueError("need at least one stream")
-        if self.fec_group_size < 2:
-            raise ValueError("FEC group size must be at least 2")
-        self.receiver.qoe_feedback_enabled = self.qoe_feedback_enabled
-        self.receiver.nack_enabled = self.nack_enabled
         if self.label is None:
             self.label = self.system.value
 

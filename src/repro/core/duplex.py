@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 from repro.core.api import build_scheduler
 from repro.core.config import CallConfig
 from repro.core.sender import SenderSession
-from repro.core.session import CallResult
+from repro.core.session import SAMPLE_INTERVAL, CallResult
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.qoe import summarize
 from repro.net.multipath import PathSet
@@ -86,7 +86,13 @@ class DuplexCall:
         metrics = MetricsCollector()
         ssrcs = [index + 1 for index in range(config.num_streams)]
         receiver = ReceiverSession(
-            self.sim, paths, ssrcs, config.receiver, metrics
+            self.sim,
+            paths,
+            ssrcs,
+            config.receiver,
+            metrics,
+            nack_enabled=config.nack_enabled,
+            qoe_feedback_enabled=config.qoe_feedback_enabled,
         )
 
         rtcp_delay = min(p.config.propagation_delay for p in paths)
@@ -108,7 +114,7 @@ class DuplexCall:
             path.on_feedback_deliver = sender.on_rtcp
         sampler = PeriodicProcess(
             self.sim,
-            config.sample_interval,
+            SAMPLE_INTERVAL,
             lambda: metrics.record_receive_rate_sample(self.sim.now),
         )
         return _Direction(

@@ -12,10 +12,10 @@ The path manager owns, per path:
   check ``(rtt_fast - rtt_i)/2 <= FCD`` driven by probe duplicates,
 - the feedback-silence watchdog: the whole control loop rides on RTCP,
   so when a path's feedback goes silent the sender must not trust (or
-  wedge on) stale state.  Silence past ``degrade_timeout`` freezes the
-  path's rate at its last-known-good value and decays it
+  wedge on) stale state.  Silence past ``WATCHDOG_DEGRADE_TIMEOUT``
+  freezes the path's rate at its last-known-good value and decays it
   multiplicatively while demoting the path from priority-packet
-  eligibility; past ``silence_timeout`` the path is disabled and
+  eligibility; past ``WATCHDOG_SILENCE_TIMEOUT`` the path is disabled and
   re-probed with exponential backoff (cap + jitter).  If silence would
   take down the *last* enabled path, the sender falls back to
   last-known-good single-path operation instead of wedging.
@@ -30,7 +30,18 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.cc.gcc import GccConfig, GoogleCongestionControl
-from repro.core.config import WatchdogConfig
+from repro.core.config import (
+    WATCHDOG_DEGRADE_TIMEOUT,
+    WATCHDOG_PROBE_BACKOFF_FACTOR,
+    WATCHDOG_PROBE_INTERVAL_INITIAL,
+    WATCHDOG_PROBE_INTERVAL_MAX,
+    WATCHDOG_PROBE_JITTER_FRACTION,
+    WATCHDOG_RATE_DECAY_FACTOR,
+    WATCHDOG_RATE_DECAY_INTERVAL,
+    WATCHDOG_REENABLE_BACKOFF_INITIAL,
+    WATCHDOG_REENABLE_BACKOFF_MAX,
+    WATCHDOG_SILENCE_TIMEOUT,
+)
 from repro.metrics.collector import MetricsCollector
 from repro.net.multipath import PathSet
 from repro.rtp.packets import RtpPacket
@@ -70,14 +81,14 @@ class _PathState:
     last_feedback_time: float = -1.0
     last_probe_time: float = -1.0
     # Exponential backoff for blind re-enables of a silent path.
-    reenable_backoff: float = 10.0
+    reenable_backoff: float = WATCHDOG_REENABLE_BACKOFF_INITIAL
     last_send_time: float = -1.0
     # Media sends only (padding probes excluded): paths that carry no
     # media are not capacity-probed, or an unused path's inflated
     # estimate would leak into the encoder budget.
     last_media_send_time: float = -1.0
     # -- feedback-silence watchdog state ------------------------------
-    # Degraded: feedback silent past degrade_timeout; the rate below is
+    # Degraded: feedback silent past the degrade timeout; the rate below is
     # the last-known-good GCC target frozen at degrade time, decayed
     # multiplicatively while silence persists.
     degraded: bool = False
@@ -89,8 +100,8 @@ class _PathState:
     failsafe: bool = False
     # Probe backoff (disabled paths): current interval and the jittered
     # wait actually applied before the next probe.
-    probe_interval: float = 0.2
-    probe_wait: float = 0.2
+    probe_interval: float = WATCHDOG_PROBE_INTERVAL_INITIAL
+    probe_wait: float = WATCHDOG_PROBE_INTERVAL_INITIAL
     # Graceful teardown: the path takes no new media (zero Eq. 1
     # weight, invisible to schedulers) but keeps processing feedback so
     # in-flight packets can still be acknowledged before removal.
@@ -105,12 +116,10 @@ class PathManager:
         sim: Simulator,
         paths: PathSet,
         gcc_config: GccConfig | None = None,
-        watchdog: WatchdogConfig | None = None,
         metrics: MetricsCollector | None = None,
     ) -> None:
         self.sim = sim
         self.paths = paths
-        self.watchdog = watchdog or WatchdogConfig()
         self.metrics = metrics
         self._gcc_config = gcc_config
         self._states: Dict[int, _PathState] = {
@@ -128,10 +137,7 @@ class PathManager:
 
     def _new_state(self, path_id: int) -> _PathState:
         return _PathState(
-            gcc=GoogleCongestionControl(path_id, self._gcc_config),
-            reenable_backoff=self.watchdog.reenable_backoff_initial,
-            probe_interval=self.watchdog.probe_interval_initial,
-            probe_wait=self.watchdog.probe_interval_initial,
+            gcc=GoogleCongestionControl(path_id, self._gcc_config)
         )
 
     # -- path lifecycle ----------------------------------------------------
@@ -259,8 +265,8 @@ class PathManager:
     ) -> None:
         """Feedback arrived: the path is alive again."""
         state.last_feedback_time = now
-        state.probe_interval = self.watchdog.probe_interval_initial
-        state.probe_wait = self.watchdog.probe_interval_initial
+        state.probe_interval = WATCHDOG_PROBE_INTERVAL_INITIAL
+        state.probe_wait = WATCHDOG_PROBE_INTERVAL_INITIAL
         state.failsafe = False
         if state.degraded:
             state.degraded = False
@@ -308,7 +314,7 @@ class PathManager:
         for path_id, state in self._states.items():
             if not state.enabled or state.degraded or state.draining:
                 continue
-            if self._silence_age(state, now) > self.watchdog.degrade_timeout:
+            if self._silence_age(state, now) > WATCHDOG_DEGRADE_TIMEOUT:
                 state.degraded = True
                 state.frozen_rate = state.gcc.target_rate
                 state.degraded_at = now
@@ -319,10 +325,8 @@ class PathManager:
         if not state.degraded:
             return state.gcc.target_rate
         silent_for = max(now - state.degraded_at, 0.0)
-        periods = silent_for / self.watchdog.rate_decay_interval
-        decayed = state.frozen_rate * (
-            self.watchdog.rate_decay_factor ** periods
-        )
+        periods = silent_for / WATCHDOG_RATE_DECAY_INTERVAL
+        decayed = state.frozen_rate * (WATCHDOG_RATE_DECAY_FACTOR ** periods)
         return max(decayed, state.gcc.config.min_rate)
 
     def effective_rate(self, path_id: int) -> float:
@@ -424,7 +428,6 @@ class PathManager:
         return snapshots
 
     def _update_enablement(self, now: float) -> None:
-        wd = self.watchdog
         fast_srtt = min(
             (
                 s.gcc.srtt
@@ -443,7 +446,7 @@ class PathManager:
                 continue
             if state.enabled:
                 silent = (
-                    self._silence_age(state, now) > wd.silence_timeout
+                    self._silence_age(state, now) > WATCHDOG_SILENCE_TIMEOUT
                 )
                 bootstrap_dead = (
                     state.last_feedback_time < 0
@@ -479,7 +482,8 @@ class PathManager:
                 self._record_event(now, path_id, "disabled")
                 if silent or bootstrap_dead:
                     state.reenable_backoff = min(
-                        state.reenable_backoff * 2, wd.reenable_backoff_max
+                        state.reenable_backoff * 2,
+                        WATCHDOG_REENABLE_BACKOFF_MAX,
                     )
                 continue
             # Eq. 3 re-enable: the disabled path's extra one-way delay
@@ -499,7 +503,7 @@ class PathManager:
                 enabled_count += 1
                 self._record_event(now, path_id, "enabled")
                 if recovered:
-                    state.reenable_backoff = wd.reenable_backoff_initial
+                    state.reenable_backoff = WATCHDOG_REENABLE_BACKOFF_INITIAL
 
     def _decay_adjustments(self) -> None:
         for state in self._states.values():
@@ -656,16 +660,15 @@ class PathManager:
         ):
             return False
         state.last_probe_time = now
-        wd = self.watchdog
         jitter = 1.0 + self._probe_rng.uniform(
-            -wd.probe_jitter_fraction, wd.probe_jitter_fraction
+            -WATCHDOG_PROBE_JITTER_FRACTION, WATCHDOG_PROBE_JITTER_FRACTION
         )
         state.probe_wait = state.probe_interval * jitter
         # Back off for the round after this one: the first retry keeps
         # the initial cadence, then each silent round stretches it.
         state.probe_interval = min(
-            state.probe_interval * wd.probe_backoff_factor,
-            wd.probe_interval_max,
+            state.probe_interval * WATCHDOG_PROBE_BACKOFF_FACTOR,
+            WATCHDOG_PROBE_INTERVAL_MAX,
         )
         return True
 

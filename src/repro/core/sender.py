@@ -60,6 +60,8 @@ _PADDING_SSRC = 0
 # all of it onto the survivors would displace live frames, so only the
 # newest packets (the ones a receiver could still render) are saved.
 _REROUTE_LIMIT = 64
+# FEC grouping: at most this many media packets per XOR group.
+_FEC_GROUP_SIZE = 10
 
 
 @dataclass
@@ -94,9 +96,7 @@ class SenderSession:
         self.scheduler = scheduler
         self.metrics = metrics or MetricsCollector()
         self._send_rtcp_to_receiver = send_rtcp_to_receiver
-        self.path_manager = PathManager(
-            sim, paths, config.gcc, config.watchdog, self.metrics
-        )
+        self.path_manager = PathManager(sim, paths, config.gcc, self.metrics)
         self.pacer = Pacer(sim, self._send_on_path)
         self._fec_seq = 1_000_000  # FEC/RTX use their own sequence space
         self._rtx_seq = 2_000_000
@@ -111,7 +111,6 @@ class SenderSession:
                 config.encoder_template,
                 ssrc=ssrc,
                 frame_rate=config.frame_rate,
-                max_bitrate=config.max_rate_per_stream,
             )
             encoder = Encoder(encoder_config, sim.streams)
             packetizer = Packetizer(ssrc)
@@ -315,7 +314,6 @@ class SenderSession:
         if num_fec <= 0 or not media:
             return []
         num_fec = min(num_fec, len(media))
-        max_group = self.config.fec_group_size
         groups: List[List[RtpPacket]] = [[] for _ in range(num_fec)]
         for index, packet in enumerate(media):
             groups[index % num_fec].append(packet)
@@ -323,7 +321,7 @@ class SenderSession:
         for group in groups:
             if not group:
                 continue
-            group = group[:max_group]
+            group = group[:_FEC_GROUP_SIZE]
             template = group[0]
             self._fec_seq += 1
             fec_packets.append(

@@ -32,6 +32,8 @@ from repro.traces.scenarios import (
 # feedback interval), short enough not to hold dead state around.
 _DRAIN_GRACE_MIN = 0.2
 _DRAIN_GRACE_MAX = 1.0
+# Cadence of the receive-rate and target-rate time series.
+SAMPLE_INTERVAL = 0.5
 
 
 @dataclass
@@ -84,6 +86,8 @@ class ConferenceCall:
             ssrcs,
             config.receiver,
             self.metrics,
+            nack_enabled=config.nack_enabled,
+            qoe_feedback_enabled=config.qoe_feedback_enabled,
         )
         self.sender = SenderSession(
             self.sim,
@@ -101,7 +105,7 @@ class ConferenceCall:
             p.config.propagation_delay for p in self.paths
         )
         self._sampler = PeriodicProcess(
-            self.sim, config.sample_interval, self._sample
+            self.sim, SAMPLE_INTERVAL, self._sample
         )
         if profiler is not None:
             profiler.attach_call(self)

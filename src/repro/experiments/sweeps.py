@@ -18,7 +18,7 @@ receiver defaults) runs once.
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SystemKind
 from repro.experiments.cells import (
@@ -70,11 +70,15 @@ def cells(
     loss_rate: float = 0.02,
 ) -> List[Cell]:
     """Packet-buffer, playout-deadline and loss-model points, in that
-    order; the loss models share one long-run ``loss_rate``."""
+    order; the loss models share one long-run ``loss_rate``.  The flow
+    model has no packet buffer, so at flow fidelity that block is left
+    out rather than run as copies of the default cell."""
     converge = partial(
         make_cell, seed=seed, duration=duration, fidelity=fidelity
     )
     driving = ScenarioPaths("driving")
+    if Fidelity(fidelity) is Fidelity.FLOW:
+        capacities = ()
     receivers = [
         *(
             ReceiverConfig(packet_buffer=PacketBufferConfig(capacity_packets=c))
@@ -104,28 +108,38 @@ def cells(
 def points(rows: Sequence[Row]) -> List[Tuple[str, object, CellSummary]]:
     """``(parameter, value, summary)`` per row.
 
-    The receiver defaults (2048 packets, 0.8 s) are a point of both
-    receiver sweeps — one call, so one cell — and a sweep's points are
-    contiguous in the grid: that cell goes with the row before it.
+    The receiver defaults (2048 packets, 0.8 s) are a point of every
+    receiver sweep in the grid — one call, so one cell — and a sweep's
+    points are contiguous in the grid: that cell goes with the row
+    before it, or with the first sweep when it opens the grid.
     """
-    default = ReceiverConfig()
-    parameter = "packet_buffer"
+    swept = [_swept(cell) for cell, _summary in rows]
+    parameter = next((p for p in swept if p is not None), "playout_deadline")
     out: List[Tuple[str, object, CellSummary]] = []
-    for cell, summary in rows:
+    for (cell, summary), own in zip(rows, swept):
+        parameter = own or parameter
         receiver = cell.override_kwargs().get("receiver")
         value: object = cell.label
-        if receiver is None:
-            parameter = "loss_model"
-        elif receiver.packet_buffer != default.packet_buffer:
-            parameter = "packet_buffer"
-        elif receiver.max_playout_latency != default.max_playout_latency:
-            parameter = "playout_deadline"
         if parameter == "packet_buffer":
             value = receiver.packet_buffer.capacity_packets
         elif parameter == "playout_deadline":
             value = receiver.max_playout_latency
         out.append((parameter, value, summary))
     return out
+
+
+def _swept(cell: Cell) -> Optional[str]:
+    """The parameter ``cell`` moves off the defaults; None for the
+    receiver defaults themselves."""
+    receiver = cell.override_kwargs().get("receiver")
+    default = ReceiverConfig()
+    if receiver is None:
+        return "loss_model"
+    if receiver.packet_buffer != default.packet_buffer:
+        return "packet_buffer"
+    if receiver.max_playout_latency != default.max_playout_latency:
+        return "playout_deadline"
+    return None
 
 
 def render(rows: Sequence[Row]) -> str:

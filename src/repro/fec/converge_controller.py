@@ -20,6 +20,16 @@ from typing import Deque, Dict
 _BETA_DECAY_PER_SECOND = 0.35
 _BETA_MAX = 4.0
 _NACK_WINDOW = 0.5
+# Below this loss estimate a path gets no FEC at all.
+_MIN_LOSS_FOR_FEC = 0.002
+# Loss above this is congestion, GCC's problem rather than FEC's.
+_MAX_PROTECTED_LOSS = 0.2
+# Hard ceiling on the protection fraction per path: past ~25% the FEC
+# bytes cost more QoE than the losses they might repair.
+_MAX_PROTECTION = 0.25
+# Expected-losses-per-round level above which a round is protected
+# with one FEC packet even when the proportional count floors to 0.
+_ROUND_UP_THRESHOLD = 0.15
 
 
 @dataclass
@@ -40,14 +50,6 @@ class _PathFecState:
 class ConvergeFecController:
     """Per-path FEC rate control with NACK-driven beta."""
 
-    min_loss_for_fec: float = 0.002
-    max_protected_loss: float = 0.2
-    # Hard ceiling on the protection fraction per path: past ~25% the
-    # FEC bytes cost more QoE than the losses they might repair.
-    max_protection: float = 0.25
-    # Expected-losses-per-round level above which a round is protected
-    # with one FEC packet even when the proportional count floors to 0.
-    round_up_threshold: float = 0.15
     _paths: Dict[int, _PathFecState] = field(default_factory=dict)
 
     def _state(self, path_id: int) -> _PathFecState:
@@ -63,17 +65,17 @@ class ConvergeFecController:
             raise ValueError(f"loss rate out of range: {loss_rate}")
         state = self._state(path_id)
         self._decay_beta(state, now)
-        if loss_rate < self.min_loss_for_fec:
+        if loss_rate < _MIN_LOSS_FOR_FEC:
             state.last_round_packets = num_packets
             state.last_round_fec = 0
             return 0
         # Congestion loss is GCC's problem, not FEC's: protecting
         # against queue-overflow loss just adds load to the queue.
-        loss_rate = min(loss_rate, self.max_protected_loss)
-        protection = min(loss_rate * state.beta, self.max_protection)
+        loss_rate = min(loss_rate, _MAX_PROTECTED_LOSS)
+        protection = min(loss_rate * state.beta, _MAX_PROTECTION)
         exact = protection * num_packets + state.fec_carry
         fec = min(int(exact), num_packets)  # never more FEC than media
-        if fec == 0 and protection * num_packets >= self.round_up_threshold:
+        if fec == 0 and protection * num_packets >= _ROUND_UP_THRESHOLD:
             # A frame with a meaningful chance of losing a packet gets
             # at least one FEC packet: recovering inline is worth far
             # more than an RTX racing the playout deadline.  This is

@@ -10,7 +10,11 @@ measured envelope.
 
 from __future__ import annotations
 
-# (loss-rate upper bound, delta-frame protection factor).
+from bisect import bisect_left
+
+# (loss-rate upper bound, delta-frame protection factor).  The flow
+# backends read this table too (repro.flow), so an edit here moves
+# both fidelities.
 _PROTECTION_TABLE = (
     (0.002, 0.00),
     (0.005, 0.30),
@@ -26,16 +30,18 @@ _PROTECTION_TABLE = (
 
 KEYFRAME_MULTIPLIER = 2.0
 
+# The table's columns, for lookup by bisection.
+_BOUNDS = tuple(bound for bound, _ in _PROTECTION_TABLE)
+_FACTORS = tuple(factor for _, factor in _PROTECTION_TABLE)
+
 
 def webrtc_protection_factor(loss_rate: float, is_keyframe: bool = False) -> float:
     """Protection factor (FEC packets per media packet) from the table."""
     if not 0.0 <= loss_rate <= 1.0:
         raise ValueError(f"loss rate out of range: {loss_rate}")
-    factor = _PROTECTION_TABLE[-1][1]
-    for bound, value in _PROTECTION_TABLE:
-        if loss_rate <= bound:
-            factor = value
-            break
+    # The first row whose bound the loss rate does not exceed; the
+    # last bound is 1.0, so there always is one.
+    factor = _FACTORS[bisect_left(_BOUNDS, loss_rate)]
     if is_keyframe:
         factor = min(factor * KEYFRAME_MULTIPLIER, 1.0)
     return factor

@@ -66,20 +66,30 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.cc.gcc import _LOSS_PEAK_TAU, _LOSS_SMOOTHING
-from repro.core.config import CallConfig, FecMode, SystemKind
+from repro.core.config import (
+    WATCHDOG_DEGRADE_TIMEOUT,
+    WATCHDOG_RATE_DECAY_FACTOR,
+    WATCHDOG_RATE_DECAY_INTERVAL,
+    WATCHDOG_SILENCE_TIMEOUT,
+    CallConfig,
+    FecMode,
+    SystemKind,
+)
 from repro.core.sender import _CAPACITY_PROBE_INTERVAL as _PROBE_INTERVAL
+from repro.core.session import SAMPLE_INTERVAL
 from repro.experiments.cells import Cell, Fidelity, canonical_json
 from repro.fec.converge_controller import (
     _BETA_DECAY_PER_SECOND as _BETA_DECAY,
     _BETA_MAX,
-)
-from repro.flow.frames import (
-    MAX_RTX_ROUNDS,
-    _BETA_BUMP,
     _MAX_PROTECTED_LOSS,
     _MAX_PROTECTION,
     _MIN_LOSS_FOR_FEC,
     _ROUND_UP_THRESHOLD,
+)
+from repro.fec.tables import _BOUNDS, _FACTORS, KEYFRAME_MULTIPLIER
+from repro.flow.frames import (
+    MAX_RTX_ROUNDS,
+    _BETA_BUMP,
     binomial_from_uniform,
 )
 from repro.flow.link import FlowLink
@@ -110,15 +120,18 @@ from repro.flow.session import (
     _FRAME_PROBE_MIN_RATE,
     _KEYFRAME_DEBT_REPAY,
     _KEYFRAME_RECOVERY_DELAY,
-    _KEYFRAME_REQUEST_INTERVAL,
     _MIN_FRAME_BYTES,
     _PROBE_MAX_LOSS,
     _PROBE_MAX_QUEUE_DELAY,
     _PROTECTION_SMOOTHING,
+    refuse_unmodelled,
 )
 from repro.metrics.qoe import FREEZE_THRESHOLD, REPEATED_FRAME_PSNR
+from repro.net.path import _OUTAGE_CAPACITY_BPS
+from repro.receiver.session import KEYFRAME_REQUEST_MIN_INTERVAL
 from repro.rtp.packets import DEFAULT_MTU_PAYLOAD
 from repro.simulation.random import derive_seed
+from repro.video.encoder import KEYFRAME_SIZE_MULTIPLIER
 
 F8 = NDArray[np.float64]
 I8 = NDArray[np.int64]
@@ -256,7 +269,7 @@ def _vector_step_caps(link: FlowLink, query: F8) -> F8:
     index = np.searchsorted(times, query, side="right") - 1
     index[index < 0] = 0
     caps: F8 = values[index]
-    return np.where(caps < link._outage_bps, 0.0, caps)
+    return np.where(caps < _OUTAGE_CAPACITY_BPS, 0.0, caps)
 
 
 def _take_lane_rows(holder: Any, name: str) -> NDArray[Any]:
@@ -552,9 +565,7 @@ class _BatchFlowRun:
         self.dt = 1.0 / config.frame_rate
         self.steps = int(round(config.duration * config.frame_rate))
         steps = self.steps
-        self.sample_every = max(
-            int(round(config.sample_interval / self.dt)), 1
-        )
+        self.sample_every = max(int(round(SAMPLE_INTERVAL / self.dt)), 1)
         self.nows = [step * self.dt for step in range(steps)]
         self.sample_steps = list(range(0, steps, self.sample_every))
         samples = len(self.sample_steps)
@@ -625,9 +636,9 @@ class _BatchFlowRun:
         rd_model = enc.rd_model
         rd_anchor = rd_model.anchor_bitrate
         enc_min = enc.min_bitrate
-        enc_cap = min(enc.max_bitrate, config.max_rate_per_stream)
+        enc_cap = enc.max_bitrate
         gop_length = enc.gop_length
-        key_mult = enc.keyframe_size_multiplier
+        key_mult = KEYFRAME_SIZE_MULTIPLIER
         size_jitter = enc.size_jitter
         jit_lo = -size_jitter
         jit_span = size_jitter - jit_lo
@@ -635,11 +646,8 @@ class _BatchFlowRun:
         encoder_utilization = config.encoder_utilization
         num_streams = config.num_streams
         max_latency = config.receiver.max_playout_latency
-        watchdog = config.watchdog
-        degrade_timeout = watchdog.degrade_timeout
-        silence_timeout = watchdog.silence_timeout
-        decay_scaled = watchdog.rate_decay_factor ** (
-            dt / watchdog.rate_decay_interval
+        decay_scaled = WATCHDOG_RATE_DECAY_FACTOR ** (
+            dt / WATCHDOG_RATE_DECAY_INTERVAL
         )
         qoe_feedback = config.qoe_feedback_enabled
         peak_decay = math.exp(-dt / _LOSS_PEAK_TAU)
@@ -648,6 +656,8 @@ class _BatchFlowRun:
         fec_none = fec_mode is FecMode.NONE
         fec_webrtc = fec_mode is FecMode.WEBRTC_TABLE
         fec_converge = fec_mode is FecMode.CONVERGE
+        fec_bounds = np.array(_BOUNDS)
+        fec_factors = np.array(_FACTORS)
         system = config.system
         is_converge = system is SystemKind.CONVERGE
         is_webrtc = system is SystemKind.WEBRTC
@@ -685,8 +695,7 @@ class _BatchFlowRun:
                 )
                 if attention.any():
                     self._watchdog(
-                        now, p, lane, cap, attention, degrade_timeout,
-                        silence_timeout, decay_scaled, gcc_min,
+                        now, p, lane, cap, attention, decay_scaled, gcc_min
                     )
                 # The per-path sending rate: min(rate, loss_rate), floored.
                 tgt = np.minimum(lane.rate, lane.loss_rate)
@@ -794,7 +803,9 @@ class _BatchFlowRun:
             # -- keyframe requests ----------------------------------------
             due = self.blocked & (now >= self.request_at)
             if due.any():
-                fire = due & ((now - self.last_request) >= _KEYFRAME_REQUEST_INTERVAL)
+                fire = due & (
+                    (now - self.last_request) >= KEYFRAME_REQUEST_MIN_INTERVAL
+                )
                 if fire.any():
                     self.last_request[fire] = now
                     self.request_at[fire] = inf
@@ -920,22 +931,10 @@ class _BatchFlowRun:
                 if fec_none:
                     pass
                 elif fec_webrtc:
-                    pf = np.select(
-                        [
-                            le <= 0.002,
-                            le <= 0.005,
-                            le <= 0.010,
-                            le <= 0.020,
-                            le <= 0.030,
-                            le <= 0.050,
-                            le <= 0.070,
-                            le <= 0.100,
-                            le <= 0.150,
-                        ],
-                        [0.0, 0.30, 0.40, 0.43, 0.45, 0.48, 0.50, 0.55, 0.60],
-                        default=0.65,
-                    )
-                    doubled = pf * 2.0
+                    # webrtc_protection_factor, batched: the first row
+                    # whose bound ``le`` does not exceed.
+                    pf = fec_factors[np.searchsorted(fec_bounds, le)]
+                    doubled = pf * KEYFRAME_MULTIPLIER
                     doubled = np.where(doubled > 1.0, 1.0, doubled)
                     pf = np.where(lane.step_key[idx], doubled, pf)
                     exact = pf * mp + lane.carry[idx]
@@ -1349,8 +1348,6 @@ class _BatchFlowRun:
         lane: _PathLanes,
         cap: F8,
         attention: B1,
-        degrade_timeout: float,
-        silence_timeout: float,
         decay_scaled: float,
         gcc_min: float,
     ) -> None:
@@ -1358,7 +1355,7 @@ class _BatchFlowRun:
         dark = attention & (cap <= 0.0)
         if dark.any():
             lane.silence = np.where(dark, lane.silence + self.dt, lane.silence)
-            over = dark & (lane.silence > degrade_timeout)
+            over = dark & (lane.silence > WATCHDOG_DEGRADE_TIMEOUT)
             if over.any():
                 newly = over & ~lane.degraded
                 if newly.any():
@@ -1373,7 +1370,11 @@ class _BatchFlowRun:
                 lane.loss_rate = np.where(
                     over, np.where(lr < gcc_min, gcc_min, lr), lane.loss_rate
                 )
-            gone = dark & (lane.silence > silence_timeout) & ~lane.disabled
+            gone = (
+                dark
+                & (lane.silence > WATCHDOG_SILENCE_TIMEOUT)
+                & ~lane.disabled
+            )
             if gone.any():
                 lane.disabled |= gone
                 for i in np.flatnonzero(gone).tolist():
@@ -1972,10 +1973,12 @@ def execute_batch(cells: Sequence[Cell]) -> List[Dict[str, Any]]:
 
 
 def build_template_config(cell: Cell) -> CallConfig:
-    """The :class:`CallConfig` the batch shares (seed/label vary)."""
+    """The :class:`CallConfig` the batch shares (seed/label vary);
+    refused like the scalar loop's when it sets what the flow model
+    does not read."""
     from repro.core.api import build_call_config
 
-    return build_call_config(
+    config = build_call_config(
         cell.system,
         duration=cell.duration,
         num_streams=cell.num_streams,
@@ -1984,3 +1987,5 @@ def build_template_config(cell: Cell) -> CallConfig:
         label=cell.label,
         **cell.override_kwargs(),
     )
+    refuse_unmodelled(config)
+    return config

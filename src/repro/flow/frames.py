@@ -13,18 +13,19 @@ on a path is decided in one shot:
    rounds, each adding one SRTT to the frame's completion time, after
    which the frame is failed on that path.
 
-Protection overhead comes from the same policies the packet core uses:
-the WebRTC loss-rate table (:func:`repro.fec.tables
-.webrtc_protection_factor`) with fractional carry, or the Converge
-controller's loss-proportional rule with its QoE-feedback beta
+Protection overhead comes from the same policies the packet core uses,
+with the same constants: the WebRTC loss-rate table
+(:mod:`repro.fec.tables`) with fractional carry, or the Converge
+controller's loss-proportional rule (the constants of
+:mod:`repro.fec.converge_controller`) with its QoE-feedback beta
 (approximated here by its decay plus an uncovered-loss bump — the
 NACK-driven signal collapsed to the frame outcome we just computed).
 
 The decision itself is written out per path in the two implementations
 of the flow model, the scalar loop (:meth:`repro.flow.session.FlowCall
 .run`) and the array program (:mod:`repro.flow.batch`); this module
-holds what they share: the constants, the binomial sampler both replay
-and the per-path protection state.
+holds what they share beyond that: the retransmission budget, the
+binomial sampler both replay and the per-path protection state.
 """
 
 from __future__ import annotations
@@ -38,12 +39,6 @@ from repro.fec.converge_controller import _BETA_MAX
 # the packet core's NACK retry budget).
 MAX_RTX_ROUNDS = 2
 
-# Converge protection-rule constants, mirrored from
-# repro.fec.converge_controller.ConvergeFecController.
-_MIN_LOSS_FOR_FEC = 0.002
-_MAX_PROTECTED_LOSS = 0.2
-_MAX_PROTECTION = 0.25
-_ROUND_UP_THRESHOLD = 0.15
 # Uncovered-loss bump: how strongly a frame that FEC failed to cover
 # raises beta, standing in for the controller's NACK-window rule.
 _BETA_BUMP = 0.5

@@ -39,7 +39,7 @@ from repro.net.loss import (
     NoLoss,
     ScheduledLoss,
 )
-from repro.net.path import PathConfig
+from repro.net.path import _OUTAGE_CAPACITY_BPS, PathConfig
 
 
 class FlowLink:
@@ -57,7 +57,6 @@ class FlowLink:
         "queue_cap_override",
         "_trace",
         "_queue_capacity",
-        "_outage_bps",
         "_base_loss",
         "_burst_loss",
         "_burst_packets",
@@ -77,7 +76,6 @@ class FlowLink:
         self.queue_cap_override: Optional[int] = None
         self._trace = config.trace
         self._queue_capacity = config.queue_capacity_bytes
-        self._outage_bps = config.outage_capacity_bps
         self._scheduled: Optional[ScheduledLoss] = None
         self._base_loss = 0.0
         self._burst_loss = 0.0
@@ -121,9 +119,8 @@ class FlowLink:
         reads directly; with an active fault plan the session falls
         back to :meth:`capacity` so overrides still apply.
         """
-        outage = self._outage_bps
         self.step_caps = [
-            0.0 if cap < outage else cap
+            0.0 if cap < _OUTAGE_CAPACITY_BPS else cap
             for cap in self._trace.sample_steps(dt, steps)
         ]
 
@@ -133,7 +130,7 @@ class FlowLink:
         override = self.capacity_cap
         if override is not None and override < cap:
             cap = override
-        if cap < self._outage_bps:
+        if cap < _OUTAGE_CAPACITY_BPS:
             return 0.0
         return cap
 

@@ -6,7 +6,8 @@
 :class:`CallResult` out — it populates a real
 :class:`MetricsCollector` and hands it to the same ``summarize``, so
 ``analysis/export.result_to_dict`` produces an identical payload
-shape with zero export-layer duplication.
+shape with zero export-layer duplication.  A config that sets what the
+flow model does not read is refused (:func:`refuse_unmodelled`).
 
 Instead of discrete packet events the call advances one frame
 interval (``1 / frame_rate``) at a time.  Each step: apply churn and
@@ -23,12 +24,21 @@ packet-level GCC.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cc.gcc import _LOSS_PEAK_TAU, _LOSS_SMOOTHING, _PROBE_SEND_GAP
 from repro.cc.pacing import _DEFAULT_PACING_FACTOR
-from repro.core.config import CallConfig, FecMode, SystemKind
+from repro.core.config import (
+    WATCHDOG_DEGRADE_TIMEOUT,
+    WATCHDOG_RATE_DECAY_FACTOR,
+    WATCHDOG_RATE_DECAY_INTERVAL,
+    WATCHDOG_SILENCE_TIMEOUT,
+    CallConfig,
+    FecMode,
+    SystemKind,
+)
 # Padding probe-burst cadence.  The t=0 tick never measures anything
 # (no media in flight yet), so the first effective probe lands at
 # t=2 s, as in the packet traces, where every system's first rate
@@ -37,17 +47,19 @@ from repro.core.sender import _CAPACITY_PROBE_INTERVAL as _PROBE_INTERVAL
 from repro.core.session import (
     _DRAIN_GRACE_MAX,
     _DRAIN_GRACE_MIN,
+    SAMPLE_INTERVAL,
     CallResult,
 )
 from repro.faults.plan import ChurnAction, FaultKind, FaultPlan
 from repro.fec.converge_controller import (
     _BETA_DECAY_PER_SECOND as _BETA_DECAY,
-)
-from repro.flow.frames import (
     _MAX_PROTECTED_LOSS,
     _MAX_PROTECTION,
     _MIN_LOSS_FOR_FEC,
     _ROUND_UP_THRESHOLD,
+)
+from repro.fec.tables import webrtc_protection_factor
+from repro.flow.frames import (
     MAX_RTX_ROUNDS,
     PathFec,
     binomial_draw,
@@ -79,6 +91,10 @@ from repro.metrics.collector import (
 )
 from repro.metrics.qoe import summarize
 from repro.net.path import PathConfig
+from repro.receiver.session import (
+    KEYFRAME_REQUEST_MIN_INTERVAL,
+    ReceiverConfig,
+)
 from repro.rtp.packets import DEFAULT_MTU_PAYLOAD
 from repro.simulation.random import RandomStreams
 from repro.traces.scenarios import (
@@ -87,10 +103,8 @@ from repro.traces.scenarios import (
     propagation_delay,
     scenario_networks,
 )
+from repro.video.encoder import KEYFRAME_SIZE_MULTIPLIER
 
-# Minimum spacing between keyframe requests per stream (receiver PLI
-# throttling in the packet core).
-_KEYFRAME_REQUEST_INTERVAL = 1.0
 # Delta frames repay at most this fraction of a base frame per frame.
 _KEYFRAME_DEBT_REPAY = 0.2
 # Smallest encoded frame the encoder will emit.
@@ -262,6 +276,7 @@ class FlowCall:
     ) -> None:
         if not path_configs:
             raise ValueError("a call needs at least one path")
+        refuse_unmodelled(config)
         self.config = config
         self.metrics = MetricsCollector()
         self._streams = RandomStreams(config.seed)
@@ -444,20 +459,19 @@ class FlowCall:
     def _update_watchdog(
         self, now: float, dt: float, state: _PathState, cap: float
     ) -> None:
-        watchdog = self.config.watchdog
         pid = state.link.path_id
         dark = state.feedback_dark or cap <= 0.0
         state.ctrl.frozen = state.feedback_dark
         if dark:
             state.silence += dt
-            if state.silence > watchdog.degrade_timeout:
+            if state.silence > WATCHDOG_DEGRADE_TIMEOUT:
                 if not state.degraded:
                     state.degraded = True
                     self.metrics.record_path_event(now, pid, "degraded")
                 state.ctrl.decay(
-                    dt, watchdog.rate_decay_factor, watchdog.rate_decay_interval
+                    dt, WATCHDOG_RATE_DECAY_FACTOR, WATCHDOG_RATE_DECAY_INTERVAL
                 )
-            if state.silence > watchdog.silence_timeout and not state.disabled:
+            if state.silence > WATCHDOG_SILENCE_TIMEOUT and not state.disabled:
                 state.disabled = True
                 self.metrics.record_path_event(now, pid, "disabled")
         elif state.silence > 0.0:
@@ -549,7 +563,7 @@ class FlowCall:
         system = config.system
         dt = self._step_dt
         steps = self._total_steps
-        sample_every = max(int(round(config.sample_interval / dt)), 1)
+        sample_every = max(int(round(SAMPLE_INTERVAL / dt)), 1)
         mtu = DEFAULT_MTU_PAYLOAD
         enc = config.encoder_template
         rd_model = enc.rd_model
@@ -559,9 +573,9 @@ class FlowCall:
         rd_qp_min = rd_model.qp_min
         rd_qp_max = rd_model.qp_max
         enc_min = enc.min_bitrate
-        enc_cap = min(enc.max_bitrate, config.max_rate_per_stream)
+        enc_cap = enc.max_bitrate
         gop_length = enc.gop_length
-        key_mult = enc.keyframe_size_multiplier
+        key_mult = KEYFRAME_SIZE_MULTIPLIER
         size_jitter = enc.size_jitter
         # rng.uniform(-j, j), precomputed: CPython's uniform(a, b) is
         # a + (b - a) * random(), reproduced term for term.
@@ -571,9 +585,8 @@ class FlowCall:
         encoder_utilization = config.encoder_utilization
         num_streams = config.num_streams
         max_latency = config.receiver.max_playout_latency
-        watchdog = config.watchdog
-        decay_factor = watchdog.rate_decay_factor
-        decay_interval = watchdog.rate_decay_interval
+        decay_factor = WATCHDOG_RATE_DECAY_FACTOR
+        decay_interval = WATCHDOG_RATE_DECAY_INTERVAL
         qoe_feedback = config.qoe_feedback_enabled
         peak_decay = math.exp(-dt / _LOSS_PEAK_TAU)
         win_alpha = 1.0 - math.exp(-dt / DELIVERED_WINDOW)
@@ -974,35 +987,8 @@ class FlowCall:
                 if media_packets <= 0 or fec_none:
                     fec_packets = 0
                 elif fec_webrtc:
-                    # The WebRTC loss-rate table (the thresholds of
-                    # repro.fec.tables._PROTECTION_TABLE) with
-                    # fractional carry, keyframes at twice the factor
-                    # capped at 1.
-                    lr = loss_ewma
-                    if lr <= 0.002:
-                        pf = 0.0
-                    elif lr <= 0.005:
-                        pf = 0.30
-                    elif lr <= 0.010:
-                        pf = 0.40
-                    elif lr <= 0.020:
-                        pf = 0.43
-                    elif lr <= 0.030:
-                        pf = 0.45
-                    elif lr <= 0.050:
-                        pf = 0.48
-                    elif lr <= 0.070:
-                        pf = 0.50
-                    elif lr <= 0.100:
-                        pf = 0.55
-                    elif lr <= 0.150:
-                        pf = 0.60
-                    else:
-                        pf = 0.65
-                    if state.step_key:
-                        pf *= 2.0
-                        if pf > 1.0:
-                            pf = 1.0
+                    # The WebRTC loss-rate table with fractional carry.
+                    pf = webrtc_protection_factor(loss_ewma, state.step_key)
                     fec = state.fec
                     exact = pf * media_packets + fec._carry
                     fec_packets = int(exact)
@@ -1497,7 +1483,7 @@ class FlowCall:
         for ssrc, stream in enumerate(self._stream_states):
             if not stream.blocked or now < stream.request_at:
                 continue
-            if now - stream.last_request < _KEYFRAME_REQUEST_INTERVAL:
+            if now - stream.last_request < KEYFRAME_REQUEST_MIN_INTERVAL:
                 continue  # throttled: retry once the interval expires
             stream.last_request = now
             stream.request_at = math.inf
@@ -1539,6 +1525,27 @@ class FlowCall:
         return CallResult(
             config=self.config, summary=summary, metrics=metrics
         )
+
+
+def refuse_unmodelled(config: CallConfig) -> None:
+    """Raise ``ValueError`` naming a setting the flow model does not read.
+
+    The flow loop has no NACK switch, and of the receiver settings it
+    reads the playout deadline alone: a call that sets anything else
+    would run as a silent copy of the default call.  The scalar loop
+    and the array program's template config both check here.
+    """
+    if not config.nack_enabled:
+        raise ValueError("flow fidelity does not model nack_enabled=False")
+    modelled = ReceiverConfig(
+        max_playout_latency=config.receiver.max_playout_latency
+    )
+    for spec in dataclasses.fields(ReceiverConfig):
+        if getattr(config.receiver, spec.name) != getattr(modelled, spec.name):
+            raise ValueError(
+                f"flow fidelity does not model receiver.{spec.name}; "
+                "run the cell at packet fidelity"
+            )
 
 
 def run_flow_call(

@@ -10,7 +10,7 @@ paper's testbed.  Data packets experience:
 
 The reverse direction (RTCP feedback) is a delay-only channel by
 default because control traffic is tiny compared to path capacity, but
-it supports its own loss model and outage windows: the paper's whole
+faults can give it loss and outage windows: the paper's whole
 control loop (scheduler weights, Eq. 2 budgets, path re-enablement,
 per-path FEC) rides on RTCP, and a cellular uplink that blacks out
 takes the control traffic down with it.  Feedback delivery is FIFO —
@@ -37,16 +37,21 @@ class SizedPacket(Protocol):
 
     size_bytes: int
 
-# Defaults for PathConfig: below this capacity the link is treated as
-# in outage and polled until it recovers rather than computing absurd
-# serialization delays.
+# Below this capacity the forward link counts as in outage and is
+# polled every _OUTAGE_POLL_INTERVAL until it recovers, rather than
+# computing absurd serialization delays.
 _OUTAGE_CAPACITY_BPS = 1_000.0
 _OUTAGE_POLL_INTERVAL = 0.02
 
 
 @dataclass(slots=True)
 class PathConfig:
-    """Static configuration for one emulated path."""
+    """Static configuration for one emulated path.
+
+    The reverse (RTCP) channel has no loss process of its own: it is
+    lossless until a fault plan calls :meth:`Path.set_feedback_loss` or
+    :meth:`Path.set_feedback_outage`.
+    """
 
     path_id: int
     trace: BandwidthTrace
@@ -54,14 +59,6 @@ class PathConfig:
     loss_model: LossModel = field(default_factory=NoLoss)
     queue_capacity_bytes: int = 256_000
     jitter_max: float = 0.002
-    # Loss process of the reverse (RTCP feedback) channel.  Feedback is
-    # lossless by default; chaos scenarios override this to model an
-    # uplink that corrupts or drops control traffic.
-    feedback_loss_model: LossModel = field(default_factory=NoLoss)
-    # Below this capacity the forward link counts as in outage and is
-    # polled at ``outage_poll_interval`` until it recovers.
-    outage_capacity_bps: float = _OUTAGE_CAPACITY_BPS
-    outage_poll_interval: float = _OUTAGE_POLL_INTERVAL
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -69,10 +66,6 @@ class PathConfig:
             raise ValueError("propagation delay must be non-negative")
         if self.queue_capacity_bytes <= 0:
             raise ValueError("queue capacity must be positive")
-        if self.outage_capacity_bps < 0:
-            raise ValueError("outage capacity must be non-negative")
-        if self.outage_poll_interval <= 0:
-            raise ValueError("outage poll interval must be positive")
         if not self.name:
             self.name = f"path-{self.path_id}"
 
@@ -221,8 +214,8 @@ class Path:
         capacity = config.trace.capacity_at(sim.now)
         if self._capacity_cap is not None:
             capacity = min(capacity, self._capacity_cap)
-        if capacity < config.outage_capacity_bps:
-            sim.schedule(config.outage_poll_interval, self._serve_next)
+        if capacity < _OUTAGE_CAPACITY_BPS:
+            sim.schedule(_OUTAGE_POLL_INTERVAL, self._serve_next)
             return
         packet = self._queue.popleft()
         size = packet.size_bytes
@@ -263,10 +256,10 @@ class Path:
         if self._feedback_outage:
             self.stats.feedback_dropped += 1
             return
-        loss_model = (
-            self._feedback_loss_override or self.config.feedback_loss_model
-        )
-        if loss_model.should_drop(self._feedback_rng, self.sim.now):
+        loss_model = self._feedback_loss_override
+        if loss_model is not None and loss_model.should_drop(
+            self._feedback_rng, self.sim.now
+        ):
             self.stats.feedback_dropped += 1
             return
         delay = (

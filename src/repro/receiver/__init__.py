@@ -14,11 +14,9 @@ from repro.receiver.frame_buffer import FrameBuffer, FrameBufferConfig
 from repro.receiver.nack import NackGenerator, NackConfig
 from repro.receiver.fec_tracker import FecTracker
 from repro.receiver.feedback import QoeFeedbackGenerator, QoeFeedbackConfig
-from repro.receiver.playout import AdaptivePlayout, PlayoutConfig
 from repro.receiver.session import ReceiverConfig, ReceiverSession
 
 __all__ = [
-    "AdaptivePlayout",
     "FecTracker",
     "FrameBuffer",
     "FrameBufferConfig",
@@ -26,7 +24,6 @@ __all__ = [
     "NackGenerator",
     "PacketBuffer",
     "PacketBufferConfig",
-    "PlayoutConfig",
     "QoeFeedbackConfig",
     "QoeFeedbackGenerator",
     "ReceiverConfig",

@@ -18,6 +18,12 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.receiver.packet_buffer import PacketArrival
 from repro.video.decoder import AssembledFrame
 
+# Packets within this slack of the reference arrival do not count as
+# late (or as early).
+_LATENESS_SLACK = 0.002
+# Cap on one positive feedback step (negative steps: max_negative_alpha).
+_MAX_POSITIVE_ALPHA = 5
+
 
 @dataclass
 class QoeFeedbackConfig:
@@ -26,12 +32,8 @@ class QoeFeedbackConfig:
     # IFD must exceed ifd_exp by this factor before feedback fires;
     # a small tolerance filters camera-tick jitter.
     ifd_tolerance: float = 1.15
-    # Packets within this slack of the reference arrival do not count
-    # as late.
-    lateness_slack: float = 0.002
     min_feedback_interval: float = 0.05
     max_negative_alpha: int = 20
-    max_positive_alpha: int = 5
     # Negative feedback additionally requires the FCD to exceed its
     # own slow baseline by this fraction of the expected IFD: constant
     # path-RTT skew inflates every frame's FCD equally and is harmless,
@@ -136,7 +138,7 @@ class QoeFeedbackGenerator:
         # earliest — it finished its share of the frame first.
         reference = min(by_path, key=lambda p: max(by_path[p]))
         ref_last = max(by_path[reference])
-        slack = self.config.lateness_slack
+        slack = _LATENESS_SLACK
 
         worst_path = None
         worst_late = 0
@@ -160,6 +162,6 @@ class QoeFeedbackGenerator:
         if best_early_path is not None:
             # The QoE drop was not this path's fault and it delivered
             # early: it has headroom, shift packets toward it.
-            alpha = min(best_early, self.config.max_positive_alpha)
+            alpha = min(best_early, _MAX_POSITIVE_ALPHA)
             return FeedbackDecision(path_id=best_early_path, alpha=alpha, fcd=fcd)
         return None

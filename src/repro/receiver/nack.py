@@ -15,6 +15,9 @@ from repro.rtp.sequence import SEQ_MOD
 from repro.simulation.process import PeriodicProcess
 from repro.simulation.simulator import Simulator
 
+# How often the generator scans its missing set for due NACKs.
+_CHECK_INTERVAL = 0.01
+
 
 @dataclass
 class NackConfig:
@@ -28,7 +31,6 @@ class NackConfig:
     retry_interval: float = 0.1
     max_retries: int = 4
     give_up_after: float = 1.0
-    check_interval: float = 0.01
     max_gap: int = 500  # a gap larger than this is a stream reset
     # Cap on tracked missing sequences (WebRTC clears its NACK list on
     # overflow rather than flooding retransmissions).
@@ -70,9 +72,7 @@ class NackGenerator:
         # that eventually showed up really were, so systematic
         # cross-path skew stops producing spurious NACKs.
         self._reorder_estimate = self.config.reorder_window
-        self._process = PeriodicProcess(
-            sim, self.config.check_interval, self._check
-        )
+        self._process = PeriodicProcess(sim, _CHECK_INTERVAL, self._check)
 
     def on_packet(self, unwrapped: int, repaired: bool = False) -> None:
         """Record arrival of an unwrapped stream-level sequence number.

@@ -26,7 +26,6 @@ from repro.receiver.packet_buffer import (
     PacketBuffer,
     PacketBufferConfig,
 )
-from repro.receiver.playout import AdaptivePlayout
 from repro.rtp.packets import PacketType, RtpPacket
 from repro.rtp.rtcp import (
     KeyframeRequest,
@@ -42,23 +41,31 @@ from repro.simulation.process import PeriodicProcess
 from repro.simulation.simulator import Simulator
 from repro.video.decoder import AssembledFrame, DecoderModel
 
+# Per-path RTCP cadence: transport-wide feedback and receiver reports.
+_TRANSPORT_FEEDBACK_INTERVAL = 0.05
+_RECEIVER_REPORT_INTERVAL = 0.2
+# Minimum spacing between keyframe requests per stream (PLI throttle).
+KEYFRAME_REQUEST_MIN_INTERVAL = 1.0
+# If nothing has rendered for this long while frames are stuck in the
+# buffer, ask for a keyframe to re-anchor (WebRTC requests a keyframe
+# when the decoder is starved rather than waiting out the full
+# missing-frame timeout).
+_DECODER_STALL_TIMEOUT = 0.5
+
 
 @dataclass
 class ReceiverConfig:
-    """All receiver-side knobs; ablation switches included."""
+    """All receiver-side knobs.
+
+    The two ablation switches (NACK, QoE feedback) are the call's:
+    :class:`repro.core.config.CallConfig` holds them and the session
+    takes them as arguments.
+    """
 
     packet_buffer: PacketBufferConfig = field(default_factory=PacketBufferConfig)
     frame_buffer: FrameBufferConfig = field(default_factory=FrameBufferConfig)
     nack: NackConfig = field(default_factory=NackConfig)
     feedback: QoeFeedbackConfig = field(default_factory=QoeFeedbackConfig)
-    transport_feedback_interval: float = 0.05
-    receiver_report_interval: float = 0.2
-    keyframe_request_min_interval: float = 1.0
-    # If nothing has rendered for this long while frames are stuck in
-    # the buffer, ask for a keyframe to re-anchor (WebRTC requests a
-    # keyframe when the decoder is starved rather than waiting out the
-    # full missing-frame timeout).
-    decoder_stall_timeout: float = 0.5
     # Playout deadline: conferencing is interactive, so a frame that
     # completes this long after capture is useless even if intact —
     # it is dropped and counts against QoE.  This is the real-time
@@ -68,17 +75,6 @@ class ReceiverConfig:
     # variants, so the deadline must sit near there, not at the
     # 300-400 ms interactivity ideal.
     max_playout_latency: float = 0.8
-    qoe_feedback_enabled: bool = True
-    nack_enabled: bool = True
-    # Per-path RTCP (transport feedback, receiver reports) rides its
-    # own path's reverse channel, as a real per-interface RTCP socket
-    # would — so a reverse-channel outage on one path silences exactly
-    # that path's control loop.  Call-level RTCP (NACK, keyframe
-    # requests, QoE feedback) always takes the most recently active
-    # path.  Disable to route everything over the most active path.
-    rtcp_per_path: bool = True
-    # Optional NetEQ-style playout smoothing (see receiver/playout.py).
-    adaptive_playout: bool = False
 
 
 @dataclass
@@ -103,6 +99,7 @@ class _StreamState:
         session: "ReceiverSession",
         ssrc: int,
         config: ReceiverConfig,
+        nack_enabled: bool,
     ) -> None:
         self.ssrc = ssrc
         self.session = session
@@ -120,7 +117,7 @@ class _StreamState:
         self.fec_tracker = FecTracker()
         self.seq_unwrapper = SequenceUnwrapper()
         self.nack: Optional[NackGenerator] = None
-        if config.nack_enabled:
+        if nack_enabled:
             self.nack = NackGenerator(
                 session.sim,
                 ssrc,
@@ -136,16 +133,17 @@ class _StreamState:
         # Running unwrapped position of the media sequence space, the
         # reference for unwrapping seqs carried inside FEC packets.
         self.last_unwrapped_seq: int = 0
-        self.playout: Optional[AdaptivePlayout] = (
-            AdaptivePlayout() if config.adaptive_playout else None
-        )
         # Recent packets by unwrapped seq, so FEC recovery can locate
         # the original packet object (stand-in for XOR payload bytes).
         self.recent_packets: Dict[int, RtpPacket] = {}
 
 
 class ReceiverSession:
-    """Receives packets from all paths for all streams of one call."""
+    """Receives packets from all paths for all streams of one call.
+
+    ``nack_enabled`` and ``qoe_feedback_enabled`` are the call's
+    ablation switches (:class:`repro.core.config.CallConfig`).
+    """
 
     def __init__(
         self,
@@ -155,14 +153,18 @@ class ReceiverSession:
         config: ReceiverConfig | None = None,
         metrics: MetricsCollector | None = None,
         on_rtcp: Optional[Callable[[RtcpMessage], None]] = None,
+        nack_enabled: bool = True,
+        qoe_feedback_enabled: bool = True,
     ) -> None:
         self.sim = sim
         self.paths = paths
         self.config = config or ReceiverConfig()
         self.metrics = metrics or MetricsCollector()
         self._on_rtcp = on_rtcp
+        self._qoe_feedback_enabled = qoe_feedback_enabled
         self._streams: Dict[int, _StreamState] = {
-            ssrc: _StreamState(self, ssrc, self.config) for ssrc in ssrcs
+            ssrc: _StreamState(self, ssrc, self.config, nack_enabled)
+            for ssrc in ssrcs
         }
         self._path_states: Dict[int, _PathReceiveState] = {
             pid: _PathReceiveState() for pid in paths.path_ids
@@ -171,15 +173,15 @@ class ReceiverSession:
             path.on_deliver = self.on_packet
         self._tf_process = PeriodicProcess(
             sim,
-            self.config.transport_feedback_interval,
+            _TRANSPORT_FEEDBACK_INTERVAL,
             self._emit_transport_feedback,
-            start_delay=self.config.transport_feedback_interval,
+            start_delay=_TRANSPORT_FEEDBACK_INTERVAL,
         )
         self._rr_process = PeriodicProcess(
             sim,
-            self.config.receiver_report_interval,
+            _RECEIVER_REPORT_INTERVAL,
             self._emit_receiver_reports,
-            start_delay=self.config.receiver_report_interval,
+            start_delay=_RECEIVER_REPORT_INTERVAL,
         )
         self._keyframe_watch = PeriodicProcess(sim, 0.25, self._watch_keyframes)
 
@@ -302,15 +304,12 @@ class ReceiverSession:
         ifd = stream.frame_buffer.last_ifd
         if ifd is not None:
             self.metrics.record_ifd(now, ifd)
-        if self.config.qoe_feedback_enabled:
+        if self._qoe_feedback_enabled:
             stream.feedback.on_frame_inserted(frame, arrivals, ifd, now)
 
     def _on_render(
         self, stream: _StreamState, frame: AssembledFrame, render_time: float
     ) -> None:
-        if stream.playout is not None:
-            stream.playout.observe(frame, self.sim.now)
-            render_time = stream.playout.render_time(frame, render_time)
         stream.last_render_time = render_time
         self.metrics.record_render(
             RenderedFrame(
@@ -338,15 +337,15 @@ class ReceiverSession:
             self._on_rtcp(message)
             return
         if (
-            self.config.rtcp_per_path
-            and message.path_id >= 0
+            message.path_id >= 0
             and message.path_id in self._path_states
             and message.path_id in self.paths
         ):
-            # Per-path reports ride their own path's reverse channel
-            # (a per-interface RTCP socket): an outage there silences
-            # that path's control loop, which the sender-side watchdog
-            # must then survive.
+            # Per-path reports (transport feedback, receiver reports)
+            # ride their own path's reverse channel, as a real
+            # per-interface RTCP socket would: an outage there silences
+            # exactly that path's control loop, which the sender-side
+            # watchdog must then survive.
             self.paths.get(message.path_id).send_feedback(message)
             return
         # Call-level RTCP rides the most recently active path: reports
@@ -382,10 +381,7 @@ class ReceiverSession:
 
     def _request_keyframe(self, stream: _StreamState) -> None:
         now = self.sim.now
-        if (
-            now - stream.last_keyframe_request
-            < self.config.keyframe_request_min_interval
-        ):
+        if now - stream.last_keyframe_request < KEYFRAME_REQUEST_MIN_INTERVAL:
             return
         stream.last_keyframe_request = now
         self.metrics.record_keyframe_request(now, stream.ssrc)
@@ -402,8 +398,7 @@ class ReceiverSession:
             starved = (
                 stream.decoder.frames_decoded > 0
                 and stream.frame_buffer.depth > 0
-                and now - stream.last_render_time
-                > self.config.decoder_stall_timeout
+                and now - stream.last_render_time > _DECODER_STALL_TIMEOUT
             )
             if desynced or starved:
                 self._request_keyframe(stream)

@@ -9,7 +9,6 @@ and RTCP with a path id and per-path extended highest sequence numbers
 - the RTCP message set the system needs (receiver reports,
   transport-wide feedback, NACK, keyframe requests, SDES frame rate,
   and the Converge QoE feedback message),
-- byte-level serialization that round-trips the extended headers,
 - 16-bit sequence-number arithmetic utilities.
 """
 

@@ -13,7 +13,7 @@ FRAME_TYPE_DELTA = "delta"
 # RTP fixed header (12 bytes) + the Converge multipath extension header
 # of Fig. 18 (profile id/length word + path id + mp-seq + mp-transport-seq
 # one-byte extensions, padded) — kept as named constants so size
-# accounting in the emulator matches the serialized wire format.
+# accounting in the emulator matches that wire layout.
 RTP_BASE_HEADER_BYTES = 12
 MULTIPATH_EXTENSION_BYTES = 12
 RTP_HEADER_BYTES = RTP_BASE_HEADER_BYTES + MULTIPATH_EXTENSION_BYTES

@@ -19,6 +19,9 @@ from repro.simulation.random import RandomStreams
 from repro.video.frames import VideoFrame
 from repro.video.quality import RateDistortionModel
 
+# A keyframe costs this many base (delta-sized) frames.
+KEYFRAME_SIZE_MULTIPLIER = 4.0
+
 
 @dataclass
 class EncoderConfig:
@@ -27,7 +30,6 @@ class EncoderConfig:
     ssrc: int = 1
     frame_rate: float = 30.0
     gop_length: int = 300
-    keyframe_size_multiplier: float = 4.0
     min_bitrate: float = 150_000.0
     max_bitrate: float = 10_000_000.0
     size_jitter: float = 0.15
@@ -83,7 +85,7 @@ class Encoder:
         )
         base_bytes = self._target_bitrate / config.frame_rate / 8
         if is_key:
-            size = base_bytes * config.keyframe_size_multiplier
+            size = base_bytes * KEYFRAME_SIZE_MULTIPLIER
             self._gop_id += 1
             self._frames_since_key = 0
             self._keyframe_requested = False

@@ -17,10 +17,12 @@ from repro.core import (
 from repro.core.api import build_scheduler, run_call
 from repro.core.path_manager import PathManager
 from repro.core.session import ConferenceCall
+from repro.experiments.cells import ConstantPaths, make_cell
 from repro.experiments.common import scenario_paths
 from repro.net.multipath import PathSet
 from repro.net.path import PathConfig
 from repro.net.trace import BandwidthTrace
+from repro.receiver.session import ReceiverConfig
 from repro.rtp.packets import FRAME_TYPE_DELTA, PacketType, RtpPacket
 from repro.rtp.rtcp import QoeFeedback, ReceiverReport, TransportFeedback
 from repro.scheduling import (
@@ -48,11 +50,31 @@ class TestCallConfig:
             CallConfig(duration=0.0)
         with pytest.raises(ValueError):
             CallConfig(num_streams=0)
-        with pytest.raises(ValueError):
-            CallConfig(fec_group_size=1)
 
     def test_label_defaults_to_system(self):
         assert CallConfig(system=SystemKind.SRTT).label == "srtt"
+
+    def test_leaves_the_receiver_config_it_was_passed_alone(self):
+        receiver = ReceiverConfig()
+        CallConfig(
+            system=SystemKind.WEBRTC,
+            qoe_feedback_enabled=False,
+            nack_enabled=False,
+            receiver=receiver,
+        )
+        assert receiver == ReceiverConfig()
+
+    def test_reused_receiver_config_keeps_cell_keys_equal(self):
+        # One ReceiverConfig object shared by several cells (a sweep
+        # grid): building a config in between must not move their keys.
+        receiver = ReceiverConfig()
+        paths = ConstantPaths((8e6,), (0.02,), (0.0,))
+        key = make_cell(paths, SystemKind.WEBRTC, receiver=receiver).key()
+        again = make_cell(paths, SystemKind.WEBRTC, receiver=receiver)
+        assert again.key() == key
+        build_call_config(SystemKind.WEBRTC, receiver=receiver)
+        after = make_cell(paths, SystemKind.WEBRTC, receiver=receiver)
+        assert after.key() == key
 
 
 class TestBuildCallConfig:

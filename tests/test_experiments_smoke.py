@@ -58,10 +58,10 @@ TITLES = {
         "Table 6 — E2E / FEC (stationary)",
     ],
     "sweeps": [
+        # At flow fidelity there is no packet-buffer block (see
+        # test_flow_sweep_has_no_packet_buffer_row); the receiver
+        # defaults print as a deadline.
         "Design-parameter sweeps (Converge, driving)",
-        "packet_buffer",
-        # The receiver defaults are one cell in both receiver sweeps;
-        # in the deadline sweep it prints as a deadline.
         "playout_deadline  0.800",
         "bernoulli",
         "gilbert-elliott",
@@ -83,7 +83,10 @@ GRID_DIGESTS = {
     "fig12": "9fd96760f04483fa39d691eadce4a9c86bfcd461dbc4f9ac382837238fae90a7",
     "fig14": "54665a16713997bd710a9e5e1abed609d5d245b8067ee6ce595fe0a0eeb03785",
     "fig16": "10dd3fda847701f6203bd7493e2d527db65cc72ce8ba6c65783c8b05ac4a2cf2",
-    "sweeps": "d399e690341eafc6adefb3bc996a5cedb0ac5da6cc8fa87b1bed77751b6de048",
+    # The sweeps grid carries ReceiverConfig objects, so this digest
+    # also moves when a field is added to or removed from that
+    # dataclass or the configs nested in it.
+    "sweeps": "d1daf8f6dea02d252919f73257df9b5bdd023006311070b645203dd8ccb6371e",
 }
 
 
@@ -98,6 +101,20 @@ def test_every_experiment_renders(name, capsys):
     for title in TITLES[name]:
         assert title in out
     assert "%%" not in out
+
+
+def test_flow_sweep_has_no_packet_buffer_row():
+    # The flow model has no packet buffer: its grid leaves that block
+    # out, and the receiver defaults still label as the sweep they sit
+    # in even when they open the grid.
+    def labels(grid):
+        return [p for p, _, _ in sweeps.points([(c, None) for c in grid])]
+
+    flow = sweeps.cells(duration=4.0, fidelity="flow", deadlines=(0.8, 1.6))
+    assert labels(flow) == ["playout_deadline"] * 2 + ["loss_model"] * 2
+    packet = labels(sweeps.cells(duration=4.0))
+    assert packet.count("packet_buffer") == 4
+    assert packet.count("playout_deadline") == 4
 
 
 def test_every_grid_is_pinned():

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.analysis.export import result_to_dict
-from repro.core.config import SystemKind, WatchdogConfig
+from repro.core.config import WATCHDOG_SILENCE_TIMEOUT, SystemKind
 from repro.experiments.common import run_chaos, run_system
 from repro.faults import (
     CHAOS_SCENARIOS,
@@ -266,7 +266,6 @@ class TestRtcpBlackoutAcceptance:
         assert sum(fault_window) / len(fault_window) > 10
 
     def test_silent_path_demoted_within_watchdog_timeout(self, result):
-        wd = WatchdogConfig()
         demotions = [
             (time, event)
             for time, path_id, event in result.metrics.path_events
@@ -277,7 +276,7 @@ class TestRtcpBlackoutAcceptance:
         first = min(time for time, _ in demotions)
         # Demotion must land within the watchdog timeout of the fault
         # (plus one transport-feedback interval of detection slack).
-        assert first - 8.0 <= wd.silence_timeout + 0.2
+        assert first - 8.0 <= WATCHDOG_SILENCE_TIMEOUT + 0.2
 
     def test_path_readmitted_after_fault_clears(self, result):
         readmissions = [

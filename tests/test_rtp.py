@@ -1,8 +1,6 @@
-"""Tests for RTP packets, RTCP messages, and wire serialization."""
+"""Tests for RTP packets and RTCP messages."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.rtp import (
     FRAME_TYPE_DELTA,
@@ -10,21 +8,12 @@ from repro.rtp import (
     Nack,
     PacketType,
     QoeFeedback,
-    ReceiverReport,
     RtpPacket,
     SdesFrameRate,
     TransportFeedback,
     priority_of,
 )
 from repro.rtp.packets import RTP_HEADER_BYTES
-from repro.rtp.serialization import (
-    RtcpWireReport,
-    RtpWireHeader,
-    pack_rtcp_report,
-    pack_rtp_header,
-    unpack_rtcp_report,
-    unpack_rtp_header,
-)
 
 
 def make_packet(**overrides):
@@ -106,81 +95,3 @@ class TestRtcpMessages:
     def test_sdes_default_rate(self):
         assert SdesFrameRate(ssrc=1, path_id=-1).frame_rate == 30.0
 
-
-class TestRtpWireFormat:
-    def test_roundtrip(self):
-        header = RtpWireHeader(
-            seq=1234,
-            timestamp=567890,
-            ssrc=42,
-            marker=True,
-            payload_type=96,
-            path_id=2,
-            mp_seq=777,
-            mp_transport_seq=888,
-        )
-        packed = pack_rtp_header(header)
-        assert unpack_rtp_header(packed) == header
-
-    def test_packed_length_matches_constant(self):
-        header = RtpWireHeader(1, 2, 3, False, 96, 0, 0, 0)
-        assert len(pack_rtp_header(header)) == RTP_HEADER_BYTES
-
-    @given(
-        st.integers(0, 2**16 - 1),
-        st.integers(0, 2**32 - 1),
-        st.integers(0, 255),
-        st.integers(0, 2**16 - 1),
-        st.integers(0, 2**16 - 1),
-        st.booleans(),
-    )
-    def test_roundtrip_property(self, seq, timestamp, path_id, mp_seq, mp_tseq, marker):
-        header = RtpWireHeader(
-            seq=seq,
-            timestamp=timestamp,
-            ssrc=99,
-            marker=marker,
-            payload_type=111,
-            path_id=path_id,
-            mp_seq=mp_seq,
-            mp_transport_seq=mp_tseq,
-        )
-        assert unpack_rtp_header(pack_rtp_header(header)) == header
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            pack_rtp_header(RtpWireHeader(2**16, 0, 0, False, 0, 0, 0, 0))
-        with pytest.raises(ValueError):
-            pack_rtp_header(RtpWireHeader(0, 0, 0, False, 0, 300, 0, 0))
-
-    def test_rejects_truncated(self):
-        with pytest.raises(ValueError):
-            unpack_rtp_header(b"\x80\x00\x00")
-
-
-class TestRtcpWireFormat:
-    def test_roundtrip(self):
-        report = RtcpWireReport(
-            ssrc=7,
-            path_id=1,
-            fraction_lost=0.25,
-            cumulative_lost=1000,
-            extended_highest_seq=70000,
-            extended_highest_mp_seq=35000,
-        )
-        unpacked = unpack_rtcp_report(pack_rtcp_report(report))
-        assert unpacked.ssrc == report.ssrc
-        assert unpacked.path_id == report.path_id
-        assert unpacked.cumulative_lost == report.cumulative_lost
-        assert unpacked.extended_highest_seq == report.extended_highest_seq
-        assert unpacked.fraction_lost == pytest.approx(0.25, abs=1 / 255)
-
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    def test_fraction_quantization_error_bounded(self, fraction):
-        report = RtcpWireReport(1, 0, fraction, 0, 0, 0)
-        unpacked = unpack_rtcp_report(pack_rtcp_report(report))
-        assert abs(unpacked.fraction_lost - fraction) <= 0.5 / 255 + 1e-9
-
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            pack_rtcp_report(RtcpWireReport(1, 0, 1.5, 0, 0, 0))

@@ -39,6 +39,9 @@ from repro.experiments.runner import (
     run_cells,
     stream_cells,
 )
+from repro.flow.batch import build_template_config
+from repro.receiver.packet_buffer import PacketBufferConfig
+from repro.receiver.session import ReceiverConfig
 
 from tests.batch_spy import watch_payload_builds
 from tests.normal_form import assert_same_payload
@@ -596,6 +599,33 @@ class TestRunCells:
         with pytest.raises(CellFailure) as exc_info:
             results_of(report)
         assert "RuntimeError" in str(exc_info.value)
+
+    def test_flow_cell_with_unmodelled_settings_is_an_error(self):
+        # The flow model has no packet buffer and no NACK switch: a
+        # cell that sets either is an error, not a silent copy of the
+        # default cell.  The playout deadline it does model.
+        small_buffer = ReceiverConfig(
+            packet_buffer=PacketBufferConfig(capacity_packets=64)
+        )
+        cells = [
+            _cell(fidelity="flow", receiver=small_buffer),
+            _cell(fidelity="flow", nack_enabled=False),
+            _cell(
+                fidelity="flow",
+                receiver=ReceiverConfig(max_playout_latency=0.4),
+            ),
+        ]
+        buffer, nack, deadline = run_cells(cells, jobs=1).outcomes
+        assert not buffer.ok
+        assert buffer.error["type"] == "ValueError"
+        assert "receiver.packet_buffer" in buffer.error["message"]
+        assert not nack.ok
+        assert "nack_enabled=False" in nack.error["message"]
+        assert deadline.ok
+        # The array program's template config goes through the same
+        # check.
+        with pytest.raises(ValueError, match="receiver.packet_buffer"):
+            build_template_config(cells[0])
 
     def test_failed_cells_are_not_cached(self, tmp_path):
         bad = make_cell(

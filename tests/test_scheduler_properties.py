@@ -19,6 +19,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import WATCHDOG_REENABLE_BACKOFF_INITIAL
 from repro.core.path_manager import PathManager
 from repro.net.multipath import PathSet
 from repro.rtp.packets import PacketType, RtpPacket
@@ -343,7 +344,7 @@ class TestEq3Reenable:
         manager._update_enablement(now)
         assert state.enabled
         assert state.adjust == 0.0
-        assert state.reenable_backoff == manager.watchdog.reenable_backoff_initial
+        assert state.reenable_backoff == WATCHDOG_REENABLE_BACKOFF_INITIAL
 
     def test_stale_feedback_cannot_sneak_path_back(self):
         # A path in outage keeps its last (good-looking) srtt; without

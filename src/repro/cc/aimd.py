@@ -20,6 +20,16 @@ class RateControlState(Enum):
     DECREASE = "decrease"
 
 
+# The members as module constants, for code that runs per acked packet
+# or per feedback: see ``repro.rtp.packets`` for why.
+USAGE_NORMAL = BandwidthUsage.NORMAL
+USAGE_OVERUSE = BandwidthUsage.OVERUSE
+USAGE_UNDERUSE = BandwidthUsage.UNDERUSE
+RATE_HOLD = RateControlState.HOLD
+RATE_INCREASE = RateControlState.INCREASE
+RATE_DECREASE = RateControlState.DECREASE
+
+
 _BETA = 0.85
 _MULTIPLICATIVE_INCREASE_PER_SECOND = 0.08
 _NEAR_CONVERGENCE_WINDOW = 0.25  # +-25% of the last decrease point
@@ -46,7 +56,7 @@ class AimdRateController:
         self.rate = min(max(initial_rate, min_rate), max_rate)
         self.min_rate = min_rate
         self.max_rate = max_rate
-        self.state = RateControlState.INCREASE
+        self.state = RATE_INCREASE
         self._last_update: Optional[float] = None
         self._link_capacity_estimate: Optional[float] = None
 
@@ -76,7 +86,7 @@ class AimdRateController:
             offered_rate is not None and offered_rate >= 0.75 * self.rate
         )
 
-        if self.state is RateControlState.INCREASE:
+        if self.state is RATE_INCREASE:
             if self._near_convergence(incoming_rate):
                 # Additive: about one MTU per response time.
                 response_time = rtt + 0.1
@@ -91,26 +101,26 @@ class AimdRateController:
             # only when we genuinely tried to send at the target.
             if incoming_rate > 0 and path_saturated:
                 self.rate = min(self.rate, 1.5 * incoming_rate + 10_000)
-        elif self.state is RateControlState.DECREASE:
+        elif self.state is RATE_DECREASE:
             base = incoming_rate if incoming_rate > 0 else self.rate
             self.rate = _BETA * base
             self._link_capacity_estimate = incoming_rate
-            self.state = RateControlState.HOLD
+            self.state = RATE_HOLD
         # HOLD: keep the rate.
 
         self.rate = min(max(self.rate, self.min_rate), self.max_rate)
         return self.rate
 
     def _transition(self, usage: BandwidthUsage) -> None:
-        if usage is BandwidthUsage.OVERUSE:
-            self.state = RateControlState.DECREASE
-        elif usage is BandwidthUsage.UNDERUSE:
-            self.state = RateControlState.HOLD
+        if usage is USAGE_OVERUSE:
+            self.state = RATE_DECREASE
+        elif usage is USAGE_UNDERUSE:
+            self.state = RATE_HOLD
         else:  # NORMAL
-            if self.state is RateControlState.HOLD:
-                self.state = RateControlState.INCREASE
-            elif self.state is RateControlState.DECREASE:
-                self.state = RateControlState.HOLD
+            if self.state is RATE_HOLD:
+                self.state = RATE_INCREASE
+            elif self.state is RATE_DECREASE:
+                self.state = RATE_HOLD
 
     def _near_convergence(self, incoming_rate: float) -> bool:
         if self._link_capacity_estimate is None:

@@ -12,7 +12,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, Tuple
 
-from repro.cc.aimd import BandwidthUsage
+from repro.cc.aimd import (
+    USAGE_NORMAL,
+    USAGE_OVERUSE,
+    USAGE_UNDERUSE,
+    BandwidthUsage,
+)
 
 _WINDOW_SIZE = 20
 _SMOOTHING = 0.9
@@ -127,40 +132,41 @@ class OveruseDetector:
         self._last_update: Optional[float] = None
         self._overuse_start: Optional[float] = None
         self._overuse_count = 0
-        self.state = BandwidthUsage.NORMAL
+        self.state = USAGE_NORMAL
 
     def detect(self, trend: float, now: float, num_samples: int) -> BandwidthUsage:
-        """Classify the current trend measured at time ``now``."""
+        """Classify the current trend measured at time ``now``.
+
+        Then adapt the threshold toward the trend's magnitude, ignoring
+        spikes more than ``_MAX_ADAPT_OFFSET`` above it.
+        """
         modified_trend = (
             (num_samples if num_samples < 60 else 60) * trend * _THRESHOLD_GAIN
         )
-        if modified_trend > self._threshold_ms:
+        threshold = self._threshold_ms
+        if modified_trend > threshold:
             if self._overuse_start is None:
                 self._overuse_start = now
                 self._overuse_count = 0
             self._overuse_count += 1
             sustained = now - self._overuse_start >= _OVERUSE_TIME_THRESHOLD
             if sustained and self._overuse_count > 1:
-                self.state = BandwidthUsage.OVERUSE
-        elif modified_trend < -self._threshold_ms:
+                self.state = USAGE_OVERUSE
+        elif modified_trend < -threshold:
             self._overuse_start = None
-            self.state = BandwidthUsage.UNDERUSE
+            self.state = USAGE_UNDERUSE
         else:
             self._overuse_start = None
-            self.state = BandwidthUsage.NORMAL
-        self._adapt_threshold(modified_trend, now)
-        return self.state
-
-    def _adapt_threshold(self, modified_trend: float, now: float) -> None:
-        if self._last_update is None:
-            self._last_update = now
+            self.state = USAGE_NORMAL
+        last_update = self._last_update
+        if last_update is None:
+            last_update = now
+        self._last_update = now
         magnitude = abs(modified_trend)
-        threshold = self._threshold_ms
         if magnitude > threshold + _MAX_ADAPT_OFFSET:
-            self._last_update = now
-            return
+            return self.state
         k = _K_DOWN if magnitude < threshold else _K_UP
-        elapsed_ms = (now - self._last_update) * 1000.0
+        elapsed_ms = (now - last_update) * 1000.0
         if elapsed_ms > 100.0:
             elapsed_ms = 100.0
         threshold += k * (magnitude - threshold) * elapsed_ms
@@ -169,7 +175,7 @@ class OveruseDetector:
         elif threshold > 600.0:
             threshold = 600.0
         self._threshold_ms = threshold
-        self._last_update = now
+        return self.state
 
     @property
     def threshold_ms(self) -> float:

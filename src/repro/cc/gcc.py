@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Deque, List, Tuple
 
-from repro.cc.aimd import AimdRateController, BandwidthUsage
+from repro.cc.aimd import USAGE_NORMAL, AimdRateController
 from repro.cc.delay_based import OveruseDetector, TrendlineEstimator
 from repro.cc.loss_based import LossBasedController
 
@@ -78,7 +78,7 @@ class GoogleCongestionControl:
         ``lost_count`` is the number of packets the feedback reported
         as never received.
         """
-        usage = BandwidthUsage.NORMAL
+        usage = USAGE_NORMAL
         latest_send = None
         trendline = self._trendline
         detect = self._detector.detect

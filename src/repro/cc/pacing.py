@@ -62,7 +62,7 @@ class Pacer:
 
     def enqueue(self, packet: object, path_id: int) -> None:
         """Queue ``packet`` for paced transmission on ``path_id``."""
-        lane = self._lane(path_id)
+        lane = self._lanes.get(path_id) or self._lane(path_id)
         lane.queue.append(packet)
         if not lane.releasing:
             lane.releasing = True

@@ -30,6 +30,12 @@ class FecMode(Enum):
     NONE = "none"
 
 
+# The members the sender names per frame, as module constants: see
+# ``repro.rtp.packets`` for why.
+FEC_MODE_CONVERGE = FecMode.CONVERGE
+FEC_MODE_WEBRTC_TABLE = FecMode.WEBRTC_TABLE
+
+
 # Feedback-silence watchdog: sender-side lossy-feedback hardening, read
 # by the packet core's path manager and by both flow loops.  The control
 # loop rides on RTCP; when a path's feedback goes silent the sender must

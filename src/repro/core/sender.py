@@ -17,14 +17,27 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.cc.pacing import Pacer
-from repro.core.config import CallConfig, FecMode
+from repro.core.config import (
+    FEC_MODE_CONVERGE,
+    FEC_MODE_WEBRTC_TABLE,
+    CallConfig,
+)
 from repro.core.path_manager import PathManager
 from repro.fec.converge_controller import ConvergeFecController
 from repro.fec.tables import webrtc_protection_factor
 from repro.fec.webrtc_controller import WebRtcFecController
 from repro.metrics.collector import MetricsCollector
 from repro.net.multipath import PathSet
-from repro.rtp.packets import PacketType, RtpPacket
+from repro.rtp.packets import (
+    FRAME_TYPE_KEY,
+    PACKET_FEC,
+    PACKET_KEYFRAME,
+    PACKET_MEDIA,
+    PACKET_PPS,
+    PACKET_RETRANSMISSION,
+    PACKET_SPS,
+    RtpPacket,
+)
 from repro.rtp.rtcp import (
     KeyframeRequest,
     Nack,
@@ -62,6 +75,10 @@ _PADDING_SSRC = 0
 _REROUTE_LIMIT = 64
 # FEC grouping: at most this many media packets per XOR group.
 _FEC_GROUP_SIZE = 10
+# Packets whose loss breaks the decode chain (§3.3).
+_CHAIN_CRITICAL = (
+    PACKET_KEYFRAME, PACKET_SPS, PACKET_PPS, PACKET_RETRANSMISSION
+)
 
 
 @dataclass
@@ -97,6 +114,7 @@ class SenderSession:
         self.metrics = metrics or MetricsCollector()
         self._send_rtcp_to_receiver = send_rtcp_to_receiver
         self.path_manager = PathManager(sim, paths, config.gcc, self.metrics)
+        self._path_by_id = paths.by_id
         self.pacer = Pacer(sim, self._send_on_path)
         self._fec_seq = 1_000_000  # FEC/RTX use their own sequence space
         self._rtx_seq = 2_000_000
@@ -195,8 +213,9 @@ class SenderSession:
         )
         snapshots = self.path_manager.snapshots(len(packets), avg_size, now)
 
+        fec_mode = self.config.fec_mode
         to_schedule = list(packets)
-        if self.config.fec_mode is FecMode.WEBRTC_TABLE:
+        if fec_mode is FEC_MODE_WEBRTC_TABLE:
             to_schedule.extend(
                 self._make_webrtc_fec(stream, packets, is_keyframe)
             )
@@ -224,7 +243,7 @@ class SenderSession:
                 if path_id != DROP_PATH and p.frame_id not in shed_frames
             ]
             stream.frames_dropped_at_sender += len(shed_frames)
-        if self.config.fec_mode is FecMode.CONVERGE:
+        if fec_mode is FEC_MODE_CONVERGE:
             assignments.extend(
                 self._make_converge_fec(stream, assignments, now)
             )
@@ -241,7 +260,7 @@ class SenderSession:
         is_keyframe: bool,
     ) -> List[RtpPacket]:
         """Application-level FEC over the whole frame (WebRTC table)."""
-        media = [p for p in packets if p.packet_type is not PacketType.FEC]
+        media = [p for p in packets if p.packet_type is not PACKET_FEC]
         num_fec = self._webrtc_fec.num_fec_packets(len(media), is_keyframe)
         return self._build_fec_packets(stream, media, num_fec)
 
@@ -254,7 +273,7 @@ class SenderSession:
         """Path-specific FEC over each path's share of the round (§4.3)."""
         by_path: Dict[int, List[RtpPacket]] = {}
         for packet, path_id in assignments:
-            if packet.packet_type is not PacketType.FEC:
+            if packet.packet_type is not PACKET_FEC:
                 by_path.setdefault(path_id, []).append(packet)
         fec_assignments: List[Tuple[RtpPacket, int]] = []
         # Reliability-level control (§3.1, Fig. 6): protection packets
@@ -279,15 +298,8 @@ class SenderSession:
             # retransmissions) get doubled protection, as WebRTC does
             # for keyframes — but path-specific here.
             critical = any(
-                p.packet_type
-                in (
-                    PacketType.KEYFRAME,
-                    PacketType.SPS,
-                    PacketType.PPS,
-                    PacketType.RETRANSMISSION,
-                )
-                for p in media
-            ) and any(p.frame_type == "key" for p in media)
+                p.frame_type == FRAME_TYPE_KEY for p in media
+            ) and any(p.packet_type in _CHAIN_CRITICAL for p in media)
             if critical:
                 num_fec = min(2 * num_fec, len(media))
                 if num_fec == 0 and loss > 0:
@@ -326,15 +338,15 @@ class SenderSession:
             self._fec_seq += 1
             fec_packets.append(
                 RtpPacket(
-                    ssrc=stream.ssrc,
-                    seq=self._fec_seq,
-                    timestamp=template.timestamp,
-                    frame_id=template.frame_id,
-                    frame_type=template.frame_type,
-                    packet_type=PacketType.FEC,
-                    payload_size=max(p.payload_size for p in group),
-                    capture_time=template.capture_time,
-                    gop_id=template.gop_id,
+                    stream.ssrc,
+                    self._fec_seq,
+                    template.timestamp,
+                    template.frame_id,
+                    template.frame_type,
+                    PACKET_FEC,
+                    max(p.payload_size for p in group),
+                    template.capture_time,
+                    template.gop_id,
                     protected_seqs=[p.seq for p in group],
                     protected_packets=list(group),
                 )
@@ -384,7 +396,7 @@ class SenderSession:
             if not self._rtx_budget_allows(original.size_bytes, now):
                 continue
             if (
-                self.config.fec_mode is FecMode.CONVERGE
+                self.config.fec_mode is FEC_MODE_CONVERGE
                 and original.path_id >= 0
             ):
                 self._converge_fec.on_nack(original.path_id, 1, now)
@@ -447,11 +459,11 @@ class SenderSession:
 
     def _expected_fec_overhead(self) -> float:
         """Fraction of the transport budget FEC will consume."""
-        if self.config.fec_mode is FecMode.WEBRTC_TABLE:
+        if self.config.fec_mode is FEC_MODE_WEBRTC_TABLE:
             overhead = webrtc_protection_factor(
                 self._webrtc_fec.aggregate_loss
             )
-        elif self.config.fec_mode is FecMode.CONVERGE:
+        elif self.config.fec_mode is FEC_MODE_CONVERGE:
             total_rate = 0.0
             weighted = 0.0
             for path_id in self.path_manager.enabled_path_ids():
@@ -506,7 +518,7 @@ class SenderSession:
                     timestamp=0,
                     frame_id=-1,
                     frame_type="delta",
-                    packet_type=PacketType.MEDIA,
+                    packet_type=PACKET_MEDIA,
                     payload_size=_PROBE_PACKET_BYTES,
                 )
                 self.path_manager.bind(padding, path_id, now)
@@ -573,7 +585,7 @@ class SenderSession:
             for p in leftover
             if isinstance(p, RtpPacket)
             and p.ssrc != _PADDING_SSRC
-            and p.packet_type is not PacketType.FEC
+            and p.packet_type is not PACKET_FEC
         ]
         if not to_reroute:
             return
@@ -599,13 +611,19 @@ class SenderSession:
 
     def _send_on_path(self, packet: RtpPacket, path_id: int) -> None:
         self.path_manager.bind(packet, path_id, self.sim.now)
-        kind = "media"
-        if packet.packet_type is PacketType.FEC:
-            kind = "fec"
-        elif packet.packet_type is PacketType.RETRANSMISSION:
-            kind = "rtx"
-        self.metrics.record_packet_sent(path_id, kind, packet.size_bytes)
-        self.paths.get(path_id).send(packet)
+        record = self.metrics.path_record(path_id)
+        packet_type = packet.packet_type
+        size = packet.size_bytes
+        if packet_type is PACKET_FEC:
+            record.fec_packets += 1
+            record.fec_bytes += size
+        elif packet_type is PACKET_RETRANSMISSION:
+            record.rtx_packets += 1
+            record.rtx_bytes += size
+        else:
+            record.media_packets += 1
+            record.media_bytes += size
+        self._path_by_id[path_id].send(packet)
 
     # -- helpers --------------------------------------------------------------------
 

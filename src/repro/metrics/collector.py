@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 
@@ -131,21 +131,16 @@ class MetricsCollector:
             ssrc, frame_id, capture_time, size_bytes, qp, is_keyframe
         )
 
-    def record_packet_sent(
-        self, path_id: int, kind: str, size_bytes: int
-    ) -> None:
+    def path_record(self, path_id: int) -> PathSendRecord:
+        """The send counters of ``path_id``, created on first use.
+
+        The sender adds every packet it hands to a path to the media,
+        FEC or RTX counters of that path's record.
+        """
         record = self.path_sends.get(path_id)
         if record is None:
             record = self.path_sends[path_id] = PathSendRecord()
-        if kind == "fec":
-            record.fec_packets += 1
-            record.fec_bytes += size_bytes
-        elif kind == "rtx":
-            record.rtx_packets += 1
-            record.rtx_bytes += size_bytes
-        else:
-            record.media_packets += 1
-            record.media_bytes += size_bytes
+        return record
 
     def record_target_rate(self, time: float, rate_bps: float) -> None:
         self.target_rate_series.append(time, rate_bps)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping
 
 from repro.net.path import Path, PathConfig
 from repro.simulation.simulator import Simulator
@@ -19,6 +20,8 @@ class PathSet:
     def __init__(self, sim: Simulator, configs: Iterable[PathConfig]) -> None:
         self.sim = sim
         self._paths: Dict[int, Path] = {}
+        # A live read-only view of the set, for per-packet lookups.
+        self.by_id: Mapping[int, Path] = MappingProxyType(self._paths)
         for config in configs:
             if config.path_id in self._paths:
                 raise ValueError(f"duplicate path id {config.path_id}")

@@ -195,7 +195,10 @@ class Path:
         stats = self.stats
         stats.sent_packets += 1
         stats.sent_bytes += size
-        if self._queued_bytes + size > self.effective_queue_capacity:
+        capacity = self._queue_capacity_override
+        if capacity is None:
+            capacity = self.config.queue_capacity_bytes
+        if self._queued_bytes + size > capacity:
             stats.queue_drops += 1
             return False
         self._queue.append(packet)
@@ -206,9 +209,9 @@ class Path:
         return True
 
     def _serve_next(self) -> None:
-        if not self._queue:
-            self._serving = False
-            return
+        # Packets wait whenever this runs: send() has just queued one,
+        # _transmitted() checks, and the outage poll re-runs it with
+        # nothing dequeued in between.
         sim = self.sim
         config = self.config
         capacity = config.trace.capacity_at(sim.now)
@@ -223,16 +226,22 @@ class Path:
         sim.post(size * 8 / capacity, self._transmitted, packet)
 
     def _transmitted(self, packet: SizedPacket) -> None:
-        # Schedule the next packet's service as soon as this one leaves
+        # Start the next packet's service as soon as this one leaves
         # the transmitter, then propagate this one.
-        self._serve_next()
+        if self._queue:
+            self._serve_next()
+        else:
+            self._serving = False
         config = self.config
         loss_model = self._loss_override or config.loss_model
         sim = self.sim
         if loss_model.should_drop(self._rng, sim.now):
             self.stats.random_losses += 1
             return
-        jitter = self._jitter_rng.uniform(0.0, config.jitter_max)
+        # Bit-identical to ``uniform(0.0, jitter_max)``, which CPython
+        # computes as ``a + (b - a) * random()``, without its Python
+        # frame (tests/test_hot_path.py pins the equality).
+        jitter = config.jitter_max * self._jitter_rng.random()
         delay = config.propagation_delay + self._extra_delay + jitter
         sim.post(delay, self._deliver, packet)
 
@@ -265,7 +274,7 @@ class Path:
         delay = (
             self.config.propagation_delay
             + self._extra_delay
-            + self._jitter_rng.uniform(0.0, self.config.jitter_max)
+            + self.config.jitter_max * self._jitter_rng.random()
         )
         deliver_at = max(self.sim.now + delay, self._feedback_horizon)
         self._feedback_horizon = deliver_at
@@ -285,12 +294,6 @@ class Path:
     @property
     def queue_len(self) -> int:
         return len(self._queue)
-
-    @property
-    def effective_queue_capacity(self) -> int:
-        if self._queue_capacity_override is not None:
-            return self._queue_capacity_override
-        return self.config.queue_capacity_bytes
 
     def capacity_now(self) -> float:
         """Current link capacity in bits per second (fault-adjusted)."""

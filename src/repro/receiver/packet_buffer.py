@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.rtp.packets import PacketType, RtpPacket
+from repro.rtp.packets import (
+    PACKET_PPS,
+    PACKET_RETRANSMISSION,
+    PACKET_SPS,
+    PacketType,
+    RtpPacket,
+)
 from repro.rtp.sequence import seq_diff
 from repro.video.decoder import AssembledFrame
 
@@ -110,7 +116,7 @@ class PacketBuffer:
         packet_type = packet.packet_type
         seq = packet.seq
         if (
-            packet_type is PacketType.RETRANSMISSION
+            packet_type is PACKET_RETRANSMISSION
             and packet.original_seq is not None
         ):
             seq = packet.original_seq
@@ -130,14 +136,9 @@ class PacketBuffer:
                 return None
 
         seqs.add(seq)
+        # Positional: keyword arguments to a class build a dict.
         assembly.arrivals.append(
-            PacketArrival(
-                seq=seq,
-                path_id=packet.path_id,
-                arrival_time=now,
-                packet_type=packet_type,
-                fec_recovered=fec_recovered,
-            )
+            PacketArrival(seq, packet.path_id, now, packet_type, fec_recovered)
         )
         assembly.frame_type = packet.frame_type
         assembly.gop_id = packet.gop_id
@@ -148,9 +149,9 @@ class PacketBuffer:
             assembly.first_seq = seq
         if packet.last_in_frame:
             assembly.last_seq = seq
-        if packet_type is PacketType.PPS:
+        if packet_type is PACKET_PPS:
             assembly.has_pps = True
-        elif packet_type is PacketType.SPS:
+        elif packet_type is PACKET_SPS:
             assembly.has_sps = True
         else:
             assembly.media_bytes += packet.payload_size

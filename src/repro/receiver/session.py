@@ -26,7 +26,7 @@ from repro.receiver.packet_buffer import (
     PacketBuffer,
     PacketBufferConfig,
 )
-from repro.rtp.packets import PacketType, RtpPacket
+from repro.rtp.packets import PACKET_FEC, PACKET_RETRANSMISSION, RtpPacket
 from repro.rtp.rtcp import (
     KeyframeRequest,
     Nack,
@@ -209,7 +209,7 @@ class ReceiverSession:
         stream = self._streams.get(packet.ssrc)
         if stream is None:
             return
-        if packet.packet_type is PacketType.FEC:
+        if packet.packet_type is PACKET_FEC:
             self._on_fec_packet(stream, packet, now)
             return
         self._on_media_packet(stream, packet, now)
@@ -217,7 +217,7 @@ class ReceiverSession:
     def _on_media_packet(
         self, stream: _StreamState, packet: RtpPacket, now: float
     ) -> None:
-        is_rtx = packet.packet_type is PacketType.RETRANSMISSION
+        is_rtx = packet.packet_type is PACKET_RETRANSMISSION
         original_seq = packet.seq
         if is_rtx and packet.original_seq is not None:
             original_seq = packet.original_seq
@@ -230,7 +230,9 @@ class ReceiverSession:
         if stream.nack is not None:
             stream.nack.on_packet(unwrapped, repaired=is_rtx)
         recovered = stream.fec_tracker.on_media_packet(unwrapped)
-        self._insert_packet(stream, packet, now, fec_recovered=False)
+        completed = stream.packet_buffer.insert(packet, now, False)
+        if completed is not None:
+            self._on_frame_complete(stream, completed[0], completed[1], now)
         if recovered is not None:
             self._inject_recovered(stream, recovered, now)
 
@@ -262,20 +264,9 @@ class ReceiverSession:
             return
         if stream.nack is not None:
             stream.nack.on_packet(unwrapped_seq, repaired=True)
-        self._insert_packet(stream, original, now, fec_recovered=True)
-
-    def _insert_packet(
-        self,
-        stream: _StreamState,
-        packet: RtpPacket,
-        now: float,
-        fec_recovered: bool,
-    ) -> None:
-        result = stream.packet_buffer.insert(packet, now, fec_recovered)
-        if result is None:
-            return
-        frame, arrivals = result
-        self._on_frame_complete(stream, frame, arrivals, now)
+        completed = stream.packet_buffer.insert(original, now, True)
+        if completed is not None:
+            self._on_frame_complete(stream, completed[0], completed[1], now)
 
     # -- frame pipeline ------------------------------------------------------
 

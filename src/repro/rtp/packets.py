@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 FRAME_TYPE_KEY = "key"
 FRAME_TYPE_DELTA = "delta"
@@ -32,25 +31,38 @@ class PacketType(Enum):
     RETRANSMISSION = "rtx"  # NACK-triggered retransmission
 
 
+# The members as module constants.  Per-packet code names members
+# through these: on CPython <= 3.11 ``PacketType.FEC`` goes through
+# ``EnumType.__getattr__`` (106 ns against 8 ns for a module constant
+# on 3.11.7).  Compare with ``is``; test against several members with
+# ``in`` on a tuple (identity first), never on a set or dict key,
+# because ``Enum.__hash__`` is Python code.  DESIGN.md §6 has the
+# per-version costs; ``tests/test_hot_path.py`` holds the per-packet
+# functions to this.
+PACKET_MEDIA = PacketType.MEDIA
+PACKET_KEYFRAME = PacketType.KEYFRAME
+PACKET_SPS = PacketType.SPS
+PACKET_PPS = PacketType.PPS
+PACKET_FEC = PacketType.FEC
+PACKET_RETRANSMISSION = PacketType.RETRANSMISSION
+
 # Table 2: priority levels, 1 = highest.  Plain delta-frame media
 # packets carry no priority level (``None``) and are load-balanced by
-# Eq. 1 instead of pinned to the fast path.
-_PRIORITY = {
-    PacketType.RETRANSMISSION: 1,
-    PacketType.KEYFRAME: 2,
-    PacketType.SPS: 3,
-    PacketType.PPS: 4,
-    PacketType.FEC: 5,
-    PacketType.MEDIA: None,
+# Eq. 1 instead of pinned to the fast path.  Keyed by the member's
+# value, whose str hash is cached.
+_PRIORITY: Dict[str, Optional[int]] = {
+    PACKET_RETRANSMISSION.value: 1,
+    PACKET_KEYFRAME.value: 2,
+    PACKET_SPS.value: 3,
+    PACKET_PPS.value: 4,
+    PACKET_FEC.value: 5,
+    PACKET_MEDIA.value: None,
 }
 
 
 def priority_of(packet_type: PacketType) -> Optional[int]:
     """Return the Table 2 priority level (1 highest) or ``None``."""
-    return _PRIORITY[packet_type]
-
-
-_packet_uid = itertools.count()
+    return _PRIORITY[packet_type._value_]
 
 
 @dataclass(slots=True)
@@ -61,6 +73,10 @@ class RtpPacket:
     ``mp_transport_seq`` are the per-path numbers from the Converge
     header extension and are assigned by the scheduler when the packet
     is bound to a path.
+
+    The per-packet call sites (packetizer, FEC) pass the first nine
+    fields positionally: calling a class with keyword arguments builds
+    a dict, ~45 ns a keyword on CPython 3.11.
     """
 
     ssrc: int
@@ -70,11 +86,11 @@ class RtpPacket:
     frame_type: str
     packet_type: PacketType
     payload_size: int
-    first_in_frame: bool = False
-    last_in_frame: bool = False
     capture_time: float = 0.0
     # Group-of-pictures id: ties delta frames to their SPS.
     gop_id: int = -1
+    first_in_frame: bool = False
+    last_in_frame: bool = False
     # Multipath extension fields (Fig. 18); -1 until bound to a path.
     path_id: int = -1
     mp_seq: int = -1
@@ -89,7 +105,6 @@ class RtpPacket:
     # For retransmissions: the seq of the original packet.
     original_seq: Optional[int] = None
     send_time: float = -1.0
-    uid: int = field(default_factory=lambda: next(_packet_uid))
     # On-the-wire size including RTP + multipath extension headers.
     # Precomputed (payload_size never changes after construction) because
     # the emulator reads it several times per packet on the hot path.
@@ -114,7 +129,7 @@ class RtpPacket:
     @property
     def is_media(self) -> bool:
         """True for packets the decoder needs (everything but FEC)."""
-        return self.packet_type is not PacketType.FEC
+        return self.packet_type is not PACKET_FEC
 
     def clone_for_retransmission(self, new_seq: int, now: float) -> "RtpPacket":
         """Build the RTX copy of this packet (Table 2 priority 1)."""
@@ -124,7 +139,7 @@ class RtpPacket:
             timestamp=self.timestamp,
             frame_id=self.frame_id,
             frame_type=self.frame_type,
-            packet_type=PacketType.RETRANSMISSION,
+            packet_type=PACKET_RETRANSMISSION,
             payload_size=self.payload_size,
             first_in_frame=self.first_in_frame,
             last_in_frame=self.last_in_frame,

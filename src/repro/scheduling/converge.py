@@ -19,7 +19,12 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Dict, List, Sequence
 
-from repro.rtp.packets import RTP_HEADER_BYTES, PacketType, RtpPacket, priority_of
+from repro.rtp.packets import (
+    PACKET_FEC,
+    RTP_HEADER_BYTES,
+    RtpPacket,
+    priority_of,
+)
 from repro.scheduling.base import DROP_PATH, Assignment, PathSnapshot, Scheduler
 
 
@@ -51,13 +56,12 @@ class ConvergeScheduler(Scheduler):
         prioritized: List = []  # (priority, packet) pairs
         media_packets: List[RtpPacket] = []
         fec_packets: List[RtpPacket] = []
-        fec_type = PacketType.FEC
         for packet in packets:
             payload = packet.payload_size
             if payload > max_payload:
                 max_payload = payload
             packet_type = packet.packet_type
-            if packet_type is fec_type:
+            if packet_type is PACKET_FEC:
                 fec_packets.append(packet)
                 continue
             priority = priority_of(packet_type)

@@ -14,6 +14,10 @@ from typing import List
 from repro.rtp.packets import (
     DEFAULT_MTU_PAYLOAD,
     FRAME_TYPE_KEY,
+    PACKET_KEYFRAME,
+    PACKET_MEDIA,
+    PACKET_PPS,
+    PACKET_SPS,
     PacketType,
     RtpPacket,
 )
@@ -39,41 +43,36 @@ class Packetizer:
         self.clock_rate = clock_rate
         self._next_seq = 0
 
-    def _take_seq(self) -> int:
-        seq = self._next_seq
-        self._next_seq = (self._next_seq + 1) % SEQ_MOD
-        return seq
-
     def packetize(self, frame: VideoFrame) -> List[RtpPacket]:
         """Return the RTP packets for ``frame`` in transmission order.
 
         Layout: [SPS (keyframes only), PPS, media...]; the final media
         packet carries the ``last_in_frame`` marker.
         """
-        timestamp = int(frame.capture_time * self.clock_rate) & 0xFFFFFFFF
+        ssrc = self.ssrc
+        capture_time = frame.capture_time
+        timestamp = int(capture_time * self.clock_rate) & 0xFFFFFFFF
+        frame_id = frame.frame_id
+        frame_type = frame.frame_type
+        gop_id = frame.gop_id
         packets: List[RtpPacket] = []
 
         def make(packet_type: PacketType, payload: int) -> RtpPacket:
+            seq = self._next_seq
+            self._next_seq = (seq + 1) % SEQ_MOD
             return RtpPacket(
-                ssrc=self.ssrc,
-                seq=self._take_seq(),
-                timestamp=timestamp,
-                frame_id=frame.frame_id,
-                frame_type=frame.frame_type,
-                packet_type=packet_type,
-                payload_size=payload,
-                capture_time=frame.capture_time,
-                gop_id=frame.gop_id,
+                ssrc, seq, timestamp, frame_id, frame_type, packet_type,
+                payload, capture_time, gop_id,
             )
 
-        if frame.frame_type == FRAME_TYPE_KEY:
-            packets.append(make(PacketType.SPS, PARAMETER_SET_BYTES))
-        packets.append(make(PacketType.PPS, PARAMETER_SET_BYTES))
+        if frame_type == FRAME_TYPE_KEY:
+            packets.append(make(PACKET_SPS, PARAMETER_SET_BYTES))
+        packets.append(make(PACKET_PPS, PARAMETER_SET_BYTES))
 
         media_type = (
-            PacketType.KEYFRAME
-            if frame.frame_type == FRAME_TYPE_KEY
-            else PacketType.MEDIA
+            PACKET_KEYFRAME
+            if frame_type == FRAME_TYPE_KEY
+            else PACKET_MEDIA
         )
         remaining = frame.size_bytes
         while remaining > 0:

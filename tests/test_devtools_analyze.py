@@ -525,7 +525,7 @@ class TestRealTree:
             ),
             (
                 "src/repro/cc/gcc.py",  # ...Control.on_transport_feedback
-                "        usage = BandwidthUsage.NORMAL\n",
+                "        usage = USAGE_NORMAL\n",
                 "random",
                 "random.random",
             ),

@@ -1,7 +1,5 @@
 """Tests for metrics collection and QoE summaries."""
 
-import math
-
 import pytest
 
 from repro.metrics import MetricsCollector, TimeSeries, format_table, summarize
@@ -78,7 +76,9 @@ class TestSummarize:
         for i in range(n):
             collector.record_render(rendered(1, i, i / fps + 0.1))
             collector.record_media_received(i / fps, 4000)
-        collector.record_packet_sent(0, "media", 4000 * n)
+        record = collector.path_record(0)
+        record.media_packets += 1
+        record.media_bytes += 4000 * n
         return collector
 
     def test_fps(self):
@@ -99,10 +99,9 @@ class TestSummarize:
 
     def test_fec_overhead_and_utilization(self):
         collector = MetricsCollector()
-        for _ in range(80):
-            collector.record_packet_sent(0, "media", 1200)
-        for _ in range(20):
-            collector.record_packet_sent(0, "fec", 1200)
+        record = collector.path_record(0)
+        record.media_packets, record.media_bytes = 80, 80 * 1200
+        record.fec_packets, record.fec_bytes = 20, 20 * 1200
         collector.add_fec_stats(fec_received=20, recoveries=5)
         summary = summarize(collector, duration=1.0)
         assert summary.fec_overhead == pytest.approx(0.25)

@@ -409,12 +409,12 @@ class TestSchedulersUnderChurn:
                 # CM may black out entirely while reconnecting, but must
                 # never address a path outside the current membership.
                 assert all(t in live for _, t in assignments)
-                assigned = [p.uid for p, _ in assignments]
+                assigned = [id(p) for p, _ in assignments]
                 assert len(assigned) == len(set(assigned))
             else:
                 # Eq. 1/2 conservation: every packet exactly once.
-                assert sorted(p.uid for p, _ in assignments) == sorted(
-                    p.uid for p in packets
+                assert sorted(id(p) for p, _ in assignments) == sorted(
+                    id(p) for p in packets
                 )
                 valid = live | {DROP_PATH}
                 assert all(t in valid for _, t in assignments)

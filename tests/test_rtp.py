@@ -73,9 +73,6 @@ class TestRtpPacket:
         assert rtx.payload_size == original.payload_size
         assert rtx.priority == 1
 
-    def test_uids_are_unique(self):
-        assert make_packet().uid != make_packet().uid
-
 
 class TestRtcpMessages:
     def test_sizes_grow_with_content(self):

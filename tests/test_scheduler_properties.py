@@ -160,8 +160,8 @@ class TestAssignmentCoverage:
     @settings(max_examples=60)
     def test_converge_covers_every_packet(self, packets, paths):
         assignments = ConvergeScheduler().assign(packets, paths, now=1.0)
-        assert sorted(p.uid for p, _ in assignments) == sorted(
-            p.uid for p in packets
+        assert sorted(id(p) for p, _ in assignments) == sorted(
+            id(p) for p in packets
         )
         valid = {p.path_id for p in paths} | {DROP_PATH}
         assert all(target in valid for _, target in assignments)
@@ -172,8 +172,8 @@ class TestAssignmentCoverage:
         for scheduler_cls in (MprtpScheduler, ThroughputScheduler,
                               MinRttScheduler):
             assignments = scheduler_cls().assign(packets, paths, now=1.0)
-            assert sorted(p.uid for p, _ in assignments) == sorted(
-                p.uid for p in packets
+            assert sorted(id(p) for p, _ in assignments) == sorted(
+                id(p) for p in packets
             ), scheduler_cls.__name__
             valid = {p.path_id for p in paths}
             assert all(

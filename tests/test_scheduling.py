@@ -92,8 +92,8 @@ class TestSplitHelpers:
 
 
 def assert_complete_assignment(packets, assignments, allow_drops=False):
-    assigned = [p.uid for p, _ in assignments]
-    assert sorted(assigned) == sorted(p.uid for p in packets)
+    assigned = [id(p) for p, _ in assignments]
+    assert sorted(assigned) == sorted(id(p) for p in packets)
     if not allow_drops:
         assert all(path_id != DROP_PATH for _, path_id in assignments)
 
@@ -210,11 +210,11 @@ class TestMinRttScheduler:
         packets = make_round(3, [PacketType.KEYFRAME])
         paths = [snapshot(0, srtt=0.02, max_packets=2), snapshot(1, srtt=0.1)]
         assignments = scheduler.assign(packets, paths, now=0.0)
-        by_uid = {p.uid: path_id for p, path_id in assignments}
+        by_id = {id(p): path_id for p, path_id in assignments}
         keyframe = packets[-1]
         # assigned in arrival order, so the keyframe lands wherever the
         # fill pointer is — path 1 here.
-        assert by_uid[keyframe.uid] == 1
+        assert by_id[id(keyframe)] == 1
 
 
 class TestThroughputScheduler:

@@ -20,12 +20,7 @@ from repro.scheduling.base import Scheduler
 from repro.simulation.process import PeriodicProcess
 from repro.simulation.profiling import SimProfiler
 from repro.simulation.simulator import Simulator
-from repro.traces.scenarios import (
-    make_loss_model,
-    make_scenario_trace,
-    propagation_delay,
-    scenario_networks,
-)
+from repro.traces.scenarios import birth_path
 
 # Grace window bounds for a graceful path drain: long enough for the
 # last in-flight packets' acks to return (≈ 2 RTTs plus one transport
@@ -131,26 +126,12 @@ class ConferenceCall:
                 "scenario (pass churn_scenario to the call)"
             )
         now = self.sim.now
-        networks = scenario_networks(self._churn_scenario)
-        if network not in networks:
-            # Chaos plans name the migration scenario's WiFi/LTE
-            # profiles; under any other scenario the birth attaches to
-            # a profile it actually has, chosen deterministically, so
-            # churn runs compose with every trace scenario.
-            network = sorted(networks)[path_id % len(networks)]
-        # The new path's trace rides a forked stream namespace so its
-        # randomness never perturbs draws of the initial paths.
-        streams = self.sim.streams.fork(f"churn-path-{path_id}-{network}")
-        config = PathConfig(
-            path_id=path_id,
-            trace=make_scenario_trace(
-                self._churn_scenario, network, self.config.duration, streams
-            ),
-            propagation_delay=propagation_delay(
-                self._churn_scenario, network
-            ),
-            loss_model=make_loss_model(self._churn_scenario, network),
-            name=network,
+        config = birth_path(
+            self._churn_scenario,
+            network,
+            path_id,
+            self.config.duration,
+            self.sim.streams,
         )
         path = self.paths.add_path(config)
         path.on_feedback_deliver = self.sender.on_rtcp

@@ -29,12 +29,7 @@ from repro.net.loss import BernoulliLoss, LossModel, NoLoss
 from repro.net.path import PathConfig
 from repro.net.trace import BandwidthTrace
 from repro.simulation.random import RandomStreams
-from repro.traces.scenarios import (
-    get_scenario,
-    make_loss_model,
-    make_scenario_trace,
-    propagation_delay,
-)
+from repro.traces.scenarios import get_scenario, scenario_path
 
 # Default call length for experiments.  The paper uses 3-minute calls;
 # benches default to a shorter window for iteration speed (set
@@ -51,18 +46,10 @@ def scenario_paths(
     """Build the emulated paths for one Appendix-D scenario."""
     streams = RandomStreams(seed)
     names = list(networks) if networks else list(get_scenario(scenario).networks)
-    configs: List[PathConfig] = []
-    for index, network in enumerate(names):
-        configs.append(
-            PathConfig(
-                path_id=index,
-                trace=make_scenario_trace(scenario, network, duration, streams),
-                propagation_delay=propagation_delay(scenario, network),
-                loss_model=make_loss_model(scenario, network),
-                name=network,
-            )
-        )
-    return configs
+    return [
+        scenario_path(scenario, network, index, duration, streams)
+        for index, network in enumerate(names)
+    ]
 
 
 def constant_paths(

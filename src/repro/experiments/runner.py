@@ -613,10 +613,12 @@ def run_cells(
     mid-sweep.  A cell that raises is quarantined at once: a
     simulation is a pure function of its cell, so it would raise again.
     ``mode`` — which flow engine serves a cell; the bytes are the same,
-    so leave it unset and the runner decides: compatible flow-fidelity
-    cells (same resolved cell up to seed/label) form a group, which
-    :func:`repro.flow.batch.iter_batch` steps as one array program in
-    this process when no ``cell_timeout`` is set and :func:`_batch_pays`
+    so leave it unset and the runner decides: the cells the array
+    program takes (:func:`repro.flow.batch.batchable`: default-config
+    Converge at flow fidelity) form groups by resolved cell up to
+    seed/label, and :func:`repro.flow.batch.iter_batch` steps a group
+    as one array program in this process when no ``cell_timeout`` is
+    set and :func:`_batch_pays`
     at ``workers = min(jobs, os.cpu_count())``; the rest takes the path
     above.  The pins are each other's reference in tests and the
     ledger: ``"scalar"`` batches nothing, ``"batch"`` every group.
@@ -654,8 +656,8 @@ def _run_batched(
 ) -> List[str]:
     """Execute what the array backend should take; return the leftovers.
 
-    Compatible flow cells are grouped by structural identity, a group
-    whose width ``pays`` is stepped together in
+    Batchable cells are grouped by structural identity, a group whose
+    width ``pays`` is stepped together in
     :func:`repro.flow.batch.iter_batch` (in chunks, so that one
     group's ``(T, B)`` state stays bounded), and each payload is
     finished — stored, handed on, dropped — before the next is built.

@@ -1,14 +1,20 @@
-"""Vectorized batch execution of flow-fidelity cells.
+"""Vectorized batch execution of default-config Converge flow cells.
 
 The scalar flow backend (:mod:`repro.flow.session`) made one call two
 orders of magnitude faster than the packet core, which moved the
 bottleneck for Monte Carlo sweeps to the Python interpreter itself:
 every cell replays the same ~1800-step control loop, one step at a
-time, in its own process.  This module steps *B* compatible cells
+time, in its own process.  This module steps *B* cells of one group
 simultaneously as one numpy array program — capacity trajectories as
 ``(T, B)`` tables, every per-path quantity (queue backlog, loss EWMAs,
 GCC rate state, FEC carry) as struct-of-arrays ``(B,)`` slices, and
 all stochastic frame fates as batched inverse-transform draws.
+
+**Scope.**  The array program takes one cell shape, decided once in
+:func:`batchable`: a flow-fidelity, single-stream Converge call with
+the default configuration and no chaos plan, on scenario or constant
+paths — the shape of the wide seed ranges it pays for.  Every other
+cell runs on the scalar loop, where the runner sends it anyway.
 
 **Equivalence contract (DESIGN.md §11).**  Batched execution is not an
 approximation: for every cell it accepts, the produced result payload
@@ -40,11 +46,6 @@ to the scalar reference code:
   term; the cross-validation suite
   (``tests/test_flow_batch.py``) pins the two backends together on
   every golden scenario.
-
-Cells that the batch cannot take exactly — packet fidelity, chaos
-plans, multi-stream calls, scheduled loss models, per-path parameter
-mismatches inside a group — fall back to the scalar backend, so
-:func:`execute_cells` is always safe to call with a mixed population.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -72,12 +72,17 @@ from repro.core.config import (
     WATCHDOG_RATE_DECAY_INTERVAL,
     WATCHDOG_SILENCE_TIMEOUT,
     CallConfig,
-    FecMode,
     SystemKind,
 )
 from repro.core.sender import _CAPACITY_PROBE_INTERVAL as _PROBE_INTERVAL
 from repro.core.session import SAMPLE_INTERVAL
-from repro.experiments.cells import Cell, Fidelity, canonical_json
+from repro.experiments.cells import (
+    Cell,
+    ConstantPaths,
+    Fidelity,
+    ScenarioPaths,
+    canonical_json,
+)
 from repro.fec.converge_controller import (
     _BETA_DECAY_PER_SECOND as _BETA_DECAY,
     _BETA_MAX,
@@ -86,7 +91,6 @@ from repro.fec.converge_controller import (
     _MIN_LOSS_FOR_FEC,
     _ROUND_UP_THRESHOLD,
 )
-from repro.fec.tables import _BOUNDS, _FACTORS, KEYFRAME_MULTIPLIER
 from repro.flow.frames import (
     MAX_RTX_ROUNDS,
     _BETA_BUMP,
@@ -114,8 +118,6 @@ from repro.flow.rate_control import (
 from repro.flow.session import (
     _BURST_KILL_FACTOR,
     _BURST_KILL_MAX,
-    _CM_FAILURE_TIMEOUT,
-    _CM_RECONNECT_DELAY,
     _FRAME_PROBE_MIN_PACKETS,
     _FRAME_PROBE_MIN_RATE,
     _KEYFRAME_DEBT_REPAY,
@@ -124,7 +126,6 @@ from repro.flow.session import (
     _PROBE_MAX_LOSS,
     _PROBE_MAX_QUEUE_DELAY,
     _PROTECTION_SMOOTHING,
-    refuse_unmodelled,
 )
 from repro.metrics.qoe import FREEZE_THRESHOLD, REPEATED_FRAME_PSNR
 from repro.net.path import _OUTAGE_CAPACITY_BPS
@@ -286,16 +287,19 @@ def _take_lane_rows(holder: Any, name: str) -> NDArray[Any]:
 
 
 def batchable(cell: Cell) -> bool:
-    """Can this cell run on the array backend at all?
-
-    Static screen only — path-level checks (scheduled loss, per-path
-    parameter drift inside a group) happen after the paths are built
-    and fall back per cell.
-    """
+    """Can the array program take this cell?  The one place its scope
+    is decided: a flow-fidelity, single-stream Converge call with no
+    chaos plan and no ``overrides``, on scenario or constant paths.
+    Those paths carry no scheduled loss and build the same per-path
+    parameters for every seed, so one :func:`group_key` is all a group
+    shares."""
     return (
         cell.fidelity is Fidelity.FLOW
         and cell.chaos is None
         and cell.num_streams == 1
+        and cell.system is SystemKind.CONVERGE
+        and not cell.overrides
+        and isinstance(cell.paths, (ScenarioPaths, ConstantPaths))
     )
 
 
@@ -332,27 +336,6 @@ def plan_batches(
         else:
             bucket.append(index)
     return [groups[key] for key in order], rest
-
-
-def _scalar_payload(cell: Cell) -> Dict[str, Any]:
-    """Scalar-backend execution; ``execute_cell`` already returns the
-    normal form the array program emits, so nothing is re-encoded."""
-    from repro.experiments.runner import execute_cell
-
-    return execute_cell(cell)
-
-
-def execute_cells(cells: Sequence[Cell]) -> List[Dict[str, Any]]:
-    """Execute a mixed population, batching whatever groups allow."""
-    payloads: List[Optional[Dict[str, Any]]] = [None] * len(cells)
-    groups, rest = plan_batches(cells)
-    for group in groups:
-        results = execute_batch([cells[i] for i in group])
-        for i, payload in zip(group, results):
-            payloads[i] = payload
-    for i in rest:
-        payloads[i] = _scalar_payload(cells[i])
-    return [payload for payload in payloads if payload is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +378,6 @@ class _PathConsts:
             self.base_loss + (self.burst_loss - self.base_loss),
         )
 
-    def signature(self) -> Tuple[Any, ...]:
-        return (
-            self.path_id,
-            self.base_loss,
-            self.burst_loss,
-            self.burst_packets,
-            self.log_stay_good,
-            self.prop,
-            self.queue_cap,
-        )
-
     def pburst(self, n_pkts: I8) -> F8:
         table = self.pburst_table
         top = int(n_pkts.max())
@@ -436,7 +408,6 @@ class _PathLanes:
         "rank",
         "step_bytes",
         "step_packets",
-        "step_key",
         "out_delivered",
         "out_completion",
         "out_killed",
@@ -480,7 +451,6 @@ class _PathLanes:
         self.rank = np.zeros(shape, dtype=np.int64)
         self.step_bytes = np.zeros(shape, dtype=np.int64)
         self.step_packets = np.zeros(shape, dtype=np.int64)
-        self.step_key = np.zeros(shape, dtype=np.bool_)
         self.out_delivered = np.zeros(shape, dtype=np.bool_)
         self.out_completion = np.zeros(shape, dtype=np.float64)
         self.out_killed = np.zeros(shape, dtype=np.bool_)
@@ -531,17 +501,11 @@ class _BatchFlowRun:
         "received_total",
         "fec_received_total",
         "fec_recovered_total",
-        "pinned",
-        "cm_reconnect_until",
-        "send_n",
-        "total_weight",
-        "target_rate",
         "size0",
         "key0",
         "qp0",
         "step_media",
         "step_fec",
-        "enc_flag",
         "rendered_size",
         "rendered_key",
         "rendered_qp",
@@ -594,21 +558,11 @@ class _BatchFlowRun:
         self.received_total = np.zeros(shape, dtype=np.int64)
         self.fec_received_total = np.zeros(shape, dtype=np.int64)
         self.fec_recovered_total = np.zeros(shape, dtype=np.int64)
-        pids = [consts.path_id for consts in self.consts]
-        pinned = config.single_path_id
-        if pinned not in pids:
-            pinned = min(pids)
-        self.pinned = np.full(shape, pinned, dtype=np.int64)
-        self.cm_reconnect_until = np.full(shape, -math.inf, dtype=np.float64)
-        self.send_n = np.zeros(shape, dtype=np.int64)
-        self.total_weight = np.zeros(shape, dtype=np.float64)
-        self.target_rate = np.zeros(shape, dtype=np.float64)
         self.size0 = np.zeros(shape, dtype=np.int64)
         self.key0 = np.zeros(shape, dtype=np.bool_)
         self.qp0 = np.zeros(shape, dtype=np.float64)
         self.step_media = np.zeros(shape, dtype=np.int64)
         self.step_fec = np.zeros(shape, dtype=np.int64)
-        self.enc_flag = np.zeros((steps, batch), dtype=np.bool_)
         self.rendered_size = np.zeros((steps, batch), dtype=np.int64)
         self.rendered_key = np.zeros((steps, batch), dtype=np.bool_)
         self.rendered_qp = np.zeros((steps, batch), dtype=np.float64)
@@ -629,7 +583,6 @@ class _BatchFlowRun:
         lanes = self.lanes
         consts = self.consts
         pool = self.pool
-        num_paths = len(lanes)
         dt = self.dt
         mtu = DEFAULT_MTU_PAYLOAD
         enc = config.encoder_template
@@ -644,26 +597,12 @@ class _BatchFlowRun:
         jit_span = size_jitter - jit_lo
         frame_rate = config.frame_rate
         encoder_utilization = config.encoder_utilization
-        num_streams = config.num_streams
         max_latency = config.receiver.max_playout_latency
         decay_scaled = WATCHDOG_RATE_DECAY_FACTOR ** (
             dt / WATCHDOG_RATE_DECAY_INTERVAL
         )
-        qoe_feedback = config.qoe_feedback_enabled
         peak_decay = math.exp(-dt / _LOSS_PEAK_TAU)
         win_alpha = 1.0 - math.exp(-dt / DELIVERED_WINDOW)
-        fec_mode = config.fec_mode
-        fec_none = fec_mode is FecMode.NONE
-        fec_webrtc = fec_mode is FecMode.WEBRTC_TABLE
-        fec_converge = fec_mode is FecMode.CONVERGE
-        fec_bounds = np.array(_BOUNDS)
-        fec_factors = np.array(_FACTORS)
-        system = config.system
-        is_converge = system is SystemKind.CONVERGE
-        is_webrtc = system is SystemKind.WEBRTC
-        is_srtt = system is SystemKind.SRTT
-        is_cm = system is SystemKind.WEBRTC_CM
-        is_mrtp = system is SystemKind.MRTP
         probe_run_bits_f = float(PROBE_RUN_BITS)
         growth_dt = GROWTH_PER_SECOND**dt
         near_lo = 1.0 - NEAR_CONVERGENCE_WINDOW
@@ -671,14 +610,11 @@ class _BatchFlowRun:
         half_mtu_bits = 0.5 * _MTU_BITS
         gcc_min = float(config.gcc.min_rate)
         gcc_max = float(config.gcc.max_rate)
-        pids = [c.path_id for c in consts]
-        pin_col = pids.index(int(self.pinned[0])) if is_webrtc else 0
         next_probe = _PROBE_INTERVAL
         sample_tick = 0
         sample_row = 0
         batch = self.batch_size
         inf = math.inf
-        ones = np.ones(batch, dtype=np.float64)
         true_col = np.ones(batch, dtype=np.bool_)
         _loss_unit_cut = 1.0  # outage loss level
 
@@ -713,74 +649,18 @@ class _BatchFlowRun:
             else:
                 usable = [true_col for _ in lanes]
 
-            # -- scheduler split ------------------------------------------
+            # -- scheduler split: Eq. 1, by per-path rates ---------------
+            # Every weight is at least ``gcc.min_rate``, so each usable
+            # path is in the send set.
             total_weight = np.zeros(batch, dtype=np.float64)
             target_rate = np.zeros(batch, dtype=np.float64)
-            for lane in lanes:
-                lane.member.fill(False)
-            if is_webrtc:
-                # Structural pin: churn-free calls never move it.
-                lane = lanes[pin_col]
-                lane.member[:] = True
-                lane.weight[:] = 1.0
-                total_weight += ones
-                target_rate += lane.tgt
-            elif is_srtt:
-                best_col = np.zeros(batch, dtype=np.int64)
-                best_srtt = np.full(batch, inf, dtype=np.float64)
-                seeded = np.zeros(batch, dtype=np.bool_)
-                for p, lane in enumerate(lanes):
-                    u = usable[p]
-                    first = u & ~seeded
-                    better = u & seeded & (lane.srtt < best_srtt)
-                    pick = first | better
-                    best_col = np.where(pick, p, best_col)
-                    best_srtt = np.where(pick, lane.srtt, best_srtt)
-                    seeded |= u
-                for p, lane in enumerate(lanes):
-                    m = best_col == p
-                    lane.member |= m
-                    lane.weight[m] = 1.0
-                    total_weight += np.where(m, 1.0, 0.0)
-                    target_rate += np.where(m, lane.tgt, 0.0)
-            elif is_cm:
-                self._cm_schedule(now, usable, pids)
-                for p, lane in enumerate(lanes):
-                    m = lane.member
-                    lane.weight[m] = 1.0
-                    total_weight += np.where(m, 1.0, 0.0)
-                    target_rate += np.where(m, lane.tgt, 0.0)
-            elif is_mrtp:
-                for lane in lanes:
-                    le = lane.loss_ewma
-                    w = 1.0 - np.where(le < 0.95, le, 0.95)
-                    lane.weight = w
-                    lane.member[:] = True
-                    total_weight += w
-                    target_rate += lane.tgt
-            else:
-                # CONVERGE / MTPUT: Eq. 1 — split by per-path rates.
-                zero_weight = np.zeros(batch, dtype=np.bool_)
-                for p, lane in enumerate(lanes):
-                    m = usable[p]
-                    lane.member = m.copy() if m is true_col else m
-                    w = lane.tgt
-                    lane.weight = w
-                    total_weight += np.where(m, w, 0.0)
-                    target_rate += np.where(m, w, 0.0)
-                    zero_weight |= m & (w <= 0.0)
-                if zero_weight.any():
-                    # Rare zero-floor config: drop zero-weight paths
-                    # from the send set; total_weight stays as-is.
-                    target_rate = np.where(
-                        zero_weight, 0.0, target_rate
-                    )
-                    for lane in lanes:
-                        drop = zero_weight & lane.member & (lane.weight <= 0.0)
-                        lane.member &= ~drop
-                        target_rate += np.where(
-                            zero_weight & lane.member, lane.tgt, 0.0
-                        )
+            for p, lane in enumerate(lanes):
+                m = usable[p]
+                lane.member = m.copy() if m is true_col else m
+                w = lane.tgt
+                lane.weight = w
+                total_weight += np.where(m, w, 0.0)
+                target_rate += np.where(m, w, 0.0)
 
             send_n = np.zeros(batch, dtype=np.int64)
             for lane in lanes:
@@ -788,7 +668,6 @@ class _BatchFlowRun:
                 send_n += lane.member
                 lane.step_bytes.fill(0)
                 lane.step_packets.fill(0)
-                lane.step_key.fill(False)
 
             # -- sampling --------------------------------------------------
             if sample_tick == 0:
@@ -826,18 +705,14 @@ class _BatchFlowRun:
                     * encoder_utilization
                     / (1.0 + self.protection[eidx])
                 )
-                per_stream = budget / num_streams
-                per_stream = np.where(
-                    per_stream < enc_min, enc_min, per_stream
-                )
-                per_stream = np.where(
-                    per_stream > enc_cap, enc_cap, per_stream
-                )
+                # One stream: the whole budget is its bitrate.
+                bitrate = np.where(budget < enc_min, enc_min, budget)
+                bitrate = np.where(bitrate > enc_cap, enc_cap, bitrate)
                 # The QP log never feeds back into the dynamics, so
                 # only the RD ratio is recorded here; rendered frames
                 # get their exact ``math.log`` at payload time.
                 self.qp0[eidx] = (
-                    np.where(per_stream > 1.0, per_stream, 1.0) / rd_anchor
+                    np.where(bitrate > 1.0, bitrate, 1.0) / rd_anchor
                 )
                 fsk = self.frames_since_key[eidx]
                 is_key = (
@@ -845,7 +720,7 @@ class _BatchFlowRun:
                     | (fsk >= gop_length)
                     | self.pending[eidx]
                 )
-                base = per_stream / 8.0 / frame_rate
+                base = bitrate / 8.0 / frame_rate
                 debt = self.debt[eidx]
                 size_key = base * key_mult
                 repay_cap = _KEYFRAME_DEBT_REPAY * base
@@ -862,10 +737,7 @@ class _BatchFlowRun:
                 self.size0[eidx] = size
                 self.key0[eidx] = is_key
                 self.enc_count[eidx] += 1
-                self.enc_flag[step, eidx] = True
-                self._allocate(
-                    enc_mask, send_n, total_weight, mtu, is_converge
-                )
+                self._allocate(enc_mask, send_n, total_weight, mtu)
 
             probe_due = now >= next_probe
             if probe_due:
@@ -928,71 +800,50 @@ class _BatchFlowRun:
                 # FEC packets to send alongside the media, batched.
                 mpos = mp > 0
                 fec_pk = np.zeros(m, dtype=np.int64)
-                if fec_none:
-                    pass
-                elif fec_webrtc:
-                    # webrtc_protection_factor, batched: the first row
-                    # whose bound ``le`` does not exceed.
-                    pf = fec_factors[np.searchsorted(fec_bounds, le)]
-                    doubled = pf * KEYFRAME_MULTIPLIER
-                    doubled = np.where(doubled > 1.0, 1.0, doubled)
-                    pf = np.where(lane.step_key[idx], doubled, pf)
-                    exact = pf * mp + lane.carry[idx]
+                low = peak_hold < _MIN_LOSS_FOR_FEC
+                zero = mpos & low
+                if zero.any():
+                    lane.carry[zero if full else idx[zero]] = 0.0
+                act = mpos & ~low
+                if act.any():
+                    beta = lane.beta[idx]
+                    elapsed = now - lane.last_update[idx]
+                    decay_m = act & (elapsed > 0.0)
+                    if decay_m.any():
+                        factor = _scalar_map(
+                            math.exp, -_BETA_DECAY * elapsed[decay_m]
+                        )
+                        nb = beta[decay_m]
+                        beta[decay_m] = 1.0 + (nb - 1.0) * factor
+                        lane.beta[idx] = beta
+                        lane.last_update[
+                            decay_m if full else idx[decay_m]
+                        ] = now
+                    prot = np.where(
+                        peak_hold > _MAX_PROTECTED_LOSS,
+                        _MAX_PROTECTED_LOSS,
+                        peak_hold,
+                    )
+                    prot = prot * beta
+                    prot = np.where(
+                        prot > _MAX_PROTECTION, _MAX_PROTECTION, prot
+                    )
+                    exact = prot * mp + lane.carry[idx]
                     fec_raw = exact.astype(np.int64)
+                    fec_raw = np.where(
+                        (fec_raw == 0) & (exact >= _ROUND_UP_THRESHOLD),
+                        1,
+                        fec_raw,
+                    )
                     carry = exact - fec_raw
                     carry = np.where(carry < 0.0, 0.0, carry)
                     carry = np.where(carry > 1.0, 1.0, carry)
                     lane.carry[idx] = np.where(
-                        mpos, carry, lane.carry[idx]
+                        act, carry, lane.carry[idx]
                     )
                     fec_pk = np.where(
-                        mpos, np.where(fec_raw > mp, mp, fec_raw), 0
+                        act, np.where(fec_raw > mp, mp, fec_raw), fec_pk
                     )
-                elif fec_converge:
-                    low = peak_hold < _MIN_LOSS_FOR_FEC
-                    zero = mpos & low
-                    if zero.any():
-                        lane.carry[zero if full else idx[zero]] = 0.0
-                    act = mpos & ~low
-                    if act.any():
-                        beta = lane.beta[idx]
-                        elapsed = now - lane.last_update[idx]
-                        decay_m = act & (elapsed > 0.0)
-                        if decay_m.any():
-                            factor = _scalar_map(
-                                math.exp, -_BETA_DECAY * elapsed[decay_m]
-                            )
-                            nb = beta[decay_m]
-                            beta[decay_m] = 1.0 + (nb - 1.0) * factor
-                            lane.beta[idx] = beta
-                            lane.last_update[
-                                decay_m if full else idx[decay_m]
-                            ] = now
-                        prot = np.where(
-                            peak_hold > _MAX_PROTECTED_LOSS,
-                            _MAX_PROTECTED_LOSS,
-                            peak_hold,
-                        )
-                        prot = prot * beta
-                        prot = np.where(
-                            prot > _MAX_PROTECTION, _MAX_PROTECTION, prot
-                        )
-                        exact = prot * mp + lane.carry[idx]
-                        fec_raw = exact.astype(np.int64)
-                        fec_raw = np.where(
-                            (fec_raw == 0) & (exact >= _ROUND_UP_THRESHOLD),
-                            1,
-                            fec_raw,
-                        )
-                        carry = exact - fec_raw
-                        carry = np.where(carry < 0.0, 0.0, carry)
-                        carry = np.where(carry > 1.0, 1.0, carry)
-                        lane.carry[idx] = np.where(
-                            act, carry, lane.carry[idx]
-                        )
-                        fec_pk = np.where(
-                            act, np.where(fec_raw > mp, mp, fec_raw), fec_pk
-                        )
                 fec_bytes = fec_pk * mtu
 
                 # FlowLink.push, batched.
@@ -1094,19 +945,19 @@ class _BatchFlowRun:
                     lane.rec_rtx_bytes[idx] += np.where(
                         up, uncovered * mtu, 0
                     )
-                    if qoe_feedback and fec_converge:
-                        bump = up & mpos
-                        if bump.any():
-                            proposed = 1.0 + _BETA_BUMP * uncovered
-                            beta = lane.beta[idx]
-                            raised = bump & (proposed > beta)
-                            capped = np.where(
-                                proposed > _BETA_MAX, _BETA_MAX, proposed
-                            )
-                            lane.beta[idx] = np.where(raised, capped, beta)
-                            lane.last_update[
-                                bump if full else idx[bump]
-                            ] = now
+                    # QoE feedback: uncovered losses raise beta.
+                    bump = up & mpos
+                    if bump.any():
+                        proposed = 1.0 + _BETA_BUMP * uncovered
+                        beta = lane.beta[idx]
+                        raised = bump & (proposed > beta)
+                        capped = np.where(
+                            proposed > _BETA_MAX, _BETA_MAX, proposed
+                        )
+                        lane.beta[idx] = np.where(raised, capped, beta)
+                        lane.last_update[
+                            bump if full else idx[bump]
+                        ] = now
 
                 srtt_sample = pc.prop2 + np.where(
                     queue_delay < 2.0, queue_delay, 2.0
@@ -1333,9 +1184,7 @@ class _BatchFlowRun:
 
             # -- frame finish ----------------------------------------------
             if enc_any:
-                self._finish(
-                    step, now, enc_mask, enc_all, max_latency, is_converge
-                )
+                self._finish(step, now, enc_mask, enc_all, max_latency)
 
         return self._finalize()
 
@@ -1395,72 +1244,24 @@ class _BatchFlowRun:
                     if i in es:
                         self.path_events[i].append((now, pid, "enabled"))
 
-    def _cm_schedule(
-        self, now: float, usable: List[B1], pids: List[int]
-    ) -> None:
-        """WebRTC-CM failover: one pinned path with reconnect windows."""
-        lanes = self.lanes
-        batch = self.batch_size
-        reconnecting = now < self.cm_reconnect_until
-        active = ~reconnecting
-        pinned_usable = np.zeros(batch, dtype=np.bool_)
-        pinned_silence = np.zeros(batch, dtype=np.float64)
-        for p, pid in enumerate(pids):
-            at = self.pinned == pid
-            pinned_usable |= at & usable[p]
-            pinned_silence = np.where(
-                at, lanes[p].silence, pinned_silence
-            )
-        failed = active & (
-            ~pinned_usable | (pinned_silence > _CM_FAILURE_TIMEOUT)
-        )
-        if failed.any():
-            # First-min candidate (pid order, strict <) among usable
-            # paths other than the pinned one.
-            cand_pid = np.full(batch, -1, dtype=np.int64)
-            cand_sil = np.zeros(batch, dtype=np.float64)
-            for p, pid in enumerate(pids):
-                eligible = failed & usable[p] & (self.pinned != pid)
-                first = eligible & (cand_pid < 0)
-                better = eligible & (cand_pid >= 0) & (
-                    lanes[p].silence < cand_sil
-                )
-                pick = first | better
-                cand_pid = np.where(pick, pid, cand_pid)
-                cand_sil = np.where(pick, lanes[p].silence, cand_sil)
-            switching = failed & (cand_pid >= 0)
-            if switching.any():
-                self.pinned = np.where(switching, cand_pid, self.pinned)
-                self.cm_reconnect_until = np.where(
-                    switching, now + _CM_RECONNECT_DELAY,
-                    self.cm_reconnect_until,
-                )
-            sending = active & ~switching
-        else:
-            sending = active
-        for p, pid in enumerate(pids):
-            lanes[p].member = sending & (self.pinned == pid)
-
     def _allocate(
         self,
         enc_mask: B1,
         send_n: I8,
         total_weight: F8,
         mtu: int,
-        is_converge: bool,
     ) -> None:
         """Split ``size0`` over member paths (``_allocate``, batched)."""
         lanes = self.lanes
         batch = self.batch_size
         size = self.size0
         key = self.key0
-        nk = key & is_converge if is_converge else np.zeros(batch, np.bool_)
         one = enc_mask & (send_n == 1)
         two = enc_mask & (send_n == 2)
-        two_prop = two & ~nk
+        two_prop = two & ~key
         gen = enc_mask & (send_n >= 3)
-        conv_key = (two | gen) & nk
-        gen_split = gen & ~nk
+        conv_key = (two | gen) & key
+        gen_split = gen & ~key
         if two_prop.any():
             w_first = np.zeros(batch, dtype=np.float64)
             for lane in lanes:
@@ -1520,7 +1321,6 @@ class _BatchFlowRun:
             lane.step_bytes = sb
             positive = sb > 0
             lane.step_packets = np.where(positive, -((-sb) // mtu), 0)
-            lane.step_key = key & positive
 
     def _hard_drop(self, now: float, idx: I8) -> None:
         """Drop the in-flight frame for the listed cells."""
@@ -1538,7 +1338,6 @@ class _BatchFlowRun:
         enc_mask: B1,
         enc_all: bool,
         max_latency: float,
-        is_converge: bool,
     ) -> None:
         lanes = self.lanes
         pool = self.pool
@@ -1915,77 +1714,50 @@ class _BatchFlowRun:
 
 
 def iter_batch(cells: Sequence[Cell]) -> Iterator[Dict[str, Any]]:
-    """Execute one structural group of cells as an array program.
+    """Step one planned group as an array program.
 
-    All cells must share :func:`group_key`; cells that fail the dynamic
-    path checks (scheduled loss models, per-path parameter drift) fall
-    back to the scalar backend individually.  Payloads come in input
+    ``cells`` is one group of :func:`plan_batches`: every cell
+    :func:`batchable`, all with one :func:`group_key`.  Anything else
+    raises ``ValueError`` before a step runs.  Payloads come in input
     order, equal to the scalar runner's, and one at a time: the array
     program has run to its last step by the first, each payload is
-    built (or its scalar fall-back run) when it is taken, and what is
-    kept of it is the consumer's business.
+    built when it is taken, and what is kept of it is the consumer's
+    business.
     """
-    accepted: List[int] = []
-    links_per_cell: List[List[FlowLink]] = []
-    template_sig: Optional[List[Tuple[Any, ...]]] = None
-    template_config: Optional[CallConfig] = None
-    for index, cell in enumerate(cells):
+    for cell in cells:
         if not batchable(cell):
-            continue
-        path_configs = sorted(
-            cell.paths.build(cell.duration, cell.seed),
-            key=lambda pc: pc.path_id,
-        )
-        config = build_template_config(cell)
-        links = [FlowLink(pc) for pc in path_configs]
-        if any(link._scheduled is not None for link in links):
-            continue
-        signature = [_PathConsts(link).signature() for link in links]
-        if template_sig is None:
-            template_sig = signature
-            template_config = config
-        if signature != template_sig:
-            continue
-        accepted.append(index)
-        links_per_cell.append(links)
-    batched: Iterator[Dict[str, Any]] = iter(())
-    if template_config is not None:
-        run = _BatchFlowRun(
-            template_config,
-            [cells[i] for i in accepted],
-            links_per_cell,
-        )
-        # The traces are tabulated into the run's capacity arrays.
-        del links_per_cell
-        # One suppressed-warning window for the whole array program:
-        # guarded divisions (outage capacities, zero weights) are
-        # selected away by ``np.where`` right after they happen.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            batched = run.run()
-    on_array = set(accepted)
-    for index, cell in enumerate(cells):
-        yield next(batched) if index in on_array else _scalar_payload(cell)
+            raise ValueError(
+                f"not batchable: {cell.effective_label} seed={cell.seed}"
+            )
+    keys = len({group_key(cell) for cell in cells})
+    if keys > 1:
+        raise ValueError(f"one group_key per array program, not {keys}")
+    if not cells:
+        return
+    from repro.core.api import build_call_config
+
+    links_per_cell = [
+        [
+            FlowLink(pc)
+            for pc in sorted(
+                cell.paths.build(cell.duration, cell.seed),
+                key=lambda pc: pc.path_id,
+            )
+        ]
+        for cell in cells
+    ]
+    config = build_call_config(SystemKind.CONVERGE, duration=cells[0].duration)
+    run = _BatchFlowRun(config, cells, links_per_cell)
+    # The traces are tabulated into the run's capacity arrays.
+    del links_per_cell
+    # One suppressed-warning window for the whole array program:
+    # guarded divisions (outage capacities, lanes that sent no media)
+    # are selected away by ``np.where`` right after they happen.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        payloads = run.run()
+    yield from payloads
 
 
 def execute_batch(cells: Sequence[Cell]) -> List[Dict[str, Any]]:
     """:func:`iter_batch`, collected: every payload, in input order."""
     return list(iter_batch(cells))
-
-
-def build_template_config(cell: Cell) -> CallConfig:
-    """The :class:`CallConfig` the batch shares (seed/label vary);
-    refused like the scalar loop's when it sets what the flow model
-    does not read."""
-    from repro.core.api import build_call_config
-
-    config = build_call_config(
-        cell.system,
-        duration=cell.duration,
-        num_streams=cell.num_streams,
-        seed=cell.seed,
-        single_path_id=cell.single_path_id,
-        label=cell.label,
-        **cell.override_kwargs(),
-    )
-    refuse_unmodelled(config)
-    return config

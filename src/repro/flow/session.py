@@ -97,12 +97,7 @@ from repro.receiver.session import (
 )
 from repro.rtp.packets import DEFAULT_MTU_PAYLOAD
 from repro.simulation.random import RandomStreams
-from repro.traces.scenarios import (
-    make_loss_model,
-    make_scenario_trace,
-    propagation_delay,
-    scenario_networks,
-)
+from repro.traces.scenarios import birth_path
 from repro.video.encoder import KEYFRAME_SIZE_MULTIPLIER
 
 # Delta frames repay at most this fraction of a base frame per frame.
@@ -322,18 +317,12 @@ class FlowCall:
                 "cannot synthesize a mid-call path without a trace "
                 "scenario (pass churn_scenario to the call)"
             )
-        networks = scenario_networks(self._churn_scenario)
-        if network not in networks:
-            network = sorted(networks)[path_id % len(networks)]
-        streams = self._streams.fork(f"churn-path-{path_id}-{network}")
-        config = PathConfig(
-            path_id=path_id,
-            trace=make_scenario_trace(
-                self._churn_scenario, network, self.config.duration, streams
-            ),
-            propagation_delay=propagation_delay(self._churn_scenario, network),
-            loss_model=make_loss_model(self._churn_scenario, network),
-            name=network,
+        config = birth_path(
+            self._churn_scenario,
+            network,
+            path_id,
+            self.config.duration,
+            self._streams,
         )
         self._add_path_state(config)
         self.metrics.record_churn_event(now, path_id, "birth")
@@ -527,8 +516,9 @@ class FlowCall:
         """Advance the call one frame interval at a time.
 
         This loop is the scalar statement of the flow model; the array
-        program in :mod:`repro.flow.batch` is the other one, and the
-        two are held together by byte-equality at runtime
+        program in :mod:`repro.flow.batch` is the other one, for
+        default-config Converge only, and the two are held together by
+        byte-equality at runtime
         (``tests/test_flow_batch.py``, ``tests/test_fleet_properties.py``)
         and by the digest fixture of ``tests/test_golden_determinism.py``.
         Everything the packet core amortizes over thousands of events

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel
+from repro.net.path import PathConfig
 from repro.net.trace import BandwidthTrace
 from repro.simulation.random import RandomStreams
 from repro.traces.generator import (
@@ -228,3 +229,47 @@ def make_loss_model(scenario_name: str, network: str) -> LossModel:
 
 def propagation_delay(scenario_name: str, network: str) -> float:
     return get_scenario(scenario_name).networks[network].propagation_delay
+
+
+def scenario_path(
+    scenario_name: str,
+    network: str,
+    path_id: int,
+    duration: float,
+    streams: RandomStreams,
+) -> PathConfig:
+    """One emulated path: the network's trace, delay and loss process."""
+    return PathConfig(
+        path_id=path_id,
+        trace=make_scenario_trace(scenario_name, network, duration, streams),
+        propagation_delay=propagation_delay(scenario_name, network),
+        loss_model=make_loss_model(scenario_name, network),
+        name=network,
+    )
+
+
+def birth_path(
+    scenario_name: str,
+    network: str,
+    path_id: int,
+    duration: float,
+    streams: RandomStreams,
+) -> PathConfig:
+    """A path born mid-call (a churn BIRTH event), at either fidelity.
+
+    Chaos plans name the migration scenario's WiFi/LTE profiles; under
+    any other scenario the birth attaches to a profile the scenario
+    has, chosen by path id, so churn composes with every trace
+    scenario.  The trace rides a forked stream namespace, so its
+    randomness never perturbs the draws of the initial paths.
+    """
+    networks = scenario_networks(scenario_name)
+    if network not in networks:
+        network = sorted(networks)[path_id % len(networks)]
+    return scenario_path(
+        scenario_name,
+        network,
+        path_id,
+        duration,
+        streams.fork(f"churn-path-{path_id}-{network}"),
+    )

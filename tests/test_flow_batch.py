@@ -1,12 +1,14 @@
 """Tests for the array-batched flow backend (repro.flow.batch).
 
-The batch engine's contract is *byte-exactness*: for every cell it
-accepts, the payload it produces must equal the scalar runner's
-payload — same canonical_json bytes, plain ``==``, same type tree and
-key order, with no normalization pass on either side.
+The batch engine takes one cell shape, default-config Converge, and
+its contract is *byte-exactness*: for every cell it accepts, the
+payload it produces must equal the scalar runner's payload — same
+canonical_json bytes, plain ``==``, same type tree and key order, with
+no normalization pass on either side.
 These tests pin that contract on real scenario paths, exercise the
-planner's grouping semantics, and check the runner's ``mode="batch"``
-integration including the cache and the scalar fallback.
+scope and the planner's grouping semantics, and check the runner's
+``mode="batch"`` integration including the cache, the routing of every
+other system to the scalar loop, and the scalar fallback.
 """
 
 import math
@@ -21,32 +23,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cc.gcc import GccConfig
 from repro.core.config import SystemKind
 from repro.experiments import runner as runner_mod
 from repro.experiments.cache import ResultCache
 from repro.experiments.cells import (
+    BuilderPaths,
     ConstantPaths,
     Fidelity,
     ScenarioPaths,
     canonical_json,
     make_cell,
 )
-from repro.experiments.runner import results_of, run_cells
+from repro.experiments.runner import execute_cell, results_of, run_cells
 from repro.flow import batch as batch_mod
 from repro.flow.batch import (
     _binomial_walk,
     _DrawPool,
     _scalar_map,
-    _scalar_payload,
     batchable,
     execute_batch,
-    execute_cells,
     group_key,
     plan_batches,
 )
 from repro.flow.frames import binomial_draw, binomial_from_uniform
-from repro.video.encoder import EncoderConfig
 
 from tests.batch_spy import watch_payload_builds
 from tests.normal_form import assert_normal_form, assert_same_payload
@@ -85,6 +84,31 @@ class TestBatchable:
     def test_multi_stream_is_not(self):
         assert not batchable(_flow_cell(num_streams=2))
 
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            *(
+                pytest.param(_flow_cell(system), id=system.value)
+                for system in SystemKind
+                if system is not SystemKind.CONVERGE
+            ),
+            pytest.param(
+                _flow_cell(qoe_feedback_enabled=False), id="override"
+            ),
+            pytest.param(
+                make_cell(
+                    BuilderPaths("repro.experiments.fig11_feedback:fig11_paths"),
+                    SystemKind.CONVERGE,
+                    duration=DURATION,
+                    fidelity=Fidelity.FLOW,
+                ),
+                id="builder-paths",
+            ),
+        ],
+    )
+    def test_every_other_shape_is_not(self, cell):
+        assert not batchable(cell)
+
 
 class TestPlanBatches:
     def test_groups_by_structure_seed_and_label_masked(self):
@@ -98,15 +122,16 @@ class TestPlanBatches:
         assert rest == []
 
     def test_groups_split_on_system(self):
+        # Another system never joins a Converge group: the array
+        # program does not take it, so it goes to the scalar rest.
         cells = [
             _flow_cell(SystemKind.CONVERGE, seed=1),
             _flow_cell(SystemKind.SRTT, seed=1),
             _flow_cell(SystemKind.CONVERGE, seed=2),
         ]
         groups, rest = plan_batches(cells)
-        # First-seen order, input order inside each group.
-        assert groups == [[0, 2], [1]]
-        assert rest == []
+        assert groups == [[0, 2]]
+        assert rest == [1]
 
     def test_non_batchable_cells_go_to_rest(self):
         cells = [
@@ -130,33 +155,45 @@ def _assert_batch_is_scalar(cells):
     batched = execute_batch(cells)
     assert len(batched) == len(cells)
     for cell, payload in zip(cells, batched):
-        assert_same_payload(payload, _scalar_payload(cell))
+        assert_same_payload(payload, execute_cell(cell))
 
 
-# Path 0 is dark for the whole call and path 1 is lossy: every system
-# meets outage loss, the watchdog's degrade and disable, the idle-path
-# rate decay and (WebRTC-CM) a failover with its reconnect window.
+def _assert_batch_mode_is_scalar(cells):
+    """The ``mode="batch"`` pin against the scalar loop: a Converge
+    group steps on the array program, every other system is routed to
+    the loop, and the bytes are the loop's either way."""
+    report = run_cells(cells, jobs=1, mode="batch")
+    assert report.stats.batched == sum(map(batchable, cells))
+    for cell, summary in zip(cells, results_of(report)):
+        assert_same_payload(summary.data, execute_cell(cell))
+
+
+# Path 0 is dark for the whole call and path 1 is lossy: outage loss,
+# the watchdog's degrade and disable, the idle-path rate decay, late
+# drops and salvage.
 _OUTAGE_PATHS = ConstantPaths((0.0, 6e6), (0.02, 0.03), (0.0, 0.01))
 
 
 class TestExecuteBatchByteExact:
-    """The array program is pinned to the scalar loop by behaviour:
-    every system, on fading traces, through an outage and at config
-    corners.  These batches are the only guard of the pair."""
+    """The array program is pinned to the scalar loop by behaviour: on
+    fading traces, through an outage and on constant paths.  These
+    batches are the only guard of the pair; for the five systems the
+    array program does not take, the same suites pin that the batch
+    pin serves them the loop's bytes."""
 
     @pytest.mark.parametrize("system", list(SystemKind))
     def test_matches_scalar_payloads(self, system):
-        for scenario in ("driving", "walking"):
-            _assert_batch_is_scalar(
-                [
-                    _flow_cell(system, seed=seed, scenario=scenario)
-                    for seed in (1, 2, 3)
-                ]
-            )
+        _assert_batch_mode_is_scalar(
+            [
+                _flow_cell(system, seed=seed, scenario=scenario)
+                for scenario in ("driving", "walking")
+                for seed in (1, 2, 3)
+            ]
+        )
 
     @pytest.mark.parametrize("system", list(SystemKind))
     def test_outage_matches_scalar(self, system):
-        _assert_batch_is_scalar(
+        _assert_batch_mode_is_scalar(
             [
                 make_cell(
                     _OUTAGE_PATHS,
@@ -169,53 +206,25 @@ class TestExecuteBatchByteExact:
             ]
         )
 
-    @pytest.mark.parametrize("system", list(SystemKind))
-    def test_config_corners_match_scalar(self, system):
-        # Clamps the default config never reaches: a GCC ceiling below
-        # capacity with an encoder floor low enough for frames under
-        # the 200-byte minimum, and a path slower than the GCC floor,
-        # started at the floor, whose overuse cuts go below it.
-        corners = [
-            (
-                _OUTAGE_PATHS,
-                dict(
-                    gcc=GccConfig(min_rate=20_000.0, max_rate=2_000_000.0),
-                    encoder_template=EncoderConfig(min_bitrate=30_000.0),
-                ),
-            ),
-            (
-                ConstantPaths((50e3, 6e6), (0.02, 0.03), (0.0, 0.01)),
-                dict(gcc=GccConfig(initial_rate=100_000.0)),
-            ),
-        ]
-        for paths, overrides in corners:
+    def test_constant_paths_match_scalar(self):
+        for paths in (
+            ConstantPaths((8e6, 8e6), (0.02, 0.03), (0.01, 0.0)),
+            # A path slower than the GCC floor: overuse cuts go below
+            # the floor and the clamp lifts them back.
+            ConstantPaths((50e3, 6e6), (0.02, 0.03), (0.0, 0.01)),
+        ):
             _assert_batch_is_scalar(
                 [
                     make_cell(
                         paths,
-                        system,
+                        SystemKind.CONVERGE,
                         seed=seed,
                         duration=DURATION,
                         fidelity=Fidelity.FLOW,
-                        **overrides,
                     )
-                    for seed in (1, 2)
+                    for seed in (5, 6)
                 ]
             )
-
-    def test_constant_paths_match_scalar(self):
-        _assert_batch_is_scalar(
-            [
-                make_cell(
-                    ConstantPaths((8e6, 8e6), (0.02, 0.03), (0.01, 0.0)),
-                    SystemKind.CONVERGE,
-                    seed=seed,
-                    duration=DURATION,
-                    fidelity=Fidelity.FLOW,
-                )
-                for seed in (5, 6)
-            ]
-        )
 
     def test_results_in_input_order(self):
         # Labels survive the round trip in the order the cells went in.
@@ -241,29 +250,34 @@ class TestIterBatch:
         assert built == [0, 1, 2, 3]
         assert [first, second] + rest == execute_batch(cells)
 
-    def test_scalar_fallbacks_keep_their_place(self, monkeypatch):
-        # A cell the array program cannot take runs on the scalar
-        # backend when its turn comes, between its neighbours' lanes.
-        order = []
-        watch_payload_builds(
-            monkeypatch, lambda lane, cell: order.append(cell.seed)
-        )
-        real_scalar = batch_mod._scalar_payload
-
-        def scalar(cell):
-            order.append(cell.seed)
-            return real_scalar(cell)
-
-        monkeypatch.setattr(batch_mod, "_scalar_payload", scalar)
-        cells = [
-            _flow_cell(seed=1),
-            _flow_cell(seed=2, chaos="uplink-death"),
-            _flow_cell(seed=3),
-        ]
-        payloads = list(batch_mod.iter_batch(cells))
-        assert order == [1, 2, 3]
-        for cell, payload in zip(cells, payloads):
-            assert_same_payload(payload, real_scalar(cell))
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            pytest.param(
+                [
+                    _flow_cell(seed=1),
+                    make_cell(
+                        ScenarioPaths("driving"),
+                        SystemKind.CONVERGE,
+                        seed=2,
+                        duration=DURATION + 1.0,
+                        fidelity=Fidelity.FLOW,
+                    ),
+                ],
+                id="two-group-keys",
+            ),
+            pytest.param(
+                [_flow_cell(seed=1), _flow_cell(SystemKind.WEBRTC, seed=2)],
+                id="unbatchable-cell",
+            ),
+        ],
+    )
+    def test_refuses_anything_but_one_planned_group(self, cells):
+        # Regression: the array program ran every cell with the first
+        # one's config, so a 4 s cell came back as a 3 s call and a
+        # WebRTC cell as a Converge call.
+        with pytest.raises(ValueError):
+            execute_batch(cells)
 
     def test_loop_state_is_released_before_the_first_payload(
         self, monkeypatch
@@ -289,19 +303,6 @@ class TestIterBatch:
         assert held == [False, False]
 
 
-class TestExecuteCells:
-    def test_mixed_population_matches_scalar(self):
-        cells = [
-            _flow_cell(SystemKind.CONVERGE, seed=1),
-            _flow_cell(SystemKind.SRTT, seed=1),
-            _flow_cell(SystemKind.CONVERGE, seed=2, chaos="uplink-death"),
-        ]
-        payloads = execute_cells(cells)
-        assert len(payloads) == len(cells)
-        for cell, payload in zip(cells, payloads):
-            assert_same_payload(payload, _scalar_payload(cell))
-
-
 class TestRunnerBatchMode:
     def test_invalid_mode_raises(self):
         with pytest.raises(ValueError):
@@ -322,6 +323,20 @@ class TestRunnerBatchMode:
             batch_payloads, scalar_payloads
         ):
             assert_same_payload(batch_payload, scalar_payload)
+
+    def test_six_systems_match_scalar_and_only_converge_batches(self):
+        cells = [
+            _flow_cell(system, seed=seed)
+            for system in SystemKind
+            for seed in (1, 2)
+        ]
+        batch = run_cells(cells, jobs=1, mode="batch")
+        scalar = run_cells(cells, jobs=1, mode="scalar")
+        assert batch.stats.batched == 2
+        assert batch.stats.executed == len(cells)
+        assert canonical_json([s.data for s in results_of(batch)]) == (
+            canonical_json([s.data for s in results_of(scalar)])
+        )
 
     def test_batch_entries_hit_cache_in_scalar_mode(self, tmp_path):
         cells = [_flow_cell(seed=seed) for seed in (1, 2, 3)]
@@ -351,8 +366,10 @@ class TestRunnerBatchMode:
         # The contract the runner relies on (nothing re-normalizes):
         # payloads come back in the normal form analysis/export.py
         # defines — sorted str keys, native lists/floats only, no
-        # change under a canonical_json round trip.
-        assert_normal_form(execute_batch([_flow_cell(system, seed=7)])[0])
+        # change under a canonical_json round trip — whichever engine
+        # the batch pin routes the system to.
+        report = run_cells([_flow_cell(system, seed=7)], mode="batch")
+        assert_normal_form(results_of(report)[0].data)
 
     def test_failed_batch_is_counted_and_rerun_scalar(
         self, tmp_path, monkeypatch, capsys
@@ -433,16 +450,12 @@ class TestDenseLossGroups:
     walking (like driving) only draws in the lanes a burst hit, most
     of which stay open."""
 
-    @pytest.mark.parametrize(
-        "scenario, system",
-        [("stationary", SystemKind.WEBRTC), ("walking", SystemKind.MTPUT)],
-    )
-    def test_matches_scalar_at_every_width(self, scenario, system):
+    @pytest.mark.parametrize("scenario", ["stationary", "walking"])
+    def test_matches_scalar_at_every_width(self, scenario):
         cells = [
-            _flow_cell(system, seed=seed, scenario=scenario)
-            for seed in range(1, 65)
+            _flow_cell(seed=seed, scenario=scenario) for seed in range(1, 65)
         ]
-        scalar = [_scalar_payload(cell) for cell in cells]
+        scalar = [execute_cell(cell) for cell in cells]
         for width in (1, 7, 64):
             batched = execute_batch(cells[:width])
             assert len(batched) == width
@@ -450,15 +463,14 @@ class TestDenseLossGroups:
                 assert_same_payload(payload, expected)
 
     @pytest.mark.parametrize("rates", [(1.0, 0.02), (0.02, 1.0)])
-    @pytest.mark.parametrize("system", [SystemKind.CONVERGE, SystemKind.MTPUT])
-    def test_certain_loss_without_an_outage(self, rates, system):
+    def test_certain_loss_without_an_outage(self, rates):
         # A loss rate of exactly 1 takes every packet with no draw,
         # and no lane is ever in outage on a constant path.
         _assert_batch_is_scalar(
             [
                 make_cell(
                     ConstantPaths((6e6, 4e6), (0.02, 0.04), rates),
-                    system,
+                    SystemKind.CONVERGE,
                     seed=seed,
                     duration=DURATION,
                     fidelity=Fidelity.FLOW,

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import gc
-from typing import Any, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Any, Iterator, List, Optional, Sequence
 
 from repro.core.config import CallConfig, FecMode, SystemKind
 from repro.core.session import CallResult, ConferenceCall
@@ -99,20 +100,13 @@ def run_call(
     ``churn_scenario`` names the trace scenario used to synthesize
     paths born mid-call when the plan carries churn BIRTH events.
 
-    The cyclic garbage collector is paused from before the call is
-    built until after it is dropped (and left as found if it was
-    already off): a call allocates hundreds of thousands of objects and
-    the only cyclic garbage among them is the call itself, so the
-    collector's passes in between free nothing.  Paused from the start,
-    the whole call graph is still in the youngest generation when it
-    dies, and one young collection on the way out frees it.
+    The cyclic garbage collector is paused for the call
+    (:func:`collector_paused`).
     """
     paths: List[PathConfig] = list(path_configs)
     if not paths:
         raise ValueError("a call needs at least one path")
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         if scheduler is None:
             scheduler = build_scheduler(config)
         call = ConferenceCall(
@@ -125,8 +119,26 @@ def run_call(
         )
         result = call.run()
         del call
+    return result
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for one call, packet or flow.
+
+    Paused from before the call is built until after it is dropped
+    (and left as found if it was already off): a call allocates tens to
+    hundreds of thousands of objects and the only cyclic garbage among
+    them is, at most, the call itself (a flow call makes none), so the
+    collector's passes in between free nothing.  Paused from the start,
+    the whole call graph is still in the youngest generation when it
+    dies, and one young collection on the way out frees it.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
     finally:
         if collecting:
             gc.collect(0)
             gc.enable()
-    return result

@@ -75,7 +75,8 @@ class FlowLink:
         self.extra_delay = 0.0
         self.queue_cap_override: Optional[int] = None
         self._trace = config.trace
-        self._queue_capacity = config.queue_capacity_bytes
+        # Float once here: the flow loop compares backlogs against it.
+        self._queue_capacity = float(config.queue_capacity_bytes)
         self._scheduled: Optional[ScheduledLoss] = None
         self._base_loss = 0.0
         self._burst_loss = 0.0
@@ -114,15 +115,17 @@ class FlowLink:
     def precompute(self, dt: float, steps: int) -> None:
         """Tabulate :meth:`capacity` per frame step, faults aside.
 
-        ``step_caps[i]`` equals ``capacity(i * dt)`` whenever no fault
-        override is active — the common case the session's hot loop
-        reads directly; with an active fault plan the session falls
-        back to :meth:`capacity` so overrides still apply.
+        ``step_caps[i]`` equals ``capacity(i * dt)`` whenever no
+        capacity cap is set, so the session's hot loop reads it
+        directly and calls :meth:`capacity` only while a cap (a
+        blackout or a capacity fault) is on the link.  Built per trace
+        segment (:meth:`BandwidthTrace.step_runs`), the outage clamp
+        applied once per run.
         """
-        self.step_caps = [
-            0.0 if cap < _OUTAGE_CAPACITY_BPS else cap
-            for cap in self._trace.sample_steps(dt, steps)
-        ]
+        caps: List[float] = []
+        for cap, count in self._trace.step_runs(dt, steps):
+            caps += [0.0 if cap < _OUTAGE_CAPACITY_BPS else cap] * count
+        self.step_caps = caps
 
     def capacity(self, now: float) -> float:
         """Effective capacity at ``now`` with fault overrides applied."""

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cc.gcc import _LOSS_PEAK_TAU, _LOSS_SMOOTHING, _PROBE_SEND_GAP
 from repro.cc.pacing import _DEFAULT_PACING_FACTOR
+from repro.core.api import collector_paused
 from repro.core.config import (
     WATCHDOG_DEGRADE_TIMEOUT,
     WATCHDOG_RATE_DECAY_FACTOR,
@@ -248,6 +250,7 @@ class FlowCall:
         "_churn_scenario",
         "_faults_recorded",
         "_churn_applied",
+        "_path_edits",
         "_pinned_path",
         "_cm_reconnect_until",
         "_next_probe",
@@ -279,6 +282,9 @@ class FlowCall:
         self._step_dt = 1.0 / config.frame_rate
         self._total_steps = int(round(config.duration * config.frame_rate))
         self._paths: Dict[int, _PathState] = {}
+        # Bumped by every birth and removal: the run loop rebuilds its
+        # path lists only when this moves.
+        self._path_edits = 0
         for path_config in path_configs:
             self._add_path_state(path_config)
         self._stream_states = [_StreamState() for _ in range(config.num_streams)]
@@ -310,6 +316,7 @@ class FlowCall:
         self._paths[path_config.path_id] = _PathState(
             link, ctrl, PathFec(self.config.fec_mode)
         )
+        self._path_edits += 1
 
     def _birth_path(self, now: float, path_id: int, network: str) -> None:
         if self._churn_scenario is None:
@@ -334,6 +341,7 @@ class FlowCall:
         state = self._paths.pop(path_id, None)
         if state is None:
             return
+        self._path_edits += 1
         # Keep the send record: exported payloads account every path
         # that ever carried bytes, dead or alive.
         self.metrics.path_sends.setdefault(path_id, state.record)
@@ -532,9 +540,11 @@ class FlowCall:
         :mod:`repro.flow.rate_control`) run without a call per path.
         The encode, split and finish stages iterate the streams, so
         one loop serves any stream count.  Per-step capacity comes from
-        the links' precomputed tables (:meth:`FlowLink.precompute`) and
-        churn / fault / watchdog handling is gated behind cheap
-        fast-path checks.
+        the links' precomputed tables (:meth:`FlowLink.precompute`);
+        fault windows are re-applied only at a window edge or a churn
+        edit of the path set, the path lists are rebuilt only at the
+        latter, and the watchdog runs only while a path is dark (the
+        per-step budget, DESIGN.md §10).
 
         The RNG draw order is part of the model (the cross-validation
         calibration and the array program replay it): per step, the
@@ -610,12 +620,17 @@ class FlowCall:
         rendered_append = metrics.rendered.append
         drop_frame = self._drop_frame
         record_drop = metrics.record_frame_drop
-        have_faults = (
-            self._fault_plan is not None and bool(self._fault_plan.events)
-        )
-        have_churn = (
-            self._fault_plan is not None and bool(self._fault_plan.churn)
-        )
+        plan = self._fault_plan
+        events = plan.events if plan is not None else []
+        have_faults = bool(events)
+        have_churn = plan is not None and bool(plan.churn)
+        # The fault windows open on a step change only where ``now``
+        # passes a window's start or end, so _apply_faults runs at those
+        # edges (and at step 0, and when churn edits the path set).
+        fault_edges = sorted(
+            {e.start for e in events} | {e.end for e in events}
+        ) + [inf]
+        next_fault_edge = 0.0 if have_faults else inf
         path_items = sorted(paths.items())
         # Parallel row list for the first pass: (state, step_caps)
         # saves two attribute loads per path per step.  Rebuilt with
@@ -645,19 +660,24 @@ class FlowCall:
         for step in range(steps):
             now = step * dt
             if have_churn:
+                edits = self._path_edits
                 self._apply_churn(now)
                 self._finish_drains(now)
-                path_items = sorted(paths.items())
-                pass_rows = [(s, s.link.step_caps) for _p, s in path_items]
-            if have_faults:
+                if self._path_edits != edits:
+                    path_items = sorted(paths.items())
+                    pass_rows = [(s, s.link.step_caps) for _p, s in path_items]
+                    # A born path takes the fault windows open on it.
+                    next_fault_edge = now
+            if now >= next_fault_edge:
                 self._apply_faults(now)
+                next_fault_edge = fault_edges[bisect_right(fault_edges, now)]
 
             # Capacity, watchdog and target rate for every path in one
             # pass.  The watchdog body only matters while a path is (or
             # was just) dark, so a healthy path skips the call.
             flagged = False
             for state, caps in pass_rows:
-                if have_faults:
+                if have_faults and state.link.capacity_cap is not None:
                     cap = state.link.capacity(now)
                 else:
                     cap = caps[step]
@@ -1031,18 +1051,18 @@ class FlowCall:
                 if have_faults and link.queue_cap_override is not None:
                     cap_bytes = float(link.queue_cap_override)
                 else:
-                    cap_bytes = float(link._queue_capacity)
+                    cap_bytes = link._queue_capacity
                 overflow = backlog - cap_bytes
                 if overflow > 0.0:
                     backlog = cap_bytes
+                    overflow_packets = int(overflow // mtu)
                 else:
-                    overflow = 0.0
+                    overflow_packets = 0
                 link.backlog_bytes = backlog
                 if cap <= 0.0:
                     queue_delay = inf if backlog > 0.0 else 0.0
                 else:
                     queue_delay = backlog * 8.0 / cap
-                overflow_packets = int(overflow // mtu)
 
                 # -- the frame's fate on this path (steps 1-3 of
                 # repro.flow.frames, binomial_draw inlined; the draw
@@ -1391,19 +1411,16 @@ class FlowCall:
                 self._window_bytes += size
                 self._received_window.append((now, size))
                 stream.blocked = False
+                # Positional, in RenderedFrame's field order (ssrc,
+                # frame_id, capture_time, render_time, size_bytes,
+                # is_keyframe, fec_recovered, qp).  fec_recovered is
+                # False: per-frame recovery attribution is a
+                # packet-level notion; aggregate FEC stats are
+                # reported via record_fec_stats.
                 rendered_append(
                     RenderedFrame(
-                        ssrc=ssrc,
-                        frame_id=frame_id,
-                        capture_time=now,
-                        render_time=render_time,
-                        size_bytes=size,
-                        is_keyframe=is_key,
-                        # Per-frame recovery attribution is a
-                        # packet-level notion; aggregate FEC stats are
-                        # reported via record_fec_stats.
-                        fec_recovered=False,
-                        qp=qp,
+                        ssrc, frame_id, now, render_time, size, is_key,
+                        False, qp,
                     )
                 )
                 last_render = stream.last_render
@@ -1544,11 +1561,16 @@ def run_flow_call(
     fault_plan: Optional[FaultPlan] = None,
     churn_scenario: Optional[str] = None,
 ) -> CallResult:
-    """Run one flow-fidelity call; drop-in twin of ``run_call``."""
-    call = FlowCall(
-        config,
-        path_configs,
-        fault_plan=fault_plan,
-        churn_scenario=churn_scenario,
-    )
-    return call.run()
+    """Run one flow-fidelity call; drop-in twin of ``run_call``, with
+    the cyclic collector paused the same way (:func:`collector_paused`).
+    """
+    with collector_paused():
+        call = FlowCall(
+            config,
+            path_configs,
+            fault_plan=fault_plan,
+            churn_scenario=churn_scenario,
+        )
+        result = call.run()
+        del call
+    return result

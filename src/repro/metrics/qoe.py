@@ -15,8 +15,9 @@ frame, which contributes a fixed repeated-frame PSNR.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import DefaultDict, Dict, List, Optional, Sequence
 
 from repro.metrics.collector import MetricsCollector, RenderedFrame
 from repro.video.quality import RateDistortionModel
@@ -116,18 +117,32 @@ def summarize(
     rd = rd_model or RateDistortionModel(frame_rate=frame_rate)
     nominal_interval = 1.0 / frame_rate
 
+    # One pass over the rendered frames.  A NaN qp (``qp != qp``) is a
+    # frame whose encoder record never arrived: it has no PSNR either.
     rendered: List[RenderedFrame] = collector.rendered
-    e2e = [f.e2e_latency for f in rendered]
-    qps = [f.qp for f in rendered if not math.isnan(f.qp)]
+    psnr_for_qp = rd.psnr_for_qp
+    e2e: List[float] = []
+    qps: List[float] = []
+    psnr_samples: List[float] = []
+    render_times: DefaultDict[int, List[float]] = defaultdict(list)
+    for frame in rendered:
+        render_time = frame.render_time
+        e2e.append(render_time - frame.capture_time)
+        qp = frame.qp
+        if qp == qp:
+            qps.append(qp)
+            psnr_samples.append(psnr_for_qp(qp))
+        render_times[frame.ssrc].append(render_time)
 
     # Freeze statistics are computed per stream then aggregated, since
-    # each camera stream freezes independently.
+    # each camera stream freezes independently.  A stream that never
+    # rendered is frozen for the whole call.  Streams are counted, not
+    # matched by ssrc: packet ssrcs start at 1, flow ssrcs at 0.
+    streams = max(num_streams, len(render_times), 1)
+    per_stream = [render_times[ssrc] for ssrc in sorted(render_times)]
+    per_stream += [[]] * (streams - len(per_stream))
     freeze = FreezeStats()
-    ssrcs = sorted({f.ssrc for f in rendered})
-    if not ssrcs:
-        ssrcs = [0]
-    for ssrc in ssrcs:
-        times = [f.render_time for f in rendered if f.ssrc == ssrc]
+    for times in per_stream:
         stream_freeze = _freeze_stats(
             times, duration, nominal_interval, freeze_threshold
         )
@@ -135,11 +150,6 @@ def summarize(
         freeze.total_duration += stream_freeze.total_duration
         freeze.durations.extend(stream_freeze.durations)
 
-    psnr_samples: List[float] = []
-    for frame in rendered:
-        if math.isnan(frame.qp):
-            continue
-        psnr_samples.append(rd.psnr_for_qp(frame.qp))
     # Frozen intervals show a stale frame: add repeated-frame samples
     # at the nominal frame rate for the frozen time.
     frozen_frames = int(freeze.total_duration * frame_rate)
@@ -171,7 +181,7 @@ def summarize(
         duration=duration,
         num_streams=num_streams,
         frames_rendered=len(rendered),
-        average_fps=len(rendered) / duration / max(len(ssrcs), 1),
+        average_fps=len(rendered) / duration / streams,
         freeze=freeze,
         e2e_mean=e2e_mean,
         e2e_std=e2e_std,

@@ -10,6 +10,7 @@ controlled experiments (e.g. the capacity drop in Figure 11).
 from __future__ import annotations
 
 import bisect
+import math
 from bisect import bisect_right
 from typing import Iterable, List, Sequence, Tuple
 
@@ -59,32 +60,46 @@ class BandwidthTrace:
         index = bisect_right(self._times, time) - 1
         return self._values[index if index > 0 else 0]
 
-    def sample_steps(self, dt: float, steps: int) -> List[float]:
-        """Capacities at ``i * dt`` for ``i in range(steps)``.
+    def step_runs(self, dt: float, steps: int) -> List[Tuple[float, int]]:
+        """:meth:`sample_steps` run-length encoded: ``(capacity, count)``.
 
-        Equivalent to calling :meth:`capacity_at` once per step but in
-        ``O(steps + segments)``: the query times are monotone within a
-        loop iteration, so one index walks the segment list instead of
-        bisecting per query.  Used by the flow-level backend to take
-        trace lookups out of its per-frame hot loop.
+        One run per trace segment the steps reach, in step order, so a
+        caller pays per segment, not per step.  A run starts at the
+        first step the per-step rule puts in its segment: ``ceil(t /
+        dt)`` only estimates it, and the rule's own float test, ``i *
+        dt >= t``, settles it.  A looping trace (no scenario loops)
+        keeps a per-step walk.
         """
+        if self.loop and self.duration > 0:
+            return [(self.capacity_at(i * dt), 1) for i in range(steps)]
         times = self._times
         values = self._values
         last = len(times) - 1
-        wrap = self.loop and self.duration > 0
-        duration = self.duration
-        out: List[float] = []
+        runs: List[Tuple[float, int]] = []
+        start = 0
         index = 0
-        for i in range(steps):
-            time = i * dt
-            if wrap:
-                time = time % duration
-                if time < times[index]:
-                    index = 0
-            # Largest segment whose start is <= time (bisect_right - 1).
-            while index < last and times[index + 1] <= time:
-                index += 1
-            out.append(values[index])
+        while start < steps:
+            end = steps
+            if index < last:
+                t = times[index + 1]
+                end = min(max(math.ceil(t / dt), start), steps)
+                while end > start and (end - 1) * dt >= t:
+                    end -= 1
+                while end < steps and end * dt < t:
+                    end += 1
+            if end > start:
+                runs.append((values[index], end - start))
+                start = end
+            index += 1
+        return runs
+
+    def sample_steps(self, dt: float, steps: int) -> List[float]:
+        """Capacities at ``i * dt`` for ``i in range(steps)``: what
+        :meth:`capacity_at` returns step by step, built from
+        :meth:`step_runs`."""
+        out: List[float] = []
+        for value, count in self.step_runs(dt, steps):
+            out += [value] * count
         return out
 
     def mean_capacity(self, start: float = 0.0, end: float | None = None) -> float:

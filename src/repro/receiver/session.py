@@ -302,15 +302,17 @@ class ReceiverSession:
         self, stream: _StreamState, frame: AssembledFrame, render_time: float
     ) -> None:
         stream.last_render_time = render_time
+        # Positional, in RenderedFrame's field order; qp is joined from
+        # the encoder record by record_render.
         self.metrics.record_render(
             RenderedFrame(
-                ssrc=frame.ssrc,
-                frame_id=frame.frame_id,
-                capture_time=frame.capture_time,
-                render_time=render_time,
-                size_bytes=frame.size_bytes,
-                is_keyframe=frame.is_keyframe,
-                fec_recovered=frame.fec_recovered,
+                frame.ssrc,
+                frame.frame_id,
+                frame.capture_time,
+                render_time,
+                frame.size_bytes,
+                frame.is_keyframe,
+                frame.fec_recovered,
             )
         )
 

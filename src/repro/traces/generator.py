@@ -31,10 +31,13 @@ def ou_capacity_trace(
     value = mean_bps
     t = 0.0
     sigma = std_bps * math.sqrt(2 * theta)
+    # ``sigma * sqrt(dt) * noise`` multiplies left to right, so the
+    # hoisted step scale leaves every sample bit for bit as it was.
+    step_sigma = sigma * math.sqrt(dt)
     while t <= duration:
         samples.append((t, min(max(value, floor_bps), ceil_bps)))
         noise = rng.gauss(0.0, 1.0)
-        value += theta * (mean_bps - value) * dt + sigma * math.sqrt(dt) * noise
+        value += theta * (mean_bps - value) * dt + step_sigma * noise
         t += dt
     return samples
 

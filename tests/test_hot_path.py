@@ -1,4 +1,5 @@
-"""The per-packet path: no Enum member lookups, no Enum hashing.
+"""The per-packet path and the per-step flow loop: no Enum member
+lookups, no Enum hashing, no keyword-built records.
 
 Every packet passes pacer release -> ``Path`` transmit -> delivery into
 the receiver.  On CPython <= 3.11 ``PacketType.FEC`` runs
@@ -7,13 +8,21 @@ the receiver.  On CPython <= 3.11 ``PacketType.FEC`` runs
 through the constants defined beside each Enum (``repro.rtp.packets``,
 ``repro.cc.aimd``, ``repro.core.config``) and never key a dict or set
 by a member.  The jitter draw skips ``random.uniform`` for the same
-reason; the last test pins that the two agree bit for bit.
+reason; a test pins that the two agree bit for bit.
+
+The flow loop's body (``for step in range(steps)`` in
+``FlowCall.run``) runs ~30 times per simulated second per call and
+keeps the same budget, plus one rule: it builds no class with keyword
+arguments.  ``RenderedFrame`` is built positionally, so its field
+order is pinned here.
 """
 
 import ast
 import inspect
 import random
 import textwrap
+import builtins
+import dataclasses
 from enum import Enum
 
 import pytest
@@ -25,6 +34,8 @@ from repro.core.api import build_call_config, run_call
 from repro.core.config import FecMode, SystemKind
 from repro.core.sender import SenderSession
 from repro.experiments.common import scenario_paths
+from repro.flow.session import FlowCall
+from repro.metrics.collector import RenderedFrame
 from repro.net.path import Path
 from repro.receiver.packet_buffer import PacketBuffer
 from repro.receiver.session import ReceiverSession
@@ -65,9 +76,12 @@ def _resolve(node, namespace):
 
 
 def member_loads(source, namespace):
-    """Every ``Enum.MEMBER`` attribute load in ``source``."""
+    """Every ``Enum.MEMBER`` attribute load in ``source`` (text or AST)."""
+    tree = source
+    if isinstance(source, str):
+        tree = ast.parse(textwrap.dedent(source))
     found = []
-    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+    for node in ast.walk(tree):
         if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
             continue
         owner = _resolve(node.value, namespace)
@@ -146,3 +160,71 @@ def test_jitter_draw_equals_uniform_bit_for_bit(jitter_max):
         uniform = random.Random(seed).uniform(0.0, jitter_max)
         scaled = jitter_max * random.Random(seed).random()
         assert uniform.hex() == scaled.hex(), seed
+
+
+def _step_loop(function):
+    """The ``for step in range(steps)`` loop of ``function``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.For)
+            and isinstance(node.target, ast.Name)
+            and node.target.id == "step"
+        ):
+            return node
+    raise AssertionError(f"no step loop in {function.__qualname__}")
+
+
+def keyword_constructions(tree, namespace):
+    """Every ``SomeClass(..., name=value)`` call in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.keywords):
+            continue
+        target = _resolve(node.func, namespace)
+        if target is None and isinstance(node.func, ast.Name):
+            target = getattr(builtins, node.func.id, None)
+        if isinstance(target, type):
+            found.append(target.__name__)
+    return found
+
+
+def test_the_flow_step_loop_builds_no_keyword_record_and_loads_no_member():
+    loop = _step_loop(FlowCall.run)
+    namespace = FlowCall.run.__globals__
+    assert keyword_constructions(loop, namespace) == []
+    assert member_loads(loop, namespace) == []
+
+
+def test_the_step_check_sees_a_keyword_record():
+    source = """
+        def run(self):
+            for step in range(steps):
+                rendered_append(RenderedFrame(ssrc=0, frame_id=step))
+                frame = RenderedFrame(0, step, 0.0, 0.0, 1, False, False)
+                best = min(paths, key=len)
+                if self.kind is FecMode.NONE:
+                    pass
+    """
+    namespace = {"RenderedFrame": RenderedFrame, "FecMode": FecMode}
+    loop = next(
+        node for node in ast.walk(ast.parse(textwrap.dedent(source)))
+        if isinstance(node, ast.For)
+    )
+    assert keyword_constructions(loop, namespace) == ["RenderedFrame"]
+    assert member_loads(loop, namespace) == ["FecMode.NONE"]
+
+
+def test_rendered_frame_field_order_is_pinned():
+    # The flow loop and the packet receiver build RenderedFrame
+    # positionally: a reorder here would silently swap their fields.
+    assert [field.name for field in dataclasses.fields(RenderedFrame)] == [
+        "ssrc",
+        "frame_id",
+        "capture_time",
+        "render_time",
+        "size_bytes",
+        "is_keyframe",
+        "fec_recovered",
+        "qp",
+    ]

@@ -139,6 +139,27 @@ class TestSummarize:
         summary = summarize(collector, duration=2.0, num_streams=2)
         assert summary.average_fps == pytest.approx(30.0)
 
+    def test_a_stream_that_never_renders_is_frozen_for_the_call(self):
+        # Two streams, only the first renders: 300 frames in 10 s.  The
+        # silent stream counts as one freeze of the whole call and
+        # halves the per-stream frame rate.  Streams are counted, not
+        # matched by id, so 0-based flow ssrcs and 1-based packet ssrcs
+        # give the same summary.
+        for first_ssrc in (0, 1):
+            collector = MetricsCollector()
+            for i in range(300):
+                collector.record_render(rendered(first_ssrc, i, i / 30))
+            summary = summarize(collector, duration=10.0, num_streams=2)
+            assert summary.average_fps == pytest.approx(15.0)
+            assert summary.freeze.count == 1
+            assert summary.freeze.total_duration == pytest.approx(10.0)
+            assert summary.freeze.durations == [10.0]
+
+    def test_a_call_that_renders_nothing_freezes_every_stream(self):
+        summary = summarize(MetricsCollector(), duration=4.0, num_streams=3)
+        assert summary.average_fps == 0.0
+        assert summary.freeze.durations == [4.0, 4.0, 4.0]
+
     def test_duration_must_be_positive(self):
         with pytest.raises(ValueError):
             summarize(MetricsCollector(), duration=0.0)

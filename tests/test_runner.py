@@ -68,8 +68,23 @@ def exit_paths(duration):
     os._exit(17)
 
 
-def slow_exit_paths(duration):
-    time.sleep(0.1)
+# The handshake of the two-dying-workers test: its sink opens the gate
+# file named here, and gated_exit_paths dies only once it is open.
+HANDSHAKE_GATE = "REPRO_TEST_HANDSHAKE_GATE"
+HANDSHAKE_DEADLINE = 30.0
+
+
+def _await(condition, what):
+    end = time.monotonic() + HANDSHAKE_DEADLINE
+    while not condition():
+        if time.monotonic() > end:
+            raise AssertionError(f"handshake: {what} within {HANDSHAKE_DEADLINE}s")
+        time.sleep(0.005)
+
+
+def gated_exit_paths(duration):
+    gate = Path(os.environ[HANDSHAKE_GATE])
+    _await(gate.exists, "the sink started")
     os._exit(17)
 
 
@@ -1030,7 +1045,7 @@ class TestSupervisor:
         assert multiprocessing.active_children() == []
 
     def test_two_workers_dying_in_one_wait_round_are_both_named(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
         from repro.experiments import runner
 
@@ -1043,17 +1058,27 @@ class TestSupervisor:
 
         runner_wait = runner.wait
         monkeypatch.setattr(runner, "wait", wait)
+        workers = _watch_workers(monkeypatch)
+        gate = tmp_path / "sink-started"
+        monkeypatch.setenv(HANDSHAKE_GATE, str(gate))
         outcomes = {}
 
         def sink(outcome, positions):
             outcomes[positions[0]] = outcome
             if outcome.ok:
-                time.sleep(0.4)  # both die while the parent is busy
+                # Both die while the parent is busy here: the builders
+                # exit once the gate opens, and the sink returns only
+                # after every worker has exited.
+                gate.touch()
+                _await(
+                    lambda: not any(w.process.is_alive() for w in workers),
+                    "both workers exited",
+                )
 
         cells = [
             _quick_cell(1),
-            _builder_cell("slow_exit_paths", 2),
-            _builder_cell("slow_exit_paths", 3),
+            _builder_cell("gated_exit_paths", 2),
+            _builder_cell("gated_exit_paths", 3),
         ]
         stats = stream_cells(cells, sink, jobs=3, retries=0)
         assert max(rounds) == 2

@@ -57,7 +57,6 @@ class GoogleCongestionControl:
         # sizes are ints), replacing an O(window) sum() per feedback.
         self._acked_bytes = 0
         self._sent_acked_bytes = 0
-        self._num_samples = 0
         self.srtt = 0.1
         self.min_rtt = float("inf")
         self.loss_estimate = 0.0
@@ -85,7 +84,6 @@ class GoogleCongestionControl:
         acked_append = self._acked.append
         sent_append = self._sent_acked.append
         for send_time, arrival_time, size in acked:
-            self._num_samples += 1
             trend = trendline.update(send_time, arrival_time)
             usage = detect(trend, arrival_time, trendline.num_groups)
             acked_append((arrival_time, size))

@@ -1,10 +1,12 @@
 """Content-addressed on-disk cache of cell results.
 
-Layout: ``<root>/<key[:2]>/<key>.json``, one file per cell, holding
-the resolved cell, the summary payload and bookkeeping metadata.  An
-entry is the canonical JSON text :meth:`ResultCache.put` writes, so a
-cache hit returns bytes identical to what a fresh run would produce
-(JSON round-trips Python floats exactly).
+Layout: ``<root>/<key>.json``, one file per cell and no subdirectory
+(creating a directory costs as much as writing an entry, see DESIGN.md
+section 11), holding the resolved cell, the summary payload
+and bookkeeping metadata.  An entry is the canonical JSON text
+:meth:`ResultCache.put` writes, so a cache hit returns bytes identical
+to what a fresh run would produce (JSON round-trips Python floats
+exactly).
 
 The summary is encoded once (``put``) and decoded once (a hit): an
 entry carries a SHA-256 checksum of its summary bytes, and validation
@@ -67,7 +69,7 @@ class ResultCache:
     # -- lookup / store -----------------------------------------------------
 
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return self.root / f"{key}.json"
 
     def get(self, key: str) -> Optional[CacheEntry]:
         """Return the entry for ``key`` or ``None``.
@@ -163,10 +165,12 @@ class ResultCache:
     def _write_atomic(self, key: str, raw: bytes) -> Path:
         """Write one entry's stored bytes via temp file + rename."""
         target = self.path_for(key)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        handle, temp_name = tempfile.mkstemp(
-            dir=str(target.parent), suffix=".tmp"
-        )
+        try:
+            handle, temp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        except FileNotFoundError:
+            # Only the first write to a new cache pays for the root.
+            self.root.mkdir(parents=True, exist_ok=True)
+            handle, temp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(handle, "wb") as temp:
                 temp.write(raw)
@@ -188,7 +192,7 @@ class ResultCache:
         """
         if not self.root.is_dir():
             return
-        for path in sorted(self.root.glob("*/*.json")):
+        for path in sorted(self.root.glob("*.json")):
             try:
                 raw = path.read_bytes()
             except OSError:
@@ -229,13 +233,14 @@ class ResultCache:
     ) -> Dict[str, int]:
         """Fold other caches' entries into this one.
 
-        Entries are copied with their provenance intact; a key already
-        present here wins (first writer wins — both sides stored the
-        same content-addressed summary, so the race is benign, and a
-        divergent duplicate would indicate a corrupt source anyway).
-        Corrupt source entries are skipped — not imported, and not
-        deleted: a source is only ever read.  Returns
-        ``{"merged": n, "skipped": n}``.
+        Entries are copied with their provenance intact; a valid entry
+        already present here wins (first writer wins — both sides
+        stored the same content-addressed summary, so the race is
+        benign, and a divergent duplicate would indicate a corrupt
+        source anyway).  A local entry that fails validation is not
+        present: the source's copy replaces it.  Corrupt source entries
+        are skipped — not imported, and not deleted: a source is only
+        ever read.  Returns ``{"merged": n, "skipped": n}``.
         """
         merged = 0
         skipped = 0
@@ -248,7 +253,11 @@ class ResultCache:
             if cache.root.resolve() == self.root.resolve():
                 continue
             for key, raw in cache._valid_texts():
-                if self.path_for(key).is_file():
+                try:
+                    local = self.path_for(key).read_bytes()
+                except OSError:
+                    local = b""
+                if self._validated(key, local) is not None:
                     skipped += 1
                     continue
                 self._write_atomic(key, raw)
@@ -261,7 +270,7 @@ class ResultCache:
         """All readable entries, sorted by key for stable listings."""
         if not self.root.is_dir():
             return
-        for path in sorted(self.root.glob("*/*.json")):
+        for path in sorted(self.root.glob("*.json")):
             entry = self.get(path.stem)
             if entry is not None:
                 yield entry
@@ -290,29 +299,22 @@ class ResultCache:
         removed = 0
         if not self.root.is_dir():
             return removed
-        for path in self.root.glob("*/*.json"):
+        for path in self.root.glob("*.json"):
             try:
                 path.unlink()
                 removed += 1
             except OSError:
                 pass
-        # A crashed writer's temp file is never an entry, but it would
-        # keep its prefix directory alive.
-        for path in self.root.glob("*/*.tmp"):
+        # A crashed writer's temp file is never an entry.
+        for path in self.root.glob("*.tmp"):
             self._discard(path)
-        for shard in self.root.glob("*"):
-            if shard.is_dir():
-                try:
-                    shard.rmdir()
-                except OSError:
-                    pass
         return removed
 
     def size_bytes(self) -> int:
         if not self.root.is_dir():
             return 0
         return sum(
-            path.stat().st_size for path in self.root.glob("*/*.json")
+            path.stat().st_size for path in self.root.glob("*.json")
         )
 
     def __len__(self) -> int:

@@ -83,11 +83,8 @@ class _FrameAssembly:
 
 @dataclass(slots=True)
 class PacketBufferStats:
-    packets_inserted: int = 0
     duplicates: int = 0
-    evicted_packets: int = 0
     evicted_frames: int = 0
-    frames_completed: int = 0
 
 
 class PacketBuffer:
@@ -156,7 +153,6 @@ class PacketBuffer:
         else:
             assembly.media_bytes += packet.payload_size
         self._packet_count += 1
-        self.stats.packets_inserted += 1
 
         # Inline of assembly.complete (this is the per-packet hot path).
         first_seq = assembly.first_seq
@@ -176,7 +172,6 @@ class PacketBuffer:
         del self._frames[assembly.frame_id]
         self._dead_frames.add(assembly.frame_id)
         self._prune_dead()
-        self.stats.frames_completed += 1
         frame = AssembledFrame(
             frame_id=assembly.frame_id,
             ssrc=assembly.ssrc,
@@ -215,7 +210,6 @@ class PacketBuffer:
         assembly = self._frames.pop(frame_id)
         self._packet_count -= len(assembly.seqs)
         self._dead_frames.add(frame_id)
-        self.stats.evicted_packets += len(assembly.seqs)
         self.stats.evicted_frames += 1
 
     def _prune_dead(self) -> None:

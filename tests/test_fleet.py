@@ -268,12 +268,13 @@ def _group_payloads(groups):
 def _stored_summaries(root):
     """Each entry's summary exactly as stored: the bytes between the
     key and the wall-clock bookkeeping."""
+    store = ResultCache(root)
     stored = {}
-    for path in Path(root).glob("*/*.json"):
-        raw = path.read_bytes()
-        head = b'"key":"%s","summary":' % path.stem.encode()
+    for entry in store.entries():
+        raw = store.path_for(entry.key).read_bytes()
+        head = b'"key":"%s","summary":' % entry.key.encode()
         lo = raw.index(head) + len(head)
-        stored[path.stem] = raw[lo:raw.rindex(b',"wall_seconds":')]
+        stored[entry.key] = raw[lo:raw.rindex(b',"wall_seconds":')]
     return stored
 
 
@@ -548,16 +549,51 @@ class TestCacheSharding:
         # Merging a cache into itself is a no-op.
         assert store.merge([store.root]) == {"merged": 0, "skipped": 0}
 
+    def test_merge_replaces_a_corrupt_local_copy(self, tmp_path):
+        # A local file that fails validation is not an entry: merge
+        # must import the source's good copy rather than skip the key
+        # and leave get() to delete the only local result.
+        store, keys = self._filled(tmp_path / "src", n=2)
+        local = ResultCache(tmp_path / "local")
+        local.merge([store.root])
+        bad = local.path_for(keys[0])
+        bad.write_bytes(bad.read_bytes().replace(b"1.0", b"9.0"))
+        assert local.merge([store.root]) == {"merged": 1, "skipped": 1}
+        assert bad.read_bytes() == store.path_for(keys[0]).read_bytes()
+        assert local.get(keys[0]).summary == {"metric": 1.0}
+
+    def test_every_root_holds_only_key_files(self, tmp_path):
+        # One file per entry, at path_for(key), and no subdirectory —
+        # in the cache put() fills, in every shard and after a merge.
+        store = ResultCache(tmp_path / "src")
+        keys = [hashlib.sha256(b"%d" % seed).hexdigest() for seed in range(12)]
+        for key in keys:
+            store.put(key, {"key": key}, {"metric": 1.0}, 0.1)
+        dirs = [tmp_path / f"shard-{i}" for i in range(3)]
+        assert all(store.shard(dirs))
+        merged = ResultCache(tmp_path / "merged")
+        assert merged.merge(dirs) == {"merged": len(keys), "skipped": 0}
+        for cache in (store, merged, *map(ResultCache, dirs)):
+            assert sorted(cache.root.iterdir()) == [
+                cache.path_for(entry.key) for entry in cache.entries()
+            ]
+        assert [entry.key for entry in merged.entries()] == sorted(keys)
+
     def test_sources_are_only_read(self, tmp_path):
         # A corrupt entry in somebody else's cache is skipped — neither
         # imported nor deleted; get() on one's own cache does delete.
         store, keys = self._filled(tmp_path / "src", n=4)
         bad = store.path_for(keys[0])
         bad.write_text(bad.read_text().replace("1.0", "9.0"))
-        before = {
-            path: path.read_bytes() for path in store.root.glob("*/*.json")
-        }
-        bad.parent.chmod(0o555)
+
+        def snapshot():
+            # Every file in the source, which must be its entries alone.
+            assert sorted(store.root.iterdir()) == sorted(
+                store.path_for(key) for key in keys
+            )
+            return {key: store.path_for(key).read_bytes() for key in keys}
+
+        before = snapshot()
         store.root.chmod(0o555)
         try:
             merged = ResultCache(tmp_path / "merged")
@@ -565,11 +601,8 @@ class TestCacheSharding:
             assert sum(store.shard([tmp_path / "a", tmp_path / "b"])) == 3
         finally:
             store.root.chmod(0o755)
-            bad.parent.chmod(0o755)
         assert merged.get(keys[0]) is None
-        assert {
-            path: path.read_bytes() for path in store.root.glob("*/*.json")
-        } == before
+        assert snapshot() == before
         assert store.get(keys[0]) is None and not bad.exists()
 
     def test_merged_entries_are_runner_visible(self, tmp_path):

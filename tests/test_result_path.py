@@ -187,7 +187,6 @@ class TestByteLevelValidation:
     def test_parent_entry_text_is_still_a_hit(self, tmp_path):
         store = ResultCache(tmp_path)
         target = store.path_for(KEY)
-        target.parent.mkdir(parents=True)
         target.write_text(PARENT_ENTRY)
         entry = store.get(KEY)
         assert entry is not None

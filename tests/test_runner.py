@@ -333,7 +333,6 @@ class TestCodeVersion:
         assert cell_key(cell) != OLD_KEY
         store = ResultCache(tmp_path)
         target = store.path_for(OLD_KEY)
-        target.parent.mkdir(parents=True)
         target.write_text(OLD_ENTRY)
         assert store.get(cell_key(cell)) is None
         entry = store.get(OLD_KEY)
@@ -375,7 +374,6 @@ class TestResultCache:
         key = "cd" + "0" * 62
         assert store.get(key) is None
         target = store.path_for(key)
-        target.parent.mkdir(parents=True)
         target.write_text('{"key": "cd00", "summ')  # torn write
         assert store.get(key) is None
 
@@ -383,7 +381,6 @@ class TestResultCache:
         store = ResultCache(tmp_path)
         key = "ef" + "0" * 62
         target = store.path_for(key)
-        target.parent.mkdir(parents=True)
         target.write_text(json.dumps({"key": "other", "summary": {}}))
         assert store.get(key) is None
 
@@ -409,15 +406,11 @@ class TestResultCache:
 
     def test_clear_removes_stale_temp_files(self, tmp_path):
         # A writer that crashed between mkstemp and rename leaves a
-        # *.tmp behind; it is not an entry, and clear() must not let it
-        # keep the prefix directory (and the cache root) alive.
+        # *.tmp behind; it is not an entry, and clear() removes it too.
         store = ResultCache(tmp_path / "cache")
         key = "aa" + "0" * 62
-        target = store.put(key, {"system": "srtt"}, {}, 0.1)
-        (target.parent / "tmp-crashed.tmp").write_text('{"key": "aa')
-        orphan = store.root / "bb"
-        orphan.mkdir()
-        (orphan / "tmp-orphan.tmp").write_text("")
+        store.put(key, {"system": "srtt"}, {}, 0.1)
+        (store.root / "tmp-crashed.tmp").write_text('{"key": "aa')
         assert store.clear() == 1
         assert list(store.root.iterdir()) == []
 
@@ -468,7 +461,6 @@ class TestResultCache:
         store = ResultCache(tmp_path)
         key = "ab" + "3" * 62
         target = store.path_for(key)
-        target.parent.mkdir(parents=True)
         target.write_text(json.dumps({"key": key, "summary": {"x": 1}}))
         assert store.get(key) is None
         assert not target.exists()
@@ -566,12 +558,13 @@ class TestRunCells:
         ]
 
         def stored(root):
+            store = ResultCache(root)
             entries = {}
-            for path in sorted(root.glob("*/*.json")):
-                data = json.loads(path.read_text())
+            for entry in store.entries():
+                data = json.loads(store.path_for(entry.key).read_text())
                 # Wall-clock bookkeeping is the only thing that may differ.
                 del data["created"], data["wall_seconds"]
-                entries[path.name] = data
+                entries[entry.key] = data
             return entries
 
         assert stored(tmp_path / "pool") == stored(tmp_path / "serial")

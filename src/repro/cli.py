@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Type, TypeVar
 
 from repro.analysis.export import save_run_report_json
 from repro.analysis.plots import render_series, sparkline
@@ -89,6 +90,22 @@ EXPERIMENTS = {
 
 SCENARIOS = ("stationary", "walking", "driving", "migration")
 
+_Number = TypeVar("_Number", int, float)
+
+
+def _positive(kind: Type[_Number]) -> Callable[[str], _Number]:
+    """An argparse ``type=`` for finite values of ``kind`` above zero:
+    anything else is a usage error (exit 2), not a traceback."""
+
+    def parse(text: str) -> _Number:
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value"
+    return parse
+
 
 def _add_call_args(
     parser: argparse.ArgumentParser,
@@ -104,8 +121,8 @@ def _add_call_args(
         )
     if scenario:
         parser.add_argument("--scenario", choices=SCENARIOS, default="driving")
-    parser.add_argument("--duration", type=float, default=30.0)
-    parser.add_argument("--streams", type=int, default=1)
+    parser.add_argument("--duration", type=_positive(float), default=30.0)
+    parser.add_argument("--streams", type=_positive(int), default=1)
     parser.add_argument("--seed", type=int, default=1)
 
 
@@ -122,7 +139,7 @@ def _add_matrix_args(
         default=[s.value for s in SystemKind],
     )
     parser.add_argument(
-        "--seeds", type=int, default=seeds, metavar="N",
+        "--seeds", type=_positive(int), default=seeds, metavar="N",
         help="seeds per matrix point (seed, seed+1, ...)",
     )
     _add_call_args(parser)
@@ -257,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", help="regenerate one paper table/figure"
     )
     experiment_parser.add_argument("name", choices=sorted(EXPERIMENTS))
-    experiment_parser.add_argument("--duration", type=float, default=60.0)
+    experiment_parser.add_argument(
+        "--duration", type=_positive(float), default=60.0
+    )
     experiment_parser.add_argument("--seed", type=int, default=1)
     _add_runner_args(experiment_parser)
 
@@ -273,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment whose cells to run serially under the profiler",
     )
     profile_parser.add_argument(
-        "--duration", type=float, default=12.0,
+        "--duration", type=_positive(float), default=12.0,
         help="per-cell duration in seconds (short default: profiling "
         "runs serially in-process)",
     )
@@ -525,7 +544,7 @@ def _print_stats(stats: RunStats) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    seeds = [args.seed + i for i in range(max(args.seeds, 1))]
+    seeds = [args.seed + i for i in range(args.seeds)]
     job_list = expand_grid(
         [ScenarioPaths(scenario) for scenario in args.scenarios],
         [SystemKind(system) for system in args.systems],
@@ -580,7 +599,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         scenarios=args.scenarios,
         systems=[SystemKind(system) for system in args.systems],
         seed_start=args.seed,
-        seed_count=max(args.seeds, 1),
+        seed_count=args.seeds,
         duration=args.duration,
         fidelity=args.fidelity,
         num_streams=args.streams,

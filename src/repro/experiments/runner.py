@@ -193,7 +193,8 @@ class CellSummary:
         target_fps: float = 24.0,
         worst_qp: float = 60.0,
     ) -> Dict[str, float]:
-        """Normalized QoE per §6 (mirrors ``QoeSummary.normalized``)."""
+        """Normalized QoE per §6: throughput/10 Mbps a stream, FPS/24,
+        stalled share of the call, QP/60."""
         duration = self.config["duration"]
         num_streams = self.config["num_streams"]
         return {
@@ -455,7 +456,10 @@ def _run_guarded(cell: Cell) -> Dict[str, Any]:
 def default_jobs() -> int:
     env = os.environ.get("REPRO_JOBS")
     if env:
-        return max(int(env), 1)
+        try:
+            return max(int(env), 1)
+        except ValueError:
+            raise ValueError(f"REPRO_JOBS is not an integer: {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -661,14 +665,14 @@ def _run_batched(
     :func:`repro.flow.batch.iter_batch` (in chunks, so that one
     group's ``(T, B)`` state stays bounded), and each payload is
     finished — stored, handed on, dropped — before the next is built.
-    Results are byte-identical to the scalar path: both backends build
-    payloads in the normal form ``analysis.export`` defines (pinned by
-    tests/test_flow_batch.py), so cache entries and outcomes are
-    indistinguishable from per-process execution without any
-    normalization pass.  Cells the planner rejects, the narrower
-    groups, and the cells a failing chunk had not delivered yet
-    (counted in ``stats.batch_fallbacks``) are returned as keys, in
-    input order, for the scalar path to pick up.
+    Results are byte-identical to the scalar path (pinned by
+    tests/test_flow_batch.py): a lane's payload is ``result_to_dict``
+    of its own ``MetricsCollector``, as a scalar cell's is, so cache
+    entries and outcomes are indistinguishable from per-process
+    execution without any normalization pass.  Cells the planner
+    rejects, the narrower groups, and the cells a failing chunk had
+    not delivered yet (counted in ``stats.batch_fallbacks``) are
+    returned as keys, in input order, for the scalar path to pick up.
     """
     from repro.flow.batch import plan_batches
 

@@ -46,12 +46,18 @@ to the scalar reference code:
   term; the cross-validation suite
   (``tests/test_flow_batch.py``) pins the two backends together on
   every golden scenario.
+
+The payload is not restated: each lane's records fill a
+``MetricsCollector`` that goes through the scalar path's own
+``summarize`` and ``result_to_dict`` (:meth:`_BatchFlowRun._cell_payload`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+from itertools import repeat
 from typing import (
     Any,
     Callable,
@@ -65,6 +71,7 @@ from typing import (
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.analysis.export import result_to_dict
 from repro.cc.gcc import _LOSS_PEAK_TAU, _LOSS_SMOOTHING
 from repro.core.config import (
     WATCHDOG_DEGRADE_TIMEOUT,
@@ -75,7 +82,7 @@ from repro.core.config import (
     SystemKind,
 )
 from repro.core.sender import _CAPACITY_PROBE_INTERVAL as _PROBE_INTERVAL
-from repro.core.session import SAMPLE_INTERVAL
+from repro.core.session import SAMPLE_INTERVAL, CallResult
 from repro.experiments.cells import (
     Cell,
     ConstantPaths,
@@ -127,7 +134,13 @@ from repro.flow.session import (
     _PROBE_MAX_QUEUE_DELAY,
     _PROTECTION_SMOOTHING,
 )
-from repro.metrics.qoe import FREEZE_THRESHOLD, REPEATED_FRAME_PSNR
+from repro.metrics.collector import (
+    MetricsCollector,
+    PathSendRecord,
+    RenderedFrame,
+    TimeSeries,
+)
+from repro.metrics.qoe import summarize
 from repro.net.path import _OUTAGE_CAPACITY_BPS
 from repro.receiver.session import KEYFRAME_REQUEST_MIN_INTERVAL
 from repro.rtp.packets import DEFAULT_MTU_PAYLOAD
@@ -143,6 +156,9 @@ _POOL_CHUNK = 4096
 
 # Slack of the Bernoulli screen in :func:`_binomial_walk`.
 _SCREEN_GUARD = 1e-9
+
+# A path's send counters, ``_PathLanes.rec_<field>``, in record order.
+_SEND_FIELDS = [field.name for field in dataclasses.fields(PathSendRecord)]
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +506,6 @@ class _BatchFlowRun:
         "nows",
         "sample_steps",
         "sample_every",
-        "enc_count",
         "frames_since_key",
         "debt",
         "blocked",
@@ -547,7 +562,6 @@ class _BatchFlowRun:
             [derive_seed(cell.seed, "flow-session") for cell in cells]
         )
         shape = (batch,)
-        self.enc_count = np.zeros(shape, dtype=np.int64)
         self.frames_since_key = np.zeros(shape, dtype=np.int64)
         self.debt = np.zeros(shape, dtype=np.float64)
         self.blocked = np.zeros(shape, dtype=np.bool_)
@@ -571,7 +585,7 @@ class _BatchFlowRun:
         # Dropped frames are only ever *counted* in the payload, so a
         # counter per cell replaces the scalar's per-drop event list.
         self.drops = np.zeros(batch, dtype=np.int64)
-        self.kf_requests: List[List[List[float]]] = [[] for _ in range(batch)]
+        self.kf_requests: List[List[Tuple[float, int]]] = [[] for _ in range(batch)]
         self.path_events: List[List[Tuple[float, int, str]]] = [
             [] for _ in range(batch)
         ]
@@ -690,54 +704,37 @@ class _BatchFlowRun:
                     self.request_at[fire] = inf
                     self.pending[fire] = True
                     for i in np.flatnonzero(fire).tolist():
-                        self.kf_requests[i].append([now, 0])
+                        self.kf_requests[i].append((now, 0))
 
-            # -- encode ----------------------------------------------------
-            enc_mask = (send_n > 0) & (total_weight > 0.0)
-            enc_any = bool(enc_mask.any())
-            enc_all = enc_any and bool(enc_mask.all())
-            if enc_any:
-                eidx: Any = (
-                    slice(None) if enc_all else np.flatnonzero(enc_mask)
-                )
-                budget = (
-                    target_rate[eidx]
-                    * encoder_utilization
-                    / (1.0 + self.protection[eidx])
-                )
-                # One stream: the whole budget is its bitrate.
-                bitrate = np.where(budget < enc_min, enc_min, budget)
-                bitrate = np.where(bitrate > enc_cap, enc_cap, bitrate)
-                # The QP log never feeds back into the dynamics, so
-                # only the RD ratio is recorded here; rendered frames
-                # get their exact ``math.log`` at payload time.
-                self.qp0[eidx] = (
-                    np.where(bitrate > 1.0, bitrate, 1.0) / rd_anchor
-                )
-                fsk = self.frames_since_key[eidx]
-                is_key = (
-                    (self.enc_count[eidx] == 0)
-                    | (fsk >= gop_length)
-                    | self.pending[eidx]
-                )
-                base = bitrate / 8.0 / frame_rate
-                debt = self.debt[eidx]
-                size_key = base * key_mult
-                repay_cap = _KEYFRAME_DEBT_REPAY * base
-                repay = np.where(debt < repay_cap, debt, repay_cap)
-                size_f = np.where(is_key, size_key, base - repay)
-                debt = np.where(is_key, debt + (size_key - base), debt - repay)
-                self.debt[eidx] = debt
-                self.frames_since_key[eidx] = np.where(is_key, 0, fsk + 1)
-                self.pending[eidx] &= ~is_key
-                u = pool.draw_all() if enc_all else pool.draw(eidx)
-                size_f = size_f * (1.0 + (jit_lo + jit_span * u))
-                size = size_f.astype(np.int64)
-                size = np.where(size < _MIN_FRAME_BYTES, _MIN_FRAME_BYTES, size)
-                self.size0[eidx] = size
-                self.key0[eidx] = is_key
-                self.enc_count[eidx] += 1
-                self._allocate(enc_mask, send_n, total_weight, mtu)
+            # -- encode: every lane, every step ----------------------------
+            # Each usable path weighs at least ``gcc.min_rate`` and one
+            # path is always usable, so no lane ever skips a frame.
+            budget = target_rate * encoder_utilization / (1.0 + self.protection)
+            # One stream: the whole budget is its bitrate.
+            bitrate = np.where(budget < enc_min, enc_min, budget)
+            bitrate = np.where(bitrate > enc_cap, enc_cap, bitrate)
+            # The QP log never feeds back into the dynamics, so only
+            # the RD ratio is recorded here; rendered frames get their
+            # exact ``math.log`` at payload time.
+            self.qp0 = np.where(bitrate > 1.0, bitrate, 1.0) / rd_anchor
+            fsk = self.frames_since_key
+            is_key = (fsk >= gop_length) | self.pending | (step == 0)
+            base = bitrate / 8.0 / frame_rate
+            debt = self.debt
+            size_key = base * key_mult
+            repay_cap = _KEYFRAME_DEBT_REPAY * base
+            repay = np.where(debt < repay_cap, debt, repay_cap)
+            size_f = np.where(is_key, size_key, base - repay)
+            self.debt = np.where(is_key, debt + (size_key - base), debt - repay)
+            self.frames_since_key = np.where(is_key, 0, fsk + 1)
+            self.pending &= ~is_key
+            u = pool.draw_all()
+            size_f = size_f * (1.0 + (jit_lo + jit_span * u))
+            size = size_f.astype(np.int64)
+            size = np.where(size < _MIN_FRAME_BYTES, _MIN_FRAME_BYTES, size)
+            self.size0 = size
+            self.key0 = is_key
+            self._allocate(send_n, total_weight, mtu)
 
             probe_due = now >= next_probe
             if probe_due:
@@ -1183,8 +1180,7 @@ class _BatchFlowRun:
                 )
 
             # -- frame finish ----------------------------------------------
-            if enc_any:
-                self._finish(step, now, enc_mask, enc_all, max_latency)
+            self._finish(step, now, max_latency)
 
         return self._finalize()
 
@@ -1244,22 +1240,16 @@ class _BatchFlowRun:
                     if i in es:
                         self.path_events[i].append((now, pid, "enabled"))
 
-    def _allocate(
-        self,
-        enc_mask: B1,
-        send_n: I8,
-        total_weight: F8,
-        mtu: int,
-    ) -> None:
+    def _allocate(self, send_n: I8, total_weight: F8, mtu: int) -> None:
         """Split ``size0`` over member paths (``_allocate``, batched)."""
         lanes = self.lanes
         batch = self.batch_size
         size = self.size0
         key = self.key0
-        one = enc_mask & (send_n == 1)
-        two = enc_mask & (send_n == 2)
+        one = send_n == 1
+        two = send_n == 2
         two_prop = two & ~key
-        gen = enc_mask & (send_n >= 3)
+        gen = send_n >= 3
         conv_key = (two | gen) & key
         gen_split = gen & ~key
         if two_prop.any():
@@ -1331,14 +1321,7 @@ class _BatchFlowRun:
         blocked[idx] = True
         self.drops[idx] += 1
 
-    def _finish(
-        self,
-        step: int,
-        now: float,
-        enc_mask: B1,
-        enc_all: bool,
-        max_latency: float,
-    ) -> None:
+    def _finish(self, step: int, now: float, max_latency: float) -> None:
         lanes = self.lanes
         pool = self.pool
         batch = self.batch_size
@@ -1348,7 +1331,7 @@ class _BatchFlowRun:
         dropped_any = False
         size = self.size0
         for lane in lanes:
-            act = enc_mask & lane.member & (lane.step_bytes > 0)
+            act = lane.member & (lane.step_bytes > 0)
             if dropped_any:
                 act &= ~dropped
             if not act.any():
@@ -1374,9 +1357,7 @@ class _BatchFlowRun:
                 )
                 any_failed |= fold & ~lane.out_delivered
         if any_failed.any():
-            need_best = enc_mask & any_failed
-            if dropped_any:
-                need_best &= ~dropped
+            need_best = any_failed & ~dropped if dropped_any else any_failed
             # Salvage pass over the (few) cells whose frame missed on
             # some path: gather them down to a short index vector.
             nb = np.flatnonzero(need_best)
@@ -1407,7 +1388,7 @@ class _BatchFlowRun:
                     completion[nb] = np.where(
                         found & (salvage > cur), salvage, cur
                     )
-        late = enc_mask & (completion > max_latency)
+        late = completion > max_latency
         if dropped_any:
             late &= ~dropped
         if late.any():
@@ -1416,7 +1397,7 @@ class _BatchFlowRun:
             dropped_any = True
             self._hard_drop(now, lidx)
         if self.blocked.any():
-            gap = enc_mask & self.blocked & ~self.key0
+            gap = self.blocked & ~self.key0
             if dropped_any:
                 gap &= ~dropped
             if gap.any():
@@ -1424,7 +1405,7 @@ class _BatchFlowRun:
                 dropped[gidx] = True
                 dropped_any = True
                 self.drops[gidx] += 1
-        if enc_all and not dropped_any:
+        if not dropped_any:
             # Everyone rendered: whole-row writes, no index gathers.
             self.received_total += size
             self.blocked.fill(False)
@@ -1433,7 +1414,7 @@ class _BatchFlowRun:
             self.rendered_qp[step] = self.qp0
             self.rendered_completion[step] = completion
             return
-        render = enc_mask & ~dropped
+        render = ~dropped
         if render.any():
             ridx = np.flatnonzero(render)
             self.received_total[ridx] += size[ridx]
@@ -1459,11 +1440,6 @@ class _BatchFlowRun:
         del self.pool
         for lane in self.lanes:
             del lane.caps, lane.cap  # ``cap`` is a row view of ``caps``
-        config = self.config
-        duration = config.duration
-        frame_rate = config.frame_rate
-        rd_model = config.encoder_template.rd_model
-        nominal_interval = 1.0 / frame_rate
         nows = np.array(self.nows, dtype=np.float64)
         sample_nows = [self.nows[s] for s in self.sample_steps]
         # Receive-rate window cutoffs: first retained render step per
@@ -1480,34 +1456,21 @@ class _BatchFlowRun:
             ((render_cum[sample_index] - render_cum[cut_index]) * 8 / 1.0).T
         )
         del render_cum
-        rendered_size_t = _take_lane_rows(self, "rendered_size")
-        rendered_key_t = _take_lane_rows(self, "rendered_key")
-        rendered_qp_t = _take_lane_rows(self, "rendered_qp")
-        rendered_completion_t = _take_lane_rows(self, "rendered_completion")
-        tr_t = _take_lane_rows(self, "tr_samples")
+        records = [
+            _take_lane_rows(self, name)
+            for name in (
+                "rendered_size",
+                "rendered_key",
+                "rendered_qp",
+                "rendered_completion",
+                "tr_samples",
+            )
+        ]
         tgt_t = [_take_lane_rows(lane, "tgt_samples") for lane in self.lanes]
-        # fps buckets, replayed with the collector's float accumulator.
-        bucket_ends: List[float] = []
-        t = 0.0
-        while t < duration:
-            bucket_ends.append(t + 1.0)
-            t += 1.0
         for i, cell in enumerate(self.cells):
+            rows = [record[i] for record in records] + [rr_t[i]]
             yield self._cell_payload(
-                i,
-                cell,
-                nows,
-                sample_nows,
-                rendered_size_t[i],
-                rendered_key_t[i],
-                rendered_qp_t[i],
-                rendered_completion_t[i],
-                tr_t[i],
-                rr_t[i],
-                tgt_t,
-                bucket_ends,
-                rd_model,
-                nominal_interval,
+                i, cell, nows, sample_nows, rows, [tgt[i] for tgt in tgt_t]
             )
 
     def _cell_payload(
@@ -1516,197 +1479,71 @@ class _BatchFlowRun:
         cell: Cell,
         nows: F8,
         sample_nows: List[float],
-        sizes: I8,
-        keys: B1,
-        qps: F8,
-        completions: F8,
-        tr_col: F8,
-        rr_col: F8,
-        tgt_t: List[F8],
-        bucket_ends: List[float],
-        rd_model: Any,
-        nominal_interval: float,
+        rows: List[NDArray[Any]],
+        path_rates: List[F8],
     ) -> Dict[str, Any]:
+        """Lane ``i`` as the scalar loop ends its call: its records
+        fill a :class:`MetricsCollector`, which goes through
+        ``summarize`` and ``result_to_dict`` as in
+        ``FlowCall._finalize`` and ``runner.execute_cell``."""
         config = self.config
-        duration = config.duration
-        frame_rate = config.frame_rate
-        render_steps = np.flatnonzero(sizes)
-        capture = nows[render_steps]
-        comp = completions[render_steps]
-        render_times = capture + comp
-        rendered_count = int(render_steps.shape[0])
-        # QoE summary (repro.metrics.qoe.summarize, exactly batched:
-        # cumsum replays Python's left-fold sums bit for bit).
-        e2e = render_times - capture
-        if rendered_count:
-            e2e_mean = float(np.cumsum(e2e)[-1]) / rendered_count
-            deviations = e2e - e2e_mean
-            squares = _scalar_map(lambda v: v**2.0, deviations)
-            e2e_std = math.sqrt(
-                float(np.cumsum(squares)[-1]) / rendered_count
-            )
-            e2e_sorted = np.sort(e2e)
-            e2e_p95 = float(
-                e2e_sorted[
-                    min(int(0.95 * rendered_count), rendered_count - 1)
-                ]
-            )
-        else:
-            e2e_mean = 0.0
-            e2e_std = 0.0
-            e2e_p95 = 0.0
-        # Freeze stats over sorted render times with boundary gaps.
-        ordered = np.sort(render_times)
-        if rendered_count:
-            bounds = np.empty(rendered_count + 2, dtype=np.float64)
-            bounds[0] = 0.0
-            bounds[1:-1] = ordered
-            bounds[-1] = duration
-            gaps = bounds[1:] - bounds[:-1]
-            frozen = gaps[gaps > FREEZE_THRESHOLD] - nominal_interval
-            freeze_count = int(frozen.shape[0])
-            freeze_total = (
-                float(np.cumsum(frozen)[-1]) if freeze_count else 0.0
-            )
-        else:
-            freeze_count = 1
-            freeze_total = duration
-        freeze_mean = freeze_total / freeze_count if freeze_count else 0.0
-        # ``qps`` carries the clamped RD ratio; the deferred log (the
-        # encoder's exact ``math.log``) and QP clamp happen here, once
-        # per rendered frame.
-        ratios = qps[render_steps]
-        qp_values = rd_model.qp_anchor - rd_model.qp_slope * np.fromiter(
-            map(math.log, ratios.tolist()), np.float64, count=rendered_count
-        )
-        qp_values = np.where(
-            qp_values < rd_model.qp_min, rd_model.qp_min, qp_values
-        )
-        qp_values = np.where(
-            qp_values > rd_model.qp_max, rd_model.qp_max, qp_values
-        )
-        if rendered_count:
-            average_qp = float(np.cumsum(qp_values)[-1]) / rendered_count
-        else:
-            average_qp = rd_model.qp_max
-        frozen_frames = int(freeze_total * frame_rate)
-        psnr_live = rd_model.psnr_intercept - rd_model.psnr_slope * qp_values
-        psnr_samples = np.concatenate(
-            [psnr_live, np.full(frozen_frames, REPEATED_FRAME_PSNR)]
-        )
-        total_samples = rendered_count + frozen_frames
-        average_psnr = (
-            float(np.cumsum(psnr_samples)[-1]) / total_samples
-            if total_samples
-            else 0.0
-        )
-        media_packets_sent = 0
-        fec_packets_sent = 0
-        paths_block: Dict[str, Dict[str, int]] = {}
-        path_rates: Dict[str, Dict[str, List[float]]] = {}
-        path_keys = [str(consts.path_id) for consts in self.consts]
-        # Lanes in the order their keys sort: normal form (see below).
-        for p in sorted(range(len(path_keys)), key=path_keys.__getitem__):
-            lane = self.lanes[p]
-            mp = int(lane.rec_media_packets[i])
-            fp = int(lane.rec_fec_packets[i])
-            media_packets_sent += mp
-            fec_packets_sent += fp
-            path_rates[path_keys[p]] = {
-                "times": list(sample_nows),
-                "values": tgt_t[p][i].tolist(),
-            }
-            paths_block[path_keys[p]] = {
-                "fec_bytes": int(lane.rec_fec_bytes[i]),
-                "fec_packets": fp,
-                "media_bytes": int(lane.rec_media_bytes[i]),
-                "media_packets": mp,
-                "rtx_bytes": int(lane.rec_rtx_bytes[i]),
-                "rtx_packets": int(lane.rec_rtx_packets[i]),
-            }
-        fec_overhead = (
-            fec_packets_sent / media_packets_sent if media_packets_sent else 0.0
-        )
-        fec_received = int(self.fec_received_total[i])
-        fec_utilization = (
-            int(self.fec_recovered_total[i]) / fec_received
-            if fec_received
-            else 0.0
-        )
-        # fps series: bucketed render counts (collector.fps_series).
-        edges = np.searchsorted(ordered, np.array(bucket_ends), side="left")
-        fps_counts = np.empty(len(bucket_ends), dtype=np.int64)
-        fps_counts[0] = edges[0]
-        fps_counts[1:] = edges[1:] - edges[:-1]
-        fps_values = (fps_counts / 1.0).tolist()
+        rd = config.encoder_template.rd_model
+        sizes, keys, ratios, completions, target_rates, receive_rates = rows
+        steps = np.flatnonzero(sizes)
+        capture = nows[steps]
+        comp = completions[steps]
+        render = capture + comp
+        # The loop recorded the RD ratio: the encoder's ``math.log`` of
+        # it and the QP clamp happen here, once per rendered frame.
+        log_ratio = np.fromiter(map(math.log, ratios[steps].tolist()), np.float64)
+        qp = np.clip(rd.qp_anchor - rd.qp_slope * log_ratio, rd.qp_min, rd.qp_max)
         capture_list = capture.tolist()
-        label = cell.label or config.system.value
-        # Normal form, as ``analysis.export.result_to_dict`` defines
-        # it: sorted str keys, fresh lists, native leaves.
-        return {
-            "config": {
-                "duration": duration,
-                "fec_mode": config.fec_mode.value,
-                "num_streams": config.num_streams,
-                "qoe_feedback_enabled": config.qoe_feedback_enabled,
-                "seed": cell.seed,
-                "system": config.system.value,
-            },
-            "events": {
-                "feedback": [],
-                "keyframe_requests": [
-                    list(req) for req in self.kf_requests[i]
-                ],
-                "path_events": [
-                    {"event": event, "path_id": path_id, "time": time}
-                    for time, path_id, event in self.path_events[i]
-                ],
-            },
-            "faults": {"injected": [], "recovery": []},
-            "label": label,
-            "paths": paths_block,
-            "series": {
-                "fcd": {
-                    "times": capture_list,
-                    "values": comp.tolist(),
-                },
-                "fps": {
-                    "times": list(bucket_ends),
-                    "values": fps_values,
-                },
-                "ifd": {
-                    "times": capture_list[1:],
-                    "values": (render_times[1:] - render_times[:-1]).tolist(),
-                },
-                "path_rates": path_rates,
-                "receive_rate": {
-                    "times": list(sample_nows),
-                    "values": rr_col.tolist(),
-                },
-                "target_rate": {
-                    "times": list(sample_nows),
-                    "values": tr_col.tolist(),
-                },
-            },
-            "summary": {
-                "average_fps": rendered_count / duration / 1,
-                "average_psnr": average_psnr,
-                "average_qp": average_qp,
-                "e2e_mean": e2e_mean,
-                "e2e_p95": e2e_p95,
-                "e2e_std": e2e_std,
-                "fec_overhead": fec_overhead,
-                "fec_utilization": fec_utilization,
-                "frame_drops": int(self.drops[i]),
-                "frames_rendered": rendered_count,
-                "freeze_count": freeze_count,
-                "freeze_mean": freeze_mean,
-                "freeze_total": freeze_total,
-                "keyframe_requests": len(self.kf_requests[i]),
-                "psnr_samples": psnr_samples.tolist(),
-                "throughput_bps": int(self.received_total[i]) * 8 / duration,
-            },
-        }
+        metrics = MetricsCollector()
+        # Every lane encodes at every step: a frame's id is its step.
+        metrics.rendered = list(
+            map(
+                RenderedFrame,
+                repeat(0),
+                steps.tolist(),
+                capture_list,
+                render.tolist(),
+                sizes[steps].tolist(),
+                keys[steps].tolist(),
+                repeat(False),
+                qp.tolist(),
+            )
+        )
+        series_rows = [
+            (metrics.fcd_series, capture_list, comp),
+            (metrics.ifd_series, capture_list[1:], render[1:] - render[:-1]),
+            (metrics.target_rate_series, sample_nows, target_rates),
+            (metrics.receive_rate_series, sample_nows, receive_rates),
+        ]
+        for consts, lane, rates in zip(self.consts, self.lanes, path_rates):
+            pid = consts.path_id
+            metrics.path_rate_series[pid] = TimeSeries()
+            series_rows.append((metrics.path_rate_series[pid], sample_nows, rates))
+            metrics.path_sends[pid] = PathSendRecord(
+                *(int(getattr(lane, f"rec_{field}")[i]) for field in _SEND_FIELDS)
+            )
+        for series, times, values in series_rows:
+            series.times, series.values = times, values.tolist()
+        metrics.received_media_bytes = int(self.received_total[i])
+        metrics.record_fec_stats(
+            int(self.fec_received_total[i]), int(self.fec_recovered_total[i])
+        )
+        metrics.frame_drop_count = int(self.drops[i])
+        metrics.keyframe_requests = self.kf_requests[i]
+        metrics.path_events = self.path_events[i]
+        summary = summarize(
+            metrics,
+            duration=config.duration,
+            num_streams=config.num_streams,
+            frame_rate=config.frame_rate,
+            rd_model=rd,
+        )
+        config = dataclasses.replace(config, seed=cell.seed, label=cell.label)
+        return result_to_dict(CallResult(config, summary, metrics))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import DefaultDict, Dict, List, Optional, Sequence
+from typing import DefaultDict, List, Optional, Sequence
 
 from repro.metrics.collector import MetricsCollector, RenderedFrame
 from repro.video.quality import RateDistortionModel
@@ -60,21 +60,6 @@ class QoeSummary:
     fec_utilization: float
     frame_drops: int
     keyframe_requests: int
-
-    def normalized(
-        self,
-        max_rate_per_stream: float = 10_000_000.0,
-        target_fps: float = 24.0,
-        worst_qp: float = 60.0,
-    ) -> Dict[str, float]:
-        """Normalized QoE per §6: throughput/10 Mbps, FPS/24, QP/60."""
-        return {
-            "throughput": self.throughput_bps
-            / (max_rate_per_stream * self.num_streams),
-            "fps": self.average_fps / target_fps,
-            "stall": self.freeze.total_duration / max(self.duration, 1e-9),
-            "qp": self.average_qp / worst_qp,
-        }
 
 
 def _freeze_stats(

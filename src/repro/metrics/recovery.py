@@ -73,6 +73,8 @@ def compute_recovery(
     fps_fraction: float = 0.7,
 ) -> List[FaultRecovery]:
     """Per-fault recovery latencies for one finished call."""
+    if not metrics.fault_events:
+        return []
     render_times = sorted(f.render_time for f in metrics.rendered)
     reports: List[FaultRecovery] = []
     for fault in metrics.fault_events:

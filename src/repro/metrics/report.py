@@ -2,19 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
-from repro.metrics.qoe import QoeSummary
-
-
-def normalize_qoe(
-    summary: QoeSummary,
-    max_rate_per_stream: float = 10_000_000.0,
-    target_fps: float = 24.0,
-    worst_qp: float = 60.0,
-) -> Dict[str, float]:
-    """The paper's normalized QoE metrics (see §6)."""
-    return summary.normalized(max_rate_per_stream, target_fps, worst_qp)
+from typing import List, Sequence
 
 
 def format_table(

@@ -24,6 +24,24 @@ class TestParser:
         assert args.system == "converge"
         assert args.scenario == "driving"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--duration", "-5"],
+            ["run", "--streams", "0"],
+            ["experiment", "fig01", "--duration", "0"],
+            ["fleet", "--seeds", "0", "--duration", "1"],
+            ["sweep", "--seeds", "-1", "--duration", "1"],
+        ],
+    )
+    def test_non_positive_numbers_are_usage_errors(self, argv, capsys):
+        # Regression: --duration/--streams ended in a ValueError
+        # traceback and --seeds 0 ran one seed.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):

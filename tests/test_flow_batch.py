@@ -46,6 +46,7 @@ from repro.flow.batch import (
     plan_batches,
 )
 from repro.flow.frames import binomial_draw, binomial_from_uniform
+from repro.metrics import qoe
 
 from tests.batch_spy import watch_payload_builds
 from tests.normal_form import assert_normal_form, assert_same_payload
@@ -225,6 +226,29 @@ class TestExecuteBatchByteExact:
                     for seed in (5, 6)
                 ]
             )
+
+    def test_one_summary_definition_serves_both_engines(self, monkeypatch):
+        # A freeze shows a stale frame at REPEATED_FRAME_PSNR: moving
+        # that constant moves the scalar summary, and the array
+        # program's payloads follow because they come out of the same
+        # ``summarize``, not a copy of it.
+        cells = [
+            make_cell(
+                ScenarioPaths("driving"),
+                SystemKind.CONVERGE,
+                seed=seed,
+                duration=20.0,
+                fidelity=Fidelity.FLOW,
+            )
+            for seed in (1, 2, 3)
+        ]
+        before = [execute_cell(cell)["summary"]["average_psnr"] for cell in cells]
+        monkeypatch.setattr(qoe, "REPEATED_FRAME_PSNR", qoe.REPEATED_FRAME_PSNR - 6)
+        scalar = [execute_cell(cell) for cell in cells]
+        for payload, psnr in zip(scalar, before):
+            assert payload["summary"]["average_psnr"] != psnr
+        for payload, expected in zip(execute_batch(cells), scalar):
+            assert_same_payload(payload, expected)
 
     def test_results_in_input_order(self):
         # Labels survive the round trip in the order the cells went in.

@@ -116,13 +116,6 @@ class TestSummarize:
         assert frozen.average_psnr < healthy.average_psnr
         assert frozen.average_psnr >= REPEATED_FRAME_PSNR - 1.0
 
-    def test_normalized(self):
-        collector = self._collector_with_frames(48)  # 24 fps over 2 s
-        summary = summarize(collector, duration=2.0)
-        norm = summary.normalized()
-        assert norm["fps"] == pytest.approx(1.0)
-        assert 0.0 <= norm["qp"] <= 1.0
-
     def test_qp_joined_from_encoder_records(self):
         collector = MetricsCollector()
         collector.record_encoded_frame(1, 0, 0.0, 4000, qp=22.0, is_keyframe=True)

@@ -15,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.export import result_to_dict
+from repro.core.api import build_call_config
 from repro.core.config import FecMode, SystemKind
+from repro.core.session import CallResult
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.cells import (
     BuilderPaths,
@@ -40,6 +43,8 @@ from repro.experiments.runner import (
     stream_cells,
 )
 from repro.flow.batch import batchable
+from repro.metrics import MetricsCollector, summarize
+from repro.metrics.collector import RenderedFrame
 from repro.receiver.packet_buffer import PacketBufferConfig
 from repro.receiver.session import ReceiverConfig
 
@@ -663,6 +668,11 @@ class TestRunCells:
         report = run_cells([_cell()], jobs=None)
         assert report.stats.jobs == 3
 
+    def test_jobs_env_that_is_not_a_number_is_named(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            run_cells([_cell()], jobs=None)
+
     def test_summary_accessors(self):
         summary = results_of(run_cells([_cell(seed=5)], jobs=1))[0]
         assert summary.config["seed"] == 5
@@ -672,6 +682,17 @@ class TestRunCells:
         norm = summary.normalized()
         assert set(norm) == {"throughput", "fps", "stall", "qp"}
         assert isinstance(summary.psnr_p10, float)
+        # 48 frames in 2 s: the §6 target of 24 fps.
+        metrics = MetricsCollector()
+        metrics.rendered = [
+            RenderedFrame(1, i, i / 30, i / 30 + 0.1, 4000, False, False, 30.0)
+            for i in range(48)
+        ]
+        config = build_call_config(SystemKind.CONVERGE, duration=2.0)
+        result = CallResult(config, summarize(metrics, duration=2.0), metrics)
+        norm = CellSummary(result_to_dict(result)).normalized()
+        assert norm["fps"] == pytest.approx(1.0)
+        assert 0.0 <= norm["qp"] <= 1.0
 
     def test_execute_cell_matches_runner(self):
         cell = _cell(seed=7)

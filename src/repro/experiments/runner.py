@@ -68,8 +68,8 @@ if TYPE_CHECKING:
 _TASK_SECONDS = 0.05
 
 # Largest single array-batch handed to the flow batch engine: bounds
-# the (T, B) state arrays of one group (a 60 s call at 1024 cells is
-# about 130 MiB of live state: 170 MiB peak RSS, 40 of them the bare
+# the state arrays of one group (a 60 s call at 1024 cells is about
+# 75 MiB of live state: 115 MiB peak RSS, 40 of them the bare
 # interpreter with numpy and repro imported) without limiting sweep
 # size.
 _MAX_BATCH_CELLS = 1024

@@ -6,9 +6,10 @@ bottleneck for Monte Carlo sweeps to the Python interpreter itself:
 every cell replays the same ~1800-step control loop, one step at a
 time, in its own process.  This module steps *B* cells of one group
 simultaneously as one numpy array program — capacity trajectories as
-``(T, B)`` tables, every per-path quantity (queue backlog, loss EWMAs,
-GCC rate state, FEC carry) as struct-of-arrays ``(B,)`` slices, and
-all stochastic frame fates as batched inverse-transform draws.
+per-step segment positions into each lane's trace, every per-path
+quantity (queue backlog, loss EWMAs, GCC rate state, FEC carry) as
+struct-of-arrays ``(B,)`` slices, and all stochastic frame fates as
+batched inverse-transform draws.
 
 **Scope.**  The array program takes one cell shape, decided once in
 :func:`batchable`: a flow-fidelity, single-stream Converge call with
@@ -151,8 +152,9 @@ F8 = NDArray[np.float64]
 I8 = NDArray[np.int64]
 B1 = NDArray[np.bool_]
 
-# Prefilled uniform draws per cell between stream refills.
-_POOL_CHUNK = 4096
+# Uniform draws held per cell: the window :meth:`_DrawPool.reserve`
+# keeps topped up to one step's worst case, :func:`_step_draws`.
+_POOL_CHUNK = 1024
 
 # Slack of the Bernoulli screen in :func:`_binomial_walk`.
 _SCREEN_GUARD = 1e-9
@@ -187,56 +189,56 @@ def _scalar_map(fn: Callable[[float], float], values: F8) -> F8:
 class _DrawPool:
     """Per-cell ``random.Random`` uniform streams, consumed in lockstep.
 
-    Row *i* is cell *i*'s scalar ``flow-session`` stream — the same
-    ``random.Random(seed)``, read in bulk: the pool prefills
-    :data:`_POOL_CHUNK` doubles per cell and every :meth:`draw` hands
-    each selected lane its next value, so draw *sites* can be
-    processed in any batched grouping as long as each cell's local
-    draw order is preserved.
+    Row *i* is a window on cell *i*'s scalar ``flow-session`` stream —
+    the same ``random.Random(seed)``, read in bulk: the pool holds
+    :data:`_POOL_CHUNK` doubles per cell, every :meth:`draw` hands each
+    selected lane its next value, so draw *sites* can be processed in
+    any batched grouping as long as each cell's local draw order is
+    preserved.  :meth:`reserve` at the head of a step tops up the rows
+    that could run out within it, so :meth:`draw` never checks; a
+    window is a step's draws, not a call's (4 MiB at 512 lanes).
     """
 
-    __slots__ = ("_streams", "_pool", "_cursor", "_all", "_peak")
+    __slots__ = ("_streams", "_pool", "_cursor", "_all")
 
     def __init__(self, seeds: Sequence[int]) -> None:
         count = len(seeds)
         self._streams = [random.Random(seed) for seed in seeds]
         self._pool = np.empty((count, _POOL_CHUNK), dtype=np.float64)
-        self._cursor = np.zeros(count, dtype=np.int64)
+        # Every row starts fully read, so the first reserve fills it.
+        self._cursor = np.full(count, _POOL_CHUNK, dtype=np.int64)
         self._all = np.arange(count, dtype=np.int64)
-        # Conservative upper bound on every cursor: bumped once per
-        # draw, so the exhaustion scan runs once per chunk, not per
-        # call.
-        self._peak = 0
-        for i in range(count):
-            self._refill(i)
 
-    def _refill(self, i: int) -> None:
-        """Row *i* becomes its stream's next :data:`_POOL_CHUNK` doubles.
+    def reserve(self, n: int) -> None:
+        """Make sure every row holds at least ``n`` unread doubles.
 
-        ``randbytes`` is successive generator outputs laid out
-        little-endian, and ``random()`` is ``((a >> 5) * 2**26 +
-        (b >> 6)) / 2**53`` over consecutive 32-bit outputs ``a, b`` —
-        every step exact in float64 (the sum is below ``2**53``).
+        A row short of ``n`` moves its unread tail to the front and
+        appends its stream's next values behind it.  ``randbytes`` is
+        successive generator outputs laid out little-endian, and
+        ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` over
+        consecutive 32-bit outputs ``a, b`` — every step exact in
+        float64 (the sum is below ``2**53``).
         """
-        words = np.frombuffer(
-            self._streams[i].randbytes(8 * _POOL_CHUNK), dtype="<u4"
-        )
-        row = self._pool[i]
-        np.multiply(words[0::2] >> 5, 2.0**26, out=row)
-        row += words[1::2] >> 6
-        row *= 2.0**-53
-        self._cursor[i] = 0
+        width = self._pool.shape[1]
+        if n > width:
+            raise ValueError(f"a step may draw {n} values, the window holds {width}")
+        cursor = self._cursor
+        for i in np.flatnonzero(cursor > width - n).tolist():
+            read = int(cursor[i])
+            row = self._pool[i]
+            row[: width - read] = row[read:]
+            words = np.frombuffer(self._streams[i].randbytes(8 * read), dtype="<u4")
+            fresh = row[width - read :]
+            np.multiply(words[0::2] >> 5, 2.0**26, out=fresh)
+            fresh += words[1::2] >> 6
+            fresh *= 2.0**-53
+            cursor[i] = 0
 
     def draw(self, cell_indices: I8) -> F8:
         """Next uniform double for each listed cell (indices unique)."""
         cursor = self._cursor
-        if self._peak >= _POOL_CHUNK:
-            for i in np.flatnonzero(cursor >= _POOL_CHUNK).tolist():
-                self._refill(i)
-            self._peak = int(cursor.max())
         values = self._pool[cell_indices, cursor[cell_indices]]
         cursor[cell_indices] += 1
-        self._peak += 1
         return values
 
     def draw_all(self) -> F8:
@@ -269,14 +271,24 @@ def _binomial_walk(n: I8, p: F8, u: F8) -> I8:
     return k
 
 
-def _vector_step_caps(link: FlowLink, query: F8) -> F8:
-    """:meth:`FlowLink.precompute`, vectorized over the step grid.
+def _step_draws(paths: int) -> int:
+    """The most uniform draws one lane makes in one step: the encode
+    jitter, then per path the burst, loss, FEC, retransmission (one a
+    round), kill and overuse draws in the send, and the kill-share
+    draw in :meth:`_BatchFlowRun._finish`."""
+    return 1 + paths * (6 + MAX_RTX_ROUNDS)
+
+
+def _vector_step_caps(link: FlowLink, query: F8) -> Tuple[I8, F8]:
+    """:meth:`FlowLink.precompute`, vectorized over the step grid and
+    factored: the trace segment of each step, and each segment's
+    capacity with the outage gate applied.
 
     ``query`` holds the step times (``np.arange(steps) * dt``, shared
     across the batch).  Pure selection: ``searchsorted`` replays the
-    trace's ``bisect_right`` segment lookup and the gathered values
-    are the trace's own floats, so the result is byte-identical to
-    the scalar tabulation, outage gate included.
+    trace's ``bisect_right`` segment lookup and the values are the
+    trace's own floats, so ``values[index]`` is byte-identical to the
+    scalar tabulation.
     """
     trace = link._trace
     times = np.asarray(trace._times, dtype=np.float64)
@@ -285,17 +297,34 @@ def _vector_step_caps(link: FlowLink, query: F8) -> F8:
         query = np.mod(query, trace.duration)
     index = np.searchsorted(times, query, side="right") - 1
     index[index < 0] = 0
-    caps: F8 = values[index]
-    return np.where(caps < _OUTAGE_CAPACITY_BPS, 0.0, caps)
+    return index, np.where(values < _OUTAGE_CAPACITY_BPS, 0.0, values)
 
 
-def _take_lane_rows(holder: Any, name: str) -> NDArray[Any]:
-    """The ``(T, B)`` record ``holder.name`` as ``(B, T)``, one
-    contiguous row per lane for cheap extraction; the original is
-    released, so the run never holds a record in both layouts."""
-    rows: NDArray[Any] = np.ascontiguousarray(getattr(holder, name).T)
-    delattr(holder, name)
-    return rows
+class _CapacityTable:
+    """One path's capacity at every step, for every lane.
+
+    A scenario trace changes value twice a second against 30 steps a
+    second, so the table keeps each lane's segment values, ``(S, B)``,
+    and per step the position of the value each lane reads, ``(T, B)``
+    int32: half the bytes of a dense float table, one gather a step.
+    """
+
+    __slots__ = ("values", "position")
+
+    def __init__(self, links: Sequence[FlowLink], query: F8) -> None:
+        batch = len(links)
+        segments = max(len(link._trace._times) for link in links)
+        self.values = np.zeros((segments, batch), dtype=np.float64)
+        self.position = np.empty((query.shape[0], batch), dtype=np.int32)
+        for i, link in enumerate(links):
+            index, values = _vector_step_caps(link, query)
+            self.values[: values.shape[0], i] = values
+            # Row-major position of (segment, lane) in ``values``.
+            self.position[:, i] = index * batch + i
+
+    def at(self, step: int) -> F8:
+        """Every lane's capacity at ``step``."""
+        return self.values.take(self.position[step])
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +478,12 @@ class _PathLanes:
     )
 
     def __init__(
-        self, batch_size: int, steps: int, samples: int, consts: _PathConsts,
+        self, caps: _CapacityTable, samples: int, consts: _PathConsts,
         initial_rate: float,
     ) -> None:
+        self.caps = caps
+        batch_size = caps.values.shape[1]
         shape = (batch_size,)
-        self.caps = np.empty((steps, batch_size), dtype=np.float64)
         self.backlog = np.zeros(shape, dtype=np.float64)
         self.loss_ewma = np.zeros(shape, dtype=np.float64)
         self.loss_peak = np.zeros(shape, dtype=np.float64)
@@ -488,7 +518,7 @@ class _PathLanes:
         self.rec_fec_bytes = np.zeros(shape, dtype=np.int64)
         self.rec_rtx_packets = np.zeros(shape, dtype=np.int64)
         self.rec_rtx_bytes = np.zeros(shape, dtype=np.int64)
-        self.tgt_samples = np.empty((samples, batch_size), dtype=np.float64)
+        self.tgt_samples = np.empty((batch_size, samples), dtype=np.float64)
 
 
 class _BatchFlowRun:
@@ -550,14 +580,11 @@ class _BatchFlowRun:
         samples = len(self.sample_steps)
         self.consts = [_PathConsts(links[0]) for links in zip(*links_per_cell)]
         initial_rate = float(config.gcc.initial_rate)
-        self.lanes = [
-            _PathLanes(batch, steps, samples, consts, initial_rate)
-            for consts in self.consts
-        ]
         query = np.arange(steps, dtype=np.float64) * self.dt
-        for i, links in enumerate(links_per_cell):
-            for p, link in enumerate(links):
-                self.lanes[p].caps[:, i] = _vector_step_caps(link, query)
+        self.lanes = [
+            _PathLanes(_CapacityTable(links, query), samples, consts, initial_rate)
+            for consts, links in zip(self.consts, zip(*links_per_cell))
+        ]
         self.pool = _DrawPool(
             [derive_seed(cell.seed, "flow-session") for cell in cells]
         )
@@ -577,11 +604,14 @@ class _BatchFlowRun:
         self.qp0 = np.zeros(shape, dtype=np.float64)
         self.step_media = np.zeros(shape, dtype=np.int64)
         self.step_fec = np.zeros(shape, dtype=np.int64)
-        self.rendered_size = np.zeros((steps, batch), dtype=np.int64)
-        self.rendered_key = np.zeros((steps, batch), dtype=np.bool_)
-        self.rendered_qp = np.zeros((steps, batch), dtype=np.float64)
-        self.rendered_completion = np.zeros((steps, batch), dtype=np.float64)
-        self.tr_samples = np.empty((samples, batch), dtype=np.float64)
+        # The records are lane-major, ``(B, T)``: a step writes a
+        # column, and a payload reads its lane's row in place.  int32
+        # sizes: no frame reaches 2 GiB (the encoder caps the bitrate).
+        self.rendered_size = np.zeros((batch, steps), dtype=np.int32)
+        self.rendered_key = np.zeros((batch, steps), dtype=np.bool_)
+        self.rendered_qp = np.zeros((batch, steps), dtype=np.float64)
+        self.rendered_completion = np.zeros((batch, steps), dtype=np.float64)
+        self.tr_samples = np.empty((batch, samples), dtype=np.float64)
         # Dropped frames are only ever *counted* in the payload, so a
         # counter per cell replaces the scalar's per-drop event list.
         self.drops = np.zeros(batch, dtype=np.int64)
@@ -631,14 +661,16 @@ class _BatchFlowRun:
         inf = math.inf
         true_col = np.ones(batch, dtype=np.bool_)
         _loss_unit_cut = 1.0  # outage loss level
+        step_draws = _step_draws(len(lanes))
 
         for step in range(self.steps):
             now = self.nows[step]
+            pool.reserve(step_draws)
 
             # -- capacity + watchdog + per-path target, in pid order --
             flagged = False
             for p, lane in enumerate(lanes):
-                cap = lane.caps[step]
+                cap = lane.caps.at(step)
                 lane.cap = cap
                 attention = (
                     (lane.silence != 0.0) | (cap <= 0.0)
@@ -685,9 +717,9 @@ class _BatchFlowRun:
 
             # -- sampling --------------------------------------------------
             if sample_tick == 0:
-                self.tr_samples[sample_row] = target_rate
+                self.tr_samples[:, sample_row] = target_rate
                 for lane in lanes:
-                    lane.tgt_samples[sample_row] = lane.tgt
+                    lane.tgt_samples[:, sample_row] = lane.tgt
                 sample_row += 1
             sample_tick += 1
             if sample_tick == self.sample_every:
@@ -1406,23 +1438,23 @@ class _BatchFlowRun:
                 dropped_any = True
                 self.drops[gidx] += 1
         if not dropped_any:
-            # Everyone rendered: whole-row writes, no index gathers.
+            # Everyone rendered: whole-column writes, no index gathers.
             self.received_total += size
             self.blocked.fill(False)
-            self.rendered_size[step] = size
-            self.rendered_key[step] = self.key0
-            self.rendered_qp[step] = self.qp0
-            self.rendered_completion[step] = completion
+            self.rendered_size[:, step] = size
+            self.rendered_key[:, step] = self.key0
+            self.rendered_qp[:, step] = self.qp0
+            self.rendered_completion[:, step] = completion
             return
         render = ~dropped
         if render.any():
             ridx = np.flatnonzero(render)
             self.received_total[ridx] += size[ridx]
             self.blocked[ridx] = False
-            self.rendered_size[step, ridx] = size[ridx]
-            self.rendered_key[step, ridx] = self.key0[ridx]
-            self.rendered_qp[step, ridx] = self.qp0[ridx]
-            self.rendered_completion[step, ridx] = completion[ridx]
+            self.rendered_size[ridx, step] = size[ridx]
+            self.rendered_key[ridx, step] = self.key0[ridx]
+            self.rendered_qp[ridx, step] = self.qp0[ridx]
+            self.rendered_completion[ridx, step] = completion[ridx]
 
     # -- payload construction ----------------------------------------------
 
@@ -1433,13 +1465,13 @@ class _BatchFlowRun:
         none is held here once handed over: unless the caller collects
         them, the run's footprint is its own arrays, not B result
         dicts.  What only the loop needed is released first — the draw
-        pool (:data:`_POOL_CHUNK` doubles a lane) and the capacity
-        tables are its largest arrays — and every ``(T, B)`` record
-        gives way to its per-lane copy.
+        window (:data:`_POOL_CHUNK` doubles a lane) and the capacity
+        tables (an int32 position a lane and step) — and the records
+        are read in place, a lane's row each, with no copy beside them.
         """
         del self.pool
         for lane in self.lanes:
-            del lane.caps, lane.cap  # ``cap`` is a row view of ``caps``
+            del lane.caps, lane.cap
         nows = np.array(self.nows, dtype=np.float64)
         sample_nows = [self.nows[s] for s in self.sample_steps]
         # Receive-rate window cutoffs: first retained render step per
@@ -1448,29 +1480,21 @@ class _BatchFlowRun:
             nows, np.array(sample_nows) - 1.0, side="left"
         )
         sample_index = np.array(self.sample_steps, dtype=np.int64)
-        render_cum = np.zeros(
-            (self.steps + 1, self.batch_size), dtype=np.int64
+        render_cum = np.zeros(self.steps + 1, dtype=np.int64)
+        records = (
+            self.rendered_size,
+            self.rendered_key,
+            self.rendered_qp,
+            self.rendered_completion,
+            self.tr_samples,
         )
-        np.cumsum(self.rendered_size, axis=0, out=render_cum[1:])
-        rr_t = np.ascontiguousarray(
-            ((render_cum[sample_index] - render_cum[cut_index]) * 8 / 1.0).T
-        )
-        del render_cum
-        records = [
-            _take_lane_rows(self, name)
-            for name in (
-                "rendered_size",
-                "rendered_key",
-                "rendered_qp",
-                "rendered_completion",
-                "tr_samples",
-            )
-        ]
-        tgt_t = [_take_lane_rows(lane, "tgt_samples") for lane in self.lanes]
         for i, cell in enumerate(self.cells):
-            rows = [record[i] for record in records] + [rr_t[i]]
+            rows = [record[i] for record in records]
+            np.cumsum(rows[0], dtype=np.int64, out=render_cum[1:])
+            rows.append((render_cum[sample_index] - render_cum[cut_index]) * 8 / 1.0)
             yield self._cell_payload(
-                i, cell, nows, sample_nows, rows, [tgt[i] for tgt in tgt_t]
+                i, cell, nows, sample_nows, rows,
+                [lane.tgt_samples[i] for lane in self.lanes],
             )
 
     def _cell_payload(
@@ -1585,7 +1609,7 @@ def iter_batch(cells: Sequence[Cell]) -> Iterator[Dict[str, Any]]:
     ]
     config = build_call_config(SystemKind.CONVERGE, duration=cells[0].duration)
     run = _BatchFlowRun(config, cells, links_per_cell)
-    # The traces are tabulated into the run's capacity arrays.
+    # The traces are tabulated into the run's capacity tables.
     del links_per_cell
     # One suppressed-warning window for the whole array program:
     # guarded divisions (outage capacities, lanes that sent no media)

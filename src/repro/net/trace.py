@@ -9,7 +9,6 @@ controlled experiments (e.g. the capacity drop in Figure 11).
 
 from __future__ import annotations
 
-import bisect
 import math
 from bisect import bisect_right
 from typing import Iterable, List, Sequence, Tuple
@@ -101,28 +100,6 @@ class BandwidthTrace:
         for value, count in self.step_runs(dt, steps):
             out += [value] * count
         return out
-
-    def mean_capacity(self, start: float = 0.0, end: float | None = None) -> float:
-        """Time-weighted mean capacity over ``[start, end]``."""
-        if end is None:
-            end = self.duration if self.duration > 0 else start + 1.0
-        if end <= start:
-            raise ValueError("end must be greater than start")
-        total = 0.0
-        t = start
-        while t < end:
-            index = bisect.bisect_right(self._times, t) - 1
-            next_change = (
-                self._times[index + 1]
-                if index + 1 < len(self._times)
-                else float("inf")
-            )
-            span_end = min(end, next_change)
-            total += self.capacity_at(t) * (span_end - t)
-            if span_end == t:  # guard against zero-width steps
-                span_end = end
-            t = span_end
-        return total / (end - start)
 
     def samples(self) -> Sequence[Tuple[float, float]]:
         """Return the underlying ``(time, bps)`` samples."""

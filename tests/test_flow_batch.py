@@ -11,6 +11,7 @@ scope and the planner's grouping semantics, and check the runner's
 other system to the scalar loop, and the scalar fallback.
 """
 
+import dataclasses
 import math
 import random
 import subprocess
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.api import build_call_config
 from repro.core.config import SystemKind
 from repro.experiments import runner as runner_mod
 from repro.experiments.cache import ResultCache
@@ -34,19 +36,24 @@ from repro.experiments.cells import (
     canonical_json,
     make_cell,
 )
+from repro.experiments.common import scenario_paths
 from repro.experiments.runner import execute_cell, results_of, run_cells
 from repro.flow import batch as batch_mod
 from repro.flow.batch import (
     _binomial_walk,
     _DrawPool,
     _scalar_map,
+    _step_draws,
     batchable,
     execute_batch,
     group_key,
     plan_batches,
 )
-from repro.flow.frames import binomial_draw, binomial_from_uniform
+from repro.flow.frames import MAX_RTX_ROUNDS, binomial_draw, binomial_from_uniform
+from repro.flow.link import FlowLink
 from repro.metrics import qoe
+from repro.net.loss import GilbertElliottLoss
+from repro.net.trace import BandwidthTrace
 
 from tests.batch_spy import watch_payload_builds
 from tests.normal_form import assert_normal_form, assert_same_payload
@@ -306,15 +313,14 @@ class TestIterBatch:
     def test_loop_state_is_released_before_the_first_payload(
         self, monkeypatch
     ):
-        # The draw pool and the capacity tables are the run's largest
-        # arrays and only the step loop reads them.
+        # Only the step loop reads the draw window and the capacity
+        # tables; payloads read the records in place.
         held = []
         real = batch_mod._BatchFlowRun._cell_payload
 
         def watched(run, *args):
             held.append(
                 hasattr(run, "pool")
-                or hasattr(run, "rendered_size")
                 or any(hasattr(lanes, "caps") for lanes in run.lanes)
             )
             return real(run, *args)
@@ -618,32 +624,123 @@ class TestScalarMap:
         assert _bits(got) == _bits([math.exp(v) for v in values])
 
 
+def _hostile_paths(duration, seed):
+    """Driving paths at their worst: path 0 blacks out from 1 s to
+    2.5 s, and both lose in Gilbert-Elliott bursts often and hard
+    enough to send retransmission rounds after the FEC."""
+    paths = scenario_paths("driving", duration, seed)
+    trace = paths[0].trace
+    dark = BandwidthTrace(
+        [(t, 0.0 if 1.0 <= t < 2.5 else v) for t, v in trace.samples()]
+        + [(1.0, 0.0), (2.5, trace.capacity_at(2.5))]
+    )
+    bursts = GilbertElliottLoss(
+        p_good_to_bad=0.05, p_bad_to_good=0.1, good_loss=0.01, bad_loss=0.6
+    )
+    return [
+        dataclasses.replace(
+            path,
+            trace=dark if path.path_id == 0 else path.trace,
+            loss_model=bursts,
+        )
+        for path in paths
+    ]
+
+
 class TestDrawPool:
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 
     def test_rows_are_random_random_streams(self):
-        # Over three refills of every row, with partial draws in
-        # between so the rows run out at different calls.
+        # Through three windows of every row, each "step" reserving
+        # its bound and drawing unevenly, so the rows run short at
+        # different steps and carry different tails forward.
         pool = _DrawPool(self.SEEDS)
         streams = [random.Random(seed) for seed in self.SEEDS]
         subsets = [
             np.array(rows, dtype=np.int64)
             for rows in ([0, 2, 4], [1], [3, 4], [0, 1, 2, 3])
         ]
-        drawn = 0
-        turn = 0
-        while drawn < 3 * batch_mod._POOL_CHUNK + 10:
-            if turn % 3 == 2:
-                rows = subsets[(turn // 3) % len(subsets)]
+        bound = 7
+        drawn = np.zeros(len(self.SEEDS), dtype=np.int64)
+        step = 0
+        while drawn.min() < 3 * batch_mod._POOL_CHUNK + 10:
+            pool.reserve(bound)
+            values = pool.draw_all()
+            assert values.tolist() == [stream.random() for stream in streams]
+            drawn += 1
+            for turn in range(step % bound):
+                rows = subsets[(step + turn) % len(subsets)]
                 values = pool.draw(rows)
-            else:
-                rows = np.arange(len(self.SEEDS))
-                values = pool.draw_all()
-                drawn += 1
-            assert values.tolist() == [
-                streams[i].random() for i in rows.tolist()
+                assert values.tolist() == [
+                    streams[i].random() for i in rows.tolist()
+                ]
+                drawn[rows] += 1
+            step += 1
+
+    def test_no_lane_draws_past_the_step_bound(self, monkeypatch):
+        # The hostile group reaches into the retransmission rounds, and
+        # still no lane's cursor moves more than the bound between two
+        # reserves (nor after the last); its payloads are the loop's.
+        duration = 4.0
+        cells = [
+            make_cell(
+                BuilderPaths(
+                    "tests.test_flow_batch:_hostile_paths", (("seed", seed),)
+                ),
+                SystemKind.CONVERGE,
+                seed=seed,
+                duration=duration,
+                fidelity=Fidelity.FLOW,
+            )
+            for seed in range(1, 17)
+        ]
+        links = [
+            [
+                FlowLink(path)
+                for path in sorted(
+                    _hostile_paths(duration, cell.seed),
+                    key=lambda path: path.path_id,
+                )
             ]
-            turn += 1
+            for cell in cells
+        ]
+        moves = []
+        seen = {}
+        real = _DrawPool.reserve
+
+        def reserve(pool, n):
+            if "after" in seen:
+                moves.append(int((pool._cursor - seen["after"]).max()))
+            real(pool, n)
+            seen.update(pool=pool, after=pool._cursor.copy())
+
+        monkeypatch.setattr(_DrawPool, "reserve", reserve)
+        config = build_call_config(SystemKind.CONVERGE, duration=duration)
+        run = batch_mod._BatchFlowRun(config, cells, links)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            payloads = list(run.run())
+        moves.append(int((seen["pool"]._cursor - seen["after"]).max()))
+        paths = len(links[0])
+        assert len(moves) == run.steps
+        assert max(moves) <= _step_draws(paths)
+        assert max(moves) > _step_draws(paths) - paths * MAX_RTX_ROUNDS
+        for cell, payload in zip(cells, payloads):
+            assert_same_payload(payload, execute_cell(cell))
+
+    def test_a_window_shorter_than_a_step_falls_back_to_the_scalar_loop(
+        self, monkeypatch
+    ):
+        cells = [_flow_cell(seed=seed) for seed in (1, 2, 3, 4)]
+        scalar = run_cells(cells, jobs=1, mode="scalar")
+        monkeypatch.setattr(batch_mod, "_POOL_CHUNK", _step_draws(2) - 1)
+        with pytest.raises(ValueError, match="window"):
+            execute_batch(cells)
+        report = run_cells(cells, jobs=1, mode="batch")
+        assert report.stats.batch_fallbacks == len(cells)
+        assert report.stats.batched == 0 and report.stats.errors == 0
+        assert [canonical_json(s.data) for s in results_of(report)] == [
+            canonical_json(s.data) for s in results_of(scalar)
+        ]
 
     def test_batch_does_not_import_numpy_random(self):
         # The lane streams are random.Random's own; numpy.random

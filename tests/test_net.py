@@ -1,8 +1,6 @@
 """Tests for the network emulation substrate."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.net import (
     BandwidthTrace,
@@ -41,10 +39,6 @@ class TestBandwidthTrace:
         trace = BandwidthTrace([(0.0, 1e6), (5.0, 2e6), (10.0, 1e6)], loop=True)
         assert trace.capacity_at(12.0) == trace.capacity_at(2.0)
         assert trace.capacity_at(17.0) == trace.capacity_at(7.0)
-
-    def test_mean_capacity(self):
-        trace = BandwidthTrace([(0.0, 1e6), (5.0, 3e6), (10.0, 3e6)])
-        assert trace.mean_capacity(0.0, 10.0) == pytest.approx(2e6)
 
     def test_scaled(self):
         trace = BandwidthTrace([(0.0, 1e6), (5.0, 2e6)]).scaled(2.0)

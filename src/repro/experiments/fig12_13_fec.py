@@ -1,10 +1,10 @@
 """Figures 12-13 + Table 5: the QoE trade-off of FEC (§6.2).
 
-Controlled environment per the paper: two 15 Mbps paths, 100 ms RTT,
-Bernoulli loss swept 1-10%.  Both arms use the Converge video-aware
-scheduler; they differ only in the FEC controller — path-specific
-(Converge, §4.3) vs WebRTC's static table — isolating the FEC design
-as §6.2's component analysis does.
+Controlled environment per the paper: two 15 Mbps paths (the
+``capacities`` grid argument), 100 ms RTT, Bernoulli loss swept 1-10%.
+Both arms use the Converge video-aware scheduler; they differ only in
+the FEC controller — path-specific (Converge, §4.3) vs WebRTC's static
+table — isolating the FEC design as §6.2's component analysis does.
 
 - Fig. 12: FEC overhead and FEC utilization vs loss rate,
 - Fig. 13: (media throughput, E2E delay) operating points,
@@ -14,7 +14,7 @@ as §6.2's component analysis does.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union, cast
+from typing import Dict, List, Sequence, Tuple, Union, cast
 
 from repro.core.config import FecMode, SystemKind
 from repro.experiments.cells import Cell, ConstantPaths, Fidelity, make_cell
@@ -27,12 +27,13 @@ def cells(
     seed: int = 1,
     fidelity: Union[Fidelity, str] = Fidelity.PACKET,
     loss_percents: Sequence[float] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+    capacities: Tuple[float, float] = (15e6, 15e6),
 ) -> List[Cell]:
     """Per loss rate: path-specific FEC, then the WebRTC table."""
     return [
         make_cell(
             ConstantPaths(
-                (15e6, 15e6), (0.05, 0.05), (percent / 100.0,) * 2
+                tuple(capacities), (0.05, 0.05), (percent / 100.0,) * 2
             ),
             SystemKind.CONVERGE,
             seed=seed,

@@ -436,6 +436,7 @@ OUT_OF_SCOPE_MODULES = [
     "repro.devtools",
     "repro.experiments",
     "repro.experiments.cache",
+    "repro.experiments.claims",
     "repro.experiments.fig01_motivation",
     "repro.experiments.fig03_multipath_not_enough",
     "repro.experiments.fig09_10_wild",

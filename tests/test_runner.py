@@ -1066,12 +1066,27 @@ class TestSupervisor:
         rounds = []
 
         def wait(conns, timeout=None):
+            # The rounds are this wait's, not the OS scheduler's: one
+            # ready pipe a round, except that a builder's death is held
+            # back until the other builder's pipe is ready too, and
+            # both come back in one round.
             ready = runner_wait(conns, timeout)
+            builders = [w for w in workers[1:] if w.conn in conns]
+            if any(not w.process.is_alive() for w in builders):
+                _await(
+                    lambda: not any(w.process.is_alive() for w in builders),
+                    "the other builder exited",
+                )
+                ready = runner_wait([w.conn for w in builders], None)
+                assert len(ready) == len(builders)
+            else:
+                ready = ready[:1]
             rounds.append(len(ready))
             return ready
 
         runner_wait = runner.wait
         monkeypatch.setattr(runner, "wait", wait)
+        # workers[0] runs the quick cell, workers[1:] the two builders.
         workers = _watch_workers(monkeypatch)
         gate = tmp_path / "sink-started"
         monkeypatch.setenv(HANDSHAKE_GATE, str(gate))

@@ -1,13 +1,11 @@
 """The static analyzer (``repro analyze``).
 
-One pass parses every file once, runs the local rules (R004-R007) on
-the tree, builds a package-wide symbol table and call graph from the
-same tree, then checks the invariant no single file shows:
-nondeterminism sources in or reachable from simulated code (R101).
-See DEVTOOLS.md.
+One pass parses every file once and runs every rule on the tree: the
+local rules R004-R007 and R101, nondeterminism sources in simulated
+code (:data:`repro.experiments.cells.SIMULATED_MODULES`).  See
+DEVTOOLS.md.
 """
 
-from repro.devtools.analyze.callgraph import Edge, ProgramIndex
 from repro.devtools.analyze.engine import (
     AnalysisResult,
     add_analyze_arguments,
@@ -18,30 +16,18 @@ from repro.devtools.analyze.engine import (
 from repro.devtools.analyze.model import (
     RULE_SUMMARIES,
     Finding,
-    Location,
     Severity,
     sort_findings,
-)
-from repro.devtools.analyze.symbols import (
-    ModuleSummary,
-    extract_module,
-    module_name_of,
 )
 
 __all__ = [
     "AnalysisResult",
-    "Edge",
     "Finding",
-    "Location",
-    "ModuleSummary",
-    "ProgramIndex",
     "RULE_SUMMARIES",
     "Severity",
     "add_analyze_arguments",
     "analyze_tree",
-    "extract_module",
     "main",
-    "module_name_of",
     "run_analyze",
     "sort_findings",
 ]

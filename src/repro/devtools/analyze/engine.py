@@ -7,16 +7,16 @@ Usage::
 
 One pass over every ``.py`` file under the given paths (default: the
 ``paths`` key of ``[tool.repro-analyze]`` in the nearest
-``pyproject.toml``): each file is parsed once, and the same tree feeds
-the local rules (:mod:`.rules`, R004-R007) and the symbol extraction
-(:mod:`.symbols`) the whole-program rule R101 runs on: nondeterminism
-sources in or reachable from simulated code.
+``pyproject.toml``): each file is parsed once and every rule
+(:mod:`.rules`, R004-R007 and R101) runs on that tree.  R101's scope
+is :data:`repro.experiments.cells.SIMULATED_MODULES`; an entry of it
+that names nothing under the analyzed paths is an R100.
 
 A finding on a line carrying ``# lint: ok(Rxxx)`` is waived and one in
 a file matching the rule's ``exclude`` patterns is dropped.  Exit code
-0 means no error-severity findings; 1 means at least one; 2 means the
-invocation itself failed (unreadable path, a path holding no Python
-file, no TOML parser).
+0 means no findings; 1 means at least one; 2 means the invocation
+itself failed (unreadable path, a path holding no Python file, no TOML
+parser).
 """
 
 from __future__ import annotations
@@ -27,25 +27,27 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
-from repro.devtools.analyze.callgraph import ProgramIndex
 from repro.devtools.analyze.model import (
     RULE_SUMMARIES,
     Finding,
-    Severity,
     sort_findings,
 )
 from repro.devtools.analyze.output import render_json, render_text
-from repro.devtools.analyze.rules import run_rules
-from repro.devtools.analyze.symbols import ModuleSummary, extract_module
-from repro.devtools.analyze.taint import run_taint
+from repro.devtools.analyze.rules import (
+    in_scope,
+    module_name_of,
+    parse_waivers,
+    run_rules,
+)
 from repro.devtools.config import (
     AnalyzeConfig,
     ConfigError,
     find_pyproject,
     load_analyze_config,
 )
+from repro.experiments import cells
 
 
 @dataclass
@@ -55,8 +57,6 @@ class AnalysisResult:
     findings: List[Finding] = field(default_factory=list)
     modules: int = 0
     elapsed_seconds: float = 0.0
-    summaries: List[ModuleSummary] = field(default_factory=list)
-    index: Optional[ProgramIndex] = None
 
     @property
     def summary_line(self) -> str:
@@ -95,19 +95,44 @@ def _display_path(path: Path, base: Path) -> str:
         return path.as_posix()
 
 
+def _scope_finding(entry: str, what: str, base: Path) -> Finding:
+    """R100 at the line of ``cells.py`` that holds a stale entry."""
+    path = Path(cells.__file__)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    line = next(
+        (n for n, text in enumerate(lines, 1) if f'"{entry}"' in text), 1
+    )
+    return Finding(
+        file=_display_path(path, base),
+        line=line,
+        rule="R100",
+        message=f"SIMULATED_MODULES entry '{entry}' names no {what} "
+        "under the analyzed paths",
+    )
+
+
 def analyze_tree(
     paths: Sequence[str],
     config: Optional[AnalyzeConfig] = None,
     base: Optional[Path] = None,
+    simulated: Sequence[str] = cells.SIMULATED_MODULES,
 ) -> AnalysisResult:
-    """Run the full analysis over every ``.py`` file under ``paths``."""
+    """Run every rule over every ``.py`` file under ``paths``.
+
+    ``simulated`` is R101's scope: packages and modules, scanned whole,
+    and ``"module:function"`` entries, whose function body is scanned.
+    """
     config = config if config is not None else AnalyzeConfig()
     base = base if base is not None else Path.cwd()
     result = AnalysisResult()
     started = time.perf_counter()
 
     findings: List[Finding] = []
-    summaries: List[ModuleSummary] = []
+    waivers: Dict[str, Dict[int, Set[str]]] = {}
+    # Top-level defs per analyzed module, and the module (or package)
+    # each path given stands for: what a scope entry may name.
+    defined: Dict[str, Set[str]] = {}
+    covered: List[str] = []
     for raw in paths:
         root = Path(raw)
         if not root.exists():
@@ -117,6 +142,7 @@ def analyze_tree(
             raise FileNotFoundError(
                 f"nothing to analyze: no .py file under {raw}"
             )
+        covered.append(module_name_of(_display_path(root, base)))
         for file_path in files:
             rel = _display_path(file_path, base)
             source = file_path.read_text(encoding="utf-8")
@@ -132,34 +158,31 @@ def analyze_tree(
                     )
                 )
                 continue
-            summaries.append(extract_module(source, rel, tree))
+            waivers[rel] = parse_waivers(source)
+            defined[module_name_of(rel)] = {
+                node.name
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
             findings.extend(
-                run_rules(tree, rel, config.is_slots_module(rel))
+                run_rules(
+                    tree, rel, config.is_slots_module(rel), simulated
+                )
             )
-    result.modules = len(summaries)
-    result.summaries = summaries
+    result.modules = len(waivers)
 
-    index = ProgramIndex(summaries)
-    result.index = index
-
-    # R100: the analysis inputs, not the analyzed code, are off.
-    roots, missing = index.resolve_roots(config.roots)
-    findings.extend(
-        Finding(
-            file="pyproject.toml",
-            line=1,
-            rule="R100",
-            message=f"analysis root '{spec}' does not resolve to a "
-            "function, class, module or package in the analyzed tree",
-            severity=Severity.WARNING,
-        )
-        for spec in missing
-    )
-    findings.extend(run_taint(index, roots))
+    # R100: the scope list, not the analyzed code, is off.
+    for entry in simulated:
+        module, _, function = entry.partition(":")
+        if not any(in_scope(module, prefix) for prefix in covered if prefix):
+            continue
+        if function and function not in defined.get(module, ()):
+            findings.append(_scope_finding(entry, "function", base))
+        elif not function and not any(in_scope(m, module) for m in defined):
+            findings.append(_scope_finding(entry, "module", base))
 
     # One suppression step for every rule: per-path excludes from the
     # config, then `# lint: ok(Rxxx)` waivers on the finding's line.
-    waivers = {s.rel_path: s.waivers for s in summaries}
     result.findings = sort_findings(
         [
             f
@@ -193,7 +216,7 @@ def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-config", action="store_true",
-        help="ignore pyproject.toml: no roots, excludes or slots modules",
+        help="ignore pyproject.toml: no excludes or slots modules",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -237,10 +260,7 @@ def run_analyze(args: argparse.Namespace) -> int:
         print(render_json(result.findings, result.stats()))
     else:
         print(render_text(result.findings, result.summary_line))
-    has_errors = any(
-        f.severity is Severity.ERROR for f in result.findings
-    )
-    return 1 if has_errors else 0
+    return 1 if result.findings else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Sequence
 
-from repro.devtools.analyze.model import Finding, Severity
+from repro.devtools.analyze.model import Finding
 
 TOOL_NAME = "repro-analyze"
 
@@ -15,12 +15,8 @@ def render_text(
     summary_line: str,
 ) -> str:
     lines = [finding.format() for finding in findings]
-    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-    warnings = len(findings) - errors
     if findings:
-        lines.append(
-            f"repro analyze: {errors} error(s), {warnings} warning(s)"
-        )
+        lines.append(f"repro analyze: {len(findings)} error(s)")
     else:
         lines.append("repro analyze: clean")
     lines.append(summary_line)
@@ -31,11 +27,9 @@ def render_json(
     findings: Sequence[Finding],
     stats: Dict[str, Any],
 ) -> str:
-    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
     payload = {
         "tool": TOOL_NAME,
-        "errors": errors,
-        "warnings": len(findings) - errors,
+        "errors": len(findings),
         "findings": [f.to_dict() for f in findings],
         "stats": stats,
     }

@@ -1,9 +1,8 @@
-"""The local rules of ``repro analyze`` (R004-R007).
+"""The rules of ``repro analyze`` (R004-R007, R101).
 
 Each rule is an :class:`ast.NodeVisitor` subclass with a class-level
-``rule_id``; :func:`run_rules` runs them over one parsed module — the
-same tree :mod:`.symbols` extracts the whole-program summary from —
-and collects what they report as
+``rule_id``; :func:`run_rules` runs them over one parsed module and
+collects what they report as
 :class:`~repro.devtools.analyze.model.Finding` objects.
 
 The rules encode invariants this repository's correctness rests on and
@@ -14,17 +13,19 @@ that no off-the-shelf tool checks:
 - R006  no lambdas or nested functions into process-pool submissions
         (picklability) or the event queue (per-packet closure
         allocation — PR 3's closure elimination stays enforced);
-- R007  no mutable default arguments.
-
-Wall-clock reads and global-RNG draws are not local rules: whether one
-matters depends on who can reach it, so :mod:`.symbols` records them
-per function and R101 (:mod:`.taint`) reports the reachable ones.
+- R007  no mutable default arguments;
+- R101  no wall-clock read, global-RNG draw, environment read or OS
+        entropy in simulated code, and no import from simulated code
+        of a module outside it.  Simulated code is
+        :data:`repro.experiments.cells.SIMULATED_MODULES`, the list
+        whose source salts every cache key.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple, Type
+import re
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
 
 from repro.devtools.analyze.model import Finding
 
@@ -483,6 +484,300 @@ class MutableDefaultRule(Rule):
         self.generic_visit(node)
 
 
+# ---------------------------------------------------------------------------
+# R101 — nondeterminism in simulated code
+
+
+_WALL_CLOCK_CALLS = {
+    "time.time",
+    "time.time_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.process_time",
+    "time.process_time_ns",
+    "time.clock_gettime",
+    "time.clock_gettime_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "datetime.date.today",
+}
+# These convert the time they are given, and read the clock without one.
+_WALL_CLOCK_WHEN_BARE = {
+    "time.localtime", "time.gmtime", "time.ctime", "time.asctime",
+}
+_ENV_CALLS = {"os.getenv", "os.environ.get", "os.environb.get"}
+_ENTROPY_CALLS = {
+    "os.urandom",
+    "os.getrandom",
+    "uuid.uuid1",
+    "uuid.uuid4",
+    # Seeds itself from the OS: no seed makes it reproducible.
+    "random.SystemRandom",
+}
+# Constructing a generator from a seed is how the seeded streams are
+# built; constructed without one (or with None) it seeds itself from
+# OS entropy.  Drawing from or reseeding a module-global generator is
+# a global-RNG draw.
+_SEEDED_CONSTRUCTORS = {
+    "random.Random",
+    "numpy.random.default_rng",
+    "numpy.random.Generator",
+    "numpy.random.SeedSequence",
+    "numpy.random.PCG64",
+}
+
+# ``# lint: ok(R004)`` or ``# lint: ok(R004, R006)`` waives those rules
+# on the line the comment sits on.
+_WAIVER_PATTERN = re.compile(r"#\s*lint:\s*ok\(([^)]*)\)")
+
+
+def parse_waivers(source: str) -> Dict[int, Set[str]]:
+    """Map 1-based line numbers to the rule IDs waived on that line."""
+    waivers: Dict[int, Set[str]] = {}
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        match = _WAIVER_PATTERN.search(line)
+        if match:
+            rules = {
+                part.strip().upper()
+                for part in match.group(1).split(",")
+                if part.strip()
+            }
+            if rules:
+                waivers[lineno] = rules
+    return waivers
+
+
+def module_name_of(rel_path: str) -> str:
+    """Dotted module name for a /-separated relative path.
+
+    A leading ``src/`` layout component is dropped so paths resolve to
+    importable names (``src/repro/flow/session.py`` →
+    ``repro.flow.session``); ``__init__.py`` names the package itself.
+    """
+    parts = rel_path.replace("\\", "/").split("/")
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][: -len(".py")]
+    if "src" in parts:
+        parts = parts[parts.index("src") + 1:]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(part for part in parts if part)
+
+
+def in_scope(module: str, prefix: str) -> bool:
+    """True when ``module`` is ``prefix`` or lies under it."""
+    return module == prefix or module.startswith(prefix + ".")
+
+
+def _dotted(node: ast.expr) -> Optional[str]:
+    """Flatten ``a.b.c`` chains rooted at a Name to a dotted string."""
+    parts: List[str] = []
+    current: ast.expr = node
+    while isinstance(current, ast.Attribute):
+        parts.append(current.attr)
+        current = current.value
+    if isinstance(current, ast.Name):
+        parts.append(current.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def _is_bare(call: ast.Call) -> bool:
+    """No argument, or only ``None``s: no seed, no time to convert."""
+    return all(
+        isinstance(arg, ast.Constant) and arg.value is None
+        for arg in [*call.args, *(kw.value for kw in call.keywords)]
+    )
+
+
+def _classify_source(canonical: str, call: ast.Call) -> Optional[str]:
+    """What kind of nondeterminism source a call is, if any."""
+    parts = canonical.split(".")
+    if canonical in _WALL_CLOCK_CALLS or (
+        canonical in _WALL_CLOCK_WHEN_BARE and _is_bare(call)
+    ):
+        return "wall-clock read"
+    if (
+        canonical in _ENTROPY_CALLS
+        or parts[0] == "secrets"
+        or (canonical in _SEEDED_CONSTRUCTORS and _is_bare(call))
+    ):
+        return "OS entropy read"
+    if ".".join(parts[:3]) in _SEEDED_CONSTRUCTORS:
+        return None
+    if (parts[0] == "random" and len(parts) == 2) or parts[:2] == [
+        "numpy", "random"
+    ]:
+        return "global RNG draw"
+    if canonical in _ENV_CALLS:
+        return "environment read"
+    return None
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+class NondeterminismRule(Rule):
+    """R101: simulated code is deterministic, and so is what it imports.
+
+    A wall-clock, global-RNG, environment or OS-entropy read makes a
+    result depend on the host or on worker order.  A file in a
+    whole-module entry of the scope list is scanned whole; a
+    ``"module:function"`` entry scans that function's body, nested defs
+    included.  Import aliases are resolved, so ``from time import
+    perf_counter`` is a clock read too.
+
+    A file scan cannot see what a call reaches in another file, so the
+    scope must be closed under import: scanned code may import a
+    module of its own package only when that module is itself a
+    whole-module entry (imports under ``if TYPE_CHECKING:`` never run
+    and are exempt).  A function entry is held to its own imports and
+    to the module-level imports whose names its body loads.
+    """
+
+    rule_id = "R101"
+
+    def __init__(self, rel_path: str, simulated: Sequence[str]) -> None:
+        super().__init__(rel_path)
+        self.module = module_name_of(rel_path)
+        self.is_package = rel_path.endswith("__init__.py")
+        self.whole_entries = [e for e in simulated if ":" not in e]
+        self.first_party = {entry.split(".")[0] for entry in simulated}
+        self.functions = {
+            function
+            for module, _, function in (e.partition(":") for e in simulated)
+            if function and module == self.module
+        }
+        self.aliases: Dict[str, str] = {}
+
+    def check(self, tree: ast.Module) -> List[Finding]:
+        whole = any(
+            in_scope(self.module, entry) for entry in self.whole_entries
+        )
+        if not (whole or self.functions):
+            return self.findings
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for local, target, _modules in self._bindings(node):
+                    self.aliases[local] = target
+        if whole:
+            self.visit(tree)
+            return self.findings
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name in self.functions
+            ):
+                self.generic_visit(node)
+                loaded = {
+                    name.id
+                    for name in ast.walk(node)
+                    if isinstance(name, ast.Name)
+                }
+                for statement in tree.body:
+                    if isinstance(statement, (ast.Import, ast.ImportFrom)):
+                        self._check_import(statement, loaded)
+        return self.findings
+
+    # -- imports -----------------------------------------------------------
+
+    def _bindings(
+        self, node: ast.stmt
+    ) -> Iterable[Tuple[str, str, Tuple[str, ...]]]:
+        """``(local name, what it names, modules imported)`` per alias."""
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    yield alias.asname, alias.name, (alias.name,)
+                else:
+                    root = alias.name.split(".")[0]
+                    yield root, root, (alias.name,)
+            return
+        assert isinstance(node, ast.ImportFrom)
+        base = node.module or ""
+        if node.level:
+            parts = self.module.split(".")
+            if not self.is_package:
+                parts = parts[:-1]
+            parts = parts[: len(parts) - (node.level - 1)]
+            base = ".".join(parts + ([base] if base else []))
+        for alias in node.names:
+            target = f"{base}.{alias.name}"
+            yield alias.asname or alias.name, target, (base, target)
+
+    def _check_import(
+        self, node: ast.stmt, loaded: Optional[Set[str]] = None
+    ) -> None:
+        for local, _target, modules in self._bindings(node):
+            if loaded is not None and local not in loaded:
+                continue
+            if modules[0].split(".")[0] not in self.first_party:
+                continue
+            if any(
+                in_scope(module, entry)
+                for module in modules
+                for entry in self.whole_entries
+            ):
+                continue
+            self.report(
+                node,
+                f"simulated code imports `{modules[-1]}`, which is not "
+                "simulated code; move what it needs into a module of "
+                "SIMULATED_MODULES",
+            )
+
+    def visit_Import(self, node: ast.Import) -> None:
+        self._check_import(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        self._check_import(node)
+
+    def visit_If(self, node: ast.If) -> None:
+        if _is_type_checking(node.test):
+            for statement in node.orelse:
+                self.visit(statement)
+        else:
+            self.generic_visit(node)
+
+    # -- sources -----------------------------------------------------------
+
+    def _canonical(self, raw: str) -> str:
+        root, _, rest = raw.partition(".")
+        root = self.aliases.get(root, root)
+        return f"{root}.{rest}" if rest else root
+
+    def _source(self, node: ast.AST, category: str, call: str) -> None:
+        self.report(
+            node,
+            f"{category} `{call}` in simulated code; a cell must be "
+            "deterministic",
+        )
+
+    def visit_Call(self, node: ast.Call) -> None:
+        raw = _dotted(node.func)
+        if raw is not None:
+            canonical = self._canonical(raw)
+            category = _classify_source(canonical, node)
+            if category is not None:
+                self._source(node, category, canonical)
+        self.generic_visit(node)
+
+    def visit_Subscript(self, node: ast.Subscript) -> None:
+        # ``os.environ["X"]`` reads the environment without a call.
+        raw = _dotted(node.value)
+        if raw is not None:
+            canonical = self._canonical(raw)
+            if canonical in ("os.environ", "os.environb"):
+                self._source(node, "environment read", canonical)
+        self.generic_visit(node)
+
+
 ALL_RULES: Tuple[Type[Rule], ...] = (
     FloatEqualityRule,
     SlotsRule,
@@ -492,16 +787,20 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
 
 
 def run_rules(
-    tree: ast.Module, rel_path: str, slots_module: bool
+    tree: ast.Module,
+    rel_path: str,
+    slots_module: bool,
+    simulated: Sequence[str],
 ) -> List[Finding]:
-    """Run the local rules over one parsed module.
+    """Run every rule over one parsed module.
 
     R005 only applies when ``slots_module`` says the file is one of the
-    configured hot-path modules.
+    configured hot-path modules; R101 only to what ``simulated`` names.
     """
     findings: List[Finding] = []
     for rule_class in ALL_RULES:
         if rule_class is SlotsRule and not slots_module:
             continue
         findings.extend(rule_class(rel_path).check(tree))
+    findings.extend(NondeterminismRule(rel_path, simulated).check(tree))
     return findings

@@ -1,12 +1,9 @@
 """Configuration for ``repro analyze``, read from ``pyproject.toml``.
 
-One table says what the analyzer looks at and what counts as
-simulated code::
+One table says what the analyzer looks at::
 
     [tool.repro-analyze]
     paths = ["src/repro"]            # files analyzed when no paths given
-    roots = ["repro.core", ...]      # R101 scope: packages, modules,
-                                     # classes or functions
     slots-modules = ["src/repro/simulation/events.py"]   # R005 scope
 
     [tool.repro-analyze.exclude]
@@ -15,10 +12,13 @@ simulated code::
 
 ``pyproject.toml`` is the only statement of a repository's settings:
 nothing here mirrors it, so without a pyproject (or with
-``--no-config``) the analyzer runs with no roots, no excludes and no
-slots modules.  TOML parsing needs :mod:`tomllib` (Python 3.11+) or
-``tomli``; an interpreter with neither raises :class:`ConfigError`
-rather than analyzing under a silently different configuration.
+``--no-config``) the analyzer runs with no excludes and no slots
+modules.  What counts as simulated code (R101's scope) is not a
+setting: it is :data:`repro.experiments.cells.SIMULATED_MODULES`, the
+list that salts every cache key.  TOML parsing needs :mod:`tomllib`
+(Python 3.11+) or ``tomli``; an interpreter with neither raises
+:class:`ConfigError` rather than analyzing under a silently different
+configuration.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class AnalyzeConfig:
     """Resolved ``[tool.repro-analyze]`` configuration."""
 
     paths: List[str] = field(default_factory=list)
-    roots: List[str] = field(default_factory=list)
     exclude: Dict[str, List[str]] = field(default_factory=dict)
     slots_modules: List[str] = field(default_factory=list)
 
@@ -85,9 +84,8 @@ def _as_str_list(value: Any) -> List[str]:
 def analyze_config_from_dict(data: Dict[str, Any]) -> AnalyzeConfig:
     """Build an :class:`AnalyzeConfig` from ``[tool.repro-analyze]``."""
     config = AnalyzeConfig()
-    for key in ("paths", "roots"):
-        if key in data:
-            setattr(config, key, _as_str_list(data[key]))
+    if "paths" in data:
+        config.paths = _as_str_list(data["paths"])
     if "slots-modules" in data:
         config.slots_modules = _as_str_list(data["slots-modules"])
     if isinstance(data.get("exclude"), dict):

@@ -41,10 +41,15 @@ from repro.net.path import PathConfig
 if TYPE_CHECKING:
     from importlib.abc import Traversable
 
-# Simulated code, named once for the cache: every module a payload can
-# depend on.  The same set as ``[tool.repro-analyze] roots`` in
-# pyproject.toml, which names functions where this names the files
-# that hold them (tests/test_devtools_analyze.py keeps the two equal).
+# Simulated code, named once: everything that runs between
+# execute_cell's entry and its payload.  Two uses, one list:
+# code_version() hashes these files into every cache key, and
+# `repro analyze` rule R101 scans them for clocks, global RNGs, the
+# environment and OS entropy, and holds the list closed under import.
+# A package or module entry is scanned whole; a "module:function" entry
+# (the BuilderPaths syntax) scans that function's body, while the cache
+# key still hashes its whole file.  A BuilderPaths function runs inside
+# execute_cell, so it is listed here wherever it lives.
 SIMULATED_MODULES = (
     "repro.simulation",
     "repro.net",
@@ -62,9 +67,9 @@ SIMULATED_MODULES = (
     "repro.analysis",
     "repro.experiments.common",
     "repro.experiments.cells",
-    "repro.experiments.runner",
-    "repro.experiments.fig11_feedback",
-    "repro.experiments.sweeps",
+    "repro.experiments.runner:execute_cell",
+    "repro.experiments.fig11_feedback:fig11_paths",
+    "repro.experiments.sweeps:loss_model_paths",
 )
 
 
@@ -81,15 +86,17 @@ def _sources(node: Traversable, path: str) -> Iterator[Tuple[str, bytes]]:
 
 @functools.cache
 def code_version() -> str:
-    """SHA-256 over the source of :data:`SIMULATED_MODULES`, the salt
-    of every cache key: an edit to simulated code moves every key, an
-    edit to the harness around it (CLI, figures, fleet, cache, devtools)
-    moves none.  Read on first use, then memoised; a source that cannot
-    be read is an error — no fallback could be told from a stale hit.
+    """SHA-256 over the source files of :data:`SIMULATED_MODULES` (a
+    function entry's whole file), the salt of every cache key: an edit
+    to simulated code moves every key, an edit to the harness around it
+    (CLI, figures, fleet, cache, devtools) moves none.  Read on first
+    use, then memoised; a source that cannot be read is an error — no
+    fallback could be told from a stale hit.
     """
     root = importlib.resources.files("repro")
     digest = hashlib.sha256()
-    for module in SIMULATED_MODULES:
+    for entry in SIMULATED_MODULES:
+        module = entry.partition(":")[0]
         path = module.partition(".")[2].replace(".", "/")
         if not root.joinpath(path).is_dir():
             path += ".py"

@@ -206,13 +206,16 @@ class TestCommands:
     def test_lint_violation_exits_nonzero_with_rule_id(
         self, capsys, tmp_path, monkeypatch
     ):
-        (tmp_path / "bad.py").write_text(
+        # R101 scans cells.SIMULATED_MODULES: a file of repro.net is in.
+        bad = tmp_path / "src" / "repro" / "net" / "bad.py"
+        bad.parent.mkdir(parents=True)
+        bad.write_text(
             "import time\n"
             "def stamp(events=[]):\n"
             "    return time.time() + len(events)\n"
         )
         (tmp_path / "pyproject.toml").write_text(
-            '[tool.repro-analyze]\npaths = ["."]\nroots = ["bad"]\n'
+            '[tool.repro-analyze]\npaths = ["src/repro/net"]\n'
         )
         monkeypatch.chdir(tmp_path)
         assert main(["analyze"]) == 1

@@ -1,39 +1,33 @@
-"""Tests for repro.devtools.analyze: the whole-program side of
-``repro analyze`` (symbols, call graph, R100, R101, CLI, the real
-tree).  Local-rule and source-detector
-fixtures live in ``tests/test_devtools_lint.py``."""
+"""Tests for repro.devtools.analyze: R101's scope (the simulated-code
+scan, its import closure, R100 on a stale scope entry), the CLI and
+the real tree.  Local-rule and source-detector fixtures live in
+``tests/test_devtools_lint.py``."""
 
+import ast
 import json
 import re
-import shutil
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.analyze.callgraph import ProgramIndex
 from repro.devtools.analyze.engine import analyze_tree, main
-from repro.devtools.analyze.model import Severity
-from repro.devtools.analyze.symbols import (
-    extract_module,
+from repro.devtools.analyze.rules import (
+    NondeterminismRule,
+    in_scope,
     module_name_of,
-    strip_type_text,
+    parse_waivers,
 )
-from repro.devtools.analyze.taint import reachable_from
 from repro.devtools.config import AnalyzeConfig, load_analyze_config
+from repro.experiments.cells import SIMULATED_MODULES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def extract(source, rel_path="pkg/mod.py"):
-    return extract_module(textwrap.dedent(source), rel_path)
-
-
-def build_index(files):
-    summaries = [
-        extract(source, rel_path) for rel_path, source in files.items()
-    ]
-    return ProgramIndex(summaries)
+def scan(source, simulated, rel_path="pkg/mod.py"):
+    """R101 findings of one snippet under the scope ``simulated``."""
+    tree = ast.parse(textwrap.dedent(source))
+    return NondeterminismRule(rel_path, simulated).check(tree)
 
 
 def write_project(tmp_path, files):
@@ -43,25 +37,17 @@ def write_project(tmp_path, files):
         path.write_text(textwrap.dedent(source))
 
 
-def analyze_project(tmp_path, files=None, roots=(), **cfg):
+def analyze_project(tmp_path, files=None, simulated=(), **cfg):
     if files:
         write_project(tmp_path, files)
-    config = AnalyzeConfig(paths=["pkg"], roots=list(roots), **cfg)
-    return analyze_tree([str(tmp_path / "pkg")], config, base=tmp_path)
-
-
-def analyze_repo(root=REPO_ROOT, **overrides):
-    """The real tree (or a copy of it) under the committed config."""
-    config = load_analyze_config(REPO_ROOT / "pyproject.toml")
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return config, analyze_tree(
-        [str(root / "src" / "repro")], config, base=root
+    config = AnalyzeConfig(paths=["pkg"], **cfg)
+    return analyze_tree(
+        [str(tmp_path / "pkg")], config, base=tmp_path, simulated=simulated
     )
 
 
 # ---------------------------------------------------------------------------
-# Symbol extraction
+# Module names and the scan
 
 
 class TestModuleNames:
@@ -77,21 +63,9 @@ class TestModuleNames:
         assert module_name_of("pkg/core.py") == "pkg.core"
 
 
-class TestStripTypeText:
-    def test_optional_and_quotes_unwrap(self):
-        assert strip_type_text('Optional["FlowLink"]') == "FlowLink"
-
-    def test_containers_collapse_to_none(self):
-        assert strip_type_text("List[FlowLink]") is None
-        assert strip_type_text("int | None") is None
-
-    def test_lowercase_names_are_not_classes(self):
-        assert strip_type_text("float") is None
-
-
 class TestExtraction:
     def test_source_hits_by_category(self):
-        summary = extract(
+        findings = scan(
             """
             import os
             import time
@@ -105,28 +79,31 @@ class TestExtraction:
                 d = uuid.uuid4()
                 e = np.random.uniform()
                 return a, b, c, d, e
-            """
+            """,
+            ["pkg"],
         )
-        hits = summary.functions["f"].source_hits
-        categories = sorted(h.category for h in hits)
+        categories = sorted(f.message.split(" `")[0] for f in findings)
         assert categories == [
-            "env-read", "env-read", "global-rng", "os-entropy", "wall-clock"
+            "OS entropy read", "environment read", "environment read",
+            "global RNG draw", "wall-clock read",
         ]
 
     def test_seeded_rng_is_not_a_source(self):
-        summary = extract(
+        assert scan(
             """
             import random
 
             def f(rng):
                 r = random.Random(7)
                 return r.random() + rng.uniform(0, 1)
-            """
-        )
-        assert summary.functions["f"].source_hits == []
+            """,
+            ["pkg"],
+        ) == []
 
     def test_nested_defs_flatten_into_enclosing_function(self):
-        summary = extract(
+        # A function entry scans its own body, nested defs included,
+        # and nothing else in the file.
+        findings = scan(
             """
             import time
 
@@ -134,16 +111,18 @@ class TestExtraction:
                 def inner():
                     return time.time()
                 return inner()
-            """
+
+            def elsewhere():
+                return time.time()
+            """,
+            ["pkg.mod:outer"],
         )
-        assert "outer" in summary.functions
-        assert "inner" not in summary.functions
-        assert [h.call for h in summary.functions["outer"].source_hits] == [
-            "time.time"
+        assert [(f.line, f.message.split("`")[1]) for f in findings] == [
+            (6, "time.time")
         ]
 
     def test_waivers_recorded_per_line(self):
-        summary = extract(
+        source = textwrap.dedent(
             """
             import time
 
@@ -151,40 +130,24 @@ class TestExtraction:
                 return time.time()  # lint: ok(R101)
             """
         )
-        assert summary.waivers == {5: {"R101"}}
-
-    def test_class_attr_types_from_init(self):
-        summary = extract(
-            """
-            class Engine:
-                pass
-
-            class Car:
-                def __init__(self, engine: Engine):
-                    self.engine = engine
-                    self.spare = Engine()
-            """
-        )
-        info = summary.classes["Car"]
-        assert info.attr_types["engine"] == "Engine"
-        assert info.attr_types["spare"] == "Engine"
+        assert parse_waivers(source) == {5: {"R101"}}
 
     def test_relative_import_resolution(self):
-        summary = extract(
-            """
+        # Relative imports resolve against the file's own package
+        # before the closure check compares them with the scope.
+        source = """
             from .link import FlowLink
-            from ..core import api
-            """,
+            from ..harness import report
+        """
+        [finding] = scan(
+            source, ["repro.flow"], rel_path="src/repro/flow/session.py"
+        )
+        assert "`repro.harness.report`" in finding.message
+        assert finding.line == 3
+        assert scan(
+            source, ["repro.flow", "repro.harness"],
             rel_path="src/repro/flow/session.py",
-        )
-        assert summary.symbol_aliases["FlowLink"] == (
-            "repro.flow.link.FlowLink"
-        )
-        assert summary.symbol_aliases["api"] == "repro.core.api"
-
-    def test_syntax_error_propagates(self):
-        with pytest.raises(SyntaxError):
-            extract("def broken(:\n")
+        ) == []
 
     def test_a_leftover_drift_marker_is_a_plain_comment(self, tmp_path):
         # The pair markers are retired: byte-equality tests hold the
@@ -205,144 +168,7 @@ class TestExtraction:
 
 
 # ---------------------------------------------------------------------------
-# Call graph
-
-
-GRAPH_FILES = {
-    "pkg/__init__.py": "",
-    "pkg/base.py": """
-        class Base:
-            def step(self):
-                return self.helper()
-
-            def helper(self):
-                return 0
-    """,
-    "pkg/impl.py": """
-        from pkg.base import Base
-
-        class Impl(Base):
-            def helper(self):
-                return 1
-
-        def run():
-            worker = Impl()
-            return worker.step()
-    """,
-    "pkg/other.py": """
-        import time
-
-        from pkg import impl
-
-        def entry():
-            return impl.run()
-
-        def clock():
-            return time.time()
-
-        def registrar(sim):
-            sim.schedule(0.0, clock)
-    """,
-}
-
-
-class TestCallGraph:
-    def test_constructor_and_typed_receiver_resolve(self):
-        index = build_index(GRAPH_FILES)
-        edges = {
-            (e.callee, e.kind) for e in index.edges["pkg.impl.run"]
-        }
-        # Impl() -> no __init__ defined, so no edge; worker.step()
-        # resolves through the annotated-constructor local type.
-        assert ("pkg.base.Base.step", "call") in edges
-
-    def test_self_call_includes_subclass_override(self):
-        index = build_index(GRAPH_FILES)
-        callees = {
-            e.callee for e in index.edges["pkg.base.Base.step"]
-        }
-        assert "pkg.base.Base.helper" in callees
-        assert "pkg.impl.Impl.helper" in callees
-
-    def test_module_alias_call_resolves(self):
-        index = build_index(GRAPH_FILES)
-        callees = {e.callee for e in index.edges["pkg.other.entry"]}
-        assert callees == {"pkg.impl.run"}
-
-    def test_function_reference_argument_makes_ref_edge(self):
-        index = build_index(GRAPH_FILES)
-        ref = [
-            e for e in index.edges["pkg.other.registrar"]
-            if e.kind == "ref"
-        ]
-        assert [e.callee for e in ref] == ["pkg.other.clock"]
-
-    def test_fallback_blocklist_suppresses_container_names(self):
-        index = build_index(
-            {
-                "pkg/a.py": """
-                    class Store:
-                        def get(self, key):
-                            return key
-
-                    def use(mapping):
-                        return mapping.get("x")
-                """,
-            }
-        )
-        assert index.edges["pkg.a.use"] == []
-
-    def test_fallback_links_unresolved_method_by_name(self):
-        index = build_index(
-            {
-                "pkg/a.py": """
-                    class Engine:
-                        def ignite(self):
-                            return 1
-
-                    def use(thing):
-                        return thing.ignite()
-                """,
-            }
-        )
-        [edge] = index.edges["pkg.a.use"]
-        assert (edge.callee, edge.kind) == (
-            "pkg.a.Engine.ignite", "fallback"
-        )
-
-    def test_reachability_with_parents(self):
-        index = build_index(GRAPH_FILES)
-        parents = reachable_from(index, ["pkg.other.entry"])
-        assert "pkg.impl.Impl.helper" in parents
-        assert "pkg.other.clock" not in parents
-
-    def test_class_root_covers_its_methods(self):
-        index = build_index(GRAPH_FILES)
-        roots, missing = index.resolve_roots(["pkg.base.Base"])
-        assert roots == ["pkg.base.Base.step", "pkg.base.Base.helper"]
-        assert missing == []
-
-    def test_module_and_package_roots_cover_everything_under_them(self):
-        index = build_index(GRAPH_FILES)
-        roots, missing = index.resolve_roots(["pkg.other"])
-        assert missing == []
-        assert sorted(roots) == [
-            "pkg.other.<module>", "pkg.other.clock", "pkg.other.entry",
-            "pkg.other.registrar",
-        ]
-        roots, missing = index.resolve_roots(["pkg"])
-        assert missing == [] and set(roots) == set(index.functions)
-        # A prefix is matched on dotted components, not on characters.
-        assert index.resolve_roots(["pkg.oth"]) == ([], ["pkg.oth"])
-
-    def test_unknown_root_reported(self):
-        index = build_index(GRAPH_FILES)
-        roots, missing = index.resolve_roots(["pkg.nothing.Here"])
-        assert roots == [] and missing == ["pkg.nothing.Here"]
-
-
-# ---------------------------------------------------------------------------
-# R101 taint
+# R101 on a project: scope, waivers, excludes, the import closure, R100
 
 
 TAINT_FILES = {
@@ -363,157 +189,185 @@ TAINT_FILES = {
             def tick(self):
                 return stamp()
     """,
+    "pkg/harness.py": """
+        import time
+
+        from pkg.core import Sim
+
+        def entry():
+            return Sim().run()
+
+        def wall():
+            return time.perf_counter()
+    """,
 }
+SCOPE = ["pkg.core", "pkg.clocky"]
+
+
+def unwaived(files):
+    files = dict(files)
+    files["pkg/clocky.py"] = files["pkg/clocky.py"].replace(
+        "  # lint: ok(R101)", ""
+    )
+    return files
 
 
 class TestTaint:
     def test_waived_source_stays_silent(self, tmp_path):
-        result = analyze_project(
-            tmp_path, TAINT_FILES, roots=["pkg.core.Sim.run"]
-        )
-        assert [f for f in result.findings if f.rule == "R101"] == []
+        result = analyze_project(tmp_path, TAINT_FILES, simulated=SCOPE)
+        assert result.findings == []
 
-    def test_deleting_waiver_reports_full_chain(self, tmp_path):
-        files = dict(TAINT_FILES)
-        files["pkg/clocky.py"] = files["pkg/clocky.py"].replace(
-            "  # lint: ok(R101)", ""
-        )
+    def test_deleting_waiver_reports_the_sink(self, tmp_path):
         result = analyze_project(
-            tmp_path, files, roots=["pkg.core.Sim.run"]
+            tmp_path, unwaived(TAINT_FILES), simulated=SCOPE
         )
-        [finding] = [f for f in result.findings if f.rule == "R101"]
-        assert finding.file == "pkg/clocky.py"
-        assert "time.time" in finding.message
-        labels = [step.label for step in finding.chain]
-        assert labels == [
-            "pkg.core.Sim.run", "pkg.core.Sim.tick", "pkg.clocky.stamp"
-        ]
-        # The chain's intermediate lines are the call sites.
-        assert finding.chain[0].file == "pkg/core.py"
+        [finding] = result.findings
+        assert (finding.file, finding.line) == ("pkg/clocky.py", 5)
+        assert "wall-clock read `time.time`" in finding.message
 
     def test_path_exclusion_suppresses(self, tmp_path):
-        files = dict(TAINT_FILES)
-        files["pkg/clocky.py"] = files["pkg/clocky.py"].replace(
-            "  # lint: ok(R101)", ""
-        )
         result = analyze_project(
             tmp_path,
-            files,
-            roots=["pkg.core.Sim.run"],
+            unwaived(TAINT_FILES),
+            simulated=SCOPE,
             exclude={"R101": ["pkg/clocky.py"]},
         )
-        assert [f for f in result.findings if f.rule == "R101"] == []
+        assert result.findings == []
 
     def test_unreachable_source_is_silent(self, tmp_path):
-        files = dict(TAINT_FILES)
-        files["pkg/clocky.py"] = files["pkg/clocky.py"].replace(
-            "  # lint: ok(R101)", ""
-        )
+        # The harness reads the clock on purpose.  It imports simulated
+        # code; the import closure keeps simulated code from importing
+        # (and so from reaching) the harness.
+        result = analyze_project(tmp_path, TAINT_FILES, simulated=SCOPE)
+        assert result.findings == []
         result = analyze_project(
-            tmp_path, files, roots=["pkg.core.Sim.tick"]
+            tmp_path, simulated=[*SCOPE, "pkg.harness"]
         )
-        # tick is a root; stamp is reachable.  But rooting at an
-        # unrelated function must not reach it.
-        result2 = analyze_project(
-            tmp_path, files, roots=[]
+        [finding] = result.findings
+        assert (finding.file, finding.line) == ("pkg/harness.py", 10)
+
+    def test_an_import_from_outside_the_scope_is_an_error(self, tmp_path):
+        # What reachability used to follow: the scan cannot see into
+        # clocky.py unless it is in the scope, so importing it is the
+        # finding, at the import's file:line.
+        result = analyze_project(
+            tmp_path, unwaived(TAINT_FILES), simulated=["pkg.core"]
         )
-        assert any(f.rule == "R101" for f in result.findings)
-        assert not any(f.rule == "R101" for f in result2.findings)
+        [finding] = result.findings
+        assert (finding.rule, finding.file, finding.line) == (
+            "R101", "pkg/core.py", 2
+        )
+        assert "`pkg.clocky.stamp`" in finding.message
+
+    def test_type_checking_imports_are_exempt(self, tmp_path):
+        result = analyze_project(
+            tmp_path,
+            {
+                "pkg/__init__.py": "",
+                "pkg/harness.py": "x = 1\n",
+                "pkg/core.py": """
+                    from typing import TYPE_CHECKING
+
+                    if TYPE_CHECKING:
+                        from pkg.harness import x
+                    else:
+                        import pkg.harness
+                """,
+            },
+            simulated=["pkg.core"],
+        )
+        [finding] = result.findings
+        assert (finding.file, finding.line) == ("pkg/core.py", 7)
+
+    def test_a_function_entry_is_held_to_the_imports_it_loads(
+        self, tmp_path
+    ):
+        files = {
+            "pkg/__init__.py": "",
+            "pkg/core.py": "def run():\n    return 1\n",
+            "pkg/harness.py": """
+                import time
+
+                from pkg.core import run
+                from pkg.cache import lookup
+                from pkg.store import save
+
+                def execute():
+                    from pkg.fleet import plan
+                    return run(lookup())
+
+                def sweep():
+                    save(time.time())
+                    return execute()
+            """,
+        }
+        result = analyze_project(
+            tmp_path, files, simulated=["pkg.core", "pkg.harness:execute"]
+        )
+        # `lookup` is module-level and execute() loads it, `plan` is
+        # imported in its body; `save` is module-level too, but only
+        # sweep() loads it, and sweep() is not in scope.
+        assert [(f.file, f.line) for f in result.findings] == [
+            ("pkg/harness.py", 5), ("pkg/harness.py", 9)
+        ]
+        assert "`pkg.cache.lookup`" in result.findings[0].message
+        assert "`pkg.fleet.plan`" in result.findings[1].message
+
+    @pytest.mark.parametrize(
+        "entry, what",
+        [("pkg.gone", "module"), ("pkg.core:renamed", "function")],
+    )
+    def test_a_stale_scope_entry_is_r100(self, tmp_path, entry, what):
+        result = analyze_project(
+            tmp_path, TAINT_FILES, simulated=[*SCOPE, entry]
+        )
+        [finding] = result.findings
+        assert finding.rule == "R100"
+        assert f"'{entry}' names no {what}" in finding.message
+
+    def test_an_entry_outside_the_analyzed_paths_is_not_stale(
+        self, tmp_path
+    ):
+        result = analyze_project(
+            tmp_path, TAINT_FILES, simulated=[*SCOPE, "other.thing"]
+        )
+        assert result.findings == []
 
 
 # ---------------------------------------------------------------------------
 # The real tree
 
 
-#: Modules outside the R101 scope: the harness around the cells.  A
-#: new module lands either under a rooted prefix in pyproject.toml or
-#: in this list — by hand, so "is it simulated code?" gets asked.
-#: (``repro.devtools`` stands for its whole subtree.)
-OUT_OF_SCOPE_MODULES = [
-    "repro",
-    "repro.__main__",
-    "repro.cli",
-    "repro.devtools",
-    "repro.experiments",
-    "repro.experiments.cache",
-    "repro.experiments.claims",
-    "repro.experiments.fig01_motivation",
-    "repro.experiments.fig03_multipath_not_enough",
-    "repro.experiments.fig09_10_wild",
-    "repro.experiments.fig11_feedback",
-    "repro.experiments.fig12_13_fec",
-    "repro.experiments.fig14_15_comparison",
-    "repro.experiments.fig16_17_stationary",
-    "repro.experiments.figures",
-    "repro.experiments.fleet",
-    "repro.experiments.runner",
-    "repro.experiments.sweeps",
-    "repro.experiments.traces_appendix",
-]
+@pytest.fixture(scope="module")
+def real_tree():
+    """One analysis of src/repro under the committed config, shared by
+    every check that does not mutate the tree."""
+    config = load_analyze_config(REPO_ROOT / "pyproject.toml")
+    return config, analyze_tree(
+        [str(REPO_ROOT / "src" / "repro")], config, base=REPO_ROOT
+    )
 
 
-def copy_repo_tree(tmp_path):
-    shutil.copytree(REPO_ROOT / "src" / "repro", tmp_path / "src" / "repro")
-
-
-def mutate(path, needle, replacement):
-    text = path.read_text()
+def mutate(tmp_path, rel_path, needle, replacement):
+    """Copy one file of the real tree into ``tmp_path`` at the same
+    relative path, with ``needle`` replaced, and analyze that file
+    alone under the committed config: every rule is per file."""
+    text = (REPO_ROOT / rel_path).read_text()
     assert text.count(needle) == 1, needle
-    path.write_text(text.replace(needle, replacement))
+    target = tmp_path / rel_path
+    target.parent.mkdir(parents=True)
+    target.write_text(text.replace(needle, replacement))
+    config = load_analyze_config(REPO_ROOT / "pyproject.toml")
+    return analyze_tree([str(target)], config, base=tmp_path)
 
 
 class TestRealTree:
-    def test_repo_tree_is_clean(self):
-        _config, result = analyze_repo()
-        errors = [
-            f for f in result.findings if f.severity is Severity.ERROR
-        ]
-        assert errors == [], "\n".join(f.format() for f in errors)
-
-    def test_rooted_prefixes_are_fully_reachable(self):
-        # Sound before small: every function of simulated code is in
-        # the R101 reachable set (stored callbacks included), and what
-        # is *not* simulated code is a literal list.
-        config, result = analyze_repo()
-        index = result.index
-        prefixes = [
-            spec for spec in config.roots
-            if any(
-                module == spec or module.startswith(spec + ".")
-                for module in index.modules
-            )
-        ]
-        # All but the function roots: execute_cell and the two
-        # BuilderPaths builders inside out-of-scope harness modules.
-        assert len(prefixes) == len(config.roots) - 3
-
-        def in_scope(module):
-            return any(
-                module == p or module.startswith(p + ".") for p in prefixes
-            )
-
-        roots, missing = index.resolve_roots(config.roots)
-        assert missing == []
-        reachable = reachable_from(index, roots)
-        scoped = [
-            full
-            for full, (summary, _info) in index.functions.items()
-            if in_scope(summary.module)
-        ]
-        assert len(scoped) > 600
-        assert [full for full in scoped if full not in reachable] == []
-        assert "repro.experiments.runner.execute_cell" in reachable
-
-        outside = sorted(
-            {
-                "repro.devtools"
-                if module.startswith("repro.devtools")
-                else module
-                for module in index.modules
-                if not in_scope(module)
-            }
+    def test_repo_tree_is_clean(self, real_tree):
+        _config, result = real_tree
+        assert result.findings == [], "\n".join(
+            f.format() for f in result.findings
         )
-        assert outside == OUT_OF_SCOPE_MODULES
+        assert result.modules > 100
 
     @pytest.mark.parametrize(
         "rel_path, needle, module, call",
@@ -548,18 +402,80 @@ class TestRealTree:
     ):
         # The methods run through stored callbacks and the path builder
         # through BuilderPaths' importlib lookup, none of which a call
-        # graph follows; rooting them is what reports them.
-        copy_repo_tree(tmp_path)
-        mutate(
-            tmp_path / rel_path,
+        # graph follows; scanning the whole file (or fig11_paths'
+        # body) is what reports them.
+        result = mutate(
+            tmp_path,
+            rel_path,
             needle,
             f"{needle}        import {module}\n        {call}()\n",
         )
-        _config, result = analyze_repo(tmp_path)
-        [finding] = [f for f in result.findings if f.rule == "R101"]
-        assert finding.file == rel_path
+        [finding] = result.findings
+        assert (finding.rule, finding.file) == ("R101", rel_path)
         assert f"`{call}`" in finding.message
-        assert finding.chain
+
+    @pytest.mark.parametrize(
+        "needle, caught",
+        [
+            ("    path_configs = cell.paths.build(", True),
+            ("    queue = list(items)\n    jobs = min(", False),
+        ],
+        ids=["execute_cell", "_run_workers"],
+    )
+    def test_a_clock_in_the_runner_fails_only_inside_execute_cell(
+        self, tmp_path, needle, caught
+    ):
+        # execute_cell runs inside the cell; _run_workers is the harness
+        # that times it, in the same file.
+        rel_path = "src/repro/experiments/runner.py"
+        result = mutate(
+            tmp_path, rel_path, needle, f"    time.time()\n{needle}"
+        )
+        found = [(f.rule, f.file) for f in result.findings]
+        assert found == ([("R101", rel_path)] if caught else [])
+
+    def test_a_harness_import_into_simulated_code_fails_r101(
+        self, tmp_path
+    ):
+        # Legal Python, no behaviour change, every test passes -- and
+        # now a fleet edit can move a payload without moving the key.
+        rel_path = "src/repro/flow/link.py"
+        needle = "from __future__ import annotations\n"
+        result = mutate(
+            tmp_path,
+            rel_path,
+            needle,
+            f"{needle}import repro.experiments.fleet\n",
+        )
+        [finding] = result.findings
+        assert (finding.rule, finding.file) == ("R101", rel_path)
+        assert "`repro.experiments.fleet`" in finding.message
+
+    def test_a_renamed_path_function_is_exit_one(self, tmp_path, capsys):
+        # BuilderPaths names fig11_paths by string, so renaming the def
+        # alone breaks nothing at import time; the scope entry is stale
+        # and code_version() would hash a file without that function.
+        rel_path = "src/repro/experiments/fig11_feedback.py"
+        text = (REPO_ROOT / rel_path).read_text()
+        assert text.count("def fig11_paths(") == 1
+        target = tmp_path / rel_path
+        target.parent.mkdir(parents=True)
+        target.write_text(
+            text.replace("def fig11_paths(", "def fig11_fade_paths(")
+        )
+        (tmp_path / "pyproject.toml").write_text(
+            (REPO_ROOT / "pyproject.toml").read_text()
+        )
+        code = main(
+            ["--config", str(tmp_path / "pyproject.toml"), str(target)]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert (
+            "R100 [error] SIMULATED_MODULES entry "
+            "'repro.experiments.fig11_feedback:fig11_paths' names no "
+            "function" in out
+        )
 
     @pytest.mark.parametrize(
         "rel_path, needle, replacement",
@@ -582,12 +498,8 @@ class TestRealTree:
     ):
         # Nothing else notices either: the goldens hold with a closure
         # per packet, and the tests fork, where a lambda target works.
-        copy_repo_tree(tmp_path)
-        mutate(tmp_path / rel_path, needle, replacement)
-        _config, result = analyze_repo(tmp_path)
-        [finding] = [
-            f for f in result.findings if f.severity is Severity.ERROR
-        ]
+        result = mutate(tmp_path, rel_path, needle, replacement)
+        [finding] = result.findings
         assert (finding.rule, finding.file) == ("R006", rel_path)
 
     @pytest.mark.parametrize(
@@ -624,54 +536,34 @@ class TestRealTree:
         # agrees with `isinf` until a value turns -inf, an unslotted
         # Event costs a __dict__ per event, and the shared deque would
         # leak state across calls only once something appends to it.
-        copy_repo_tree(tmp_path)
-        mutate(tmp_path / rel_path, needle, replacement)
-        _config, result = analyze_repo(tmp_path)
-        [finding] = [
-            f for f in result.findings if f.severity is Severity.ERROR
-        ]
+        result = mutate(tmp_path, rel_path, needle, replacement)
+        [finding] = result.findings
         assert (finding.rule, finding.file) == (rule, rel_path)
 
-    def test_roots_and_the_cache_salt_name_the_same_modules(self):
-        # One list, two uses: what R101 keeps deterministic is what
-        # cells.code_version() hashes into every cache key.
-        from repro.experiments.cells import SIMULATED_MODULES
-
-        def module_of(spec):
-            parts = spec.split(".")
-            while not (
-                (REPO_ROOT / "src").joinpath(*parts).is_dir()
-                or (REPO_ROOT / "src").joinpath(*parts)
-                .with_suffix(".py").is_file()
-            ):
-                parts.pop()
-            return ".".join(parts)
-
-        config, _result = analyze_repo()
-        assert len(set(SIMULATED_MODULES)) == len(SIMULATED_MODULES)
-        assert {module_of(spec) for spec in config.roots} == set(
-            SIMULATED_MODULES
-        )
-
-    def test_every_path_builder_is_in_the_reachable_set(self):
+    def test_every_path_builder_is_a_simulated_function(self):
         # BuilderPaths("module:function") is resolved by import inside
         # execute_cell, so the function is simulated code whatever
-        # module it lives in: each literal under src/repro must name a
-        # function R101 reaches (i.e. a root in pyproject.toml).
-        config, result = analyze_repo()
-        roots, _missing = result.index.resolve_roots(config.roots)
-        reachable = reachable_from(result.index, roots)
-        builders = sorted(
+        # module it lives in: each literal under src/repro must be a
+        # SIMULATED_MODULES entry, or lie in a module scanned whole.
+        referenced = sorted(
             {
-                match.replace(":", ".")
+                match
                 for path in (REPO_ROOT / "src" / "repro").rglob("*.py")
                 for match in re.findall(
                     r'BuilderPaths\(\s*"([\w.]+:\w+)"', path.read_text()
                 )
             }
         )
-        assert "repro.experiments.fig11_feedback.fig11_paths" in builders
-        assert [name for name in builders if name not in reachable] == []
+        assert "repro.experiments.fig11_feedback:fig11_paths" in referenced
+        assert [
+            name
+            for name in referenced
+            if name not in SIMULATED_MODULES
+            and not any(
+                in_scope(name.partition(":")[0], entry)
+                for entry in SIMULATED_MODULES
+            )
+        ] == []
 
     def test_only_cells_py_carries_an_r101_waiver(self):
         # The harness is out of scope by construction, so it needs no
@@ -688,37 +580,41 @@ class TestRealTree:
         assert cells.count("lint: ok(") == 1
         assert cells.count('"REPRO_CACHE_SALT", "")  # lint: ok(R101)') == 1
 
-    def test_removing_profiling_exclusion_surfaces_chain(self):
-        _config, result = analyze_repo(exclude={})
-        taint = [f for f in result.findings if f.rule == "R101"]
-        assert taint, "expected profiling wall-clock reads to surface"
-        assert all(
-            f.file == "src/repro/simulation/profiling.py" for f in taint
+    def test_removing_profiling_exclusion_surfaces_its_clock_reads(
+        self, real_tree
+    ):
+        # The exclude is the only thing keeping the clean tree clean,
+        # and it hides the profiler's own clock reads and nothing else.
+        config, clean = real_tree
+        profiling = "src/repro/simulation/profiling.py"
+        assert clean.findings == []
+        assert config.exclude == {"R101": [profiling]}
+        result = analyze_tree(
+            [str(REPO_ROOT / profiling)], AnalyzeConfig(), base=REPO_ROOT
         )
-        assert all(f.chain for f in taint)
+        assert len(result.findings) == 4
+        assert {(f.rule, f.file) for f in result.findings} == {
+            ("R101", profiling)
+        }
 
 
 # ---------------------------------------------------------------------------
 # CLI
 
 
-def write_cli_project(tmp_path, files, roots):
+def write_cli_project(tmp_path, files):
     write_project(tmp_path, files)
-    roots_toml = ", ".join(f'"{r}"' for r in roots)
     (tmp_path / "pyproject.toml").write_text(
-        "[tool.repro-analyze]\n"
-        'paths = ["pkg"]\n'
-        f"roots = [{roots_toml}]\n"
+        '[tool.repro-analyze]\npaths = ["pkg"]\n'
     )
+
+
+CLEAN_FILES = {"pkg/__init__.py": "", "pkg/mod.py": "def f():\n    return 1\n"}
 
 
 class TestCli:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
-        write_cli_project(
-            tmp_path,
-            {"pkg/__init__.py": "", "pkg/mod.py": "def f():\n    return 1\n"},
-            roots=["pkg.mod.f"],
-        )
+        write_cli_project(tmp_path, CLEAN_FILES)
         code = main(["--config", str(tmp_path / "pyproject.toml")])
         out = capsys.readouterr().out
         assert code == 0
@@ -726,16 +622,19 @@ class TestCli:
         assert "module(s)" in out
 
     def test_findings_exit_one(self, tmp_path, capsys):
-        files = dict(TAINT_FILES)
-        files["pkg/clocky.py"] = files["pkg/clocky.py"].replace(
-            "  # lint: ok(R101)", ""
+        # The CLI's scope is SIMULATED_MODULES, so the clock sits in a
+        # module of a simulated package.
+        write_project(
+            tmp_path,
+            {"src/repro/net/clocky.py": "import time\nt = time.time()\n"},
         )
-        write_cli_project(tmp_path, files, roots=["pkg.core.Sim.run"])
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.repro-analyze]\npaths = ["src/repro/net"]\n'
+        )
         code = main(["--config", str(tmp_path / "pyproject.toml")])
         out = capsys.readouterr().out
         assert code == 1
-        assert "R101" in out
-        assert "->" in out  # the rendered chain
+        assert "src/repro/net/clocky.py:2: R101" in out
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
         (tmp_path / "pyproject.toml").write_text(
@@ -745,11 +644,7 @@ class TestCli:
         assert code == 2
 
     def test_json_format(self, tmp_path, capsys):
-        write_cli_project(
-            tmp_path,
-            {"pkg/__init__.py": "", "pkg/mod.py": "def f():\n    return 1\n"},
-            roots=["pkg.mod.f"],
-        )
+        write_cli_project(tmp_path, CLEAN_FILES)
         code = main(
             ["--config", str(tmp_path / "pyproject.toml"), "--format", "json"]
         )
@@ -771,11 +666,7 @@ class TestCli:
         import subprocess
         import sys
 
-        write_cli_project(
-            tmp_path,
-            {"pkg/__init__.py": "", "pkg/mod.py": "def f():\n    return 1\n"},
-            roots=["pkg.mod.f"],
-        )
+        write_cli_project(tmp_path, CLEAN_FILES)
         proc = subprocess.run(
             [
                 sys.executable, "-m", "repro.devtools.analyze",

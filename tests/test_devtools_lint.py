@@ -4,9 +4,10 @@ Every local rule (R004-R007) gets at least one positive fixture (a
 crafted snippet it must fire on) and one negative fixture (the
 corrected snippet it must stay silent on); the wall-clock and
 global-RNG snippets are the inputs of the source detector, reported
-as R101 because the snippet's package is rooted.
-Waiver, pyproject-config and CLI behaviour close the file; the
-whole-program side lives in ``tests/test_devtools_analyze.py``.
+as R101 because the snippet's package is in the scanned scope.
+Waiver, pyproject-config and CLI behaviour close the file; R101's
+scope (the import closure, R100 on a stale entry) and the real tree
+live in ``tests/test_devtools_analyze.py``.
 """
 
 import json
@@ -19,7 +20,7 @@ import pytest
 from repro.devtools import config as config_module
 from repro.devtools.analyze.engine import analyze_tree, main
 from repro.devtools.analyze.model import Finding, Severity
-from repro.devtools.analyze.symbols import parse_waivers
+from repro.devtools.analyze.rules import parse_waivers
 from repro.devtools.config import (
     AnalyzeConfig,
     analyze_config_from_dict,
@@ -27,17 +28,19 @@ from repro.devtools.config import (
 )
 
 # Snippets live at src/repro/example.py, i.e. in module
-# ``repro.example``: rooting the package puts them in R101 scope.
-SNIPPET_CONFIG = analyze_config_from_dict({"roots": ["repro"]})
+# ``repro.example``: scoping the package puts them in R101's scan.
+SNIPPET_SCOPE = ("repro",)
 
 
 def lint(source, rel_path="src/repro/example.py", config=None):
-    config = config if config is not None else SNIPPET_CONFIG
+    config = config if config is not None else AnalyzeConfig()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / rel_path
         path.parent.mkdir(parents=True)
         path.write_text(textwrap.dedent(source))
-        return analyze_tree([str(path)], config, base=Path(tmp)).findings
+        return analyze_tree(
+            [str(path)], config, base=Path(tmp), simulated=SNIPPET_SCOPE
+        ).findings
 
 
 def rules_fired(source, **kwargs):
@@ -83,6 +86,39 @@ class TestWallClock:
             """
         ) == ["R101"]
 
+    def test_clock_gettime_fires(self):
+        for call in ("clock_gettime", "clock_gettime_ns"):
+            assert rules_fired(
+                f"""
+                import time
+                t = time.{call}(time.CLOCK_REALTIME)
+                """
+            ) == ["R101"], call
+
+    def test_a_bare_time_conversion_reads_the_clock(self):
+        # localtime() and friends convert the time they are given; with
+        # none (or None) they convert now.
+        for call in (
+            "localtime()", "gmtime()", "ctime()", "asctime()",
+            "localtime(None)",
+        ):
+            assert rules_fired(
+                f"""
+                import time
+                stamp = time.{call}
+                """
+            ) == ["R101"], call
+
+    def test_a_time_conversion_of_a_given_time_is_clean(self):
+        assert rules_fired(
+            """
+            import time
+            def label(t, parts):
+                return time.localtime(t), time.gmtime(t), time.ctime(t), \\
+                    time.asctime(parts)
+            """
+        ) == []
+
     def test_simulator_now_is_clean(self):
         assert rules_fired(
             """
@@ -102,10 +138,7 @@ class TestWallClock:
 
     def test_excluded_module_is_clean(self):
         config = analyze_config_from_dict(
-            {
-                "roots": ["repro"],
-                "exclude": {"R101": ["src/repro/simulation/profiling.py"]},
-            }
+            {"exclude": {"R101": ["src/repro/simulation/profiling.py"]}}
         )
         source = """
         import time
@@ -186,6 +219,36 @@ class TestGlobalRandom:
             [finding] = lint(snippet)
             assert finding.rule == "R101"
             assert "OS entropy read `random.SystemRandom`" in finding.message
+
+    def test_unseeded_random_instance_is_os_entropy(self):
+        # random.Random() with no seed (or None) seeds itself from OS
+        # entropy, like SystemRandom.
+        for snippet in (
+            "import random\nr = random.Random()\n",
+            "from random import Random\nr = Random(None)\n",
+        ):
+            [finding] = lint(snippet)
+            assert finding.rule == "R101"
+            assert "OS entropy read `random.Random`" in finding.message
+
+    def test_unseeded_numpy_generators_are_os_entropy(self):
+        for call in (
+            "default_rng()", "SeedSequence()", "PCG64()",
+            "default_rng(seed=None)",
+        ):
+            [finding] = lint(f"import numpy as np\nx = np.random.{call}\n")
+            assert finding.rule == "R101", call
+            assert "OS entropy read `numpy.random." in finding.message
+
+    def test_seeded_numpy_generators_are_clean(self):
+        assert rules_fired(
+            """
+            import numpy as np
+            def build(seed):
+                return np.random.Generator(np.random.PCG64(seed)), \\
+                    np.random.default_rng(seed), np.random.SeedSequence(seed)
+            """
+        ) == []
 
     def test_numpy_default_rng_is_clean(self):
         assert rules_fired(
@@ -570,13 +633,13 @@ class TestWaivers:
 
 class TestConfig:
     def test_repo_pyproject_parses(self):
-        # The real pyproject table must load and carry the R101 scope,
-        # the profiling exclude and the hot-path modules.
+        # The real pyproject table must load and carry the paths, the
+        # profiling exclude and the hot-path modules; R101's scope is
+        # not a setting.
         config = load_analyze_config(
             Path(__file__).parent.parent / "pyproject.toml"
         )
         assert config.paths == ["src/repro"]
-        assert "repro.receiver" in config.roots
         assert any("profiling" in p for p in config.exclude["R101"])
         assert any("events" in p for p in config.slots_modules)
 
@@ -584,7 +647,6 @@ class TestConfig:
         # ...and the default is empty: nothing in the tool mirrors
         # this repository's settings.
         assert load_analyze_config(None) == AnalyzeConfig()
-        assert AnalyzeConfig().roots == []
         assert AnalyzeConfig().exclude == {}
         assert AnalyzeConfig().slots_modules == []
 
@@ -617,9 +679,8 @@ class TestEngine:
         package.mkdir()
         (package / "bad.py").write_text("import time\nt = time.time()\n")
         (package / "good.py").write_text("x = 1\n")
-        config = analyze_config_from_dict({"roots": ["pkg"]})
         diagnostics = analyze_tree(
-            [str(package)], config, base=tmp_path
+            [str(package)], AnalyzeConfig(), base=tmp_path, simulated=["pkg"]
         ).findings
         assert [(d.file, d.rule) for d in diagnostics] == [
             ("pkg/bad.py", "R101")
@@ -699,19 +760,6 @@ class TestMain:
         assert listed == [
             "R004", "R005", "R006", "R007", "R100", "R101"
         ]
-
-    def test_warn_only_findings_exit_zero(self, tmp_path, capsys):
-        # Warnings (here: a root that names nothing) print but do not
-        # gate the exit code.
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            "[tool.repro-analyze]\n"
-            f'paths = ["{tmp_path.as_posix()}"]\n'
-            'roots = ["nowhere.at.all"]\n'
-        )
-        assert main(["--config", str(pyproject), str(tmp_path)]) == 0
-        assert "warning" in capsys.readouterr().out
 
     def test_repo_tree_is_clean(self):
         # The analyzer gates CI on its own repository: src/repro (which

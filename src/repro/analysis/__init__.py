@@ -1,29 +1,20 @@
-"""Analysis utilities: series statistics, CDFs, terminal plots, export.
+"""Analysis utilities: sample statistics, terminal plots, JSON export.
 
 The experiment harness prints tables; this package adds the pieces a
-user needs to actually look at a run — windowed statistics over time
-series, empirical CDFs (the paper plots E2E and PSNR distributions),
-unicode terminal charts for quick inspection without matplotlib, and
-JSON export so results can be post-processed elsewhere.
+user needs to actually look at a run — percentiles, summary
+statistics and bootstrap intervals over samples, unicode terminal
+charts for quick inspection without matplotlib, and JSON export so
+results can be post-processed elsewhere.
 """
 
-from repro.analysis.stats import (
-    Cdf,
-    describe,
-    percentile,
-    rolling_mean,
-)
-from repro.analysis.plots import ascii_bars, sparkline, render_series
-from repro.analysis.export import result_to_dict, save_result_json
+from repro.analysis.stats import describe, percentile
+from repro.analysis.plots import sparkline, render_series
+from repro.analysis.export import result_to_dict
 
 __all__ = [
-    "Cdf",
-    "ascii_bars",
     "describe",
     "percentile",
     "render_series",
     "result_to_dict",
-    "rolling_mean",
-    "save_result_json",
     "sparkline",
 ]

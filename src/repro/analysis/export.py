@@ -1,19 +1,14 @@
-"""JSON export of call results and runner reports."""
+"""JSON export of call results."""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple, TypeVar, Union
+from typing import Any, Dict, List, Tuple, TypeVar
 
 from repro.core.session import CallResult
 from repro.metrics.collector import TimeSeries
 from repro.metrics.recovery import compute_churn_recovery, compute_recovery
 
 _T = TypeVar("_T")
-
-if TYPE_CHECKING:  # deferred: the runner itself imports this module
-    from repro.experiments.runner import RunReport
 
 
 def result_to_dict(result: CallResult) -> Dict[str, Any]:
@@ -157,39 +152,3 @@ def _by_path(mapping: Dict[int, _T]) -> List[Tuple[int, _T]]:
 
 def _series(series: TimeSeries) -> Dict[str, List[float]]:
     return {"times": list(series.times), "values": list(series.values)}
-
-
-def save_result_json(result: CallResult, path: Union[str, Path]) -> Path:
-    """Write ``result`` to ``path`` as JSON; returns the path."""
-    target = Path(path)
-    target.write_text(json.dumps(result_to_dict(result), indent=2))
-    return target
-
-
-def run_report_to_dict(report: "RunReport") -> Dict[str, Any]:
-    """Flatten a :class:`repro.experiments.runner.RunReport` to JSON data.
-
-    Includes the runner's wall-clock/cache statistics plus every cell
-    summary.
-    """
-    return {
-        "stats": report.stats.payload(),
-        "cells": [
-            {
-                "key": outcome.key,
-                "cell": outcome.cell.resolved(),
-                "cached": outcome.cached,
-                "wall_seconds": outcome.wall_seconds,
-                "error": outcome.error,
-                "summary": outcome.summary.data if outcome.summary else None,
-            }
-            for outcome in report.outcomes
-        ],
-    }
-
-
-def save_run_report_json(report: "RunReport", path: Union[str, Path]) -> Path:
-    """Write a runner report (stats + all cell summaries) as JSON."""
-    target = Path(path)
-    target.write_text(json.dumps(run_report_to_dict(report), indent=2))
-    return target

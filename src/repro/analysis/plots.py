@@ -1,7 +1,7 @@
-"""Terminal plotting: sparklines, bar charts, block time-series.
+"""Terminal plotting: sparklines and block time-series.
 
 No matplotlib in the sandbox; these render well enough in any terminal
-to eyeball the Fig. 9/11 time series and the Fig. 14 bars.
+to eyeball the Fig. 9/11 time series.
 """
 
 from __future__ import annotations
@@ -43,28 +43,6 @@ def _resample(data: List[float], width: int) -> List[float]:
         bucket = data[start:end]
         out.append(sum(bucket) / len(bucket))
     return out
-
-
-def ascii_bars(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart; one row per label."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must align")
-    if not labels:
-        return ""
-    peak = max(max(values), 1e-12)
-    label_width = max(len(label) for label in labels)
-    lines = []
-    for label, value in zip(labels, values):
-        bar = _BAR_CHAR * max(int(value / peak * width), 0)
-        lines.append(
-            f"{label.ljust(label_width)}  {bar} {value:.3f}{unit}"
-        )
-    return "\n".join(lines)
 
 
 def render_series(

@@ -5,8 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -117,66 +116,3 @@ def bootstrap_ci(
         percentile(ordered, 100.0 * (alpha / 2.0)),
         percentile(ordered, 100.0 * (1.0 - alpha / 2.0)),
     )
-
-
-def rolling_mean(
-    samples: Sequence[Tuple[float, float]], window: float
-) -> List[Tuple[float, float]]:
-    """Trailing-window mean over ``(time, value)`` samples.
-
-    Each output point is the mean of input values whose timestamps fall
-    within ``(t - window, t]``.  Used to smooth FPS/rate series before
-    plotting, like the paper's per-second aggregation.
-    """
-    if window <= 0:
-        raise ValueError("window must be positive")
-    out: List[Tuple[float, float]] = []
-    start = 0
-    acc = 0.0
-    count = 0
-    times = [t for t, _ in samples]
-    values = [v for _, v in samples]
-    for i, t in enumerate(times):
-        acc += values[i]
-        count += 1
-        while times[start] <= t - window:
-            acc -= values[start]
-            count -= 1
-            start += 1
-        out.append((t, acc / count))
-    return out
-
-
-@dataclass
-class Cdf:
-    """Empirical cumulative distribution of a sample."""
-
-    values: List[float]
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("CDF of empty sample")
-        self.values = sorted(self.values)
-
-    def at(self, x: float) -> float:
-        """P(X <= x)."""
-        import bisect
-
-        return bisect.bisect_right(self.values, x) / len(self.values)
-
-    def inverse(self, p: float) -> float:
-        """The smallest x with P(X <= x) >= p."""
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"p must be in (0, 1]: {p}")
-        index = max(int(math.ceil(p * len(self.values))) - 1, 0)
-        return self.values[index]
-
-    def points(self, num: int = 50) -> List[Tuple[float, float]]:
-        """``num`` evenly spaced (x, P(X<=x)) points for plotting."""
-        if num < 2:
-            raise ValueError("need at least two points")
-        lo, hi = self.values[0], self.values[-1]
-        if lo == hi:
-            return [(lo, 1.0)]
-        step = (hi - lo) / (num - 1)
-        return [(lo + i * step, self.at(lo + i * step)) for i in range(num)]

@@ -1,20 +1,14 @@
 """Tests for the analysis package: stats, plots, export."""
 
-import json
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis import (
-    Cdf,
-    ascii_bars,
     describe,
     percentile,
     render_series,
     result_to_dict,
-    rolling_mean,
-    save_result_json,
     sparkline,
 )
 
@@ -58,48 +52,6 @@ class TestDescribe:
         assert describe([4.0, 4.0])["std"] == 0.0
 
 
-class TestRollingMean:
-    def test_smooths(self):
-        samples = [(float(t), float(t % 2)) for t in range(10)]
-        smoothed = rolling_mean(samples, window=4.0)
-        tail = [v for _, v in smoothed[4:]]
-        assert all(0.3 < v < 0.7 for v in tail)
-
-    def test_window_validates(self):
-        with pytest.raises(ValueError):
-            rolling_mean([(0.0, 1.0)], window=0.0)
-
-    def test_preserves_length(self):
-        samples = [(float(t), 1.0) for t in range(7)]
-        assert len(rolling_mean(samples, 2.0)) == 7
-
-
-class TestCdf:
-    def test_at_and_inverse(self):
-        cdf = Cdf([1.0, 2.0, 3.0, 4.0])
-        assert cdf.at(2.0) == 0.5
-        assert cdf.at(0.0) == 0.0
-        assert cdf.at(10.0) == 1.0
-        assert cdf.inverse(0.5) == 2.0
-        assert cdf.inverse(1.0) == 4.0
-
-    def test_points_monotone(self):
-        cdf = Cdf([5.0, 1.0, 3.0, 2.0, 4.0])
-        points = cdf.points(20)
-        probabilities = [p for _, p in points]
-        assert probabilities == sorted(probabilities)
-        assert probabilities[-1] == 1.0
-
-    def test_degenerate_sample(self):
-        assert Cdf([2.0, 2.0]).points() == [(2.0, 1.0)]
-
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            Cdf([])
-        with pytest.raises(ValueError):
-            Cdf([1.0]).inverse(0.0)
-
-
 class TestPlots:
     def test_sparkline_shape(self):
         line = sparkline([0, 1, 2, 3, 4, 5, 6, 7])
@@ -113,17 +65,6 @@ class TestPlots:
 
     def test_sparkline_empty(self):
         assert sparkline([]) == ""
-
-    def test_ascii_bars(self):
-        chart = ascii_bars(["a", "bb"], [1.0, 2.0], width=10)
-        lines = chart.splitlines()
-        assert len(lines) == 2
-        assert lines[1].count("█") == 10
-        assert lines[0].count("█") == 5
-
-    def test_ascii_bars_validate(self):
-        with pytest.raises(ValueError):
-            ascii_bars(["a"], [1.0, 2.0])
 
     def test_render_series(self):
         samples = [(float(t), float(t)) for t in range(100)]
@@ -147,8 +88,3 @@ class TestExport:
         assert data["summary"]["frames_rendered"] > 0
         assert "receive_rate" in data["series"]
         assert "0" in data["paths"]
-
-    def test_save_result_json(self, tmp_path):
-        target = save_result_json(self._result(), tmp_path / "out.json")
-        data = json.loads(target.read_text())
-        assert data["summary"]["average_fps"] > 0

@@ -6,8 +6,16 @@ import pytest
 
 import repro.flow.batch as batch_mod
 from repro.cli import build_parser, main
+from repro.core.config import SystemKind
 
 from tests.batch_spy import poison_seed
+
+TINY_RUN = ["run", "--duration", "1", "--fidelity", "flow"]
+TINY_FLEET = [
+    "fleet", "--scenarios", "driving", "--systems", "converge",
+    "--seeds", "2", "--duration", "1",
+]
+TINY_PROFILE = ["profile", "fig14", "--duration", "1", "--limit", "1"]
 
 
 class TestParser:
@@ -31,12 +39,24 @@ class TestParser:
             ["run", "--streams", "0"],
             ["experiment", "fig01", "--duration", "0"],
             ["fleet", "--seeds", "0", "--duration", "1"],
-            ["sweep", "--seeds", "-1", "--duration", "1"],
+            [*TINY_FLEET, "--resamples", "0"],
+            [*TINY_FLEET, "--resamples", "-5"],
+            [*TINY_FLEET, "--confidence", "0"],
+            [*TINY_FLEET, "--confidence", "2"],
+            [*TINY_RUN, "--jobs", "0"],
+            [*TINY_RUN, "--cell-timeout", "0"],
+            [*TINY_PROFILE, "--limit", "0"],
+            [*TINY_PROFILE, "--top", "0"],
+            ["cache", "shard", "--shards", "0", "--out", "shards"],
         ],
     )
     def test_non_positive_numbers_are_usage_errors(self, argv, capsys):
         # Regression: --duration/--streams ended in a ValueError
-        # traceback and --seeds 0 ran one seed.
+        # traceback and --seeds 0 ran one seed; --resamples and
+        # --confidence failed only after every cell had run; --jobs 0
+        # ran serially, --cell-timeout 0 with no deadline, --top 0
+        # profiled anyway, and --limit 0 and --shards 0 exited through
+        # checks of their own.
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
@@ -85,14 +105,48 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "driving" in out
 
-    def test_compare(self, capsys):
+    def test_fleet_one_packet_seed_per_system(self, capsys):
         code = main([
-            "compare", "--scenario", "stationary", "--duration", "5",
+            "fleet", "--scenarios", "stationary", "--seeds", "1",
+            "--duration", "5", "--fidelity", "packet", "--jobs", "1",
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "QP [95%]" in lines[0]
+        systems = [line.split()[1] for line in lines[2:8]]
+        assert systems == [s.value for s in SystemKind]
+        assert all(line.startswith("stationary") for line in lines[2:8])
+
+    def test_run_chaos_path_churn(self, capsys, tmp_path):
+        target = tmp_path / "churn.json"
+        code = main([
+            "run", "--chaos", "path-churn", "--scenario", "migration",
+            "--duration", "4", "--fidelity", "flow", "--json", str(target),
         ])
         assert code == 0
         out = capsys.readouterr().out
-        for system in ("webrtc", "converge", "m-rtp", "srtt"):
-            assert system in out
+        assert "chaos plan           path-churn" in out
+        # Five lifecycle actions, three of which end in a "removed".
+        assert "churn events         8" in out
+        actions = [line.split()[0] for line in out.splitlines()
+                   if line.startswith(("drain ", "birth ", "death "))]
+        assert actions == ["drain", "birth", "death", "birth", "death"]
+        assert "session survived churn: yes" in out
+        churn = json.loads(target.read_text())["churn"]
+        assert len(churn["events"]) == 8
+        assert [e["action"] for e in churn["recovery"]] == actions
+        assert churn["session_survived"]
+
+    def test_run_chaos_rtcp_blackout(self, capsys):
+        code = main([
+            "run", "--chaos", "rtcp-blackout", "--duration", "6",
+            "--fidelity", "flow",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "faults injected      1" in out
+        rows = [line.split() for line in out.splitlines()]
+        assert ["feedback-blackout", "0", "1.0-2.2"] in [r[:3] for r in rows]
 
     def test_profile_emits_accounting_and_json(self, capsys, tmp_path):
         target = tmp_path / "profile.json"
@@ -111,7 +165,7 @@ class TestCommands:
         assert data["events_per_second"] > 0
         assert data["hotspots"], "expected at least one repro hotspot"
 
-    @pytest.mark.parametrize("command", ["fleet", "sweep"])
+    @pytest.mark.parametrize("command", ["fleet"])
     def test_failed_cells_are_named(self, command, capsys, monkeypatch):
         poison_seed(monkeypatch, 2)
         code = main([
@@ -125,7 +179,7 @@ class TestCommands:
         assert "quarantined 1 poison cell(s): converge seed=2" in out
 
     @pytest.mark.parametrize(
-        "argv", [["fleet", "--mode", "batch"], ["sweep", "--mode", "scalar"]]
+        "argv", [["fleet", "--mode", "batch"], ["fleet", "--mode", "scalar"]]
     )
     def test_the_engine_is_not_an_option(self, argv):
         # The runner picks it, from group width, workers and deadline.

@@ -11,7 +11,8 @@ trade-off that motivates the path-specific design.
 """
 
 from repro import FecMode, SystemKind
-from repro.experiments.common import constant_paths, run_system
+from repro.experiments.cells import ConstantPaths, make_cell
+from repro.experiments.common import run_cell
 from repro.metrics.report import format_table
 
 
@@ -19,19 +20,21 @@ def main() -> None:
     duration = 45.0
     seed = 3
     loss = 0.03
-    paths = constant_paths(
-        [15e6, 15e6], [0.05, 0.05], [loss, loss], names=["p1", "p2"]
+    paths = ConstantPaths(
+        (15e6, 15e6), (0.05, 0.05), (loss, loss), names=("p1", "p2")
     )
     print(f"Two 15 Mbps paths, 100 ms RTT, {100 * loss:.0f}% loss each")
     rows = []
     for fec_mode in (FecMode.CONVERGE, FecMode.WEBRTC_TABLE, FecMode.NONE):
-        result = run_system(
-            SystemKind.CONVERGE,
-            paths,
-            duration=duration,
-            seed=seed,
-            fec_mode=fec_mode,
-            label=f"fec={fec_mode.value}",
+        result = run_cell(
+            make_cell(
+                paths,
+                SystemKind.CONVERGE,
+                duration=duration,
+                seed=seed,
+                fec_mode=fec_mode,
+                label=f"fec={fec_mode.value}",
+            )
         )
         s = result.summary
         rows.append(

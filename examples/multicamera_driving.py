@@ -13,17 +13,18 @@ scenario at example scale.
 import sys
 
 from repro import SystemKind
-from repro.experiments.common import run_system, scenario_paths
+from repro.experiments.cells import ScenarioPaths, make_cell
+from repro.experiments.common import run_cell
 from repro.metrics.report import format_table
 
 
 def main(num_streams: int = 2) -> None:
     duration = 45.0
     seed = 11
-    paths = scenario_paths("driving", duration=duration, seed=seed)
+    paths = ScenarioPaths("driving")
     print(
         f"{num_streams}-camera call, {duration:.0f}s, driving traces "
-        f"({' + '.join(p.name for p in paths)})"
+        f"({' + '.join(p.name for p in paths.build(duration, seed))})"
     )
     rows = []
     for system, kwargs in [
@@ -31,13 +32,15 @@ def main(num_streams: int = 2) -> None:
         (SystemKind.WEBRTC, {"single_path_id": 1, "label": "webrtc-verizon"}),
         (SystemKind.CONVERGE, {"label": "converge"}),
     ]:
-        result = run_system(
-            system,
-            paths,
-            duration=duration,
-            num_streams=num_streams,
-            seed=seed,
-            **kwargs,
+        result = run_cell(
+            make_cell(
+                paths,
+                system,
+                duration=duration,
+                num_streams=num_streams,
+                seed=seed,
+                **kwargs,
+            )
         )
         s = result.summary
         rows.append(

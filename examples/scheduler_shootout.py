@@ -10,14 +10,14 @@ the QoE comparison — example-scale Figure 14.
 """
 
 from repro import SystemKind
-from repro.experiments.common import run_system, scenario_paths
+from repro.experiments.cells import ScenarioPaths, make_cell
+from repro.experiments.common import run_cell
 from repro.metrics.report import format_table
 
 
 def main() -> None:
     duration = 45.0
     seed = 21
-    paths = scenario_paths("walking", duration=duration, seed=seed)
     rows = []
     for system, kwargs in [
         (SystemKind.WEBRTC, {"single_path_id": 0, "label": "webrtc-wifi"}),
@@ -27,8 +27,11 @@ def main() -> None:
         (SystemKind.MRTP, {}),
         (SystemKind.CONVERGE, {}),
     ]:
-        result = run_system(
-            system, paths, duration=duration, seed=seed, **kwargs
+        result = run_cell(
+            make_cell(
+                ScenarioPaths("walking"), system, duration=duration,
+                seed=seed, **kwargs,
+            )
         )
         s = result.summary
         rows.append(

@@ -86,7 +86,6 @@ def build_call_config(
 def run_call(
     config: CallConfig,
     path_configs: Sequence[PathConfig],
-    scheduler: Optional[Scheduler] = None,
     fault_plan: Optional[FaultPlan] = None,
     profiler: Optional[SimProfiler] = None,
     churn_scenario: Optional[str] = None,
@@ -107,12 +106,10 @@ def run_call(
     if not paths:
         raise ValueError("a call needs at least one path")
     with collector_paused():
-        if scheduler is None:
-            scheduler = build_scheduler(config)
         call = ConferenceCall(
             config,
             paths,
-            scheduler,
+            build_scheduler(config),
             fault_plan=fault_plan,
             profiler=profiler,
             churn_scenario=churn_scenario,

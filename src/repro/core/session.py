@@ -194,9 +194,9 @@ class ConferenceCall:
     def _sample(self) -> None:
         self.metrics.record_receive_rate_sample(self.sim.now)
 
-    def run(self, duration: Optional[float] = None) -> CallResult:
-        """Run the call to completion and summarize its QoE."""
-        duration = duration if duration is not None else self.config.duration
+    def run(self) -> CallResult:
+        """Run the call to its configured duration and summarize its QoE."""
+        duration = self.config.duration
         self.sim.run(until=duration)
         self.sender.stop()
         self.receiver.stop()

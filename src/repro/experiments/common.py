@@ -2,39 +2,36 @@
 
 Two layers live here:
 
-- direct helpers (:func:`run_system`, :func:`run_chaos`) that build
-  and run one call in-process — used by unit tests and examples that
-  need the full :class:`~repro.core.session.CallResult` object;
+- :func:`run_cell`, the one way a declarative
+  :class:`~repro.experiments.cells.Cell` becomes a call: it builds the
+  cell's paths, chaos plan and config, runs it at the cell's fidelity
+  and returns the full :class:`~repro.core.session.CallResult`.  The
+  runner's worker entry point is ``result_to_dict(run_cell(cell))``;
+  tests and examples that need the live result call it directly;
 - path builders (:func:`scenario_paths`, :func:`constant_paths`) that
-  the declarative cell specs of :mod:`repro.experiments.cells` resolve
-  inside worker processes.
+  the cell specs of :mod:`repro.experiments.cells` resolve inside
+  worker processes.
 
-The figure modules do not call :func:`run_system`: each states its
-grid as a :class:`~repro.experiments.cells.Cell` list and
-:func:`repro.experiments.figures.run_experiment` executes it through
+The figure modules state their grids as cell lists, and
+:func:`repro.experiments.figures.run_experiment` executes them through
 the runner, which fans independent cells across processes and
 memoizes each one in the on-disk result cache.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.api import build_call_config, run_call
-from repro.core.config import SystemKind
 from repro.core.session import CallResult
-from repro.faults.plan import FaultPlan
+from repro.experiments.cells import Cell, Fidelity, ScenarioPaths
 from repro.faults.scenarios import build_chaos_plan
 from repro.net.loss import BernoulliLoss, LossModel, NoLoss
 from repro.net.path import PathConfig
 from repro.net.trace import BandwidthTrace
+from repro.simulation.profiling import SimProfiler
 from repro.simulation.random import RandomStreams
 from repro.traces.scenarios import get_scenario, scenario_path
-
-# Default call length for experiments.  The paper uses 3-minute calls;
-# benches default to a shorter window for iteration speed (set
-# full_length=True or duration=180 for paper-length runs).
-DEFAULT_DURATION = 60.0
 
 
 def scenario_paths(
@@ -80,60 +77,57 @@ def constant_paths(
     return configs
 
 
-def run_system(
-    system: SystemKind,
-    path_configs: Sequence[PathConfig],
-    duration: float,
-    num_streams: int = 1,
-    seed: int = 1,
-    single_path_id: int = 0,
-    label: Optional[str] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    churn_scenario: Optional[str] = None,
-    **config_kwargs: Any,
-) -> CallResult:
-    """Run one system on the given paths and return its result."""
+def run_cell(cell: Cell, profiler: Optional[SimProfiler] = None) -> CallResult:
+    """Run one cell to completion and return its live result.
+
+    Everything stochastic is derived from ``cell.seed`` inside this
+    function (paths, fault plans, the simulator's streams), so the
+    result depends only on the cell — the property the whole runner
+    rests on.
+
+    ``profiler`` optionally attaches a
+    :class:`repro.simulation.SimProfiler` to the call (used by
+    ``repro profile``, which runs cells serially in-process).
+    """
+    path_configs = cell.paths.build(cell.duration, cell.seed)
+    fault_plan = None
+    label = cell.label
+    if cell.chaos is not None:
+        fault_plan = build_chaos_plan(
+            cell.chaos, cell.duration, seed=cell.seed,
+            num_paths=len(path_configs),
+        )
+        if label is None:
+            label = f"{cell.system.value}+{cell.chaos}"
     config = build_call_config(
-        system,
-        duration=duration,
-        num_streams=num_streams,
-        seed=seed,
-        single_path_id=single_path_id,
+        cell.system,
+        duration=cell.duration,
+        num_streams=cell.num_streams,
+        seed=cell.seed,
+        single_path_id=cell.single_path_id,
         label=label,
-        **config_kwargs,
+        **cell.override_kwargs(),
     )
+    # Churn BIRTH events need a trace scenario to synthesize the new
+    # path's capacity/loss; scenario cells carry one naturally.
+    churn_scenario = (
+        cell.paths.scenario if isinstance(cell.paths, ScenarioPaths) else None
+    )
+    if cell.fidelity is Fidelity.FLOW:
+        # Frame-interval backend; the profiler hooks the packet-level
+        # event loop, so profiling is a packet-fidelity-only feature.
+        from repro.flow.session import run_flow_call
+
+        return run_flow_call(
+            config,
+            path_configs,
+            fault_plan=fault_plan,
+            churn_scenario=churn_scenario,
+        )
     return run_call(
         config,
         path_configs,
         fault_plan=fault_plan,
+        profiler=profiler,
         churn_scenario=churn_scenario,
-    )
-
-
-def run_chaos(
-    system: SystemKind,
-    scenario: str,
-    chaos: str,
-    duration: float = DEFAULT_DURATION,
-    num_streams: int = 1,
-    seed: int = 1,
-    networks: Optional[Sequence[str]] = None,
-    **config_kwargs: Any,
-) -> CallResult:
-    """Run one system through an Appendix-D scenario under a canned
-    chaos plan (see :mod:`repro.faults.scenarios`)."""
-    paths = scenario_paths(scenario, duration, seed, networks)
-    plan = build_chaos_plan(
-        chaos, duration, seed=seed, num_paths=len(paths)
-    )
-    return run_system(
-        system,
-        paths,
-        duration,
-        num_streams=num_streams,
-        seed=seed,
-        label=f"{system.value}+{chaos}",
-        fault_plan=plan,
-        churn_scenario=scenario,
-        **config_kwargs,
     )

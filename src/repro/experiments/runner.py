@@ -359,64 +359,15 @@ def execute_cell(
 ) -> Dict[str, Any]:
     """Run one cell to completion; the module-level worker entry point.
 
-    Everything stochastic is derived from ``cell.seed`` inside this
-    function (paths, fault plans, the simulator's streams), so the
-    result depends only on the cell — the property the whole runner
-    rests on.  Returns the summary payload dict.
-
-    ``profiler`` optionally attaches a
-    :class:`repro.simulation.SimProfiler` to the call (used by
-    ``repro profile``, which runs cells serially in-process).
+    The summary payload dict of :func:`repro.experiments.common.run_cell`
+    (the cell's result depends only on the cell — the property the whole
+    runner rests on).  ``profiler`` is passed through to the call (used
+    by ``repro profile``, which runs cells serially in-process).
     """
     from repro.analysis.export import result_to_dict
-    from repro.core.api import build_call_config, run_call
-    from repro.experiments.cells import Fidelity, ScenarioPaths
-    from repro.faults.scenarios import build_chaos_plan
+    from repro.experiments.common import run_cell
 
-    path_configs = cell.paths.build(cell.duration, cell.seed)
-    fault_plan = None
-    label = cell.label
-    if cell.chaos is not None:
-        fault_plan = build_chaos_plan(
-            cell.chaos, cell.duration, seed=cell.seed,
-            num_paths=len(path_configs),
-        )
-        if label is None:
-            label = f"{cell.system.value}+{cell.chaos}"
-    config = build_call_config(
-        cell.system,
-        duration=cell.duration,
-        num_streams=cell.num_streams,
-        seed=cell.seed,
-        single_path_id=cell.single_path_id,
-        label=label,
-        **cell.override_kwargs(),
-    )
-    # Churn BIRTH events need a trace scenario to synthesize the new
-    # path's capacity/loss; scenario cells carry one naturally.
-    churn_scenario = (
-        cell.paths.scenario if isinstance(cell.paths, ScenarioPaths) else None
-    )
-    if cell.fidelity is Fidelity.FLOW:
-        # Frame-interval backend; the profiler hooks the packet-level
-        # event loop, so profiling is a packet-fidelity-only feature.
-        from repro.flow.session import run_flow_call
-
-        result = run_flow_call(
-            config,
-            path_configs,
-            fault_plan=fault_plan,
-            churn_scenario=churn_scenario,
-        )
-    else:
-        result = run_call(
-            config,
-            path_configs,
-            fault_plan=fault_plan,
-            profiler=profiler,
-            churn_scenario=churn_scenario,
-        )
-    return result_to_dict(result)
+    return result_to_dict(run_cell(cell, profiler))
 
 
 def _run_guarded(cell: Cell) -> Dict[str, Any]:
@@ -457,9 +408,12 @@ def default_jobs() -> int:
     env = os.environ.get("REPRO_JOBS")
     if env:
         try:
-            return max(int(env), 1)
+            jobs = int(env)
         except ValueError:
-            raise ValueError(f"REPRO_JOBS is not an integer: {env!r}") from None
+            jobs = 0
+        if jobs < 1:
+            raise ValueError(f"REPRO_JOBS is not a positive integer: {env!r}")
+        return jobs
     return os.cpu_count() or 1
 
 

@@ -2,8 +2,8 @@
 
 Each builder returns a :class:`FaultPlan` scaled to the call duration.
 They are registered in :data:`CHAOS_SCENARIOS` and exposed through
-``repro run --chaos <name>`` and
-:func:`repro.experiments.common.run_chaos`.  Builders take the call
+``repro run --chaos <name>`` and a cell's ``chaos`` field
+(:func:`repro.experiments.common.run_cell`).  Builders take the call
 ``duration``, the experiment ``seed`` (used only by the randomized
 scenario, via a named stream so plans stay reproducible), and the
 number of paths in the call.

@@ -235,23 +235,12 @@ class MetricsCollector:
     # -- derived ---------------------------------------------------------------
 
     @property
-    def total_media_bytes_sent(self) -> int:
-        return sum(r.media_bytes for r in self.path_sends.values())
-
-    @property
-    def total_fec_bytes_sent(self) -> int:
-        return sum(r.fec_bytes for r in self.path_sends.values())
-
-    @property
     def total_media_packets_sent(self) -> int:
         return sum(r.media_packets for r in self.path_sends.values())
 
     @property
     def total_fec_packets_sent(self) -> int:
         return sum(r.fec_packets for r in self.path_sends.values())
-
-    def rendered_for_stream(self, ssrc: int) -> List[RenderedFrame]:
-        return [f for f in self.rendered if f.ssrc == ssrc]
 
     def fps_series(
         self, duration: float, bucket: float = 1.0, ssrc: Optional[int] = None

@@ -288,10 +288,6 @@ class Path:
     # -- introspection ---------------------------------------------------
 
     @property
-    def queued_bytes(self) -> int:
-        return self._queued_bytes
-
-    @property
     def queue_len(self) -> int:
         return len(self._queue)
 

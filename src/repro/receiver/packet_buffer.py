@@ -236,7 +236,3 @@ class PacketBuffer:
     @property
     def packet_count(self) -> int:
         return self._packet_count
-
-    @property
-    def pending_frames(self) -> List[int]:
-        return sorted(self._frames)

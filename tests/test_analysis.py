@@ -77,10 +77,13 @@ class TestPlots:
 class TestExport:
     def _result(self):
         from repro.core.config import SystemKind
-        from repro.experiments.common import constant_paths, run_system
+        from repro.experiments.cells import ConstantPaths, make_cell
+        from repro.experiments.common import run_cell
 
-        paths = constant_paths([8e6], [0.02], [0.0])
-        return run_system(SystemKind.WEBRTC, paths, duration=5.0, seed=1)
+        paths = ConstantPaths((8e6,), (0.02,), (0.0,))
+        return run_cell(
+            make_cell(paths, SystemKind.WEBRTC, duration=5.0, seed=1)
+        )
 
     def test_result_to_dict_structure(self):
         data = result_to_dict(self._result())

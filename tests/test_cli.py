@@ -117,7 +117,7 @@ class TestCommands:
         assert systems == [s.value for s in SystemKind]
         assert all(line.startswith("stationary") for line in lines[2:8])
 
-    def test_run_chaos_path_churn(self, capsys, tmp_path):
+    def test_run_with_chaos_path_churn(self, capsys, tmp_path):
         target = tmp_path / "churn.json"
         code = main([
             "run", "--chaos", "path-churn", "--scenario", "migration",
@@ -137,7 +137,7 @@ class TestCommands:
         assert [e["action"] for e in churn["recovery"]] == actions
         assert churn["session_survived"]
 
-    def test_run_chaos_rtcp_blackout(self, capsys):
+    def test_run_with_chaos_rtcp_blackout(self, capsys):
         code = main([
             "run", "--chaos", "rtcp-blackout", "--duration", "6",
             "--fidelity", "flow",

@@ -417,7 +417,7 @@ class TestRealTree:
     @pytest.mark.parametrize(
         "needle, caught",
         [
-            ("    path_configs = cell.paths.build(", True),
+            ("    return result_to_dict(run_cell(cell, profiler))", True),
             ("    queue = list(items)\n    jobs = min(", False),
         ],
         ids=["execute_cell", "_run_workers"],

@@ -4,10 +4,16 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.export import result_to_dict
 from repro.core.config import SystemKind
-from repro.core.api import build_call_config
+from repro.core.api import build_call_config, run_call
 from repro.core.duplex import DuplexCall
+from repro.experiments.cells import canonical_json
 from repro.experiments.common import constant_paths, scenario_paths
+
+
+def _payload(result):
+    return canonical_json(result_to_dict(result))
 
 
 class TestDuplexCall:
@@ -44,8 +50,8 @@ class TestDuplexCall:
         config = build_call_config(SystemKind.CONVERGE, duration=5.0, seed=3)
         paths = scenario_paths("driving", duration=5.0, seed=3)
         call = DuplexCall(config, paths)
-        fwd_models = [p.config.loss_model for p in call.forward.paths]
-        rev_models = [p.config.loss_model for p in call.reverse.paths]
+        fwd_models = [p.loss_model for p in call.forward_paths]
+        rev_models = [p.loss_model for p in call.reverse_paths]
         for a, b in zip(fwd_models, rev_models):
             assert a is not b
 
@@ -55,3 +61,34 @@ class TestDuplexCall:
         forward, reverse = DuplexCall(config, paths).run()
         for result in (forward, reverse):
             assert result.summary.average_fps > 10
+
+    @pytest.mark.parametrize("reverse", ["mirrored-walking", "weak-constant"])
+    def test_each_direction_is_its_one_way_call(self, reverse):
+        """Neither direction sees the other: the forward payload is the
+        one-way call's byte for byte whatever the reverse paths are, and
+        the reverse payload is the one-way call of ``config_reverse``.
+        Loss models carry state through a call, so every call gets
+        freshly built paths."""
+        config = build_call_config(SystemKind.CONVERGE, duration=12.0, seed=5)
+
+        def forward_paths():
+            return scenario_paths("walking", duration=12.0, seed=5)
+
+        def reverse_paths():
+            if reverse == "weak-constant":
+                return constant_paths(
+                    [0.4e6, 0.4e6], [0.02, 0.03], [0.05, 0.05]
+                )
+            return [
+                dataclasses.replace(p, name=f"{p.name}-rev")
+                for p in forward_paths()
+            ]
+
+        call = DuplexCall(
+            config, forward_paths(), reverse_paths=reverse_paths()
+        )
+        forward, backward = call.run()
+        assert _payload(forward) == _payload(run_call(config, forward_paths()))
+        assert _payload(backward) == _payload(
+            run_call(call.config_reverse, reverse_paths())
+        )

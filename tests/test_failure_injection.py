@@ -7,10 +7,9 @@ paper's "uninterrupted calls" pitch.
 
 import pytest
 
-from repro.core.api import build_call_config, build_scheduler
+from repro.core.api import build_call_config, build_scheduler, run_call
 from repro.core.config import SystemKind
 from repro.core.session import ConferenceCall
-from repro.experiments.common import run_system
 from repro.net.loss import BernoulliLoss, ScheduledLoss
 from repro.net.path import PathConfig
 from repro.net.trace import BandwidthTrace
@@ -45,7 +44,9 @@ class TestPathOutage:
         """One path blacks out for 10 s mid-call; the call must keep a
         usable frame rate by leaning on the surviving path."""
         paths = [steady_path(0), outage_path(1, 10.0, 20.0)]
-        result = run_system(SystemKind.CONVERGE, paths, duration=30.0, seed=4)
+        result = run_call(
+            build_call_config(SystemKind.CONVERGE, duration=30.0, seed=4), paths
+        )
         summary = result.summary
         assert summary.average_fps > 15
         # The outage window must not be one continuous 10 s freeze.
@@ -53,7 +54,9 @@ class TestPathOutage:
 
     def test_converge_recovers_after_blackout_ends(self):
         paths = [steady_path(0), outage_path(1, 5.0, 10.0)]
-        result = run_system(SystemKind.CONVERGE, paths, duration=40.0, seed=4)
+        result = run_call(
+            build_call_config(SystemKind.CONVERGE, duration=40.0, seed=4), paths
+        )
         fps_series = result.metrics.fps_series(40.0)
         tail = fps_series.window(25.0, 40.0)
         assert sum(tail) / len(tail) > 22
@@ -62,14 +65,18 @@ class TestPathOutage:
         """The motivating failure: with only one network, a blackout is
         a freeze — quantifying what multipath buys."""
         paths = [outage_path(0, 10.0, 16.0)]
-        result = run_system(SystemKind.WEBRTC, paths, duration=30.0, seed=4)
+        result = run_call(
+            build_call_config(SystemKind.WEBRTC, duration=30.0, seed=4), paths
+        )
         assert result.summary.freeze.total_duration > 4.0
 
     def test_simultaneous_blackout_then_recovery(self):
         """Both networks die together (the paper's double coverage
         hole): the call freezes but must come back afterwards."""
         paths = [outage_path(0, 10.0, 14.0), outage_path(1, 10.0, 14.0)]
-        result = run_system(SystemKind.CONVERGE, paths, duration=30.0, seed=4)
+        result = run_call(
+            build_call_config(SystemKind.CONVERGE, duration=30.0, seed=4), paths
+        )
         fps_series = result.metrics.fps_series(30.0)
         tail = fps_series.window(22.0, 30.0)
         assert sum(tail) / len(tail) > 18
@@ -77,7 +84,9 @@ class TestPathOutage:
     def test_permanent_path_death(self):
         """A path that dies and never returns must not poison the call."""
         paths = [steady_path(0), outage_path(1, 8.0, 10_000.0)]
-        result = run_system(SystemKind.CONVERGE, paths, duration=30.0, seed=4)
+        result = run_call(
+            build_call_config(SystemKind.CONVERGE, duration=30.0, seed=4), paths
+        )
         fps_series = result.metrics.fps_series(30.0)
         tail = fps_series.window(20.0, 30.0)
         assert sum(tail) / len(tail) > 20
@@ -97,7 +106,9 @@ class TestLossStorm:
                 name="stormy",
             ),
         ]
-        result = run_system(SystemKind.CONVERGE, paths, duration=35.0, seed=4)
+        result = run_call(
+            build_call_config(SystemKind.CONVERGE, duration=35.0, seed=4), paths
+        )
         assert result.summary.average_fps > 15
         fps_series = result.metrics.fps_series(35.0)
         tail = fps_series.window(27.0, 35.0)
@@ -115,7 +126,9 @@ class TestLossStorm:
                 name="stormy",
             ),
         ]
-        result = run_system(SystemKind.CONVERGE, paths, duration=25.0, seed=4)
+        result = run_call(
+            build_call_config(SystemKind.CONVERGE, duration=25.0, seed=4), paths
+        )
         assert result.metrics.total_fec_packets_sent > 0
 
 

@@ -13,7 +13,9 @@ import pytest
 
 from repro.analysis.export import result_to_dict
 from repro.core.config import WATCHDOG_SILENCE_TIMEOUT, SystemKind
-from repro.experiments.common import run_chaos, run_system
+from repro.core.api import build_call_config, run_call
+from repro.experiments.cells import ScenarioPaths, make_cell
+from repro.experiments.common import run_cell
 from repro.faults import (
     CHAOS_SCENARIOS,
     FaultEvent,
@@ -253,8 +255,9 @@ class TestRtcpBlackoutAcceptance:
         plan = FaultPlan.of(
             [FaultEvent(FaultKind.FEEDBACK_BLACKOUT, 0, start=8.0, duration=3.0)]
         )
-        return run_system(
-            SystemKind.CONVERGE, paths, duration=25.0, seed=3,
+        return run_call(
+            build_call_config(SystemKind.CONVERGE, duration=25.0, seed=3),
+            paths,
             fault_plan=plan,
         )
 
@@ -305,8 +308,9 @@ class TestTotalFeedbackStarvation:
                 FaultEvent(FaultKind.FEEDBACK_BLACKOUT, 1, start=8.0, duration=3.0),
             ]
         )
-        result = run_system(
-            SystemKind.CONVERGE, paths, duration=20.0, seed=3,
+        result = run_call(
+            build_call_config(SystemKind.CONVERGE, duration=20.0, seed=3),
+            paths,
             fault_plan=plan,
         )
         events = result.metrics.path_events
@@ -330,8 +334,9 @@ class TestWatchdogDegradation:
         plan = FaultPlan.of(
             [FaultEvent(FaultKind.FEEDBACK_BLACKOUT, 0, start=8.0, duration=3.0)]
         )
-        result = run_system(
-            SystemKind.CONVERGE, paths, duration=16.0, seed=3,
+        result = run_call(
+            build_call_config(SystemKind.CONVERGE, duration=16.0, seed=3),
+            paths,
             fault_plan=plan,
         )
         series = result.metrics.path_rate_series[0]
@@ -346,13 +351,11 @@ class TestWatchdogDegradation:
 
 class TestChaosDeterminism:
     def test_same_seed_chaos_runs_are_byte_identical(self):
-        results = [
-            run_chaos(
-                SystemKind.CONVERGE, "driving", "chaos-monkey",
-                duration=12.0, seed=11,
-            )
-            for _ in range(2)
-        ]
+        cell = make_cell(
+            ScenarioPaths("driving"), SystemKind.CONVERGE,
+            chaos="chaos-monkey", duration=12.0, seed=11,
+        )
+        results = [run_cell(cell) for _ in range(2)]
         reports = [
             json.dumps(result_to_dict(r), sort_keys=True) for r in results
         ]

@@ -40,8 +40,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.export import result_to_dict
 from repro.core.config import SystemKind
 from repro.experiments.cells import ScenarioPaths, canonical_json, make_cell
+from repro.experiments.common import run_cell
 from repro.experiments.fig14_15_comparison import RUNS
 from repro.experiments.runner import execute_cell, results_of, run_cells
 from repro.faults.scenarios import chaos_scenario_names
@@ -213,6 +215,29 @@ class TestChurnGolden:
             GOLDEN_DIR / "converge_path-churn.json",
             "converge+path-churn",
         )
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        golden_cell(SystemKind.CONVERGE),
+        make_cell(
+            ScenarioPaths("driving"),
+            SystemKind.CONVERGE,
+            seed=SEED,
+            duration=DURATION,
+            fidelity="flow",
+        ),
+        churn_cell(),
+    ],
+    ids=["packet", "flow", "path-churn"],
+)
+def test_run_cell_result_is_the_execute_cell_payload(cell):
+    """The live ``CallResult`` of a cell exports to the runner's payload
+    byte for byte, chaos label and churn scenario included."""
+    assert canonical_json(result_to_dict(run_cell(cell))) == canonical_json(
+        execute_cell(cell)
+    )
 
 
 # ---------------------------------------------------------------------------

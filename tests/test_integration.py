@@ -9,7 +9,8 @@ from repro import (
     build_call_config,
     run_call,
 )
-from repro.experiments.common import constant_paths, scenario_paths, run_system
+from repro.experiments.cells import ConstantPaths, ScenarioPaths, make_cell
+from repro.experiments.common import constant_paths, run_cell
 
 SHORT = 15.0
 
@@ -27,8 +28,8 @@ class TestEndToEnd:
         ],
     )
     def test_every_system_completes_a_call(self, system):
-        paths = constant_paths([8e6, 8e6], [0.02, 0.03], [0.005, 0.005])
-        result = run_system(system, paths, duration=SHORT, seed=3)
+        paths = ConstantPaths((8e6, 8e6), (0.02, 0.03), (0.005, 0.005))
+        result = run_cell(make_cell(paths, system, duration=SHORT, seed=3))
         summary = result.summary
         assert summary.frames_rendered > 0
         assert summary.average_fps > 5
@@ -36,8 +37,10 @@ class TestEndToEnd:
         assert summary.e2e_mean > 0
 
     def test_clean_network_is_flawless(self):
-        paths = constant_paths([12e6, 12e6], [0.02, 0.03], [0.0, 0.0])
-        result = run_system(SystemKind.CONVERGE, paths, duration=30.0, seed=4)
+        paths = ConstantPaths((12e6, 12e6), (0.02, 0.03), (0.0, 0.0))
+        result = run_cell(
+            make_cell(paths, SystemKind.CONVERGE, duration=30.0, seed=4)
+        )
         summary = result.summary
         assert summary.average_fps > 28
         assert summary.frame_drops <= 5
@@ -47,53 +50,67 @@ class TestEndToEnd:
     def test_converge_aggregates_bandwidth(self):
         """Two 7 Mbps paths: single-path WebRTC cannot reach what the
         bonded call reaches."""
-        paths = constant_paths([7e6, 7e6], [0.02, 0.03], [0.0, 0.0])
-        converge = run_system(
-            SystemKind.CONVERGE, paths, duration=40.0, seed=5
+        paths = ConstantPaths((7e6, 7e6), (0.02, 0.03), (0.0, 0.0))
+        converge = run_cell(
+            make_cell(paths, SystemKind.CONVERGE, duration=40.0, seed=5)
         ).summary
-        webrtc = run_system(
-            SystemKind.WEBRTC, paths, duration=40.0, seed=5
+        webrtc = run_cell(
+            make_cell(paths, SystemKind.WEBRTC, duration=40.0, seed=5)
         ).summary
         assert converge.throughput_bps > 1.2 * webrtc.throughput_bps
 
     def test_multi_stream_call(self):
-        paths = constant_paths([15e6, 15e6], [0.02, 0.03], [0.0, 0.0])
-        result = run_system(
-            SystemKind.CONVERGE, paths, duration=SHORT, num_streams=3, seed=6
+        paths = ConstantPaths((15e6, 15e6), (0.02, 0.03), (0.0, 0.0))
+        result = run_cell(
+            make_cell(
+                paths, SystemKind.CONVERGE, duration=SHORT, num_streams=3,
+                seed=6,
+            )
         )
         rendered_ssrcs = {f.ssrc for f in result.metrics.rendered}
         assert rendered_ssrcs == {1, 2, 3}
 
     def test_deterministic_given_seed(self):
-        paths_a = scenario_paths("walking", duration=SHORT, seed=9)
-        paths_b = scenario_paths("walking", duration=SHORT, seed=9)
-        a = run_system(SystemKind.CONVERGE, paths_a, duration=SHORT, seed=9)
-        b = run_system(SystemKind.CONVERGE, paths_b, duration=SHORT, seed=9)
+        cell = make_cell(
+            ScenarioPaths("walking"), SystemKind.CONVERGE, duration=SHORT,
+            seed=9,
+        )
+        a = run_cell(cell)
+        b = run_cell(cell)
         assert a.summary.frames_rendered == b.summary.frames_rendered
         assert a.summary.throughput_bps == b.summary.throughput_bps
         assert a.summary.e2e_mean == b.summary.e2e_mean
 
     def test_different_seeds_differ(self):
-        paths_a = scenario_paths("walking", duration=SHORT, seed=9)
-        paths_b = scenario_paths("walking", duration=SHORT, seed=10)
-        a = run_system(SystemKind.CONVERGE, paths_a, duration=SHORT, seed=9)
-        b = run_system(SystemKind.CONVERGE, paths_b, duration=SHORT, seed=10)
+        a, b = (
+            run_cell(
+                make_cell(
+                    ScenarioPaths("walking"), SystemKind.CONVERGE,
+                    duration=SHORT, seed=seed,
+                )
+            )
+            for seed in (9, 10)
+        )
         assert a.summary.throughput_bps != b.summary.throughput_bps
 
     def test_fec_none_mode_sends_no_fec(self):
-        paths = constant_paths([8e6, 8e6], [0.02, 0.03], [0.02, 0.02])
-        result = run_system(
-            SystemKind.CONVERGE,
-            paths,
-            duration=SHORT,
-            seed=3,
-            fec_mode=FecMode.NONE,
+        paths = ConstantPaths((8e6, 8e6), (0.02, 0.03), (0.02, 0.02))
+        result = run_cell(
+            make_cell(
+                paths,
+                SystemKind.CONVERGE,
+                duration=SHORT,
+                seed=3,
+                fec_mode=FecMode.NONE,
+            )
         )
         assert result.summary.fec_overhead == 0.0
 
     def test_lossy_path_generates_fec_and_recoveries(self):
-        paths = constant_paths([10e6, 10e6], [0.02, 0.03], [0.03, 0.03])
-        result = run_system(SystemKind.CONVERGE, paths, duration=30.0, seed=3)
+        paths = ConstantPaths((10e6, 10e6), (0.02, 0.03), (0.03, 0.03))
+        result = run_cell(
+            make_cell(paths, SystemKind.CONVERGE, duration=30.0, seed=3)
+        )
         summary = result.summary
         assert summary.fec_overhead > 0.01
         assert result.metrics.fec_recoveries > 0
@@ -105,8 +122,10 @@ class TestEndToEnd:
 
     def test_single_path_call_works(self):
         """Backward compatibility: a call over one path (legacy peer)."""
-        paths = constant_paths([8e6], [0.02], [0.0])
-        result = run_system(SystemKind.WEBRTC, paths, duration=SHORT, seed=3)
+        paths = ConstantPaths((8e6,), (0.02,), (0.0,))
+        result = run_cell(
+            make_cell(paths, SystemKind.WEBRTC, duration=SHORT, seed=3)
+        )
         assert result.summary.average_fps > 20
 
     def test_packet_conservation(self):
@@ -133,8 +152,10 @@ class TestEndToEnd:
             assert stats.sent_packets - accounted < 100
 
     def test_e2e_latency_reasonable_on_clean_paths(self):
-        paths = constant_paths([10e6, 10e6], [0.025, 0.035], [0.0, 0.0])
-        result = run_system(SystemKind.CONVERGE, paths, duration=20.0, seed=3)
+        paths = ConstantPaths((10e6, 10e6), (0.025, 0.035), (0.0, 0.0))
+        result = run_cell(
+            make_cell(paths, SystemKind.CONVERGE, duration=20.0, seed=3)
+        )
         # one-way 25-35 ms + gathering + decode: must be well under
         # the 400 ms playout budget
         assert result.summary.e2e_mean < 0.2

@@ -13,7 +13,8 @@ import pytest
 from repro.core.api import build_call_config, build_scheduler
 from repro.core.config import SystemKind
 from repro.core.session import ConferenceCall
-from repro.experiments.common import constant_paths, run_system
+from repro.experiments.cells import ConstantPaths, make_cell
+from repro.experiments.common import constant_paths, run_cell
 
 
 @pytest.mark.slow
@@ -46,9 +47,9 @@ class TestSequenceWrap:
     def test_wrap_with_loss_and_nack(self):
         """The NACK unwrapper and FEC groups must track across the
         boundary under real loss."""
-        paths = constant_paths([15e6, 15e6], [0.02, 0.03], [0.01, 0.01])
-        result = run_system(
-            SystemKind.CONVERGE, paths, duration=80.0, seed=8
+        paths = ConstantPaths((15e6, 15e6), (0.02, 0.03), (0.01, 0.01))
+        result = run_cell(
+            make_cell(paths, SystemKind.CONVERGE, duration=80.0, seed=8)
         )
         summary = result.summary
         assert summary.average_fps > 24

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from repro.core.config import SystemKind
 from repro.core.path_manager import PathManager
-from repro.experiments.common import constant_paths, run_chaos, run_system
+from repro.core.api import build_call_config, run_call
+from repro.experiments.cells import ScenarioPaths, make_cell
+from repro.experiments.common import constant_paths, run_cell
 from repro.faults.plan import ChurnAction, FaultPlan, PathChurnEvent
 from repro.faults.scenarios import build_chaos_plan
 from repro.metrics.recovery import compute_churn_recovery
@@ -436,6 +438,16 @@ class TestSchedulersUnderChurn:
 DURATION = 6.0
 
 
+def _migration_cell():
+    return make_cell(
+        ScenarioPaths("migration"),
+        SystemKind.CONVERGE,
+        chaos="wifi-lte-migration",
+        duration=8.0,
+        seed=1,
+    )
+
+
 class TestSessionSurvival:
     def test_survives_death_of_all_paths_but_one(self):
         # Three paths; two die abruptly back to back.  The call must
@@ -450,11 +462,9 @@ class TestSessionSurvival:
                 ),
             ]
         )
-        result = run_system(
-            SystemKind.CONVERGE,
+        result = run_call(
+            build_call_config(SystemKind.CONVERGE, duration=DURATION, seed=1),
             _configs(3),
-            DURATION,
-            seed=1,
             fault_plan=plan,
         )
         report = compute_churn_recovery(result.metrics, DURATION)
@@ -476,11 +486,9 @@ class TestSessionSurvival:
                 )
             ]
         )
-        result = run_system(
-            SystemKind.CONVERGE,
+        result = run_call(
+            build_call_config(SystemKind.CONVERGE, duration=DURATION, seed=1),
             _configs(2),
-            DURATION,
-            seed=1,
             fault_plan=plan,
         )
         events = [e for _, _, e in result.metrics.churn_events]
@@ -491,13 +499,7 @@ class TestSessionSurvival:
         assert 0.2 <= removed_time - drain_time <= 1.0 + 1e-9
 
     def test_wifi_lte_migration_survives(self):
-        result = run_chaos(
-            SystemKind.CONVERGE,
-            "migration",
-            "wifi-lte-migration",
-            duration=8.0,
-            seed=1,
-        )
+        result = run_cell(_migration_cell())
         report = compute_churn_recovery(result.metrics, 8.0)
         assert report.session_survived
         assert report.worst_migration_latency is not None
@@ -514,8 +516,11 @@ class TestSessionSurvival:
 
     def test_path_churn_scenario_all_systems_survive(self):
         for system in (SystemKind.CONVERGE, SystemKind.SRTT):
-            result = run_chaos(
-                system, "migration", "path-churn", duration=10.0, seed=1
+            result = run_cell(
+                make_cell(
+                    ScenarioPaths("migration"), system, chaos="path-churn",
+                    duration=10.0, seed=1,
+                )
             )
             report = compute_churn_recovery(result.metrics, 10.0)
             assert report.session_survived, system.value
@@ -524,9 +529,11 @@ class TestSessionSurvival:
         # The plan names wifi/lte births from the migration scenario;
         # driving only has tmobile/verizon.  The call must substitute
         # a native profile rather than die mid-run.
-        result = run_chaos(
-            SystemKind.CONVERGE, "driving", "path-churn",
-            duration=10.0, seed=3,
+        result = run_cell(
+            make_cell(
+                ScenarioPaths("driving"), SystemKind.CONVERGE,
+                chaos="path-churn", duration=10.0, seed=3,
+            )
         )
         report = compute_churn_recovery(result.metrics, 10.0)
         assert report.session_survived
@@ -543,30 +550,24 @@ class TestSessionSurvival:
             ]
         )
         with pytest.raises(ValueError):
-            run_system(
-                SystemKind.CONVERGE,
+            run_call(
+                build_call_config(
+                    SystemKind.CONVERGE, duration=DURATION, seed=1
+                ),
                 _configs(2),
-                DURATION,
-                seed=1,
                 fault_plan=plan,
             )
 
     def test_churn_payload_exported(self):
         from repro.analysis.export import result_to_dict
 
-        result = run_chaos(
-            SystemKind.CONVERGE,
-            "migration",
-            "wifi-lte-migration",
-            duration=8.0,
-            seed=1,
-        )
-        payload = result_to_dict(result)
+        payload = result_to_dict(run_cell(_migration_cell()))
         assert payload["churn"]["session_survived"] is True
         assert payload["churn"]["events"]
         # Churn-free payloads must not carry the key at all (golden
         # byte-compatibility).
-        plain = run_system(
-            SystemKind.CONVERGE, _configs(2), 2.0, seed=1
+        plain = run_call(
+            build_call_config(SystemKind.CONVERGE, duration=2.0, seed=1),
+            _configs(2),
         )
         assert "churn" not in result_to_dict(plain)

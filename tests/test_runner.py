@@ -673,6 +673,12 @@ class TestRunCells:
         with pytest.raises(ValueError, match="REPRO_JOBS"):
             run_cells([_cell()], jobs=None)
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_jobs_env_below_one_is_named(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            run_cells([_cell()], jobs=None)
+
     def test_summary_accessors(self):
         summary = results_of(run_cells([_cell(seed=5)], jobs=1))[0]
         assert summary.config["seed"] == 5
